@@ -9,27 +9,15 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo test"
-cargo test -q
-
-echo "== speccheck conformance & property suite (64 cases/property, fixed seeds)"
-# Differential conformance (sim vs thread transport, speculative vs
-# baseline under exact semantics), schedule-perturbation determinism,
-# and the invariant-oracle pack. The proptest shim derives a fixed seed
-# per test, so this gate is fully deterministic; the checked-in
-# regression corpus (crates/speccheck/proptest-regressions/) replays
-# every historical counterexample first.
-cargo test -q -p speccheck
-
-echo "== stackless kernel differential suite (threaded vs event-scheduled)"
-# The two desim execution models — one OS thread per rank
-# (legacy-threads) and resumable state machines inside the event kernel
-# (stackless) — must be bit-identical: per-rank fingerprints, RunStats,
-# virtual end time, and the kernel's own event/message/timer counters.
-# The suite replays the checked-in proptest-regressions witnesses on
-# both kernels and runs the failure-injection chaos matrix
-# differentially at the mpk level (full SimReport equality).
-cargo test -q --test stackless_equivalence
+echo "== cargo test --workspace"
+# Every crate's unit, integration and doc tests, not only the root
+# package's: the speccheck conformance/property/controller suites (64
+# cases per property, fixed seeds; the checked-in regression corpus under
+# crates/speccheck/proptest-regressions/ replays every historical
+# counterexample first), the root stackless_equivalence differential
+# suite, and the ~300 unit tests of mpk, speccore, nbody, workloads,
+# netsim, obs and perfmodel.
+cargo test -q --workspace
 
 echo "== desim without legacy-threads (stackless-only build)"
 # The stackless kernel must build and pass its suite with the threaded
@@ -38,52 +26,9 @@ echo "== desim without legacy-threads (stackless-only build)"
 cargo build -q -p desim --no-default-features
 cargo test -q -p desim --no-default-features
 
-echo "== regression corpus replay + full-grid inertness (explicit)"
-# Re-run the two properties whose checked-in counterexamples pinned the
-# polling-quantum and timeout-cascade bugs, by name, so a corpus entry
-# silently skipped by a filter typo can never slip through. The corpus
-# states replay before fresh cases; both must hold with the full
-# assertions on (fingerprint + end-time equality on the whole θ/FW grid,
-# cluster-wide commits ≤ losses).
-cargo test -q -p speccheck --test conformance fault_tolerance_is_inert_without_faults
-cargo test -q -p speccheck --test oracles loss_commits_bounded_by_losses
-
-echo "== delta-exchange conformance (explicit)"
-# The PR 7 equivalences by name: floor=0 delta exchange is
-# fingerprint-identical to full broadcast across the θ/FW grid and
-# across all three backends, and a nonzero floor's drift stays inside
-# the quantization envelope.
-cargo test -q -p speccheck --test conformance lossless_delta_equals_full_broadcast_across_grid
-cargo test -q -p speccheck --test conformance quantized_delta_drift_is_bounded
-cargo test -q -p speccheck --test conformance lossless_delta_agrees_across_all_three_backends
-
-echo "== supervision conformance (explicit)"
-# The PR 8 lifecycle properties by name: supervision off is bit-inert;
-# a never-returning peer is quarantined and carried to completion in
-# degraded mode with commits bounded by losses; crash fingerprints for a
-# permanently-dead rank agree bit-for-bit across sim/thread/socket; a
-# crash→rejoin schedule completes on all three backends with the sim
-# run bit-replayable; and the fixed rejoin schedule pins the full
-# quarantine→rejoin→readmission lifecycle deterministically.
-cargo test -q -p speccheck --test conformance supervision_is_inert_without_faults
-cargo test -q -p speccheck --test conformance degraded_mode_carries_a_dead_peer_to_completion
-cargo test -q -p speccheck --test conformance crash_fingerprints_agree_across_all_three_backends
-cargo test -q -p speccheck --test conformance crash_rejoin_completes_on_all_three_backends
-cargo test -q -p speccheck --test conformance quarantined_peer_rejoins_and_is_readmitted
-
-echo "== adaptive controller conformance (explicit)"
-# The PR 10 controller contract by name: an attached-but-dormant
-# controller is bit-inert; an active controller whose θ grid holds only
-# the exact anchor stays bit-identical to the blocking baseline (and
-# agrees across sim/thread backends); controller-driven lossy runs
-# replay bit-for-bit; the window decision converges near the offline
-# optimum under stationary delay; and gap-quantile deadlines beat a
-# pessimistic static loss timeout under real loss.
-cargo test -q -p speccheck --test controller dormant_controller_is_bit_inert
-cargo test -q -p speccheck --test controller active_exact_anchor_controller_equals_baseline
-cargo test -q -p speccheck --test controller sim_and_thread_agree_under_exact_anchor_controller
-cargo test -q -p speccheck --test controller controller_converges_near_offline_optimal_window
-cargo test -q -p speccheck --test controller adaptive_deadlines_beat_pessimistic_static_timeout_under_loss
+echo "== perf-ledger harness (fmt, clippy, unit tests)"
+# benchmark/ is a package of its own, outside the workspace.
+benchmark/run.sh --check
 
 echo "== coverage audit (informational)"
 # Name-based audit of perfmodel/workloads public APIs against the test

@@ -1635,6 +1635,12 @@ mod tests {
         }
     }
 
+    /// Dial a rank whose thread was only just spawned: it may not have
+    /// bound its listener yet.
+    fn dial_when_listening(addr: SocketAddr) -> TcpStream {
+        connect_with_retry(addr, Duration::from_secs(5), 0).expect("rank never started listening")
+    }
+
     #[test]
     fn ranks_and_size_are_correct() {
         let ids = run_socket_cluster::<u64, _, _>(3, SocketClusterOptions::default(), |t| {
@@ -1974,13 +1980,13 @@ mod tests {
             (env.msg, t.handshake_rejects())
         });
         // Junk flavour 1: connect and EOF before sending any HELLO.
-        let s = TcpStream::connect(addrs[0]).unwrap();
+        let s = dial_when_listening(addrs[0]);
         s.shutdown(Shutdown::Both).unwrap();
         drop(s);
         // Junk flavour 2: a well-formed HELLO claiming an impossible
         // rank (rank 0 itself), then linger so the reject is observed
         // before the real peer's HELLO enters the queue.
-        let mut s = TcpStream::connect(addrs[0]).unwrap();
+        let mut s = dial_when_listening(addrs[0]);
         write_hello(&mut s, 0, 2).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         drop(s);
@@ -2023,7 +2029,7 @@ mod tests {
         // Fake rank 1: real HELLO handshake, then a frame whose length
         // prefix promises 64 bytes but whose body stops after the
         // version byte, then an abrupt close.
-        let mut s = TcpStream::connect(addrs[0]).unwrap();
+        let mut s = dial_when_listening(addrs[0]);
         write_hello(&mut s, 1, 2).unwrap();
         assert_eq!(read_hello(&mut s, 2, DEFAULT_MAX_FRAME).unwrap(), 0);
         s.write_all(&64u32.to_le_bytes()).unwrap();

@@ -19,7 +19,7 @@
 //! arrives and validates, the next iterations are already computed and
 //! their broadcasts leave back-to-back (the paper's Figure 4c behaviour).
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use desim::{SimDuration, SimTime};
 use mpk::{DeltaFrame, Envelope, Rank, Tag, Transport, WireCodec, WireSize, HEADER_BYTES};
@@ -30,6 +30,7 @@ use crate::config::{CorrectionMode, DeltaExchange, SpecConfig, SupervisionConfig
 use crate::control::ControllerState;
 use crate::history::History;
 use crate::stats::{IterationLog, RunStats};
+use crate::window::{Inbox, Promoted, Slots};
 
 /// Wire discriminant for delta frames: the top bit of the iteration stamp.
 /// Iteration counts never approach 2^63, so full frames — whose encoding
@@ -127,15 +128,6 @@ pub const DATA_TAG: Tag = Tag(1);
 /// as the acknowledgement.
 pub const RETRANS_REQ_TAG: Tag = Tag(2);
 
-enum InputSlot<S> {
-    /// Received actual value was used.
-    Actual,
-    /// Speculated, later validated or corrected.
-    Validated,
-    /// Speculated with this value; awaiting the actual.
-    Speculated(S),
-}
-
 struct ExecRecord<S, C> {
     iter: u64,
     /// App state snapshot taken before executing this iteration.
@@ -143,8 +135,9 @@ struct ExecRecord<S, C> {
     /// `X_j(iter + 1)`, extracted right after execution (kept up to date
     /// through incremental corrections).
     produced: S,
-    /// Input provenance per rank (own rank marked `Validated`).
-    inputs: Vec<InputSlot<S>>,
+    /// Per peer, the value its input was speculated with, for as long as
+    /// the actual is outstanding: the record is resolved when none is held.
+    speculated: Slots<S>,
 }
 
 /// Loss-detection state for one peer's missing input to the queue-head
@@ -182,25 +175,33 @@ fn promote_loss<S: Clone, C>(
     history: &mut History<S>,
     stats: &mut RunStats,
     staleness: &mut u32,
-    promoted: &mut HashSet<(usize, u64)>,
+    promoted: &mut Promoted,
 ) -> bool {
+    // The front record's iteration is the confirmation point.
     let iter = rec.iter;
-    let sv = match std::mem::replace(&mut rec.inputs[k], InputSlot::Validated) {
-        InputSlot::Speculated(s) => s,
-        _ => unreachable!("promotion of a non-speculated slot"),
-    };
+    let sv = rec
+        .speculated
+        .take(k)
+        .expect("promotion of a non-speculated slot");
     // Recording the promoted value keeps the backward window anchored (a
     // late actual for the same iteration is ignored by the history's
     // freshness guard, so the promotion is final); on a re-promotion
     // after rollback the same guard makes this a no-op.
     history.record(iter, sv);
-    if promoted.insert((k, iter)) {
+    if promoted.insert(k, iter, iter) {
         stats.speculate_through_loss_commits += 1;
         *staleness += 1;
         true
     } else {
         false
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Most promotion-table entries any rank on this thread held at a
+    /// commit (stackless sim ranks all run on the caller's thread).
+    static PROMOTED_PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Per-peer health in the supervision lifecycle.
@@ -455,8 +456,8 @@ where
     let mut last_inbox_depth: Option<u64> = None;
     let mut last_window: Option<u64> = None;
 
-    // Actual values received, keyed by iteration then sender.
-    let mut inbox: BTreeMap<u64, HashMap<usize, A::Shared>> = BTreeMap::new();
+    // Actual values received, by iteration (from `t_conf` on) and sender.
+    let mut inbox: Inbox<A::Shared> = Inbox::new(p, total_iters);
     // Per-peer history of actuals (the backward window).
     let mut history: Vec<History<A::Shared>> = (0..p)
         .map(|_| History::new(config.backward_window.max(1)))
@@ -468,6 +469,14 @@ where
     // `checkpoint_into` keep the steady-state path allocation-free. Depth
     // is bounded by the forward window, so the pool never grows past it.
     let mut checkpoint_pool: Vec<A::Checkpoint> = Vec::new();
+    // The same for the records' speculated-input tables.
+    let mut speculated_pool: Vec<Slots<A::Shared>> = Vec::new();
+    // Peers whose actual for the queue-head iteration arrived since Phase 1
+    // last ran: the only inputs validation has to look at. Rebuilt from the
+    // inbox row when a commit brings a new record to the front.
+    let mut fresh: Vec<usize> = Vec::new();
+    // Phase 2 scratch: the speculation computed for each missing peer.
+    let mut speculations: Vec<Option<(A::Shared, u64, u32)>> = (0..p).map(|_| None).collect();
 
     // ---- fault-tolerance state (inert when `config.fault` is None) ----
     let ft = config.fault.clone();
@@ -491,7 +500,7 @@ where
     // Virtual time each peer last delivered anything (any tag).
     let mut last_heard: Vec<SimTime> = vec![SimTime::ZERO; p];
     // (peer, iteration) pairs whose loss promotion was already counted.
-    let mut promoted: HashSet<(usize, u64)> = HashSet::new();
+    let mut promoted = Promoted::new(p);
     // When the rank first found itself with nothing in flight and nothing
     // executable (starved — e.g. iteration 0 under loss, before any
     // history exists to extrapolate from).
@@ -551,9 +560,15 @@ where
 
     broadcast(transport, &mut stats, app, &mut dx, p, me, 0, app.shared()).await;
 
+    // The message Phase 3 blocked for, folded in first at the loop top.
+    let mut carried: Option<Envelope<IterMsg<A::Shared>>> = None;
+
     'main: while t_conf < total_iters {
         // Fold in everything that has arrived.
-        while let Some(env) = transport.try_recv().await {
+        while let Some(env) = match carried.take() {
+            Some(env) => Some(env),
+            None => transport.try_recv().await,
+        } {
             if let Some(c) = &mut ctl {
                 c.on_receive(env.src.0, transport.now());
             }
@@ -610,15 +625,11 @@ where
                     .await;
                 }
             }
-            stash(
-                app,
-                &mut dx,
-                env,
-                t_conf,
-                &mut inbox,
-                &mut history,
-                &mut stats,
-            );
+            let (src, iter) = (env.src.0, env.msg.iter);
+            let arrived = stash(app, &mut dx, env, &mut inbox, &mut history, &mut stats);
+            if arrived && iter == t_conf && !exec_q.is_empty() {
+                fresh.push(src);
+            }
         }
 
         // ------------------------------------------------------------------
@@ -656,7 +667,9 @@ where
                     t_exec = t_conf;
                     for rec in exec_q.drain(..) {
                         checkpoint_pool.push(rec.pre);
+                        speculated_pool.push(rec.speculated);
                     }
+                    fresh.clear();
                     inbox.clear();
                     for h in history.iter_mut() {
                         *h = History::new(config.backward_window.max(1));
@@ -730,11 +743,7 @@ where
                     // A peer whose slot is no longer speculative — or whose
                     // actual already sits in the inbox awaiting its check —
                     // needs no loss tracking.
-                    let have_actual = inbox
-                        .get(&front_iter)
-                        .map(|m| m.contains_key(&k))
-                        .unwrap_or(false);
-                    if have_actual || !matches!(exec_q[0].inputs[k], InputSlot::Speculated(_)) {
+                    if exec_q[0].speculated.get(k).is_none() || inbox.get(front_iter, k).is_some() {
                         peer_wait[k] = None;
                         continue;
                     }
@@ -886,7 +895,7 @@ where
             }
         }
 
-        let inbox_depth = inbox.len() as u64;
+        let inbox_depth = inbox.depth() as u64;
         if last_inbox_depth != Some(inbox_depth) {
             last_inbox_depth = Some(inbox_depth);
             let t_now = transport.now();
@@ -901,16 +910,22 @@ where
         if !exec_q.is_empty() {
             let front_iter = exec_q[0].iter;
             let mut rollback = false;
-            for k in 0..p {
-                let spec = match &exec_q[0].inputs[k] {
-                    InputSlot::Speculated(s) => s.clone(),
-                    _ => continue,
-                };
-                let Some(actual) = inbox.get(&front_iter).and_then(|m| m.get(&k)).cloned() else {
+            // Only an input whose actual just arrived can have become
+            // checkable; in rank order, as a scan of the row would find them.
+            fresh.sort_unstable();
+            for k in fresh.drain(..) {
+                // Every path below leaves the input resolved or drains the
+                // record in a rollback, so the speculated value is taken, not
+                // cloned. (`None`: loss promotion resolved the input before
+                // its late actual arrived.)
+                let Some(spec) = exec_q[0].speculated.take(k) else {
                     continue;
                 };
+                let actual = inbox
+                    .get(front_iter, k)
+                    .expect("a fresh arrival is in the inbox");
                 let t0 = transport.now();
-                let outcome = app.check(Rank(k), &actual, &spec);
+                let outcome = app.check(Rank(k), actual, &spec);
                 if let Some(c) = &mut ctl {
                     c.observe_error(outcome.max_error);
                 }
@@ -934,7 +949,6 @@ where
                 stats.max_accepted_error = stats.max_accepted_error.max(outcome.max_accepted_error);
                 if outcome.accept {
                     stats.accepted_partitions += 1;
-                    exec_q[0].inputs[k] = InputSlot::Validated;
                 } else {
                     stats.misspeculated_partitions += 1;
                     if let Some(r) = transport.recorder() {
@@ -953,14 +967,14 @@ where
                         let ops = if depth == 0 {
                             // Fix the single in-flight iteration in place:
                             // the paper's `correct(X_j(t+1))`.
-                            let ops = app.correct(Rank(k), &spec, &actual);
+                            let ops = app.correct(Rank(k), &spec, actual);
                             exec_q[0].produced = app.shared();
                             Some(ops)
                         } else {
                             // Iterations were already computed on top; let
                             // the app propagate the correction forward if
                             // it can (first-order, bounded residual).
-                            app.correct_deep(Rank(k), &spec, &actual, depth)
+                            app.correct_deep(Rank(k), &spec, actual, depth)
                         };
                         match ops {
                             Some(ops) => {
@@ -986,7 +1000,6 @@ where
                                         },
                                     );
                                 }
-                                exec_q[0].inputs[k] = InputSlot::Validated;
                                 if depth > 0 {
                                     // The live state changed; refresh the
                                     // newest pending broadcast. (Interim
@@ -1017,7 +1030,9 @@ where
                 t_exec = front_iter;
                 for rec in exec_q.drain(..) {
                     checkpoint_pool.push(rec.pre);
+                    speculated_pool.push(rec.speculated);
                 }
+                fresh.clear();
                 stats.rollbacks += 1;
                 let t_now = transport.now();
                 if let Some(r) = transport.recorder() {
@@ -1033,13 +1048,10 @@ where
                 continue 'main;
             }
 
-            let resolved = exec_q[0]
-                .inputs
-                .iter()
-                .all(|s| matches!(s, InputSlot::Actual | InputSlot::Validated));
-            if resolved {
+            if exec_q[0].speculated.held() == 0 {
                 let rec = exec_q.pop_front().expect("non-empty queue");
                 checkpoint_pool.push(rec.pre);
+                speculated_pool.push(rec.speculated);
                 t_conf = rec.iter + 1;
                 stats.iterations += 1;
                 // Feed the resume handshake: a transport with supervision
@@ -1126,7 +1138,16 @@ where
                     .await;
                 }
                 // Everything below t_conf is fully consumed.
-                inbox = inbox.split_off(&t_conf);
+                inbox.advance(t_conf);
+                #[cfg(test)]
+                PROMOTED_PEAK.with(|peak| peak.set(peak.get().max(promoted.len())));
+                // The record now at the front may have actuals waiting from
+                // while it sat behind the one just committed.
+                if let Some(front) = exec_q.front() {
+                    fresh.extend((0..p).filter(|&k| {
+                        front.speculated.get(k).is_some() && inbox.get(t_conf, k).is_some()
+                    }));
+                }
                 continue 'main;
             }
         }
@@ -1159,49 +1180,45 @@ where
             _ => false,
         };
         if t_exec < total_iters && depth < u64::from(window.max(1)) {
-            let empty = HashMap::new();
-            let avail = inbox.get(&t_exec).unwrap_or(&empty);
-            let missing: Vec<usize> = (0..p)
-                .filter(|k| *k != me.0 && !avail.contains_key(k))
-                .collect();
+            let all_arrived = inbox.arrived(t_exec) == p - 1;
 
             // Pre-compute speculations (read-only on the app) so we can
             // abandon the attempt without side effects if any peer is
             // unpredictable (e.g. empty history at iteration 0).
-            let mut speculations: Vec<(usize, A::Shared, u64, u32)> = Vec::new();
             let mut speculable = window >= 1;
-            if speculable {
-                for &k in &missing {
+            if speculable && !all_arrived {
+                for k in 0..p {
+                    if k == me.0 || inbox.get(t_exec, k).is_some() {
+                        continue;
+                    }
                     let ahead = history[k]
                         .latest_iter()
                         .map(|li| t_exec.saturating_sub(li).max(1) as u32);
-                    match ahead.and_then(|a| {
+                    speculations[k] = ahead.and_then(|a| {
                         app.speculate(Rank(k), &history[k], a)
                             .map(|(sv, ops)| (sv, ops, a))
-                    }) {
-                        Some((sv, ops, a)) => speculations.push((k, sv, ops, a)),
-                        None => {
-                            speculable = false;
-                            if ft.is_none() {
-                                break;
-                            }
-                            // Under fault tolerance, keep collecting what
-                            // *can* be speculated: a forced execution uses
-                            // every extrapolation it has.
+                    });
+                    if speculations[k].is_none() {
+                        speculable = false;
+                        if ft.is_none() {
+                            break;
                         }
+                        // Under fault tolerance, keep collecting what
+                        // *can* be speculated: a forced execution uses
+                        // every extrapolation it has.
                     }
                 }
             }
 
-            if missing.is_empty() || speculable || force_execute {
+            if all_arrived || speculable || force_execute {
                 stats.executions += 1;
                 stats.max_depth_used = stats.max_depth_used.max(depth + 1);
                 let exec_start = transport.now();
                 let mut pre_slot = checkpoint_pool.pop();
                 app.checkpoint_into(&mut pre_slot);
                 let pre = pre_slot.expect("checkpoint_into must fill the slot");
-                let mut inputs: Vec<InputSlot<A::Shared>> =
-                    (0..p).map(|_| InputSlot::Validated).collect();
+                let mut speculated = speculated_pool.pop().unwrap_or(Slots::UNSIZED);
+                speculated.reset(p);
 
                 let mut comp_ops = app.begin_iteration();
                 let mut spec_ops = 0u64;
@@ -1213,14 +1230,11 @@ where
                     if k == me.0 {
                         continue;
                     }
-                    if let Some(actual) = avail.get(&k) {
+                    if let Some(actual) = inbox.get(t_exec, k) {
                         comp_ops += app.absorb(Rank(k), actual);
-                        inputs[k] = InputSlot::Actual;
-                    } else if let Some((_, sv, ops, ahead)) =
-                        speculations.iter().find(|(kk, _, _, _)| *kk == k)
-                    {
+                    } else if let Some((sv, ops, ahead)) = speculations[k].take() {
                         spec_ops += ops;
-                        comp_ops += app.absorb(Rank(k), sv);
+                        comp_ops += app.absorb(Rank(k), &sv);
                         stats.speculated_partitions += 1;
                         if let Some(r) = transport.recorder() {
                             r.mark(
@@ -1228,17 +1242,17 @@ where
                                 exec_start.as_nanos(),
                                 Mark::Speculation {
                                     peer: k as u32,
-                                    ahead: *ahead,
+                                    ahead,
                                 },
                             );
                         }
-                        inputs[k] = InputSlot::Speculated(sv.clone());
+                        speculated.put(k, sv);
                     } else {
                         // Forced execution with no history to extrapolate
                         // from: proceed without this peer's contribution.
                         // Only reachable with fault tolerance on.
                         debug_assert!(force_execute);
-                        if promoted.insert((k, t_exec)) {
+                        if promoted.insert(k, t_exec, t_conf) {
                             stats.speculate_through_loss_commits += 1;
                             staleness[k] += 1;
                         }
@@ -1313,17 +1327,14 @@ where
                     }
                     entry.exec_start = exec_start;
                     entry.exec_end = transport.now();
-                    entry.speculated_inputs = inputs
-                        .iter()
-                        .filter(|s| matches!(s, InputSlot::Speculated(_)))
-                        .count() as u32;
+                    entry.speculated_inputs = speculated.held() as u32;
                 }
 
                 exec_q.push_back(ExecRecord {
                     iter: t_exec,
                     pre,
                     produced: app.shared(),
-                    inputs,
+                    speculated,
                 });
                 let queue_depth = exec_q.len() as u64;
                 let t_now = transport.now();
@@ -1339,6 +1350,8 @@ where
                 starved_since = None;
                 continue 'main;
             }
+            // Abandoned: drop whatever was speculated for the attempt.
+            speculations.iter_mut().for_each(|s| *s = None);
         }
 
         // ------------------------------------------------------------------
@@ -1401,68 +1414,7 @@ where
                 r.span_end(obs_rank, t1.as_nanos(), Phase::CommWait);
             }
         }
-        if let Some(env) = env {
-            if let Some(c) = &mut ctl {
-                c.on_receive(env.src.0, transport.now());
-            }
-            if ft.is_some() {
-                let src = env.src;
-                staleness[src.0] = 0;
-                last_heard[src.0] = transport.now();
-                let (rejoined, degraded_exit) = match &mut sup {
-                    Some(sv) => sv.on_heard(src.0),
-                    None => (false, false),
-                };
-                if rejoined {
-                    stats.peer_rejoins += 1;
-                    dx.rx_shadow[src.0] = None;
-                    dx.seen_past[src.0] = None;
-                    let t_now = transport.now();
-                    if let Some(r) = transport.recorder() {
-                        r.mark(
-                            obs_rank,
-                            t_now.as_nanos(),
-                            Mark::PeerRejoined { peer: src.0 as u32 },
-                        );
-                        if degraded_exit {
-                            r.mark(obs_rank, t_now.as_nanos(), Mark::DegradedExit);
-                        }
-                    }
-                    send_full_state(
-                        transport,
-                        &mut stats,
-                        app,
-                        &mut dx,
-                        src,
-                        DATA_TAG,
-                        last_broadcast.0,
-                        &last_broadcast.1,
-                    )
-                    .await;
-                } else if env.tag == RETRANS_REQ_TAG {
-                    send_full_state(
-                        transport,
-                        &mut stats,
-                        app,
-                        &mut dx,
-                        src,
-                        DATA_TAG,
-                        last_broadcast.0,
-                        &last_broadcast.1,
-                    )
-                    .await;
-                }
-            }
-            stash(
-                app,
-                &mut dx,
-                env,
-                t_conf,
-                &mut inbox,
-                &mut history,
-                &mut stats,
-            );
-        }
+        carried = env;
     }
 
     stats.messages_lost = transport.fault_counters().dropped;
@@ -1560,15 +1512,17 @@ async fn broadcast<T, A>(
 /// history or inbox, so they can never fabricate promotion evidence or
 /// corrupt a reconstruction. Gaps heal when the next keyframe, retransmit
 /// reply, or recovery request (all full frames) re-seeds the shadow.
+/// Returns whether the frame filled an empty inbox slot (not a duplicate,
+/// not for a consumed iteration).
 fn stash<A: SpeculativeApp>(
     app: &A,
     dx: &mut DeltaState<A::Shared>,
     env: Envelope<IterMsg<A::Shared>>,
-    t_conf: u64,
-    inbox: &mut BTreeMap<u64, HashMap<usize, A::Shared>>,
+    inbox: &mut Inbox<A::Shared>,
     history: &mut [History<A::Shared>],
     stats: &mut RunStats,
-) where
+) -> bool
+where
     A::Shared: WireSize,
 {
     stats.messages_received += 1;
@@ -1603,14 +1557,12 @@ fn stash<A: SpeculativeApp>(
             other => {
                 dx.rx_shadow[src] = other;
                 stats.delta_frames_dropped += 1;
-                return;
+                return false;
             }
         },
     };
     history[src].record(iter, data.clone());
-    if iter >= t_conf {
-        inbox.entry(iter).or_default().insert(src, data);
-    }
+    inbox.insert(iter, src, data)
 }
 
 // ---------------------------------------------------------------------------
@@ -2142,6 +2094,45 @@ mod tests {
     }
 
     #[test]
+    fn promotion_table_stays_within_the_live_window_over_a_long_lossy_run() {
+        // Every loss promotion used to leave a (peer, iteration) entry
+        // behind for the rest of the run. Thousands of promotions later the
+        // table must still hold no more than the window's worth per peer.
+        let (p, fw, iters) = (4usize, 2u32, 5_000u64);
+        let ft = FaultTolerance::new(SimDuration::from_millis(5));
+        let cfg = SpecConfig::speculative(fw).with_fault_tolerance(ft);
+        PROMOTED_PEAK.with(|peak| peak.set(0));
+        let (out, _) = mpk::run_sim_proc_cluster_with_faults::<IterMsg<f64>, _, _, _>(
+            &ClusterSpec::homogeneous(p, 100.0),
+            ConstantLatency(SimDuration::from_millis(1)),
+            Unloaded,
+            FaultSpec::new(Loss::new(0.05, 7)),
+            false,
+            move |mut t| {
+                let cfg = cfg.clone();
+                async move {
+                    use mpk::AsyncTransport;
+                    let mut app = Toy::new(t.rank().0, t.size(), 1e9);
+                    run_speculative_aio(&mut t, &mut app, iters, cfg).await
+                }
+            },
+        )
+        .unwrap();
+        let promotions: u64 = out.iter().map(|s| s.speculate_through_loss_commits).sum();
+        let peak = PROMOTED_PEAK.with(|peak| peak.get());
+        assert!(out.iter().all(|s| s.iterations == iters));
+        assert!(
+            promotions > 100 * (p as u64) * u64::from(fw + 1),
+            "the run must promote far more often than the bound ({promotions})"
+        );
+        assert!(peak > 0, "no commit sampled the table");
+        assert!(
+            peak <= p * (fw as usize + 1),
+            "promotion table grew to {peak} entries"
+        );
+    }
+
+    #[test]
     fn total_loss_with_fault_tolerance_still_terminates() {
         // Loss(1.0): no message ever crosses the network. The staleness
         // machinery must still drive every rank through all iterations.
@@ -2466,12 +2457,10 @@ mod tests {
 
     #[test]
     fn stash_drops_gap_and_duplicate_delta_frames() {
-        use std::collections::{BTreeMap, HashMap};
-
         let app = Toy::new(0, 2, 0.0);
         let mut dx: DeltaState<f64> = DeltaState::inert(2);
         dx.policy = Some(DeltaExchange::lossless());
-        let mut inbox: BTreeMap<u64, HashMap<usize, f64>> = BTreeMap::new();
+        let mut inbox: Inbox<f64> = Inbox::new(2, 100);
         let mut history = vec![History::new(4), History::new(4)];
         let mut stats = RunStats::new(Rank(0));
         let env = |iter: u64, body: MsgBody<f64>| Envelope {
@@ -2488,7 +2477,6 @@ mod tests {
             &app,
             &mut dx,
             env(5, MsgBody::Full(2.0)),
-            0,
             &mut inbox,
             &mut history,
             &mut stats,
@@ -2500,7 +2488,6 @@ mod tests {
             &app,
             &mut dx,
             env(7, MsgBody::Delta(frame(9.0))),
-            0,
             &mut inbox,
             &mut history,
             &mut stats,
@@ -2518,21 +2505,19 @@ mod tests {
             &app,
             &mut dx,
             env(6, MsgBody::Delta(frame(3.0))),
-            0,
             &mut inbox,
             &mut history,
             &mut stats,
         );
         assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
         assert_eq!(history[1].latest_iter(), Some(6));
-        assert_eq!(inbox.get(&6).and_then(|m| m.get(&1)), Some(&3.0));
+        assert_eq!(inbox.get(6, 1), Some(&3.0));
 
         // A duplicate of that delta is inert.
         stash(
             &app,
             &mut dx,
             env(6, MsgBody::Delta(frame(3.0))),
-            0,
             &mut inbox,
             &mut history,
             &mut stats,
@@ -2545,7 +2530,6 @@ mod tests {
             &app,
             &mut dx,
             env(4, MsgBody::Full(1.0)),
-            0,
             &mut inbox,
             &mut history,
             &mut stats,

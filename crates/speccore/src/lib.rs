@@ -47,6 +47,7 @@ mod driver;
 mod history;
 pub mod speculator;
 mod stats;
+mod window;
 
 pub use app::{CheckOutcome, SpeculativeApp};
 pub use config::{

@@ -249,3 +249,59 @@ fn stackless_kernel_steady_state_is_allocation_free() {
         "1024-rank stackless steady state must not allocate (kernel or ranks)"
     );
 }
+
+/// Heap allocations of one fault-free 16-rank stackless N-body run: the
+/// benchmark's `nbody16_small_sim` shape (N = 64 on the paper testbed,
+/// FW = 1, θ = 0.01, incremental correction).
+fn nbody16_run_allocations(iters: u64) -> u64 {
+    let n = 64;
+    let cluster = netsim::ClusterSpec::paper_testbed();
+    let particles = centered_cloud(n, 42);
+    let ranges = partition_proportional(n, &cluster.capacities());
+    let app_cfg = spec_bench::experiments::experiment_nbody_config().with_theta(0.01);
+    let cfg = SpecConfig::speculative(1).with_correction(CorrectionMode::Incremental);
+    let (allocs, stats) = speccheck::alloc::count(|| {
+        mpk::run_sim_proc_cluster_with_faults::<IterMsg<_>, _, _, _>(
+            &cluster,
+            spec_bench::experiments::testbed_network(42, n),
+            netsim::Unloaded,
+            mpk::FaultSpec::none(),
+            false,
+            |mut t| {
+                use mpk::AsyncTransport;
+                let mut app = NBodyApp::new(
+                    &particles,
+                    ranges.clone(),
+                    t.rank().0,
+                    app_cfg,
+                    SpeculationOrder::Linear,
+                );
+                let cfg = cfg.clone();
+                async move { speccore::run_speculative_aio(&mut t, &mut app, iters, cfg).await }
+            },
+        )
+        .expect("fault-free cluster must complete")
+        .0
+    });
+    assert!(stats.iter().all(|s| s.iterations == iters));
+    allocs
+}
+
+/// The driver's own per-iteration bookkeeping — inbox rows, input
+/// provenance tables, speculation scratch — is recycled, so what a
+/// steady-state rank-iteration still allocates is the messages themselves:
+/// the snapshot it broadcasts, the predictions `speculate` returns by
+/// contract, and the kernel's per-send envelopes: 100.4 in all, against
+/// 111.6 with a map of hash maps for an inbox. Two run lengths cancel
+/// set-up and warm-up.
+#[test]
+fn nbody16_driver_steady_state_allocations_stay_under_the_ceiling() {
+    const CEILING_PER_RANK_ITER: f64 = 101.0;
+    let (short, long) = (100u64, 300u64);
+    let extra = nbody16_run_allocations(long) - nbody16_run_allocations(short);
+    let per_rank_iter = extra as f64 / ((long - short) * 16) as f64;
+    assert!(
+        per_rank_iter <= CEILING_PER_RANK_ITER,
+        "steady-state allocations per rank-iteration rose to {per_rank_iter:.1}"
+    );
+}
