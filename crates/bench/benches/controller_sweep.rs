@@ -16,10 +16,10 @@
 //! nanoseconds across checkouts, not wall-clock noise.
 
 use desim::SimDuration;
-use mpk::{run_sim_cluster_with_options, FaultSpec, SimClusterOptions, Transport};
+use mpk::{run_sim_proc_cluster, AsyncTransport};
 use netsim::{ClusterSpec, MachineSpec, MsgCtx, NetworkModel, TransientDelays, Unloaded};
 use spec_bench::artifact::{self, ControllerRow};
-use speccore::{run_speculative, ControllerConfig, IterMsg, RunStats, SpecConfig};
+use speccore::{run_speculative_aio, ControllerConfig, IterMsg, RunStats, SpecConfig};
 use workloads::{SyntheticApp, SyntheticConfig};
 
 const P: usize = 4;
@@ -74,15 +74,15 @@ fn run(theta: f64, cfg: SpecConfig) -> (u64, Vec<RunStats>) {
         SimDuration::from_millis(SPIKE_EXTRA_MS),
         SPIKE_SEED,
     );
-    let (stats, report) = run_sim_cluster_with_options::<IterMsg<Vec<f64>>, _, _>(
+    let (stats, report) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         net,
         Unloaded,
-        FaultSpec::none(),
-        SimClusterOptions::default(),
-        move |t| {
+        false,
+        |mut t| {
             let mut app = SyntheticApp::new(N_VARS, &ranges, t.rank().0, app_cfg(theta));
-            run_speculative(t, &mut app, ITERS, cfg.clone())
+            let cfg = cfg.clone();
+            async move { run_speculative_aio(&mut t, &mut app, ITERS, cfg).await }
         },
     )
     .expect("controller sweep run failed");

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use desim::{EventKind, EventQueue, ProcessId, SimDuration, SimTime, Simulation};
-use mpk::{run_sim_cluster, Tag, Transport};
+use mpk::{run_sim_proc_cluster, AsyncTransport, Tag};
 use netsim::{ClusterSpec, ConstantLatency, Unloaded};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -35,13 +35,14 @@ fn bench_event_queue(c: &mut Criterion) {
 }
 
 fn bench_context_switch(c: &mut Criterion) {
-    // One advance() = one request/response handshake + one heap op.
+    // One advance() = one suspend/resume of the process's state machine +
+    // one heap op.
     c.bench_function("process_advance_10k", |b| {
         b.iter(|| {
             let mut sim = Simulation::new();
-            sim.spawn("p", |h| {
+            sim.spawn_async("p", |h| async move {
                 for _ in 0..10_000 {
-                    h.advance(SimDuration::from_nanos(1));
+                    h.advance(SimDuration::from_nanos(1)).await;
                 }
             });
             black_box(sim.run().unwrap().events_processed)
@@ -56,17 +57,17 @@ fn bench_cluster_round(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ranks", p), &p, |b, &p| {
             let cluster = ClusterSpec::homogeneous(p, 100.0);
             b.iter(|| {
-                let (outs, _) = run_sim_cluster::<u64, _, _>(
+                let (outs, _) = run_sim_proc_cluster::<u64, _, _, _>(
                     &cluster,
                     ConstantLatency(SimDuration::from_micros(10)),
                     Unloaded,
                     false,
-                    |t| {
+                    |mut t| async move {
                         let mut acc = 0u64;
                         for round in 0..10u64 {
-                            t.broadcast(Tag(0), round);
+                            t.broadcast(Tag(0), round).await;
                             for _ in 0..t.size() - 1 {
-                                acc += t.recv().msg;
+                                acc += t.recv().await.msg;
                             }
                         }
                         acc

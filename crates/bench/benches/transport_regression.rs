@@ -1,6 +1,6 @@
 //! Transport backend regression bench: the same two traffic patterns —
 //! all-to-all broadcast throughput and two-rank ping-pong latency — run
-//! over all three `Transport` backends (virtual-time sim, in-process
+//! over all three transport backends (virtual-time sim, in-process
 //! threads, loopback TCP sockets), in the style of a networking stack's
 //! notifications-protocol benches.
 //!
@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use desim::SimDuration;
 use mpk::{
-    run_sim_cluster, run_socket_cluster, run_thread_cluster, Rank, SocketClusterOptions, Tag,
-    ThreadClusterOptions, Transport,
+    poll_ready, run_sim_proc_cluster, run_socket_cluster, run_thread_cluster, AsyncTransport, Rank,
+    SocketClusterOptions, Tag, ThreadClusterOptions,
 };
 use nbody::{run_parallel, uniform_cloud, ParallelRunConfig};
 use netsim::{ClusterSpec, ConstantLatency, Unloaded};
@@ -55,13 +55,17 @@ fn best_secs(samples: usize, mut run: impl FnMut()) -> f64 {
 /// Every rank broadcasts a payload and drains its `p − 1` inbound copies,
 /// each iteration — the exact traffic shape of the speculative driver's
 /// exchange phase.
-fn broadcast_driver<T: Transport<Msg = Vec<f64>>>(t: &mut T, floats: usize, iters: u64) -> u64 {
+async fn broadcast_driver<T: AsyncTransport<Msg = Vec<f64>>>(
+    t: &mut T,
+    floats: usize,
+    iters: u64,
+) -> u64 {
     let payload = vec![1.0f64; floats];
     let mut received = 0u64;
     for _ in 0..iters {
-        t.broadcast(Tag(0), payload.clone());
+        t.broadcast(Tag(0), payload.clone()).await;
         for _ in 0..t.size() - 1 {
-            let env = t.recv();
+            let env = t.recv().await;
             received += env.msg.len() as u64;
         }
     }
@@ -69,20 +73,38 @@ fn broadcast_driver<T: Transport<Msg = Vec<f64>>>(t: &mut T, floats: usize, iter
 }
 
 /// Rank 0 sends and awaits the echo; rank 1 echoes — round-trip latency.
-fn pingpong_driver<T: Transport<Msg = Vec<f64>>>(t: &mut T, floats: usize, rounds: u64) -> u64 {
+async fn pingpong_driver<T: AsyncTransport<Msg = Vec<f64>>>(
+    t: &mut T,
+    floats: usize,
+    rounds: u64,
+) -> u64 {
     let payload = vec![1.0f64; floats];
     let mut received = 0u64;
     for _ in 0..rounds {
         if t.rank() == Rank(0) {
-            t.send(Rank(1), Tag(0), payload.clone());
-            received += t.recv().msg.len() as u64;
+            t.send(Rank(1), Tag(0), payload.clone()).await;
+            received += t.recv().await.msg.len() as u64;
         } else {
-            let env = t.recv();
+            let env = t.recv().await;
             received += env.msg.len() as u64;
-            t.send(Rank(0), Tag(0), env.msg);
+            t.send(Rank(0), Tag(0), env.msg).await;
         }
     }
     received
+}
+
+/// The traffic pattern of one row, on any backend's endpoint.
+async fn traffic<T: AsyncTransport<Msg = Vec<f64>>>(
+    t: &mut T,
+    is_broadcast: bool,
+    floats: usize,
+    iters: u64,
+) -> u64 {
+    if is_broadcast {
+        broadcast_driver(t, floats, iters).await
+    } else {
+        pingpong_driver(t, floats, iters).await
+    }
 }
 
 fn run_backend(backend: &str, mode: &str) -> TransportRow {
@@ -100,18 +122,12 @@ fn run_backend(backend: &str, mode: &str) -> TransportRow {
     let secs = match backend {
         "sim" => best_secs(9, || {
             let cluster = ClusterSpec::homogeneous(p, 1000.0);
-            let (outs, _) = run_sim_cluster::<Vec<f64>, _, _>(
+            let (outs, _) = run_sim_proc_cluster::<Vec<f64>, _, _, _>(
                 &cluster,
                 ConstantLatency(SimDuration::from_micros(10)),
                 Unloaded,
                 false,
-                move |t| {
-                    if is_broadcast {
-                        broadcast_driver(t, floats, iters)
-                    } else {
-                        pingpong_driver(t, floats, iters)
-                    }
-                },
+                |mut t| async move { traffic(&mut t, is_broadcast, floats, iters).await },
             )
             .unwrap();
             assert!(outs.iter().all(|&r| r > 0));
@@ -120,13 +136,7 @@ fn run_backend(backend: &str, mode: &str) -> TransportRow {
             let outs = run_thread_cluster::<Vec<f64>, _, _>(
                 p,
                 ThreadClusterOptions::default(),
-                move |t| {
-                    if is_broadcast {
-                        broadcast_driver(t, floats, iters)
-                    } else {
-                        pingpong_driver(t, floats, iters)
-                    }
-                },
+                move |t| poll_ready(traffic(t, is_broadcast, floats, iters)),
             );
             assert!(outs.iter().all(|&r| r > 0));
         }),
@@ -134,13 +144,7 @@ fn run_backend(backend: &str, mode: &str) -> TransportRow {
             let outs = run_socket_cluster::<Vec<f64>, _, _>(
                 p,
                 SocketClusterOptions::default(),
-                move |t| {
-                    if is_broadcast {
-                        broadcast_driver(t, floats, iters)
-                    } else {
-                        pingpong_driver(t, floats, iters)
-                    }
-                },
+                move |t| poll_ready(traffic(t, is_broadcast, floats, iters)),
             );
             assert!(outs.iter().all(|&r| r > 0));
         }),

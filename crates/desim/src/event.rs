@@ -24,9 +24,8 @@ pub type Payload = Box<dyn Any + Send>;
 
 /// What happens when an event fires.
 pub enum EventKind {
-    /// Resume a process that was sleeping in [`ProcessHandle::advance`].
-    ///
-    /// [`ProcessHandle::advance`]: crate::process::ProcessHandle::advance
+    /// Resume a process: its start grant at time zero, or the end of a
+    /// [`Yield::Timer`](crate::Yield::Timer) sleep.
     Wake(ProcessId),
     /// A message reaches its destination mailbox.
     Deliver {

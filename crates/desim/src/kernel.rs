@@ -1,33 +1,22 @@
 //! The simulation kernel: owns the event queue, the mailboxes, and every
 //! process state, and drives everything in deterministic virtual time.
 //!
-//! Processes come in two flavours sharing one event loop and one grant
-//! protocol, so their event streams are bit-identical:
-//!
-//! * **stackless** ([`Simulation::spawn_process`] /
-//!   [`Simulation::spawn_async`]) — resumable state machines dispatched on
-//!   the kernel thread; the default, and the only flavour that scales to
-//!   tens of thousands of ranks.
-//! * **threaded** ([`Simulation::spawn`], behind the `legacy-threads`
-//!   feature) — one parked OS thread per process, kept for the
-//!   differential conformance suite that proves both kernels equivalent.
+//! Every process is a resumable state machine
+//! ([`Simulation::spawn_process`] / [`Simulation::spawn_async`]) resumed
+//! on the caller's thread whenever the event it yielded on fires: a run
+//! is one loop over one event heap, whatever the number of processes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "legacy-threads")]
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-#[cfg(feature = "legacy-threads")]
-use std::thread::JoinHandle;
 
 use obs::{Gauge, Recorder};
 
 use crate::event::{EventKind, EventQueue, Payload};
 use crate::mailbox::{Mailbox, MailboxId};
-#[cfg(feature = "legacy-threads")]
-use crate::process::{ProcessHandle, Request, Response, SimShutdown};
-use crate::process::{ProcessId, ProcessResult};
-use crate::stackless::{AsyncHandle, Bridge, FutureProcess, ProcCtx, Process, Resume, Yield};
+use crate::process::{
+    AsyncHandle, Bridge, FutureProcess, ProcCtx, Process, ProcessId, ProcessResult, Resume, Yield,
+};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceLog};
 
@@ -36,7 +25,7 @@ use crate::trace::{TraceEvent, TraceLog};
 pub enum SimError {
     /// A process panicked; contains the process name and panic message.
     ProcessPanicked {
-        /// Name given to [`Simulation::spawn`].
+        /// Name the process was spawned under.
         name: String,
         /// The panic payload, stringified.
         message: String,
@@ -74,8 +63,8 @@ impl std::error::Error for SimError {}
 
 /// Aggregate statistics and outcome of a completed simulation.
 ///
-/// `PartialEq` so differential suites can assert two kernels produced the
-/// same report wholesale.
+/// `PartialEq` so tests can assert two runs produced the same report
+/// wholesale.
 #[derive(Debug, PartialEq, Eq)]
 pub struct SimReport {
     /// Virtual time when the last process finished.
@@ -95,24 +84,13 @@ pub struct SimReport {
     pub trace: Vec<TraceEvent>,
 }
 
-/// How a process executes when granted virtual time.
-enum Runner {
-    /// One parked OS thread, spoken to over `Request`/`Response` channels.
-    #[cfg(feature = "legacy-threads")]
-    Thread {
-        resp_tx: Sender<Response>,
-        join: Option<JoinHandle<()>>,
-    },
-    /// A resumable state machine dispatched on the kernel thread. `None`
-    /// only transiently while the body is being resumed, and permanently
-    /// once the process finished (freeing its state early — at 100k ranks
-    /// that is most of the memory).
-    Stackless { body: Option<Box<dyn Process>> },
-}
-
 struct ProcInfo {
     name: String,
-    runner: Runner,
+    /// The process's state machine. `None` only transiently while the body
+    /// is being resumed, and permanently once the process finished
+    /// (freeing its state early — at 100k ranks that is most of the
+    /// memory).
+    body: Option<Box<dyn Process>>,
     started: bool,
     finished: bool,
     blocked_on: Option<MailboxId>,
@@ -129,7 +107,7 @@ struct ProcInfo {
 enum Grant {
     /// First grant ever, at time zero.
     Start,
-    /// A timer elapsed ([`Yield::Timer`] / `Request::Advance`).
+    /// A timer elapsed ([`Yield::Timer`]).
     Resumed,
     /// A blocking receive resolved: the payload, or `None` on deadline.
     Message(Option<Payload>),
@@ -263,10 +241,6 @@ pub struct Simulation {
     procs: Vec<ProcInfo>,
     mailboxes: Vec<Mailbox>,
     queue: EventQueue,
-    #[cfg(feature = "legacy-threads")]
-    req_tx: Sender<(ProcessId, Request)>,
-    #[cfg(feature = "legacy-threads")]
-    req_rx: Receiver<(ProcessId, Request)>,
     now: SimTime,
     trace: TraceLog,
     tracing_enabled: Arc<AtomicBool>,
@@ -293,16 +267,10 @@ impl Default for Simulation {
 impl Simulation {
     /// An empty simulation with tracing disabled.
     pub fn new() -> Self {
-        #[cfg(feature = "legacy-threads")]
-        let (req_tx, req_rx) = channel();
         Simulation {
             procs: Vec::new(),
             mailboxes: Vec::new(),
             queue: EventQueue::new(),
-            #[cfg(feature = "legacy-threads")]
-            req_tx,
-            #[cfg(feature = "legacy-threads")]
-            req_rx,
             now: SimTime::ZERO,
             trace: TraceLog::disabled(),
             tracing_enabled: Arc::new(AtomicBool::new(false)),
@@ -343,7 +311,7 @@ impl Simulation {
 
     /// Attach a structured [`Recorder`]. The kernel samples its event-heap
     /// size into it (as [`Gauge::EventHeapSize`] under
-    /// [`obs::Event::KERNEL_RANK`]) every [`HEAP_SAMPLE_INTERVAL`] events.
+    /// [`obs::Event::KERNEL_RANK`]) every 256 events.
     /// Callers who need the data back should attach an
     /// [`obs::SharedRecorder`] clone.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
@@ -358,10 +326,10 @@ impl Simulation {
         id
     }
 
-    /// Spawn a stackless simulated process from an explicit [`Process`]
-    /// state machine. No OS thread is created: the state machine lives in
-    /// the kernel and is resumed on the kernel's own thread whenever the
-    /// event it yielded on fires.
+    /// Spawn a simulated process from an explicit [`Process`] state
+    /// machine. The state machine lives in the kernel and is resumed on
+    /// the thread that called [`run`](Self::run) whenever the event it
+    /// yielded on fires.
     pub fn spawn_process(
         &mut self,
         name: impl Into<String>,
@@ -370,9 +338,7 @@ impl Simulation {
         let pid = ProcessId(self.procs.len());
         self.procs.push(ProcInfo {
             name: name.into(),
-            runner: Runner::Stackless {
-                body: Some(Box::new(body)),
-            },
+            body: Some(Box::new(body)),
             started: false,
             finished: false,
             blocked_on: None,
@@ -383,11 +349,11 @@ impl Simulation {
         pid
     }
 
-    /// Spawn a stackless simulated process written as an `async fn`. The
-    /// compiler generates the state machine; each `await` on the provided
-    /// [`AsyncHandle`] is a kernel suspension point. Semantically identical
-    /// to [`spawn`](Self::spawn) — same grant protocol, same event
-    /// sequence numbers, same counters — but with no OS thread per rank.
+    /// Spawn a simulated process written as an `async fn`. The compiler
+    /// generates the state machine; each `await` on the provided
+    /// [`AsyncHandle`] is a kernel suspension point. Its return value is
+    /// retrievable from the returned [`ProcessResult`] after
+    /// [`run`](Self::run) completes.
     ///
     /// The closure runs immediately (to build the future); the body itself
     /// first executes when the kernel grants time zero.
@@ -412,70 +378,6 @@ impl Simulation {
             *slot_for_proc.lock().expect("result mutex poisoned") = Some(r);
         };
         self.spawn_process(name, FutureProcess::new(Box::pin(wrapped), bridge));
-        ProcessResult { slot, pid }
-    }
-
-    /// Spawn a simulated process on its own OS thread (the legacy execution
-    /// model). The closure executes only when the kernel grants it virtual
-    /// time. Its return value is retrievable from the returned
-    /// [`ProcessResult`] after [`run`](Self::run) completes.
-    ///
-    /// Kept behind the `legacy-threads` feature for the differential suite
-    /// that proves the stackless kernel bit-identical; new code should use
-    /// [`spawn_async`](Self::spawn_async) or
-    /// [`spawn_process`](Self::spawn_process).
-    #[cfg(feature = "legacy-threads")]
-    pub fn spawn<R, F>(&mut self, name: impl Into<String>, f: F) -> ProcessResult<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut ProcessHandle) -> R + Send + 'static,
-    {
-        let pid = ProcessId(self.procs.len());
-        let name = name.into();
-        let (resp_tx, resp_rx) = channel();
-        let req_tx = self.req_tx.clone();
-        let slot: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
-        let slot_for_thread = Arc::clone(&slot);
-        let tracing = Arc::clone(&self.tracing_enabled);
-
-        let thread_name = format!("desim-{}-{}", pid.0, name);
-        let join = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                let mut handle = ProcessHandle::new(pid, req_tx.clone(), resp_rx, tracing);
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    handle.wait_for_start();
-                    f(&mut handle)
-                }));
-                match outcome {
-                    Ok(r) => {
-                        *slot_for_thread.lock().expect("result mutex poisoned") = Some(r);
-                        let _ = req_tx.send((pid, Request::Finish));
-                    }
-                    Err(payload) => {
-                        if payload.downcast_ref::<SimShutdown>().is_some() {
-                            return; // kernel tore the simulation down; exit quietly
-                        }
-                        let message = panic_message(&*payload);
-                        let _ = req_tx.send((pid, Request::Panicked(message)));
-                    }
-                }
-            })
-            .expect("failed to spawn simulated process thread");
-
-        self.procs.push(ProcInfo {
-            name,
-            runner: Runner::Thread {
-                resp_tx,
-                join: Some(join),
-            },
-            started: false,
-            finished: false,
-            blocked_on: None,
-            finish_time: None,
-            timer_gen: 0,
-            armed_timer: None,
-        });
         ProcessResult { slot, pid }
     }
 
@@ -581,53 +483,31 @@ impl Simulation {
             }
         }
 
-        // Tear down the threaded processes: close every response channel so
-        // threads stuck inside a blocking call unwind via SimShutdown, then
-        // join everything. Stackless processes are plain state in `procs`.
-        #[cfg(feature = "legacy-threads")]
-        let mut joins = Vec::new();
-        #[cfg(feature = "legacy-threads")]
-        for p in &mut self.procs {
-            if let Runner::Thread { join, .. } = &mut p.runner {
-                if let Some(j) = join.take() {
-                    joins.push(j);
-                }
-            }
-        }
         let finish_times: Vec<(String, SimTime)> = self
             .procs
             .iter()
             .map(|p| (p.name.clone(), p.finish_time.unwrap_or(self.now)))
             .collect();
-        let end_time = self.now;
-        let events_processed = self.events_processed;
-        let messages_sent = self.messages_sent;
-        let messages_delivered = self.messages_delivered;
-        let timers_fired = self.timers_fired;
-        let trace = self.trace.take();
-        let error = self.error.take();
-        drop(self); // drops resp_tx senders, releasing blocked threads
-        #[cfg(feature = "legacy-threads")]
-        for j in joins {
-            let _ = j.join();
-        }
-
-        match error {
+        match self.error.take() {
             Some(e) => Err(e),
             None => Ok(SimReport {
-                end_time,
-                events_processed,
-                messages_sent,
-                messages_delivered,
-                timers_fired,
+                end_time: self.now,
+                events_processed: self.events_processed,
+                messages_sent: self.messages_sent,
+                messages_delivered: self.messages_delivered,
+                timers_fired: self.timers_fired,
                 finish_times,
-                trace,
+                trace: self.trace.take(),
             }),
         }
     }
 
     /// Grant execution to `pid` with `grant` as the answer to whatever it
-    /// was suspended on, dispatching on the process's runner flavour.
+    /// was suspended on: resume its state machine and handle its yields
+    /// until it blocks again. Non-blocking yields (`Send`, a `Recv` with a
+    /// message already delivered, an expired `RecvDeadline`) are answered
+    /// inline without returning to the event loop — the event sequence
+    /// numbers, and with them every tie-break, depend on it.
     fn grant(&mut self, pid: ProcessId, grant: Grant) {
         self.checks.on_grant(
             pid,
@@ -635,32 +515,10 @@ impl Simulation {
             self.now,
             self.procs[pid.0].blocked_on.is_some(),
         );
-        match &self.procs[pid.0].runner {
-            #[cfg(feature = "legacy-threads")]
-            Runner::Thread { .. } => {
-                let first = match grant {
-                    Grant::Start | Grant::Resumed => Response::Resumed { now: self.now },
-                    Grant::Message(msg) => Response::Message { now: self.now, msg },
-                };
-                self.service(pid, first);
-            }
-            Runner::Stackless { .. } => self.dispatch_stackless(pid, grant),
-        }
-    }
-
-    /// Resume a stackless process and handle its yields until it blocks
-    /// again. Mirrors [`service`](Self::service) exactly: non-blocking
-    /// yields (`Send`, a `Recv` with a message already delivered, an
-    /// expired `RecvDeadline`) are answered inline without returning to the
-    /// event loop, so event sequence numbers match the threaded kernel
-    /// bit-for-bit.
-    fn dispatch_stackless(&mut self, pid: ProcessId, grant: Grant) {
-        #[allow(irrefutable_let_patterns)] // refutable only with legacy-threads
-        let Runner::Stackless { body } = &mut self.procs[pid.0].runner
-        else {
-            unreachable!("dispatch_stackless on a threaded process");
-        };
-        let mut body = body.take().expect("process resumed while already running");
+        let mut body = self.procs[pid.0]
+            .body
+            .take()
+            .expect("process resumed while already running");
         let mut resume = match grant {
             Grant::Start => Resume::Start,
             Grant::Resumed => Resume::Resumed,
@@ -741,139 +599,7 @@ impl Simulation {
             }
         }
         if live {
-            #[allow(irrefutable_let_patterns)] // refutable only with legacy-threads
-            let Runner::Stackless { body: slot } = &mut self.procs[pid.0].runner
-            else {
-                unreachable!("runner flavour changed mid-dispatch");
-            };
-            *slot = Some(body);
-        }
-    }
-
-    /// Grant execution to a threaded `pid` with `first` as the answer to
-    /// whatever it was blocked on, then service its requests until it
-    /// blocks again.
-    #[cfg(feature = "legacy-threads")]
-    fn service(&mut self, pid: ProcessId, first: Response) {
-        let Runner::Thread { resp_tx, .. } = &self.procs[pid.0].runner else {
-            unreachable!("service on a stackless process");
-        };
-        if resp_tx.send(first).is_err() {
-            // The thread died without telling us; treat as a panic.
-            self.error = Some(SimError::ProcessPanicked {
-                name: self.procs[pid.0].name.clone(),
-                message: "process thread exited outside the protocol".into(),
-            });
-            self.procs[pid.0].finished = true;
-            return;
-        }
-        loop {
-            let (from, req) = self
-                .req_rx
-                .recv()
-                .expect("request channel closed while a process was running");
-            debug_assert_eq!(
-                from, pid,
-                "request from a process that was not granted time"
-            );
-            match req {
-                Request::Advance(d) => {
-                    self.checks.on_block(pid, PendingYield::Timer);
-                    self.queue.push(self.now + d, EventKind::Wake(pid));
-                    return;
-                }
-                Request::Send { mbox, delay, msg } => {
-                    self.messages_sent += 1;
-                    self.queue
-                        .push(self.now + delay, EventKind::Deliver { mbox, msg });
-                    self.reply(pid, Response::Resumed { now: self.now });
-                }
-                Request::TryRecv { mbox } => {
-                    let msg = self.mailboxes[mbox.0].pop();
-                    self.reply(pid, Response::Message { now: self.now, msg });
-                }
-                Request::Recv { mbox } => {
-                    if let Some(msg) = self.mailboxes[mbox.0].pop() {
-                        self.reply(
-                            pid,
-                            Response::Message {
-                                now: self.now,
-                                msg: Some(msg),
-                            },
-                        );
-                    } else {
-                        self.checks.on_block(pid, PendingYield::Recv);
-                        self.mailboxes[mbox.0].add_waiter(pid);
-                        self.procs[pid.0].blocked_on = Some(mbox);
-                        return;
-                    }
-                }
-                Request::RecvDeadline { mbox, deadline } => {
-                    if let Some(msg) = self.mailboxes[mbox.0].pop() {
-                        self.reply(
-                            pid,
-                            Response::Message {
-                                now: self.now,
-                                msg: Some(msg),
-                            },
-                        );
-                    } else if deadline <= self.now {
-                        // Already expired: one immediate poll came up empty.
-                        self.reply(
-                            pid,
-                            Response::Message {
-                                now: self.now,
-                                msg: None,
-                            },
-                        );
-                    } else {
-                        self.checks.on_block(pid, PendingYield::RecvDeadline);
-                        self.mailboxes[mbox.0].add_waiter(pid);
-                        self.procs[pid.0].blocked_on = Some(mbox);
-                        let generation = self.procs[pid.0].timer_gen;
-                        self.procs[pid.0].armed_timer = Some(generation);
-                        self.queue
-                            .push(deadline, EventKind::Timer { pid, generation });
-                        return;
-                    }
-                }
-                Request::CreateMailbox => {
-                    let id = MailboxId(self.mailboxes.len());
-                    self.mailboxes.push(Mailbox::new());
-                    self.reply(pid, Response::Mailbox { now: self.now, id });
-                }
-                Request::Trace(label) => {
-                    self.trace.record(self.now, pid, || label);
-                    self.reply(pid, Response::Resumed { now: self.now });
-                }
-                Request::Finish => {
-                    self.procs[pid.0].finished = true;
-                    self.procs[pid.0].finish_time = Some(self.now);
-                    return;
-                }
-                Request::Panicked(message) => {
-                    self.procs[pid.0].finished = true;
-                    self.error = Some(SimError::ProcessPanicked {
-                        name: self.procs[pid.0].name.clone(),
-                        message,
-                    });
-                    return;
-                }
-            }
-        }
-    }
-
-    #[cfg(feature = "legacy-threads")]
-    fn reply(&mut self, pid: ProcessId, resp: Response) {
-        let Runner::Thread { resp_tx, .. } = &self.procs[pid.0].runner else {
-            unreachable!("reply to a stackless process");
-        };
-        if resp_tx.send(resp).is_err() {
-            self.error = Some(SimError::ProcessPanicked {
-                name: self.procs[pid.0].name.clone(),
-                message: "process thread exited outside the protocol".into(),
-            });
-            self.procs[pid.0].finished = true;
+            self.procs[pid.0].body = Some(body);
         }
     }
 }

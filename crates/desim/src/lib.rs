@@ -6,24 +6,20 @@
 //! Computation: Overcoming Communication Delays in Parallel Algorithms"*
 //! (ICPP 1994): simulated "workstations" run real Rust closures, exchange
 //! messages through mailboxes with modelled delays, and burn virtual CPU time
-//! with [`ProcessHandle::advance`].
+//! with [`AsyncHandle::advance`].
 //!
 //! ## Execution model
 //!
-//! * Each simulated process is a **stackless state machine** owned by the
-//!   kernel ([`Simulation::spawn_process`] for an explicit [`Process`]
-//!   impl, [`Simulation::spawn_async`] for a compiler-generated one from an
+//! * Each simulated process is a **state machine** owned by the kernel
+//!   ([`Simulation::spawn_process`] for an explicit [`Process`] impl,
+//!   [`Simulation::spawn_async`] for a compiler-generated one from an
 //!   `async fn`). The kernel grants execution to exactly one process at a
 //!   time, resuming whichever has the earliest pending event, so the
 //!   simulation is sequential and **bit-for-bit deterministic** — ties at
 //!   equal virtual times break by event insertion order (or the configured
-//!   [`TieBreak`]). No OS thread is spawned per rank, so simulations scale
-//!   to hundreds of thousands of processes.
-//! * The original one-OS-thread-per-process model
-//!   ([`Simulation::spawn`]) survives behind the on-by-default
-//!   `legacy-threads` feature; the two kernels share one event loop and
-//!   produce bit-identical event streams, which the differential
-//!   conformance suite enforces.
+//!   [`TieBreak`]). Everything runs on the thread that calls
+//!   [`Simulation::run`], so simulations scale to hundreds of thousands of
+//!   processes.
 //! * Virtual time only moves when a process advances it (modelling
 //!   computation) or blocks in a receive (modelling waiting for a message).
 //! * Messages are sent with an explicit delivery delay chosen by the caller —
@@ -64,21 +60,17 @@ mod kernel;
 mod mailbox;
 mod process;
 pub mod rng;
-mod stackless;
 mod time;
 mod trace;
 
 pub use event::{EventKey, EventKind, EventQueue, Payload, TieBreak};
 pub use kernel::{preload_message, SimError, SimReport, Simulation};
 pub use mailbox::MailboxId;
-#[cfg(feature = "legacy-threads")]
-pub use process::ProcessHandle;
-pub use process::{ProcessId, ProcessResult};
-pub use stackless::{AsyncHandle, ProcCtx, Process, Resume, Yield};
+pub use process::{AsyncHandle, ProcCtx, Process, ProcessId, ProcessResult, Resume, Yield};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEvent, TraceLog};
 
-#[cfg(all(test, feature = "legacy-threads"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -93,415 +85,6 @@ mod tests {
     #[test]
     fn single_process_advances_time() {
         let mut sim = Simulation::new();
-        let t = sim.spawn("p", |h| {
-            h.advance(SimDuration::from_millis(3));
-            h.advance(SimDuration::from_millis(4));
-            h.now()
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(t.take(), Some(SimTime::from_nanos(7_000_000)));
-        assert_eq!(report.end_time, SimTime::from_nanos(7_000_000));
-    }
-
-    #[test]
-    fn message_latency_is_respected() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        sim.spawn("tx", move |h| {
-            h.send(mbox, SimDuration::from_millis(10), "hello");
-        });
-        let arrival = sim.spawn("rx", move |h| {
-            let _ = h.recv(mbox);
-            h.now()
-        });
-        sim.run().unwrap();
-        assert_eq!(arrival.take(), Some(SimTime::from_nanos(10_000_000)));
-    }
-
-    #[test]
-    fn try_recv_does_not_block_or_advance() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        sim.spawn("tx", move |h| {
-            h.send(mbox, SimDuration::from_millis(5), 1u8);
-        });
-        let seen = sim.spawn("rx", move |h| {
-            let early = h.try_recv_as::<u8>(mbox); // nothing delivered yet
-            h.advance(SimDuration::from_millis(6));
-            let late = h.try_recv_as::<u8>(mbox); // delivered at 5ms
-            (early, late, h.now())
-        });
-        sim.run().unwrap();
-        let (early, late, now) = seen.take().unwrap();
-        assert_eq!(early, None);
-        assert_eq!(late, Some(1));
-        assert_eq!(now, SimTime::from_nanos(6_000_000));
-    }
-
-    #[test]
-    fn recv_wakes_at_delivery_time() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        sim.spawn("tx", move |h| {
-            h.advance(SimDuration::from_millis(2));
-            h.send(mbox, SimDuration::from_millis(3), ());
-        });
-        let at = sim.spawn("rx", move |h| {
-            h.recv(mbox);
-            h.now()
-        });
-        sim.run().unwrap();
-        assert_eq!(at.take(), Some(SimTime::from_nanos(5_000_000)));
-    }
-
-    #[test]
-    fn recv_deadline_times_out_at_the_exact_deadline() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        let out = sim.spawn("rx", move |h| {
-            let msg = h.recv_deadline(mbox, SimTime::from_nanos(7_000_000));
-            (msg.is_none(), h.now())
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(out.take(), Some((true, SimTime::from_nanos(7_000_000))));
-        assert_eq!(report.timers_fired, 1);
-        assert_eq!(report.end_time, SimTime::from_nanos(7_000_000));
-    }
-
-    #[test]
-    fn recv_deadline_wakes_at_the_exact_arrival_time() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        sim.spawn("tx", move |h| {
-            h.send(mbox, SimDuration::from_millis(3), 9u8);
-        });
-        let out = sim.spawn("rx", move |h| {
-            let msg = h.recv_deadline(mbox, SimTime::from_nanos(10_000_000));
-            let v = *msg
-                .expect("arrival beats deadline")
-                .downcast::<u8>()
-                .unwrap();
-            (v, h.now())
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(out.take(), Some((9, SimTime::from_nanos(3_000_000))));
-        // The armed 10 ms timer was cancelled by the delivery: it neither
-        // fires nor stretches the run past the last process's activity.
-        assert_eq!(report.timers_fired, 0);
-        assert_eq!(report.end_time, SimTime::from_nanos(3_000_000));
-    }
-
-    #[test]
-    fn recv_deadline_in_the_past_degrades_to_try_recv() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        preload_message(&mut sim, mbox, SimTime::ZERO, 5u8);
-        let out = sim.spawn("rx", move |h| {
-            // Already-delivered message: returned even with an expired deadline.
-            let first = h
-                .recv_deadline(mbox, SimTime::ZERO)
-                .map(|p| *p.downcast::<u8>().unwrap());
-            let t_first = h.now();
-            // Empty mailbox + expired deadline: immediate None, no time passes.
-            let second = h.recv_deadline(mbox, SimTime::ZERO).is_none();
-            (first, t_first, second, h.now())
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(
-            out.take(),
-            Some((Some(5), SimTime::ZERO, true, SimTime::ZERO))
-        );
-        assert_eq!(report.timers_fired, 0);
-    }
-
-    #[test]
-    fn recv_deadline_rearms_cleanly_across_waits() {
-        // Alternate timeouts and arrivals on one process: each wait arms a
-        // fresh timer generation, and cancelled generations stay dead.
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        sim.spawn("tx", move |h| {
-            h.advance(SimDuration::from_millis(5));
-            h.send(mbox, SimDuration::ZERO, 1u32);
-            h.advance(SimDuration::from_millis(10));
-            h.send(mbox, SimDuration::ZERO, 2u32);
-        });
-        let out = sim.spawn("rx", move |h| {
-            let mut log = Vec::new();
-            for _ in 0..5 {
-                let deadline = h.now() + SimDuration::from_millis(4);
-                let got = h
-                    .recv_deadline(mbox, deadline)
-                    .map(|p| *p.downcast::<u32>().unwrap());
-                log.push((got, h.now().as_nanos()));
-            }
-            log
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(
-            out.take(),
-            Some(vec![
-                (None, 4_000_000),     // timeout
-                (Some(1), 5_000_000),  // arrival cancels the 9 ms timer
-                (None, 9_000_000),     // timeout
-                (None, 13_000_000),    // timeout
-                (Some(2), 15_000_000), // arrival cancels the 17 ms timer
-            ])
-        );
-        // Three of the five waits expired; the two arrival-resolved waits
-        // left their timers to pop as cancelled no-ops.
-        assert_eq!(report.timers_fired, 3);
-    }
-
-    #[test]
-    fn fifo_between_same_pair() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        sim.spawn("tx", move |h| {
-            for i in 0..10u32 {
-                h.send(mbox, SimDuration::from_millis(1), i);
-            }
-        });
-        let order = sim.spawn("rx", move |h| {
-            (0..10).map(|_| h.recv_as::<u32>(mbox)).collect::<Vec<_>>()
-        });
-        sim.run().unwrap();
-        assert_eq!(order.take().unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn out_of_order_delivery_with_unequal_delays() {
-        // Second message sent later but with a smaller delay overtakes the
-        // first — exactly what a real network can do.
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        sim.spawn("tx", move |h| {
-            h.send(mbox, SimDuration::from_millis(10), 1u32);
-            h.advance(SimDuration::from_millis(1));
-            h.send(mbox, SimDuration::from_millis(2), 2u32);
-        });
-        let order = sim.spawn("rx", move |h| {
-            let a = h.recv_as::<u32>(mbox);
-            let b = h.recv_as::<u32>(mbox);
-            (a, b)
-        });
-        sim.run().unwrap();
-        assert_eq!(order.take(), Some((2, 1)));
-    }
-
-    #[test]
-    fn ping_pong_round_trip() {
-        let mut sim = Simulation::new();
-        let a_box = sim.create_mailbox();
-        let b_box = sim.create_mailbox();
-        sim.spawn("a", move |h| {
-            for i in 0..5u64 {
-                h.send(b_box, SimDuration::from_millis(1), i);
-                let echo = h.recv_as::<u64>(a_box);
-                assert_eq!(echo, i * 2);
-            }
-        });
-        sim.spawn("b", move |h| {
-            for _ in 0..5 {
-                let v = h.recv_as::<u64>(b_box);
-                h.send(a_box, SimDuration::from_millis(1), v * 2);
-            }
-        });
-        let report = sim.run().unwrap();
-        // 5 round trips, 2ms each.
-        assert_eq!(report.end_time, SimTime::from_nanos(10_000_000));
-        assert_eq!(report.messages_delivered, 10);
-    }
-
-    #[test]
-    fn determinism_identical_reports() {
-        fn build_and_run() -> (u64, u64, SimTime, Vec<(String, SimTime)>) {
-            let mut sim = Simulation::new();
-            let boxes: Vec<_> = (0..4).map(|_| sim.create_mailbox()).collect();
-            for me in 0..4usize {
-                let boxes = boxes.clone();
-                sim.spawn(format!("p{me}"), move |h| {
-                    for round in 0..20u64 {
-                        for (k, b) in boxes.iter().enumerate() {
-                            if k != me {
-                                h.send(
-                                    *b,
-                                    SimDuration::from_micros(100 + (me as u64) * 7 + round),
-                                    (me, round),
-                                );
-                            }
-                        }
-                        h.advance(SimDuration::from_micros(50 + me as u64));
-                        for _ in 0..3 {
-                            let _ = h.recv(boxes[me]);
-                        }
-                    }
-                });
-            }
-            let r = sim.run().unwrap();
-            (
-                r.events_processed,
-                r.messages_delivered,
-                r.end_time,
-                r.finish_times,
-            )
-        }
-        assert_eq!(build_and_run(), build_and_run());
-    }
-
-    #[test]
-    fn deadlock_is_detected() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        sim.spawn("starved", move |h| {
-            h.recv(mbox);
-        });
-        match sim.run() {
-            Err(SimError::Deadlock { blocked, .. }) => {
-                assert_eq!(blocked.len(), 1);
-                assert_eq!(blocked[0].0, "starved");
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn process_panic_is_reported() {
-        let mut sim = Simulation::new();
-        sim.spawn("bad", |h| {
-            h.advance(SimDuration::from_millis(1));
-            panic!("boom at {:?}", h.now());
-        });
-        // A healthy bystander that would otherwise block forever.
-        let mbox = sim.create_mailbox();
-        sim.spawn("bystander", move |h| {
-            h.recv(mbox);
-        });
-        match sim.run() {
-            Err(SimError::ProcessPanicked { name, message }) => {
-                assert_eq!(name, "bad");
-                assert!(message.contains("boom"));
-            }
-            other => panic!("expected panic error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn preloaded_messages_are_delivered() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        preload_message(&mut sim, mbox, SimTime::from_nanos(500), 9u8);
-        let got = sim.spawn("rx", move |h| (h.recv_as::<u8>(mbox), h.now()));
-        sim.run().unwrap();
-        assert_eq!(got.take(), Some((9, SimTime::from_nanos(500))));
-    }
-
-    #[test]
-    fn traces_are_recorded_when_enabled() {
-        let mut sim = Simulation::new();
-        sim.enable_tracing();
-        sim.spawn("p", |h| {
-            h.trace("start");
-            h.advance(SimDuration::from_millis(1));
-            h.trace("end");
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(report.trace.len(), 2);
-        assert_eq!(report.trace[0].label, "start");
-        assert_eq!(report.trace[1].time, SimTime::from_nanos(1_000_000));
-    }
-
-    #[test]
-    fn traces_absent_when_disabled() {
-        let mut sim = Simulation::new();
-        sim.spawn("p", |h| h.trace("invisible"));
-        let report = sim.run().unwrap();
-        assert!(report.trace.is_empty());
-    }
-
-    #[test]
-    fn many_processes_all_finish() {
-        let mut sim = Simulation::new();
-        let n = 64;
-        let hub = sim.create_mailbox();
-        for i in 0..n {
-            sim.spawn(format!("w{i}"), move |h| {
-                h.advance(SimDuration::from_micros(i as u64 + 1));
-                h.send(hub, SimDuration::from_micros(10), i);
-            });
-        }
-        let total = sim.spawn("collector", move |h| {
-            (0..n).map(|_| h.recv_as::<usize>(hub)).sum::<usize>()
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(total.take(), Some(n * (n - 1) / 2));
-        assert_eq!(report.finish_times.len(), n + 1);
-    }
-
-    #[test]
-    fn mailbox_created_inside_process() {
-        let mut sim = Simulation::new();
-        // One process creates a mailbox at runtime and ships its id to the
-        // other through a pre-made control mailbox.
-        let ctl = sim.create_mailbox();
-        sim.spawn("owner", move |h| {
-            let mine = h.create_mailbox();
-            h.send(ctl, SimDuration::ZERO, mine);
-            let v = h.recv_as::<u16>(mine);
-            assert_eq!(v, 77);
-        });
-        sim.spawn("peer", move |h| {
-            let dest = h.recv_as::<MailboxId>(ctl);
-            h.send(dest, SimDuration::from_millis(1), 77u16);
-        });
-        sim.run().unwrap();
-    }
-
-    #[test]
-    fn zero_delay_message_arrives_at_same_instant() {
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        sim.spawn("tx", move |h| {
-            h.advance(SimDuration::from_millis(1));
-            h.send(mbox, SimDuration::ZERO, ());
-        });
-        let at = sim.spawn("rx", move |h| {
-            h.recv(mbox);
-            h.now()
-        });
-        sim.run().unwrap();
-        assert_eq!(at.take(), Some(SimTime::from_nanos(1_000_000)));
-    }
-
-    #[test]
-    fn result_take_is_none_before_finish() {
-        // If the simulation errors, results of unfinished processes are None.
-        let mut sim = Simulation::new();
-        let mbox = sim.create_mailbox();
-        let r = sim.spawn("starved", move |h| {
-            h.recv(mbox);
-            42u8
-        });
-        let _ = sim.run();
-        assert_eq!(r.take(), None);
-    }
-}
-
-#[cfg(test)]
-mod stackless_tests {
-    use super::*;
-
-    #[test]
-    fn empty_simulation_completes() {
-        let sim = Simulation::new();
-        let report = sim.run().unwrap();
-        assert_eq!(report.end_time, SimTime::ZERO);
-        assert_eq!(report.events_processed, 0);
-    }
-
-    #[test]
-    fn async_process_advances_time() {
-        let mut sim = Simulation::new();
         let t = sim.spawn_async("p", |h| async move {
             h.advance(SimDuration::from_millis(3)).await;
             h.advance(SimDuration::from_millis(4)).await;
@@ -513,7 +96,7 @@ mod stackless_tests {
     }
 
     #[test]
-    fn async_message_latency_is_respected() {
+    fn message_latency_is_respected() {
         let mut sim = Simulation::new();
         let mbox = sim.create_mailbox();
         sim.spawn_async("tx", move |h| async move {
@@ -528,7 +111,7 @@ mod stackless_tests {
     }
 
     #[test]
-    fn async_try_recv_does_not_block_or_advance() {
+    fn try_recv_does_not_block_or_advance() {
         let mut sim = Simulation::new();
         let mbox = sim.create_mailbox();
         sim.spawn_async("tx", move |h| async move {
@@ -548,7 +131,7 @@ mod stackless_tests {
     }
 
     #[test]
-    fn async_recv_deadline_times_out_at_the_exact_deadline() {
+    fn recv_deadline_times_out_at_the_exact_deadline() {
         let mut sim = Simulation::new();
         let mbox = sim.create_mailbox();
         let out = sim.spawn_async("rx", move |h| async move {
@@ -562,10 +145,9 @@ mod stackless_tests {
     }
 
     #[test]
-    fn async_recv_deadline_rearms_cleanly_across_waits() {
-        // Mirror of the threaded pin: alternate timeouts and arrivals on one
-        // process; each wait arms a fresh timer generation, and cancelled
-        // generations stay dead.
+    fn recv_deadline_rearms_cleanly_across_waits() {
+        // Alternate timeouts and arrivals on one process: each wait arms a
+        // fresh timer generation, and cancelled generations stay dead.
         let mut sim = Simulation::new();
         let mbox = sim.create_mailbox();
         sim.spawn_async("tx", move |h| async move {
@@ -598,7 +180,7 @@ mod stackless_tests {
     }
 
     #[test]
-    fn async_deadlock_is_detected() {
+    fn deadlock_is_detected() {
         let mut sim = Simulation::new();
         let mbox = sim.create_mailbox();
         sim.spawn_async("starved", move |h| async move {
@@ -614,7 +196,7 @@ mod stackless_tests {
     }
 
     #[test]
-    fn async_process_panic_is_reported() {
+    fn process_panic_is_reported() {
         let mut sim = Simulation::new();
         sim.spawn_async("bad", |h| async move {
             h.advance(SimDuration::from_millis(1)).await;
@@ -649,7 +231,7 @@ mod stackless_tests {
     }
 
     #[test]
-    fn async_traces_are_recorded_when_enabled() {
+    fn traces_are_recorded_when_enabled() {
         let mut sim = Simulation::new();
         sim.enable_tracing();
         sim.spawn_async("p", |h| async move {
@@ -664,7 +246,7 @@ mod stackless_tests {
     }
 
     #[test]
-    fn async_mailbox_created_inside_process() {
+    fn mailbox_created_inside_process() {
         let mut sim = Simulation::new();
         let ctl = sim.create_mailbox();
         sim.spawn_async("owner", move |h| async move {
@@ -681,7 +263,7 @@ mod stackless_tests {
     }
 
     #[test]
-    fn preloaded_messages_reach_async_processes() {
+    fn preloaded_messages_are_delivered() {
         let mut sim = Simulation::new();
         let mbox = sim.create_mailbox();
         preload_message(&mut sim, mbox, SimTime::from_nanos(500), 9u8);
@@ -690,6 +272,189 @@ mod stackless_tests {
         });
         sim.run().unwrap();
         assert_eq!(got.take(), Some((9, SimTime::from_nanos(500))));
+    }
+
+    #[test]
+    fn recv_wakes_at_delivery_time() {
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        sim.spawn_async("tx", move |h| async move {
+            h.advance(SimDuration::from_millis(2)).await;
+            h.send(mbox, SimDuration::from_millis(3), ()).await;
+        });
+        let at = sim.spawn_async("rx", move |h| async move {
+            h.recv(mbox).await;
+            h.now()
+        });
+        sim.run().unwrap();
+        assert_eq!(at.take(), Some(SimTime::from_nanos(5_000_000)));
+    }
+
+    #[test]
+    fn recv_deadline_wakes_at_the_exact_arrival_time() {
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        sim.spawn_async("tx", move |h| async move {
+            h.send(mbox, SimDuration::from_millis(3), 9u8).await;
+        });
+        let out = sim.spawn_async("rx", move |h| async move {
+            let v = h
+                .recv_deadline_as::<u8>(mbox, SimTime::from_nanos(10_000_000))
+                .await
+                .expect("arrival beats deadline");
+            (v, h.now())
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(out.take(), Some((9, SimTime::from_nanos(3_000_000))));
+        // The armed 10 ms timer was cancelled by the delivery: it neither
+        // fires nor stretches the run past the last process's activity.
+        assert_eq!(report.timers_fired, 0);
+        assert_eq!(report.end_time, SimTime::from_nanos(3_000_000));
+    }
+
+    #[test]
+    fn recv_deadline_in_the_past_degrades_to_try_recv() {
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        preload_message(&mut sim, mbox, SimTime::ZERO, 5u8);
+        let out = sim.spawn_async("rx", move |h| async move {
+            // Already-delivered message: returned even with an expired deadline.
+            let first = h.recv_deadline_as::<u8>(mbox, SimTime::ZERO).await;
+            let t_first = h.now();
+            // Empty mailbox + expired deadline: immediate None, no time passes.
+            let second = h.recv_deadline(mbox, SimTime::ZERO).await.is_none();
+            (first, t_first, second, h.now())
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(
+            out.take(),
+            Some((Some(5), SimTime::ZERO, true, SimTime::ZERO))
+        );
+        assert_eq!(report.timers_fired, 0);
+    }
+
+    #[test]
+    fn fifo_between_same_pair() {
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        sim.spawn_async("tx", move |h| async move {
+            for i in 0..10u32 {
+                h.send(mbox, SimDuration::from_millis(1), i).await;
+            }
+        });
+        let order = sim.spawn_async("rx", move |h| async move {
+            let mut order = Vec::new();
+            for _ in 0..10 {
+                order.push(h.recv_as::<u32>(mbox).await);
+            }
+            order
+        });
+        sim.run().unwrap();
+        assert_eq!(order.take().unwrap(), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn out_of_order_delivery_with_unequal_delays() {
+        // Second message sent later but with a smaller delay overtakes the
+        // first — exactly what a real network can do.
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        sim.spawn_async("tx", move |h| async move {
+            h.send(mbox, SimDuration::from_millis(10), 1u32).await;
+            h.advance(SimDuration::from_millis(1)).await;
+            h.send(mbox, SimDuration::from_millis(2), 2u32).await;
+        });
+        let order = sim.spawn_async("rx", move |h| async move {
+            let a = h.recv_as::<u32>(mbox).await;
+            let b = h.recv_as::<u32>(mbox).await;
+            (a, b)
+        });
+        sim.run().unwrap();
+        assert_eq!(order.take(), Some((2, 1)));
+    }
+
+    #[test]
+    fn ping_pong_round_trip() {
+        let mut sim = Simulation::new();
+        let a_box = sim.create_mailbox();
+        let b_box = sim.create_mailbox();
+        sim.spawn_async("a", move |h| async move {
+            for i in 0..5u64 {
+                h.send(b_box, SimDuration::from_millis(1), i).await;
+                let echo = h.recv_as::<u64>(a_box).await;
+                assert_eq!(echo, i * 2);
+            }
+        });
+        sim.spawn_async("b", move |h| async move {
+            for _ in 0..5 {
+                let v = h.recv_as::<u64>(b_box).await;
+                h.send(a_box, SimDuration::from_millis(1), v * 2).await;
+            }
+        });
+        let report = sim.run().unwrap();
+        // 5 round trips, 2ms each.
+        assert_eq!(report.end_time, SimTime::from_nanos(10_000_000));
+        assert_eq!(report.messages_delivered, 10);
+    }
+
+    #[test]
+    fn traces_absent_when_disabled() {
+        let mut sim = Simulation::new();
+        sim.spawn_async("p", |h| async move { h.trace("invisible").await });
+        let report = sim.run().unwrap();
+        assert!(report.trace.is_empty());
+    }
+
+    #[test]
+    fn many_processes_all_finish() {
+        let mut sim = Simulation::new();
+        let n = 64;
+        let hub = sim.create_mailbox();
+        for i in 0..n {
+            sim.spawn_async(format!("w{i}"), move |h| async move {
+                h.advance(SimDuration::from_micros(i as u64 + 1)).await;
+                h.send(hub, SimDuration::from_micros(10), i).await;
+            });
+        }
+        let total = sim.spawn_async("collector", move |h| async move {
+            let mut total = 0;
+            for _ in 0..n {
+                total += h.recv_as::<usize>(hub).await;
+            }
+            total
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(total.take(), Some(n * (n - 1) / 2));
+        assert_eq!(report.finish_times.len(), n + 1);
+    }
+
+    #[test]
+    fn zero_delay_message_arrives_at_same_instant() {
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        sim.spawn_async("tx", move |h| async move {
+            h.advance(SimDuration::from_millis(1)).await;
+            h.send(mbox, SimDuration::ZERO, ()).await;
+        });
+        let at = sim.spawn_async("rx", move |h| async move {
+            h.recv(mbox).await;
+            h.now()
+        });
+        sim.run().unwrap();
+        assert_eq!(at.take(), Some(SimTime::from_nanos(1_000_000)));
+    }
+
+    #[test]
+    fn result_take_is_none_before_finish() {
+        // If the simulation errors, results of unfinished processes are None.
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        let r = sim.spawn_async("starved", move |h| async move {
+            h.recv(mbox).await;
+            42u8
+        });
+        let _ = sim.run();
+        assert_eq!(r.take(), None);
     }
 
     /// A hand-written [`Process`] state machine: ping-pong against an async
@@ -755,9 +520,10 @@ mod stackless_tests {
         assert_eq!(report.messages_delivered, 10);
     }
 
-    /// One mixed workload, used below to prove the stackless and threaded
-    /// kernels produce bit-identical reports.
-    fn mesh_report_stackless(tie: TieBreak, checks: bool) -> (u64, u64, u64, u64, SimTime) {
+    /// One mixed workload exercising every grant kind (start, timer,
+    /// message, deadline timeout). `tests/kernel_goldens.rs` pins its full
+    /// report under every tie-break mode.
+    fn mesh_report(tie: TieBreak, checks: bool) -> (u64, u64, u64, u64, SimTime) {
         let mut sim = Simulation::new();
         sim.set_tie_break(tie);
         if checks {
@@ -798,49 +564,11 @@ mod stackless_tests {
         )
     }
 
-    #[cfg(feature = "legacy-threads")]
-    fn mesh_report_threaded(tie: TieBreak) -> (u64, u64, u64, u64, SimTime) {
-        let mut sim = Simulation::new();
-        sim.set_tie_break(tie);
-        let boxes: Vec<_> = (0..4).map(|_| sim.create_mailbox()).collect();
-        for me in 0..4usize {
-            let boxes = boxes.clone();
-            sim.spawn(format!("p{me}"), move |h| {
-                for round in 0..20u64 {
-                    for (k, b) in boxes.iter().enumerate() {
-                        if k != me {
-                            h.send(
-                                *b,
-                                SimDuration::from_micros(100 + (me as u64) * 7 + round),
-                                (me, round),
-                            );
-                        }
-                    }
-                    h.advance(SimDuration::from_micros(50 + me as u64));
-                    for _ in 0..3 {
-                        let deadline = h.now() + SimDuration::from_micros(40);
-                        if h.recv_deadline(boxes[me], deadline).is_none() {
-                            let _ = h.recv(boxes[me]);
-                        }
-                    }
-                }
-            });
-        }
-        let r = sim.run().unwrap();
-        (
-            r.events_processed,
-            r.messages_delivered,
-            r.messages_sent,
-            r.timers_fired,
-            r.end_time,
-        )
-    }
-
     #[test]
-    fn stackless_determinism_identical_reports() {
+    fn determinism_identical_reports() {
         assert_eq!(
-            mesh_report_stackless(TieBreak::Fifo, false),
-            mesh_report_stackless(TieBreak::Fifo, false)
+            mesh_report(TieBreak::Fifo, false),
+            mesh_report(TieBreak::Fifo, false)
         );
     }
 
@@ -849,21 +577,9 @@ mod stackless_tests {
         // The oracle must be silent on a workload that exercises every
         // grant kind (start, timer, message, deadline timeout).
         assert_eq!(
-            mesh_report_stackless(TieBreak::Fifo, true),
-            mesh_report_stackless(TieBreak::Fifo, false)
+            mesh_report(TieBreak::Fifo, true),
+            mesh_report(TieBreak::Fifo, false)
         );
-    }
-
-    #[cfg(feature = "legacy-threads")]
-    #[test]
-    fn threaded_and_stackless_reports_are_bit_identical() {
-        for tie in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(0xC0FFEE)] {
-            assert_eq!(
-                mesh_report_stackless(tie, false),
-                mesh_report_threaded(tie),
-                "kernels diverged under {tie:?}"
-            );
-        }
     }
 
     // -----------------------------------------------------------------
@@ -899,7 +615,7 @@ mod stackless_tests {
         (tie_value(tie, timer_seq), timer_seq) < (tie_value(tie, deliver_seq), deliver_seq)
     }
 
-    fn timer_vs_deliver_stackless(tie: TieBreak) -> (Option<u8>, u64, u64) {
+    fn timer_vs_deliver(tie: TieBreak) -> (Option<u8>, u64, u64) {
         let mut sim = Simulation::new();
         sim.set_tie_break(tie);
         let mbox = sim.create_mailbox();
@@ -918,25 +634,6 @@ mod stackless_tests {
         )
     }
 
-    #[cfg(feature = "legacy-threads")]
-    fn timer_vs_deliver_threaded(tie: TieBreak) -> (Option<u8>, u64, u64) {
-        let mut sim = Simulation::new();
-        sim.set_tie_break(tie);
-        let mbox = sim.create_mailbox();
-        let got = sim.spawn("rx", move |h| {
-            h.recv_deadline_as::<u8>(mbox, SimTime::from_nanos(5_000_000))
-        });
-        sim.spawn("tx", move |h| {
-            h.send(mbox, SimDuration::from_millis(5), 7u8);
-        });
-        let report = sim.run().unwrap();
-        (
-            got.take().unwrap(),
-            report.timers_fired,
-            report.messages_delivered,
-        )
-    }
-
     #[test]
     fn timer_vs_deliver_tiebreak_is_pinned_under_all_modes() {
         for tie in [
@@ -946,7 +643,7 @@ mod stackless_tests {
             TieBreak::Seeded(1),
             TieBreak::Seeded(0xDEAD_BEEF),
         ] {
-            let (got, timers, delivered) = timer_vs_deliver_stackless(tie);
+            let (got, timers, delivered) = timer_vs_deliver(tie);
             assert_eq!(delivered, 1, "message always reaches the mailbox");
             if predict_timer_wins(tie) {
                 assert_eq!(got, None, "{tie:?}: timer pops first => timeout");
@@ -955,12 +652,6 @@ mod stackless_tests {
                 assert_eq!(got, Some(7), "{tie:?}: delivery pops first => message");
                 assert_eq!(timers, 0, "{tie:?}: beaten timer is stale");
             }
-            #[cfg(feature = "legacy-threads")]
-            assert_eq!(
-                (got, timers, delivered),
-                timer_vs_deliver_threaded(tie),
-                "kernels diverged on the {tie:?} timer-vs-deliver tie"
-            );
         }
     }
 
@@ -969,6 +660,6 @@ mod stackless_tests {
         // The concrete Fifo pin, spelled out: rx arms its 5 ms deadline
         // before tx sends, so the timer event holds the lower seq and the
         // receive times out even though the message lands the same instant.
-        assert_eq!(timer_vs_deliver_stackless(TieBreak::Fifo), (None, 1, 1));
+        assert_eq!(timer_vs_deliver(TieBreak::Fifo), (None, 1, 1));
     }
 }

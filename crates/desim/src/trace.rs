@@ -3,9 +3,8 @@
 use crate::process::ProcessId;
 use crate::time::SimTime;
 
-/// One annotation recorded via [`ProcessHandle::trace`].
-///
-/// [`ProcessHandle::trace`]: crate::process::ProcessHandle::trace
+/// One annotation recorded via [`AsyncHandle::trace`](crate::AsyncHandle::trace)
+/// or [`ProcCtx::trace`](crate::ProcCtx::trace).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Virtual time of the annotation.

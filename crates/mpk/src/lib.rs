@@ -3,13 +3,14 @@
 //! The paper's experiments run "under the PVM programming environment using
 //! the message passing paradigm" on a network of workstations. Rust's MPI
 //! story is thin, so this crate provides the message-passing substrate from
-//! scratch: a small [`Transport`] trait (identity, async send, blocking and
-//! non-blocking receive, charged computation, a clock) with two
+//! scratch: a small transport interface (identity, async send, blocking and
+//! non-blocking receive, charged computation, a clock) with three
 //! interchangeable backends:
 //!
-//! * [`run_sim_cluster`] / [`SimTransport`] — ranks are processes of the
-//!   [`desim`] virtual-time kernel on a [`netsim`] cluster: deterministic,
-//!   seedable, instantaneous. All quantitative experiments use this.
+//! * [`run_sim_proc_cluster`] / [`SimIo`] — ranks are `async` processes of
+//!   the [`desim`] virtual-time kernel on a [`netsim`] cluster:
+//!   deterministic, seedable, instantaneous, all on the calling thread.
+//!   All quantitative experiments use this.
 //! * [`run_thread_cluster`] / [`ThreadTransport`] — ranks are real OS
 //!   threads exchanging messages through in-process mailboxes with
 //!   optionally injected latency: the live "channel-based port".
@@ -18,7 +19,13 @@
 //!   mesh of real TCP sockets: delay and disconnects come from the
 //!   kernel's network stack, not a model.
 //!
-//! Algorithms written once against [`Transport`] run on all three.
+//! The interface has two spellings. [`Transport`] is the blocking one the
+//! thread and socket endpoints implement; [`AsyncTransport`] is the one
+//! algorithms are written against — [`SimIo`] implements it by suspending
+//! into the event kernel, and every [`Transport`] implements it with
+//! futures that resolve on first poll, which [`poll_ready`] runs to
+//! completion. Algorithms written once against [`AsyncTransport`] run on
+//! all three.
 
 #![warn(missing_docs)]
 
@@ -35,9 +42,8 @@ pub use backoff::Backoff;
 pub use codec::{decode_exact, encode_to_vec, encoded_len_matches_wire_size, WireCodec};
 pub use delta::DeltaFrame;
 pub use sim::{
-    run_sim_cluster, run_sim_cluster_with_faults, run_sim_cluster_with_options,
     run_sim_proc_cluster, run_sim_proc_cluster_with_faults, run_sim_proc_cluster_with_options,
-    Corruptor, FaultSpec, SimClusterOptions, SimIo, SimTransport,
+    Corruptor, FaultSpec, SimClusterOptions, SimIo,
 };
 pub use socket::{
     connect_socket_cluster, connect_socket_cluster_with_faults, rejoin_socket_cluster,
@@ -46,10 +52,9 @@ pub use socket::{
     KIND_GOODBYE, KIND_HEARTBEAT, KIND_HELLO, KIND_RESUME, WIRE_VERSION,
 };
 pub use threads::{
-    run_thread_cluster, run_thread_cluster_with_fault_spec, run_thread_cluster_with_faults,
-    ThreadClusterOptions, ThreadTransport,
+    run_thread_cluster, run_thread_cluster_with_faults, ThreadClusterOptions, ThreadTransport,
 };
-pub use transport::{AsyncTransport, Transport};
+pub use transport::{poll_ready, AsyncTransport, Transport};
 pub use types::{Envelope, FaultCounters, Rank, Tag, WireSize, HEADER_BYTES};
 
 #[cfg(test)]
@@ -62,26 +67,27 @@ mod tests {
     /// payload-level results.
     #[test]
     fn backends_agree_on_message_contents() {
-        fn allreduce<T: Transport<Msg = u64>>(t: &mut T) -> u64 {
-            t.broadcast(Tag(0), t.rank().0 as u64 + 1);
+        async fn allreduce<T: AsyncTransport<Msg = u64>>(t: &mut T) -> u64 {
+            t.broadcast(Tag(0), t.rank().0 as u64 + 1).await;
             let mut acc = t.rank().0 as u64 + 1;
             for _ in 0..t.size() - 1 {
-                acc += t.recv().msg;
+                acc += t.recv().await.msg;
             }
             acc
         }
 
         let cluster = ClusterSpec::homogeneous(4, 100.0);
-        let (sim_out, _) = run_sim_cluster::<u64, _, _>(
+        let (sim_out, _) = run_sim_proc_cluster::<u64, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_micros(10)),
             Unloaded,
             false,
-            |t| allreduce(t),
+            |mut t| async move { allreduce(&mut t).await },
         )
         .unwrap();
-        let thread_out =
-            run_thread_cluster::<u64, _, _>(4, ThreadClusterOptions::default(), allreduce);
+        let thread_out = run_thread_cluster::<u64, _, _>(4, ThreadClusterOptions::default(), |t| {
+            poll_ready(allreduce(t))
+        });
 
         assert_eq!(sim_out, thread_out);
         assert!(sim_out.iter().all(|&s| s == 1 + 2 + 3 + 4));

@@ -2,12 +2,10 @@
 //! `netsim` cluster. This is the backend all paper experiments run on —
 //! deterministic, seedable, and fast (no real waiting).
 
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 use desim::{
-    AsyncHandle, MailboxId, ProcessHandle, SimDuration, SimError, SimReport, SimTime, Simulation,
-    TieBreak,
+    AsyncHandle, MailboxId, SimDuration, SimError, SimReport, SimTime, Simulation, TieBreak,
 };
 use netsim::{
     ClusterSpec, CrashPlan, FaultModel, LoadModel, MachineSpec, MsgCtx, NetworkModel, NoFaults,
@@ -15,11 +13,7 @@ use netsim::{
 use obs::{Mark, Recorder};
 use parking_lot::Mutex;
 
-// `AsyncTransport` is deliberately referenced by path, not imported: with
-// both traits in scope, every method call on a concrete `Transport` type
-// (which the blanket impl also makes an `AsyncTransport`) would be
-// ambiguous.
-use crate::transport::Transport;
+use crate::transport::AsyncTransport;
 use crate::types::{Envelope, FaultCounters, Rank, Tag, WireSize, HEADER_BYTES};
 
 /// How a corruption amplitude maps onto a concrete payload: called as
@@ -43,7 +37,7 @@ pub struct FaultSpec<M> {
 }
 
 impl<M> FaultSpec<M> {
-    /// No faults: the configuration [`run_sim_cluster`] uses.
+    /// No faults: the configuration [`run_sim_proc_cluster`] uses.
     pub fn none() -> Self {
         FaultSpec {
             model: Box::new(NoFaults),
@@ -83,281 +77,10 @@ struct SharedNet<M> {
 
 /// A rank's endpoint on a simulated cluster.
 ///
-/// Created by [`run_sim_cluster`]; lives only inside the per-rank closure.
-pub struct SimTransport<'a, 'h, M> {
-    h: &'a mut ProcessHandle,
-    rank: Rank,
-    size: usize,
-    machine: MachineSpec,
-    mailboxes: Vec<MailboxId>,
-    shared: Arc<Mutex<SharedNet<M>>>,
-    rec: Option<Box<dyn Recorder>>,
-    _lifetime: PhantomData<&'h ()>,
-}
-
-impl<M: Send + 'static> SimTransport<'_, '_, M> {
-    /// Record a trace annotation (visible in the [`SimReport`] if tracing
-    /// was enabled).
-    pub fn trace(&mut self, label: impl Into<String>) {
-        self.h.trace(label);
-    }
-
-    /// Lazily-built trace annotation; free when tracing is disabled.
-    pub fn trace_with(&mut self, label: impl FnOnce() -> String) {
-        self.h.trace_with(label);
-    }
-
-    /// The capacity of the machine this rank runs on.
-    pub fn machine(&self) -> MachineSpec {
-        self.machine
-    }
-
-    /// Attach a structured telemetry sink for this rank. Typically an
-    /// [`obs::SharedRecorder`] clone, so the events can be drained after
-    /// [`run_sim_cluster`] returns. Message sends/receives are marked by
-    /// the transport itself; spans and counters come from the algorithm
-    /// via [`Transport::recorder`].
-    pub fn set_recorder(&mut self, rec: Box<dyn Recorder>) {
-        self.rec = Some(rec);
-    }
-}
-
-impl<M: WireSize + Clone + Send + 'static> Transport for SimTransport<'_, '_, M> {
-    type Msg = M;
-
-    fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn send(&mut self, to: Rank, tag: Tag, msg: M) {
-        assert!(to.0 < self.size, "send to out-of-range rank {to}");
-        assert_ne!(to, self.rank, "self-sends are not modelled");
-        let bytes = msg.wire_size() + HEADER_BYTES;
-        let ctx = MsgCtx {
-            src: self.rank.0,
-            dst: to.0,
-            bytes,
-            now: self.h.now(),
-        };
-        // Fate first, then the network: a dropped message never touches
-        // the medium, so fault-free runs see the identical delay stream.
-        let (fate, delay) = {
-            let mut sh = self.shared.lock();
-            let fate = sh.faults.model.fate(&ctx);
-            let down = !sh.faults.crashes.is_empty() && sh.faults.crashes.is_down(to.0, ctx.now);
-            if !fate.deliver || down {
-                sh.counters[self.rank.0].dropped += 1;
-                drop(sh);
-                if let Some(r) = self.rec.as_deref_mut() {
-                    let t_ns = self.h.now().as_nanos();
-                    let rank = self.rank.0 as u32;
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MsgSent {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MessageDropped {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                }
-                return;
-            }
-            sh.counters[self.rank.0].delivered += 1;
-            if fate.extra_copies > 0 {
-                sh.counters[self.rank.0].duplicated += u64::from(fate.extra_copies);
-            }
-            (fate, sh.net.delay(&ctx))
-        };
-        let mut msg = msg;
-        if fate.corrupt_amp > 0.0 {
-            let mut sh = self.shared.lock();
-            sh.corrupt_salt = sh.corrupt_salt.wrapping_add(1);
-            let salt = sh.corrupt_salt;
-            if let Some(c) = sh.faults.corruptor.as_mut() {
-                c(&mut msg, fate.corrupt_amp, salt);
-            }
-        }
-        if let Some(r) = self.rec.as_deref_mut() {
-            let t_ns = self.h.now().as_nanos();
-            let rank = self.rank.0 as u32;
-            r.mark(
-                rank,
-                t_ns,
-                Mark::MsgSent {
-                    to: to.0 as u32,
-                    bytes: bytes as u64,
-                },
-            );
-            if fate.extra_copies > 0 {
-                r.mark(
-                    rank,
-                    t_ns,
-                    Mark::MessageDuplicated {
-                        to: to.0 as u32,
-                        copies: fate.extra_copies,
-                    },
-                );
-            }
-        }
-        // Each extra copy re-consults the network: duplicates occupy the
-        // medium like any other message.
-        for _ in 0..fate.extra_copies {
-            let d = self.shared.lock().net.delay(&ctx);
-            self.h.send(
-                self.mailboxes[to.0],
-                d,
-                Envelope {
-                    src: self.rank,
-                    tag,
-                    msg: msg.clone(),
-                },
-            );
-        }
-        self.h.send(
-            self.mailboxes[to.0],
-            delay,
-            Envelope {
-                src: self.rank,
-                tag,
-                msg,
-            },
-        );
-    }
-
-    fn try_recv(&mut self) -> Option<Envelope<M>> {
-        let env = self
-            .h
-            .try_recv_as::<Envelope<M>>(self.mailboxes[self.rank.0])?;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            r.mark(
-                self.rank.0 as u32,
-                self.h.now().as_nanos(),
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
-        Some(env)
-    }
-
-    fn recv(&mut self) -> Envelope<M> {
-        let env = self.h.recv_as::<Envelope<M>>(self.mailboxes[self.rank.0]);
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            r.mark(
-                self.rank.0 as u32,
-                self.h.now().as_nanos(),
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
-        env
-    }
-
-    fn compute(&mut self, ops: u64) {
-        if ops == 0 {
-            return;
-        }
-        let factor = self.shared.lock().load.factor(self.rank.0, self.h.now());
-        self.h
-            .advance(self.machine.ops_duration(ops).mul_f64(factor));
-    }
-
-    fn now(&self) -> SimTime {
-        self.h.now()
-    }
-
-    fn recv_timeout(&mut self, timeout: SimDuration) -> Option<Envelope<M>> {
-        if let Some(env) = Transport::try_recv(self) {
-            return Some(env);
-        }
-        if timeout == SimDuration::ZERO {
-            return None;
-        }
-        // Event-driven timed receive: the kernel arms one deadline timer
-        // and wakes this process either at the exact arrival time of the
-        // next message or exactly at the deadline — never in between.
-        let armed_at = self.h.now();
-        let deadline = armed_at + timeout;
-        let env = self
-            .h
-            .recv_deadline_as::<Envelope<M>>(self.mailboxes[self.rank.0], deadline);
-        if let Some(r) = self.rec.as_deref_mut() {
-            let now = self.h.now();
-            let waited_ns = (now - armed_at).as_nanos();
-            match &env {
-                Some(env) => {
-                    let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-                    r.mark(
-                        self.rank.0 as u32,
-                        now.as_nanos(),
-                        Mark::RecvWakeup {
-                            from: env.src.0 as u32,
-                            waited_ns,
-                        },
-                    );
-                    r.mark(
-                        self.rank.0 as u32,
-                        now.as_nanos(),
-                        Mark::MsgRecv {
-                            from: env.src.0 as u32,
-                            bytes,
-                        },
-                    );
-                }
-                None => r.mark(
-                    self.rank.0 as u32,
-                    now.as_nanos(),
-                    Mark::TimerFired { waited_ns },
-                ),
-            }
-        }
-        env
-    }
-
-    fn sleep(&mut self, d: SimDuration) {
-        if d > SimDuration::ZERO {
-            self.h.advance(d);
-        }
-    }
-
-    fn fault_counters(&self) -> FaultCounters {
-        self.shared.lock().counters[self.rank.0]
-    }
-
-    fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {
-        self.rec.as_deref_mut()
-    }
-}
-
-/// A rank's endpoint on a simulated cluster, for *stackless* ranks.
-///
-/// The async twin of [`SimTransport`]: created by [`run_sim_proc_cluster`]
-/// and moved into the per-rank `async` body. Where `SimTransport` drives a
-/// `ProcessHandle` (one parked OS thread per rank), `SimIo` drives an
-/// [`AsyncHandle`] — each `.await` suspends the rank's state machine into
-/// the `desim` event kernel, so thousands of ranks share one OS thread.
-///
-/// Every modelled effect (fate-before-network ordering, crash-window drops,
-/// duplicate copies re-consulting the medium, load-scaled compute, telemetry
-/// marks) is line-for-line the same as [`SimTransport`]'s, which is what
-/// makes runs on the two kernels bit-identical.
+/// Created by [`run_sim_proc_cluster`] and moved into the per-rank `async`
+/// body. Each `.await` suspends the rank's state machine into the `desim`
+/// event kernel, so every rank of the cluster — tens of thousands if need
+/// be — runs on the calling thread.
 pub struct SimIo<M> {
     h: AsyncHandle,
     rank: Rank,
@@ -385,14 +108,17 @@ impl<M: Send + 'static> SimIo<M> {
         self.machine
     }
 
-    /// Attach a structured telemetry sink for this rank (see
-    /// [`SimTransport::set_recorder`]).
+    /// Attach a structured telemetry sink for this rank. Typically an
+    /// [`obs::SharedRecorder`] clone, so the events can be drained after
+    /// [`run_sim_proc_cluster`] returns. Message sends/receives are marked
+    /// by the transport itself; spans and counters come from the algorithm
+    /// via [`AsyncTransport::recorder`].
     pub fn set_recorder(&mut self, rec: Box<dyn Recorder>) {
         self.rec = Some(rec);
     }
 }
 
-impl<M: WireSize + Clone + Send + 'static> crate::transport::AsyncTransport for SimIo<M> {
+impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
     type Msg = M;
 
     fn rank(&self) -> Rank {
@@ -563,7 +289,7 @@ impl<M: WireSize + Clone + Send + 'static> crate::transport::AsyncTransport for 
     }
 
     async fn recv_timeout(&mut self, timeout: SimDuration) -> Option<Envelope<M>> {
-        if let Some(env) = crate::transport::AsyncTransport::try_recv(self).await {
+        if let Some(env) = self.try_recv().await {
             return Some(env);
         }
         if timeout == SimDuration::ZERO {
@@ -626,82 +352,9 @@ impl<M: WireSize + Clone + Send + 'static> crate::transport::AsyncTransport for 
     }
 }
 
-/// Run one closure per machine of `cluster` in deterministic virtual time.
-///
-/// Every rank executes `f`, distinguishing itself via
-/// [`Transport::rank`]. Returns each rank's result (rank order) plus the
-/// kernel's [`SimReport`].
-///
-/// # Example
-///
-/// ```
-/// use mpk::{run_sim_cluster, Transport, Tag, Rank};
-/// use netsim::{ClusterSpec, ConstantLatency, Unloaded};
-/// use desim::SimDuration;
-///
-/// let cluster = ClusterSpec::homogeneous(3, 50.0);
-/// let (sums, report) = run_sim_cluster::<u64, _, _>(
-///     &cluster,
-///     ConstantLatency(SimDuration::from_millis(1)),
-///     Unloaded,
-///     false,
-///     |t| {
-///         t.broadcast(Tag(0), t.rank().0 as u64);
-///         (0..t.size() - 1).map(|_| t.recv().msg).sum::<u64>()
-///     },
-/// )
-/// .unwrap();
-/// assert_eq!(sums, vec![3, 2, 1]); // each rank sums the others' ids
-/// assert!(report.end_time.as_nanos() > 0);
-/// ```
-pub fn run_sim_cluster<M, R, F>(
-    cluster: &ClusterSpec,
-    net: impl NetworkModel + 'static,
-    load: impl LoadModel + 'static,
-    trace: bool,
-    f: F,
-) -> Result<(Vec<R>, SimReport), SimError>
-where
-    M: WireSize + Clone + Send + 'static,
-    R: Send + 'static,
-    F: for<'a, 'h> Fn(&mut SimTransport<'a, 'h, M>) -> R + Send + Sync + 'static,
-{
-    run_sim_cluster_with_faults(cluster, net, load, FaultSpec::none(), trace, f)
-}
-
-/// [`run_sim_cluster`] with a fault layer: every send is routed through
-/// `faults.model` (and the crash plan) before it may touch the network
-/// model. With [`FaultSpec::none`] this is exactly `run_sim_cluster` —
-/// same delay stream, same schedule, bit for bit.
-pub fn run_sim_cluster_with_faults<M, R, F>(
-    cluster: &ClusterSpec,
-    net: impl NetworkModel + 'static,
-    load: impl LoadModel + 'static,
-    faults: FaultSpec<M>,
-    trace: bool,
-    f: F,
-) -> Result<(Vec<R>, SimReport), SimError>
-where
-    M: WireSize + Clone + Send + 'static,
-    R: Send + 'static,
-    F: for<'a, 'h> Fn(&mut SimTransport<'a, 'h, M>) -> R + Send + Sync + 'static,
-{
-    run_sim_cluster_with_options(
-        cluster,
-        net,
-        load,
-        faults,
-        SimClusterOptions {
-            trace,
-            ..SimClusterOptions::default()
-        },
-        f,
-    )
-}
-
 /// Kernel-level options of a simulated cluster run, beyond the
 /// network/load/fault models. `Default` reproduces
-/// [`run_sim_cluster_with_faults`] exactly.
+/// [`run_sim_proc_cluster_with_faults`] exactly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimClusterOptions {
     /// Record per-process trace annotations into the [`SimReport`].
@@ -718,78 +371,14 @@ pub struct SimClusterOptions {
     pub check_scheduling: bool,
 }
 
-/// [`run_sim_cluster_with_faults`] with explicit [`SimClusterOptions`]
-/// (trace collection and same-time event ordering).
-pub fn run_sim_cluster_with_options<M, R, F>(
-    cluster: &ClusterSpec,
-    net: impl NetworkModel + 'static,
-    load: impl LoadModel + 'static,
-    faults: FaultSpec<M>,
-    options: SimClusterOptions,
-    f: F,
-) -> Result<(Vec<R>, SimReport), SimError>
-where
-    M: WireSize + Clone + Send + 'static,
-    R: Send + 'static,
-    F: for<'a, 'h> Fn(&mut SimTransport<'a, 'h, M>) -> R + Send + Sync + 'static,
-{
-    let mut sim = Simulation::new();
-    if options.trace {
-        sim.enable_tracing();
-    }
-    if options.check_scheduling {
-        sim.enable_scheduling_checks();
-    }
-    sim.set_tie_break(options.tie_break);
-    let p = cluster.len();
-    let mailboxes: Vec<MailboxId> = (0..p).map(|_| sim.create_mailbox()).collect();
-    let shared = Arc::new(Mutex::new(SharedNet {
-        net: Box::new(net),
-        load: Box::new(load),
-        faults,
-        counters: vec![FaultCounters::default(); p],
-        corrupt_salt: 0,
-    }));
-    let f = Arc::new(f);
-
-    let results: Vec<_> = (0..p)
-        .map(|r| {
-            let mailboxes = mailboxes.clone();
-            let shared = Arc::clone(&shared);
-            let machine = cluster.machines()[r];
-            let f = Arc::clone(&f);
-            sim.spawn(format!("rank{r}"), move |h| {
-                let mut t = SimTransport {
-                    h,
-                    rank: Rank(r),
-                    size: p,
-                    machine,
-                    mailboxes,
-                    shared,
-                    rec: None,
-                    _lifetime: PhantomData,
-                };
-                f(&mut t)
-            })
-        })
-        .collect();
-
-    let report = sim.run()?;
-    let outs = results
-        .iter()
-        .map(|pr| pr.take().expect("rank finished without a result"))
-        .collect();
-    Ok((outs, report))
-}
-
-/// [`run_sim_cluster`] on the stackless kernel: every rank is an `async`
-/// body suspended into the event heap instead of a parked OS thread, so the
-/// cluster scales to tens of thousands of ranks on one thread.
+/// Run one `async` body per machine of `cluster` in deterministic virtual
+/// time.
 ///
 /// `f` is called once per rank (at spawn time, on the calling thread) to
-/// build that rank's future; the body itself first executes when the kernel
-/// grants time zero. With the same models and workload this produces the
-/// same schedule — bit for bit — as [`run_sim_cluster`].
+/// build that rank's future, which distinguishes itself via
+/// [`AsyncTransport::rank`]; the body itself first executes when the kernel
+/// grants time zero. Returns each rank's result (rank order) plus the
+/// kernel's [`SimReport`].
 ///
 /// # Example
 ///
@@ -833,8 +422,10 @@ where
     run_sim_proc_cluster_with_faults(cluster, net, load, FaultSpec::none(), trace, f)
 }
 
-/// [`run_sim_proc_cluster`] with a fault layer (see
-/// [`run_sim_cluster_with_faults`] — identical semantics, stackless ranks).
+/// [`run_sim_proc_cluster`] with a fault layer: every send is routed through
+/// `faults.model` (and the crash plan) before it may touch the network
+/// model. With [`FaultSpec::none`] this is exactly `run_sim_proc_cluster` —
+/// same delay stream, same schedule, bit for bit.
 pub fn run_sim_proc_cluster_with_faults<M, R, F, Fut>(
     cluster: &ClusterSpec,
     net: impl NetworkModel + 'static,
@@ -862,7 +453,8 @@ where
     )
 }
 
-/// [`run_sim_proc_cluster_with_faults`] with explicit [`SimClusterOptions`].
+/// [`run_sim_proc_cluster_with_faults`] with explicit [`SimClusterOptions`]
+/// (trace collection, same-time event ordering, scheduling checks).
 pub fn run_sim_proc_cluster_with_options<M, R, F, Fut>(
     cluster: &ClusterSpec,
     net: impl NetworkModel + 'static,
@@ -886,9 +478,8 @@ where
     }
     sim.set_tie_break(options.tie_break);
     let p = cluster.len();
-    // Mailboxes created in rank order, so MailboxId(r) == r — the same ids
-    // the threaded entry points allocate. Shared by Arc: at 100k ranks a
-    // per-rank Vec clone would be O(p²) memory traffic.
+    // Mailboxes created in rank order, so MailboxId(r) == r. Shared by
+    // Arc: at 100k ranks a per-rank Vec clone would be O(p²) memory traffic.
     let mailboxes: Arc<Vec<MailboxId>> = Arc::new((0..p).map(|_| sim.create_mailbox()).collect());
     let shared = Arc::new(Mutex::new(SharedNet {
         net: Box::new(net),
@@ -934,12 +525,12 @@ mod tests {
     #[test]
     fn all_ranks_see_consistent_identity() {
         let cluster = ClusterSpec::homogeneous(4, 10.0);
-        let (ids, _) = run_sim_cluster::<(), _, _>(
+        let (ids, _) = run_sim_proc_cluster::<(), _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::ZERO),
             Unloaded,
             false,
-            |t| (t.rank().0, t.size()),
+            |t| async move { (t.rank().0, t.size()) },
         )
         .unwrap();
         assert_eq!(ids, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
@@ -949,13 +540,13 @@ mod tests {
     fn compute_time_reflects_machine_speed() {
         // Two machines, 100 and 10 MIPS; both do 1M ops.
         let cluster = ClusterSpec::new(vec![MachineSpec::new(100.0), MachineSpec::new(10.0)]);
-        let (times, report) = run_sim_cluster::<(), _, _>(
+        let (times, report) = run_sim_proc_cluster::<(), _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::ZERO),
             Unloaded,
             false,
-            |t| {
-                t.compute(1_000_000);
+            |mut t| async move {
+                t.compute(1_000_000).await;
                 t.now().as_nanos()
             },
         )
@@ -968,19 +559,18 @@ mod tests {
     #[test]
     fn broadcast_reaches_everyone() {
         let cluster = ClusterSpec::homogeneous(5, 10.0);
-        let (got, _) = run_sim_cluster::<u64, _, _>(
+        let (got, _) = run_sim_proc_cluster::<u64, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
             false,
-            |t| {
-                t.broadcast(Tag(7), 100 + t.rank().0 as u64);
-                let mut from: Vec<(usize, u64, u32)> = (0..t.size() - 1)
-                    .map(|_| {
-                        let e = t.recv();
-                        (e.src.0, e.msg, e.tag.0)
-                    })
-                    .collect();
+            |mut t| async move {
+                t.broadcast(Tag(7), 100 + t.rank().0 as u64).await;
+                let mut from: Vec<(usize, u64, u32)> = Vec::new();
+                for _ in 0..t.size() - 1 {
+                    let e = t.recv().await;
+                    from.push((e.src.0, e.msg, e.tag.0));
+                }
                 from.sort();
                 from
             },
@@ -1001,18 +591,18 @@ mod tests {
         // serializes them. 1 MB/s → each takes ~10 ms of bus time.
         let cluster = ClusterSpec::homogeneous(5, 10.0);
         let run = |bw: f64| {
-            let (_, report) = run_sim_cluster::<Vec<u8>, _, _>(
+            let (_, report) = run_sim_proc_cluster::<Vec<u8>, _, _, _>(
                 &cluster,
                 SharedMedium::new(SimDuration::ZERO, bw),
                 Unloaded,
                 false,
-                |t| {
+                |mut t| async move {
                     if t.rank().0 == 0 {
                         for _ in 0..4 {
-                            let _ = t.recv();
+                            let _ = t.recv().await;
                         }
                     } else {
-                        t.send(Rank(0), Tag(0), vec![0u8; 10_000]);
+                        t.send(Rank(0), Tag(0), vec![0u8; 10_000]).await;
                     }
                 },
             )
@@ -1025,26 +615,30 @@ mod tests {
         assert!(fast < slow / 10.0, "faster bus must shrink the run");
     }
 
+    /// Five rounds of broadcast, receive-all, compute: the workload the
+    /// bit-for-bit comparisons below run.
+    async fn rounds(mut t: SimIo<(u64, f64)>, n: u64, ops: u64) -> (u64, f64) {
+        let mut acc = 0.0f64;
+        for round in 0..n {
+            t.broadcast(Tag(0), (round, t.rank().0 as f64)).await;
+            for _ in 0..t.size() - 1 {
+                acc += t.recv().await.msg.1;
+            }
+            t.compute(ops).await;
+        }
+        (t.now().as_nanos(), acc)
+    }
+
     #[test]
     fn determinism_of_full_cluster_run() {
         let run = || {
             let cluster = ClusterSpec::paper_model_example();
-            let (outs, report) = run_sim_cluster::<(u64, f64), _, _>(
+            let (outs, report) = run_sim_proc_cluster::<(u64, f64), _, _, _>(
                 &cluster,
                 SharedMedium::new(SimDuration::from_micros(200), 1.25e6),
                 Unloaded,
                 false,
-                |t| {
-                    let mut acc = 0.0f64;
-                    for round in 0..5u64 {
-                        t.broadcast(Tag(0), (round, t.rank().0 as f64));
-                        for _ in 0..t.size() - 1 {
-                            acc += t.recv().msg.1;
-                        }
-                        t.compute(10_000);
-                    }
-                    (t.now().as_nanos(), acc)
-                },
+                |t| rounds(t, 5, 10_000),
             )
             .unwrap();
             (outs, report.end_time)
@@ -1056,26 +650,47 @@ mod tests {
     fn total_loss_drops_every_send_and_counts_them() {
         use netsim::Loss;
         let cluster = ClusterSpec::homogeneous(2, 10.0);
-        let (got, _) = run_sim_cluster_with_faults::<u64, _, _>(
+        let (got, _) = run_sim_proc_cluster_with_faults::<u64, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
             FaultSpec::new(Loss::new(1.0, 1)),
             false,
-            |t| {
-                if t.rank().0 == 0 {
-                    for i in 0..10 {
-                        t.send(Rank(1), Tag(0), i);
-                    }
-                    t.fault_counters().dropped
-                } else {
-                    // Every send was swallowed: the wait must time out.
-                    match t.recv_timeout(SimDuration::from_millis(50)) {
-                        Some(_) => 99,
-                        None => 0,
-                    }
-                }
+            total_loss_body,
+        )
+        .unwrap();
+        assert_eq!(got, vec![10, 0]);
+    }
+
+    async fn total_loss_body(mut t: SimIo<u64>) -> u64 {
+        if t.rank().0 == 0 {
+            for i in 0..10 {
+                t.send(Rank(1), Tag(0), i).await;
+            }
+            t.fault_counters().dropped
+        } else {
+            // Every send was swallowed: the wait must time out.
+            match t.recv_timeout(SimDuration::from_millis(50)).await {
+                Some(_) => 99,
+                None => 0,
+            }
+        }
+    }
+
+    #[test]
+    fn faulted_run_passes_the_scheduling_checks() {
+        use netsim::Loss;
+        let cluster = ClusterSpec::homogeneous(2, 10.0);
+        let (got, _) = run_sim_proc_cluster_with_options::<u64, _, _, _>(
+            &cluster,
+            ConstantLatency(SimDuration::from_millis(1)),
+            Unloaded,
+            FaultSpec::new(Loss::new(1.0, 1)),
+            SimClusterOptions {
+                check_scheduling: true,
+                ..SimClusterOptions::default()
             },
+            total_loss_body,
         )
         .unwrap();
         assert_eq!(got, vec![10, 0]);
@@ -1085,23 +700,24 @@ mod tests {
     fn duplication_delivers_extra_copies() {
         use netsim::Duplicate;
         let cluster = ClusterSpec::homogeneous(2, 10.0);
-        let (got, _) = run_sim_cluster_with_faults::<u64, _, _>(
+        let (got, _) = run_sim_proc_cluster_with_faults::<u64, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
             FaultSpec::new(Duplicate::new(1.0, 3)),
             false,
-            |t| {
+            |mut t| async move {
                 if t.rank().0 == 0 {
-                    t.send(Rank(1), Tag(0), 7);
+                    t.send(Rank(1), Tag(0), 7).await;
                     t.fault_counters().duplicated
                 } else {
-                    let a = t.recv().msg;
+                    let a = t.recv().await.msg;
                     let b = t
                         .recv_timeout(SimDuration::from_millis(20))
+                        .await
                         .map(|e| e.msg)
                         .unwrap_or(0);
-                    let none_after = t.recv_timeout(SimDuration::from_millis(20)).is_none();
+                    let none_after = t.recv_timeout(SimDuration::from_millis(20)).await.is_none();
                     assert!(none_after, "exactly two copies expected");
                     a + b
                 }
@@ -1120,20 +736,20 @@ mod tests {
             at: SimTime::ZERO,
             restart_after: SimDuration::from_millis(10),
         }]);
-        let (got, _) = run_sim_cluster_with_faults::<u64, _, _>(
+        let (got, _) = run_sim_proc_cluster_with_faults::<u64, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
             FaultSpec::<u64>::none().with_crashes(crashes),
             false,
-            |t| {
+            |mut t| async move {
                 if t.rank().0 == 0 {
-                    t.send(Rank(1), Tag(0), 1); // rank 1 is down: lost
-                    t.sleep(SimDuration::from_millis(20));
-                    t.send(Rank(1), Tag(0), 2); // back up: delivered
+                    t.send(Rank(1), Tag(0), 1).await; // rank 1 is down: lost
+                    t.sleep(SimDuration::from_millis(20)).await;
+                    t.send(Rank(1), Tag(0), 2).await; // back up: delivered
                     t.fault_counters().dropped
                 } else {
-                    t.recv().msg
+                    t.recv().await.msg
                 }
             },
         )
@@ -1144,15 +760,15 @@ mod tests {
     #[test]
     fn recv_timeout_expires_exactly_at_the_deadline() {
         let cluster = ClusterSpec::homogeneous(2, 10.0);
-        let (got, _) = run_sim_cluster::<u64, _, _>(
+        let (got, _) = run_sim_proc_cluster::<u64, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
             false,
-            |t| {
+            |mut t| async move {
                 if t.rank().0 == 0 {
                     let start = t.now();
-                    let out = t.recv_timeout(SimDuration::from_millis(7));
+                    let out = t.recv_timeout(SimDuration::from_millis(7)).await;
                     assert!(out.is_none());
                     (t.now() - start).as_nanos()
                 } else {
@@ -1170,19 +786,20 @@ mod tests {
         // delivery instant (1 ms), not rounded up to a polling quantum of
         // the 50 ms timeout.
         let cluster = ClusterSpec::homogeneous(2, 10.0);
-        let (got, _) = run_sim_cluster::<u64, _, _>(
+        let (got, _) = run_sim_proc_cluster::<u64, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
             false,
-            |t| {
+            |mut t| async move {
                 if t.rank().0 == 0 {
-                    t.send(Rank(1), Tag(0), 42);
+                    t.send(Rank(1), Tag(0), 42).await;
                     0
                 } else {
                     let start = t.now();
                     let env = t
                         .recv_timeout(SimDuration::from_millis(50))
+                        .await
                         .expect("message should arrive before the timeout");
                     assert_eq!(env.msg, 42);
                     (t.now() - start).as_nanos()
@@ -1198,14 +815,14 @@ mod tests {
         // 10 ns is far below what any polling quantum could resolve; the
         // single-timer wait must still expire at exactly 10 ns.
         let cluster = ClusterSpec::homogeneous(1, 10.0);
-        let (got, _) = run_sim_cluster::<u64, _, _>(
+        let (got, _) = run_sim_proc_cluster::<u64, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
             false,
-            |t| {
+            |mut t| async move {
                 let start = t.now();
-                assert!(t.recv_timeout(SimDuration::from_nanos(10)).is_none());
+                assert!(t.recv_timeout(SimDuration::from_nanos(10)).await.is_none());
                 (t.now() - start).as_nanos()
             },
         )
@@ -1216,21 +833,21 @@ mod tests {
     #[test]
     fn recv_timeout_zero_degrades_to_try_recv() {
         let cluster = ClusterSpec::homogeneous(2, 10.0);
-        let (got, _) = run_sim_cluster::<u64, _, _>(
+        let (got, _) = run_sim_proc_cluster::<u64, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
             false,
-            |t| {
+            |mut t| async move {
                 if t.rank().0 == 0 {
-                    t.send(Rank(1), Tag(0), 9);
+                    t.send(Rank(1), Tag(0), 9).await;
                     true
                 } else {
-                    t.sleep(SimDuration::from_millis(5)); // message is now waiting
-                    let first = t.recv_timeout(SimDuration::ZERO).map(|e| e.msg);
+                    t.sleep(SimDuration::from_millis(5)).await; // message is now waiting
+                    let first = t.recv_timeout(SimDuration::ZERO).await.map(|e| e.msg);
                     assert_eq!(first, Some(9));
                     let before = t.now();
-                    let second = t.recv_timeout(SimDuration::ZERO);
+                    let second = t.recv_timeout(SimDuration::ZERO).await;
                     // Empty mailbox + zero timeout: no wait, no time passes.
                     second.is_none() && t.now() == before
                 }
@@ -1244,20 +861,10 @@ mod tests {
     fn no_faults_run_matches_plain_run_bit_for_bit() {
         let run = |with_faults: bool| {
             let cluster = ClusterSpec::paper_model_example();
-            let body = |t: &mut SimTransport<'_, '_, (u64, f64)>| {
-                let mut acc = 0.0f64;
-                for round in 0..5u64 {
-                    t.broadcast(Tag(0), (round, t.rank().0 as f64));
-                    for _ in 0..t.size() - 1 {
-                        acc += t.recv().msg.1;
-                    }
-                    t.compute(10_000);
-                }
-                (t.now().as_nanos(), acc)
-            };
+            let body = |t| rounds(t, 5, 10_000);
             let net = SharedMedium::new(SimDuration::from_micros(200), 1.25e6);
             let (outs, report) = if with_faults {
-                run_sim_cluster_with_faults::<(u64, f64), _, _>(
+                run_sim_proc_cluster_with_faults(
                     &cluster,
                     net,
                     Unloaded,
@@ -1267,7 +874,7 @@ mod tests {
                 )
                 .unwrap()
             } else {
-                run_sim_cluster::<(u64, f64), _, _>(&cluster, net, Unloaded, false, body).unwrap()
+                run_sim_proc_cluster(&cluster, net, Unloaded, false, body).unwrap()
             };
             (outs, report.end_time)
         };
@@ -1276,22 +883,12 @@ mod tests {
 
     #[test]
     fn default_options_match_plain_faulted_run_bit_for_bit() {
-        let body = |t: &mut SimTransport<'_, '_, (u64, f64)>| {
-            let mut acc = 0.0f64;
-            for round in 0..4u64 {
-                t.broadcast(Tag(0), (round, t.rank().0 as f64));
-                for _ in 0..t.size() - 1 {
-                    acc += t.recv().msg.1;
-                }
-                t.compute(5_000);
-            }
-            (t.now().as_nanos(), acc)
-        };
         let run = |with_options: bool| {
             let cluster = ClusterSpec::homogeneous(4, 10.0);
+            let body = |t| rounds(t, 4, 5_000);
             let net = SharedMedium::new(SimDuration::from_micros(100), 2e6);
             let (outs, report) = if with_options {
-                run_sim_cluster_with_options::<(u64, f64), _, _>(
+                run_sim_proc_cluster_with_options(
                     &cluster,
                     net,
                     Unloaded,
@@ -1301,7 +898,7 @@ mod tests {
                 )
                 .unwrap()
             } else {
-                run_sim_cluster_with_faults::<(u64, f64), _, _>(
+                run_sim_proc_cluster_with_faults(
                     &cluster,
                     net,
                     Unloaded,
@@ -1320,7 +917,7 @@ mod tests {
     fn seeded_tiebreak_runs_are_reproducible() {
         let run = |salt: u64| {
             let cluster = ClusterSpec::homogeneous(4, 10.0);
-            let (outs, report) = run_sim_cluster_with_options::<u64, _, _>(
+            let (outs, report) = run_sim_proc_cluster_with_options::<u64, _, _, _>(
                 &cluster,
                 ConstantLatency(SimDuration::from_millis(1)),
                 Unloaded,
@@ -1329,11 +926,15 @@ mod tests {
                     tie_break: TieBreak::Seeded(salt),
                     ..SimClusterOptions::default()
                 },
-                |t| {
+                |mut t| async move {
                     // Every rank broadcasts at t=0: all deliveries are
                     // simultaneous, so the tie-break decides their order.
-                    t.broadcast(Tag(0), t.rank().0 as u64);
-                    (0..t.size() - 1).map(|_| t.recv().msg).sum::<u64>()
+                    t.broadcast(Tag(0), t.rank().0 as u64).await;
+                    let mut sum = 0;
+                    for _ in 0..t.size() - 1 {
+                        sum += t.recv().await.msg;
+                    }
+                    sum
                 },
             )
             .unwrap();
@@ -1345,102 +946,18 @@ mod tests {
     }
 
     #[test]
-    fn stackless_cluster_matches_threaded_bit_for_bit() {
-        // The same workload — broadcasts, contended medium, compute, timed
-        // receives — on the threaded and the stackless kernel must produce
-        // identical results, end times, and kernel counters.
-        let cluster = ClusterSpec::paper_model_example();
-        let net = || SharedMedium::new(SimDuration::from_micros(200), 1.25e6);
-        let threaded = run_sim_cluster::<(u64, f64), _, _>(
-            &cluster,
-            net(),
-            Unloaded,
-            false,
-            |t: &mut SimTransport<'_, '_, (u64, f64)>| {
-                let mut acc = 0.0f64;
-                for round in 0..5u64 {
-                    t.broadcast(Tag(0), (round, t.rank().0 as f64));
-                    for _ in 0..t.size() - 1 {
-                        acc += t.recv().msg.1;
-                    }
-                    t.compute(10_000);
-                }
-                // All messages are consumed: this exercises the timer path
-                // and must expire at exactly +50 us on both kernels.
-                assert!(t.recv_timeout(SimDuration::from_micros(50)).is_none());
-                (t.now().as_nanos(), acc)
-            },
-        )
-        .unwrap();
-        let stackless = run_sim_proc_cluster::<(u64, f64), _, _, _>(
-            &cluster,
-            net(),
-            Unloaded,
-            false,
-            |mut t| async move {
-                use crate::transport::AsyncTransport;
-                let mut acc = 0.0f64;
-                for round in 0..5u64 {
-                    t.broadcast(Tag(0), (round, t.rank().0 as f64)).await;
-                    for _ in 0..t.size() - 1 {
-                        acc += t.recv().await.msg.1;
-                    }
-                    t.compute(10_000).await;
-                }
-                assert!(t.recv_timeout(SimDuration::from_micros(50)).await.is_none());
-                (t.now().as_nanos(), acc)
-            },
-        )
-        .unwrap();
-        assert_eq!(threaded.0, stackless.0);
-        assert_eq!(threaded.1, stackless.1);
-    }
-
-    #[test]
-    fn stackless_cluster_supports_faults_and_scheduling_checks() {
-        use netsim::Loss;
-        let cluster = ClusterSpec::homogeneous(2, 10.0);
-        let (got, _) = run_sim_proc_cluster_with_options::<u64, _, _, _>(
-            &cluster,
-            ConstantLatency(SimDuration::from_millis(1)),
-            Unloaded,
-            FaultSpec::new(Loss::new(1.0, 1)),
-            SimClusterOptions {
-                check_scheduling: true,
-                ..SimClusterOptions::default()
-            },
-            |mut t| async move {
-                use crate::transport::AsyncTransport;
-                if t.rank().0 == 0 {
-                    for i in 0..10 {
-                        t.send(Rank(1), Tag(0), i).await;
-                    }
-                    t.fault_counters().dropped
-                } else {
-                    match t.recv_timeout(SimDuration::from_millis(50)).await {
-                        Some(_) => 99,
-                        None => 0,
-                    }
-                }
-            },
-        )
-        .unwrap();
-        assert_eq!(got, vec![10, 0]);
-    }
-
-    #[test]
     fn rank_closure_error_propagates() {
         let cluster = ClusterSpec::homogeneous(2, 10.0);
-        let res = run_sim_cluster::<(), _, _>(
+        let res = run_sim_proc_cluster::<(), _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::ZERO),
             Unloaded,
             false,
-            |t| {
+            |mut t| async move {
                 if t.rank().0 == 1 {
                     panic!("rank 1 exploded");
                 }
-                t.recv(); // rank 0 waits forever
+                t.recv().await; // rank 0 waits forever
             },
         );
         match res {

@@ -161,8 +161,8 @@ impl Default for SupervisorOptions {
 #[derive(Clone, Debug)]
 pub struct SocketClusterOptions {
     /// Nominal speed for [`Transport::compute`], in million ops per
-    /// second (matches [`ThreadClusterOptions::mips`]
-    /// (crate::ThreadClusterOptions::mips)).
+    /// second (matches
+    /// [`ThreadClusterOptions::mips`](crate::ThreadClusterOptions::mips)).
     pub mips: f64,
     /// How long a dialing rank retries a peer that is not yet listening
     /// before giving up. Loopback clusters connect instantly; the slack
@@ -887,9 +887,8 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
 }
 
 impl<M> SocketTransport<M> {
-    /// Attach a structured telemetry sink for this rank (same contract
-    /// as [`ThreadTransport::set_recorder`]
-    /// (crate::ThreadTransport::set_recorder)).
+    /// Attach a structured telemetry sink for this rank; same contract as
+    /// [`ThreadTransport::set_recorder`](crate::ThreadTransport::set_recorder).
     pub fn set_recorder(&mut self, rec: Box<dyn Recorder>) {
         self.rec = Some(rec);
     }

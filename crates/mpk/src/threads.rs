@@ -4,8 +4,8 @@
 //! This is the "channel-based port" of the paper's PVM setting: it runs the
 //! same algorithms as the virtual-time backend on real concurrency. It is
 //! useful for demos and cross-backend agreement tests; quantitative
-//! experiments use [`run_sim_cluster`](crate::run_sim_cluster) instead,
-//! because wall-clock timing on a shared host is noisy.
+//! experiments use [`run_sim_proc_cluster`](crate::run_sim_proc_cluster)
+//! instead, because wall-clock timing on a shared host is noisy.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -438,31 +438,15 @@ where
     run_thread_cluster_inner(p, opts, None, f)
 }
 
-/// [`run_thread_cluster`] with a message-fault layer.
+/// [`run_thread_cluster`] with a [`FaultSpec`]: fate model plus scripted
+/// crash plan plus payload corruptor, mirroring the sim and socket
+/// backends so a crash→rejoin schedule runs identically (in values) on
+/// all three.
 ///
 /// Unlike the sim backend, thread-backend fates depend on the real
 /// interleaving of sends, so runs are *not* reproducible; this exists for
-/// liveness demos and cross-backend smoke tests. Crash plans and payload
-/// corruption are sim-only.
+/// liveness demos and cross-backend smoke tests.
 pub fn run_thread_cluster_with_faults<M, R, F>(
-    p: usize,
-    opts: ThreadClusterOptions,
-    model: impl FaultModel + 'static,
-    f: F,
-) -> Vec<R>
-where
-    M: WireSize + Clone + Send + 'static,
-    R: Send,
-    F: Fn(&mut ThreadTransport<M>) -> R + Send + Sync,
-{
-    run_thread_cluster_with_fault_spec(p, opts, FaultSpec::new(model), f)
-}
-
-/// [`run_thread_cluster`] with a full [`FaultSpec`]: fate model plus
-/// scripted crash plan plus payload corruptor, mirroring the sim and
-/// socket backends so a crash→rejoin schedule runs identically (in
-/// values) on all three.
-pub fn run_thread_cluster_with_fault_spec<M, R, F>(
     p: usize,
     opts: ThreadClusterOptions,
     spec: FaultSpec<M>,
@@ -615,7 +599,7 @@ mod tests {
         let results = run_thread_cluster_with_faults::<u64, _, _>(
             2,
             ThreadClusterOptions::default(),
-            Loss::new(1.0, 7),
+            FaultSpec::new(Loss::new(1.0, 7)),
             |t| {
                 if t.rank().0 == 0 {
                     for i in 0..5 {

@@ -1,12 +1,15 @@
-//! The [`Transport`] abstraction every algorithm in this workspace runs on.
+//! The [`Transport`] and [`AsyncTransport`] abstractions every algorithm in
+//! this workspace runs on.
 //!
 //! A transport gives a process its identity (`rank`/`size`), asynchronous
 //! sends, blocking and non-blocking receives, a way to *charge* computation
-//! (so cost models apply uniformly), and a clock. Algorithms written against
-//! `Transport` run unchanged on the deterministic virtual-time backend
-//! ([`SimTransport`](crate::SimTransport)) used for the paper's experiments
-//! and on the real-thread backend
-//! ([`ThreadTransport`](crate::ThreadTransport)).
+//! (so cost models apply uniformly), and a clock. [`Transport`] is the
+//! blocking form the real backends ([`ThreadTransport`](crate::ThreadTransport),
+//! [`SocketTransport`](crate::SocketTransport)) implement; [`AsyncTransport`]
+//! is the form algorithms are written against, implemented by every
+//! `Transport` (futures that never suspend — see [`poll_ready`]) and by the
+//! deterministic virtual-time endpoint [`SimIo`](crate::SimIo) used for the
+//! paper's experiments.
 
 use desim::{SimDuration, SimTime};
 use obs::Recorder;
@@ -111,11 +114,11 @@ pub trait Transport {
 /// * every blocking [`Transport`] — via the blanket impl below, whose
 ///   futures resolve on first poll because the underlying calls block
 ///   inline. Polling such a future once can therefore never return
-///   `Pending`, which is what lets the sync entry points drive an async
-///   driver to completion without an executor.
-/// * [`SimIo`](crate::SimIo) — the stackless virtual-time endpoint, whose
-///   futures suspend into the `desim` event kernel. Thousands of ranks
-///   share one OS thread.
+///   `Pending`, which is what lets [`poll_ready`] drive an async driver
+///   to completion without an executor.
+/// * [`SimIo`](crate::SimIo) — the virtual-time endpoint, whose futures
+///   suspend into the `desim` event kernel. Thousands of ranks share one
+///   OS thread.
 ///
 /// Non-`async` methods (`rank`, `size`, `now`, `fault_counters`,
 /// `note_progress`, `recorder`) are identical to [`Transport`]'s and keep
@@ -256,5 +259,23 @@ impl<T: Transport> AsyncTransport for T {
         Self::Msg: Clone,
     {
         Transport::broadcast(self, tag, msg);
+    }
+}
+
+/// Drive to completion a future that never suspends.
+///
+/// The blanket [`AsyncTransport`] impl for blocking transports performs
+/// every operation inline, so an `async` body over such a transport
+/// resolves on its first poll — this is the entire "executor" needed to run
+/// code written against [`AsyncTransport`] on the thread and socket
+/// backends. `Pending` here would mean the future awaited something other
+/// than a blocking transport operation, which is a bug in the body, not a
+/// caller error.
+pub fn poll_ready<F: std::future::Future>(fut: F) -> F::Output {
+    let mut fut = std::pin::pin!(fut);
+    let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+    match fut.as_mut().poll(&mut cx) {
+        std::task::Poll::Ready(v) => v,
+        std::task::Poll::Pending => unreachable!("blocking transport returned Pending"),
     }
 }

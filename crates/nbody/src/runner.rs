@@ -5,10 +5,10 @@
 use std::sync::Arc;
 
 use desim::{SimError, SimReport};
-use mpk::{run_sim_cluster_with_faults, FaultSpec, Transport};
+use mpk::{run_sim_proc_cluster_with_faults, AsyncTransport, FaultSpec};
 use netsim::{ClusterSpec, LoadModel, NetworkModel};
 use obs::{RunTrace, SharedRecorder};
-use speccore::{run_speculative, ClusterStats, IterMsg, RunStats, SpecConfig};
+use speccore::{run_speculative_aio, ClusterStats, IterMsg, RunStats, SpecConfig};
 
 use crate::app::{NBodyApp, PartitionShared, SpeculationOrder};
 use crate::particle::{NBodyConfig, Particle};
@@ -103,34 +103,24 @@ pub fn run_parallel_with_faults(
     cfg: ParallelRunConfig,
 ) -> Result<ParallelRunResult, SimError> {
     let ranges = partition_proportional(particles.len(), &cluster.capacities());
-    let all: Arc<Vec<Particle>> = Arc::new(particles.to_vec());
-    let ranges_shared = Arc::new(ranges);
     let recorder = cfg.collect_trace.then(SharedRecorder::new);
 
     let (outs, report): (Vec<(Vec<Particle>, RunStats)>, SimReport) =
-        run_sim_cluster_with_faults::<IterMsg<Arc<PartitionShared>>, _, _>(
+        run_sim_proc_cluster_with_faults::<IterMsg<Arc<PartitionShared>>, _, _, _>(
             cluster,
             net,
             load,
             faults,
             false,
-            {
-                let all = Arc::clone(&all);
-                let ranges = Arc::clone(&ranges_shared);
-                let cfg = cfg.clone();
-                let recorder = recorder.clone();
-                move |t| {
-                    if let Some(rec) = &recorder {
-                        t.set_recorder(Box::new(rec.clone()));
-                    }
-                    let mut app = NBodyApp::new(
-                        &all,
-                        ranges.as_ref().clone(),
-                        t.rank().0,
-                        cfg.nbody,
-                        cfg.order,
-                    );
-                    let stats = run_speculative(t, &mut app, cfg.iterations, cfg.spec.clone());
+            |mut t| {
+                if let Some(rec) = &recorder {
+                    t.set_recorder(Box::new(rec.clone()));
+                }
+                let mut app =
+                    NBodyApp::new(particles, ranges.clone(), t.rank().0, cfg.nbody, cfg.order);
+                let (iterations, spec) = (cfg.iterations, cfg.spec.clone());
+                async move {
+                    let stats = run_speculative_aio(&mut t, &mut app, iterations, spec).await;
                     (app.particles(), stats)
                 }
             },

@@ -69,8 +69,9 @@ impl CommModel {
 /// Why a [`ModelParams`] value cannot be evaluated by eqs. 3–9.
 ///
 /// Returned by [`ModelParams::validate`], which the argmin/inverse helpers
-/// in [`crate::tune`] call before searching so a degenerate parameter set
-/// is a checked error instead of NaN/∞ silently winning the argmin.
+/// ([`best_forward_window`](crate::best_forward_window) and friends) call
+/// before searching, so a degenerate parameter set is a checked error
+/// instead of NaN/∞ silently winning the argmin.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ModelError {
     /// `capacities` is empty: there is no processor to run on.

@@ -9,10 +9,10 @@ use std::time::Instant;
 
 use desim::{SimDuration, TieBreak};
 use mpk::{
-    run_sim_cluster_with_options, run_thread_cluster, SimClusterOptions, ThreadClusterOptions,
-    Transport,
+    poll_ready, run_sim_proc_cluster_with_options, run_thread_cluster, SimClusterOptions,
+    ThreadClusterOptions,
 };
-use speccheck::{drive_synthetic, DriverMode, FaultScenario, PolledRecv, SyntheticScenario};
+use speccheck::{drive_synthetic_aio, DriverMode, FaultScenario, PolledRecv, SyntheticScenario};
 use speccore::{IterMsg, SpecConfig};
 
 const THETA: f64 = 0.1;
@@ -45,9 +45,7 @@ fn scenario() -> (SyntheticScenario, DriverMode, FaultScenario) {
 /// accounting so the two wait implementations can be compared directly.
 fn sim_run(label: &str, polled: bool) {
     let (sc, mode, fault) = scenario();
-    let inner_sc = sc.clone();
-    let inner_mode = mode.clone();
-    let (outs, report) = run_sim_cluster_with_options::<IterMsg<Vec<f64>>, _, _>(
+    let (outs, report) = run_sim_proc_cluster_with_options::<IterMsg<Vec<f64>>, _, _, _>(
         &sc.cluster(),
         sc.net(),
         netsim::Unloaded,
@@ -56,12 +54,14 @@ fn sim_run(label: &str, polled: bool) {
             tie_break: TieBreak::Fifo,
             ..Default::default()
         },
-        move |t| {
-            if polled {
-                let mut p = PolledRecv(t);
-                drive_synthetic(&mut p, &inner_sc, THETA, &inner_mode)
-            } else {
-                drive_synthetic(t, &inner_sc, THETA, &inner_mode)
+        |mut t| {
+            let (sc, mode) = (sc.clone(), mode.clone());
+            async move {
+                if polled {
+                    drive_synthetic_aio(&mut PolledRecv(&mut t), &sc, THETA, &mode).await
+                } else {
+                    drive_synthetic_aio(&mut t, &sc, THETA, &mode).await
+                }
             }
         },
     )
@@ -94,6 +94,7 @@ fn main() {
     const WAITS: u64 = 20;
     let start = Instant::now();
     let blocks = run_thread_cluster::<u8, _, _>(1, ThreadClusterOptions::default(), |t| {
+        use mpk::Transport;
         for _ in 0..WAITS {
             assert!(t.recv_timeout(SimDuration::from_millis(5)).is_none());
         }
@@ -102,9 +103,10 @@ fn main() {
     let event_wall = start.elapsed();
     let start = Instant::now();
     run_thread_cluster::<u8, _, _>(1, ThreadClusterOptions::default(), |t| {
+        use mpk::AsyncTransport;
         let mut p = PolledRecv(t);
         for _ in 0..WAITS {
-            assert!(p.recv_timeout(SimDuration::from_millis(5)).is_none());
+            assert!(poll_ready(p.recv_timeout(SimDuration::from_millis(5))).is_none());
         }
     });
     let polled_wall = start.elapsed();

@@ -4,17 +4,14 @@
 //! properties can compare runs bit-for-bit.
 
 use crate::scenario::{SpecParams, SyntheticScenario};
-use desim::{SimDuration, SimTime, TieBreak};
+use desim::{SimDuration, SimReport, SimTime, TieBreak};
 use mpk::{
-    run_sim_cluster_with_options, run_sim_proc_cluster_with_options, run_socket_cluster,
-    run_socket_cluster_with_faults, run_thread_cluster, run_thread_cluster_with_fault_spec,
-    Envelope, FaultCounters, FaultSpec, Rank, SimClusterOptions, SocketClusterOptions, Tag,
-    ThreadClusterOptions, Transport,
+    run_sim_proc_cluster_with_options, run_socket_cluster, run_socket_cluster_with_faults,
+    run_thread_cluster, run_thread_cluster_with_faults, AsyncTransport, Envelope, FaultCounters,
+    FaultSpec, Rank, SimClusterOptions, SimIo, SocketClusterOptions, Tag, ThreadClusterOptions,
+    Transport,
 };
-use speccore::{
-    run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, IterMsg, RunStats,
-    SpecConfig,
-};
+use speccore::{run_baseline_aio, run_speculative_aio, IterMsg, RunStats, SpecConfig};
 
 /// What a conformance run reduces to: one state fingerprint and one
 /// [`RunStats`] per rank, plus the run's virtual end time (0 for thread
@@ -28,14 +25,12 @@ pub struct RunOutput {
     /// Virtual end time in seconds (simulation runs only).
     pub elapsed: f64,
     /// The simulation kernel's own counters (simulation runs only) —
-    /// compared bit-for-bit between the threaded and stackless kernels by
-    /// the differential suite.
+    /// pinned per case by `tests/kernel_goldens.rs`.
     pub kernel: Option<KernelReport>,
 }
 
 /// The comparable subset of [`desim::SimReport`]: every kernel counter
-/// that must agree between the threaded and the stackless execution model
-/// for a run to count as bit-identical.
+/// that must agree for two runs to count as bit-identical.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelReport {
     /// Virtual end time in nanoseconds.
@@ -51,7 +46,7 @@ pub struct KernelReport {
 }
 
 impl KernelReport {
-    fn from_report(report: &desim::SimReport) -> Self {
+    fn from_report(report: &SimReport) -> Self {
         KernelReport {
             end_time_ns: report.end_time.as_nanos(),
             events_processed: report.events_processed,
@@ -69,9 +64,9 @@ impl KernelReport {
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum DriverMode {
-    /// [`run_baseline`]: block on every message (the paper's Figure 1).
+    /// [`run_baseline_aio`]: block on every message (the paper's Figure 1).
     Baseline,
-    /// [`run_speculative`] under the given config (Figure 3).
+    /// [`run_speculative_aio`] under the given config (Figure 3).
     Speculative(SpecConfig),
 }
 
@@ -91,7 +86,7 @@ impl DriverMode {
 /// so experiments can measure what the polling cost.
 pub struct PolledRecv<'t, T>(pub &'t mut T);
 
-impl<T: Transport> Transport for PolledRecv<'_, T> {
+impl<T: AsyncTransport> AsyncTransport for PolledRecv<'_, T> {
     type Msg = T::Msg;
 
     fn rank(&self) -> Rank {
@@ -102,20 +97,20 @@ impl<T: Transport> Transport for PolledRecv<'_, T> {
         self.0.size()
     }
 
-    fn send(&mut self, to: Rank, tag: Tag, msg: Self::Msg) {
-        self.0.send(to, tag, msg);
+    async fn send(&mut self, to: Rank, tag: Tag, msg: Self::Msg) {
+        self.0.send(to, tag, msg).await;
     }
 
-    fn try_recv(&mut self) -> Option<Envelope<Self::Msg>> {
-        self.0.try_recv()
+    async fn try_recv(&mut self) -> Option<Envelope<Self::Msg>> {
+        self.0.try_recv().await
     }
 
-    fn recv(&mut self) -> Envelope<Self::Msg> {
-        self.0.recv()
+    async fn recv(&mut self) -> Envelope<Self::Msg> {
+        self.0.recv().await
     }
 
-    fn recv_timeout(&mut self, timeout: SimDuration) -> Option<Envelope<Self::Msg>> {
-        if let Some(env) = self.0.try_recv() {
+    async fn recv_timeout(&mut self, timeout: SimDuration) -> Option<Envelope<Self::Msg>> {
+        if let Some(env) = self.0.try_recv().await {
             return Some(env);
         }
         if timeout == SimDuration::ZERO {
@@ -129,23 +124,23 @@ impl<T: Transport> Transport for PolledRecv<'_, T> {
                 return None;
             }
             let step = quantum.min(deadline - now);
-            self.0.sleep(step);
-            if let Some(env) = self.0.try_recv() {
+            self.0.sleep(step).await;
+            if let Some(env) = self.0.try_recv().await {
                 return Some(env);
             }
         }
     }
 
-    fn sleep(&mut self, d: SimDuration) {
-        self.0.sleep(d);
+    async fn sleep(&mut self, d: SimDuration) {
+        self.0.sleep(d).await;
     }
 
     fn fault_counters(&self) -> FaultCounters {
         self.0.fault_counters()
     }
 
-    fn compute(&mut self, ops: u64) {
-        self.0.compute(ops);
+    async fn compute(&mut self, ops: u64) {
+        self.0.compute(ops).await;
     }
 
     fn now(&self) -> SimTime {
@@ -154,32 +149,36 @@ impl<T: Transport> Transport for PolledRecv<'_, T> {
 }
 
 /// Run the scenario's synthetic app on any transport and reduce to
-/// (fingerprint, stats). This is the *one* definition both the simulated
-/// and the threaded differential arms execute — the runs differ only in
-/// the transport handed in.
+/// (fingerprint, stats). This is the *one* definition every differential
+/// arm executes — the runs differ only in the transport handed in.
+pub async fn drive_synthetic_aio<T: AsyncTransport<Msg = IterMsg<Vec<f64>>>>(
+    t: &mut T,
+    sc: &SyntheticScenario,
+    theta: f64,
+    mode: &DriverMode,
+) -> (u64, RunStats) {
+    let (app, stats) = drive_app(t, sc, theta, mode).await;
+    (app.fingerprint(), stats)
+}
+
+/// [`drive_synthetic_aio`] on a blocking transport (thread, socket), whose
+/// futures never suspend.
 pub fn drive_synthetic<T: Transport<Msg = IterMsg<Vec<f64>>>>(
     t: &mut T,
     sc: &SyntheticScenario,
     theta: f64,
     mode: &DriverMode,
 ) -> (u64, RunStats) {
-    let ranges = sc.ranges();
-    let mut app = workloads::SyntheticApp::new(sc.n, &ranges, t.rank().0, sc.app_cfg(theta));
-    let stats = match mode {
-        DriverMode::Baseline => run_baseline(t, &mut app, sc.iters),
-        DriverMode::Speculative(cfg) => run_speculative(t, &mut app, sc.iters, cfg.clone()),
-    };
-    (app.fingerprint(), stats)
+    mpk::poll_ready(drive_synthetic_aio(t, sc, theta, mode))
 }
 
-/// The `async` twin of [`drive_synthetic`]: the same one definition of the
-/// workload run, for stackless (suspending) transports.
-pub async fn drive_synthetic_aio<T: mpk::AsyncTransport<Msg = IterMsg<Vec<f64>>>>(
+/// Build the scenario's app for this rank and run it to completion.
+async fn drive_app<T: AsyncTransport<Msg = IterMsg<Vec<f64>>>>(
     t: &mut T,
     sc: &SyntheticScenario,
     theta: f64,
     mode: &DriverMode,
-) -> (u64, RunStats) {
+) -> (workloads::SyntheticApp, RunStats) {
     let ranges = sc.ranges();
     let mut app = workloads::SyntheticApp::new(sc.n, &ranges, t.rank().0, sc.app_cfg(theta));
     let stats = match mode {
@@ -188,7 +187,42 @@ pub async fn drive_synthetic_aio<T: mpk::AsyncTransport<Msg = IterMsg<Vec<f64>>>
             run_speculative_aio(t, &mut app, sc.iters, cfg.clone()).await
         }
     };
-    (app.fingerprint(), stats)
+    (app, stats)
+}
+
+/// Run `body` on every rank of the scenario's cluster on the virtual-time
+/// simulator. The kernel's scheduling-invariant oracle is always armed:
+/// its per-grant assertions are cheap, and running every generated case
+/// under it is free coverage.
+fn sim_cluster<R: 'static, Fut: std::future::Future<Output = R> + 'static>(
+    sc: &SyntheticScenario,
+    faults: FaultSpec<IterMsg<Vec<f64>>>,
+    tie: TieBreak,
+    body: impl Fn(SimIo<IterMsg<Vec<f64>>>) -> Fut,
+) -> (Vec<R>, SimReport) {
+    run_sim_proc_cluster_with_options(
+        &sc.cluster(),
+        sc.net(),
+        netsim::Unloaded,
+        faults,
+        SimClusterOptions {
+            tie_break: tie,
+            check_scheduling: true,
+            ..Default::default()
+        },
+        body,
+    )
+    .expect("generated scenario must complete")
+}
+
+fn sim_output((outs, report): (Vec<(u64, RunStats)>, SimReport)) -> RunOutput {
+    let (fingerprints, stats) = outs.into_iter().unzip();
+    RunOutput {
+        fingerprints,
+        stats,
+        elapsed: report.end_time.as_secs_f64(),
+        kernel: Some(KernelReport::from_report(&report)),
+    }
 }
 
 /// Run the scenario on the virtual-time simulator, fault-free, under the
@@ -206,79 +240,10 @@ pub fn run_sim_with_faults(
     faults: FaultSpec<IterMsg<Vec<f64>>>,
     tie: TieBreak,
 ) -> RunOutput {
-    let scenario = sc.clone();
-    let mode = mode.clone();
-    let (outs, report) = run_sim_cluster_with_options::<IterMsg<Vec<f64>>, _, _>(
-        &sc.cluster(),
-        sc.net(),
-        netsim::Unloaded,
-        faults,
-        SimClusterOptions {
-            tie_break: tie,
-            ..Default::default()
-        },
-        move |t| drive_synthetic(t, &scenario, theta, &mode),
-    )
-    .expect("generated scenario must complete");
-    let (fingerprints, stats) = outs.into_iter().unzip();
-    RunOutput {
-        fingerprints,
-        stats,
-        elapsed: report.end_time.as_secs_f64(),
-        kernel: Some(KernelReport::from_report(&report)),
-    }
-}
-
-/// [`run_sim`] on the *stackless* kernel: every rank is a resumable state
-/// machine inside the event kernel (no OS thread per rank), with the
-/// kernel's scheduling-invariant oracle armed. Produces bit-identical
-/// output to [`run_sim`] — that is the tentpole claim the differential
-/// suite checks.
-pub fn run_sim_stackless(
-    sc: &SyntheticScenario,
-    theta: f64,
-    mode: &DriverMode,
-    tie: TieBreak,
-) -> RunOutput {
-    run_sim_stackless_with_faults(sc, theta, mode, FaultSpec::none(), tie)
-}
-
-/// [`run_sim_stackless`] with an explicit fault spec and event tie-break.
-///
-/// Scheduling checks are always on in the stackless arms: they are cheap
-/// per-grant assertions, and running every differential case under the
-/// oracle is free coverage.
-pub fn run_sim_stackless_with_faults(
-    sc: &SyntheticScenario,
-    theta: f64,
-    mode: &DriverMode,
-    faults: FaultSpec<IterMsg<Vec<f64>>>,
-    tie: TieBreak,
-) -> RunOutput {
-    let (outs, report) = run_sim_proc_cluster_with_options::<IterMsg<Vec<f64>>, _, _, _>(
-        &sc.cluster(),
-        sc.net(),
-        netsim::Unloaded,
-        faults,
-        SimClusterOptions {
-            tie_break: tie,
-            check_scheduling: true,
-            ..Default::default()
-        },
-        move |mut t| {
-            let scenario = sc.clone();
-            let mode = mode.clone();
-            async move { drive_synthetic_aio(&mut t, &scenario, theta, &mode).await }
-        },
-    )
-    .expect("generated scenario must complete");
-    let (fingerprints, stats) = outs.into_iter().unzip();
-    RunOutput {
-        fingerprints,
-        stats,
-        elapsed: report.end_time.as_secs_f64(),
-        kernel: Some(KernelReport::from_report(&report)),
-    }
+    sim_output(sim_cluster(sc, faults, tie, |mut t| {
+        let (sc, mode) = (sc.clone(), mode.clone());
+        async move { drive_synthetic_aio(&mut t, &sc, theta, &mode).await }
+    }))
 }
 
 /// Run the scenario on the simulator and return each rank's final
@@ -290,37 +255,16 @@ pub fn run_sim_values(
     mode: &DriverMode,
     tie: TieBreak,
 ) -> Vec<Vec<f64>> {
-    let scenario = sc.clone();
-    let mode = mode.clone();
-    let (outs, _) = run_sim_cluster_with_options::<IterMsg<Vec<f64>>, _, _>(
-        &sc.cluster(),
-        sc.net(),
-        netsim::Unloaded,
-        FaultSpec::none(),
-        SimClusterOptions {
-            tie_break: tie,
-            ..Default::default()
-        },
-        move |t| {
-            let ranges = scenario.ranges();
-            let mut app = workloads::SyntheticApp::new(
-                scenario.n,
-                &ranges,
-                t.rank().0,
-                scenario.app_cfg(theta),
-            );
-            match &mode {
-                DriverMode::Baseline => {
-                    run_baseline(t, &mut app, scenario.iters);
-                }
-                DriverMode::Speculative(cfg) => {
-                    run_speculative(t, &mut app, scenario.iters, cfg.clone());
-                }
-            }
-            app.values().to_vec()
-        },
-    )
-    .expect("generated scenario must complete");
+    let (outs, _) = sim_cluster(sc, FaultSpec::none(), tie, |mut t| {
+        let (sc, mode) = (sc.clone(), mode.clone());
+        async move {
+            drive_app(&mut t, &sc, theta, &mode)
+                .await
+                .0
+                .values()
+                .to_vec()
+        }
+    });
     outs
 }
 
@@ -334,30 +278,10 @@ pub fn run_sim_polled(
     faults: FaultSpec<IterMsg<Vec<f64>>>,
     tie: TieBreak,
 ) -> RunOutput {
-    let scenario = sc.clone();
-    let mode = mode.clone();
-    let (outs, report) = run_sim_cluster_with_options::<IterMsg<Vec<f64>>, _, _>(
-        &sc.cluster(),
-        sc.net(),
-        netsim::Unloaded,
-        faults,
-        SimClusterOptions {
-            tie_break: tie,
-            ..Default::default()
-        },
-        move |t| {
-            let mut polled = PolledRecv(t);
-            drive_synthetic(&mut polled, &scenario, theta, &mode)
-        },
-    )
-    .expect("generated scenario must complete");
-    let (fingerprints, stats) = outs.into_iter().unzip();
-    RunOutput {
-        fingerprints,
-        stats,
-        elapsed: report.end_time.as_secs_f64(),
-        kernel: Some(KernelReport::from_report(&report)),
-    }
+    sim_output(sim_cluster(sc, faults, tie, |mut t| {
+        let (sc, mode) = (sc.clone(), mode.clone());
+        async move { drive_synthetic_aio(&mut PolledRecv(&mut t), &sc, theta, &mode).await }
+    }))
 }
 
 /// Run the scenario on real OS threads (in-process mailboxes, no
@@ -391,7 +315,7 @@ pub fn run_thread_with_faults(
 ) -> RunOutput {
     let scenario = sc.clone();
     let mode = mode.clone();
-    let outs = run_thread_cluster_with_fault_spec::<IterMsg<Vec<f64>>, _, _>(
+    let outs = run_thread_cluster_with_faults::<IterMsg<Vec<f64>>, _, _>(
         sc.p,
         ThreadClusterOptions::default(),
         faults,

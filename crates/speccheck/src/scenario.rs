@@ -1,6 +1,6 @@
 //! Scenario generators: plain-data descriptions of clusters, networks,
 //! speculation configs, fault stacks, and small workload instances, plus
-//! [`proptest`] strategies that draw them.
+//! [`mod@proptest`] strategies that draw them.
 //!
 //! Several workspace config objects hold trait objects
 //! ([`netsim::BoxedNetworkModel`], [`mpk::FaultSpec`]'s fate model) and

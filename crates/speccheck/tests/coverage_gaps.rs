@@ -96,30 +96,32 @@ mod desim_gaps {
         assert!(q.pop_event().is_none());
     }
 
-    /// The threaded handle's typed receive family: `recv_as` (blocking),
+    /// The handle's typed receive family: `recv_as` (blocking),
     /// `try_recv_as` (polling, including the type-preserving miss), and
     /// `recv_deadline_as` (hit and expiry), plus `pid()` on both the
     /// handle and the spawn result.
     #[test]
-    fn threaded_typed_receives_round_trip() {
+    fn typed_receives_round_trip() {
         let mut sim = Simulation::new();
         let mbox = sim.create_mailbox();
-        let res = sim.spawn("typed", move |h| {
+        let res = sim.spawn_async("typed", move |h| async move {
             assert_eq!(h.pid(), ProcessId(0));
-            let early: Option<u64> = h.try_recv_as(mbox);
+            let early: Option<u64> = h.try_recv_as(mbox).await;
             assert!(early.is_none(), "nothing delivered yet");
-            let first: u64 = h.recv_as(mbox);
+            let first: u64 = h.recv_as(mbox).await;
             let second: u64 = h
                 .recv_deadline_as(mbox, h.now() + SimDuration::from_millis(10))
+                .await
                 .expect("second message arrives before deadline");
-            let expired: Option<u64> =
-                h.recv_deadline_as(mbox, h.now() + SimDuration::from_micros(1));
+            let expired: Option<u64> = h
+                .recv_deadline_as(mbox, h.now() + SimDuration::from_micros(1))
+                .await;
             assert!(expired.is_none(), "no third message: deadline must expire");
             first + second
         });
-        sim.spawn("feeder", move |h| {
-            h.send(mbox, SimDuration::from_millis(1), 40u64);
-            h.send(mbox, SimDuration::from_millis(2), 2u64);
+        sim.spawn_async("feeder", move |h| async move {
+            h.send(mbox, SimDuration::from_millis(1), 40u64).await;
+            h.send(mbox, SimDuration::from_millis(2), 2u64).await;
         });
         sim.run().unwrap();
         assert_eq!(res.pid(), ProcessId(0));

@@ -1,24 +1,20 @@
 //! Kernel-scheduling invariant oracle over generated scenarios.
 //!
-//! The stackless kernel (`desim::spawn_async` / `mpk::run_sim_proc_cluster*`)
-//! carries a per-grant assertion oracle (`check_scheduling`): events are
-//! dispatched in nondecreasing virtual time, a rank is never granted twice
+//! The kernel (`desim::spawn_async` / `mpk::run_sim_proc_cluster*`) carries
+//! a per-grant assertion oracle (`check_scheduling`): events are dispatched
+//! in nondecreasing virtual time, a rank is never granted twice
 //! concurrently, and every suspension is matched by exactly one resumption.
 //! These properties drive generated clusters — including the widened
-//! rank-count axis up to 4096 — through the oracle, and cross-check the
-//! stackless driver arm against the threaded kernel on moderate clusters.
+//! rank-count axis up to 4096 — through the oracle. (The speculative driver
+//! runs under it too: every `speccheck::run_sim*` arms it.)
 
-use desim::TieBreak;
 use mpk::{run_sim_proc_cluster_with_options, FaultSpec, SimClusterOptions};
 use netsim::Unloaded;
 use proptest::prelude::*;
-use speccheck::{
-    run_sim, run_sim_stackless, spec_params, synthetic_scenario_up_to, DriverMode,
-    SyntheticScenario,
-};
+use speccheck::{synthetic_scenario_up_to, SyntheticScenario};
 
-/// Run a token ring over the scenario's cluster on the stackless kernel
-/// with the scheduling oracle armed: each rank sends one message per round
+/// Run a token ring over the scenario's cluster with the scheduling oracle
+/// armed: each rank sends one message per round
 /// to its successor and blocks on its predecessor. O(p) messages per round,
 /// so rank counts in the thousands stay cheap.
 fn ring(sc: &SyntheticScenario, rounds: u64) -> desim::SimReport {
@@ -80,23 +76,6 @@ proptest! {
         prop_assert_eq!(report.messages_delivered, p * rounds);
         prop_assert_eq!(report.timers_fired, p);
         prop_assert!(report.events_processed >= p * rounds);
-    }
-
-    /// On moderate clusters the full speculative driver runs through the
-    /// stackless kernel under the oracle and lands bit-identical to the
-    /// threaded kernel: fingerprints, per-rank stats, and the kernel's
-    /// own counters all agree.
-    #[test]
-    fn stackless_driver_matches_threaded_under_oracle(
-        sc in synthetic_scenario_up_to(8),
-        params in spec_params(),
-    ) {
-        let mode = DriverMode::from_params(&params);
-        let threaded = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let stackless = run_sim_stackless(&sc, params.theta, &mode, TieBreak::Fifo);
-        prop_assert_eq!(&threaded.fingerprints, &stackless.fingerprints);
-        prop_assert_eq!(&threaded.stats, &stackless.stats);
-        prop_assert_eq!(&threaded.kernel, &stackless.kernel);
     }
 }
 

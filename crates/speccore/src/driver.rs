@@ -93,7 +93,7 @@ impl<S: WireSize> WireSize for IterMsg<S> {
 /// The real encoding matches the [`WireSize`] model above byte-for-byte,
 /// so socket runs put exactly the modelled payload on the wire. Full
 /// frames encode exactly as the pre-delta `IterMsg` did (iteration stamp,
-/// then payload); delta frames set [`DELTA_BIT`] in the stamp.
+/// then payload); delta frames set the stamp's top bit (`DELTA_BIT`).
 impl<S: WireCodec> WireCodec for IterMsg<S> {
     fn encode(&self, out: &mut Vec<u8>) {
         match &self.body {
@@ -385,29 +385,12 @@ where
     run_speculative_aio(transport, app, total_iters, SpecConfig::baseline()).await
 }
 
-/// Drive to completion a future that never suspends.
-///
-/// The blanket `AsyncTransport` impl for blocking transports performs every
-/// operation inline, so `run_speculative_aio`'s future over such a
-/// transport resolves on its first poll — this is the entire "executor"
-/// the sync entry points need. `Pending` here would mean the future
-/// awaited something other than a blocking transport operation, which is a
-/// driver bug, not a caller error.
-fn poll_ready<F: std::future::Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        std::task::Poll::Ready(v) => v,
-        std::task::Poll::Pending => unreachable!("blocking transport returned Pending"),
-    }
-}
-
 /// Run the speculative driver (the paper's Figure 3, generalized over
 /// forward windows) for `total_iters` iterations.
 ///
 /// The body is [`run_speculative_aio`]; on a blocking [`Transport`] the
-/// async form completes in one poll, so this wrapper is zero-cost and
-/// bit-identical to the historical synchronous driver.
+/// async form completes in one poll ([`mpk::poll_ready`]), so this wrapper
+/// is zero-cost.
 pub fn run_speculative<T, A>(
     transport: &mut T,
     app: &mut A,
@@ -419,7 +402,7 @@ where
     A::Shared: WireSize,
     T: Transport<Msg = IterMsg<A::Shared>>,
 {
-    poll_ready(run_speculative_aio(transport, app, total_iters, config))
+    mpk::poll_ready(run_speculative_aio(transport, app, total_iters, config))
 }
 
 /// The `async` speculative driver: [`run_speculative`]'s actual body,
@@ -429,8 +412,8 @@ where
 /// the returned future completes on its first poll — which is exactly how
 /// the sync entry points drive it, no executor involved. On
 /// [`mpk::SimIo`] each `.await` suspends the rank's state machine into
-/// the `desim` event kernel, so thousands of ranks run the identical
-/// driver code on one OS thread.
+/// the `desim` event kernel, so every rank of a simulated cluster runs the
+/// identical driver code on one OS thread.
 #[allow(clippy::needless_range_loop)] // rank indices couple several per-rank arrays
 pub async fn run_speculative_aio<T, A>(
     transport: &mut T,
@@ -1573,7 +1556,7 @@ mod tests {
     use crate::app::CheckOutcome;
     use crate::config::WindowPolicy;
     use desim::SimDuration;
-    use mpk::run_sim_cluster;
+    use mpk::{run_sim_proc_cluster, AsyncTransport};
     use netsim::{ClusterSpec, ConstantLatency, ScriptedDelays, Unloaded};
 
     /// A linear toy app: each rank owns one scalar; every iteration
@@ -1698,6 +1681,19 @@ mod tests {
         x
     }
 
+    /// One rank of a toy run: the app, the driver, and what the tests read
+    /// back.
+    async fn run_toy_rank(
+        mut t: mpk::SimIo<IterMsg<f64>>,
+        theta: f64,
+        iters: u64,
+        config: SpecConfig,
+    ) -> (f64, RunStats) {
+        let mut app = Toy::new(t.rank().0, t.size(), theta);
+        let stats = run_speculative_aio(&mut t, &mut app, iters, config).await;
+        (app.x, stats)
+    }
+
     fn run_toy(
         p: usize,
         iters: u64,
@@ -1705,20 +1701,7 @@ mod tests {
         config: SpecConfig,
         latency_ms: u64,
     ) -> (Vec<(f64, RunStats)>, SimDuration) {
-        let cluster = ClusterSpec::homogeneous(p, 100.0);
-        let (out, report) = run_sim_cluster::<IterMsg<f64>, _, _>(
-            &cluster,
-            ConstantLatency(SimDuration::from_millis(latency_ms)),
-            Unloaded,
-            false,
-            move |t| {
-                let mut app = Toy::new(t.rank().0, t.size(), theta);
-                let stats = run_speculative(t, &mut app, iters, config.clone());
-                (app.x, stats)
-            },
-        )
-        .unwrap();
-        (out, report.end_time.duration_since(desim::SimTime::ZERO))
+        run_toy_with_faults_timed(p, iters, theta, config, latency_ms, FaultSpec::none())
     }
 
     /// Entry point for the property tests below: run the toy app with an
@@ -1827,12 +1810,14 @@ mod tests {
                 vec![(0, 1, 3, SimDuration::from_millis(40))],
             );
             let cfg = SpecConfig::speculative(fw);
-            let (_, report) =
-                run_sim_cluster::<IterMsg<f64>, _, _>(&cluster, net, Unloaded, false, move |t| {
-                    let mut app = Toy::new(t.rank().0, t.size(), 0.5);
-                    run_speculative(t, &mut app, iters, cfg.clone());
-                })
-                .unwrap();
+            let (_, report) = run_sim_proc_cluster::<IterMsg<f64>, _, _, _>(
+                &cluster,
+                net,
+                Unloaded,
+                false,
+                |t| run_toy_rank(t, 0.5, iters, cfg.clone()),
+            )
+            .unwrap();
             report.end_time
         };
         let t1 = run(1);
@@ -1913,18 +1898,15 @@ mod tests {
             controller: None,
         };
         let iters = 40;
-        let (out, _) = run_sim_cluster::<IterMsg<f64>, _, _>(
+        let (out, _) = run_sim_proc_cluster::<IterMsg<f64>, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(10)),
             Unloaded,
             false,
-            move |t| {
-                let mut app = Toy::new(t.rank().0, t.size(), 0.5);
-                run_speculative(t, &mut app, iters, cfg.clone())
-            },
+            |t| run_toy_rank(t, 0.5, iters, cfg.clone()),
         )
         .unwrap();
-        for stats in &out {
+        for (_, stats) in &out {
             assert_eq!(stats.iterations, iters);
             assert!(
                 stats.max_depth_used >= 2,
@@ -2003,18 +1985,15 @@ mod tests {
         let iters = 9;
         let cluster = ClusterSpec::homogeneous(p, 100.0);
         let cfg = SpecConfig::speculative(1).with_iteration_log();
-        let (out, _) = run_sim_cluster::<IterMsg<f64>, _, _>(
+        let (out, _) = run_sim_proc_cluster::<IterMsg<f64>, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(2)),
             Unloaded,
             false,
-            move |t| {
-                let mut app = Toy::new(t.rank().0, t.size(), 0.5);
-                run_speculative(t, &mut app, iters, cfg.clone())
-            },
+            |t| run_toy_rank(t, 0.5, iters, cfg.clone()),
         )
         .unwrap();
-        for stats in &out {
+        for (_, stats) in &out {
             assert_eq!(stats.iteration_log.len() as u64, iters);
             for (i, l) in stats.iteration_log.iter().enumerate() {
                 assert_eq!(l.iter, i as u64, "log must be in confirmation order");
@@ -2054,7 +2033,7 @@ mod tests {
     // ---- fault tolerance ------------------------------------------------
 
     use crate::config::FaultTolerance;
-    use mpk::{run_sim_cluster_with_faults, FaultSpec};
+    use mpk::{run_sim_proc_cluster_with_faults, FaultSpec};
     use netsim::{Loss, MachineCrash};
 
     fn run_toy_with_faults(
@@ -2077,17 +2056,13 @@ mod tests {
         faults: FaultSpec<IterMsg<f64>>,
     ) -> (Vec<(f64, RunStats)>, SimDuration) {
         let cluster = ClusterSpec::homogeneous(p, 100.0);
-        let (out, report) = run_sim_cluster_with_faults::<IterMsg<f64>, _, _>(
+        let (out, report) = run_sim_proc_cluster_with_faults::<IterMsg<f64>, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(latency_ms)),
             Unloaded,
             faults,
             false,
-            move |t| {
-                let mut app = Toy::new(t.rank().0, t.size(), theta);
-                let stats = run_speculative(t, &mut app, iters, config.clone());
-                (app.x, stats)
-            },
+            |t| run_toy_rank(t, theta, iters, config.clone()),
         )
         .unwrap();
         (out, report.end_time.duration_since(desim::SimTime::ZERO))
@@ -2102,25 +2077,13 @@ mod tests {
         let ft = FaultTolerance::new(SimDuration::from_millis(5));
         let cfg = SpecConfig::speculative(fw).with_fault_tolerance(ft);
         PROMOTED_PEAK.with(|peak| peak.set(0));
-        let (out, _) = mpk::run_sim_proc_cluster_with_faults::<IterMsg<f64>, _, _, _>(
-            &ClusterSpec::homogeneous(p, 100.0),
-            ConstantLatency(SimDuration::from_millis(1)),
-            Unloaded,
-            FaultSpec::new(Loss::new(0.05, 7)),
-            false,
-            move |mut t| {
-                let cfg = cfg.clone();
-                async move {
-                    use mpk::AsyncTransport;
-                    let mut app = Toy::new(t.rank().0, t.size(), 1e9);
-                    run_speculative_aio(&mut t, &mut app, iters, cfg).await
-                }
-            },
-        )
-        .unwrap();
-        let promotions: u64 = out.iter().map(|s| s.speculate_through_loss_commits).sum();
+        let out = run_toy_with_faults(p, iters, 1e9, cfg, 1, FaultSpec::new(Loss::new(0.05, 7)));
+        let promotions: u64 = out
+            .iter()
+            .map(|(_, s)| s.speculate_through_loss_commits)
+            .sum();
         let peak = PROMOTED_PEAK.with(|peak| peak.get());
-        assert!(out.iter().all(|s| s.iterations == iters));
+        assert!(out.iter().all(|(_, s)| s.iterations == iters));
         assert!(
             promotions > 100 * (p as u64) * u64::from(fw + 1),
             "the run must promote far more often than the bound ({promotions})"

@@ -25,21 +25,22 @@ fn main() {
     println!("1-D heat diffusion: {n} cells over {p} strips, {iters} Jacobi sweeps\n");
 
     let run = |fw: u32| {
-        let ranges = ranges.clone();
-        let (outs, report) = run_sim_cluster::<IterMsg<workloads::Halo>, _, _>(
+        let (outs, report) = run_sim_proc_cluster::<IterMsg<workloads::Halo>, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(2)),
             Unloaded,
             false,
-            move |t| {
+            |mut t| {
                 let mut app = HeatApp::new(n, &ranges, t.rank().0, HeatConfig::default());
                 let cfg = if fw == 0 {
                     SpecConfig::baseline()
                 } else {
                     SpecConfig::speculative(fw)
                 };
-                let stats = run_speculative(t, &mut app, iters, cfg);
-                (app.cells().to_vec(), stats)
+                async move {
+                    let stats = run_speculative_aio(&mut t, &mut app, iters, cfg).await;
+                    (app.cells().to_vec(), stats)
+                }
             },
         )
         .expect("simulation failed");

@@ -29,14 +29,12 @@ fn main() {
     println!("PageRank: {n} nodes (out-degree 6) over {p} ranks, {iters} power iterations\n");
 
     let run = |fw: u32| {
-        let graph = graph.clone();
-        let ranges = ranges.clone();
-        let (outs, report) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+        let (outs, report) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(25)),
             Unloaded,
             false,
-            move |t| {
+            |mut t| {
                 // θ = 0.05: tight enough to bound the rank error, loose
                 // enough that the early power-iteration transient (where
                 // scores still move fast) does not drown the run in
@@ -55,8 +53,10 @@ fn main() {
                 } else {
                     SpecConfig::speculative(fw)
                 };
-                let stats = run_speculative(t, &mut app, iters, cfg);
-                (app.scores().to_vec(), stats)
+                async move {
+                    let stats = run_speculative_aio(&mut t, &mut app, iters, cfg).await;
+                    (app.scores().to_vec(), stats)
+                }
             },
         )
         .expect("simulation failed");

@@ -23,15 +23,14 @@ fn main() {
     let ranges = nbody::partition_proportional(n_vars, &cluster.capacities());
 
     let run = |forward_window: u32| {
-        let ranges = ranges.clone();
-        let (stats, report) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+        let (stats, report) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
             &cluster,
             // Slow enough that per-iteration communication rivals compute —
             // the regime the paper targets.
             SharedMedium::new(SimDuration::from_millis(1), 2e5),
             Unloaded,
             false,
-            move |t| {
+            |mut t| {
                 let mut app =
                     SyntheticApp::new(n_vars, &ranges, t.rank().0, SyntheticConfig::default());
                 let cfg = if forward_window == 0 {
@@ -39,7 +38,7 @@ fn main() {
                 } else {
                     SpecConfig::speculative(forward_window)
                 };
-                run_speculative(t, &mut app, iterations, cfg)
+                async move { run_speculative_aio(&mut t, &mut app, iterations, cfg).await }
             },
         )
         .expect("simulation failed");

@@ -33,11 +33,7 @@ fn even_ranges(n: usize, p: usize) -> Vec<std::ops::Range<usize>> {
 
 /// One rank's work: the §4 synthetic workload under speculation with
 /// fault tolerance armed (a real network is allowed to misbehave).
-fn drive<T: Transport<Msg = IterMsg<Vec<f64>>>>(
-    t: &mut T,
-    n: usize,
-    iters: u64,
-) -> (u64, RunStats) {
+fn drive(t: &mut SocketTransport<IterMsg<Vec<f64>>>, n: usize, iters: u64) -> (u64, RunStats) {
     let ranges = even_ranges(n, t.size());
     let scfg = SyntheticConfig {
         theta: 0.0,

@@ -21,15 +21,14 @@ fn run(fw: u32) -> Vec<RunTrace> {
         .map(|i| i * n_vars / p..(i + 1) * n_vars / p)
         .collect();
     let recorder = SharedRecorder::new();
-    let rank_recorder = recorder.clone();
-    run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+    run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         // A slow channel: delivery takes about as long as one compute phase.
         ConstantLatency(SimDuration::from_millis(12)),
         Unloaded,
         false,
-        move |t| {
-            t.set_recorder(Box::new(rank_recorder.clone()));
+        |mut t| {
+            t.set_recorder(Box::new(recorder.clone()));
             let mut app = SyntheticApp::new(
                 n_vars,
                 &ranges,
@@ -47,7 +46,7 @@ fn run(fw: u32) -> Vec<RunTrace> {
             } else {
                 SpecConfig::speculative(fw)
             };
-            run_speculative(t, &mut app, iters, cfg)
+            async move { run_speculative_aio(&mut t, &mut app, iters, cfg).await }
         },
     )
     .expect("simulation failed");

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::TestRng;
 use std::ops::Range;
 
-/// Accepted length specifications for [`vec`].
+/// Accepted length specifications for [`vec()`].
 #[derive(Clone, Debug)]
 pub struct SizeRange {
     min: usize,

@@ -16,9 +16,9 @@
 //!
 //! | Crate | Role |
 //! |-------|------|
-//! | [`desim`] | Deterministic discrete-event simulation kernel (virtual time, coroutine processes, mailboxes) |
+//! | [`desim`] | Deterministic discrete-event simulation kernel (virtual time, event-scheduled `async` processes, mailboxes) |
 //! | [`netsim`] | Heterogeneous machines (`M_i`), shared-medium/jitter/transient network models, background load |
-//! | [`mpk`] | PVM-style message-passing `Transport` with virtual-time, real-thread, and real-TCP-socket backends |
+//! | [`mpk`] | PVM-style message-passing transport with virtual-time, real-thread, and real-TCP-socket backends |
 //! | [`speccore`] | **The paper's contribution**: the speculative driver (Figures 1 & 3, forward/backward windows, θ checks, corrections, rollback, adaptive window) |
 //! | [`nbody`] | The §5 case study: O(N²) N-body with eq. 10 speculation and eq. 11 checking (plus Barnes–Hut) |
 //! | [`perfmodel`] | The §4 empirical performance model (eqs. 3–9, Figures 5/6/9) |
@@ -63,13 +63,17 @@ pub use workloads;
 /// The names most programs need, re-exported flat.
 pub mod prelude {
     pub use desim::{SimDuration, SimTime, Simulation, TieBreak};
+    // `AsyncTransport` is the interface every backend's endpoint offers
+    // (the blocking `mpk::Transport` is deliberately not here: with both
+    // traits in scope, method calls on a thread or socket endpoint would
+    // be ambiguous).
     pub use mpk::{
-        connect_socket_cluster, connect_socket_cluster_with_faults, rejoin_socket_cluster,
-        run_sim_cluster, run_sim_cluster_with_faults, run_sim_cluster_with_options,
-        run_socket_cluster, run_socket_cluster_with_faults, run_thread_cluster,
-        run_thread_cluster_with_faults, Envelope, FaultCounters, FaultSpec, Rank,
-        SimClusterOptions, SocketClusterOptions, SocketTransport, SupervisorOptions, Tag,
-        ThreadClusterOptions, Transport, WireCodec, WireSize,
+        connect_socket_cluster, connect_socket_cluster_with_faults, poll_ready,
+        rejoin_socket_cluster, run_sim_proc_cluster, run_sim_proc_cluster_with_faults,
+        run_sim_proc_cluster_with_options, run_socket_cluster, run_socket_cluster_with_faults,
+        run_thread_cluster, run_thread_cluster_with_faults, AsyncTransport, Envelope,
+        FaultCounters, FaultSpec, Rank, SimClusterOptions, SimIo, SocketClusterOptions,
+        SocketTransport, SupervisorOptions, Tag, ThreadClusterOptions, WireCodec, WireSize,
     };
     pub use nbody::{
         binary_pair, centered_cloud, colliding_clouds, partition_proportional, rotating_disk,
@@ -88,9 +92,10 @@ pub mod prelude {
     };
     pub use perfmodel::{CommModel, ModelParams};
     pub use speccore::{
-        run_baseline, run_speculative, CheckOutcome, ClusterStats, CorrectionMode, DeltaExchange,
-        FaultTolerance, History, IterMsg, IterationLog, MsgBody, PhaseBreakdown, RunStats,
-        SpecConfig, SpeculativeApp, SupervisionConfig, WindowPolicy,
+        run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, CheckOutcome,
+        ClusterStats, CorrectionMode, DeltaExchange, FaultTolerance, History, IterMsg,
+        IterationLog, MsgBody, PhaseBreakdown, RunStats, SpecConfig, SpeculativeApp,
+        SupervisionConfig, WindowPolicy,
     };
     pub use workloads::{
         Graph, Heat2dApp, Heat2dConfig, HeatApp, HeatConfig, JacobiApp, JacobiConfig, LinearSystem,

@@ -19,7 +19,7 @@ fn run_synthetic(
     let cluster = ClusterSpec::homogeneous(p, 10.0);
     let ranges = even_ranges(n, p);
     let (outs, report) =
-        run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(&cluster, net, load, false, move |t| {
+        run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(&cluster, net, load, false, |mut t| {
             let mut app = SyntheticApp::new(
                 n,
                 &ranges,
@@ -30,8 +30,11 @@ fn run_synthetic(
                     ..Default::default()
                 },
             );
-            let stats = run_speculative(t, &mut app, iters, cfg.clone());
-            (app.values().to_vec(), stats)
+            let cfg = cfg.clone();
+            async move {
+                let stats = run_speculative_aio(&mut t, &mut app, iters, cfg).await;
+                (app.values().to_vec(), stats)
+            }
         })
         .expect("run must survive adverse conditions");
     let (values, stats): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
@@ -97,12 +100,12 @@ fn baseline_and_speculative_agree_under_chaos_with_exact_config() {
     let p = 4;
     let cluster = ClusterSpec::homogeneous(p, 10.0);
     let ranges = even_ranges(n, p);
-    let (outs, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+    let (outs, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         chaos_net(),
         Unloaded,
         false,
-        move |t| {
+        |mut t| {
             let mut app = SyntheticApp::new(
                 n,
                 &ranges,
@@ -113,8 +116,11 @@ fn baseline_and_speculative_agree_under_chaos_with_exact_config() {
                     ..Default::default()
                 },
             );
-            run_speculative(t, &mut app, 12, exact.clone());
-            app.values().to_vec()
+            let exact = exact.clone();
+            async move {
+                run_speculative_aio(&mut t, &mut app, 12, exact).await;
+                app.values().to_vec()
+            }
         },
     )
     .unwrap();
@@ -144,12 +150,12 @@ fn adaptive_window_deepens_then_retreats() {
             supervision: None,
             controller: None,
         };
-        let (outs, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+        let (outs, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(50)),
             Unloaded,
             false,
-            move |t| {
+            |mut t| {
                 let mut app = SyntheticApp::new(
                     n,
                     &ranges,
@@ -163,7 +169,8 @@ fn adaptive_window_deepens_then_retreats() {
                         ..Default::default()
                     },
                 );
-                run_speculative(t, &mut app, 40, cfg.clone())
+                let cfg = cfg.clone();
+                async move { run_speculative_aio(&mut t, &mut app, 40, cfg).await }
             },
         )
         .unwrap();
@@ -217,13 +224,13 @@ fn run_synthetic_faulty(
     let n = 40;
     let cluster = ClusterSpec::homogeneous(p, 10.0);
     let ranges = even_ranges(n, p);
-    let (outs, report) = run_sim_cluster_with_faults::<IterMsg<Vec<f64>>, _, _>(
+    let (outs, report) = run_sim_proc_cluster_with_faults::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         net,
         Unloaded,
         faults,
         false,
-        move |t| {
+        |mut t| {
             let mut app = SyntheticApp::new(
                 n,
                 &ranges,
@@ -234,8 +241,11 @@ fn run_synthetic_faulty(
                     ..Default::default()
                 },
             );
-            let stats = run_speculative(t, &mut app, iters, cfg.clone());
-            (app.values().to_vec(), stats)
+            let cfg = cfg.clone();
+            async move {
+                let stats = run_speculative_aio(&mut t, &mut app, iters, cfg).await;
+                (app.values().to_vec(), stats)
+            }
         },
     )
     .expect("run must survive injected faults");

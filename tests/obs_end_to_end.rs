@@ -100,14 +100,13 @@ fn traced_synthetic_run(fw: u32, iters: u64) -> (Vec<RunTrace>, Vec<RunStats>) {
         .map(|i| i * n_vars / p..(i + 1) * n_vars / p)
         .collect();
     let recorder = SharedRecorder::new();
-    let rank_recorder = recorder.clone();
-    let (stats, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+    let (stats, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         ConstantLatency(SimDuration::from_millis(4)),
         Unloaded,
         false,
-        move |t| {
-            t.set_recorder(Box::new(rank_recorder.clone()));
+        |mut t| {
+            t.set_recorder(Box::new(recorder.clone()));
             let mut app = SyntheticApp::new(
                 n_vars,
                 &ranges,
@@ -125,7 +124,7 @@ fn traced_synthetic_run(fw: u32, iters: u64) -> (Vec<RunTrace>, Vec<RunStats>) {
             } else {
                 SpecConfig::speculative(fw)
             };
-            run_speculative(t, &mut app, iters, cfg)
+            async move { run_speculative_aio(&mut t, &mut app, iters, cfg).await }
         },
     )
     .expect("simulation failed");
@@ -271,16 +270,16 @@ fn disabled_trace_log_does_not_allocate() {
 #[test]
 fn disabled_process_tracing_and_recorder_do_not_allocate() {
     let cluster = ClusterSpec::homogeneous(1, 1.0);
-    let (counts, _) = run_sim_cluster::<u64, _, _>(
+    let (counts, _) = run_sim_proc_cluster::<u64, _, _, _>(
         &cluster,
         ConstantLatency(SimDuration::from_millis(1)),
         Unloaded,
         false, // tracing disabled — trace_with must early-return
-        |t| {
+        |mut t| async move {
             let before = allocations_here();
             for i in 0..1000u64 {
                 // Lazy label: only ever built when tracing is on.
-                t.trace_with(|| format!("iteration {i}"));
+                t.trace_with(|| format!("iteration {i}")).await;
                 // No recorder installed: instrumentation sees `None` and
                 // skips — the pattern used across driver and transports.
                 if let Some(r) = t.recorder() {

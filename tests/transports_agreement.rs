@@ -10,7 +10,11 @@ fn even_ranges(n: usize, p: usize) -> Vec<std::ops::Range<usize>> {
 
 /// Run the synthetic workload with exact semantics (θ = 0 + recompute) on
 /// any transport and return the final values.
-fn run_exact<T: Transport<Msg = IterMsg<Vec<f64>>>>(t: &mut T, n: usize, iters: u64) -> Vec<f64> {
+async fn run_exact<T: AsyncTransport<Msg = IterMsg<Vec<f64>>>>(
+    t: &mut T,
+    n: usize,
+    iters: u64,
+) -> Vec<f64> {
     let ranges = even_ranges(n, t.size());
     let scfg = SyntheticConfig {
         theta: 0.0,
@@ -20,7 +24,7 @@ fn run_exact<T: Transport<Msg = IterMsg<Vec<f64>>>>(t: &mut T, n: usize, iters: 
     };
     let mut app = SyntheticApp::new(n, &ranges, t.rank().0, scfg);
     let cfg = SpecConfig::speculative(1).with_correction(CorrectionMode::Recompute);
-    run_speculative(t, &mut app, iters, cfg);
+    run_speculative_aio(t, &mut app, iters, cfg).await;
     app.values().to_vec()
 }
 
@@ -31,12 +35,12 @@ fn sim_thread_and_socket_backends_agree_exactly() {
     let iters = 8;
 
     let cluster = ClusterSpec::homogeneous(p, 1000.0);
-    let (sim_out, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+    let (sim_out, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         ConstantLatency(SimDuration::from_micros(100)),
         Unloaded,
         false,
-        move |t| run_exact(t, n, iters),
+        |mut t| async move { run_exact(&mut t, n, iters).await },
     )
     .unwrap();
 
@@ -46,7 +50,7 @@ fn sim_thread_and_socket_backends_agree_exactly() {
             latency: std::time::Duration::from_micros(200),
             ..Default::default()
         },
-        move |t| run_exact(t, n, iters),
+        move |t| poll_ready(run_exact(t, n, iters)),
     );
 
     // Third arm: every message is codec-encoded, framed, and crosses the
@@ -54,7 +58,7 @@ fn sim_thread_and_socket_backends_agree_exactly() {
     let socket_out = run_socket_cluster::<IterMsg<Vec<f64>>, _, _>(
         p,
         SocketClusterOptions::default(),
-        move |t| run_exact(t, n, iters),
+        move |t| poll_ready(run_exact(t, n, iters)),
     );
 
     assert_eq!(
@@ -72,7 +76,7 @@ fn sim_thread_and_socket_backends_agree_exactly() {
 /// an identically-seeded `FaultSpec`, nothing is ever delivered on either
 /// backend, so the speculate-through-loss machinery must promote the same
 /// speculations and converge to the same values.
-fn run_lossy<T: Transport<Msg = IterMsg<Vec<f64>>>>(
+fn run_lossy<T: mpk::Transport<Msg = IterMsg<Vec<f64>>>>(
     t: &mut T,
     n: usize,
     iters: u64,
@@ -104,7 +108,7 @@ fn socket_loss_promotions_match_thread_backend() {
     let thread_out = run_thread_cluster_with_faults::<IterMsg<Vec<f64>>, _, _>(
         p,
         ThreadClusterOptions::default(),
-        Loss::new(1.0, seed),
+        FaultSpec::new(Loss::new(1.0, seed)),
         move |t| run_lossy(t, n, iters),
     );
     let socket_out = run_socket_cluster_with_faults::<IterMsg<Vec<f64>>, _, _>(
@@ -180,15 +184,15 @@ fn thread_backend_baseline_equals_sim_baseline() {
     let p = 3;
     let iters = 6;
     let cluster = ClusterSpec::homogeneous(p, 1000.0);
-    let (sim_out, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+    let (sim_out, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         ConstantLatency(SimDuration::from_micros(50)),
         Unloaded,
         false,
-        move |t| {
+        |mut t| async move {
             let ranges = even_ranges(n, t.size());
             let mut app = SyntheticApp::new(n, &ranges, t.rank().0, SyntheticConfig::default());
-            run_baseline(t, &mut app, iters);
+            run_baseline_aio(&mut t, &mut app, iters).await;
             app.values().to_vec()
         },
     )

@@ -20,17 +20,16 @@ fn synthetic_theta_zero_recompute_is_exact() {
         ..Default::default()
     };
     let cluster = ClusterSpec::homogeneous(p, 100.0);
-    let (outs, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+    let (outs, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         ConstantLatency(SimDuration::from_millis(2)),
         Unloaded,
         false,
-        {
-            let ranges = ranges.clone();
-            move |t| {
-                let mut app = SyntheticApp::new(n, &ranges, t.rank().0, scfg);
-                let cfg = SpecConfig::speculative(1).with_correction(CorrectionMode::Recompute);
-                let stats = run_speculative(t, &mut app, iters, cfg);
+        |mut t| {
+            let mut app = SyntheticApp::new(n, &ranges, t.rank().0, scfg);
+            let cfg = SpecConfig::speculative(1).with_correction(CorrectionMode::Recompute);
+            async move {
+                let stats = run_speculative_aio(&mut t, &mut app, iters, cfg).await;
                 (app.values().to_vec(), stats)
             }
         },
@@ -62,16 +61,15 @@ fn synthetic_jump_rate_drives_measured_k() {
             jump_prob,
             ..Default::default()
         };
-        let (outs, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+        let (outs, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(2)),
             Unloaded,
             false,
-            {
-                let ranges = ranges.clone();
-                move |t| {
-                    let mut app = SyntheticApp::new(n, &ranges, t.rank().0, scfg);
-                    run_speculative(t, &mut app, iters, SpecConfig::speculative(1))
+            |mut t| {
+                let mut app = SyntheticApp::new(n, &ranges, t.rank().0, scfg);
+                async move {
+                    run_speculative_aio(&mut t, &mut app, iters, SpecConfig::speculative(1)).await
                 }
             },
         )
@@ -98,16 +96,16 @@ fn heat_full_driver_matches_reference_when_accepted() {
     let ranges = even_ranges(n, p);
     let hcfg = HeatConfig::default();
     let cluster = ClusterSpec::homogeneous(p, 10.0);
-    let (outs, _) = run_sim_cluster::<IterMsg<workloads::Halo>, _, _>(
+    let (outs, _) = run_sim_proc_cluster::<IterMsg<workloads::Halo>, _, _, _>(
         &cluster,
         ConstantLatency(SimDuration::from_millis(1)),
         Unloaded,
         false,
-        {
-            let ranges = ranges.clone();
-            move |t| {
-                let mut app = HeatApp::new(n, &ranges, t.rank().0, hcfg);
-                let stats = run_speculative(t, &mut app, iters, SpecConfig::speculative(1));
+        |mut t| {
+            let mut app = HeatApp::new(n, &ranges, t.rank().0, hcfg);
+            async move {
+                let stats =
+                    run_speculative_aio(&mut t, &mut app, iters, SpecConfig::speculative(1)).await;
                 (app.cells().to_vec(), stats)
             }
         },
@@ -136,16 +134,16 @@ fn heat2d_full_driver_conserves_heat_and_stays_close() {
     let ranges = even_ranges(rows, p);
     let hcfg = Heat2dConfig::default();
     let cluster = ClusterSpec::homogeneous(p, 10.0);
-    let (outs, _) = run_sim_cluster::<IterMsg<RowHalo>, _, _>(
+    let (outs, _) = run_sim_proc_cluster::<IterMsg<RowHalo>, _, _, _>(
         &cluster,
         ConstantLatency(SimDuration::from_millis(1)),
         Unloaded,
         false,
-        {
-            let ranges = ranges.clone();
-            move |t| {
-                let mut app = Heat2dApp::new(rows, cols, &ranges, t.rank().0, hcfg);
-                let stats = run_speculative(t, &mut app, iters, SpecConfig::speculative(1));
+        |mut t| {
+            let mut app = Heat2dApp::new(rows, cols, &ranges, t.rank().0, hcfg);
+            async move {
+                let stats =
+                    run_speculative_aio(&mut t, &mut app, iters, SpecConfig::speculative(1)).await;
                 (app.cells().to_vec(), stats)
             }
         },
@@ -182,25 +180,24 @@ fn pagerank_full_driver_stays_normalized() {
     let graph = Graph::random(n, 5, 17);
     let ranges = even_ranges(n, p);
     let cluster = ClusterSpec::homogeneous(p, 10.0);
-    let (outs, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+    let (outs, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         ConstantLatency(SimDuration::from_millis(1)),
         Unloaded,
         false,
-        {
-            let graph = graph.clone();
-            let ranges = ranges.clone();
-            move |t| {
-                let mut app = PageRankApp::new(
-                    graph.clone(),
-                    &ranges,
-                    t.rank().0,
-                    PageRankConfig {
-                        theta: 0.02,
-                        ..Default::default()
-                    },
-                );
-                let stats = run_speculative(t, &mut app, iters, SpecConfig::speculative(1));
+        |mut t| {
+            let mut app = PageRankApp::new(
+                graph.clone(),
+                &ranges,
+                t.rank().0,
+                PageRankConfig {
+                    theta: 0.02,
+                    ..Default::default()
+                },
+            );
+            async move {
+                let stats =
+                    run_speculative_aio(&mut t, &mut app, iters, SpecConfig::speculative(1)).await;
                 (app.scores().to_vec(), stats)
             }
         },
@@ -222,18 +219,16 @@ fn jacobi_full_driver_solves_the_system() {
     let sys = LinearSystem::random(n, 13);
     let ranges = even_ranges(n, p);
     let cluster = ClusterSpec::homogeneous(p, 10.0);
-    let (outs, _) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+    let (outs, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
         &cluster,
         ConstantLatency(SimDuration::from_millis(1)),
         Unloaded,
         false,
-        {
-            let sys = sys.clone();
-            let ranges = ranges.clone();
-            move |t| {
-                let mut app =
-                    JacobiApp::new(sys.clone(), &ranges, t.rank().0, JacobiConfig::default());
-                let stats = run_speculative(t, &mut app, iters, SpecConfig::speculative(1));
+        |mut t| {
+            let mut app = JacobiApp::new(sys.clone(), &ranges, t.rank().0, JacobiConfig::default());
+            async move {
+                let stats =
+                    run_speculative_aio(&mut t, &mut app, iters, SpecConfig::speculative(1)).await;
                 (app.values().to_vec(), stats)
             }
         },
@@ -263,12 +258,12 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
     // Synthetic.
     let synth = |fw: u32| {
         let ranges = even_ranges(40, p);
-        let (_, report) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+        let (_, report) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
             &cluster,
             latency,
             Unloaded,
             false,
-            move |t| {
+            |mut t| {
                 let mut app = SyntheticApp::new(
                     40,
                     &ranges,
@@ -286,7 +281,7 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
                 } else {
                     SpecConfig::speculative(fw)
                 };
-                run_speculative(t, &mut app, 10, cfg)
+                async move { run_speculative_aio(&mut t, &mut app, 10, cfg).await }
             },
         )
         .unwrap();
@@ -297,12 +292,12 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
     // Heat.
     let heat = |fw: u32| {
         let ranges = even_ranges(200, p);
-        let (_, report) = run_sim_cluster::<IterMsg<workloads::Halo>, _, _>(
+        let (_, report) = run_sim_proc_cluster::<IterMsg<workloads::Halo>, _, _, _>(
             &cluster,
             latency,
             Unloaded,
             false,
-            move |t| {
+            |mut t| {
                 let mut app = HeatApp::new(
                     200,
                     &ranges,
@@ -318,7 +313,7 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
                 } else {
                     SpecConfig::speculative(fw)
                 };
-                run_speculative(t, &mut app, 10, cfg)
+                async move { run_speculative_aio(&mut t, &mut app, 10, cfg).await }
             },
         )
         .unwrap();
@@ -330,12 +325,12 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
     let pr = |fw: u32| {
         let graph = Graph::random(60, 4, 3);
         let ranges = even_ranges(60, p);
-        let (_, report) = run_sim_cluster::<IterMsg<Vec<f64>>, _, _>(
+        let (_, report) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
             &cluster,
             latency,
             Unloaded,
             false,
-            move |t| {
+            |mut t| {
                 let mut app = PageRankApp::new(
                     graph.clone(),
                     &ranges,
@@ -350,7 +345,7 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
                 } else {
                     SpecConfig::speculative(fw)
                 };
-                run_speculative(t, &mut app, 10, cfg)
+                async move { run_speculative_aio(&mut t, &mut app, 10, cfg).await }
             },
         )
         .unwrap();
