@@ -54,6 +54,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod event;
 mod kernel;

@@ -98,6 +98,7 @@ impl WireCodec for () {
 
 impl<T: WireCodec> WireCodec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(8 + self.len() * std::mem::size_of::<T>());
         (self.len() as u64).encode(out);
         for x in self {
             x.encode(out);

@@ -28,10 +28,14 @@
 //! all three.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod backoff;
 mod codec;
 mod delta;
+// The product crates' one `unsafe` block: the `ppoll(2)` binding.
+#[allow(unsafe_code)]
+mod poll;
 mod sim;
 mod socket;
 mod threads;

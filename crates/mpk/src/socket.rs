@@ -4,19 +4,46 @@
 //!
 //! This is the step the paper's PVM setting takes out of the process:
 //! delay, batching, and disconnects come from a real network stack
-//! instead of an injected model. The backend keeps the exact receive
-//! discipline of [`ThreadTransport`](crate::ThreadTransport) — one
-//! per-peer reader thread feeds the same condvar mailbox, so `recv`,
-//! `try_recv`, and the event-driven `recv_timeout` behave identically —
-//! which is what makes three-way agreement (sim ≡ thread ≡ socket) under
-//! exact semantics provable rather than hoped-for.
+//! instead of an injected model. `recv`, `try_recv`, and the event-driven
+//! `recv_timeout` keep the contracts of
+//! [`ThreadTransport`](crate::ThreadTransport) — one immediate poll, a
+//! zero timeout degrades to it, then waits to one absolute deadline with
+//! no polling quantum — which is what makes three-way agreement
+//! (sim ≡ thread ≡ socket) under exact semantics provable rather than
+//! hoped-for.
+//!
+//! # Threading model
+//!
+//! The rank's own thread is the only reader of its sockets. A receive
+//! call that finds nothing decoded waits for readiness on every live
+//! connection with one `ppoll(2)` (the private `poll` module), reads what
+//! the kernel has into that connection's buffer with a single `read`,
+//! and parses every complete frame in place; there are no reader threads
+//! and no user-space mailbox between the kernel and the caller, so a
+//! message costs the receiver no thread wake-up beyond its own. An
+//! unsupervised rank is exactly one OS thread.
+//!
+//! All sockets are non-blocking once the handshake is done. `send`
+//! writes the frame from the calling thread; when the kernel's buffers
+//! towards that peer are full it does not block in `write` but waits —
+//! in the same `ppoll` — for room *or* for inbound data, which it drains
+//! into the decoded queue. Two ranks sending each other frames larger
+//! than the socket buffers therefore both complete; in-flight bytes per
+//! link are bounded by the kernel's buffers, and a `send` to a peer that
+//! has stopped reading blocks until it reads or dies (back-pressure, as
+//! on any TCP stream). Several threads may write one stream (rank,
+//! supervisor); each write half carries a backlog of frame bytes the
+//! kernel has not yet taken, and every writer flushes it before its own
+//! frame, so frames reach the wire whole and in order and nobody waits
+//! while holding a stream's lock.
 //!
 //! # Wire format
 //!
 //! Every frame is `[len: u32][version: u8][kind: u8][src: u32][tag: u32]
 //! [payload…]`, all little-endian; `len` counts everything after itself
 //! and is capped by [`SocketClusterOptions::max_frame_bytes`] — a hostile
-//! or corrupt length prefix is a decode failure, never an allocation.
+//! or corrupt length prefix is a decode failure, never an allocation:
+//! receive buffers grow only with bytes that have actually arrived.
 //! `kind` is [`KIND_HELLO`] during the handshake and [`KIND_DATA`] after;
 //! supervised meshes additionally exchange [`KIND_HEARTBEAT`] liveness
 //! probes, [`KIND_GOODBYE`] clean-shutdown notices, and [`KIND_RESUME`]
@@ -33,21 +60,35 @@
 //! every higher rank, identifying each accepted peer by the `HELLO`
 //! frame it must send first. Rank 0 dials no one, so it reaches its
 //! accept loop immediately; by induction every dial finds a listening
-//! accept loop and the mesh cannot deadlock.
+//! accept loop and the mesh cannot deadlock. Handshake reads are
+//! exact-length, so the first data frame stays in the socket for the
+//! rank.
 //!
 //! # Supervision, reconnect, and rejoin
 //!
 //! With [`SocketClusterOptions::supervision`] set, every rank keeps its
-//! listener alive and runs two more threads:
+//! listener alive and runs two more threads, neither of which ever reads
+//! a mesh connection:
 //!
 //! * a **supervisor** that writes a heartbeat frame to every live peer
-//!   each interval, raises a suspicion event when a peer has been silent
-//!   past the miss deadline (catching *silent* peers, not just EOF/RST),
-//!   and re-dials dead peers it originally dialed (`peer < rank`) on a
-//!   jittered exponential backoff up to a retry budget;
+//!   each interval — so heartbeats flow while the rank computes; a full
+//!   socket buffer skips that heartbeat, only a write *error* means the
+//!   link is dead — and re-dials dead peers it originally dialed
+//!   (`peer < rank`) on a jittered exponential backoff up to a retry
+//!   budget;
 //! * an **acceptor** that accepts post-handshake connections and admits
 //!   a peer back into the mesh via the `RESUME` handshake (peer rank +
 //!   last-seen iteration, mirrored in the reply).
+//!
+//! Either hands a new connection's read half to the rank through a
+//! shared queue and rings a doorbell (a `UnixStream` pair whose read end
+//! sits in the rank's `ppoll` set); the rank adopts it, replacing
+//! whatever connection it held for that peer. Silence is judged where
+//! the bytes are read: after draining, the rank marks a peer suspected
+//! once nothing has arrived from it for the miss deadline (catching
+//! *silent* peers, not just EOF/RST), and every wait is clamped to the
+//! next such moment — so a rank returning from a long `compute` never
+//! suspects a peer whose heartbeats were sitting unread.
 //!
 //! Because reconnect duty follows the original dial direction (higher
 //! rank dials lower), a restarted process calling
@@ -56,9 +97,12 @@
 //! cold start deadlock-free covers rejoin.
 //!
 //! A transport that is *dropped* (orderly exit) first writes a `GOODBYE`
-//! frame on every connection, so peers record a clean departure instead
-//! of a crash; only a connection that dies without one (RST, EOF, or
-//! heartbeat silence) feeds the crash path.
+//! frame on every connection and half-closes it, then keeps reading for
+//! a short bound until peers close too, so the kernel ends the
+//! connection with a FIN rather than a reset over unread bytes. Peers
+//! record a clean departure instead of a crash; only a connection that
+//! dies without a goodbye (RST, EOF, or heartbeat silence) feeds the
+//! crash path.
 //!
 //! # Faults and disconnects
 //!
@@ -68,13 +112,16 @@
 //! runs the spec's payload corruptor (sim-compatible semantics) or, when
 //! none is given, flips a byte of the encoded payload before the write.
 //! A peer that disconnects without a goodbye is surfaced as a
-//! [`Mark::PeerCrashed`] event and the transport keeps working — the
-//! reader thread never panics, and bounded waits keep expiring — which
-//! feeds the same crash/recovery path the fault-tolerant driver already
-//! handles.
+//! [`Mark::PeerCrashed`] event and the transport keeps working — no
+//! peer-controlled input panics the rank, and bounded waits keep
+//! expiring — which feeds the same crash/recovery path the
+//! fault-tolerant driver already handles.
 
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -86,8 +133,8 @@ use parking_lot::Mutex;
 
 use crate::backoff::Backoff;
 use crate::codec::WireCodec;
+use crate::poll::{wait_ready, PollFd, POLLIN, POLLOUT};
 use crate::sim::FaultSpec;
-use crate::threads::ThreadMailbox;
 use crate::transport::Transport;
 use crate::types::{Envelope, FaultCounters, Rank, Tag, WireSize, HEADER_BYTES};
 
@@ -122,6 +169,14 @@ pub const DEFAULT_MAX_FRAME: usize = 256 << 20;
 /// read so a silent dialer cannot wedge establish, the acceptor, or a
 /// supervisor redial.
 const HANDSHAKE_READ_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Size a connection's receive buffer starts at, and stays at unless a
+/// single frame is larger.
+const READ_BUF: usize = 16 << 10;
+
+/// How long a dropped transport keeps reading after its goodbye, waiting
+/// for peers to close their side.
+const LINGER: Duration = Duration::from_millis(250);
 
 /// Supervision knobs: heartbeat cadence, silence deadline, and the
 /// jittered-backoff reconnect schedule.
@@ -207,20 +262,6 @@ pub struct SupervisionCounters {
     pub reconnects: u64,
 }
 
-/// What a reader/supervisor/acceptor thread delivers into the mailbox:
-/// a decoded message or a membership event about the sending peer.
-enum SocketEvent<M> {
-    Data(M),
-    /// Connection died without a goodbye: crash semantics.
-    PeerGone,
-    /// Goodbye frame received: clean shutdown, not a crash.
-    PeerDeparted,
-    /// Supervisor: peer silent past the miss deadline.
-    PeerSuspected,
-    /// A connection to this peer was (re)established.
-    PeerBack,
-}
-
 /// Shared fault state of a socket cluster (loopback mode shares one
 /// across ranks, matching the thread backend; multi-process mode gives
 /// each process its own).
@@ -241,33 +282,104 @@ impl<M> SocketFaults<M> {
     }
 }
 
-/// State shared between the transport, its per-peer reader threads, and
-/// (under supervision) the supervisor and acceptor threads.
-struct Shared<M> {
+/// Write as much of `bytes` as the kernel takes without blocking and
+/// return how much that was.
+fn write_some(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+    let mut done = 0;
+    while done < bytes.len() {
+        match stream.write(&bytes[done..]) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => done += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(done)
+}
+
+/// The write half of one connection. Every writer of the stream — the
+/// rank's `send`, the supervisor's heartbeat, `Drop`'s goodbye — goes
+/// through [`Link::write_frame`] or [`Link::offer`] under the
+/// `Shared::writers` lock, and neither ever blocks: what the kernel will
+/// not take joins `backlog`, which the next writer flushes before its own
+/// frame. Frames therefore reach the wire whole and in order.
+struct Link {
+    stream: TcpStream,
+    /// Frame bytes accepted from a writer that the kernel has not taken
+    /// yet; `backlog[flushed..]` is still to be written.
+    backlog: Vec<u8>,
+    flushed: usize,
+}
+
+impl Link {
+    fn new(stream: TcpStream) -> Self {
+        Link {
+            stream,
+            backlog: Vec::new(),
+            flushed: 0,
+        }
+    }
+
+    /// Push the backlog at the kernel; `Ok(true)` once none is left.
+    fn flush(&mut self) -> std::io::Result<bool> {
+        self.flushed += write_some(&mut self.stream, &self.backlog[self.flushed..])?;
+        if self.flushed == self.backlog.len() {
+            self.backlog.clear();
+            self.flushed = 0;
+        }
+        Ok(self.backlog.is_empty())
+    }
+
+    /// Put `frame` on the stream behind whatever is already queued;
+    /// `Ok(true)` if all of it is in the kernel, `Ok(false)` if the rest
+    /// waits in the backlog for a later [`Link::flush`].
+    fn write_frame(&mut self, frame: &[u8]) -> std::io::Result<bool> {
+        let taken = if self.flush()? {
+            write_some(&mut self.stream, frame)?
+        } else {
+            0
+        };
+        self.backlog.extend_from_slice(&frame[taken..]);
+        Ok(self.backlog.is_empty())
+    }
+
+    /// [`Link::write_frame`] for a writer that can do without: `frame` is
+    /// skipped (`Ok(false)`) while earlier bytes are still queued, so
+    /// heartbeats never pile up behind a peer that is not reading.
+    fn offer(&mut self, frame: &[u8]) -> std::io::Result<bool> {
+        if !self.flush()? {
+            return Ok(false);
+        }
+        self.write_frame(frame)?;
+        Ok(true)
+    }
+}
+
+/// State shared between the transport and, under supervision, the
+/// supervisor and acceptor threads.
+struct Shared {
     rank: usize,
     size: usize,
     max_frame: usize,
-    epoch: Instant,
-    mailbox: Arc<ThreadMailbox<SocketEvent<M>>>,
     /// Write halves of the mesh, by peer rank (`None` for self and for
     /// peers whose connection is down).
-    writers: Vec<Mutex<Option<TcpStream>>>,
-    /// Bumped on every (re)install; a reader whose generation is stale
-    /// suppresses its exit event so a replaced connection's death cannot
-    /// shadow the live one.
-    conn_gen: Vec<AtomicU64>,
-    /// Per-peer nanoseconds-since-epoch of the last frame of any kind.
-    last_heard: Vec<AtomicU64>,
-    /// Peers that said goodbye (clean shutdown observed).
+    writers: Vec<Mutex<Option<Link>>>,
+    /// Read halves of connections installed since the rank last looked,
+    /// with the peer each belongs to. Only the rank reads a connection;
+    /// whoever establishes one leaves its read half here and rings
+    /// `bell`.
+    handoff: Mutex<Vec<(usize, TcpStream)>>,
+    /// Write end of the doorbell whose read end is in the rank's poll set.
+    bell: UnixStream,
+    /// Peers that said goodbye: the supervisor neither probes nor
+    /// re-dials them.
     departed: Vec<AtomicBool>,
-    bytes_received: AtomicU64,
-    decode_failures: AtomicU64,
     /// Inbound connections dropped because their handshake was invalid,
     /// truncated, or stalled (cold-start HELLO phase and acceptor RESUME
     /// path). Peer-controlled input: counted, never fatal.
     handshake_rejects: AtomicU64,
     heartbeats_sent: AtomicU64,
-    heartbeats_received: AtomicU64,
     reconnect_attempts: AtomicU64,
     reconnects: AtomicU64,
     /// Last-seen iteration each peer reported in a RESUME handshake.
@@ -277,80 +389,170 @@ struct Shared<M> {
     shutdown: AtomicBool,
 }
 
-impl<M> Shared<M> {
-    fn new(rank: usize, size: usize, max_frame: usize, epoch: Instant) -> Self {
-        Shared {
+impl Shared {
+    /// The shared state plus the doorbell's read end, which the transport
+    /// keeps to itself.
+    fn new(rank: usize, size: usize, max_frame: usize) -> std::io::Result<(Arc<Self>, UnixStream)> {
+        let (bell, bell_rx) = UnixStream::pair()?;
+        bell.set_nonblocking(true)?;
+        bell_rx.set_nonblocking(true)?;
+        let shared = Shared {
             rank,
             size,
             max_frame,
-            epoch,
-            mailbox: Arc::new(ThreadMailbox::new()),
             writers: (0..size).map(|_| Mutex::new(None)).collect(),
-            conn_gen: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            last_heard: (0..size).map(|_| AtomicU64::new(0)).collect(),
+            handoff: Mutex::new(Vec::new()),
+            bell,
             departed: (0..size).map(|_| AtomicBool::new(false)).collect(),
-            bytes_received: AtomicU64::new(0),
-            decode_failures: AtomicU64::new(0),
             handshake_rejects: AtomicU64::new(0),
             heartbeats_sent: AtomicU64::new(0),
-            heartbeats_received: AtomicU64::new(0),
             reconnect_attempts: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             peer_progress: (0..size).map(|_| AtomicU64::new(0)).collect(),
             progress: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+        };
+        Ok((Arc::new(shared), bell_rx))
+    }
+}
+
+fn bad_data(msg: String) -> std::io::Error {
+    std::io::Error::new(ErrorKind::InvalidData, msg)
+}
+
+/// The `N` bytes of `bytes` starting at `at`, or `None` if it is too
+/// short. Every fixed-width field a peer supplies — frame header,
+/// handshake payload — is read through here, so a short buffer is a
+/// `None` to handle, never a slice or conversion that can panic.
+fn le_bytes<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
+    bytes.get(at..)?.first_chunk::<N>().copied()
+}
+
+/// One frame borrowed from a [`FrameReader`]'s buffer:
+/// `(kind, src, tag, payload)`.
+type FrameRef<'a> = (u8, u32, u32, &'a [u8]);
+
+/// The read half of one connection: a buffer filled by single `read`s and
+/// parsed in place.
+///
+/// The buffer grows — doubling from [`READ_BUF`] — only when it is full of
+/// bytes that have arrived and still holds no complete frame; a length
+/// prefix alone, however large, allocates nothing.
+struct FrameReader<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// `buf[start..end]` holds the bytes received and not yet popped.
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    fn new(src: R) -> Self {
+        FrameReader {
+            src,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
         }
     }
 
-    fn t_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+    /// One `read` of at most `limit` bytes into the buffer's free tail.
+    /// `Ok(0)` is EOF.
+    fn read_some(&mut self, limit: usize) -> std::io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.end == self.buf.len() {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            } else {
+                let grown = (2 * self.buf.len()).max(READ_BUF);
+                self.buf.resize(grown, 0);
+            }
+        }
+        let room = (self.buf.len() - self.end).min(limit);
+        let tail = &mut self.buf[self.end..self.end + room];
+        let got = loop {
+            match self.src.read(tail) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                other => break other?,
+            }
+        };
+        self.end += got;
+        Ok(got)
     }
 
-    fn push_event(&self, peer: usize, ev: SocketEvent<M>) {
-        self.mailbox.push(
-            Instant::now(),
-            Envelope {
-                src: Rank(peer),
-                tag: Tag(0),
-                msg: ev,
-            },
-        );
+    /// How many more bytes the frame at the front of the buffer needs:
+    /// 0 when it is complete. A length prefix outside
+    /// `FRAME_HEADER..=max_frame` is an error — the stream cannot be
+    /// resynchronized.
+    fn missing(&self, max_frame: usize) -> std::io::Result<usize> {
+        let have = &self.buf[self.start..self.end];
+        let Some(prefix) = le_bytes(have, 0) else {
+            return Ok(4 - have.len());
+        };
+        let len = u32::from_le_bytes(prefix) as usize;
+        if !(FRAME_HEADER..=max_frame).contains(&len) {
+            return Err(bad_data(format!(
+                "frame length {len} out of bounds (cap {max_frame})"
+            )));
+        }
+        Ok((4 + len).saturating_sub(have.len()))
+    }
+
+    /// Take the frame at the front of the buffer, if all of it has
+    /// arrived. Errors as [`FrameReader::missing`], and on a wrong wire
+    /// version.
+    fn pop(&mut self, max_frame: usize) -> std::io::Result<Option<FrameRef<'_>>> {
+        if self.missing(max_frame)? > 0 {
+            return Ok(None);
+        }
+        let Some(header) = le_bytes::<FRAME_OVERHEAD>(&self.buf[self.start..self.end], 0) else {
+            return Ok(None);
+        };
+        let [l0, l1, l2, l3, version, kind, s0, s1, s2, s3, t0, t1, t2, t3] = header;
+        if version != WIRE_VERSION {
+            return Err(bad_data(format!(
+                "wire version {version} (expected {WIRE_VERSION})"
+            )));
+        }
+        let payload = self.start + FRAME_OVERHEAD;
+        // In bounds: `missing` returned 0 for this length.
+        self.start += 4 + u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        Ok(Some((
+            kind,
+            u32::from_le_bytes([s0, s1, s2, s3]),
+            u32::from_le_bytes([t0, t1, t2, t3]),
+            &self.buf[payload..self.start],
+        )))
     }
 }
 
 /// One decoded frame: `(kind, src, tag, payload)`.
 type Frame = (u8, u32, u32, Vec<u8>);
 
-/// Read one frame. `Ok(None)` on a clean EOF at a frame boundary; any
-/// malformed header — including a declared length above `max_frame` —
-/// is an error (the stream cannot be resynchronized).
-fn read_frame(stream: &mut TcpStream, max_frame: usize) -> std::io::Result<Option<Frame>> {
-    let mut len_raw = [0u8; 4];
-    match stream.read_exact(&mut len_raw) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+/// Read one frame and not a byte beyond it — the handshake's read, which
+/// must leave the first data frame in the socket. `Ok(None)` on a clean
+/// EOF at a frame boundary; any malformed header — including a declared
+/// length above `max_frame` — is an error.
+fn read_frame<R: Read>(stream: &mut R, max_frame: usize) -> std::io::Result<Option<Frame>> {
+    let mut reader = FrameReader::new(stream);
+    loop {
+        let missing = reader.missing(max_frame)?;
+        if missing == 0 {
+            let frame = reader.pop(max_frame)?;
+            return Ok(frame.map(|(kind, src, tag, payload)| (kind, src, tag, payload.to_vec())));
+        }
+        if reader.read_some(missing)? == 0 {
+            return match reader.end {
+                0 => Ok(None),
+                _ => Err(ErrorKind::UnexpectedEof.into()),
+            };
+        }
     }
-    let len = u32::from_le_bytes(len_raw) as usize;
-    if !(FRAME_HEADER..=max_frame).contains(&len) {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("frame length {len} out of bounds (cap {max_frame})"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    if body[0] != WIRE_VERSION {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("wire version {} (expected {WIRE_VERSION})", body[0]),
-        ));
-    }
-    let kind = body[1];
-    let src = u32::from_le_bytes(body[2..6].try_into().unwrap());
-    let tag = u32::from_le_bytes(body[6..10].try_into().unwrap());
-    let payload = body.split_off(FRAME_HEADER);
-    Ok(Some((kind, src, tag, payload)))
 }
 
 /// Encode a frame into `out` (cleared first).
@@ -390,10 +592,6 @@ fn write_resume(
     stream.write_all(&frame)
 }
 
-fn bad_data(msg: String) -> std::io::Error {
-    std::io::Error::new(ErrorKind::InvalidData, msg)
-}
-
 /// Validate a handshake frame's cluster size and rank range.
 fn check_identity(src: u32, peer_size: usize, size: usize) -> std::io::Result<usize> {
     if peer_size != size {
@@ -418,9 +616,8 @@ fn read_hello(stream: &mut TcpStream, size: usize, max_frame: usize) -> std::io:
     if kind != KIND_HELLO {
         return Err(bad_data(format!("expected HELLO, got frame kind {kind}")));
     }
-    let peer_size = payload
-        .get(0..4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()) as usize)
+    let peer_size = le_bytes(&payload, 0)
+        .map(|b| u32::from_le_bytes(b) as usize)
         .ok_or_else(|| bad_data("HELLO payload truncated".into()))?;
     check_identity(src, peer_size, size)
 }
@@ -440,14 +637,10 @@ fn read_resume(
             "expected RESUME or HELLO, got frame kind {kind}"
         )));
     }
-    let peer_size = payload
-        .get(0..4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap()) as usize)
+    let peer_size = le_bytes(&payload, 0)
+        .map(|b| u32::from_le_bytes(b) as usize)
         .ok_or_else(|| bad_data("handshake payload truncated".into()))?;
-    let last_iter = payload
-        .get(4..12)
-        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        .unwrap_or(0);
+    let last_iter = le_bytes(&payload, 4).map_or(0, u64::from_le_bytes);
     let peer = check_identity(src, peer_size, size)?;
     Ok((peer, last_iter))
 }
@@ -486,105 +679,24 @@ fn connect_with_retry(
     }
 }
 
-/// Install a live connection to `peer`: bump the generation, swap in the
-/// write half, refresh liveness, and spawn a reader on the read half.
-fn install_connection<M: WireCodec + Send + 'static>(
-    shared: &Arc<Shared<M>>,
-    peer: usize,
-    stream: TcpStream,
-) -> std::io::Result<()> {
+/// Install a handshaken connection to `peer`: make it non-blocking, swap
+/// in the write half, and hand the read half to the rank, which on
+/// adopting it drops whatever connection it held for `peer` before.
+fn install_connection(shared: &Shared, peer: usize, stream: TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(true)?;
     let reader = stream.try_clone()?;
-    let gen = shared.conn_gen[peer].fetch_add(1, AtomicOrdering::SeqCst) + 1;
     shared.departed[peer].store(false, AtomicOrdering::Relaxed);
-    shared.last_heard[peer].store(shared.t_ns(), AtomicOrdering::Relaxed);
-    *shared.writers[peer].lock() = Some(stream);
-    spawn_reader(reader, peer, gen, Arc::clone(shared));
+    *shared.writers[peer].lock() = Some(Link::new(stream));
+    shared.handoff.lock().push((peer, reader));
+    // A full doorbell already has a wake-up pending.
+    let _ = (&shared.bell).write(&[1]);
     Ok(())
-}
-
-/// One reader thread per peer connection: read frames, decode, deliver
-/// into the shared mailbox. The thread must never panic — every failure
-/// mode (EOF, reset, garbage) reduces to either "frame dropped",
-/// "peer departed" (goodbye), or "peer gone" (crash).
-fn spawn_reader<M: WireCodec + Send + 'static>(
-    mut stream: TcpStream,
-    peer: usize,
-    gen: u64,
-    shared: Arc<Shared<M>>,
-) {
-    std::thread::spawn(move || {
-        let current = |shared: &Shared<M>| {
-            shared.conn_gen[peer].load(AtomicOrdering::SeqCst) == gen
-                && !shared.shutdown.load(AtomicOrdering::Relaxed)
-        };
-        loop {
-            match read_frame(&mut stream, shared.max_frame) {
-                Ok(Some((kind, src, tag, payload))) => {
-                    if src as usize != peer {
-                        // A frame claiming another origin on a
-                        // point-to-point connection is corruption.
-                        shared.decode_failures.fetch_add(1, AtomicOrdering::Relaxed);
-                        continue;
-                    }
-                    shared.last_heard[peer].store(shared.t_ns(), AtomicOrdering::Relaxed);
-                    match kind {
-                        KIND_HEARTBEAT => {
-                            shared
-                                .heartbeats_received
-                                .fetch_add(1, AtomicOrdering::Relaxed);
-                        }
-                        KIND_GOODBYE => {
-                            if current(&shared) {
-                                shared.push_event(peer, SocketEvent::PeerDeparted);
-                            }
-                            return;
-                        }
-                        KIND_DATA => {
-                            shared.bytes_received.fetch_add(
-                                (FRAME_OVERHEAD + payload.len()) as u64,
-                                AtomicOrdering::Relaxed,
-                            );
-                            match crate::codec::decode_exact::<M>(&payload) {
-                                Some(msg) => shared.mailbox.push(
-                                    Instant::now(),
-                                    Envelope {
-                                        src: Rank(peer),
-                                        tag: Tag(tag),
-                                        msg: SocketEvent::Data(msg),
-                                    },
-                                ),
-                                // Corrupt payload: the frame is lost,
-                                // exactly like a datagram failing its
-                                // checksum.
-                                None => {
-                                    shared.decode_failures.fetch_add(1, AtomicOrdering::Relaxed);
-                                }
-                            }
-                        }
-                        _ => {
-                            shared.decode_failures.fetch_add(1, AtomicOrdering::Relaxed);
-                        }
-                    }
-                }
-                // EOF or connection error without a goodbye: the peer is
-                // gone. Deliver the event (unless this connection was
-                // already replaced) and exit; pending bounded waits keep
-                // expiring and the driver's crash path takes over.
-                Ok(None) | Err(_) => {
-                    if current(&shared) {
-                        shared.push_event(peer, SocketEvent::PeerGone);
-                    }
-                    return;
-                }
-            }
-        }
-    });
 }
 
 /// Dial `addr` once and run the RESUME handshake as `shared.rank`.
 /// Returns the established stream after recording the peer's progress.
-fn resume_dial<M>(
-    shared: &Shared<M>,
+fn resume_dial(
+    shared: &Shared,
     peer: usize,
     addr: SocketAddr,
     nodelay: bool,
@@ -609,11 +721,12 @@ fn resume_dial<M>(
     Ok(s)
 }
 
-/// The supervisor thread: heartbeats to live peers, silence detection,
-/// and backoff-bounded reconnects toward peers this rank originally
-/// dialed (`peer < rank`).
-fn spawn_supervisor<M: WireCodec + Send + 'static>(
-    shared: Arc<Shared<M>>,
+/// The supervisor thread: heartbeats to live peers and backoff-bounded
+/// reconnects toward peers this rank originally dialed (`peer < rank`).
+/// It writes and dials; it never reads a mesh connection and never waits
+/// for socket-buffer space.
+fn spawn_supervisor(
+    shared: Arc<Shared>,
     sup: SupervisorOptions,
     addrs: Vec<SocketAddr>,
     nodelay: bool,
@@ -621,13 +734,11 @@ fn spawn_supervisor<M: WireCodec + Send + 'static>(
     std::thread::spawn(move || {
         let me = shared.rank;
         let size = shared.size;
-        // Per-peer suspicion latch and reconnect schedule
-        // (backoff, next-attempt time, attempts so far this outage).
-        let mut suspected = vec![false; size];
+        // Per-peer reconnect schedule (backoff, next-attempt time,
+        // attempts so far this outage).
         let mut redial: Vec<Option<(Backoff, Instant, u32)>> = (0..size).map(|_| None).collect();
         let mut hb = Vec::with_capacity(FRAME_OVERHEAD);
         encode_frame(&mut hb, KIND_HEARTBEAT, me as u32, 0, &|_| {});
-        let miss_ns = sup.miss_deadline.as_nanos() as u64;
         loop {
             std::thread::sleep(sup.heartbeat_interval);
             if shared.shutdown.load(AtomicOrdering::Relaxed) {
@@ -639,34 +750,26 @@ fn spawn_supervisor<M: WireCodec + Send + 'static>(
                 }
                 let alive = {
                     let mut w = shared.writers[peer].lock();
-                    match w.as_mut() {
-                        Some(s) => {
-                            if s.write_all(&hb).is_ok() {
-                                shared.heartbeats_sent.fetch_add(1, AtomicOrdering::Relaxed);
-                                true
-                            } else {
-                                // Dead write half: drop it; the reader
-                                // reports the crash on its own.
-                                *w = None;
-                                false
-                            }
+                    match w.as_mut().map(|link| link.offer(&hb)) {
+                        // A full buffer (`Ok(false)`) is a peer that is
+                        // busy, not dead: skip this heartbeat.
+                        Some(Ok(sent)) => {
+                            shared
+                                .heartbeats_sent
+                                .fetch_add(u64::from(sent), AtomicOrdering::Relaxed);
+                            true
+                        }
+                        // Dead write half: drop it; the rank reports the
+                        // crash when its read half fails.
+                        Some(Err(_)) => {
+                            *w = None;
+                            false
                         }
                         None => false,
                     }
                 };
                 if alive {
                     redial[peer] = None;
-                    let silent_ns = shared
-                        .t_ns()
-                        .saturating_sub(shared.last_heard[peer].load(AtomicOrdering::Relaxed));
-                    if silent_ns > miss_ns {
-                        if !suspected[peer] {
-                            suspected[peer] = true;
-                            shared.push_event(peer, SocketEvent::PeerSuspected);
-                        }
-                    } else {
-                        suspected[peer] = false;
-                    }
                 } else if peer < me {
                     // Reconnect duty follows the original dial
                     // direction, so a restarted peer is re-dialed by
@@ -690,9 +793,7 @@ fn spawn_supervisor<M: WireCodec + Send + 'static>(
                         Ok(stream) => {
                             if install_connection(&shared, peer, stream).is_ok() {
                                 shared.reconnects.fetch_add(1, AtomicOrdering::Relaxed);
-                                suspected[peer] = false;
                                 redial[peer] = None;
-                                shared.push_event(peer, SocketEvent::PeerBack);
                             }
                         }
                         Err(_) => {
@@ -707,12 +808,7 @@ fn spawn_supervisor<M: WireCodec + Send + 'static>(
 
 /// The acceptor thread: admits post-handshake connections (RESUME from a
 /// restarted peer, or a supervisor redial) back into the mesh.
-fn spawn_acceptor<M: WireCodec + Send + 'static>(
-    shared: Arc<Shared<M>>,
-    listener: TcpListener,
-    poll: Duration,
-    nodelay: bool,
-) {
+fn spawn_acceptor(shared: Arc<Shared>, listener: TcpListener, poll: Duration, nodelay: bool) {
     std::thread::spawn(move || {
         if listener.set_nonblocking(true).is_err() {
             return;
@@ -742,7 +838,6 @@ fn spawn_acceptor<M: WireCodec + Send + 'static>(
                         shared.peer_progress[peer].store(their_iter, AtomicOrdering::Relaxed);
                         install_connection(&shared, peer, s)?;
                         shared.reconnects.fetch_add(1, AtomicOrdering::Relaxed);
-                        shared.push_event(peer, SocketEvent::PeerBack);
                         Ok(())
                     })();
                     // A bogus dialer is dropped and counted; the mesh
@@ -765,23 +860,76 @@ pub struct SocketTransport<M> {
     rank: Rank,
     size: usize,
     opts: SocketClusterOptions,
-    shared: Arc<Shared<M>>,
+    shared: Arc<Shared>,
     epoch: Instant,
     rec: Option<Box<dyn Recorder>>,
     faults: Option<Arc<SocketFaults<M>>>,
+    /// Read halves of the mesh, by peer rank: this thread is their only
+    /// reader.
+    conns: Vec<Option<FrameReader<TcpStream>>>,
+    /// Read end of the doorbell `install_connection` rings.
+    bell: UnixStream,
+    /// Messages decoded and not yet handed to the caller, in arrival
+    /// order.
+    ready: VecDeque<Envelope<M>>,
+    /// The poll set, kept for its allocation.
+    pollfds: Vec<PollFd>,
+    /// When the last bytes arrived from each peer (tracked under
+    /// supervision only).
+    last_heard: Vec<Instant>,
     /// Frame bytes actually written to the wire by this rank.
     bytes_sent: u64,
+    bytes_received: u64,
+    decode_failures: u64,
+    heartbeats_received: u64,
+    timed_waits: u64,
     /// Peers whose connection has been observed down (membership events
     /// already emitted).
     peer_down: Vec<bool>,
     /// Peers that departed cleanly (subset of `peer_down`).
     peer_departed: Vec<bool>,
-    /// Peers currently marked suspected by the supervisor.
+    /// Peers silent past the miss deadline on a connection still up.
     peer_suspected: Vec<bool>,
     scratch: Vec<u8>,
 }
 
-impl<M: WireCodec + Send + 'static> SocketTransport<M> {
+impl<M> SocketTransport<M> {
+    /// A transport over whatever connections `shared` holds so far.
+    fn new(
+        opts: SocketClusterOptions,
+        shared: Arc<Shared>,
+        bell: UnixStream,
+        faults: Option<Arc<SocketFaults<M>>>,
+        epoch: Instant,
+    ) -> Self {
+        let size = shared.size;
+        let mut t = SocketTransport {
+            rank: Rank(shared.rank),
+            size,
+            opts,
+            shared,
+            epoch,
+            rec: None,
+            faults,
+            conns: (0..size).map(|_| None).collect(),
+            bell,
+            ready: VecDeque::new(),
+            pollfds: Vec::with_capacity(size + 1),
+            last_heard: vec![epoch; size],
+            bytes_sent: 0,
+            bytes_received: 0,
+            decode_failures: 0,
+            heartbeats_received: 0,
+            timed_waits: 0,
+            peer_down: vec![false; size],
+            peer_departed: vec![false; size],
+            peer_suspected: vec![false; size],
+            scratch: Vec::new(),
+        };
+        t.adopt();
+        t
+    }
+
     /// Build a transport from an already-bound listener and the full
     /// address list. `addrs[rank]` must be this process's own listener
     /// address; the call blocks until the full mesh is up.
@@ -797,7 +945,7 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
         assert!(rank < size, "rank {rank} out of range for {size} addrs");
         let mut conns: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
 
-        let shared = Arc::new(Shared::new(rank, size, opts.max_frame_bytes, epoch));
+        let (shared, bell) = Shared::new(rank, size, opts.max_frame_bytes)?;
 
         // Phase 1: dial every lower rank, in rank order. Failures here
         // are fatal: these are *our* configured peers, so a broken dial
@@ -869,39 +1017,24 @@ impl<M: WireCodec + Send + 'static> SocketTransport<M> {
         }
         // Without supervision the listener drops here, exactly as before.
 
-        Ok(SocketTransport {
-            rank: Rank(rank),
-            size,
-            opts,
-            shared,
-            epoch,
-            rec: None,
-            faults,
-            bytes_sent: 0,
-            peer_down: vec![false; size],
-            peer_departed: vec![false; size],
-            peer_suspected: vec![false; size],
-            scratch: Vec::new(),
-        })
+        Ok(SocketTransport::new(opts, shared, bell, faults, epoch))
     }
-}
 
-impl<M> SocketTransport<M> {
     /// Attach a structured telemetry sink for this rank; same contract as
     /// [`ThreadTransport::set_recorder`](crate::ThreadTransport::set_recorder).
     pub fn set_recorder(&mut self, rec: Box<dyn Recorder>) {
         self.rec = Some(rec);
     }
 
-    /// How many times this rank's timed receives have blocked on the
-    /// mailbox condvar (the zero-spin property carries over from the
-    /// thread backend — frames arriving over TCP notify the same
-    /// condvar).
+    /// How many times this rank's timed receives have blocked in
+    /// `ppoll`. A timeout that expires on a silent wire costs exactly one
+    /// block — the wait has no polling quantum to re-wake on — which is
+    /// the same zero-spin property
+    /// [`ThreadTransport::timed_waits`](crate::ThreadTransport::timed_waits)
+    /// counts in condvar blocks. Every frame that arrives during a wait
+    /// (a heartbeat included) ends one block.
     pub fn timed_waits(&self) -> u64 {
-        self.shared
-            .mailbox
-            .timed_waits
-            .load(AtomicOrdering::Relaxed)
+        self.timed_waits
     }
 
     /// Actual frame bytes this rank has written to and read from the
@@ -909,15 +1042,12 @@ impl<M> SocketTransport<M> {
     /// `(sent, received)`. Control frames (heartbeats, handshakes,
     /// goodbyes) are not counted.
     pub fn bytes_on_wire(&self) -> (u64, u64) {
-        (
-            self.bytes_sent,
-            self.shared.bytes_received.load(AtomicOrdering::Relaxed),
-        )
+        (self.bytes_sent, self.bytes_received)
     }
 
     /// Frames discarded because their payload failed to decode.
     pub fn decode_failures(&self) -> u64 {
-        self.shared.decode_failures.load(AtomicOrdering::Relaxed)
+        self.decode_failures
     }
 
     /// Inbound connections dropped because their handshake was invalid,
@@ -946,8 +1076,8 @@ impl<M> SocketTransport<M> {
             .collect()
     }
 
-    /// Peers currently suspected by the supervisor (silent past the
-    /// miss deadline but not yet observed disconnected).
+    /// Peers currently suspected: nothing has arrived from them for the
+    /// miss deadline, but their connection has not been observed down.
     pub fn suspected_peers(&self) -> Vec<Rank> {
         self.peer_suspected
             .iter()
@@ -977,10 +1107,7 @@ impl<M> SocketTransport<M> {
     pub fn supervision_counters(&self) -> SupervisionCounters {
         SupervisionCounters {
             heartbeats_sent: self.shared.heartbeats_sent.load(AtomicOrdering::Relaxed),
-            heartbeats_received: self
-                .shared
-                .heartbeats_received
-                .load(AtomicOrdering::Relaxed),
+            heartbeats_received: self.heartbeats_received,
             reconnect_attempts: self.shared.reconnect_attempts.load(AtomicOrdering::Relaxed),
             reconnects: self.shared.reconnects.load(AtomicOrdering::Relaxed),
         }
@@ -991,8 +1118,8 @@ impl<M> SocketTransport<M> {
     #[doc(hidden)]
     pub fn simulate_crash(&mut self) {
         for w in &self.shared.writers {
-            if let Some(s) = w.lock().take() {
-                let _ = s.shutdown(Shutdown::Both);
+            if let Some(link) = w.lock().take() {
+                let _ = link.stream.shutdown(Shutdown::Both);
             }
         }
     }
@@ -1036,6 +1163,7 @@ impl<M> SocketTransport<M> {
         self.peer_departed[peer.0] = true;
         self.peer_down[peer.0] = true;
         self.peer_suspected[peer.0] = false;
+        self.shared.departed[peer.0].store(true, AtomicOrdering::Relaxed);
         let t_ns = self.t_ns();
         self.mark(
             t_ns,
@@ -1061,44 +1189,147 @@ impl<M> SocketTransport<M> {
         }
     }
 
-    /// Turn a mailbox event into a deliverable envelope, or consume it
-    /// as a membership notification.
-    fn service(&mut self, env: Envelope<SocketEvent<M>>) -> Option<Envelope<M>> {
-        match env.msg {
-            SocketEvent::Data(msg) => {
-                self.peer_suspected[env.src.0] = false;
-                Some(Envelope {
-                    src: env.src,
-                    tag: env.tag,
-                    msg,
+    /// Answer the doorbell: take over the read half of every connection
+    /// installed since the last look. An adopted connection replaces the
+    /// one held for that peer, whose death — noticed or not — can then no
+    /// longer shadow the live one.
+    fn adopt(&mut self) {
+        // Level-triggered: rings left unread wake the next poll again.
+        let _ = (&self.bell).read(&mut [0u8; 64]);
+        let arrivals = std::mem::take(&mut *self.shared.handoff.lock());
+        for (peer, stream) in arrivals {
+            self.conns[peer] = Some(FrameReader::new(stream));
+            self.last_heard[peer] = Instant::now();
+            self.note_peer_back(Rank(peer));
+        }
+    }
+
+    /// Under supervision, every watched peer — connection up, not yet
+    /// suspected — with how much longer it may stay silent before it
+    /// crosses the miss deadline (zero: it has). Empty without.
+    fn silence_budgets(&self) -> impl Iterator<Item = (usize, Duration)> + '_ {
+        let miss = self.opts.supervision.as_ref().map(|s| s.miss_deadline);
+        miss.into_iter().flat_map(move |miss| {
+            let now = Instant::now();
+            (0..self.size)
+                .filter(|&p| {
+                    self.conns[p].is_some() && !self.peer_down[p] && !self.peer_suspected[p]
                 })
-            }
-            SocketEvent::PeerGone => {
-                self.note_peer_gone(env.src);
-                None
-            }
-            SocketEvent::PeerDeparted => {
-                self.note_peer_departed(env.src);
-                None
-            }
-            SocketEvent::PeerSuspected => {
-                if !self.peer_down[env.src.0] && !self.peer_suspected[env.src.0] {
-                    self.peer_suspected[env.src.0] = true;
-                    let t_ns = self.t_ns();
-                    self.mark(
-                        t_ns,
-                        Mark::PeerSuspected {
-                            peer: env.src.0 as u32,
-                        },
-                    );
+                .map(move |p| {
+                    let silent = now.saturating_duration_since(self.last_heard[p]);
+                    (p, miss.saturating_sub(silent))
+                })
+        })
+    }
+
+    /// Mark every watched peer whose silence has run past the miss
+    /// deadline. Called once the sockets are drained, so bytes that sat
+    /// unread while the rank computed count as heard.
+    fn suspect_silent_peers(&mut self) {
+        loop {
+            let overdue = self.silence_budgets().find(|(_, left)| left.is_zero());
+            let Some((peer, _)) = overdue else {
+                return;
+            };
+            self.peer_suspected[peer] = true;
+            let t_ns = self.t_ns();
+            self.mark(t_ns, Mark::PeerSuspected { peer: peer as u32 });
+        }
+    }
+}
+
+impl<M: WireCodec> SocketTransport<M> {
+    /// One pass of the receive path: wait up to `timeout` (`None`:
+    /// indefinitely) for any connection to become readable — or
+    /// `writable`, a descriptor a `send` is waiting to write to, to take
+    /// bytes — then read each ready connection once, decode every frame
+    /// that completed into `ready`, adopt handed-over connections, and
+    /// judge silence.
+    fn pump(&mut self, timeout: Option<Duration>, writable: Option<RawFd>) {
+        let mut fds = std::mem::take(&mut self.pollfds);
+        fds.clear();
+        fds.push(PollFd::new(self.bell.as_raw_fd(), POLLIN));
+        let live = self.conns.iter().flatten();
+        fds.extend(live.map(|c| PollFd::new(c.src.as_raw_fd(), POLLIN)));
+        fds.extend(writable.map(|fd| PollFd::new(fd, POLLOUT)));
+        // A wait ends no later than the next peer's miss deadline.
+        let next_suspicion = self.silence_budgets().map(|(_, left)| left).min();
+        let timeout = match (timeout, next_suspicion) {
+            (Some(t), Some(n)) => Some(t.min(n)),
+            (t, n) => t.or(n),
+        };
+        if wait_ready(&mut fds, timeout) > 0 {
+            // `fds[1..]` lists the live connections in rank order;
+            // draining one touches no other, and adoption comes last.
+            let mut slots = fds[1..].iter();
+            for peer in 0..self.size {
+                if self.conns[peer].is_some() && slots.next().is_some_and(PollFd::is_ready) {
+                    self.drain(peer);
                 }
-                None
             }
-            SocketEvent::PeerBack => {
-                self.note_peer_back(env.src);
-                None
+            if fds[0].is_ready() {
+                self.adopt();
             }
         }
+        self.pollfds = fds;
+        self.suspect_silent_peers();
+    }
+
+    /// Read `peer`'s connection once and handle every complete frame.
+    /// Nothing here may panic: EOF, reset and garbage all reduce to
+    /// "frame dropped", "peer departed" (goodbye) or "peer gone" (crash),
+    /// and a connection that ends either way is dropped on return.
+    fn drain(&mut self, peer: usize) {
+        let Some(mut conn) = self.conns[peer].take() else {
+            return;
+        };
+        match conn.read_some(usize::MAX) {
+            Ok(n) if n > 0 => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                self.conns[peer] = Some(conn);
+                return;
+            }
+            // EOF or connection error without a goodbye: the peer is
+            // gone. Bounded waits keep expiring and the driver's crash
+            // path takes over.
+            _ => return self.note_peer_gone(Rank(peer)),
+        }
+        if self.opts.supervision.is_some() {
+            self.last_heard[peer] = Instant::now();
+        }
+        self.peer_suspected[peer] = false;
+        loop {
+            let (kind, src, tag, payload) = match conn.pop(self.shared.max_frame) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => return self.note_peer_gone(Rank(peer)),
+            };
+            if src as usize != peer {
+                // A frame claiming another origin on a point-to-point
+                // connection is corruption.
+                self.decode_failures += 1;
+                continue;
+            }
+            match kind {
+                KIND_HEARTBEAT => self.heartbeats_received += 1,
+                KIND_GOODBYE => return self.note_peer_departed(Rank(peer)),
+                KIND_DATA => {
+                    self.bytes_received += (FRAME_OVERHEAD + payload.len()) as u64;
+                    match crate::codec::decode_exact::<M>(payload) {
+                        Some(msg) => self.ready.push_back(Envelope {
+                            src: Rank(peer),
+                            tag: Tag(tag),
+                            msg,
+                        }),
+                        // Corrupt payload: the frame is lost, exactly
+                        // like a datagram failing its checksum.
+                        None => self.decode_failures += 1,
+                    }
+                }
+                _ => self.decode_failures += 1,
+            }
+        }
+        self.conns[peer] = Some(conn);
     }
 }
 
@@ -1206,24 +1437,36 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
         }
 
         let frame_bytes = scratch.len() as u64;
-        let mut wrote = false;
-        {
+        // Hand the frame (and its duplicates) to the link once, then flush
+        // until the kernel has all of it. When the buffers towards `to`
+        // are full, wait for room — lock released — while receiving:
+        // nobody drains our sockets behind our back, and two ranks stuck
+        // here facing each other empty each other's buffers.
+        let mut queued = false;
+        let wrote = loop {
             let mut w = self.shared.writers[to.0].lock();
-            if let Some(stream) = w.as_mut() {
-                let mut ok = true;
-                for _ in 0..=extra_copies {
-                    if stream.write_all(&scratch).is_err() {
-                        ok = false;
-                        break;
-                    }
+            let Some(link) = w.as_mut() else {
+                break false;
+            };
+            let progress = if queued {
+                link.flush()
+            } else {
+                queued = true;
+                (0..=extra_copies).try_fold(true, |_, _| link.write_frame(&scratch))
+            };
+            match progress {
+                Ok(true) => break true,
+                Ok(false) => {
+                    let fd = link.stream.as_raw_fd();
+                    drop(w);
+                    self.pump(None, Some(fd));
                 }
-                if ok {
-                    wrote = true;
-                } else {
+                Err(_) => {
                     *w = None;
+                    break false;
                 }
             }
-        }
+        };
         if wrote {
             self.bytes_sent += frame_bytes * u64::from(extra_copies + 1);
         }
@@ -1232,7 +1475,10 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
         let t_ns = self.t_ns();
         if !wrote {
             // The connection is gone (or already marked down): the frame
-            // is lost on the floor, like a datagram to a dead host.
+            // is lost on the floor, like a datagram to a dead host. Read
+            // what the peer left first, so a goodbye it sent before
+            // closing counts as a departure, not a crash.
+            self.pump(Some(Duration::ZERO), None);
             self.note_peer_gone(to);
             self.mark(
                 t_ns,
@@ -1262,30 +1508,30 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
     }
 
     fn try_recv(&mut self) -> Option<Envelope<M>> {
-        loop {
-            let event = self.shared.mailbox.try_pop()?;
-            if let Some(env) = self.service(event) {
-                self.mark_recv(&env);
-                return Some(env);
-            }
+        if self.ready.is_empty() {
+            self.pump(Some(Duration::ZERO), None);
         }
+        let env = self.ready.pop_front()?;
+        self.mark_recv(&env);
+        Some(env)
     }
 
     fn recv(&mut self) -> Envelope<M> {
         loop {
-            let event = self.shared.mailbox.pop_blocking();
-            if let Some(env) = self.service(event) {
+            if let Some(env) = self.ready.pop_front() {
                 self.mark_recv(&env);
                 return env;
             }
+            self.pump(None, None);
         }
     }
 
     fn recv_timeout(&mut self, timeout: SimDuration) -> Option<Envelope<M>> {
         // Same discipline as the thread backend: one immediate poll, a
-        // zero timeout degrades to that poll, then bounded waits to one
-        // absolute deadline. Membership events consume none of the
-        // budget's precision — the wait resumes to the same deadline.
+        // zero timeout degrades to that poll, then waits to one absolute
+        // deadline. Heartbeats and membership changes end a wait early
+        // but cost the budget no precision — it resumes to the same
+        // deadline.
         if let Some(env) = self.try_recv() {
             return Some(env);
         }
@@ -1295,28 +1541,27 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
         let armed = Instant::now();
         let deadline = armed + Duration::from_nanos(timeout.as_nanos());
         loop {
-            match self.shared.mailbox.pop_deadline(deadline) {
-                None => {
-                    let waited_ns = armed.elapsed().as_nanos() as u64;
-                    let t_ns = self.t_ns();
-                    self.mark(t_ns, Mark::TimerFired { waited_ns });
-                    return None;
-                }
-                Some(event) => {
-                    if let Some(env) = self.service(event) {
-                        let waited_ns = armed.elapsed().as_nanos() as u64;
-                        let t_ns = self.t_ns();
-                        self.mark(
-                            t_ns,
-                            Mark::RecvWakeup {
-                                from: env.src.0 as u32,
-                                waited_ns,
-                            },
-                        );
-                        self.mark_recv(&env);
-                        return Some(env);
-                    }
-                }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                let waited_ns = armed.elapsed().as_nanos() as u64;
+                let t_ns = self.t_ns();
+                self.mark(t_ns, Mark::TimerFired { waited_ns });
+                return None;
+            }
+            self.timed_waits += 1;
+            self.pump(Some(left), None);
+            if let Some(env) = self.ready.pop_front() {
+                let waited_ns = armed.elapsed().as_nanos() as u64;
+                let t_ns = self.t_ns();
+                self.mark(
+                    t_ns,
+                    Mark::RecvWakeup {
+                        from: env.src.0 as u32,
+                        waited_ns,
+                    },
+                );
+                self.mark_recv(&env);
+                return Some(env);
             }
         }
     }
@@ -1361,15 +1606,42 @@ impl<M> Drop for SocketTransport<M> {
         // isn't "repaired" mid-exit.
         self.shared.shutdown.store(true, AtomicOrdering::Relaxed);
         // Announce a clean exit, then half-close every write side so
-        // peer readers see goodbye + EOF promptly (in-flight data is
-        // still delivered first); our own reader threads exit when
-        // peers do the same.
+        // peers see goodbye + EOF promptly (in-flight data is still
+        // delivered first).
         let mut goodbye = Vec::with_capacity(FRAME_OVERHEAD);
         encode_frame(&mut goodbye, KIND_GOODBYE, self.rank.0 as u32, 0, &|_| {});
         for w in &self.shared.writers {
-            if let Some(s) = w.lock().as_mut() {
-                let _ = s.write_all(&goodbye);
-                let _ = s.shutdown(Shutdown::Write);
+            if let Some(link) = w.lock().as_mut() {
+                let _ = link.offer(&goodbye);
+                let _ = link.stream.shutdown(Shutdown::Write);
+            }
+        }
+        // Keep reading, and discarding, until every peer has closed its
+        // side too or the linger bound runs out: closing a socket that
+        // still holds unread bytes (late heartbeats, a last broadcast)
+        // resets the connection instead of finishing it.
+        let deadline = Instant::now() + LINGER;
+        let mut sink = [0u8; 4096];
+        loop {
+            self.pollfds.clear();
+            let live = self.conns.iter().flatten();
+            self.pollfds
+                .extend(live.map(|c| PollFd::new(c.src.as_raw_fd(), POLLIN)));
+            let left = deadline.saturating_duration_since(Instant::now());
+            if self.pollfds.is_empty() || left.is_zero() {
+                return;
+            }
+            wait_ready(&mut self.pollfds, Some(left));
+            for conn in &mut self.conns {
+                // Non-blocking: a connection with nothing to read yet
+                // answers `WouldBlock` and is kept.
+                let closed = conn.as_mut().is_some_and(|c| match c.src.read(&mut sink) {
+                    Ok(n) => n == 0,
+                    Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+                });
+                if closed {
+                    *conn = None;
+                }
             }
         }
     }
@@ -1422,6 +1694,10 @@ where
     run_socket_cluster_inner(p, opts, Some(Arc::new(SocketFaults::new(faults, p))), f)
 }
 
+/// The loopback harness is infallible by signature (it mirrors
+/// `run_thread_cluster`), so its three failure modes panic. None is
+/// reachable by a peer: every listener, address and dialer belongs to
+/// this call.
 fn run_socket_cluster_inner<M, R, F>(
     p: usize,
     opts: SocketClusterOptions,
@@ -1434,6 +1710,8 @@ where
     F: Fn(&mut SocketTransport<M>) -> R + Send + Sync,
 {
     assert!(p >= 1, "need at least one rank");
+    // The host refused `p` ephemeral loopback ports (or descriptors):
+    // nothing can run.
     let (listeners, addrs) = bind_loopback(p).expect("binding loopback listeners failed");
     let epoch = Instant::now();
     std::thread::scope(|s| {
@@ -1446,6 +1724,10 @@ where
                 let faults = faults.clone();
                 let f = &f;
                 s.spawn(move || {
+                    // Phase 1 dials only the listeners bound above, and
+                    // phase 2 drops and counts whatever else connects, so
+                    // this fails only if a sibling rank thread died or the
+                    // host ran out of descriptors.
                     let mut t =
                         SocketTransport::establish(r, listener, &addrs, opts, faults, epoch)
                             .expect("socket mesh handshake failed");
@@ -1455,6 +1737,7 @@ where
             .collect();
         handles
             .into_iter()
+            // "Panics propagate": the caller's closure panicked.
             .map(|h| h.join().expect("rank thread panicked"))
             .collect()
     })
@@ -1530,7 +1813,7 @@ where
 pub fn rejoin_socket_cluster<M>(
     rank: usize,
     addrs: &[SocketAddr],
-    opts: SocketClusterOptions,
+    mut opts: SocketClusterOptions,
     last_iter: u64,
 ) -> std::io::Result<SocketTransport<M>>
 where
@@ -1544,7 +1827,7 @@ where
     let size = addrs.len();
     let listener = TcpListener::bind(addrs[rank])?;
     let epoch = Instant::now();
-    let shared = Arc::new(Shared::<M>::new(rank, size, opts.max_frame_bytes, epoch));
+    let (shared, bell) = Shared::new(rank, size, opts.max_frame_bytes)?;
     shared.progress.store(last_iter, AtomicOrdering::Relaxed);
 
     // Re-dial our original dialees (every lower rank). They are alive
@@ -1578,7 +1861,10 @@ where
         }
     }
 
-    let sup = opts.supervision.clone().unwrap_or_default();
+    let sup = opts
+        .supervision
+        .get_or_insert_with(Default::default)
+        .clone();
     let poll = sup.heartbeat_interval;
     spawn_acceptor(Arc::clone(&shared), listener, poll, opts.nodelay);
     spawn_supervisor(Arc::clone(&shared), sup, addrs.to_vec(), opts.nodelay);
@@ -1593,24 +1879,11 @@ where
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    let mut t = SocketTransport {
-        rank: Rank(rank),
-        size,
-        opts,
-        shared,
-        epoch,
-        rec: None,
-        faults: None,
-        bytes_sent: 0,
-        peer_down: vec![false; size],
-        peer_departed: vec![false; size],
-        peer_suspected: vec![false; size],
-        scratch: Vec::new(),
-    };
+    let mut t = SocketTransport::new(opts, shared, bell, None, epoch);
     // Peers whose connection is still absent start in the down state so
     // sends are dropped quietly and recovery marks fire on arrival.
     for p in 0..size {
-        if p != rank && t.shared.writers[p].lock().is_none() {
+        if p != rank && t.conns[p].is_none() {
             t.peer_down[p] = true;
             t.peer_departed[p] = true; // suppress a spurious crash mark
         }
@@ -2156,5 +2429,326 @@ mod tests {
             },
         );
         assert_eq!(got, vec![1, 5]);
+    }
+
+    /// One frame as it travels.
+    fn wire(frame: &Frame) -> Vec<u8> {
+        let (kind, src, tag, payload) = frame;
+        let mut out = Vec::new();
+        encode_frame(&mut out, *kind, *src, *tag, &|out| {
+            out.extend_from_slice(payload)
+        });
+        out
+    }
+
+    /// A stream that delivers `wire` in reads of the given sizes (cycled),
+    /// then EOF.
+    struct Chunked {
+        wire: Vec<u8>,
+        at: usize,
+        chunks: Vec<usize>,
+        turn: usize,
+        /// The largest buffer any one `read` was handed.
+        asked: usize,
+    }
+
+    impl Chunked {
+        fn new(wire: Vec<u8>, chunks: Vec<usize>) -> Self {
+            Chunked {
+                wire,
+                at: 0,
+                chunks,
+                turn: 0,
+                asked: 0,
+            }
+        }
+    }
+
+    impl Read for Chunked {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.asked = self.asked.max(buf.len());
+            let chunk = self.chunks[self.turn % self.chunks.len()];
+            self.turn += 1;
+            let n = chunk.min(buf.len()).min(self.wire.len() - self.at);
+            buf[..n].copy_from_slice(&self.wire[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// Run a [`FrameReader`] over `stream` to EOF or the first error the
+    /// way `drain` does: pop everything complete, then read once more.
+    /// Returns the frames, the error if any, and the largest buffer seen.
+    fn read_all<R: Read>(stream: R, max_frame: usize) -> (Vec<Frame>, bool, usize) {
+        let mut reader = FrameReader::new(stream);
+        let mut frames = Vec::new();
+        let mut largest = 0;
+        loop {
+            loop {
+                match reader.pop(max_frame) {
+                    Ok(Some((kind, src, tag, payload))) => {
+                        frames.push((kind, src, tag, payload.to_vec()))
+                    }
+                    Ok(None) => break,
+                    Err(_) => return (frames, true, largest),
+                }
+            }
+            let got = reader.read_some(usize::MAX).unwrap();
+            largest = largest.max(reader.buf.len());
+            if got == 0 {
+                return (frames, false, largest);
+            }
+        }
+    }
+
+    mod frame_reader_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Mostly small frames, with the occasional one larger than the
+        /// initial buffer so growth and compaction are exercised.
+        fn frame() -> impl Strategy<Value = Frame> {
+            let len = prop_oneof![0usize..48, 0usize..600, 0usize..3 * READ_BUF];
+            (any::<u8>(), any::<u32>(), any::<u32>(), len, any::<u8>()).prop_map(
+                |(kind, src, tag, len, fill)| {
+                    let payload = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                    (kind, src, tag, payload)
+                },
+            )
+        }
+
+        fn chunks() -> impl Strategy<Value = Vec<usize>> {
+            proptest::collection::vec(prop_oneof![1usize..16, 1usize..5000], 1..8)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// However the bytes of a valid stream are split across
+            /// reads, the in-place parser yields exactly the frames that
+            /// were written — the same frames exact-length `read_frame`
+            /// yields on the whole.
+            #[test]
+            fn any_chunking_yields_the_frames_read_frame_yields(
+                frames in proptest::collection::vec(frame(), 0..12),
+                chunks in chunks(),
+            ) {
+                let wire: Vec<u8> = frames.iter().flat_map(wire).collect();
+                let mut whole = std::io::Cursor::new(wire.clone());
+                let mut reference = Vec::new();
+                while let Some(f) = read_frame(&mut whole, DEFAULT_MAX_FRAME).unwrap() {
+                    reference.push(f);
+                }
+                prop_assert_eq!(&reference, &frames);
+                let (got, failed, _) = read_all(Chunked::new(wire, chunks), DEFAULT_MAX_FRAME);
+                prop_assert!(!failed);
+                prop_assert_eq!(&got, &frames);
+            }
+
+            /// Arbitrary bytes never panic the parser, and the buffer
+            /// never outgrows what was delivered: a length prefix,
+            /// whatever it promises, buys no memory.
+            #[test]
+            fn arbitrary_bytes_never_panic_or_outgrow_what_arrived(
+                junk in proptest::collection::vec(any::<u8>(), 0..3000),
+                plausible_len in 10u32..300_000_000,
+                chunks in chunks(),
+                small_cap in any::<bool>(),
+            ) {
+                // Half the cases start with a length prefix that passes
+                // the range check, so the body path sees junk too.
+                let mut wire = junk;
+                if wire.len() >= 4 && wire[0] & 1 == 0 {
+                    wire[..4].copy_from_slice(&plausible_len.to_le_bytes());
+                }
+                let delivered = wire.len();
+                let max_frame = if small_cap { 1024 } else { DEFAULT_MAX_FRAME };
+                let (_, _, largest) = read_all(Chunked::new(wire, chunks), max_frame);
+                prop_assert!(largest <= READ_BUF.max(2 * delivered));
+            }
+        }
+    }
+
+    #[test]
+    fn handshake_read_of_a_declared_giant_frame_reads_into_the_small_buffer() {
+        // The handshake's exact-length `read_frame` meets a dialer that
+        // declares 200 MiB, sends three bytes and closes. No read may be
+        // handed more than the initial buffer: the declared length bought
+        // no memory here either.
+        let mut wire = (200u32 << 20).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[WIRE_VERSION, KIND_HELLO, 0]);
+        let mut dialer = Chunked::new(wire, vec![usize::MAX]);
+        let err = read_frame(&mut dialer, DEFAULT_MAX_FRAME).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        assert!(dialer.asked <= READ_BUF, "asked for {} bytes", dialer.asked);
+    }
+
+    #[test]
+    fn length_prefix_alone_allocates_nothing_and_silence_then_eof_is_peer_gone() {
+        // Four peer-controlled bytes must not buy an allocation of
+        // whatever they declare. A fake rank 1 handshakes, declares a
+        // 200 MiB frame (inside the default cap), sends a few bytes of it
+        // and goes quiet; the receive buffer must stay at its initial
+        // size, and the eventual EOF must surface as a crash.
+        let l0 = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let l1 = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addrs = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+        drop((l0, l1));
+        let (quiet_tx, quiet_rx) = std::sync::mpsc::channel::<()>();
+        let h0 = std::thread::spawn(move || {
+            let mut t =
+                connect_socket_cluster::<u64>(0, &addrs, SocketClusterOptions::default()).unwrap();
+            // Wait until the partial frame has been read.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while Instant::now() < deadline
+                && t.conns[1].as_ref().is_none_or(|c| c.end - c.start < 4 + 3)
+            {
+                assert!(t.recv_timeout(SimDuration::from_millis(5)).is_none());
+            }
+            let conn = t.conns[1].as_ref().expect("connection dropped early");
+            assert_eq!(conn.missing(DEFAULT_MAX_FRAME).unwrap(), (200 << 20) - 3);
+            let held = conn.buf.capacity();
+            quiet_tx.send(()).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while Instant::now() < deadline && t.disconnected_peers().is_empty() {
+                assert!(t.recv_timeout(SimDuration::from_millis(5)).is_none());
+            }
+            (held, t.disconnected_peers(), t.departed_peers())
+        });
+        let mut s = dial_when_listening(addrs[0]);
+        write_hello(&mut s, 1, 2).unwrap();
+        assert_eq!(read_hello(&mut s, 2, DEFAULT_MAX_FRAME).unwrap(), 0);
+        s.write_all(&(200u32 << 20).to_le_bytes()).unwrap();
+        s.write_all(&[WIRE_VERSION, KIND_DATA, 1]).unwrap();
+        quiet_rx.recv().unwrap();
+        drop(s);
+        let (held, down, departed) = h0.join().unwrap();
+        assert!(held <= READ_BUF, "a bare prefix grew the buffer to {held}");
+        assert_eq!(down, vec![Rank(1)]);
+        assert!(departed.is_empty(), "a truncated frame is not a goodbye");
+    }
+
+    /// Two ranks each `send` a frame far larger than the kernel's socket
+    /// buffers before either receives. With no thread draining a socket
+    /// behind its rank's back, both complete only because a `send` that
+    /// finds the buffers full keeps receiving while it waits for room.
+    fn cross_oversized_frames(opts: SocketClusterOptions) {
+        // 32 MiB on the wire, as `u64`s so an unoptimized build's
+        // element-at-a-time codec stays out of the way.
+        const LEN: usize = (32 << 20) / 8;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let got = run_socket_cluster::<Vec<u64>, _, _>(2, opts, |t| {
+                let me = t.rank().0;
+                t.send(Rank(1 - me), Tag(0), vec![me as u64 + 1; LEN]);
+                let env = t.recv();
+                (env.msg.len(), env.msg.iter().all(|&v| v == 2 - me as u64))
+            });
+            let _ = done_tx.send(got);
+        });
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("crossing sends deadlocked");
+        assert_eq!(got, vec![(LEN, true), (LEN, true)]);
+    }
+
+    #[test]
+    fn crossing_oversized_frames_do_not_deadlock() {
+        cross_oversized_frames(SocketClusterOptions::default());
+    }
+
+    #[test]
+    fn crossing_oversized_frames_do_not_deadlock_under_supervision() {
+        cross_oversized_frames(supervised(5, 2_000));
+    }
+
+    #[test]
+    fn full_buffer_skips_the_heartbeat_and_no_writer_tears_a_frame() {
+        // One stream, two kinds of writer: `write_frame` (the rank: must
+        // send) and `offer` (the supervisor: may skip). The reader is
+        // held back until the kernel's buffers are full.
+        let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let a = TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        let (b, _) = l.accept().unwrap();
+        a.set_nonblocking(true).unwrap();
+        let mut link = Link::new(a);
+
+        let data: Vec<Frame> = (0..64u32)
+            .map(|i| (KIND_DATA, 0, i, vec![i as u8; 100_000]))
+            .collect();
+        let hb = (KIND_HEARTBEAT, 0, 0, Vec::new());
+        let mut sent = Vec::new();
+        let mut skipped = 0;
+        for f in &data {
+            let all_in_kernel = link.write_frame(&wire(f)).unwrap();
+            sent.push(f.clone());
+            // A heartbeat is offered after every data frame; it goes out
+            // only while nothing is queued ahead of it.
+            if link.offer(&wire(&hb)).unwrap() {
+                assert!(all_in_kernel, "a heartbeat jumped the backlog");
+                sent.push(hb.clone());
+            } else {
+                skipped += 1;
+            }
+        }
+        assert!(skipped > 0, "6.4 MB never filled the socket buffers");
+        assert!(!link.backlog.is_empty());
+
+        let reader = std::thread::spawn(move || read_all(b, DEFAULT_MAX_FRAME));
+        while !link.flush().unwrap() {
+            let mut fds = [PollFd::new(link.stream.as_raw_fd(), POLLOUT)];
+            wait_ready(&mut fds, None);
+        }
+        assert!(link.offer(&wire(&hb)).unwrap());
+        sent.push(hb);
+        drop(link);
+        let (got, failed, _) = reader.join().unwrap();
+        assert!(!failed, "the stream did not parse: a frame was torn");
+        assert!(got == sent, "frames arrived damaged or out of order");
+    }
+
+    #[test]
+    fn unread_heartbeats_count_as_heard_after_a_long_compute() {
+        // Rank 0 ignores its sockets for five miss deadlines — what a
+        // long `compute` does — while rank 1's heartbeats pile up unread.
+        // Silence is judged after draining, so the first receive call
+        // afterwards must not suspect rank 1.
+        let suspected = run_socket_cluster::<u8, _, _>(2, supervised(5, 40), |t| {
+            if t.rank().0 == 0 {
+                std::thread::sleep(Duration::from_millis(200));
+                assert!(t.recv_timeout(SimDuration::from_millis(1)).is_none());
+                let suspected = t.suspected_peers();
+                t.send(Rank(1), Tag(0), 1); // release rank 1
+                suspected
+            } else {
+                t.recv();
+                Vec::new()
+            }
+        });
+        assert!(suspected[0].is_empty(), "suspected {:?}", suspected[0]);
+    }
+
+    #[test]
+    fn goodbye_left_unread_is_a_departure_even_if_a_send_fails_first() {
+        // Rank 0 exits at once: goodbye, linger, close. Rank 1 reads
+        // nothing until well after that, then only sends; the write
+        // that fails must find the goodbye waiting in the socket and
+        // record a departure, not a crash.
+        let results = run_socket_cluster::<u8, _, _>(2, SocketClusterOptions::default(), |t| {
+            if t.rank().0 == 0 {
+                return true;
+            }
+            std::thread::sleep(LINGER + Duration::from_millis(150));
+            for _ in 0..400 {
+                t.send(Rank(0), Tag(0), 7);
+                if !t.disconnected_peers().is_empty() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(t.disconnected_peers(), vec![Rank(0)]);
+            t.departed_peers() == vec![Rank(0)]
+        });
+        assert!(results[1], "an unread goodbye was recorded as a crash");
     }
 }

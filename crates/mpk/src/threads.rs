@@ -73,22 +73,20 @@ struct MailboxState<M> {
     seq: u64,
 }
 
-/// Priority mailbox shared by the in-process transports: the thread
-/// backend delivers into it directly, the socket backend
-/// ([`crate::SocketTransport`]) from its per-peer reader threads. Either
-/// way the condvar wait discipline (and its zero-spin property) is this
-/// one implementation.
-pub(crate) struct ThreadMailbox<M> {
+/// One rank's priority mailbox: peers push envelopes stamped with the
+/// instant they become visible, the owner pops them in that order. The
+/// condvar wait discipline (and its zero-spin property) lives here.
+struct ThreadMailbox<M> {
     state: Mutex<MailboxState<M>>,
     cv: Condvar,
     /// Number of condvar blocks performed by timed receives. A wait on an
     /// empty mailbox that runs to its deadline is exactly one block —
     /// there is no polling quantum to re-wake on.
-    pub(crate) timed_waits: AtomicU64,
+    timed_waits: AtomicU64,
 }
 
 impl<M> ThreadMailbox<M> {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         ThreadMailbox {
             state: Mutex::new(MailboxState {
                 heap: BinaryHeap::new(),
@@ -99,7 +97,7 @@ impl<M> ThreadMailbox<M> {
         }
     }
 
-    pub(crate) fn push(&self, visible_at: Instant, env: Envelope<M>) {
+    fn push(&self, visible_at: Instant, env: Envelope<M>) {
         let mut st = self.state.lock();
         let seq = st.seq;
         st.seq += 1;
@@ -111,7 +109,7 @@ impl<M> ThreadMailbox<M> {
         self.cv.notify_all();
     }
 
-    pub(crate) fn try_pop(&self) -> Option<Envelope<M>> {
+    fn try_pop(&self) -> Option<Envelope<M>> {
         let mut st = self.state.lock();
         match st.heap.peek() {
             Some(t) if t.visible_at <= Instant::now() => Some(st.heap.pop().unwrap().env),
@@ -119,7 +117,7 @@ impl<M> ThreadMailbox<M> {
         }
     }
 
-    pub(crate) fn pop_blocking(&self) -> Envelope<M> {
+    fn pop_blocking(&self) -> Envelope<M> {
         let mut st = self.state.lock();
         loop {
             let now = Instant::now();
@@ -134,7 +132,7 @@ impl<M> ThreadMailbox<M> {
         }
     }
 
-    pub(crate) fn pop_deadline(&self, deadline: Instant) -> Option<Envelope<M>> {
+    fn pop_deadline(&self, deadline: Instant) -> Option<Envelope<M>> {
         let mut st = self.state.lock();
         loop {
             let now = Instant::now();

@@ -83,10 +83,13 @@ impl WireCodec for PartitionShared {
     fn encode(&self, out: &mut Vec<u8>) {
         for soa in [&self.pos, &self.vel] {
             (soa.len() as u64).encode(out);
-            for i in 0..soa.len() {
-                soa.x[i].encode(out);
-                soa.y[i].encode(out);
-                soa.z[i].encode(out);
+            let at = out.len();
+            out.resize(at + 24 * soa.len(), 0);
+            let lanes = soa.x.iter().zip(&soa.y).zip(&soa.z);
+            for (triple, ((x, y), z)) in out[at..].chunks_exact_mut(24).zip(lanes) {
+                triple[..8].copy_from_slice(&x.to_le_bytes());
+                triple[8..16].copy_from_slice(&y.to_le_bytes());
+                triple[16..].copy_from_slice(&z.to_le_bytes());
             }
         }
     }
@@ -94,17 +97,28 @@ impl WireCodec for PartitionShared {
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         let decode_soa = |buf: &mut &[u8]| -> Option<Soa3> {
             let len = u64::decode(buf)? as usize;
-            if len.checked_mul(24)? > buf.len() {
+            let bytes = len.checked_mul(24)?;
+            if bytes > buf.len() {
                 return None;
             }
-            let mut soa = Soa3::new();
-            for _ in 0..len {
-                let x = f64::decode(buf)?;
-                let y = f64::decode(buf)?;
-                let z = f64::decode(buf)?;
-                soa.push(Vec3::new(x, y, z));
-            }
-            Some(soa)
+            let (triples, rest) = buf.split_at(bytes);
+            *buf = rest;
+            // One pass per lane: each collects into an exactly-sized Vec.
+            let lane = |at: usize| -> Vec<f64> {
+                triples
+                    .chunks_exact(24)
+                    .map(|t| {
+                        let mut raw = [0u8; 8];
+                        raw.copy_from_slice(&t[at..at + 8]);
+                        f64::from_le_bytes(raw)
+                    })
+                    .collect()
+            };
+            Some(Soa3 {
+                x: lane(0),
+                y: lane(8),
+                z: lane(16),
+            })
         };
         let pos = decode_soa(buf)?;
         let vel = decode_soa(buf)?;
@@ -885,5 +899,110 @@ mod tests {
     fn wire_size_counts_both_vectors() {
         let s = share(vec![ZERO3; 10], vec![ZERO3; 10]);
         assert_eq!(s.wire_size(), 2 * (8 + 240));
+    }
+
+    /// The element-at-a-time encoding the bulk-lane codec replaced: the
+    /// reference its bytes must equal.
+    fn encode_per_element(s: &PartitionShared) -> Vec<u8> {
+        let mut out = Vec::new();
+        for soa in [&s.pos, &s.vel] {
+            (soa.len() as u64).encode(&mut out);
+            for v in soa.iter() {
+                v.x.encode(&mut out);
+                v.y.encode(&mut out);
+                v.z.encode(&mut out);
+            }
+        }
+        out
+    }
+
+    /// A snapshot of `bits.len() / 6` particles whose lanes are the raw
+    /// bit patterns in `bits`.
+    fn snapshot_from_bits(bits: &[u64]) -> PartitionShared {
+        let n = bits.len() / 6;
+        let lane = |k: usize| -> Vec<f64> {
+            bits[k * n..(k + 1) * n]
+                .iter()
+                .map(|&b| f64::from_bits(b))
+                .collect()
+        };
+        let soa = |k: usize| Soa3 {
+            x: lane(k),
+            y: lane(k + 1),
+            z: lane(k + 2),
+        };
+        PartitionShared {
+            pos: soa(0),
+            vel: soa(3),
+        }
+    }
+
+    fn lane_bits(s: &PartitionShared) -> Vec<u64> {
+        [&s.pos, &s.vel]
+            .into_iter()
+            .flat_map(|soa| [&soa.x, &soa.y, &soa.z])
+            .flat_map(|lane| lane.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    mod codec_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Any bit pattern (NaN payloads, infinities and subnormals
+        /// included), with the values a float codec most easily mangles
+        /// made common.
+        fn lane_value() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                any::<u64>(),
+                Just((-0.0f64).to_bits()),
+                Just(0x7ff8_0000_dead_beefu64),
+                Just(0xfff0_0000_0000_0001u64)
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn bulk_codec_bytes_equal_the_per_element_reference(
+                bits in proptest::collection::vec(lane_value(), 0..200),
+            ) {
+                let s = snapshot_from_bits(&bits);
+                let bytes = mpk::encode_to_vec(&s);
+                prop_assert_eq!(&bytes, &encode_per_element(&s));
+                prop_assert_eq!(bytes.len(), s.wire_size());
+                let back: PartitionShared = mpk::decode_exact(&bytes).expect("round trip");
+                prop_assert_eq!(lane_bits(&back), lane_bits(&s));
+            }
+
+            #[test]
+            fn truncated_and_mismatched_snapshots_decode_to_none(
+                bits in proptest::collection::vec(lane_value(), 6..120),
+                cut in 0usize..10_000,
+            ) {
+                let s = snapshot_from_bits(&bits);
+                let bytes = mpk::encode_to_vec(&s);
+                let cut = cut % bytes.len();
+                prop_assert!(mpk::decode_exact::<PartitionShared>(&bytes[..cut]).is_none());
+                // Positions and velocities of different lengths.
+                let mut lopsided = s.clone();
+                lopsided.vel = Soa3::new();
+                let bytes = mpk::encode_to_vec(&lopsided);
+                prop_assert!(mpk::decode_exact::<PartitionShared>(&bytes).is_none());
+                // A length prefix promising more triples than follow.
+                let mut long = mpk::encode_to_vec(&s);
+                long[..8].copy_from_slice(&(s.len() as u64 + 1).to_le_bytes());
+                prop_assert!(mpk::decode_exact::<PartitionShared>(&long).is_none());
+                long[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+                prop_assert!(mpk::decode_exact::<PartitionShared>(&long).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn empty_snapshot_round_trips_as_two_zero_lengths() {
+        let s = snapshot_from_bits(&[]);
+        let bytes = mpk::encode_to_vec(&s);
+        assert_eq!(bytes, [0u8; 16]);
+        assert_eq!(mpk::decode_exact::<PartitionShared>(&bytes), Some(s));
     }
 }

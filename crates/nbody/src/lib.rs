@@ -25,6 +25,7 @@
 //! paper's compute/speculate/check ratios.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod app;
 pub mod barnes_hut;

@@ -27,6 +27,7 @@
 //! [`NetworkModel`]'s answer and the application observing the message).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod cluster;
 mod fault;

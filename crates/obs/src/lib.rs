@@ -24,6 +24,7 @@
 //! [`timeline::render`] an ASCII quick look.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod chrome;
 pub mod event;

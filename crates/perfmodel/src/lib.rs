@@ -11,6 +11,7 @@
 //! misspeculation (recomputation) fraction `k`.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod model;
 mod series;

@@ -648,9 +648,8 @@ proptest! {
     }
 }
 
-/// The socket backend inherits the zero-spin bounded wait from the shared
-/// mailbox: one expired timeout on a silent wire is exactly one condvar
-/// block.
+/// The socket backend's bounded wait never spins either: one expired
+/// timeout on a silent wire is exactly one `ppoll` block.
 #[test]
 fn socket_backend_timed_wait_never_spins() {
     use desim::SimDuration;

@@ -39,6 +39,7 @@
 //! threads (for demos).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod app;
 mod config;

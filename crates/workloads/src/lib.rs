@@ -20,6 +20,7 @@
 //! in the remote values) and sequential references for validation.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod heat;
 mod heat2d;
