@@ -49,8 +49,10 @@ timeout 150 cargo test --release --test chaos_socket \
 
 echo "== kernels bench smoke (release)"
 # Emits BENCH_kernels.json: wall-clock pairs/sec for the scalar and SoA
-# force kernels at N ∈ {1024, 4096}. SPEC_BENCH_OUT pins the artifact to
-# the repo root (cargo bench -p runs with the package dir as cwd).
+# force kernels (self, partition, and the incremental correction with a
+# tenth of the sources bad) at N ∈ {1024, 4096}. SPEC_BENCH_OUT pins the
+# artifact to the repo root (cargo bench -p runs with the package dir as
+# cwd).
 SPEC_BENCH_OUT="$PWD" cargo bench -q -p spec-bench --bench kernels
 
 echo "== transport bench smoke (release)"

@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks of the computational kernels — the O(N²)
 //! force accumulation, the eq. 10 speculation and eq. 11 check (the paper's
 //! 70/12/24-operation cost trio), the Barnes–Hut comparator — plus a
-//! wall-clock throughput A/B of the scalar reference force kernels against
-//! the cache-blocked SoA engine, persisted as `BENCH_kernels.json`.
+//! wall-clock throughput A/B of the scalar reference force kernels (self,
+//! partition, incremental correction) against the cache-blocked SoA
+//! engine, persisted as `BENCH_kernels.json`.
 //!
 //! The throughput numbers are wall-clock only: both engines charge the
 //! identical modelled op counts to the virtual-time simulation, so nothing
@@ -16,6 +17,7 @@ use mpk::Rank;
 use nbody::barnes_hut::{BhConfig, Octree};
 use nbody::forces::{
     accumulate_partition, accumulate_partition_soa, accumulate_self, accumulate_self_soa,
+    correct_partition, correct_partition_soa, CorrectionScratch,
 };
 use nbody::{
     partition_proportional, split_soa, uniform_cloud, NBodyApp, NBodyConfig, PartitionShared, Soa3,
@@ -237,6 +239,58 @@ fn throughput_ab() -> Vec<KernelRow> {
                 ));
             }),
         });
+
+        // Incremental correction of half A after a speculation of half B in
+        // which every tenth particle was off: θ = 0 fails exactly those.
+        // Two pair evaluations (retract, re-apply) per (bad source,
+        // target), as the op accounting charges. A correction is a tenth
+        // of a partition evaluation, hence the longer batches.
+        let cfg = NBodyConfig::default().with_theta(0.0);
+        let mut spec = half_b.pos.clone();
+        spec.x.iter_mut().step_by(10).for_each(|x| *x += 0.05);
+        let spec_aos = spec.to_vec3s();
+        let correct_pairs = 2 * half_a.len() as u64 * half_b.len().div_ceil(10) as u64;
+
+        let (mut pos_aos, mut vel_aos) = (a_pos.clone(), half_a.vel.to_vec3s());
+        rows.push(KernelRow {
+            kernel: "scalar_correct".into(),
+            n,
+            pairs: correct_pairs,
+            secs: median_secs(samples, reps * 8, || {
+                black_box(correct_partition(
+                    &mut pos_aos,
+                    &mut vel_aos,
+                    black_box(&a_pos),
+                    &spec_aos,
+                    &b_pos,
+                    &b_mass,
+                    ZERO3,
+                    1.0,
+                    &cfg,
+                ));
+            }),
+        });
+        let (mut pos_soa, mut vel_soa) = (half_a.pos.clone(), half_a.vel.clone());
+        let mut scratch = CorrectionScratch::default();
+        rows.push(KernelRow {
+            kernel: "soa_correct".into(),
+            n,
+            pairs: correct_pairs,
+            secs: median_secs(samples, reps * 8, || {
+                black_box(correct_partition_soa(
+                    &mut pos_soa,
+                    &mut vel_soa,
+                    black_box(&half_a.pos),
+                    &spec,
+                    &half_b.pos,
+                    &b_mass,
+                    ZERO3,
+                    1.0,
+                    &cfg,
+                    &mut scratch,
+                ));
+            }),
+        });
     }
     rows
 }
@@ -262,14 +316,12 @@ fn main() {
                 .map(KernelRow::pairs_per_sec)
                 .unwrap_or(f64::NAN)
         };
-        (
-            get("soa_self") / get("scalar_self"),
-            get("soa_partition") / get("scalar_partition"),
-        )
+        ["self", "partition", "correct"]
+            .map(|k| get(&format!("soa_{k}")) / get(&format!("scalar_{k}")))
     };
     for n in [1024usize, 4096] {
-        let (s, p) = speedup_at(n);
-        println!("  N={n}: SoA speedup self {s:.2}x, partition {p:.2}x");
+        let [s, p, c] = speedup_at(n);
+        println!("  N={n}: SoA speedup self {s:.2}x, partition {p:.2}x, correct {c:.2}x");
     }
     match spec_bench::artifact::write("kernels", &kernels_json(&rows)) {
         Ok(path) => println!("wrote {}", path.display()),

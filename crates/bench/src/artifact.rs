@@ -114,14 +114,14 @@ pub fn fig8_json(data: &Fig8Data, report: &RunReport) -> Json {
 /// modelled pair interactions evaluated in `secs` median seconds.
 #[derive(Clone, Debug)]
 pub struct KernelRow {
-    /// Kernel under test (`"scalar_self"`, `"soa_self"`, …).
+    /// Kernel under test (`"scalar_self"`, `"soa_self"`, `"soa_correct"`, …).
     pub kernel: String,
     /// Problem size N.
     pub n: usize,
     /// Modelled pair interactions per evaluation (N·(N−1) for the
-    /// self-kernel, N_t·N_s for the partition kernel) — the same count the
-    /// desim op accounting charges, so speedups here never touch the
-    /// simulated-time results.
+    /// self-kernel, N_t·N_s for the partition kernel, 2·N_t·N_bad for the
+    /// correction kernel) — the same count the desim op accounting
+    /// charges, so speedups here never touch the simulated-time results.
     pub pairs: u64,
     /// Median seconds per evaluation.
     pub secs: f64,

@@ -18,9 +18,17 @@
 //! ([`NBodyApp::refresh_snapshot`]): peers, the driver's history, and
 //! in-flight messages hold cheap `Arc` clones, and a slot is rewritten in
 //! place as soon as nobody references it — so the steady-state iteration
-//! path (begin/absorb/finish/checkpoint/shared) performs no heap
-//! allocation. `speculate` is the exception by contract: it returns a
-//! freshly predicted snapshot, which necessarily owns new buffers.
+//! path (begin/absorb/finish/checkpoint/shared, check, and correct
+//! through its reused gather scratch) performs no heap allocation.
+//! `speculate` is the exception by contract: it returns a freshly
+//! predicted snapshot, which necessarily owns new buffers.
+//!
+//! ## Snapshot lengths
+//!
+//! A peer decides how long the snapshot it sends is. `absorb`, `check`
+//! and `correct` use a snapshot on the prefix it shares with the sender's
+//! partition, and `check` rejects one of the wrong length outright; none
+//! of them indexes past what it was given.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -29,8 +37,8 @@ use mpk::{Rank, WireCodec, WireSize};
 use speccore::{CheckOutcome, History, SpeculativeApp};
 
 use crate::forces::{
-    accel_from, accumulate_partition_soa, accumulate_self_soa, OPS_PER_CHECK, OPS_PER_PAIR,
-    OPS_PER_SPECULATE, OPS_PER_UPDATE,
+    accumulate_partition_soa, accumulate_self_soa, correct_partition_soa, eq11_errors,
+    CorrectionScratch, OPS_PER_CHECK, OPS_PER_SPECULATE, OPS_PER_UPDATE,
 };
 use crate::particle::{NBodyConfig, Particle};
 use crate::soa::Soa3;
@@ -172,6 +180,8 @@ pub struct NBodyApp {
     /// grows the ring when every slot is still held elsewhere.
     snapshots: Vec<Arc<PartitionShared>>,
     current: usize,
+    /// Gather buffer of the incremental correction, reused across calls.
+    scratch: CorrectionScratch,
 }
 
 impl NBodyApp {
@@ -212,6 +222,7 @@ impl NBodyApp {
             ranges,
             snapshots: vec![snapshot],
             current: 0,
+            scratch: CorrectionScratch::default(),
         }
     }
 
@@ -289,9 +300,9 @@ impl NBodyApp {
         }
     }
 
-    /// Shared body of `correct`/`correct_deep`: re-derive which particles
-    /// of `from`'s partition exceeded θ (the same test as `check`), then
-    /// retract their speculated force contribution and apply the actual
+    /// Shared body of `correct`/`correct_deep`: for the particles of
+    /// `from`'s partition that exceeded θ (the set `check` counted bad),
+    /// retract the speculated force contribution and apply the actual
     /// one. Forces are linear in per-source terms, and with semi-implicit
     /// Euler a force delta δ present for `steps` integration steps moves v
     /// by δ·Δt and x by δ·Δt²·steps — so the post-integration state is
@@ -304,34 +315,18 @@ impl NBodyApp {
         steps: f64,
     ) -> u64 {
         let centroid = self.centroid();
-        let dt = self.cfg.dt;
-        let (g, softening, theta) = (self.cfg.g, self.cfg.softening, self.cfg.theta);
-        let NBodyApp {
-            masses,
-            ranges,
-            pos,
-            vel,
-            pos_at_compute,
-            ..
-        } = self;
-        let masses = &masses[ranges[from.0].clone()];
-        let n_mine = pos.len();
-        let mut ops = 0u64;
-        for (i, &mass_i) in masses.iter().enumerate().take(actual.pos.len()) {
-            let err_abs = speculated.pos.get(i).distance(actual.pos.get(i));
-            let denom = actual.pos.get(i).distance(centroid).max(softening);
-            if err_abs / denom <= theta {
-                continue;
-            }
-            for b in 0..n_mine {
-                let target = pos_at_compute.get(b);
-                let delta = accel_from(target, actual.pos.get(i), mass_i, g, softening)
-                    - accel_from(target, speculated.pos.get(i), mass_i, g, softening);
-                vel.set(b, vel.get(b) + delta * dt);
-                pos.set(b, pos.get(b) + delta * (dt * dt * steps));
-            }
-            ops += 2 * OPS_PER_PAIR * n_mine as u64;
-        }
+        let ops = correct_partition_soa(
+            &mut self.pos,
+            &mut self.vel,
+            &self.pos_at_compute,
+            &speculated.pos,
+            &actual.pos,
+            &self.masses[self.ranges[from.0].clone()],
+            centroid,
+            steps,
+            &self.cfg,
+            &mut self.scratch,
+        );
         if ops > 0 {
             // The live state moved; the driver re-reads `shared()` next.
             self.refresh_snapshot();
@@ -362,7 +357,6 @@ impl SpeculativeApp for NBodyApp {
     }
 
     fn absorb(&mut self, from: Rank, x: &Arc<PartitionShared>) -> u64 {
-        debug_assert_eq!(x.pos.len(), self.ranges[from.0].len());
         let src_range = self.ranges[from.0].clone();
         accumulate_partition_soa(
             &self.pos,
@@ -415,8 +409,12 @@ impl SpeculativeApp for NBodyApp {
             SpeculationOrder::Hold => Some((Arc::clone(latest), n)),
             SpeculationOrder::Linear => Some((linear(latest), OPS_PER_SPECULATE * n)),
             SpeculationOrder::Quadratic => {
-                let Some((prev_iter, prev)) = hist.nth_back(1) else {
-                    // Not enough history for an acceleration estimate;
+                let same_len = hist
+                    .nth_back(1)
+                    .filter(|(_, prev)| prev.len() == latest.len());
+                let Some((prev_iter, prev)) = same_len else {
+                    // Not enough history for an acceleration estimate (or
+                    // the peer changed its snapshot's length in between);
                     // degrade to eq. 10.
                     return Some((linear(latest), OPS_PER_SPECULATE * n));
                 };
@@ -440,29 +438,31 @@ impl SpeculativeApp for NBodyApp {
 
     fn check(
         &self,
-        _from: Rank,
+        from: Rank,
         actual: &Arc<PartitionShared>,
         speculated: &Arc<PartitionShared>,
     ) -> CheckOutcome {
-        let centroid = self.centroid();
-        let n = actual.pos.len();
+        // A peer's snapshot is only as long as the peer says: one that
+        // disagrees with the partition layout (or with the history it was
+        // speculated from) is compared on the common prefix and rejected
+        // whole, every unit bad.
+        let expected = self.ranges[from.0].len();
+        let n = expected.min(actual.len()).min(speculated.len());
+        let malformed = actual.len() != expected || speculated.len() != expected;
         let mut max_error: f64 = 0.0;
         let mut max_accepted: f64 = 0.0;
         let mut bad = 0u64;
-        for i in 0..n {
-            let err_abs = speculated.pos.get(i).distance(actual.pos.get(i));
-            // Eq. 11 with the local centroid standing in for particle b.
-            let denom = actual.pos.get(i).distance(centroid).max(self.cfg.softening);
-            let err = err_abs / denom;
+        let softening = self.cfg.softening;
+        for err in eq11_errors(&speculated.pos, &actual.pos, n, self.centroid(), softening) {
             max_error = max_error.max(err);
-            if err > self.cfg.theta {
+            if malformed || err > self.cfg.theta {
                 bad += 1;
             } else {
                 max_accepted = max_accepted.max(err);
             }
         }
         CheckOutcome {
-            accept: bad == 0,
+            accept: bad == 0 && !malformed,
             max_error,
             max_accepted_error: max_accepted,
             checked_units: n as u64,
@@ -680,6 +680,23 @@ mod tests {
     }
 
     #[test]
+    fn quadratic_speculation_skips_a_history_entry_of_another_length() {
+        let particles = uniform_cloud(10, 1);
+        let ranges = partition_proportional(10, &[1.0, 1.0]);
+        let cfg = NBodyConfig::default();
+        let app = NBodyApp::new(&particles, ranges, 0, cfg, SpeculationOrder::Quadratic);
+        let v = Vec3::new(1.0, 0.0, 0.0);
+        let h = hist_of(&[
+            share(vec![ZERO3], vec![v]),
+            share(vec![ZERO3; 2], vec![v; 2]),
+        ]);
+        // Eq. 10 from the newest entry alone.
+        let (spec, ops) = app.speculate(Rank(1), &h, 1).unwrap();
+        assert_eq!(spec.pos.to_vec3s(), vec![v * cfg.dt; 2]);
+        assert_eq!(ops, 2 * OPS_PER_SPECULATE);
+    }
+
+    #[test]
     fn hold_speculation_shares_the_history_snapshot() {
         let particles = uniform_cloud(10, 1);
         let ranges = partition_proportional(10, &[1.0, 1.0]);
@@ -708,7 +725,7 @@ mod tests {
 
     #[test]
     fn check_accepts_exact_speculation() {
-        let app = make_app(10, 2, 0, 0.01);
+        let app = make_app(2, 2, 0, 0.01);
         let s = share(vec![Vec3::new(5.0, 0.0, 0.0)], vec![ZERO3]);
         let out = app.check(Rank(1), &s, &s.clone());
         assert!(out.accept);
@@ -719,7 +736,7 @@ mod tests {
 
     #[test]
     fn check_rejects_large_displacement() {
-        let app = make_app(10, 2, 0, 0.01);
+        let app = make_app(2, 2, 0, 0.01);
         let actual = share(vec![Vec3::new(5.0, 0.0, 0.0)], vec![ZERO3]);
         let spec = share(vec![Vec3::new(6.0, 0.0, 0.0)], vec![ZERO3]);
         let out = app.check(Rank(1), &actual, &spec);
@@ -732,7 +749,7 @@ mod tests {
     fn check_error_scales_with_distance() {
         // Eq. 11: the same absolute displacement matters less for a farther
         // particle.
-        let app = make_app(10, 2, 0, 0.01);
+        let app = make_app(2, 2, 0, 0.01);
         let near_actual = share(vec![Vec3::new(1.0, 0.0, 0.0)], vec![ZERO3]);
         let near_spec = share(vec![Vec3::new(1.01, 0.0, 0.0)], vec![ZERO3]);
         let far_actual = share(vec![Vec3::new(100.0, 0.0, 0.0)], vec![ZERO3]);
@@ -800,6 +817,76 @@ mod tests {
         let ops = app.correct(Rank(1), &spec, &actual);
         assert_eq!(ops, 0);
         assert_eq!(app.pos, before);
+    }
+
+    /// A peer controls the length of the snapshot it sends (nothing
+    /// between `WireCodec::decode` and the hooks compares it with the
+    /// partition layout), so every hook must take a longer or shorter one
+    /// on the common prefix, and `check` must reject it whole.
+    #[test]
+    fn wrong_length_snapshots_are_rejected_without_panicking() {
+        use crate::forces::OPS_PER_PAIR;
+        let particles = uniform_cloud(20, 2);
+        let ranges = partition_proportional(20, &[1.0, 1.0]);
+        // Rank 1's ten particles cycled out to `len`, displaced by `shift`.
+        let snapshot = |len: usize, shift: f64| {
+            let pos = (0..len)
+                .map(|i| particles[10 + i % 10].pos + Vec3::new(shift, 0.0, 0.0))
+                .collect();
+            share(pos, vec![ZERO3; len])
+        };
+        let lengths = [
+            (10, 13),
+            (10, 7),
+            (13, 10),
+            (7, 10),
+            (13, 7),
+            (7, 13),
+            (12, 12),
+            (8, 8),
+            (0, 10),
+            (10, 0),
+        ];
+        for (n_actual, n_spec) in lengths {
+            // θ = 0: every displaced particle of the common prefix is bad.
+            let cfg = NBodyConfig::default().with_theta(0.0);
+            let mut app =
+                NBodyApp::new(&particles, ranges.clone(), 0, cfg, SpeculationOrder::Linear);
+            let (actual, spec) = (snapshot(n_actual, 0.0), snapshot(n_spec, 0.05));
+            let label = format!("actual {n_actual}, speculated {n_spec}");
+            app.begin_iteration();
+            let absorbed = n_spec.min(10) as u64;
+            assert_eq!(
+                app.absorb(Rank(1), &spec),
+                OPS_PER_PAIR * 10 * absorbed,
+                "{label}"
+            );
+            app.finish_iteration();
+
+            let n = n_actual.min(n_spec).min(10) as u64;
+            let out = app.check(Rank(1), &actual, &spec);
+            assert!(!out.accept, "{label}");
+            assert_eq!((out.checked_units, out.bad_units), (n, n), "{label}");
+            assert_eq!(out.max_accepted_error, 0.0, "{label}");
+            assert_eq!(out.ops, OPS_PER_CHECK * n, "{label}");
+
+            let repair = 2 * OPS_PER_PAIR * 10 * n;
+            assert_eq!(app.correct(Rank(1), &spec, &actual), repair, "{label}");
+            let deep = app.correct_deep(Rank(1), &spec, &actual, 2);
+            assert_eq!(deep, Some(repair), "{label}");
+            assert!(app.pos.iter().chain(app.vel.iter()).all(Vec3::is_finite));
+        }
+
+        // Within θ everywhere, but not the partition's length: still
+        // rejected, every unit bad — and `correct` finds nothing to repair.
+        let cfg = NBodyConfig::default().with_theta(1e6);
+        let mut app = NBodyApp::new(&particles, ranges, 0, cfg, SpeculationOrder::Linear);
+        let (actual, spec) = (snapshot(12, 0.0), snapshot(12, 0.05));
+        let out = app.check(Rank(1), &actual, &spec);
+        assert!(!out.accept);
+        assert_eq!((out.checked_units, out.bad_units), (10, 10));
+        assert!(out.max_error > 0.0);
+        assert_eq!(app.correct(Rank(1), &spec, &actual), 0);
     }
 
     #[test]

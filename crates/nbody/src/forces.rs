@@ -5,6 +5,7 @@
 //! check one; those constants parameterize the cost model so the simulated
 //! timings keep the paper's compute/speculate/check ratios.
 
+use crate::particle::NBodyConfig;
 use crate::soa::Soa3;
 use crate::vec3::Vec3;
 
@@ -69,6 +70,47 @@ pub fn accumulate_self(pos: &[Vec3], mass: &[f64], acc: &mut [Vec3], g: f64, eps
     (n as u64) * (n.saturating_sub(1) as u64) * OPS_PER_PAIR
 }
 
+/// AoS reference twin of [`correct_partition_soa`] — the scalar
+/// retract/reapply loop the production kernel replaced, kept for the
+/// bit-equality tests and the kernels bench, never as a runtime path.
+///
+/// For every source whose speculated position fails eq. 11 against
+/// `cfg.theta` (relative to `centroid`), the force it exerted on each
+/// target from its speculated position is retracted and the one from its
+/// actual position applied. Forces are linear in per-source terms, and
+/// with semi-implicit Euler a force delta δ present for `steps`
+/// integration steps moves `vel` by δ·Δt and `pos` by δ·Δt²·steps.
+/// `targets` are the positions the forces were accumulated at. Returns
+/// the modelled op count: two pair evaluations per (bad source, target).
+#[allow(clippy::too_many_arguments)]
+pub fn correct_partition(
+    pos: &mut [Vec3],
+    vel: &mut [Vec3],
+    targets: &[Vec3],
+    speculated: &[Vec3],
+    actual: &[Vec3],
+    src_mass: &[f64],
+    centroid: Vec3,
+    steps: f64,
+    cfg: &NBodyConfig,
+) -> u64 {
+    let (g, eps, dt) = (cfg.g, cfg.softening, cfg.dt);
+    let mut ops = 0u64;
+    for ((&spec, &act), &mass) in speculated.iter().zip(actual).zip(src_mass) {
+        let err = spec.distance(act) / act.distance(centroid).max(eps);
+        if err > cfg.theta {
+            for (b, &target) in targets.iter().enumerate() {
+                let delta =
+                    accel_from(target, act, mass, g, eps) - accel_from(target, spec, mass, g, eps);
+                vel[b] += delta * dt;
+                pos[b] += delta * (dt * dt * steps);
+            }
+            ops += 2 * OPS_PER_PAIR * targets.len() as u64;
+        }
+    }
+    ops
+}
+
 // ---------------------------------------------------------------------------
 // SoA engine
 // ---------------------------------------------------------------------------
@@ -97,6 +139,10 @@ const LANES: usize = 8;
 /// SoA twin of [`accumulate_partition`]: accelerations from every source
 /// in `(src, src_mass)` onto every target, accumulated into `acc`.
 /// Bit-identical to the AoS kernel; returns the same modelled op count.
+///
+/// `src` may be a peer's snapshot, whose length nothing upstream checks
+/// against the partition layout: only the sources that have both a
+/// position and a mass are used (and charged).
 pub fn accumulate_partition_soa(
     targets: &Soa3,
     acc: &mut Soa3,
@@ -106,9 +152,8 @@ pub fn accumulate_partition_soa(
     eps: f64,
 ) -> u64 {
     let nt = targets.len();
-    let ns = src.len();
+    let ns = src.len().min(src_mass.len());
     debug_assert_eq!(nt, acc.len());
-    debug_assert_eq!(ns, src_mass.len());
     let eps2 = eps * eps;
     let (tx, ty, tz) = (&targets.x[..nt], &targets.y[..nt], &targets.z[..nt]);
     let (ax, ay, az) = (&mut acc.x, &mut acc.y, &mut acc.z);
@@ -168,6 +213,149 @@ pub fn accumulate_partition_soa(
         s0 = s1;
     }
     (nt as u64) * (ns as u64) * OPS_PER_PAIR
+}
+
+/// The paper's eq. 11 for the first `n` particles of a snapshot pair, in
+/// index order: `‖r* − r‖ / max(‖r − c‖, ε)`, the checking rank's
+/// `centroid` standing in for particle b (a check stays at the paper's
+/// ~24 ops per particle instead of another O(N_i·N_k) pass). A particle
+/// is *bad* iff its error is `> θ`: the one definition
+/// [`NBodyApp::check`](crate::NBodyApp) counts by and
+/// [`correct_partition_soa`] repairs by.
+#[inline]
+pub(crate) fn eq11_errors<'a>(
+    speculated: &'a Soa3,
+    actual: &'a Soa3,
+    n: usize,
+    centroid: Vec3,
+    eps: f64,
+) -> impl Iterator<Item = f64> + 'a {
+    let (sx, sy, sz) = (&speculated.x[..n], &speculated.y[..n], &speculated.z[..n]);
+    let (ax, ay, az) = (&actual.x[..n], &actual.y[..n], &actual.z[..n]);
+    (0..n).map(move |i| {
+        let (ex, ey, ez) = (sx[i] - ax[i], sy[i] - ay[i], sz[i] - az[i]);
+        let (cx, cy, cz) = (ax[i] - centroid.x, ay[i] - centroid.y, az[i] - centroid.z);
+        let err_abs = (ex * ex + ey * ey + ez * ez).sqrt();
+        err_abs / (cx * cx + cy * cy + cz * cz).sqrt().max(eps)
+    })
+}
+
+/// Gather buffer of [`correct_partition_soa`]: one `(actual position,
+/// speculated position, G·m)` record per source that failed eq. 11. It
+/// grows to the largest bad set seen and is reused, so a correction
+/// allocates nothing at steady state.
+#[derive(Debug, Default)]
+pub struct CorrectionScratch(Vec<([f64; 3], [f64; 3], f64)>);
+
+/// The [`LANES`] values of `s` starting at `at`, as a register block.
+#[inline(always)]
+fn lanes(s: &[f64], at: usize) -> [f64; LANES] {
+    s[at..at + LANES]
+        .try_into()
+        .expect("the range is LANES long")
+}
+
+/// `a_actual − a_spec`: what moving one source of strength `gm = G·m`
+/// from `spec` to `act` changes in the acceleration of a target at `on`.
+/// Each acceleration is [`accel_from`]'s expression tree, component-wise.
+#[inline(always)]
+fn accel_delta(act: [f64; 3], spec: [f64; 3], gm: f64, on: [f64; 3], eps2: f64) -> [f64; 3] {
+    let accel = |src: [f64; 3]| {
+        let (dx, dy, dz) = (src[0] - on[0], src[1] - on[1], src[2] - on[2]);
+        let dist_sq = (dx * dx + dy * dy + dz * dz) + eps2;
+        let s = gm * (1.0 / (dist_sq * dist_sq.sqrt()));
+        [dx * s, dy * s, dz * s]
+    };
+    let (a, s) = (accel(act), accel(spec));
+    [a[0] - s[0], a[1] - s[1], a[2] - s[2]]
+}
+
+/// SoA twin of [`correct_partition`], the production incremental
+/// correction (the paper's `correct(X_j(t+1))`): bit-identical `pos` and
+/// `vel`, same modelled op count.
+///
+/// The sources that fail eq. 11 are gathered once into `scratch`; targets
+/// then go through in `LANES`-wide register blocks whose `vel`/`pos`
+/// lanes stay in registers across the whole (ascending) bad-source loop —
+/// the shape of [`accumulate_partition_soa`]. Per (source, target) the
+/// expression tree is the reference's: both accelerations as in
+/// [`accel_from`], `δ = a_actual − a_spec` per component,
+/// `vel += δ·Δt`, `pos += δ·((Δt·Δt)·steps)`. The θ test reads only
+/// `centroid` and the two snapshots, so it does not see `pos` move.
+///
+/// `speculated`, `actual` and `src_mass` are cut to their common length:
+/// a peer's snapshot of the wrong size repairs less, it does not panic.
+#[allow(clippy::too_many_arguments)]
+pub fn correct_partition_soa(
+    pos: &mut Soa3,
+    vel: &mut Soa3,
+    targets: &Soa3,
+    speculated: &Soa3,
+    actual: &Soa3,
+    src_mass: &[f64],
+    centroid: Vec3,
+    steps: f64,
+    cfg: &NBodyConfig,
+    scratch: &mut CorrectionScratch,
+) -> u64 {
+    let ns = speculated.len().min(actual.len()).min(src_mass.len());
+    let bad = &mut scratch.0;
+    bad.clear();
+    for (i, err) in eq11_errors(speculated, actual, ns, centroid, cfg.softening).enumerate() {
+        if err > cfg.theta {
+            let (a, s) = (actual.get(i), speculated.get(i));
+            bad.push(([a.x, a.y, a.z], [s.x, s.y, s.z], cfg.g * src_mass[i]));
+        }
+    }
+    if bad.is_empty() {
+        return 0;
+    }
+
+    let nt = targets.len();
+    let eps2 = cfg.softening * cfg.softening;
+    let dt = cfg.dt;
+    let dt2_steps = dt * dt * steps;
+    let (tx, ty, tz) = (&targets.x[..nt], &targets.y[..nt], &targets.z[..nt]);
+    let (vx, vy, vz) = (&mut vel.x[..nt], &mut vel.y[..nt], &mut vel.z[..nt]);
+    let (px, py, pz) = (&mut pos.x[..nt], &mut pos.y[..nt], &mut pos.z[..nt]);
+
+    let mut b = 0usize;
+    while b + LANES <= nt {
+        let (qx, qy, qz) = (lanes(tx, b), lanes(ty, b), lanes(tz, b));
+        let (mut lvx, mut lvy, mut lvz) = (lanes(vx, b), lanes(vy, b), lanes(vz, b));
+        let (mut lpx, mut lpy, mut lpz) = (lanes(px, b), lanes(py, b), lanes(pz, b));
+        for &(act, spec, gm) in bad.iter() {
+            for l in 0..LANES {
+                let f = accel_delta(act, spec, gm, [qx[l], qy[l], qz[l]], eps2);
+                lvx[l] += f[0] * dt;
+                lvy[l] += f[1] * dt;
+                lvz[l] += f[2] * dt;
+                lpx[l] += f[0] * dt2_steps;
+                lpy[l] += f[1] * dt2_steps;
+                lpz[l] += f[2] * dt2_steps;
+            }
+        }
+        vx[b..b + LANES].copy_from_slice(&lvx);
+        vy[b..b + LANES].copy_from_slice(&lvy);
+        vz[b..b + LANES].copy_from_slice(&lvz);
+        px[b..b + LANES].copy_from_slice(&lpx);
+        py[b..b + LANES].copy_from_slice(&lpy);
+        pz[b..b + LANES].copy_from_slice(&lpz);
+        b += LANES;
+    }
+    for b in b..nt {
+        let on = [tx[b], ty[b], tz[b]];
+        for &(act, spec, gm) in bad.iter() {
+            let f = accel_delta(act, spec, gm, on, eps2);
+            vx[b] += f[0] * dt;
+            vy[b] += f[1] * dt;
+            vz[b] += f[2] * dt;
+            px[b] += f[0] * dt2_steps;
+            py[b] += f[1] * dt2_steps;
+            pz[b] += f[2] * dt2_steps;
+        }
+    }
+    2 * OPS_PER_PAIR * nt as u64 * bad.len() as u64
 }
 
 /// One symmetric sweep: target `i` against sources `js`, applying each

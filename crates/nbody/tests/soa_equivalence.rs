@@ -12,6 +12,7 @@ use desim::SimDuration;
 use mpk::{run_thread_cluster, ThreadClusterOptions, Transport};
 use nbody::forces::{
     accumulate_partition, accumulate_partition_soa, accumulate_self, accumulate_self_soa,
+    correct_partition, correct_partition_soa, CorrectionScratch, OPS_PER_PAIR,
 };
 use nbody::integrate::step_partition_order;
 use nbody::{
@@ -90,6 +91,104 @@ mod kernel_proptests {
                     want.to_bits_triplet(),
                     "target {}", i
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The register-blocked correction kernel is bit-identical to its
+        /// scalar twin in `pos`, `vel` and the op count: target counts
+        /// below, at and off multiples of the block width, every shape of
+        /// bad set (`mode` 0 none, 1 every third source, 2 all — θ = 0 —
+        /// and 3 θ set to one source's own error, which that source passes
+        /// and larger ones fail), `steps` of `correct` and `correct_deep`,
+        /// a source coincident with a target from its actual and from its
+        /// speculated position (ε > 0 keeps it finite), and −0.0 lanes.
+        #[test]
+        fn correction_kernel_bits_match(
+            n_mine in 0usize..70,
+            n_src in 0usize..70,
+            seed in 0u64..1000,
+            steps in 1u32..5,
+            mode in 0u8..4,
+            dt in 1e-4f64..1e-2,
+        ) {
+            let mut cfg = NBodyConfig { dt, ..NBodyConfig::default().with_theta(0.0) };
+            let particles = uniform_cloud((n_mine + n_src).max(1), seed);
+            let (mine, theirs) = (&particles[..n_mine], &particles[n_mine..n_mine + n_src]);
+            let mut targets: Vec<Vec3> = mine.iter().map(|p| p.pos).collect();
+            let mut vel: Vec<Vec3> = mine.iter().map(|p| p.vel).collect();
+            let src_mass: Vec<f64> = theirs.iter().map(|p| p.mass).collect();
+            let mut actual: Vec<Vec3> = theirs.iter().map(|p| p.pos).collect();
+            if let Some(last) = actual.last_mut() {
+                last.z = -0.0;
+            }
+            let speculated: Vec<Vec3> = actual
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| match mode {
+                    0 => a,
+                    1 if i % 3 != 0 => a,
+                    3 => a + Vec3::new(1e-3 * (i + 1) as f64, 0.0, 0.0),
+                    _ => a + Vec3::new(0.05, -0.02, 0.01),
+                })
+                .collect();
+            if n_mine > 0 && n_src > 0 {
+                targets[0] = actual[0];
+                targets[n_mine - 1].y = -0.0;
+                vel[n_mine - 1] = Vec3::new(-0.0, 0.0, -0.0);
+            }
+            if n_mine > 1 && n_src > 1 {
+                targets[1] = speculated[1];
+            }
+            // The live state is one step past the accumulation-time targets.
+            let pos: Vec<Vec3> = targets.iter().zip(&vel).map(|(&p, &v)| p + v * cfg.dt).collect();
+            let centroid = pos.iter().fold(ZERO3, |a, &p| a + p) / n_mine.max(1) as f64;
+            let error = |i: usize| {
+                speculated[i].distance(actual[i]) / actual[i].distance(centroid).max(cfg.softening)
+            };
+            if mode == 3 && n_src > 0 {
+                cfg.theta = error(n_src / 2);
+            }
+            let n_bad = (0..n_src).filter(|&i| error(i) > cfg.theta).count();
+            match mode {
+                0 => prop_assert_eq!(n_bad, 0),
+                2 => prop_assert_eq!(n_bad, n_src),
+                _ => prop_assert!(n_bad < n_src.max(1)),
+            }
+
+            let (mut pos_ref, mut vel_ref) = (pos.clone(), vel.clone());
+            let ops_ref = correct_partition(
+                &mut pos_ref, &mut vel_ref, &targets, &speculated, &actual, &src_mass,
+                centroid, steps as f64, &cfg,
+            );
+
+            let (mut pos_soa, mut vel_soa) = (Soa3::from_vec3s(&pos), Soa3::from_vec3s(&vel));
+            let ops_soa = correct_partition_soa(
+                &mut pos_soa,
+                &mut vel_soa,
+                &Soa3::from_vec3s(&targets),
+                &Soa3::from_vec3s(&speculated),
+                &Soa3::from_vec3s(&actual),
+                &src_mass,
+                centroid,
+                steps as f64,
+                &cfg,
+                &mut CorrectionScratch::default(),
+            );
+
+            prop_assert_eq!(ops_ref, 2 * OPS_PER_PAIR * (n_mine * n_bad) as u64);
+            prop_assert_eq!(ops_soa, ops_ref);
+            for b in 0..n_mine {
+                prop_assert_eq!(
+                    pos_soa.get(b).to_bits_triplet(), pos_ref[b].to_bits_triplet(), "pos {}", b
+                );
+                prop_assert_eq!(
+                    vel_soa.get(b).to_bits_triplet(), vel_ref[b].to_bits_triplet(), "vel {}", b
+                );
+                prop_assert!(pos_ref[b].is_finite() && vel_ref[b].is_finite());
             }
         }
     }

@@ -5,8 +5,8 @@
 //! compute paths of the N-body, heat-2d, and Jacobi apps must not touch
 //! the heap at all. The N-body measurement drives the full speculative
 //! shape by hand — shared → checkpoint → begin → absorb → check → finish,
-//! plus an incremental correction pass — so the claim covers exactly what
-//! the driver executes per iteration.
+//! plus an incremental correction pass, accepted and rejected — so the
+//! claim covers exactly what the driver executes per iteration.
 //!
 //! Deliberately excluded: `speculate` (by contract it returns a freshly
 //! owned prediction; only the `Hold` order is allocation-free) and the
@@ -113,6 +113,58 @@ fn nbody_restore_and_hold_speculation_are_allocation_free() {
         allocations_here() - before,
         0,
         "restore + Hold speculation must not allocate"
+    );
+}
+
+/// The correction that matters is the one that repairs something: once
+/// one call has grown the gather scratch to the largest bad set, `correct`
+/// and `correct_deep` with rejected units — some of the partition, all of
+/// it — gather, repair and republish the snapshot without touching the
+/// heap.
+#[test]
+fn nbody_rejected_correction_is_allocation_free() {
+    let n = 96;
+    let particles = uniform_cloud(n, 11);
+    let ranges = partition_proportional(n, &[1.0, 1.0]);
+    let cfg = NBodyConfig::default().with_theta(0.01);
+    let mut app = NBodyApp::new(&particles, ranges, 0, cfg, SpeculationOrder::Linear);
+    let theirs = &particles[n / 2..];
+    // Rank 1's snapshot, every `stride`-th position far off (eq. 11 ≫ θ).
+    let snapshot = |stride: Option<usize>| {
+        let off = Vec3::new(0.5, -0.25, 0.125);
+        let pos: Vec<Vec3> = theirs
+            .iter()
+            .enumerate()
+            .map(|(i, p)| match stride {
+                Some(s) if i % s == 0 => p.pos + off,
+                _ => p.pos,
+            })
+            .collect();
+        let vel: Vec<Vec3> = theirs.iter().map(|p| p.vel).collect();
+        std::sync::Arc::new(PartitionShared::from_vec3s(&pos, &vel))
+    };
+    let (actual, some_bad, all_bad) = (snapshot(None), snapshot(Some(5)), snapshot(Some(1)));
+    let mine = (n / 2) as u64;
+    let repair = |bad: u64| 2 * nbody::forces::OPS_PER_PAIR * mine * bad;
+
+    // Warm-up: one iteration, then one correction with every unit bad.
+    app.begin_iteration();
+    app.absorb(Rank(1), &all_bad);
+    app.finish_iteration();
+    assert_eq!(app.correct(Rank(1), &all_bad, &actual), repair(mine));
+
+    let before = allocations_here();
+    for (spec, bad) in [(&some_bad, mine.div_ceil(5)), (&all_bad, mine)] {
+        assert_eq!(app.correct(Rank(1), spec, &actual), repair(bad));
+        assert_eq!(
+            app.correct_deep(Rank(1), spec, &actual, 2),
+            Some(repair(bad))
+        );
+    }
+    assert_eq!(
+        allocations_here() - before,
+        0,
+        "a correction with rejected units must not allocate"
     );
 }
 
