@@ -31,9 +31,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ARTIFACT="${BENCH_TRANSPORT_ARTIFACT:-BENCH_transport.json}"
-SCALE_ARTIFACT="${BENCH_SCALE_ARTIFACT:-BENCH_scale.json}"
-CONTROLLER_ARTIFACT="${BENCH_CONTROLLER_ARTIFACT:-BENCH_controller.json}"
+# Where ci.sh's bench smoke steps write their artifacts.
+BENCH_OUT="target/bench-out"
+ARTIFACT="${BENCH_TRANSPORT_ARTIFACT:-$BENCH_OUT/BENCH_transport.json}"
+SCALE_ARTIFACT="${BENCH_SCALE_ARTIFACT:-$BENCH_OUT/BENCH_scale.json}"
+CONTROLLER_ARTIFACT="${BENCH_CONTROLLER_ARTIFACT:-$BENCH_OUT/BENCH_controller.json}"
 BUDGETS="ci/bench_budgets.json"
 # A row fails when fresh < budget * TOLERANCE (i.e. >25% regression).
 TOLERANCE="0.75"
@@ -48,7 +50,7 @@ fi
 
 if [[ ! -f "$ARTIFACT" ]]; then
     echo "bench gate: $ARTIFACT missing — run the transport_regression bench first:" >&2
-    echo "  SPEC_BENCH_OUT=\"\$PWD\" cargo bench -q -p spec-bench --bench transport_regression" >&2
+    echo "  SPEC_BENCH_OUT=\"\$PWD/$BENCH_OUT\" cargo bench -q -p spec-bench --bench transport_regression" >&2
     exit 1
 fi
 
@@ -200,7 +202,7 @@ if [[ -f "$SCALE_ARTIFACT" ]]; then
     done < <(jq -r '.rows[] | "\(.ranks)\t\(.events_per_sec)\t\(.rss_bytes_per_rank)"' "$SCALE_ARTIFACT")
 else
     echo "bench gate: $SCALE_ARTIFACT missing — run the scale_sweep bench first:" >&2
-    echo "  SPEC_BENCH_OUT=\"\$PWD\" cargo bench -q -p spec-bench --bench scale_sweep" >&2
+    echo "  SPEC_BENCH_OUT=\"\$PWD/$BENCH_OUT\" cargo bench -q -p spec-bench --bench scale_sweep" >&2
     fail=1
 fi
 
@@ -238,7 +240,7 @@ if [[ -f "$CONTROLLER_ARTIFACT" ]]; then
     fi
 else
     echo "bench gate: $CONTROLLER_ARTIFACT missing — run the controller_sweep bench first:" >&2
-    echo "  SPEC_BENCH_OUT=\"\$PWD\" cargo bench -q -p spec-bench --bench controller_sweep" >&2
+    echo "  SPEC_BENCH_OUT=\"\$PWD/$BENCH_OUT\" cargo bench -q -p spec-bench --bench controller_sweep" >&2
     fail=1
 fi
 

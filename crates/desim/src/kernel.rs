@@ -5,9 +5,17 @@
 //! ([`Simulation::spawn_process`] / [`Simulation::spawn_async`]) resumed
 //! on the caller's thread whenever the event it yielded on fires: a run
 //! is one loop over one event heap, whatever the number of processes.
+//!
+//! The state a *running* process may touch (event queue, mailboxes, trace
+//! log, `messages_sent`, `now`) is one [`Core`] behind `Rc<RefCell<_>>`,
+//! shared by the [`Simulation`] and every [`AsyncHandle`]. The rule that
+//! keeps it sound: the kernel never holds a `Core` borrow across
+//! [`Process::resume`], and a process only ever takes the short borrows
+//! inside [`ProcCtx`]'s methods.
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use obs::{Gauge, Recorder};
@@ -17,7 +25,7 @@ use crate::mailbox::{Mailbox, MailboxId};
 use crate::process::{
     AsyncHandle, Bridge, FutureProcess, ProcCtx, Process, ProcessId, ProcessResult, Resume, Yield,
 };
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceLog};
 
 /// Why a simulation failed.
@@ -239,18 +247,36 @@ impl SchedChecks {
 /// ```
 pub struct Simulation {
     procs: Vec<ProcInfo>,
-    mailboxes: Vec<Mailbox>,
-    queue: EventQueue,
-    now: SimTime,
-    trace: TraceLog,
-    tracing_enabled: Arc<AtomicBool>,
+    core: Rc<RefCell<Core>>,
     recorder: Option<Box<dyn Recorder>>,
     checks: SchedChecks,
     error: Option<SimError>,
-    messages_sent: u64,
     messages_delivered: u64,
     events_processed: u64,
     timers_fired: u64,
+}
+
+/// The kernel state a process may touch while it holds the time grant.
+pub(crate) struct Core {
+    pub(crate) queue: EventQueue,
+    pub(crate) mailboxes: Vec<Mailbox>,
+    pub(crate) trace: TraceLog,
+    pub(crate) messages_sent: u64,
+    pub(crate) now: SimTime,
+}
+
+impl Core {
+    pub(crate) fn send(&mut self, mbox: MailboxId, delay: SimDuration, msg: Payload) {
+        self.messages_sent += 1;
+        self.queue
+            .push(self.now + delay, EventKind::Deliver { mbox, msg });
+    }
+
+    pub(crate) fn create_mailbox(&mut self) -> MailboxId {
+        let id = MailboxId(self.mailboxes.len());
+        self.mailboxes.push(Mailbox::new());
+        id
+    }
 }
 
 /// How often (in dispatched events) the kernel samples its event-heap size
@@ -269,15 +295,16 @@ impl Simulation {
     pub fn new() -> Self {
         Simulation {
             procs: Vec::new(),
-            mailboxes: Vec::new(),
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            trace: TraceLog::disabled(),
-            tracing_enabled: Arc::new(AtomicBool::new(false)),
+            core: Rc::new(RefCell::new(Core {
+                queue: EventQueue::new(),
+                mailboxes: Vec::new(),
+                trace: TraceLog::disabled(),
+                messages_sent: 0,
+                now: SimTime::ZERO,
+            })),
             recorder: None,
             checks: SchedChecks::default(),
             error: None,
-            messages_sent: 0,
             messages_delivered: 0,
             events_processed: 0,
             timers_fired: 0,
@@ -286,8 +313,7 @@ impl Simulation {
 
     /// Enable recording of trace annotations into the final [`SimReport`].
     pub fn enable_tracing(&mut self) {
-        self.trace = TraceLog::enabled();
-        self.tracing_enabled.store(true, Ordering::Relaxed);
+        self.core.borrow_mut().trace = TraceLog::enabled();
     }
 
     /// Arm the scheduling-invariant oracle: every grant and blocking yield
@@ -306,7 +332,7 @@ impl Simulation {
     /// conformance tests to prove a result does not depend on same-time
     /// delivery tie-breaks.
     pub fn set_tie_break(&mut self, tie_break: crate::event::TieBreak) {
-        self.queue.set_tie_break(tie_break);
+        self.core.borrow_mut().queue.set_tie_break(tie_break);
     }
 
     /// Attach a structured [`Recorder`]. The kernel samples its event-heap
@@ -321,9 +347,7 @@ impl Simulation {
     /// Allocate a mailbox before the simulation starts, so its id can be
     /// shared with several processes.
     pub fn create_mailbox(&mut self) -> MailboxId {
-        let id = MailboxId(self.mailboxes.len());
-        self.mailboxes.push(Mailbox::new());
-        id
+        self.core.borrow_mut().create_mailbox()
     }
 
     /// Spawn a simulated process from an explicit [`Process`] state
@@ -365,12 +389,8 @@ impl Simulation {
     {
         let pid = ProcessId(self.procs.len());
         let slot: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
-        let bridge = std::rc::Rc::new(std::cell::RefCell::new(Bridge::new()));
-        let handle = AsyncHandle::new(
-            pid,
-            std::rc::Rc::clone(&bridge),
-            Arc::clone(&self.tracing_enabled),
-        );
+        let bridge = Rc::new(RefCell::new(Bridge::default()));
+        let handle = AsyncHandle::new(pid, Rc::clone(&bridge), Rc::clone(&self.core));
         let fut = f(handle);
         let slot_for_proc = Arc::clone(&slot);
         let wrapped = async move {
@@ -388,11 +408,15 @@ impl Simulation {
     /// blocked on a receive that can never be satisfied).
     pub fn run(mut self) -> Result<SimReport, SimError> {
         for pid in 0..self.procs.len() {
-            self.queue
-                .push(SimTime::ZERO, EventKind::Wake(ProcessId(pid)));
+            let wake = EventKind::Wake(ProcessId(pid));
+            self.core.borrow_mut().queue.push(SimTime::ZERO, wake);
         }
 
-        while let Some(ev) = self.queue.pop() {
+        loop {
+            // Borrowed for the kernel's own bookkeeping only; every arm
+            // drops it before granting time to a process.
+            let mut core = self.core.borrow_mut();
+            let Some(ev) = core.queue.pop() else { break };
             self.events_processed += 1;
             // A cancelled (stale-generation) timer is a no-op: crucially it
             // must not advance `now`, or a deadline armed and then beaten by
@@ -402,19 +426,20 @@ impl Simulation {
                     continue;
                 }
             }
-            self.now = ev.key.time;
+            core.now = ev.key.time;
             if self.events_processed.is_multiple_of(HEAP_SAMPLE_INTERVAL) {
                 if let Some(rec) = self.recorder.as_mut() {
                     rec.gauge(
                         obs::Event::KERNEL_RANK,
-                        self.now.as_nanos(),
+                        core.now.as_nanos(),
                         Gauge::EventHeapSize,
-                        self.queue.len() as u64,
+                        core.queue.len() as u64,
                     );
                 }
             }
             match ev.kind {
                 EventKind::Wake(pid) => {
+                    drop(core);
                     if !self.procs[pid.0].finished {
                         let grant = if self.procs[pid.0].started {
                             Grant::Resumed
@@ -427,11 +452,11 @@ impl Simulation {
                 }
                 EventKind::Deliver { mbox, msg } => {
                     self.messages_delivered += 1;
-                    self.mailboxes[mbox.0].deliver(msg);
-                    if let Some(pid) = self.mailboxes[mbox.0].take_waiter() {
-                        let msg = self.mailboxes[mbox.0]
-                            .pop()
-                            .expect("waiter woken on empty mailbox");
+                    let mailbox = &mut core.mailboxes[mbox.0];
+                    mailbox.deliver(msg);
+                    if let Some(pid) = mailbox.take_waiter() {
+                        let msg = mailbox.pop().expect("waiter woken on empty mailbox");
+                        drop(core);
                         self.procs[pid.0].blocked_on = None;
                         // A timed waiter's deadline is now moot: bump the
                         // generation so the heaped timer pops as a stale
@@ -452,7 +477,8 @@ impl Simulation {
                         .blocked_on
                         .take()
                         .expect("timed waiter has no blocking mailbox");
-                    self.mailboxes[mbox.0].remove_waiter(pid);
+                    core.mailboxes[mbox.0].remove_waiter(pid);
+                    drop(core);
                     self.timers_fired += 1;
                     self.grant(pid, Grant::Message(None));
                 }
@@ -462,6 +488,7 @@ impl Simulation {
             }
         }
 
+        let mut core = self.core.borrow_mut();
         if self.error.is_none() {
             let blocked: Vec<(String, MailboxId)> = self
                 .procs
@@ -478,7 +505,7 @@ impl Simulation {
             if !blocked.is_empty() {
                 self.error = Some(SimError::Deadlock {
                     blocked,
-                    at: self.now,
+                    at: core.now,
                 });
             }
         }
@@ -486,18 +513,18 @@ impl Simulation {
         let finish_times: Vec<(String, SimTime)> = self
             .procs
             .iter()
-            .map(|p| (p.name.clone(), p.finish_time.unwrap_or(self.now)))
+            .map(|p| (p.name.clone(), p.finish_time.unwrap_or(core.now)))
             .collect();
         match self.error.take() {
             Some(e) => Err(e),
             None => Ok(SimReport {
-                end_time: self.now,
+                end_time: core.now,
                 events_processed: self.events_processed,
-                messages_sent: self.messages_sent,
+                messages_sent: core.messages_sent,
                 messages_delivered: self.messages_delivered,
                 timers_fired: self.timers_fired,
                 finish_times,
-                trace: self.trace.take(),
+                trace: core.trace.take(),
             }),
         }
     }
@@ -509,12 +536,9 @@ impl Simulation {
     /// inline without returning to the event loop — the event sequence
     /// numbers, and with them every tie-break, depend on it.
     fn grant(&mut self, pid: ProcessId, grant: Grant) {
-        self.checks.on_grant(
-            pid,
-            &grant,
-            self.now,
-            self.procs[pid.0].blocked_on.is_some(),
-        );
+        let now = self.core.borrow().now;
+        self.checks
+            .on_grant(pid, &grant, now, self.procs[pid.0].blocked_on.is_some());
         let mut body = self.procs[pid.0]
             .body
             .take()
@@ -528,19 +552,16 @@ impl Simulation {
         // (false once finished or panicked: its state is dropped early).
         let mut live = false;
         loop {
+            // No `Core` borrow is alive here: the process takes its own.
             let step = {
                 let mut ctx = ProcCtx {
                     pid,
-                    now: self.now,
                     resume: Some(resume),
-                    mailboxes: &mut self.mailboxes,
-                    queue: &mut self.queue,
-                    trace: &mut self.trace,
-                    tracing_enabled: self.tracing_enabled.load(Ordering::Relaxed),
-                    messages_sent: &mut self.messages_sent,
+                    core: &self.core,
                 };
                 catch_unwind(AssertUnwindSafe(|| body.resume(&mut ctx)))
             };
+            let mut core = self.core.borrow_mut();
             match step {
                 Err(payload) => {
                     self.procs[pid.0].finished = true;
@@ -551,41 +572,39 @@ impl Simulation {
                     break;
                 }
                 Ok(Yield::Send { mbox, delay, msg }) => {
-                    self.messages_sent += 1;
-                    self.queue
-                        .push(self.now + delay, EventKind::Deliver { mbox, msg });
+                    core.send(mbox, delay, msg);
                     resume = Resume::Resumed;
                 }
                 Ok(Yield::Timer(d)) => {
                     self.checks.on_block(pid, PendingYield::Timer);
-                    self.queue.push(self.now + d, EventKind::Wake(pid));
+                    core.queue.push(now + d, EventKind::Wake(pid));
                     live = true;
                     break;
                 }
                 Ok(Yield::Recv { mbox }) => {
-                    if let Some(msg) = self.mailboxes[mbox.0].pop() {
+                    if let Some(msg) = core.mailboxes[mbox.0].pop() {
                         resume = Resume::Message(Some(msg));
                     } else {
                         self.checks.on_block(pid, PendingYield::Recv);
-                        self.mailboxes[mbox.0].add_waiter(pid);
+                        core.mailboxes[mbox.0].add_waiter(pid);
                         self.procs[pid.0].blocked_on = Some(mbox);
                         live = true;
                         break;
                     }
                 }
                 Ok(Yield::RecvDeadline { mbox, deadline }) => {
-                    if let Some(msg) = self.mailboxes[mbox.0].pop() {
+                    if let Some(msg) = core.mailboxes[mbox.0].pop() {
                         resume = Resume::Message(Some(msg));
-                    } else if deadline <= self.now {
+                    } else if deadline <= now {
                         // Already expired: one immediate poll came up empty.
                         resume = Resume::Message(None);
                     } else {
                         self.checks.on_block(pid, PendingYield::RecvDeadline);
-                        self.mailboxes[mbox.0].add_waiter(pid);
+                        core.mailboxes[mbox.0].add_waiter(pid);
                         self.procs[pid.0].blocked_on = Some(mbox);
                         let generation = self.procs[pid.0].timer_gen;
                         self.procs[pid.0].armed_timer = Some(generation);
-                        self.queue
+                        core.queue
                             .push(deadline, EventKind::Timer { pid, generation });
                         live = true;
                         break;
@@ -593,7 +612,7 @@ impl Simulation {
                 }
                 Ok(Yield::Done) => {
                     self.procs[pid.0].finished = true;
-                    self.procs[pid.0].finish_time = Some(self.now);
+                    self.procs[pid.0].finish_time = Some(now);
                     break;
                 }
             }
@@ -612,8 +631,9 @@ pub fn preload_message<T: std::any::Any + Send>(
     at: SimTime,
     msg: T,
 ) {
-    sim.messages_sent += 1;
-    sim.queue.push(
+    let mut core = sim.core.borrow_mut();
+    core.messages_sent += 1;
+    core.queue.push(
         at,
         EventKind::Deliver {
             mbox,

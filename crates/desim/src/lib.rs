@@ -55,6 +55,9 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// The kernel state shared with every `AsyncHandle` lives in a `RefCell`:
+// a borrow of it held across an `.await` would outlive the time grant.
+#![deny(clippy::await_holding_refcell_ref)]
 
 mod event;
 mod kernel;

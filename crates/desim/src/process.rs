@@ -14,8 +14,8 @@
 //! * write an `async fn` and pass it to
 //!   [`Simulation::spawn_async`](crate::Simulation::spawn_async): the
 //!   compiler generates the state machine, and an [`AsyncHandle`] maps each
-//!   `await` onto the same [`Yield`] protocol. This is how the `speccore`
-//!   driver runs on the simulator.
+//!   *blocking* `await` onto the same [`Yield`] protocol. This is how the
+//!   `speccore` driver runs on the simulator.
 //!
 //! Non-blocking operations ([`ProcCtx::send`], [`ProcCtx::try_recv`],
 //! [`ProcCtx::create_mailbox`], [`ProcCtx::trace`]) execute inline without
@@ -23,18 +23,24 @@
 //! `Recv`/`RecvDeadline`, and `Done` give the time grant back. That split
 //! fixes the event sequence numbers — and therefore the Fifo/Lifo/Seeded
 //! tie-breaks, the `SimReport` counters and every fingerprint downstream.
+//!
+//! Both spellings run the same code: a [`ProcCtx`] is a view of the
+//! kernel's shared `Core` (event queue, mailboxes, trace log, clock), and
+//! an [`AsyncHandle`] holds that `Core` too, so its non-blocking methods
+//! are the `ProcCtx` ones and complete on their first poll — an `async`
+//! rank is polled once per blocking operation, not once per operation.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
-use crate::event::{EventKind, EventQueue, Payload};
-use crate::mailbox::{Mailbox, MailboxId};
+use crate::event::Payload;
+use crate::kernel::Core;
+use crate::mailbox::MailboxId;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
 
@@ -112,16 +118,14 @@ pub trait Process {
 /// The kernel-side view a [`Process`] has while it holds the time grant.
 ///
 /// Everything here executes inline, without returning to the event loop:
-/// virtual time does not move and the grant is not yielded.
+/// virtual time does not move and the grant is not yielded. Each operation
+/// takes one short borrow of the kernel's shared `Core` and releases it
+/// before returning, so no borrow is ever alive across
+/// [`Process::resume`] or an `.await`.
 pub struct ProcCtx<'k> {
     pub(crate) pid: ProcessId,
-    pub(crate) now: SimTime,
     pub(crate) resume: Option<Resume>,
-    pub(crate) mailboxes: &'k mut Vec<Mailbox>,
-    pub(crate) queue: &'k mut EventQueue,
-    pub(crate) trace: &'k mut TraceLog,
-    pub(crate) tracing_enabled: bool,
-    pub(crate) messages_sent: &'k mut u64,
+    pub(crate) core: &'k RefCell<Core>,
 }
 
 impl ProcCtx<'_> {
@@ -132,7 +136,7 @@ impl ProcCtx<'_> {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.borrow().now
     }
 
     /// The kernel's answer to the previous [`Yield`]. Yields exactly one
@@ -151,27 +155,23 @@ impl ProcCtx<'_> {
 
     /// [`send`](Self::send) for an already-boxed payload.
     pub fn send_payload(&mut self, mbox: MailboxId, delay: SimDuration, msg: Payload) {
-        *self.messages_sent += 1;
-        self.queue
-            .push(self.now + delay, EventKind::Deliver { mbox, msg });
+        self.core.borrow_mut().send(mbox, delay, msg);
     }
 
     /// Take a message from `mbox` if one has already been delivered.
     /// Never blocks and never advances virtual time.
     pub fn try_recv(&mut self, mbox: MailboxId) -> Option<Payload> {
-        self.mailboxes[mbox.0].pop()
+        self.core.borrow_mut().mailboxes[mbox.0].pop()
     }
 
     /// Allocate a fresh mailbox.
     pub fn create_mailbox(&mut self) -> MailboxId {
-        let id = MailboxId(self.mailboxes.len());
-        self.mailboxes.push(Mailbox::new());
-        id
+        self.core.borrow_mut().create_mailbox()
     }
 
     /// True if tracing was enabled on the simulation.
     pub fn tracing_enabled(&self) -> bool {
-        self.tracing_enabled
+        matches!(self.core.borrow().trace, TraceLog::Enabled(_))
     }
 
     /// Record a trace annotation at the current virtual time. A no-op unless
@@ -182,12 +182,17 @@ impl ProcCtx<'_> {
     }
 
     /// Record a trace annotation, building the label lazily. When tracing
-    /// is disabled the closure never runs and nothing allocates.
+    /// is disabled the closure never runs and nothing allocates. The
+    /// closure runs outside any kernel borrow, so it may itself use this
+    /// context's process (or panic) freely.
     pub fn trace_with(&mut self, label: impl FnOnce() -> String) {
-        if !self.tracing_enabled {
+        if !self.tracing_enabled() {
             return;
         }
-        self.trace.record(self.now, self.pid, label);
+        let label = label();
+        let mut core = self.core.borrow_mut();
+        let now = core.now;
+        core.trace.record(now, self.pid, || label);
     }
 }
 
@@ -195,64 +200,33 @@ impl ProcCtx<'_> {
 // async bridge: `async fn` processes over the same Yield protocol
 // ---------------------------------------------------------------------------
 
-/// The kernel operation an async process is suspended on, parked in the
-/// [`Bridge`] until [`FutureProcess::resume`] picks it up.
-pub(crate) enum AsyncOp {
-    Advance(SimDuration),
-    Send {
-        mbox: MailboxId,
-        delay: SimDuration,
-        msg: Payload,
-    },
-    Recv {
-        mbox: MailboxId,
-    },
-    RecvDeadline {
-        mbox: MailboxId,
-        deadline: SimTime,
-    },
-    TryRecv {
-        mbox: MailboxId,
-    },
-    CreateMailbox,
-    Trace(String),
-}
-
-/// The answer travelling back through the [`Bridge`].
-pub(crate) enum AsyncReply {
-    Resumed,
-    Message(Option<Payload>),
-    Mailbox(MailboxId),
-}
-
-/// One-slot op/reply cell shared between an [`AsyncHandle`] (inside the
-/// future) and the [`FutureProcess`] driving it. At most one operation is in
-/// flight at a time — the future is suspended on it.
+/// One-slot yield/answer cell shared between an [`AsyncHandle`] (inside the
+/// future) and the [`FutureProcess`] driving it. Only *blocking* operations
+/// pass through it: the handle parks the [`Yield`] it must suspend on and
+/// returns `Pending`; `FutureProcess::resume` hands that yield to the kernel
+/// and, on the next grant, leaves the kernel's [`Resume`] here for the
+/// re-polled future to pick up. At most one operation is in flight at a
+/// time — the future is suspended on it.
+#[derive(Default)]
 pub(crate) struct Bridge {
-    pub(crate) op: Option<AsyncOp>,
-    pub(crate) reply: Option<AsyncReply>,
-    pub(crate) now: SimTime,
-}
-
-impl Bridge {
-    pub(crate) fn new() -> Self {
-        Bridge {
-            op: None,
-            reply: None,
-            now: SimTime::ZERO,
-        }
-    }
+    op: Option<Yield>,
+    reply: Option<Resume>,
 }
 
 /// The view an `async` simulated process has of the simulation kernel.
 ///
 /// Obtained as the argument of the closure passed to
 /// [`Simulation::spawn_async`](crate::Simulation::spawn_async). Every method
-/// is `async`; awaiting one suspends the process until the kernel answers —
-/// non-blocking operations resolve within the same time grant, blocking ones
-/// (`advance`, `recv`, `recv_deadline`) suspend until the matching event
-/// fires. Exactly one operation may be in flight at a time: `await` each
-/// call to completion (no `join!`-style concurrency within one process).
+/// is `async`, but only the blocking ones (`advance`, and `recv` /
+/// `recv_deadline` on an empty mailbox with the deadline still ahead) ever
+/// suspend: they give the time grant back until the matching event fires.
+/// `send`, `try_recv`, `create_mailbox`, `trace`/`trace_with` — and a
+/// receive that finds a message already delivered or its deadline already
+/// passed — act on the kernel state directly through a [`ProcCtx`] and
+/// complete on their first poll, exactly as they would in a hand-written
+/// [`Process`]. Exactly one operation may be in flight at a time: `await`
+/// each call to completion (no `join!`-style concurrency within one
+/// process).
 ///
 /// Awaiting any *foreign* future (one not produced by this handle) inside a
 /// simulated process panics: the kernel has no way to complete it.
@@ -260,20 +234,16 @@ impl Bridge {
 pub struct AsyncHandle {
     pid: ProcessId,
     bridge: Rc<RefCell<Bridge>>,
-    tracing: Arc<AtomicBool>,
+    core: Rc<RefCell<Core>>,
 }
 
 impl AsyncHandle {
     pub(crate) fn new(
         pid: ProcessId,
         bridge: Rc<RefCell<Bridge>>,
-        tracing: Arc<AtomicBool>,
+        core: Rc<RefCell<Core>>,
     ) -> Self {
-        AsyncHandle {
-            pid,
-            bridge,
-            tracing,
-        }
+        AsyncHandle { pid, bridge, core }
     }
 
     /// This process's id.
@@ -283,46 +253,47 @@ impl AsyncHandle {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.bridge.borrow().now
+        self.core.borrow().now
     }
 
-    fn op(&self, op: AsyncOp) -> OpFuture {
+    /// The inline operations, shared with hand-written [`Process`]es.
+    fn ctx(&self) -> ProcCtx<'_> {
+        ProcCtx {
+            pid: self.pid,
+            resume: None,
+            core: &self.core,
+        }
+    }
+
+    /// Give the time grant back on `op`; resolves to the kernel's answer.
+    fn block(&self, op: Yield) -> OpFuture<'_> {
         OpFuture {
-            bridge: Rc::clone(&self.bridge),
+            bridge: &self.bridge,
             op: Some(op),
         }
     }
 
     /// Spend `d` of virtual time computing. Returns the new current time.
     pub async fn advance(&self, d: SimDuration) -> SimTime {
-        match self.op(AsyncOp::Advance(d)).await {
-            AsyncReply::Resumed => self.now(),
-            _ => unreachable!("Advance answered with non-Resumed"),
-        }
+        self.block(Yield::Timer(d)).await;
+        self.now()
     }
 
     /// Schedule `msg` for delivery into `mbox` after `delay`. Non-blocking:
     /// virtual time does not pass for the sender.
     pub async fn send<T: Any + Send>(&self, mbox: MailboxId, delay: SimDuration, msg: T) {
-        match self
-            .op(AsyncOp::Send {
-                mbox,
-                delay,
-                msg: Box::new(msg),
-            })
-            .await
-        {
-            AsyncReply::Resumed => {}
-            _ => unreachable!("Send answered with non-Resumed"),
-        }
+        self.ctx().send(mbox, delay, msg);
     }
 
     /// Block until a message is available in `mbox` and take it. Virtual
     /// time advances to the delivery instant of the message received.
     pub async fn recv(&self, mbox: MailboxId) -> Payload {
-        match self.op(AsyncOp::Recv { mbox }).await {
-            AsyncReply::Message(msg) => msg.expect("blocking recv resolved without a message"),
-            _ => unreachable!("Recv answered with non-Message"),
+        if let Some(msg) = self.ctx().try_recv(mbox) {
+            return msg;
+        }
+        match self.block(Yield::Recv { mbox }).await {
+            Resume::Message(Some(msg)) => msg,
+            other => unreachable!("Recv answered with {other:?}"),
         }
     }
 
@@ -345,9 +316,15 @@ impl AsyncHandle {
     /// without blocking; a deadline at or before the current time degrades
     /// to [`try_recv`](Self::try_recv) (one immediate poll, no waiting).
     pub async fn recv_deadline(&self, mbox: MailboxId, deadline: SimTime) -> Option<Payload> {
-        match self.op(AsyncOp::RecvDeadline { mbox, deadline }).await {
-            AsyncReply::Message(msg) => msg,
-            _ => unreachable!("RecvDeadline answered with non-Message"),
+        if let Some(msg) = self.ctx().try_recv(mbox) {
+            return Some(msg);
+        }
+        if deadline <= self.now() {
+            return None;
+        }
+        match self.block(Yield::RecvDeadline { mbox, deadline }).await {
+            Resume::Message(msg) => msg,
+            other => unreachable!("RecvDeadline answered with {other:?}"),
         }
     }
 
@@ -366,10 +343,7 @@ impl AsyncHandle {
     /// Take a message from `mbox` if one has already been delivered.
     /// Never blocks and never advances virtual time.
     pub async fn try_recv(&self, mbox: MailboxId) -> Option<Payload> {
-        match self.op(AsyncOp::TryRecv { mbox }).await {
-            AsyncReply::Message(msg) => msg,
-            _ => unreachable!("TryRecv answered with non-Message"),
-        }
+        self.ctx().try_recv(mbox)
     }
 
     /// Non-blocking receive with a type downcast.
@@ -382,47 +356,35 @@ impl AsyncHandle {
 
     /// Allocate a fresh mailbox owned by no one in particular.
     pub async fn create_mailbox(&self) -> MailboxId {
-        match self.op(AsyncOp::CreateMailbox).await {
-            AsyncReply::Mailbox(id) => id,
-            _ => unreachable!("CreateMailbox answered with non-Mailbox"),
-        }
+        self.ctx().create_mailbox()
     }
 
     /// Record a trace annotation at the current virtual time. A no-op unless
     /// tracing was enabled on the [`Simulation`](crate::Simulation).
     pub async fn trace(&self, label: impl Into<String>) {
-        let label = label.into();
-        self.trace_with(|| label).await;
+        self.ctx().trace(label);
     }
 
     /// Record a trace annotation, building the label lazily. When tracing
-    /// is disabled this is a single relaxed atomic load: the closure never
-    /// runs, nothing allocates, and the future resolves without suspending.
+    /// is disabled the closure never runs and nothing allocates.
     pub async fn trace_with(&self, label: impl FnOnce() -> String) {
-        if !self.tracing.load(Ordering::Relaxed) {
-            return;
-        }
-        match self.op(AsyncOp::Trace(label())).await {
-            AsyncReply::Resumed => {}
-            _ => unreachable!("Trace answered with non-Resumed"),
-        }
+        self.ctx().trace_with(label);
     }
 }
 
-/// Future for one kernel operation: parks the op in the bridge on first
-/// poll, resolves once the kernel's reply lands there.
-struct OpFuture {
-    bridge: Rc<RefCell<Bridge>>,
-    op: Option<AsyncOp>,
+/// Future for one blocking kernel operation: parks the yield in the bridge
+/// on first poll, resolves once the kernel's answer lands there.
+struct OpFuture<'h> {
+    bridge: &'h RefCell<Bridge>,
+    op: Option<Yield>,
 }
 
-impl Future for OpFuture {
-    type Output = AsyncReply;
+impl Future for OpFuture<'_> {
+    type Output = Resume;
 
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<AsyncReply> {
-        let this = &mut *self;
-        let mut b = this.bridge.borrow_mut();
-        if let Some(op) = this.op.take() {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Resume> {
+        let mut b = self.bridge.borrow_mut();
+        if let Some(op) = self.op.take() {
             debug_assert!(
                 b.op.is_none() && b.reply.is_none(),
                 "two kernel operations in flight on one AsyncHandle: await each call to completion"
@@ -437,10 +399,10 @@ impl Future for OpFuture {
     }
 }
 
-/// [`Process`] adapter that drives an `async` body: polls the future with a
-/// no-op waker, translates each parked [`AsyncOp`] into either an inline
-/// [`ProcCtx`] operation (answered within the same resume) or a blocking
-/// [`Yield`] handed back to the kernel.
+/// [`Process`] adapter that drives an `async` body: leaves the kernel's
+/// answer in the bridge, polls the future once with a no-op waker, and hands
+/// the blocking [`Yield`] it parked there back to the kernel. Everything
+/// non-blocking already happened inside that one poll.
 pub(crate) struct FutureProcess {
     fut: Pin<Box<dyn Future<Output = ()>>>,
     bridge: Rc<RefCell<Bridge>>,
@@ -454,54 +416,19 @@ impl FutureProcess {
 
 impl Process for FutureProcess {
     fn resume(&mut self, ctx: &mut ProcCtx<'_>) -> Yield {
-        {
-            let mut b = self.bridge.borrow_mut();
-            b.now = ctx.now();
-            match ctx.take_resume() {
-                Resume::Start => {}
-                Resume::Resumed => b.reply = Some(AsyncReply::Resumed),
-                Resume::Message(m) => b.reply = Some(AsyncReply::Message(m)),
-            }
+        match ctx.take_resume() {
+            Resume::Start => {}
+            answer => self.bridge.borrow_mut().reply = Some(answer),
         }
-        loop {
-            let mut cx = Context::from_waker(Waker::noop());
-            match self.fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => return Yield::Done,
-                Poll::Pending => {
-                    let op = self.bridge.borrow_mut().op.take().unwrap_or_else(|| {
-                        panic!(
-                            "async process suspended on a foreign future: only AsyncHandle \
-                             operations can be awaited inside a simulated process"
-                        )
-                    });
-                    match op {
-                        // Blocking operations: hand the grant back.
-                        AsyncOp::Advance(d) => return Yield::Timer(d),
-                        AsyncOp::Recv { mbox } => return Yield::Recv { mbox },
-                        AsyncOp::RecvDeadline { mbox, deadline } => {
-                            return Yield::RecvDeadline { mbox, deadline }
-                        }
-                        // Non-blocking operations: answer inline and poll on,
-                        // without yielding the time grant.
-                        AsyncOp::Send { mbox, delay, msg } => {
-                            ctx.send_payload(mbox, delay, msg);
-                            self.bridge.borrow_mut().reply = Some(AsyncReply::Resumed);
-                        }
-                        AsyncOp::TryRecv { mbox } => {
-                            let m = ctx.try_recv(mbox);
-                            self.bridge.borrow_mut().reply = Some(AsyncReply::Message(m));
-                        }
-                        AsyncOp::CreateMailbox => {
-                            let id = ctx.create_mailbox();
-                            self.bridge.borrow_mut().reply = Some(AsyncReply::Mailbox(id));
-                        }
-                        AsyncOp::Trace(label) => {
-                            ctx.trace(label);
-                            self.bridge.borrow_mut().reply = Some(AsyncReply::Resumed);
-                        }
-                    }
-                }
-            }
+        let mut cx = Context::from_waker(Waker::noop());
+        match self.fut.as_mut().poll(&mut cx) {
+            Poll::Ready(()) => Yield::Done,
+            Poll::Pending => self.bridge.borrow_mut().op.take().unwrap_or_else(|| {
+                panic!(
+                    "async process suspended on a foreign future: only AsyncHandle \
+                     operations can be awaited inside a simulated process"
+                )
+            }),
         }
     }
 }

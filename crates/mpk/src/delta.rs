@@ -82,9 +82,13 @@ impl DeltaFrame {
 
     /// Apply this frame to `target` in place. Idempotent: entries are
     /// absolute values, so applying twice is the same as applying once.
+    /// Lane indices are the sender's word: an entry past the end of
+    /// `target` is skipped, never indexed.
     pub fn apply(&self, target: &mut [f64]) {
         for &(i, v) in &self.entries {
-            target[i as usize] = v;
+            if let Some(slot) = target.get_mut(i as usize) {
+                *slot = v;
+            }
         }
     }
 }
@@ -161,6 +165,16 @@ mod tests {
         let mut twice = once.clone();
         frame.apply(&mut twice);
         assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn apply_skips_lanes_past_the_end() {
+        let frame = DeltaFrame {
+            entries: vec![(1, 5.0), (3, 9.0), (u32::MAX, 7.0)],
+        };
+        let mut target = vec![0.0; 3];
+        frame.apply(&mut target);
+        assert_eq!(target, vec![0.0, 5.0, 0.0]);
     }
 
     #[test]

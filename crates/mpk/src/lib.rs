@@ -29,6 +29,9 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// `SimIo` shares its network state through a `RefCell`; a borrow held
+// across an `.await` would still be alive when another rank runs.
+#![deny(clippy::await_holding_refcell_ref)]
 
 mod backoff;
 mod codec;

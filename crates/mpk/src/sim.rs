@@ -2,7 +2,8 @@
 //! `netsim` cluster. This is the backend all paper experiments run on —
 //! deterministic, seedable, and fast (no real waiting).
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use desim::{
     AsyncHandle, MailboxId, SimDuration, SimError, SimReport, SimTime, Simulation, TieBreak,
@@ -11,7 +12,6 @@ use netsim::{
     ClusterSpec, CrashPlan, FaultModel, LoadModel, MachineSpec, MsgCtx, NetworkModel, NoFaults,
 };
 use obs::{Mark, Recorder};
-use parking_lot::Mutex;
 
 use crate::transport::AsyncTransport;
 use crate::types::{Envelope, FaultCounters, Rank, Tag, WireSize, HEADER_BYTES};
@@ -86,8 +86,8 @@ pub struct SimIo<M> {
     rank: Rank,
     size: usize,
     machine: MachineSpec,
-    mailboxes: Arc<Vec<MailboxId>>,
-    shared: Arc<Mutex<SharedNet<M>>>,
+    mailboxes: Rc<Vec<MailboxId>>,
+    shared: Rc<RefCell<SharedNet<M>>>,
     rec: Option<Box<dyn Recorder>>,
 }
 
@@ -142,7 +142,7 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
         // Fate first, then the network: a dropped message never touches
         // the medium, so fault-free runs see the identical delay stream.
         let (fate, delay) = {
-            let mut sh = self.shared.lock();
+            let mut sh = self.shared.borrow_mut();
             let fate = sh.faults.model.fate(&ctx);
             let down = !sh.faults.crashes.is_empty() && sh.faults.crashes.is_down(to.0, ctx.now);
             if !fate.deliver || down {
@@ -178,7 +178,7 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
         };
         let mut msg = msg;
         if fate.corrupt_amp > 0.0 {
-            let mut sh = self.shared.lock();
+            let mut sh = self.shared.borrow_mut();
             sh.corrupt_salt = sh.corrupt_salt.wrapping_add(1);
             let salt = sh.corrupt_salt;
             if let Some(c) = sh.faults.corruptor.as_mut() {
@@ -210,7 +210,7 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
         // Each extra copy re-consults the network: duplicates occupy the
         // medium like any other message.
         for _ in 0..fate.extra_copies {
-            let d = self.shared.lock().net.delay(&ctx);
+            let d = self.shared.borrow_mut().net.delay(&ctx);
             self.h
                 .send(
                     self.mailboxes[to.0],
@@ -278,7 +278,11 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
         if ops == 0 {
             return;
         }
-        let factor = self.shared.lock().load.factor(self.rank.0, self.h.now());
+        let factor = self
+            .shared
+            .borrow_mut()
+            .load
+            .factor(self.rank.0, self.h.now());
         self.h
             .advance(self.machine.ops_duration(ops).mul_f64(factor))
             .await;
@@ -344,7 +348,7 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        self.shared.lock().counters[self.rank.0]
+        self.shared.borrow().counters[self.rank.0]
     }
 
     fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {
@@ -479,9 +483,9 @@ where
     sim.set_tie_break(options.tie_break);
     let p = cluster.len();
     // Mailboxes created in rank order, so MailboxId(r) == r. Shared by
-    // Arc: at 100k ranks a per-rank Vec clone would be O(p²) memory traffic.
-    let mailboxes: Arc<Vec<MailboxId>> = Arc::new((0..p).map(|_| sim.create_mailbox()).collect());
-    let shared = Arc::new(Mutex::new(SharedNet {
+    // Rc: at 100k ranks a per-rank Vec clone would be O(p²) memory traffic.
+    let mailboxes: Rc<Vec<MailboxId>> = Rc::new((0..p).map(|_| sim.create_mailbox()).collect());
+    let shared = Rc::new(RefCell::new(SharedNet {
         net: Box::new(net),
         load: Box::new(load),
         faults,
@@ -492,8 +496,8 @@ where
     let results: Vec<_> = (0..p)
         .map(|r| {
             let machine = cluster.machines()[r];
-            let io_mailboxes = Arc::clone(&mailboxes);
-            let io_shared = Arc::clone(&shared);
+            let io_mailboxes = Rc::clone(&mailboxes);
+            let io_shared = Rc::clone(&shared);
             sim.spawn_async(format!("rank{r}"), |h| {
                 f(SimIo {
                     h,

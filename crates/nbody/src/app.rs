@@ -524,6 +524,10 @@ impl SpeculativeApp for NBodyApp {
         let mut next = PartitionShared::clone(base);
         for &(lane, value) in entries {
             let (i, comp) = (lane as usize / 6, lane as usize % 6);
+            if i >= next.len() {
+                // The lane is the peer's word: out of range drops the frame.
+                return None;
+            }
             let soa = if comp < 3 {
                 &mut next.pos
             } else {

@@ -1529,20 +1529,21 @@ where
             }
             data
         }
-        MsgBody::Delta(frame) => match dx.rx_shadow[src].take() {
-            Some((si, base)) if si + 1 == iter => {
-                let next = app
-                    .delta_patch(&base, &frame.entries)
-                    .expect("delta frame for a non-delta-capable app");
-                dx.rx_shadow[src] = Some((iter, next.clone()));
-                next
-            }
-            other => {
-                dx.rx_shadow[src] = other;
+        MsgBody::Delta(frame) => {
+            // A frame the app cannot patch (a lane out of range, or deltas
+            // sent to a non-delta-capable app) is dropped like a gap: the
+            // shadow stays as it was.
+            let patched = match &dx.rx_shadow[src] {
+                Some((si, base)) if si + 1 == iter => app.delta_patch(base, &frame.entries),
+                _ => None,
+            };
+            let Some(next) = patched else {
                 stats.delta_frames_dropped += 1;
                 return false;
-            }
-        },
+            };
+            dx.rx_shadow[src] = Some((iter, next.clone()));
+            next
+        }
     };
     history[src].record(iter, data.clone());
     inbox.insert(iter, src, data)
@@ -1644,7 +1645,9 @@ mod tests {
         fn delta_patch(&self, base: &f64, entries: &[(u32, f64)]) -> Option<f64> {
             let mut v = *base;
             for &(lane, value) in entries {
-                debug_assert_eq!(lane, 0, "toy app has a single lane");
+                if lane != 0 {
+                    return None; // the toy app has a single lane
+                }
                 v = value;
             }
             Some(v)
@@ -2418,91 +2421,125 @@ mod tests {
         }
     }
 
+    /// Rank 0's receive-side state facing peer 1, for driving `stash`
+    /// directly.
+    struct StashRig {
+        app: Toy,
+        dx: DeltaState<f64>,
+        inbox: Inbox<f64>,
+        history: Vec<History<f64>>,
+        stats: RunStats,
+    }
+
+    impl StashRig {
+        fn new() -> Self {
+            let mut dx = DeltaState::inert(2);
+            dx.policy = Some(DeltaExchange::lossless());
+            StashRig {
+                app: Toy::new(0, 2, 0.0),
+                dx,
+                inbox: Inbox::new(2, 100),
+                history: vec![History::new(4), History::new(4)],
+                stats: RunStats::new(Rank(0)),
+            }
+        }
+
+        /// Receive one frame from peer 1.
+        fn stash(&mut self, iter: u64, body: MsgBody<f64>) -> bool {
+            let env = Envelope {
+                src: Rank(1),
+                tag: DATA_TAG,
+                msg: IterMsg { iter, body },
+            };
+            stash(
+                &self.app,
+                &mut self.dx,
+                env,
+                &mut self.inbox,
+                &mut self.history,
+                &mut self.stats,
+            )
+        }
+    }
+
     #[test]
     fn stash_drops_gap_and_duplicate_delta_frames() {
-        let app = Toy::new(0, 2, 0.0);
-        let mut dx: DeltaState<f64> = DeltaState::inert(2);
-        dx.policy = Some(DeltaExchange::lossless());
-        let mut inbox: Inbox<f64> = Inbox::new(2, 100);
-        let mut history = vec![History::new(4), History::new(4)];
-        let mut stats = RunStats::new(Rank(0));
-        let env = |iter: u64, body: MsgBody<f64>| Envelope {
-            src: Rank(1),
-            tag: DATA_TAG,
-            msg: IterMsg { iter, body },
-        };
-        let frame = |v: f64| DeltaFrame {
-            entries: vec![(0, v)],
+        let mut rig = StashRig::new();
+        let delta = |v: f64| {
+            MsgBody::Delta(DeltaFrame {
+                entries: vec![(0, v)],
+            })
         };
 
         // A full frame seeds the shadow.
-        stash(
-            &app,
-            &mut dx,
-            env(5, MsgBody::Full(2.0)),
-            &mut inbox,
-            &mut history,
-            &mut stats,
-        );
-        assert_eq!(dx.rx_shadow[1], Some((5, 2.0)));
+        rig.stash(5, MsgBody::Full(2.0));
+        assert_eq!(rig.dx.rx_shadow[1], Some((5, 2.0)));
 
         // A gap delta (iter 7 against shadow 5) is dropped untouched.
-        stash(
-            &app,
-            &mut dx,
-            env(7, MsgBody::Delta(frame(9.0))),
-            &mut inbox,
-            &mut history,
-            &mut stats,
-        );
-        assert_eq!(stats.delta_frames_dropped, 1);
-        assert_eq!(history[1].latest_iter(), Some(5));
+        rig.stash(7, delta(9.0));
+        assert_eq!(rig.stats.delta_frames_dropped, 1);
+        assert_eq!(rig.history[1].latest_iter(), Some(5));
         assert_eq!(
-            dx.rx_shadow[1],
+            rig.dx.rx_shadow[1],
             Some((5, 2.0)),
             "gap must not move the shadow"
         );
 
         // The in-order delta applies and advances the shadow.
-        stash(
-            &app,
-            &mut dx,
-            env(6, MsgBody::Delta(frame(3.0))),
-            &mut inbox,
-            &mut history,
-            &mut stats,
-        );
-        assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
-        assert_eq!(history[1].latest_iter(), Some(6));
-        assert_eq!(inbox.get(6, 1), Some(&3.0));
+        rig.stash(6, delta(3.0));
+        assert_eq!(rig.dx.rx_shadow[1], Some((6, 3.0)));
+        assert_eq!(rig.history[1].latest_iter(), Some(6));
+        assert_eq!(rig.inbox.get(6, 1), Some(&3.0));
 
         // A duplicate of that delta is inert.
-        stash(
-            &app,
-            &mut dx,
-            env(6, MsgBody::Delta(frame(3.0))),
-            &mut inbox,
-            &mut history,
-            &mut stats,
-        );
-        assert_eq!(stats.delta_frames_dropped, 2);
-        assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
+        rig.stash(6, delta(3.0));
+        assert_eq!(rig.stats.delta_frames_dropped, 2);
+        assert_eq!(rig.dx.rx_shadow[1], Some((6, 3.0)));
 
         // A stale full frame never regresses the shadow.
-        stash(
-            &app,
-            &mut dx,
-            env(4, MsgBody::Full(1.0)),
-            &mut inbox,
-            &mut history,
-            &mut stats,
-        );
-        assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
+        rig.stash(4, MsgBody::Full(1.0));
+        assert_eq!(rig.dx.rx_shadow[1], Some((6, 3.0)));
 
         // `seen_past` remembers the gap frame's iteration as promotion
         // evidence even though its payload was dropped.
-        assert_eq!(dx.seen_past[1], Some(7));
-        assert_eq!(stats.messages_received, 5);
+        assert_eq!(rig.dx.seen_past[1], Some(7));
+        assert_eq!(rig.stats.messages_received, 5);
+    }
+
+    proptest::proptest! {
+        /// A delta frame's entries are the peer's word: whatever lanes and
+        /// bit patterns they hold, `stash` does not panic, and a frame the
+        /// app cannot patch leaves shadow, history and inbox as they were.
+        #[test]
+        fn stash_survives_arbitrary_delta_entries(
+            raw in proptest::collection::vec(
+                (proptest::prelude::any::<u32>(), proptest::prelude::any::<u64>()),
+                0..6,
+            ),
+        ) {
+            // Half the lanes are the toy app's only lane, the rest wild.
+            let entries: Vec<(u32, f64)> = raw
+                .iter()
+                .map(|&(lane, bits)| (if lane & 1 == 0 { 0 } else { lane >> 1 }, f64::from_bits(bits)))
+                .collect();
+            let patchable = entries.iter().all(|&(lane, _)| lane == 0);
+            let last = entries.last().map_or(2.0, |e| e.1);
+
+            let mut rig = StashRig::new();
+            rig.stash(5, MsgBody::Full(2.0));
+            let arrived = rig.stash(6, MsgBody::Delta(DeltaFrame { entries }));
+            assert_eq!(arrived, patchable);
+            if patchable {
+                assert_eq!(rig.stats.delta_frames_dropped, 0);
+                assert_eq!(rig.inbox.get(6, 1).map(|v| v.to_bits()), Some(last.to_bits()));
+                assert_eq!(rig.history[1].latest_iter(), Some(6));
+            } else {
+                assert_eq!(rig.stats.delta_frames_dropped, 1);
+                assert_eq!(rig.dx.rx_shadow[1], Some((5, 2.0)), "shadow must not move");
+                assert_eq!(rig.history[1].latest_iter(), Some(5));
+                assert_eq!(rig.inbox.get(6, 1), None);
+            }
+        }
     }
 }
 

@@ -226,7 +226,8 @@ impl SpeculativeApp for PageRankApp {
     fn delta_patch(&self, base: &Vec<f64>, entries: &[(u32, f64)]) -> Option<Vec<f64>> {
         let mut next = base.clone();
         for &(lane, value) in entries {
-            next[lane as usize] = value;
+            // The lane is the peer's word: out of range drops the frame.
+            *next.get_mut(lane as usize)? = value;
         }
         Some(next)
     }
