@@ -5,8 +5,8 @@
 //! 2. speculation function order (hold / eq.10 linear / quadratic) — the
 //!    "higher order derivatives" variant §5 leaves unstudied;
 //! 3. forward window sweep (FW 0–4) — §3.2's masking-depth trade-off;
-//! 4. adaptive vs fixed windows under transient-heavy networks — the
-//!    future-work extension;
+//! 4. fixed windows vs the adaptive controller under transient-heavy
+//!    networks — the future-work extension;
 //! 5. incremental correction vs full recomputation — §3.1's "corrected or
 //!    recomputed" choice.
 
@@ -15,7 +15,7 @@ use nbody::{centered_cloud, run_parallel, ParallelRunConfig, SpeculationOrder};
 use netsim::{ClusterSpec, Unloaded};
 use spec_bench::experiments::{experiment_nbody_config, testbed_network};
 use spec_bench::Scale;
-use speccore::{CorrectionMode, SpecConfig, WindowPolicy};
+use speccore::{ControllerConfig, CorrectionMode, SpecConfig};
 
 fn scale() -> Scale {
     match std::env::var("SPEC_BENCH_SCALE").as_deref() {
@@ -105,28 +105,27 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    println!("\n## 4. Fixed vs adaptive forward window");
-    println!("policy       | time (s) | max depth used");
-    for (name, window) in [
-        ("fixed(1)", WindowPolicy::Fixed(1)),
-        ("fixed(3)", WindowPolicy::Fixed(3)),
-        ("adaptive1-3", WindowPolicy::adaptive(1, 3)),
+    println!("\n## 4. Fixed window vs the controller (fw_max 3, warmup 2, period 2)");
+    println!("policy          | time (s) | max depth used");
+    let ctl = ControllerConfig::new().with_fw_max(3).with_cadence(2, 2);
+    for (name, spec) in [
+        ("fixed(1)", SpecConfig::speculative(1)),
+        ("fixed(3)", SpecConfig::speculative(3)),
+        (
+            "controller(1→)",
+            SpecConfig::speculative(1).with_adaptive(ctl.clone()),
+        ),
+        (
+            "controller(3→)",
+            SpecConfig::speculative(3).with_adaptive(ctl.clone()),
+        ),
     ] {
         let mut cfg = ParallelRunConfig::new(scale.iterations, 1);
         cfg.nbody = experiment_nbody_config();
-        cfg.spec = SpecConfig {
-            window,
-            backward_window: 2,
-            correction: CorrectionMode::Incremental,
-            collect_log: false,
-            fault: None,
-            delta: None,
-            supervision: None,
-            controller: None,
-        };
+        cfg.spec = spec;
         let r = run(&scale, cfg, 40);
         println!(
-            "{name:<12} | {:>7.4} | {}",
+            "{name:<15} | {:>7.4} | {}",
             r.elapsed_secs(),
             r.stats
                 .per_rank

@@ -158,118 +158,6 @@ pub fn kernels_json(rows: &[KernelRow]) -> Json {
     ])
 }
 
-/// One wall-clock measurement of a transport backend moving messages:
-/// `msgs` messages in `secs` best-of-N seconds (cluster setup included —
-/// the row measures the backend as deployed, not an idealized steady
-/// state).
-#[derive(Clone, Debug)]
-pub struct TransportRow {
-    /// Backend under test (`"sim"`, `"thread"`, `"socket"`).
-    pub backend: String,
-    /// Traffic pattern (`"broadcast"` for all-to-all throughput,
-    /// `"pingpong"` for two-rank latency).
-    pub mode: String,
-    /// Cluster size.
-    pub p: usize,
-    /// Payload size in f64 elements per message.
-    pub payload_floats: usize,
-    /// Messages moved per run (every rank's sends, summed).
-    pub msgs: u64,
-    /// Best-of-N seconds per run (min filters scheduler noise).
-    pub secs: f64,
-}
-
-impl TransportRow {
-    /// Throughput in messages per second — the budget-gated metric.
-    pub fn msgs_per_sec(&self) -> f64 {
-        self.msgs as f64 / self.secs
-    }
-}
-
-/// One deterministic bytes-on-wire measurement of the speculative
-/// driver's exchange phase: an N-body run on the virtual-time simulator
-/// with the given broadcast mode, reduced to total metered send bytes.
-/// Virtual time makes the row bit-reproducible — the byte gate compares
-/// exact counter sums, not a noisy wall clock.
-#[derive(Clone, Debug)]
-pub struct ExchangeRow {
-    /// Broadcast mode (`"full"` for snapshot frames, `"delta"` for
-    /// shadow-diffed frames under a quantization floor).
-    pub mode: String,
-    /// Cluster size.
-    pub p: usize,
-    /// Total bodies across all partitions.
-    pub bodies: usize,
-    /// Timesteps driven.
-    pub iters: u64,
-    /// Quantization floor (0 for the full-broadcast row).
-    pub floor: f64,
-    /// Keyframe interval (0 for the full-broadcast row).
-    pub keyframe: u64,
-    /// Metered wire bytes sent, summed over all ranks.
-    pub bytes_sent: u64,
-    /// Bytes the delta encoder suppressed versus full frames.
-    pub suppressed_bytes: u64,
-}
-
-impl ExchangeRow {
-    /// Cluster-total bytes placed on the wire per iteration — the
-    /// byte-ceiling-gated metric.
-    pub fn bytes_per_iter(&self) -> f64 {
-        self.bytes_sent as f64 / self.iters as f64
-    }
-}
-
-/// Transport throughput/latency rows (sim vs thread vs socket) plus
-/// full-vs-delta exchange byte rows as JSON — the artifact
-/// `ci/bench_gate.sh` compares against checked-in budgets and byte
-/// ceilings.
-pub fn transport_json(rows: &[TransportRow], exchange: &[ExchangeRow]) -> Json {
-    Json::obj([
-        ("name", Json::Str("transport".into())),
-        ("kind", Json::Str("transport_backend_regression".into())),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("backend", Json::Str(r.backend.clone())),
-                            ("mode", Json::Str(r.mode.clone())),
-                            ("p", Json::U64(r.p as u64)),
-                            ("payload_floats", Json::U64(r.payload_floats as u64)),
-                            ("msgs", Json::U64(r.msgs)),
-                            ("secs", f(r.secs)),
-                            ("msgs_per_sec", f(r.msgs_per_sec())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "exchange",
-            Json::Arr(
-                exchange
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("mode", Json::Str(r.mode.clone())),
-                            ("p", Json::U64(r.p as u64)),
-                            ("bodies", Json::U64(r.bodies as u64)),
-                            ("iters", Json::U64(r.iters)),
-                            ("floor", f(r.floor)),
-                            ("keyframe", Json::U64(r.keyframe)),
-                            ("bytes_sent", Json::U64(r.bytes_sent)),
-                            ("suppressed_bytes", Json::U64(r.suppressed_bytes)),
-                            ("bytes_per_iter", f(r.bytes_per_iter())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// Table 2 rows (per-phase seconds per iteration) as JSON.
 pub fn table2_json(rows: &[Table2Row]) -> Json {
     Json::obj([
@@ -314,88 +202,6 @@ pub fn table3_json(rows: &[Table3Row]) -> Json {
                     .collect(),
             ),
         ),
-    ])
-}
-
-/// Stackless-kernel scale sweep rows as JSON (`BENCH_scale.json`).
-pub fn scale_json(rows: &[crate::scale::ScaleRow]) -> Json {
-    Json::obj([
-        ("name", Json::Str("scale".into())),
-        ("kind", Json::Str("stackless_rank_scaling".into())),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("ranks", Json::U64(r.ranks as u64)),
-                            ("rounds", Json::U64(r.rounds)),
-                            ("wall_secs", f(r.wall_secs)),
-                            ("events", Json::U64(r.events)),
-                            ("messages", Json::U64(r.messages)),
-                            ("events_per_sec", f(r.events_per_sec())),
-                            ("ranks_per_sec", f(r.ranks_per_sec())),
-                            ("peak_rss_bytes", Json::U64(r.peak_rss_bytes)),
-                            ("rss_bytes_per_rank", f(r.rss_bytes_per_rank())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// One fixed `(θ, FW)` grid point of the heterogeneous-delay controller
-/// sweep: a deterministic virtual-time makespan on the simulator, so the
-/// gate compares exact nanoseconds, not a noisy wall clock.
-#[derive(Clone, Debug)]
-pub struct ControllerRow {
-    /// Fixed acceptance threshold θ of this grid point.
-    pub theta: f64,
-    /// Fixed forward window of this grid point.
-    pub fw: u32,
-    /// Virtual makespan of the cluster run, in nanoseconds.
-    pub elapsed_ns: u64,
-}
-
-/// Heterogeneous-delay controller sweep as JSON
-/// (`BENCH_controller.json`): the fixed `(θ, FW)` grid, the best fixed
-/// makespan, the adaptive controller's makespan, and their ratio — the
-/// budget-gated metric (`ratio_ceiling`). `adaptive_fw` / `adaptive_theta`
-/// record the controller's final decision for the sweep table in
-/// EXPERIMENTS.md.
-#[allow(clippy::too_many_arguments)]
-pub fn controller_json(
-    rows: &[ControllerRow],
-    best_fixed_ns: u64,
-    adaptive_ns: u64,
-    adaptive_fw: u64,
-    adaptive_theta: f64,
-    adaptive_retunes: u64,
-) -> Json {
-    Json::obj([
-        ("name", Json::Str("controller".into())),
-        ("kind", Json::Str("hetero_delay_controller_sweep".into())),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("theta", f(r.theta)),
-                            ("fw", Json::U64(u64::from(r.fw))),
-                            ("elapsed_ns", Json::U64(r.elapsed_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("best_fixed_ns", Json::U64(best_fixed_ns)),
-        ("adaptive_ns", Json::U64(adaptive_ns)),
-        ("ratio", f(adaptive_ns as f64 / best_fixed_ns as f64)),
-        ("adaptive_fw", Json::U64(adaptive_fw)),
-        ("adaptive_theta", f(adaptive_theta)),
-        ("adaptive_retunes", Json::U64(adaptive_retunes)),
     ])
 }
 

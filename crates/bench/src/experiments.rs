@@ -1,11 +1,19 @@
-//! The six experiment regenerators.
+//! The six experiment regenerators, and the two deterministic scenarios
+//! (`exchange_bytes_per_iter`, `controller_sweep`) the root tests gate.
 
 use desim::rng::derive_seed;
 use desim::SimDuration;
+use mpk::{run_sim_proc_cluster, AsyncTransport};
 use nbody::{centered_cloud, run_parallel, NBodyConfig, ParallelRunConfig, ParallelRunResult};
-use netsim::{ClusterSpec, Jitter, NetworkModel, SharedMedium, TransientDelays, Unloaded};
+use netsim::{
+    ClusterSpec, ConstantLatency, Jitter, MsgCtx, NetworkModel, SharedMedium, TransientDelays,
+    Unloaded,
+};
 use perfmodel::{fig5_series, fig6_series, CommModel, Fig5Row, Fig6Row, ModelParams};
-use speccore::CorrectionMode;
+use speccore::{
+    run_speculative_aio, ControllerConfig, CorrectionMode, DeltaExchange, IterMsg, SpecConfig,
+};
+use workloads::{SyntheticApp, SyntheticConfig};
 
 use crate::Scale;
 
@@ -404,6 +412,138 @@ pub fn fig9_rows(scale: &Scale, data: &Fig8Data) -> Vec<Fig9Row> {
 pub fn fig9(scale: &Scale) -> Vec<Fig9Row> {
     let data = fig8_data(scale);
     fig9_rows(scale, &data)
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic virtual-time facts (asserted by `tests/experiment_shapes.rs`)
+// ---------------------------------------------------------------------------
+
+/// Cluster-total wire bytes per iteration of the driver's exchange phase:
+/// 64 bodies on 4 simulated ranks for 64 iterations at FW = 2 under a
+/// constant 2 ms latency, broadcast as full partition snapshots or
+/// (`delta`) as delta frames with floor 1e-2 and a keyframe every 32
+/// iterations. Virtual time makes the byte counters exact.
+pub fn exchange_bytes_per_iter(delta: bool) -> f64 {
+    const ITERS: u64 = 64;
+    let particles = nbody::uniform_cloud(64, 11);
+    let cluster = ClusterSpec::homogeneous(4, 1000.0);
+    let mut cfg = ParallelRunConfig::new(ITERS, 2);
+    if delta {
+        cfg.spec = cfg.spec.with_delta_exchange(DeltaExchange::new(1e-2, 32));
+    }
+    let result = run_parallel(
+        &particles,
+        &cluster,
+        ConstantLatency(SimDuration::from_millis(2)),
+        Unloaded,
+        cfg,
+    )
+    .expect("exchange run failed");
+    let bytes: u64 = result.stats.per_rank.iter().map(|s| s.bytes_sent).sum();
+    bytes as f64 / ITERS as f64
+}
+
+/// The adaptive controller against an offline grid search over fixed
+/// `(θ, FW)` points, as virtual-time makespans in nanoseconds.
+#[derive(Clone, Debug)]
+pub struct ControllerSweep {
+    /// `(θ, FW, makespan)` for every fixed grid point.
+    pub grid: Vec<(f64, u32, u64)>,
+    /// Makespan of the run the controller retuned.
+    pub adaptive_ns: u64,
+    /// Rank 0's final forward window.
+    pub adaptive_fw: u64,
+    /// Rank 0's final acceptance threshold.
+    pub adaptive_theta: f64,
+    /// Retunes summed over all ranks.
+    pub adaptive_retunes: u64,
+}
+
+impl ControllerSweep {
+    /// The smallest makespan on the fixed grid.
+    pub fn best_fixed_ns(&self) -> u64 {
+        self.grid.iter().map(|g| g.2).min().expect("non-empty grid")
+    }
+
+    /// Controller makespan over the best fixed one.
+    pub fn ratio(&self) -> f64 {
+        self.adaptive_ns as f64 / self.best_fixed_ns() as f64
+    }
+}
+
+/// Per-source one-way latency of [`controller_sweep`], microseconds: rank 2
+/// is 16× slower than rank 0, so the best window depth differs per peer.
+pub const CONTROLLER_SWEEP_LATENCY_US: [u64; 4] = [500, 2_000, 8_000, 1_000];
+
+/// Each sender's messages take its own fixed one-way delay.
+struct HeteroLatency;
+
+impl NetworkModel for HeteroLatency {
+    fn delay(&mut self, ctx: &MsgCtx) -> SimDuration {
+        SimDuration::from_micros(CONTROLLER_SWEEP_LATENCY_US[ctx.src % 4])
+    }
+}
+
+/// Four ranks of the synthetic workload (32 variables, 60 iterations,
+/// ~1 ms of compute per iteration at 100 MIPS) send through
+/// [`CONTROLLER_SWEEP_LATENCY_US`] with a 30 ms spike on a quarter of the
+/// messages. Constant latency alone is absorbed by the send-on-confirm
+/// pipeline at any depth; it is delay *variation* that deeper windows
+/// compute through (the paper's §1 premise), so the spikes give the FW
+/// axis its range: deep windows pay speculation and check work, tight θ
+/// pays corrections. The fixed rows sweep θ ∈ {0.01, 0.05} × FW ∈ 1..=6;
+/// the adaptive run starts at (θ = 0.01, FW = 1) and retunes θ over the
+/// same values and FW over the same range.
+pub fn controller_sweep() -> ControllerSweep {
+    const P: usize = 4;
+    const N_VARS: usize = 32;
+    const THETAS: [f64; 2] = [0.01, 0.05];
+    const FW_MAX: u32 = 6;
+    let run = |theta: f64, cfg: SpecConfig| {
+        let cluster = ClusterSpec::homogeneous(P, 100.0);
+        let ranges: Vec<_> = (0..P)
+            .map(|i| i * N_VARS / P..(i + 1) * N_VARS / P)
+            .collect();
+        let net = TransientDelays::new(HeteroLatency, 0.25, SimDuration::from_millis(30), 7);
+        let (stats, report) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
+            &cluster,
+            net,
+            Unloaded,
+            false,
+            |mut t| {
+                let app_cfg = SyntheticConfig {
+                    theta,
+                    seed: 42,
+                    f_comp: 3_000,
+                    ..Default::default()
+                };
+                let mut app = SyntheticApp::new(N_VARS, &ranges, t.rank().0, app_cfg);
+                let cfg = cfg.clone();
+                async move { run_speculative_aio(&mut t, &mut app, 60, cfg).await }
+            },
+        )
+        .expect("controller sweep run failed");
+        (report.end_time.as_nanos(), stats)
+    };
+
+    let mut grid = Vec::new();
+    for theta in THETAS {
+        for fw in 1..=FW_MAX {
+            grid.push((theta, fw, run(theta, SpecConfig::speculative(fw)).0));
+        }
+    }
+    let ctl = ControllerConfig::new()
+        .with_theta_grid(THETAS.to_vec())
+        .with_cadence(6, 2)
+        .with_fw_max(FW_MAX);
+    let (adaptive_ns, stats) = run(THETAS[0], SpecConfig::speculative(1).with_adaptive(ctl));
+    ControllerSweep {
+        grid,
+        adaptive_ns,
+        adaptive_fw: stats[0].controller_fw,
+        adaptive_theta: stats[0].controller_theta,
+        adaptive_retunes: stats.iter().map(|s| s.controller_retunes).sum(),
+    }
 }
 
 #[cfg(test)]

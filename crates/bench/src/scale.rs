@@ -8,11 +8,10 @@
 //! token ring — one message per rank per round over heterogeneous
 //! (ramped-capacity, jittered-latency) machines, closed by an expiring
 //! timed receive per rank — and reports wall-clock throughput plus the
-//! process peak-RSS growth attributable to the run.
-//!
-//! Rows persist as `BENCH_scale.json`; `ci/bench_gate.sh` holds
-//! `events_per_sec` above a checked-in floor and `rss_bytes_per_rank`
-//! under a checked-in ceiling for every row.
+//! process peak-RSS growth attributable to the run. `examples/scale_sweep`
+//! drives it interactively; the numbers a PR is judged on for this shape
+//! are the perf ledger's `ring100k_sim` rows (`desim.events_per_s_1k`,
+//! `desim.rss_bytes_per_rank`).
 
 use std::time::Instant;
 
@@ -43,7 +42,7 @@ pub struct ScaleRow {
 }
 
 impl ScaleRow {
-    /// Kernel event throughput — the floor-gated metric.
+    /// Kernel event throughput.
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_secs
     }
@@ -53,7 +52,7 @@ impl ScaleRow {
         (self.ranks as u64 * self.rounds) as f64 / self.wall_secs
     }
 
-    /// Peak-RSS growth per rank — the ceiling-gated metric.
+    /// Peak-RSS growth per rank.
     pub fn rss_bytes_per_rank(&self) -> f64 {
         self.peak_rss_bytes as f64 / self.ranks as f64
     }
@@ -124,13 +123,4 @@ pub fn run_scale_point(ranks: usize, rounds: u64, seed: u64) -> ScaleRow {
         messages: report.messages_delivered,
         peak_rss_bytes: peak_rss_bytes().saturating_sub(rss_before),
     }
-}
-
-/// The sweep: 1k, 10k and 100k ranks (ascending, so each point's RSS
-/// delta isolates its own footprint).
-pub fn scale_sweep(rounds: u64, seed: u64) -> Vec<ScaleRow> {
-    [1_000usize, 10_000, 100_000]
-        .into_iter()
-        .map(|ranks| run_scale_point(ranks, rounds, seed))
-        .collect()
 }

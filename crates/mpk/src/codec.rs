@@ -19,8 +19,9 @@ use crate::types::WireSize;
 ///
 /// Implementations must round-trip: `decode(encode(x)) == x` with the
 /// whole encoding consumed. Containers of zero-sized elements (e.g.
-/// `Vec<()>`) are not wire-representable — their length cannot be
-/// validated against the buffer — and decode as empty.
+/// `Vec<()>`) are not wire-representable: a length prefix is validated
+/// against the bytes that follow it and a zero-sized element contributes
+/// none, so only the empty container is sure to round-trip.
 pub trait WireCodec: Sized {
     /// Append this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -105,19 +106,30 @@ impl<T: WireCodec> WireCodec for Vec<T> {
         }
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let len = usize::decode(buf)?;
-        // Every wire-representable element consumes ≥ 1 byte, so a
-        // length beyond the remaining buffer is corruption — reject it
-        // before allocating.
-        if len > buf.len() {
-            return None;
-        }
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(T::decode(buf)?);
-        }
+        let mut v = Vec::new();
+        decode_elements(buf, &mut v)?;
         Some(v)
     }
+}
+
+/// Decode a length-prefixed run of elements onto `v`.
+fn decode_elements<T: WireCodec>(buf: &mut &[u8], v: &mut Vec<T>) -> Option<()> {
+    let len = usize::decode(buf)?;
+    // Every wire-representable element consumes ≥ 1 byte, so a length
+    // beyond the remaining buffer is corruption — reject it before
+    // allocating.
+    if len > buf.len() {
+        return None;
+    }
+    // An element may be far larger in memory than on the wire (an empty
+    // `Vec<f64>` is 8 bytes there and 24 here), so reserve only what the
+    // remaining bytes could hold and let `v` grow: a frame of N bytes never
+    // reserves more than N before its first element has decoded.
+    v.reserve_exact(len.min(buf.len() / std::mem::size_of::<T>().max(1)));
+    for _ in 0..len {
+        v.push(T::decode(buf)?);
+    }
+    Some(())
 }
 
 impl<T: WireCodec, const N: usize> WireCodec for [T; N] {
@@ -274,6 +286,30 @@ mod tests {
         let mut bytes = encode_to_vec(&vec![1.0f64; 2]);
         bytes[0..8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode_exact::<Vec<f64>>(&bytes).is_none());
+    }
+
+    #[test]
+    fn length_prefix_reserves_no_more_than_the_buffer_holds() {
+        /// As large in memory as a `Vec<f64>` (24 bytes against
+        /// `DeltaFrame`'s 16-byte entries); never decodes, so what `v`
+        /// holds afterwards is the up-front reservation alone.
+        struct Never(#[allow(dead_code)] [u64; 3]);
+        impl WireCodec for Never {
+            fn encode(&self, _out: &mut Vec<u8>) {}
+            fn decode(buf: &mut &[u8]) -> Option<Self> {
+                u8::decode(buf)?;
+                None
+            }
+        }
+        // The largest prefix the length check lets through.
+        for tail in [1usize, 23, 24, 100, 4096] {
+            let mut bytes = encode_to_vec(&(tail as u64));
+            bytes.resize(8 + tail, 0);
+            let mut v = Vec::<Never>::new();
+            assert!(decode_elements(&mut &bytes[..], &mut v).is_none());
+            let reserved = v.capacity() * std::mem::size_of::<Never>();
+            assert!(reserved <= tail, "{reserved} B reserved for {tail} B");
+        }
     }
 
     #[test]

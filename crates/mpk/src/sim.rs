@@ -59,12 +59,6 @@ impl<M> FaultSpec<M> {
         self.crashes = crashes;
         self
     }
-
-    /// Add a payload corruptor.
-    pub fn with_corruptor(mut self, f: impl FnMut(&mut M, f64, u64) + Send + 'static) -> Self {
-        self.corruptor = Some(Box::new(f));
-        self
-    }
 }
 
 struct SharedNet<M> {

@@ -1092,17 +1092,6 @@ impl<M> SocketTransport<M> {
         self.shared.peer_progress[peer.0].load(AtomicOrdering::Relaxed)
     }
 
-    /// The highest iteration any peer reported via RESUME — a restarted
-    /// rank's estimate of how far the mesh has advanced without it.
-    pub fn mesh_progress(&self) -> u64 {
-        self.shared
-            .peer_progress
-            .iter()
-            .map(|p| p.load(AtomicOrdering::Relaxed))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Aggregate supervision activity so far.
     pub fn supervision_counters(&self) -> SupervisionCounters {
         SupervisionCounters {

@@ -1,4 +1,4 @@
-//! Driver configuration: forward-window policy, correction mode, and
+//! Driver configuration: forward window, correction mode, and
 //! fault-tolerance knobs.
 
 use crate::control::ControllerConfig;
@@ -19,122 +19,6 @@ pub enum CorrectionMode {
     /// with actual values. Slower but bit-exact with the non-speculative
     /// execution when the acceptance threshold is zero.
     Recompute,
-}
-
-/// The forward window (FW): how many unconfirmed iterations may be in
-/// flight (§3.2 of the paper). `Fixed(0)` disables speculation entirely —
-/// the Figure 1 baseline; `Fixed(1)` is the Figure 3 algorithm; larger
-/// values add forward speculation (Figure 4); [`WindowPolicy::adaptive`]
-/// resizes the window at runtime from observed miss rates and wait times —
-/// one of the paper's proposed future-work extensions.
-#[derive(Clone, Debug)]
-pub enum WindowPolicy {
-    /// A constant forward window.
-    Fixed(u32),
-    /// A self-tuning forward window.
-    Adaptive(AdaptiveWindow),
-}
-
-impl WindowPolicy {
-    /// Convenience constructor for the adaptive policy with sane defaults.
-    pub fn adaptive(min: u32, max: u32) -> Self {
-        WindowPolicy::Adaptive(AdaptiveWindow::new(min, max))
-    }
-
-    /// The window size to respect right now.
-    pub fn current(&self) -> u32 {
-        match self {
-            WindowPolicy::Fixed(w) => *w,
-            WindowPolicy::Adaptive(a) => a.current(),
-        }
-    }
-
-    /// Feed back one confirmed iteration's outcome.
-    pub fn on_confirm(&mut self, misses: u64, checked: u64, waited: SimDuration) {
-        if let WindowPolicy::Adaptive(a) = self {
-            a.observe(misses, checked, waited);
-        }
-    }
-}
-
-/// Miss-rate/wait-driven forward-window controller.
-///
-/// Grows the window when the rank is observed waiting on messages while
-/// speculation is reliable; shrinks it when the miss rate climbs, since
-/// deep misspeculation forces expensive rollbacks.
-#[derive(Clone, Debug)]
-pub struct AdaptiveWindow {
-    min: u32,
-    max: u32,
-    cur: u32,
-    miss_ewma: f64,
-    wait_ewma_ns: f64,
-    alpha: f64,
-    /// Shrink when the smoothed miss rate exceeds this.
-    hi_miss: f64,
-    /// Grow only when the smoothed miss rate is below this.
-    lo_miss: f64,
-    /// Grow only when smoothed per-iteration wait exceeds this.
-    wait_floor_ns: f64,
-    confirms: u64,
-    /// Re-evaluate every this many confirmations.
-    period: u64,
-}
-
-impl AdaptiveWindow {
-    /// A controller bounded to `[min, max]`, starting at `min.max(1)`.
-    pub fn new(min: u32, max: u32) -> Self {
-        assert!(min <= max, "adaptive window needs min <= max");
-        assert!(max >= 1, "adaptive window must allow speculation");
-        AdaptiveWindow {
-            min,
-            max,
-            cur: min.max(1),
-            miss_ewma: 0.0,
-            wait_ewma_ns: 0.0,
-            alpha: 0.2,
-            hi_miss: 0.25,
-            lo_miss: 0.05,
-            wait_floor_ns: 1000.0,
-            confirms: 0,
-            period: 4,
-        }
-    }
-
-    /// Current window size.
-    pub fn current(&self) -> u32 {
-        self.cur
-    }
-
-    /// Smoothed miss rate (for diagnostics).
-    pub fn miss_rate(&self) -> f64 {
-        self.miss_ewma
-    }
-
-    /// Record one confirmed iteration: `misses` of `checked` speculated
-    /// inputs were rejected, and the rank waited `waited` on messages.
-    pub fn observe(&mut self, misses: u64, checked: u64, waited: SimDuration) {
-        let miss_rate = if checked == 0 {
-            0.0
-        } else {
-            misses as f64 / checked as f64
-        };
-        self.miss_ewma = self.alpha * miss_rate + (1.0 - self.alpha) * self.miss_ewma;
-        self.wait_ewma_ns =
-            self.alpha * waited.as_nanos() as f64 + (1.0 - self.alpha) * self.wait_ewma_ns;
-        self.confirms += 1;
-        if !self.confirms.is_multiple_of(self.period) {
-            return;
-        }
-        if self.miss_ewma > self.hi_miss && self.cur > self.min.max(1) {
-            self.cur -= 1;
-        } else if self.miss_ewma < self.lo_miss
-            && self.wait_ewma_ns > self.wait_floor_ns
-            && self.cur < self.max
-        {
-            self.cur += 1;
-        }
-    }
 }
 
 /// Fault-tolerance policy: when to stop waiting for a lossy peer and
@@ -288,8 +172,12 @@ impl DeltaExchange {
 /// Complete driver configuration.
 #[derive(Clone, Debug)]
 pub struct SpecConfig {
-    /// Forward-window policy.
-    pub window: WindowPolicy,
+    /// The forward window (FW): how many unconfirmed iterations may be in
+    /// flight (§3.2 of the paper). `0` disables speculation entirely — the
+    /// Figure 1 baseline; `1` is the Figure 3 algorithm; larger values add
+    /// forward speculation (Figure 4). With a `controller` attached this is
+    /// the starting window, which the controller then resizes at runtime.
+    pub window: u32,
     /// Number of past values retained per peer (the backward window, BW).
     pub backward_window: usize,
     /// Misspeculation repair strategy.
@@ -313,10 +201,7 @@ pub struct SpecConfig {
     pub supervision: Option<SupervisionConfig>,
     /// Adaptive speculation controller; `None` (the default) keeps every
     /// knob static and the driver's behavior bit-identical to the
-    /// controller-unaware implementation. Requires a
-    /// [`WindowPolicy::Fixed`] window (the controller owns window sizing;
-    /// combining two window controllers is rejected by
-    /// [`SpecConfig::validate`]).
+    /// controller-unaware implementation.
     pub controller: Option<ControllerConfig>,
 }
 
@@ -324,7 +209,7 @@ impl SpecConfig {
     /// The non-speculative Figure 1 baseline.
     pub fn baseline() -> Self {
         SpecConfig {
-            window: WindowPolicy::Fixed(0),
+            window: 0,
             backward_window: 1,
             correction: CorrectionMode::Incremental,
             collect_log: false,
@@ -338,7 +223,7 @@ impl SpecConfig {
     /// The paper's Figure 3 algorithm with the given forward window.
     pub fn speculative(forward_window: u32) -> Self {
         SpecConfig {
-            window: WindowPolicy::Fixed(forward_window),
+            window: forward_window,
             backward_window: 2,
             correction: CorrectionMode::Incremental,
             collect_log: false,
@@ -389,13 +274,8 @@ impl SpecConfig {
     }
 
     /// Retune θ, the forward window, and per-peer loss deadlines online
-    /// from observed telemetry (see [`ControllerConfig`]). Requires a
-    /// fixed window policy.
+    /// from observed telemetry (see [`ControllerConfig`]).
     pub fn with_adaptive(mut self, controller: ControllerConfig) -> Self {
-        assert!(
-            matches!(self.window, WindowPolicy::Fixed(_)),
-            "adaptive controller requires a fixed window policy (it owns window sizing)"
-        );
         controller.validate().expect("invalid controller config");
         self.controller = Some(controller);
         self
@@ -434,12 +314,6 @@ impl SpecConfig {
         }
         if let Some(c) = &self.controller {
             c.validate()?;
-            if !matches!(self.window, WindowPolicy::Fixed(_)) {
-                return Err(
-                    "adaptive controller requires a fixed window policy (it owns window sizing)"
-                        .into(),
-                );
-            }
         }
         Ok(())
     }
@@ -450,63 +324,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_policy_is_constant() {
-        let mut w = WindowPolicy::Fixed(2);
-        assert_eq!(w.current(), 2);
-        w.on_confirm(100, 100, SimDuration::from_millis(50));
-        assert_eq!(w.current(), 2);
-    }
-
-    #[test]
-    fn adaptive_grows_under_reliable_waiting() {
-        let mut a = AdaptiveWindow::new(1, 4);
-        for _ in 0..40 {
-            a.observe(0, 10, SimDuration::from_millis(5));
-        }
-        assert!(a.current() > 1, "should grow when waiting with no misses");
-        assert!(a.current() <= 4);
-    }
-
-    #[test]
-    fn adaptive_shrinks_under_heavy_misses() {
-        let mut a = AdaptiveWindow::new(1, 4);
-        for _ in 0..40 {
-            a.observe(0, 10, SimDuration::from_millis(5));
-        }
-        let grown = a.current();
-        for _ in 0..40 {
-            a.observe(8, 10, SimDuration::from_millis(5));
-        }
-        assert!(
-            a.current() < grown,
-            "should shrink when speculation misfires"
-        );
-        assert!(a.current() >= 1);
-    }
-
-    #[test]
-    fn adaptive_does_not_grow_when_not_waiting() {
-        let mut a = AdaptiveWindow::new(1, 4);
-        for _ in 0..40 {
-            a.observe(0, 10, SimDuration::ZERO);
-        }
-        assert_eq!(
-            a.current(),
-            1,
-            "no wait means no reason to deepen the window"
-        );
-    }
-
-    #[test]
     fn config_builders() {
         let c = SpecConfig::speculative(2)
             .with_backward_window(3)
             .with_correction(CorrectionMode::Recompute);
-        assert_eq!(c.window.current(), 2);
+        assert_eq!(c.window, 2);
         assert_eq!(c.backward_window, 3);
         assert_eq!(c.correction, CorrectionMode::Recompute);
         assert!(c.fault.is_none());
-        assert_eq!(SpecConfig::baseline().window.current(), 0);
+        assert_eq!(SpecConfig::baseline().window, 0);
     }
 
     #[test]
@@ -627,21 +453,5 @@ mod tests {
         assert!(c.controller.is_some());
         assert_eq!(c.validate(), Ok(()));
         assert!(SpecConfig::baseline().controller.is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed window policy")]
-    fn controller_rejects_adaptive_window_policy() {
-        let mut c = SpecConfig::speculative(1);
-        c.window = WindowPolicy::adaptive(1, 4);
-        let _ = c.with_adaptive(ControllerConfig::new());
-    }
-
-    #[test]
-    fn validate_rejects_controller_with_adaptive_window() {
-        let mut c = SpecConfig::speculative(1);
-        c.controller = Some(ControllerConfig::new());
-        c.window = WindowPolicy::adaptive(1, 4);
-        assert!(c.validate().unwrap_err().contains("fixed window"));
     }
 }

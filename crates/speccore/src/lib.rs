@@ -51,10 +51,7 @@ mod stats;
 mod window;
 
 pub use app::{CheckOutcome, SpeculativeApp};
-pub use config::{
-    AdaptiveWindow, CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig,
-    WindowPolicy,
-};
+pub use config::{CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig};
 pub use control::ControllerConfig;
 pub use driver::{
     run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, IterMsg, MsgBody,

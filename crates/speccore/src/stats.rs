@@ -304,48 +304,6 @@ impl ClusterStats {
         self.per_rank.iter().map(|r| r.peer_restarts).sum()
     }
 
-    /// Total degraded-mode commits (promotions of quarantined peers'
-    /// inputs), across ranks.
-    pub fn total_degraded_commits(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.degraded_commits).sum()
-    }
-
-    /// Total quarantine events, across ranks.
-    pub fn total_quarantines(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.peers_quarantined).sum()
-    }
-
-    /// Total rejoin readmissions, across ranks.
-    pub fn total_rejoins(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.peer_rejoins).sum()
-    }
-
-    /// Total modelled bytes sent, across ranks.
-    pub fn total_bytes_sent(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.bytes_sent).sum()
-    }
-
-    /// Total modelled bytes received, across ranks.
-    pub fn total_bytes_received(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.bytes_received).sum()
-    }
-
-    /// Total bytes the delta exchange suppressed, across ranks.
-    pub fn total_delta_suppressed_bytes(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.delta_suppressed_bytes).sum()
-    }
-
-    /// Total delta frames dropped over gaps or duplicates, across ranks.
-    pub fn total_delta_frames_dropped(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.delta_frames_dropped).sum()
-    }
-
-    /// Total adaptive-controller retune evaluations, across ranks. Zero
-    /// when the controller is off.
-    pub fn total_controller_retunes(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.controller_retunes).sum()
-    }
-
     /// Largest error among accepted speculations, across ranks.
     pub fn max_accepted_error(&self) -> f64 {
         self.per_rank

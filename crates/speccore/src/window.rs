@@ -101,6 +101,11 @@ impl<S> Inbox<S> {
         }
     }
 
+    /// The run's iteration count: frames stamped at or past it are dropped.
+    pub(crate) fn limit(&self) -> u64 {
+        self.limit
+    }
+
     fn row(&self, iter: u64) -> Option<&Slots<S>> {
         let i = usize::try_from(iter.checked_sub(self.base)?).ok()?;
         self.rows.get(i)

@@ -6,8 +6,8 @@
 //! wall-clock throughput plus peak-RSS growth per rank.
 //!
 //! Usage: `cargo run --release --example scale_sweep [max_ranks]`
-//! (default 10000; the bench `scale_sweep` sweeps to 100k and persists
-//! `BENCH_scale.json`).
+//! (default 10000; the perf ledger's `ring100k_sim` workload is the
+//! measured 100k-rank row).
 
 use spec_bench::scale::run_scale_point;
 

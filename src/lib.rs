@@ -95,7 +95,7 @@ pub mod prelude {
         run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, CheckOutcome,
         ClusterStats, CorrectionMode, DeltaExchange, FaultTolerance, History, IterMsg,
         IterationLog, MsgBody, PhaseBreakdown, RunStats, SpecConfig, SpeculativeApp,
-        SupervisionConfig, WindowPolicy,
+        SupervisionConfig,
     };
     pub use workloads::{
         Graph, Heat2dApp, Heat2dConfig, HeatApp, HeatConfig, JacobiApp, JacobiConfig, LinearSystem,

@@ -139,3 +139,49 @@ fn fig9_model_tracks_measurements() {
         );
     }
 }
+
+/// Cluster-total wire bytes per iteration of the N-body exchange phase may
+/// not exceed these (measured: 10 272 full, 1 770 delta — 25 % headroom, so
+/// codec bloat trips while a deliberate format change edits the constant).
+const EXCHANGE_FULL_CEILING: f64 = 12_840.0;
+const EXCHANGE_DELTA_CEILING: f64 = 2_213.0;
+/// Delta frames must stay this many times cheaper than full snapshots
+/// (measured: 5.8×).
+const MIN_DELTA_RATIO: f64 = 3.0;
+
+#[test]
+fn exchange_bytes_stay_under_their_ceilings_and_delta_saves_3x() {
+    let full = experiments::exchange_bytes_per_iter(false);
+    let delta = experiments::exchange_bytes_per_iter(true);
+    assert!(
+        full <= EXCHANGE_FULL_CEILING,
+        "full exchange {full} B/iter > {EXCHANGE_FULL_CEILING}"
+    );
+    assert!(
+        delta <= EXCHANGE_DELTA_CEILING,
+        "delta exchange {delta} B/iter > {EXCHANGE_DELTA_CEILING}"
+    );
+    assert!(
+        full / delta >= MIN_DELTA_RATIO,
+        "delta saves only {:.2}x over full",
+        full / delta
+    );
+}
+
+/// The controller's makespan over the best fixed (θ, FW) grid point may
+/// not exceed this (measured: 1.000 — 1 729.513 vs 1 728.889 ms; matching
+/// the best fixed point is the bar, not beating it).
+const CONTROLLER_RATIO_CEILING: f64 = 1.05;
+
+#[test]
+fn controller_stays_within_five_percent_of_the_best_fixed_grid_point() {
+    let sweep = experiments::controller_sweep();
+    assert_eq!(sweep.grid.len(), 12);
+    assert!(sweep.adaptive_retunes >= 1, "the controller never retuned");
+    assert!(
+        sweep.ratio() <= CONTROLLER_RATIO_CEILING,
+        "controller {} ns vs best fixed {} ns",
+        sweep.adaptive_ns,
+        sweep.best_fixed_ns()
+    );
+}

@@ -3,6 +3,7 @@
 //! conditions — the driver must stay live, correct, and deterministic.
 
 use speculative_computation::prelude::*;
+use speculative_computation::speccore::ControllerConfig;
 
 fn even_ranges(n: usize, p: usize) -> Vec<std::ops::Range<usize>> {
     (0..p).map(|i| i * n / p..(i + 1) * n / p).collect()
@@ -140,16 +141,7 @@ fn adaptive_window_deepens_then_retreats() {
         let p = 4;
         let cluster = ClusterSpec::homogeneous(p, 10.0);
         let ranges = even_ranges(n, p);
-        let cfg = SpecConfig {
-            window: WindowPolicy::adaptive(1, 4),
-            backward_window: 2,
-            correction: CorrectionMode::Incremental,
-            collect_log: false,
-            fault: None,
-            delta: None,
-            supervision: None,
-            controller: None,
-        };
+        let cfg = SpecConfig::speculative(1).with_adaptive(ControllerConfig::new().with_fw_max(4));
         let (outs, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(50)),
