@@ -608,41 +608,60 @@ fn check_identity(src: u32, peer_size: usize, size: usize) -> std::io::Result<us
     Ok(peer)
 }
 
-/// Read and validate a `HELLO`, returning the peer's rank.
-fn read_hello(stream: &mut TcpStream, size: usize, max_frame: usize) -> std::io::Result<usize> {
-    let (kind, src, _tag, payload) = read_frame(stream, max_frame)?.ok_or_else(|| {
+/// The frame a handshake read must find next on `stream`.
+fn read_handshake_frame<R: Read>(stream: &mut R, max_frame: usize) -> std::io::Result<Frame> {
+    read_frame(stream, max_frame)?.ok_or_else(|| {
         std::io::Error::new(ErrorKind::UnexpectedEof, "peer closed during handshake")
+    })
+}
+
+/// The cluster size and last-seen iteration in a handshake payload, which
+/// must be exactly the kind's: the size alone in a `HELLO` (reported
+/// iteration 0), the size then the iteration in a `RESUME`. A shorter
+/// payload is not padded with zeros and a longer one is not trimmed.
+fn handshake_payload(kind: u8, payload: &[u8]) -> std::io::Result<(usize, u64)> {
+    let fields = match (kind, payload.len()) {
+        (KIND_HELLO, 4) => le_bytes(payload, 0).zip(Some([0; 8])),
+        (KIND_RESUME, 12) => le_bytes(payload, 0).zip(le_bytes(payload, 4)),
+        _ => None,
+    };
+    let (size, last_iter) = fields.ok_or_else(|| {
+        bad_data(format!(
+            "handshake frame kind {kind} with a {}-byte payload",
+            payload.len()
+        ))
     })?;
+    Ok((
+        u32::from_le_bytes(size) as usize,
+        u64::from_le_bytes(last_iter),
+    ))
+}
+
+/// Read and validate a `HELLO`, returning the peer's rank.
+fn read_hello<R: Read>(stream: &mut R, size: usize, max_frame: usize) -> std::io::Result<usize> {
+    let (kind, src, _tag, payload) = read_handshake_frame(stream, max_frame)?;
     if kind != KIND_HELLO {
         return Err(bad_data(format!("expected HELLO, got frame kind {kind}")));
     }
-    let peer_size = le_bytes(&payload, 0)
-        .map(|b| u32::from_le_bytes(b) as usize)
-        .ok_or_else(|| bad_data("HELLO payload truncated".into()))?;
+    let (peer_size, _) = handshake_payload(kind, &payload)?;
     check_identity(src, peer_size, size)
 }
 
 /// Read either a `RESUME` or (for symmetry with cold start) a `HELLO`,
 /// returning the peer's rank and its reported last-seen iteration.
-fn read_resume(
-    stream: &mut TcpStream,
+fn read_resume<R: Read>(
+    stream: &mut R,
     size: usize,
     max_frame: usize,
 ) -> std::io::Result<(usize, u64)> {
-    let (kind, src, _tag, payload) = read_frame(stream, max_frame)?.ok_or_else(|| {
-        std::io::Error::new(ErrorKind::UnexpectedEof, "peer closed during resume")
-    })?;
+    let (kind, src, _tag, payload) = read_handshake_frame(stream, max_frame)?;
     if kind != KIND_RESUME && kind != KIND_HELLO {
         return Err(bad_data(format!(
             "expected RESUME or HELLO, got frame kind {kind}"
         )));
     }
-    let peer_size = le_bytes(&payload, 0)
-        .map(|b| u32::from_le_bytes(b) as usize)
-        .ok_or_else(|| bad_data("handshake payload truncated".into()))?;
-    let last_iter = le_bytes(&payload, 4).map_or(0, u64::from_le_bytes);
-    let peer = check_identity(src, peer_size, size)?;
-    Ok((peer, last_iter))
+    let (peer_size, last_iter) = handshake_payload(kind, &payload)?;
+    Ok((check_identity(src, peer_size, size)?, last_iter))
 }
 
 /// Dial `addr` on a jittered exponential backoff, bounded by a total
@@ -2534,6 +2553,73 @@ mod tests {
                 prop_assert_eq!(&got, &frames);
             }
 
+            /// Both handshake readers, on a valid `HELLO` or `RESUME`, on
+            /// one with a single field, its payload length or any one
+            /// byte changed, and on arbitrary bytes: never a panic, never
+            /// a read larger than what arrived, and an accepted frame
+            /// names a rank of the cluster and is, byte for byte, the
+            /// frame a writer emits for what the reader returned.
+            #[test]
+            fn handshake_readers_accept_only_exact_frames(
+                resume in any::<bool>(),
+                rank in 0u32..4,
+                last_iter in any::<u64>(),
+                mutation in 0u8..7,
+                (noise8, noise32, noise_at) in (any::<u8>(), any::<u32>(), any::<usize>()),
+                junk in proptest::collection::vec(any::<u8>(), 0..64),
+                chunks in chunks(),
+            ) {
+                let (mut kind, mut src, mut size) =
+                    (if resume { KIND_RESUME } else { KIND_HELLO }, rank, 4u32);
+                match mutation {
+                    1 => kind = noise8,
+                    2 => src = noise32,
+                    3 => size = noise32,
+                    _ => {}
+                }
+                let mut payload = size.to_le_bytes().to_vec();
+                if resume {
+                    payload.extend_from_slice(&last_iter.to_le_bytes());
+                }
+                if mutation == 4 {
+                    payload.resize(noise_at % 16, 0xA5);
+                }
+                let mut input = wire(&(kind, src, 0, payload));
+                if mutation == 5 {
+                    let at = noise_at % input.len();
+                    input[at] ^= noise8 | 1;
+                }
+                let input = if mutation == 6 { junk } else { input };
+                let bound = READ_BUF.max(2 * input.len());
+
+                let mut stream = Chunked::new(input.clone(), chunks.clone());
+                let hello = read_hello(&mut stream, 4, DEFAULT_MAX_FRAME);
+                prop_assert!(stream.asked <= bound);
+                let (hello_at, hello) = (stream.at, hello.ok().map(|peer| (peer, 0)));
+                let mut stream = Chunked::new(input.clone(), chunks);
+                let resumed = read_resume(&mut stream, 4, DEFAULT_MAX_FRAME);
+                prop_assert!(stream.asked <= bound);
+                if mutation == 0 {
+                    prop_assert_eq!(hello, (!resume).then_some((rank as usize, 0)));
+                    let told = if resume { last_iter } else { 0 };
+                    prop_assert_eq!(resumed.as_ref().ok(), Some(&(rank as usize, told)));
+                }
+
+                for (consumed, accepted) in [(hello_at, hello), (stream.at, resumed.ok())] {
+                    let Some((peer, iter)) = accepted else { continue };
+                    prop_assert!(peer < 4);
+                    // The tag is carried and ignored; everything else is
+                    // pinned by what the reader returned.
+                    let tag = u32::from_le_bytes(le_bytes(&input, 10).unwrap());
+                    let mut expected = 4u32.to_le_bytes().to_vec();
+                    if input[5] == KIND_RESUME {
+                        expected.extend_from_slice(&iter.to_le_bytes());
+                    }
+                    let expected = wire(&(input[5], peer as u32, tag, expected));
+                    prop_assert_eq!(&input[..consumed], &expected[..]);
+                }
+            }
+
             /// Arbitrary bytes never panic the parser, and the buffer
             /// never outgrows what was delivered: a length prefix,
             /// whatever it promises, buys no memory.
@@ -2556,6 +2642,20 @@ mod tests {
                 prop_assert!(largest <= READ_BUF.max(2 * delivered));
             }
         }
+    }
+
+    #[test]
+    fn truncated_resume_is_refused_not_read_as_iteration_zero() {
+        // A RESUME carrying the cluster size and no iteration used to be
+        // accepted with `last_iter = 0`, which went into `peer_progress`.
+        let mut short =
+            std::io::Cursor::new(wire(&(KIND_RESUME, 1, 0, 2u32.to_le_bytes().to_vec())));
+        let err = read_resume(&mut short, 2, DEFAULT_MAX_FRAME).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        // Nor does either reader trim a payload that runs on.
+        let mut long = std::io::Cursor::new(wire(&(KIND_HELLO, 1, 0, vec![2, 0, 0, 0, 9])));
+        let err = read_hello(&mut long, 2, DEFAULT_MAX_FRAME).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
     }
 
     #[test]

@@ -22,14 +22,17 @@
 use std::collections::{HashMap, VecDeque};
 
 use desim::{SimDuration, SimTime};
-use mpk::{DeltaFrame, Envelope, Rank, Tag, Transport, WireCodec, WireSize, HEADER_BYTES};
+use mpk::{
+    AsyncTransport, DeltaFrame, Envelope, Rank, Tag, Transport, WireCodec, WireSize, HEADER_BYTES,
+};
+use netsim::MachineCrash;
 use obs::{Gauge, Mark, Phase};
 
 use crate::app::SpeculativeApp;
-use crate::config::{CorrectionMode, DeltaExchange, SpecConfig, SupervisionConfig};
-use crate::control::ControllerState;
+use crate::config::{CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig};
+use crate::control::{ControllerState, Decision};
 use crate::history::History;
-use crate::stats::{IterationLog, RunStats};
+use crate::stats::{IterationLog, PhaseBreakdown, RunStats};
 use crate::window::{Inbox, Promoted, Slots};
 
 /// Wire discriminant for delta frames: the top bit of the iteration stamp.
@@ -140,6 +143,25 @@ struct ExecRecord<S, C> {
     speculated: Slots<S>,
 }
 
+/// What one step of the main loop did.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// State moved: start the next pass from the top.
+    Progressed,
+    /// Nothing to do here: go on to the next step of this pass.
+    FellThrough,
+}
+
+/// Every rank but `me`, ascending — the order every per-peer loop uses.
+#[inline]
+fn peers(p: usize, me: Rank) -> impl Iterator<Item = usize> {
+    (0..p).filter(move |&k| k != me.0)
+}
+
+// ---------------------------------------------------------------------------
+// Fault tolerance
+// ---------------------------------------------------------------------------
+
 /// Loss-detection state for one peer's missing input to the queue-head
 /// iteration. Promotion of a speculated value to a committed one is
 /// evidence-based: a peer that demonstrably broadcast *past* the front
@@ -150,7 +172,7 @@ struct ExecRecord<S, C> {
 /// or reply — promotes. This keeps merely-late broadcasts from being
 /// promoted and ties every promotion to at least one genuinely dropped
 /// message.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PeerWait {
     /// Waiting for the peer's broadcast to arrive on its own.
     Armed {
@@ -164,36 +186,69 @@ enum PeerWait {
     },
 }
 
-/// Flip peer `k`'s speculated input to the front record into a committed
-/// one. Counted in the stats only the first time this (peer, iteration)
-/// pair promotes — a rollback can make the same slot speculative again,
-/// and re-flipping it is not a second loss. Returns whether this promotion
-/// was freshly counted.
-fn promote_loss<S: Clone, C>(
-    k: usize,
-    rec: &mut ExecRecord<S, C>,
-    history: &mut History<S>,
-    stats: &mut RunStats,
-    staleness: &mut u32,
-    promoted: &mut Promoted,
-) -> bool {
-    // The front record's iteration is the confirmation point.
-    let iter = rec.iter;
-    let sv = rec
-        .speculated
-        .take(k)
-        .expect("promotion of a non-speculated slot");
-    // Recording the promoted value keeps the backward window anchored (a
-    // late actual for the same iteration is ignored by the history's
-    // freshness guard, so the promotion is final); on a re-promotion
-    // after rollback the same guard makes this a no-op.
-    history.record(iter, sv);
-    if promoted.insert(k, iter, iter) {
-        stats.speculate_through_loss_commits += 1;
-        *staleness += 1;
-        true
-    } else {
-        false
+/// What the loss detector wants done about one peer on this pass.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LossAction {
+    /// Keep waiting.
+    Wait,
+    /// Commit the speculated value in the missing actual's place.
+    Promote,
+    /// Send the peer a retransmit request.
+    Ask,
+}
+
+impl PeerWait {
+    /// One pass of the detector over a peer whose input to the front is
+    /// still speculative. `evidence`: the peer already broadcast an
+    /// iteration past the front; `last_heard`: when it last delivered
+    /// anything. Returns the wait to keep and what to do now.
+    ///
+    /// `#[inline]`, like the other non-generic helpers on the per-pass
+    /// path: the generic driver is instantiated in its caller's crate,
+    /// where a plain `fn` of this crate would be an out-of-line call per
+    /// peer per loop pass.
+    #[inline]
+    fn step(
+        cur: Option<PeerWait>,
+        now: SimTime,
+        deadline: SimDuration,
+        evidence: bool,
+        last_heard: SimTime,
+    ) -> (Option<PeerWait>, LossAction) {
+        match cur {
+            None => (Some(PeerWait::Armed { since: now }), LossAction::Wait),
+            Some(PeerWait::Armed { since }) if now.duration_since(since) < deadline => {
+                (cur, LossAction::Wait)
+            }
+            Some(PeerWait::Armed { .. }) if evidence => (None, LossAction::Promote),
+            // No proof the message was lost rather than the peer slow: ask
+            // once before giving up on it.
+            Some(PeerWait::Armed { .. }) => {
+                (Some(PeerWait::Grace { asked_at: now }), LossAction::Ask)
+            }
+            // The reply (or a late broadcast) proved the peer is past the
+            // front: the front's message is gone for good.
+            Some(PeerWait::Grace { .. }) if evidence => (None, LossAction::Promote),
+            // The peer answered but is behind the front: merely late, not
+            // lost. Wait afresh from its last sign of life.
+            Some(PeerWait::Grace { asked_at }) if last_heard > asked_at => (
+                Some(PeerWait::Armed { since: last_heard }),
+                LossAction::Wait,
+            ),
+            // Total silence through the grace period: the request or its
+            // reply was lost too.
+            Some(PeerWait::Grace { asked_at }) if now.duration_since(asked_at) >= deadline => {
+                (None, LossAction::Promote)
+            }
+            Some(PeerWait::Grace { .. }) => (cur, LossAction::Wait),
+        }
+    }
+
+    /// The instant [`PeerWait::step`] next acts on this wait by itself.
+    #[inline]
+    fn due(self, deadline: SimDuration) -> SimTime {
+        let (PeerWait::Armed { since: from } | PeerWait::Grace { asked_at: from }) = self;
+        from + deadline
     }
 }
 
@@ -216,6 +271,21 @@ enum PeerHealth {
     Quarantined,
 }
 
+/// A transition of one peer's [`PeerHealth`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum HealthEdge {
+    /// No transition worth reporting.
+    Steady,
+    /// Healthy → suspected.
+    Suspected,
+    /// Suspected → quarantined; `first` when no other peer was, so the
+    /// rank entered degraded mode.
+    Quarantined { first: bool },
+    /// Quarantined → healthy; `last` when no other peer remains
+    /// quarantined, so the rank left degraded mode.
+    Rejoined { last: bool },
+}
+
 /// Driver-side supervision: per-peer health derived from the
 /// consecutive-promotion staleness counters, plus the degraded-mode
 /// population count. Inert (never constructed) unless the config sets both
@@ -227,50 +297,228 @@ struct SupervisionState {
 }
 
 impl SupervisionState {
-    fn new(cfg: SupervisionConfig, p: usize) -> Self {
-        SupervisionState {
-            cfg,
-            health: vec![PeerHealth::Healthy; p],
-            quarantined: 0,
-        }
-    }
-
     fn is_quarantined(&self, k: usize) -> bool {
         self.health[k] == PeerHealth::Quarantined
     }
 
     /// Re-derive peer `k`'s health from its consecutive-promotion count.
     /// One step per call (the sweep runs every loop pass, so a count past
-    /// both thresholds quarantines on the next pass). Returns
-    /// (newly suspected, newly quarantined, entered degraded mode).
-    fn observe(&mut self, k: usize, staleness: u32) -> (bool, bool, bool) {
+    /// both thresholds quarantines on the next pass).
+    fn observe(&mut self, k: usize, staleness: u32) -> HealthEdge {
         match self.health[k] {
             PeerHealth::Healthy if staleness >= self.cfg.suspect_after => {
                 self.health[k] = PeerHealth::Suspected;
-                (true, false, false)
+                HealthEdge::Suspected
             }
             PeerHealth::Suspected if staleness >= self.cfg.quarantine_after => {
                 self.health[k] = PeerHealth::Quarantined;
                 self.quarantined += 1;
-                (false, true, self.quarantined == 1)
+                HealthEdge::Quarantined {
+                    first: self.quarantined == 1,
+                }
             }
-            _ => (false, false, false),
+            _ => HealthEdge::Steady,
         }
     }
 
-    /// The peer spoke. Returns (readmitted from quarantine, left degraded
-    /// mode).
-    fn on_heard(&mut self, k: usize) -> (bool, bool) {
+    /// The peer spoke.
+    fn on_heard(&mut self, k: usize) -> HealthEdge {
         let was_quarantined = self.health[k] == PeerHealth::Quarantined;
         self.health[k] = PeerHealth::Healthy;
         if was_quarantined {
             self.quarantined -= 1;
-            (true, self.quarantined == 0)
+            HealthEdge::Rejoined {
+                last: self.quarantined == 0,
+            }
         } else {
-            (false, false)
+            HealthEdge::Steady
         }
     }
 }
+
+/// Everything fault tolerance adds to a rank: speculate-through-loss
+/// promotion, retransmit requests, scripted crashes and (optionally) peer
+/// supervision. Constructed only when the config carries a
+/// [`FaultTolerance`] policy.
+struct FaultState<S> {
+    /// The configured policy, its crash plan cut down to this rank's own
+    /// outages still to come, in schedule order.
+    policy: FaultTolerance,
+    /// Latest state this rank put on the wire, re-sent on retransmit
+    /// requests and after crash recovery.
+    last_broadcast: (u64, S),
+    /// Consecutive speculate-through-loss promotions per peer since its
+    /// last heard-from message.
+    staleness: Vec<u32>,
+    /// The queue-head iteration whose missing inputs are being tracked;
+    /// `peer_wait` is meaningful only while this matches the front.
+    front_tracked: Option<u64>,
+    /// Per-peer loss-detection state for the tracked front iteration.
+    peer_wait: Vec<Option<PeerWait>>,
+    /// Virtual time each peer last delivered anything (any tag).
+    last_heard: Vec<SimTime>,
+    /// (peer, iteration) pairs whose loss promotion was already counted.
+    promoted: Promoted,
+    /// When the rank first found itself with nothing in flight and nothing
+    /// executable (starved — e.g. iteration 0 under loss, before any
+    /// history exists to extrapolate from).
+    starved_since: Option<SimTime>,
+    /// Peer supervision rides on the loss-promotion counters, so it lives
+    /// (and is inert) with them.
+    sup: Option<SupervisionState>,
+}
+
+impl<S: Clone> FaultState<S> {
+    fn new(
+        mut policy: FaultTolerance,
+        sup: Option<SupervisionConfig>,
+        me: Rank,
+        p: usize,
+        x0: S,
+    ) -> Self {
+        policy.crashes.retain(|c| c.rank == me.0);
+        policy.crashes.sort_by_key(|c| c.at);
+        FaultState {
+            policy,
+            last_broadcast: (0, x0),
+            staleness: vec![0; p],
+            front_tracked: None,
+            peer_wait: vec![None; p],
+            last_heard: vec![SimTime::ZERO; p],
+            promoted: Promoted::new(p),
+            starved_since: None,
+            sup: sup.map(|cfg| SupervisionState {
+                cfg,
+                health: vec![PeerHealth::Healthy; p],
+                quarantined: 0,
+            }),
+        }
+    }
+
+    /// Peer `k` delivered something at `now`.
+    fn on_heard(&mut self, k: usize, now: SimTime) -> HealthEdge {
+        self.staleness[k] = 0;
+        self.last_heard[k] = now;
+        match &mut self.sup {
+            Some(sv) => sv.on_heard(k),
+            None => HealthEdge::Steady,
+        }
+    }
+
+    /// The machine restarted: every wait and counter anchored in the
+    /// volatile state is void.
+    fn forget_volatile(&mut self) {
+        self.staleness.fill(0);
+        self.front_tracked = None;
+        self.peer_wait.fill(None);
+        self.starved_since = None;
+    }
+
+    /// Peer `k`'s loss deadline: the controller's delay quantile ×
+    /// headroom, clamped to never exceed the static timeout, which is also
+    /// the fallback while the controller lacks samples (or is off). The
+    /// sweep's promotion check and Phase 3's wake-up both read it here, so
+    /// the wake-up can fire neither early nor late.
+    fn loss_deadline(&self, ctl: &Option<Ctl>, k: usize) -> SimDuration {
+        ctl.as_ref()
+            .and_then(|c| c.state.deadline_for(k))
+            .unwrap_or(self.policy.loss_timeout)
+    }
+
+    /// The earliest instant something here acts without a message: a
+    /// missing peer's loss deadline (armed or in grace), the starvation
+    /// timeout, or this rank's next scripted crash.
+    fn wake_deadline(&self, ctl: &Option<Ctl>) -> Option<SimTime> {
+        let waits = self
+            .peer_wait
+            .iter()
+            .enumerate()
+            .filter_map(|(k, w)| w.map(|w| w.due(self.loss_deadline(ctl, k))));
+        let starved = self.starved_since.map(|s| s + self.policy.loss_timeout);
+        let crash = self.policy.crashes.first().map(|c| c.at);
+        waits.chain(starved).chain(crash).min()
+    }
+
+    /// Flip peer `k`'s speculated input to the front record into a
+    /// committed one. Counted in the stats only the first time this (peer,
+    /// iteration) pair promotes — a rollback can make the same slot
+    /// speculative again, and re-flipping it is not a second loss. Returns
+    /// whether this promotion was freshly counted.
+    fn promote_loss<C>(
+        &mut self,
+        k: usize,
+        rec: &mut ExecRecord<S, C>,
+        history: &mut History<S>,
+        stats: &mut RunStats,
+    ) -> bool {
+        // The front record's iteration is the confirmation point.
+        let iter = rec.iter;
+        let sv = rec
+            .speculated
+            .take(k)
+            .expect("promotion of a non-speculated slot");
+        // Recording the promoted value keeps the backward window anchored (a
+        // late actual for the same iteration is ignored by the history's
+        // freshness guard, so the promotion is final); on a re-promotion
+        // after rollback the same guard makes this a no-op.
+        history.record(iter, sv);
+        self.count_loss(k, iter, iter, stats)
+    }
+
+    /// Book one loss commit for (`k`, `iter`) unless already counted.
+    fn count_loss(&mut self, k: usize, iter: u64, t_conf: u64, stats: &mut RunStats) -> bool {
+        let fresh = self.promoted.insert(k, iter, t_conf);
+        if fresh {
+            stats.speculate_through_loss_commits += 1;
+            self.staleness[k] += 1;
+        }
+        fresh
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive controller
+// ---------------------------------------------------------------------------
+
+/// The adaptive controller plus the totals as they stood at the previous
+/// confirmation, so each confirm feeds it only the interval's own misses,
+/// checks, wait and busy time. Constructed only when the config carries a
+/// controller: otherwise no estimator runs, no stats fields move, no marks
+/// are emitted and the window is never touched.
+struct Ctl {
+    state: ControllerState,
+    phases_at_confirm: PhaseBreakdown,
+    checked_at_confirm: u64,
+    missed_at_confirm: u64,
+}
+
+impl Ctl {
+    /// Feed the interval since the previous confirmation to the estimator
+    /// and evaluate a retune if one is due.
+    fn on_confirm(
+        &mut self,
+        stats: &RunStats,
+        loss_timeout: Option<SimDuration>,
+    ) -> Option<Decision> {
+        // Busy time is everything but the wait: compute + speculate + check
+        // + correct.
+        let (now, was) = (stats.phases, self.phases_at_confirm);
+        self.state.on_confirm(
+            stats.misspeculated_partitions - self.missed_at_confirm,
+            stats.checked_partitions - self.checked_at_confirm,
+            now.comm_wait - was.comm_wait,
+            (now.total() - now.comm_wait) - (was.total() - was.comm_wait),
+        );
+        self.phases_at_confirm = now;
+        self.missed_at_confirm = stats.misspeculated_partitions;
+        self.checked_at_confirm = stats.checked_partitions;
+        self.state.maybe_retune(loss_timeout)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Delta exchange
+// ---------------------------------------------------------------------------
 
 /// All per-run delta-exchange state. `policy` is `Some` only when the
 /// config asked for deltas *and* the app exposes scalar lanes; otherwise
@@ -296,14 +544,21 @@ struct DeltaState<S> {
     frame: DeltaFrame,
 }
 
-impl<S> DeltaState<S> {
-    fn inert(p: usize) -> Self {
+impl<S: Clone + WireSize> DeltaState<S> {
+    /// State for `p` ranks; `requested` takes effect only if `app` exposes
+    /// scalar lanes.
+    fn new<A: SpeculativeApp<Shared = S>>(
+        p: usize,
+        requested: Option<DeltaExchange>,
+        app: &A,
+    ) -> Self {
+        let mut cur = Vec::new();
         DeltaState {
-            policy: None,
+            policy: requested.filter(|_| app.delta_extract(&app.shared(), &mut cur)),
             tx_shadow: (0..p).map(|_| None).collect(),
             rx_shadow: (0..p).map(|_| None).collect(),
             seen_past: vec![None; p],
-            cur: Vec::new(),
+            cur,
             frame: DeltaFrame::new(),
         }
     }
@@ -317,51 +572,91 @@ impl<S> DeltaState<S> {
         self.rx_shadow.iter_mut().for_each(|s| *s = None);
         self.seen_past.iter_mut().for_each(|s| *s = None);
     }
-}
 
-/// Send one message, keeping the modelled byte/message tallies.
-async fn send_msg<T, S>(
-    transport: &mut T,
-    stats: &mut RunStats,
-    to: Rank,
-    tag: Tag,
-    msg: IterMsg<S>,
-) where
-    S: WireSize,
-    T: mpk::AsyncTransport<Msg = IterMsg<S>>,
-{
-    stats.bytes_sent += (HEADER_BYTES + msg.wire_size()) as u64;
-    stats.messages_sent += 1;
-    transport.send(to, tag, msg).await;
-}
-
-/// Send a full snapshot to one peer (retransmit request/reply, crash
-/// recovery), resetting the sender-side shadow so the peer's stream
-/// restarts from a known baseline.
-#[allow(clippy::too_many_arguments)]
-async fn send_full_state<T, A>(
-    transport: &mut T,
-    stats: &mut RunStats,
-    app: &A,
-    dx: &mut DeltaState<A::Shared>,
-    to: Rank,
-    tag: Tag,
-    iter: u64,
-    data: &A::Shared,
-) where
-    A: SpeculativeApp,
-    A::Shared: WireSize,
-    T: mpk::AsyncTransport<Msg = IterMsg<A::Shared>>,
-{
-    if dx.policy.is_some() {
-        let capable = app.delta_extract(data, &mut dx.cur);
-        debug_assert!(capable, "delta policy active on a non-capable app");
-        let shadow = dx.tx_shadow[to.0].get_or_insert_with(Vec::new);
+    /// Peer `k` is being sent the full snapshot whose lanes are in `cur`:
+    /// its stream restarts from that baseline.
+    fn reseed_tx(&mut self, k: usize) {
+        let shadow = self.tx_shadow[k].get_or_insert_with(Vec::new);
         shadow.clear();
-        shadow.extend_from_slice(&dx.cur);
+        shadow.extend_from_slice(&self.cur);
     }
-    send_msg(transport, stats, to, tag, IterMsg::full(iter, data.clone())).await;
+
+    /// Flatten `data` into `cur`. Only called with a policy, which is only
+    /// set for an app that exposes lanes.
+    fn extract<A: SpeculativeApp<Shared = S>>(&mut self, app: &A, data: &S) {
+        let capable = app.delta_extract(data, &mut self.cur);
+        debug_assert!(capable, "delta policy active on a non-capable app");
+    }
+
+    /// Fold one received frame into the inbox and history. Full frames behave
+    /// exactly as the pre-delta protocol did (and additionally re-seed the
+    /// receiver shadow); a delta frame reconstructs the sender's snapshot by
+    /// patching the shadow, but only when it extends it by exactly one
+    /// iteration — duplicates and gap frames are dropped without touching the
+    /// history or inbox, so they can never fabricate promotion evidence or
+    /// corrupt a reconstruction. Gaps heal when the next keyframe, retransmit
+    /// reply, or recovery request (all full frames) re-seeds the shadow.
+    /// Returns whether the frame filled an empty inbox slot (not a duplicate,
+    /// not for a consumed iteration).
+    fn stash<A: SpeculativeApp<Shared = S>>(
+        &mut self,
+        app: &A,
+        env: Envelope<IterMsg<S>>,
+        inbox: &mut Inbox<S>,
+        history: &mut [History<S>],
+        stats: &mut RunStats,
+    ) -> bool {
+        stats.messages_received += 1;
+        stats.bytes_received += (HEADER_BYTES + env.msg.wire_size()) as u64;
+        let src = env.src.0;
+        let IterMsg { iter, body } = env.msg;
+        // No honest rank stamps an iteration the run never executes. Left in,
+        // one such frame would be the peer's newest history entry and standing
+        // loss evidence (`seen_past`) for the rest of the run.
+        if iter >= inbox.limit() {
+            return false;
+        }
+        match &mut self.seen_past[src] {
+            Some(sp) => *sp = (*sp).max(iter),
+            sp => *sp = Some(iter),
+        }
+        let data = match body {
+            MsgBody::Full(data) => {
+                if self.policy.is_some() {
+                    // Never regress the shadow: a stale (reordered or
+                    // duplicated) full frame must not break the chain the
+                    // newer deltas continue from.
+                    match &self.rx_shadow[src] {
+                        Some((si, _)) if *si > iter => {}
+                        _ => self.rx_shadow[src] = Some((iter, data.clone())),
+                    }
+                }
+                data
+            }
+            MsgBody::Delta(frame) => {
+                // A frame the app cannot patch (a lane out of range, or deltas
+                // sent to a non-delta-capable app) is dropped like a gap: the
+                // shadow stays as it was.
+                let patched = match &self.rx_shadow[src] {
+                    Some((si, base)) if si + 1 == iter => app.delta_patch(base, &frame.entries),
+                    _ => None,
+                };
+                let Some(next) = patched else {
+                    stats.delta_frames_dropped += 1;
+                    return false;
+                };
+                self.rx_shadow[src] = Some((iter, next.clone()));
+                next
+            }
+        };
+        history[src].record(iter, data.clone());
+        inbox.insert(iter, src, data)
+    }
 }
+
+// ---------------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------------
 
 /// Run the non-speculative baseline (the paper's Figure 1) for
 /// `total_iters` iterations.
@@ -380,7 +675,7 @@ pub async fn run_baseline_aio<T, A>(transport: &mut T, app: &mut A, total_iters:
 where
     A: SpeculativeApp,
     A::Shared: WireSize,
-    T: mpk::AsyncTransport<Msg = IterMsg<A::Shared>>,
+    T: AsyncTransport<Msg = IterMsg<A::Shared>>,
 {
     run_speculative_aio(transport, app, total_iters, SpecConfig::baseline()).await
 }
@@ -414,1137 +709,874 @@ where
 /// [`mpk::SimIo`] each `.await` suspends the rank's state machine into
 /// the `desim` event kernel, so every rank of a simulated cluster runs the
 /// identical driver code on one OS thread.
-#[allow(clippy::needless_range_loop)] // rank indices couple several per-rank arrays
 pub async fn run_speculative_aio<T, A>(
     transport: &mut T,
     app: &mut A,
     total_iters: u64,
-    mut config: SpecConfig,
+    config: SpecConfig,
 ) -> RunStats
 where
     A: SpeculativeApp,
     A::Shared: WireSize,
-    T: mpk::AsyncTransport<Msg = IterMsg<A::Shared>>,
+    T: AsyncTransport<Msg = IterMsg<A::Shared>>,
 {
     config
         .validate()
         .expect("invalid SpecConfig reached the driver");
-    let me = transport.rank();
-    let p = transport.size();
     let start = transport.now();
-    let mut stats = RunStats::new(me);
-    // Telemetry identity and gauge change-detection (gauges are sampled
-    // only when their value moves, to keep traces compact).
-    let obs_rank = me.0 as u32;
-    let mut last_inbox_depth: Option<u64> = None;
-    let mut last_window: Option<u64> = None;
+    let mut s = RankState::new(transport, app, total_iters, config);
+    if total_iters == 0 {
+        s.stats.total_time = s.transport.now() - start;
+        return s.stats;
+    }
+    let x0 = s.app.shared();
+    s.broadcast(0, x0).await;
+    // There is one pass per arriving frame, so what a pass costs when a step
+    // has nothing to do shows on the small ledger rows: a synchronous guard
+    // spares such a step its future, and step 5 — the one suspension every
+    // pass ends in — is awaited here, not in a method of its own.
+    while s.t_conf < total_iters && !s.halted {
+        s.fold_arrivals().await;
+        if s.fault.is_some() && s.fault_sweep().await == Step::Progressed {
+            continue;
+        }
+        s.gauge_on_change(Gauge::InboxDepth, s.inbox.depth() as u64);
+        if s.front_ready() && s.validate_front().await == Step::Progressed {
+            continue;
+        }
+        s.gauge_on_change(Gauge::WindowSize, u64::from(s.config.window));
+        if s.window_open() && s.execute_next().await == Step::Progressed {
+            continue;
+        }
+        let (t0, deadline) = s.begin_wait();
+        let env = match deadline {
+            Some(d) if d > t0 => s.transport.recv_timeout(d.duration_since(t0)).await,
+            // A deadline is already due: act on it at the loop top.
+            Some(_) => None,
+            // Nothing bounds the wait: no fault tolerance (with it, some
+            // wait is always armed).
+            None => Some(s.transport.recv().await),
+        };
+        s.end_wait(t0, env);
+    }
+    s.stats.messages_lost = s.transport.fault_counters().dropped;
+    s.stats.total_time = s.transport.now() - start;
+    s.stats
+}
 
-    // Actual values received, by iteration (from `t_conf` on) and sender.
-    let mut inbox: Inbox<A::Shared> = Inbox::new(p, total_iters);
-    // Per-peer history of actuals (the backward window).
-    let mut history: Vec<History<A::Shared>> = (0..p)
-        .map(|_| History::new(config.backward_window.max(1)))
-        .collect();
-    // Executed-but-unconfirmed iterations, oldest first.
-    let mut exec_q: VecDeque<ExecRecord<A::Shared, A::Checkpoint>> = VecDeque::new();
-    // Recycled checkpoint buffers: confirmed (or rolled-back) records
-    // donate their `pre` snapshots back, so apps that override
-    // `checkpoint_into` keep the steady-state path allocation-free. Depth
-    // is bounded by the forward window, so the pool never grows past it.
-    let mut checkpoint_pool: Vec<A::Checkpoint> = Vec::new();
-    // The same for the records' speculated-input tables.
-    let mut speculated_pool: Vec<Slots<A::Shared>> = Vec::new();
-    // Peers whose actual for the queue-head iteration arrived since Phase 1
-    // last ran: the only inputs validation has to look at. Rebuilt from the
-    // inbox row when a commit brings a new record to the front.
-    let mut fresh: Vec<usize> = Vec::new();
-    // Phase 2 scratch: the speculation computed for each missing peer.
-    let mut speculations: Vec<Option<(A::Shared, u64, u32)>> = (0..p).map(|_| None).collect();
+// ---------------------------------------------------------------------------
+// The rank
+// ---------------------------------------------------------------------------
 
-    // ---- fault-tolerance state (inert when `config.fault` is None) ----
-    let ft = config.fault.clone();
-    // Peer supervision rides on the loss-promotion counters, so it is
-    // inert unless fault tolerance is on too.
-    let mut sup: Option<SupervisionState> = match (&ft, config.supervision) {
-        (Some(_), Some(s)) => Some(SupervisionState::new(s, p)),
-        _ => None,
-    };
-    // Latest state this rank put on the wire, re-sent on retransmit
-    // requests and after crash recovery.
-    let mut last_broadcast: (u64, A::Shared) = (0, app.shared());
-    // Consecutive speculate-through-loss promotions per peer since its
-    // last heard-from message.
-    let mut staleness: Vec<u32> = vec![0; p];
-    // The queue-head iteration whose missing inputs are being tracked;
-    // `peer_wait` below is meaningful only while this matches the front.
-    let mut front_tracked: Option<u64> = None;
-    // Per-peer loss-detection state for the tracked front iteration.
-    let mut peer_wait: Vec<Option<PeerWait>> = vec![None; p];
-    // Virtual time each peer last delivered anything (any tag).
-    let mut last_heard: Vec<SimTime> = vec![SimTime::ZERO; p];
-    // (peer, iteration) pairs whose loss promotion was already counted.
-    let mut promoted = Promoted::new(p);
-    // When the rank first found itself with nothing in flight and nothing
-    // executable (starved — e.g. iteration 0 under loss, before any
-    // history exists to extrapolate from).
-    let mut starved_since: Option<SimTime> = None;
-    // This rank's own scripted outages, in schedule order.
-    let my_crashes: Vec<_> = ft
-        .as_ref()
-        .map(|f| {
-            let mut v: Vec<_> = f
-                .crashes
-                .iter()
-                .filter(|c| c.rank == me.0)
-                .copied()
-                .collect();
-            v.sort_by_key(|c| c.at);
-            v
-        })
-        .unwrap_or_default();
-    let mut next_crash = 0usize;
+/// One rank's whole driver state. Each optional feature is one field —
+/// `fault`, `ctl`, and `dx` (whose policy is the option) — that stays
+/// `None`/inert unless configured, which keeps the plain run bit-identical
+/// to a driver that never heard of the feature. The main loop in
+/// [`run_speculative_aio`] calls the five steps in order:
+/// [`fold_arrivals`](Self::fold_arrivals),
+/// [`fault_sweep`](Self::fault_sweep),
+/// [`validate_front`](Self::validate_front) (the paper's check/correct),
+/// [`execute_next`](Self::execute_next) (speculate/compute) and the wait
+/// between [`begin_wait`](Self::begin_wait) and
+/// [`end_wait`](Self::end_wait).
+struct RankState<'a, T, A: SpeculativeApp> {
+    transport: &'a mut T,
+    app: &'a mut A,
+    config: SpecConfig,
+    me: Rank,
+    p: usize,
+    total_iters: u64,
+    stats: RunStats,
+    /// The last sample of the two gauges that are sampled only when their
+    /// value moves (to keep traces compact).
+    last_inbox_depth: Option<u64>,
+    last_window: Option<u64>,
+    /// Actual values received, by iteration (from `t_conf` on) and sender.
+    inbox: Inbox<A::Shared>,
+    /// Per-peer history of actuals (the backward window).
+    history: Vec<History<A::Shared>>,
+    /// Executed-but-unconfirmed iterations, oldest first.
+    exec_q: VecDeque<ExecRecord<A::Shared, A::Checkpoint>>,
+    /// Recycled checkpoint buffers: confirmed (or rolled-back) records
+    /// donate their `pre` snapshots back, so apps that override
+    /// `checkpoint_into` keep the steady-state path allocation-free. Depth
+    /// is bounded by the forward window, so the pool never grows past it.
+    checkpoint_pool: Vec<A::Checkpoint>,
+    /// The same for the records' speculated-input tables.
+    speculated_pool: Vec<Slots<A::Shared>>,
+    /// Peers whose actual for the queue-head iteration arrived since Phase 1
+    /// last ran: the only inputs validation has to look at. Rebuilt from the
+    /// inbox row when a commit brings a new record to the front.
+    fresh: Vec<usize>,
+    /// Phase 2 scratch: the speculation computed for each missing peer.
+    speculations: Vec<Option<(A::Shared, u64, u32)>>,
+    /// Next iteration to confirm.
+    t_conf: u64,
+    /// Next iteration to execute.
+    t_exec: u64,
+    /// Per-iteration timing records awaiting confirmation (only when the
+    /// log is enabled).
+    log_pending: HashMap<u64, IterationLog>,
+    /// The message Phase 3 blocked for, folded in first at the loop top.
+    carried: Option<Envelope<IterMsg<A::Shared>>>,
+    /// This rank's permanent scripted crash came due: the run ends here.
+    halted: bool,
+    fault: Option<FaultState<A::Shared>>,
+    ctl: Option<Ctl>,
+    dx: DeltaState<A::Shared>,
+}
 
-    // ---- adaptive-controller state (inert when `config.controller` is
-    // None: no estimator runs, no stats fields move, no Marks are
-    // emitted, and the window is never touched) ----
-    let mut ctl: Option<ControllerState> = config
-        .controller
-        .clone()
-        .map(|cc| ControllerState::new(cc, p, config.window));
-    // Busy-time (compute + speculate + check + correct) high-water mark at
-    // the previous confirmation, so each confirm feeds the controller only
-    // the interval's own busy time.
-    let mut busy_at_confirm = SimDuration::ZERO;
-
-    // ---- delta-exchange state (inert unless configured AND the app
-    // exposes scalar lanes; inert means bit-identical legacy behavior) ----
-    let mut dx: DeltaState<A::Shared> = DeltaState::inert(p);
-    if let Some(pol) = config.delta {
-        let probe = app.shared();
-        if app.delta_extract(&probe, &mut dx.cur) {
-            dx.policy = Some(pol);
+impl<'a, T, A> RankState<'a, T, A>
+where
+    A: SpeculativeApp,
+    A::Shared: WireSize,
+    T: AsyncTransport<Msg = IterMsg<A::Shared>>,
+{
+    fn new(transport: &'a mut T, app: &'a mut A, total_iters: u64, config: SpecConfig) -> Self {
+        let (me, p) = (transport.rank(), transport.size());
+        let bw = config.backward_window.max(1);
+        RankState {
+            me,
+            p,
+            total_iters,
+            stats: RunStats::new(me),
+            last_inbox_depth: None,
+            last_window: None,
+            inbox: Inbox::new(p, total_iters),
+            history: (0..p).map(|_| History::new(bw)).collect(),
+            exec_q: VecDeque::new(),
+            checkpoint_pool: Vec::new(),
+            speculated_pool: Vec::new(),
+            fresh: Vec::new(),
+            speculations: (0..p).map(|_| None).collect(),
+            t_conf: 0,
+            t_exec: 0,
+            log_pending: HashMap::new(),
+            carried: None,
+            halted: false,
+            fault: config
+                .fault
+                .clone()
+                .map(|ft| FaultState::new(ft, config.supervision, me, p, app.shared())),
+            ctl: config.controller.clone().map(|cc| Ctl {
+                state: ControllerState::new(cc, p, config.window),
+                phases_at_confirm: PhaseBreakdown::default(),
+                checked_at_confirm: 0,
+                missed_at_confirm: 0,
+            }),
+            dx: DeltaState::new(p, config.delta, &*app),
+            transport,
+            app,
+            config,
         }
     }
 
-    let mut t_conf: u64 = 0; // next iteration to confirm
-    let mut t_exec: u64 = 0; // next iteration to execute
-    let mut waited_since_confirm = SimDuration::ZERO;
-    // Per-iteration timing records awaiting confirmation (only when the
-    // log is enabled).
-    let mut log_pending: HashMap<u64, IterationLog> = HashMap::new();
-    // Snapshots for the controller's per-confirmation feedback.
-    let mut checked_at_confirm = 0u64;
-    let mut missed_at_confirm = 0u64;
+    // ---- telemetry: the only code that asks for the recorder; with none
+    // attached each of these is a `None` branch ------------------------------
 
-    if total_iters == 0 {
-        stats.total_time = transport.now() - start;
-        return stats;
+    fn mark(&mut self, t: SimTime, mark: Mark) {
+        if let Some(r) = self.transport.recorder() {
+            r.mark(self.me.0 as u32, t.as_nanos(), mark);
+        }
     }
 
-    broadcast(transport, &mut stats, app, &mut dx, p, me, 0, app.shared()).await;
+    fn gauge(&mut self, t: SimTime, gauge: Gauge, value: u64) {
+        if let Some(r) = self.transport.recorder() {
+            r.gauge(self.me.0 as u32, t.as_nanos(), gauge, value);
+        }
+    }
 
-    // The message Phase 3 blocked for, folded in first at the loop top.
-    let mut carried: Option<Envelope<IterMsg<A::Shared>>> = None;
+    /// A closed phase span `[t0, t1]`.
+    fn span(&mut self, t0: SimTime, t1: SimTime, phase: Phase, iter: u64, depth: Option<u64>) {
+        if let Some(r) = self.transport.recorder() {
+            r.span_begin(self.me.0 as u32, t0.as_nanos(), phase, Some(iter), depth);
+            r.span_end(self.me.0 as u32, t1.as_nanos(), phase);
+        }
+    }
 
-    'main: while t_conf < total_iters {
-        // Fold in everything that has arrived.
-        while let Some(env) = match carried.take() {
-            Some(env) => Some(env),
-            None => transport.try_recv().await,
-        } {
-            if let Some(c) = &mut ctl {
-                c.on_receive(env.src.0, transport.now());
+    /// Sample `gauge` now — the two change-detected gauges only if `value`
+    /// differs from their last sample.
+    fn gauge_on_change(&mut self, gauge: Gauge, value: u64) {
+        let moved = match gauge {
+            Gauge::InboxDepth => self.last_inbox_depth.replace(value) != Some(value),
+            Gauge::WindowSize => self.last_window.replace(value) != Some(value),
+            Gauge::ExecQueueDepth | Gauge::EventHeapSize => true,
+        };
+        if moved {
+            self.gauge(self.transport.now(), gauge, value);
+        }
+    }
+
+    // ---- sending ---------------------------------------------------------
+
+    /// Send one message, keeping the modelled byte/message tallies.
+    async fn send(&mut self, to: Rank, tag: Tag, msg: IterMsg<A::Shared>) {
+        self.stats.bytes_sent += (HEADER_BYTES + msg.wire_size()) as u64;
+        self.stats.messages_sent += 1;
+        self.transport.send(to, tag, msg).await;
+    }
+
+    /// Send this rank's latest broadcast to one peer as a full snapshot —
+    /// the retransmit reply and rejoin keyframe ([`DATA_TAG`]; re-delivery
+    /// is the acknowledgement), or the retransmit request itself
+    /// ([`RETRANS_REQ_TAG`], which carries the requester's state so even
+    /// the request refreshes the receiver). Resets the sender-side shadow
+    /// so the peer's stream restarts from a known baseline. Fault
+    /// tolerance only.
+    async fn resend_latest(&mut self, to: Rank, tag: Tag) {
+        let Some(f) = &self.fault else { return };
+        let (iter, data) = &f.last_broadcast;
+        if self.dx.policy.is_some() {
+            self.dx.extract(&*self.app, data);
+            self.dx.reseed_tx(to.0);
+        }
+        let msg = IterMsg::full(*iter, data.clone());
+        self.send(to, tag, msg).await;
+        if tag == RETRANS_REQ_TAG {
+            self.stats.retransmit_requests += 1;
+        }
+    }
+
+    /// Broadcast this iteration's partition to every peer. Without a delta
+    /// policy every peer gets the full snapshot, exactly as before. With one,
+    /// each peer gets either a keyframe (on the keyframe cadence, or when its
+    /// shadow is missing) or the sparse diff against its sender shadow; the
+    /// shadow is then advanced by *what was sent* — not by the true state —
+    /// so quantization error never compounds across iterations.
+    async fn broadcast(&mut self, iter: u64, data: A::Shared) {
+        let Some(pol) = self.dx.policy else {
+            for k in peers(self.p, self.me) {
+                self.send(Rank(k), DATA_TAG, IterMsg::full(iter, data.clone()))
+                    .await;
             }
-            if ft.is_some() {
-                let src = env.src;
-                staleness[src.0] = 0;
-                last_heard[src.0] = transport.now();
-                let (rejoined, degraded_exit) = match &mut sup {
-                    Some(sv) => sv.on_heard(src.0),
-                    None => (false, false),
-                };
-                if rejoined {
+            return;
+        };
+        self.dx.extract(&*self.app, &data);
+        let full_bytes = (HEADER_BYTES + 8 + data.wire_size()) as u64;
+        let keyframe_due = iter.is_multiple_of(pol.keyframe_interval);
+        for k in peers(self.p, self.me) {
+            let msg = match &mut self.dx.tx_shadow[k] {
+                Some(shadow) if !keyframe_due => {
+                    self.dx.frame.diff_into(&self.dx.cur, shadow, pol.floor);
+                    self.dx.frame.apply(shadow);
+                    let msg = IterMsg::delta(iter, self.dx.frame.clone());
+                    let bytes = full_bytes.saturating_sub((HEADER_BYTES + msg.wire_size()) as u64);
+                    self.stats.delta_suppressed_bytes += bytes;
+                    let (t_now, to) = (self.transport.now(), k as u32);
+                    self.mark(t_now, Mark::DeltaSuppressed { to, bytes });
+                    msg
+                }
+                _ => {
+                    self.dx.reseed_tx(k);
+                    IterMsg::full(iter, data.clone())
+                }
+            };
+            self.send(Rank(k), DATA_TAG, msg).await;
+        }
+    }
+
+    // ---- step 1 ----------------------------------------------------------
+
+    /// Fold in everything that has arrived: the message Phase 3 blocked
+    /// for, then whatever else the mailbox holds.
+    async fn fold_arrivals(&mut self) {
+        while let Some(env) = match self.carried.take() {
+            Some(env) => Some(env),
+            None => self.transport.try_recv().await,
+        } {
+            let (src, iter) = (env.src, env.msg.iter);
+            if let Some(c) = &mut self.ctl {
+                c.state.on_receive(src.0, self.transport.now());
+            }
+            if let Some(f) = &mut self.fault {
+                let now = self.transport.now();
+                let edge = f.on_heard(src.0, now);
+                if let HealthEdge::Rejoined { last } = edge {
                     // Readmission: forget the receive-side delta view of the
                     // peer (its stream must restart from a keyframe) and
                     // ship it our full state so its backward window re-seeds
                     // at once. The keyframe doubles as the retransmit reply.
-                    stats.peer_rejoins += 1;
-                    dx.rx_shadow[src.0] = None;
-                    dx.seen_past[src.0] = None;
-                    let t_now = transport.now();
-                    if let Some(r) = transport.recorder() {
-                        r.mark(
-                            obs_rank,
-                            t_now.as_nanos(),
-                            Mark::PeerRejoined { peer: src.0 as u32 },
-                        );
-                        if degraded_exit {
-                            r.mark(obs_rank, t_now.as_nanos(), Mark::DegradedExit);
-                        }
+                    self.stats.peer_rejoins += 1;
+                    self.dx.rx_shadow[src.0] = None;
+                    self.dx.seen_past[src.0] = None;
+                    let peer = src.0 as u32;
+                    self.mark(now, Mark::PeerRejoined { peer });
+                    if last {
+                        self.mark(now, Mark::DegradedExit);
                     }
-                    send_full_state(
-                        transport,
-                        &mut stats,
-                        app,
-                        &mut dx,
-                        src,
-                        DATA_TAG,
-                        last_broadcast.0,
-                        &last_broadcast.1,
-                    )
-                    .await;
-                } else if env.tag == RETRANS_REQ_TAG {
-                    // Re-send our latest broadcast; re-delivery is the ack.
-                    send_full_state(
-                        transport,
-                        &mut stats,
-                        app,
-                        &mut dx,
-                        src,
-                        DATA_TAG,
-                        last_broadcast.0,
-                        &last_broadcast.1,
-                    )
-                    .await;
+                }
+                // A retransmit request is answered with the same full frame.
+                if edge != HealthEdge::Steady || env.tag == RETRANS_REQ_TAG {
+                    self.resend_latest(src, DATA_TAG).await;
                 }
             }
-            let (src, iter) = (env.src.0, env.msg.iter);
-            let arrived = stash(app, &mut dx, env, &mut inbox, &mut history, &mut stats);
-            if arrived && iter == t_conf && !exec_q.is_empty() {
-                fresh.push(src);
+            let arrived = self.dx.stash(
+                &*self.app,
+                env,
+                &mut self.inbox,
+                &mut self.history,
+                &mut self.stats,
+            );
+            if arrived && iter == self.t_conf && !self.exec_q.is_empty() {
+                self.fresh.push(src.0);
             }
         }
+    }
 
-        // ------------------------------------------------------------------
-        // Fault tolerance: scripted crashes, then speculate-through-loss
-        // promotion of the stuck queue head. Both no-ops without a policy.
-        // ------------------------------------------------------------------
-        if let Some(f) = &ft {
-            if next_crash < my_crashes.len() {
-                let c = my_crashes[next_crash];
-                let now = transport.now();
-                if now >= c.at {
-                    next_crash += 1;
-                    if c.is_permanent() {
-                        // The machine never comes back. The confirmed
-                        // prefix stands (it was validated and broadcast);
-                        // peers quarantine this rank and finish in degraded
-                        // mode, carrying its partition by speculation.
-                        if let Some(r) = transport.recorder() {
-                            r.mark(
-                                obs_rank,
-                                c.at.as_nanos(),
-                                Mark::PeerCrashed { peer: obs_rank },
-                            );
-                        }
-                        break 'main;
-                    }
-                    stats.peer_restarts += 1;
-                    // Volatile state dies with the machine: roll back to the
-                    // last confirmed checkpoint (the confirmed prefix
-                    // [0, t_conf) is durable — it was validated and
-                    // broadcast before the crash).
-                    if let Some(front) = exec_q.front() {
-                        app.restore(&front.pre);
-                    }
-                    t_exec = t_conf;
-                    for rec in exec_q.drain(..) {
-                        checkpoint_pool.push(rec.pre);
-                        speculated_pool.push(rec.speculated);
-                    }
-                    fresh.clear();
-                    inbox.clear();
-                    for h in history.iter_mut() {
-                        *h = History::new(config.backward_window.max(1));
-                    }
-                    dx.reset();
-                    staleness.iter_mut().for_each(|s| *s = 0);
-                    front_tracked = None;
-                    peer_wait.iter_mut().for_each(|w| *w = None);
-                    starved_since = None;
-                    if let Some(r) = transport.recorder() {
-                        r.mark(
-                            obs_rank,
-                            c.at.as_nanos(),
-                            Mark::PeerCrashed { peer: obs_rank },
-                        );
-                        r.gauge(obs_rank, c.at.as_nanos(), Gauge::ExecQueueDepth, 0);
-                    }
-                    let wake = c.at + c.restart_after;
-                    if wake > now {
-                        let outage = wake.duration_since(now);
-                        transport.sleep(outage).await;
-                        stats.downtime += outage;
-                    }
-                    // Mail delivered while the machine was down is lost.
-                    while transport.try_recv().await.is_some() {}
-                    let t_up = transport.now();
-                    if let Some(r) = transport.recorder() {
-                        r.mark(
-                            obs_rank,
-                            t_up.as_nanos(),
-                            Mark::PeerRecovered { peer: obs_rank },
-                        );
-                    }
-                    // Ask every peer for its latest state to rebuild the
-                    // backward windows; the requests carry our own state.
-                    for k in 0..p {
-                        if k != me.0 {
-                            send_full_state(
-                                transport,
-                                &mut stats,
-                                app,
-                                &mut dx,
-                                Rank(k),
-                                RETRANS_REQ_TAG,
-                                last_broadcast.0,
-                                &last_broadcast.1,
-                            )
-                            .await;
-                            stats.retransmit_requests += 1;
-                        }
-                    }
-                    continue 'main;
+    // ---- step 2 ----------------------------------------------------------
+
+    /// Fault tolerance: this rank's next scripted crash once its time has
+    /// come, else speculate-through-loss promotion of the stuck queue head
+    /// and the supervision sweep. A no-op without a policy. The decisions
+    /// are made synchronously; only the crash and the retransmit requests
+    /// await.
+    async fn fault_sweep(&mut self) -> Step {
+        let Some(f) = &self.fault else {
+            return Step::FellThrough;
+        };
+        let now = self.transport.now();
+        if let Some(&c) = f.policy.crashes.first().filter(|c| now >= c.at) {
+            self.crash(c, now).await;
+            return Step::Progressed;
+        }
+        for k in self.sweep_losses(now) {
+            self.resend_latest(Rank(k), RETRANS_REQ_TAG).await;
+        }
+        self.sweep_supervision();
+        Step::FellThrough
+    }
+
+    /// Abandon every executed-but-unconfirmed iteration: the app returns to
+    /// the oldest record's pre-state (the confirmed prefix `[0, t_conf)` is
+    /// never touched) and the records' buffers go back to the pools.
+    fn rewind(&mut self) {
+        if let Some(front) = self.exec_q.front() {
+            debug_assert_eq!(front.iter, self.t_conf);
+            self.app.restore(&front.pre);
+        }
+        self.t_exec = self.t_conf;
+        for rec in self.exec_q.drain(..) {
+            self.checkpoint_pool.push(rec.pre);
+            self.speculated_pool.push(rec.speculated);
+        }
+        self.fresh.clear();
+    }
+
+    /// Act out this rank's scripted crash `c`, which came due by `now`.
+    async fn crash(&mut self, c: MachineCrash, now: SimTime) {
+        let Some(f) = &mut self.fault else { return };
+        f.policy.crashes.remove(0);
+        // Volatile state dies with the machine.
+        f.forget_volatile();
+        let peer = self.me.0 as u32;
+        self.mark(c.at, Mark::PeerCrashed { peer });
+        if c.is_permanent() {
+            // The machine never comes back. The confirmed prefix stands (it
+            // was validated and broadcast); peers quarantine this rank and
+            // finish in degraded mode, carrying its partition by
+            // speculation.
+            self.halted = true;
+            return;
+        }
+        self.stats.peer_restarts += 1;
+        // Roll back to the last confirmed checkpoint (the confirmed prefix
+        // [0, t_conf) is durable — it was validated and broadcast before
+        // the crash).
+        self.rewind();
+        self.inbox.clear();
+        let bw = self.config.backward_window.max(1);
+        self.history.iter_mut().for_each(|h| *h = History::new(bw));
+        self.dx.reset();
+        self.gauge(c.at, Gauge::ExecQueueDepth, 0);
+        let wake = c.at + c.restart_after;
+        if wake > now {
+            let outage = wake.duration_since(now);
+            self.transport.sleep(outage).await;
+            self.stats.downtime += outage;
+        }
+        // Mail delivered while the machine was down is lost.
+        while self.transport.try_recv().await.is_some() {}
+        self.mark(self.transport.now(), Mark::PeerRecovered { peer });
+        // Ask every peer for its latest state to rebuild the backward
+        // windows; the requests carry our own state.
+        for k in peers(self.p, self.me) {
+            self.resend_latest(Rank(k), RETRANS_REQ_TAG).await;
+        }
+    }
+
+    /// Run the loss detector over every peer whose input to the queue head
+    /// is still speculative, promoting as it decides. Returns the peers to
+    /// send a retransmit request (empty, and unallocated, unless one is
+    /// due).
+    fn sweep_losses(&mut self, now: SimTime) -> Vec<usize> {
+        let mut ask = Vec::new();
+        let Some(f) = &mut self.fault else { return ask };
+        // Re-anchor the per-peer waits whenever the queue head changes
+        // (confirmation, rollback, drain): `since` stamps from a previous
+        // front must never promote inputs of the new one.
+        let front_now = self.exec_q.front().map(|rec| rec.iter);
+        if front_now != f.front_tracked {
+            f.front_tracked = front_now;
+            f.peer_wait.fill(None);
+        }
+        let Some(front_iter) = front_now else {
+            return ask;
+        };
+        let front = &mut self.exec_q[0];
+        for k in peers(self.p, self.me) {
+            // A peer whose slot is no longer speculative — or whose actual
+            // already sits in the inbox awaiting its check — needs no loss
+            // tracking.
+            if front.speculated.get(k).is_none() || self.inbox.get(front_iter, k).is_some() {
+                f.peer_wait[k] = None;
+                continue;
+            }
+            // Degraded mode: a quarantined peer gets no loss timeout at all
+            // — its speculated input is promoted the moment it blocks the
+            // front, so the cluster's pace no longer depends on the dead
+            // rank.
+            if f.sup.as_ref().is_some_and(|sv| sv.is_quarantined(k)) {
+                if f.promote_loss(k, front, &mut self.history[k], &mut self.stats) {
+                    self.stats.degraded_commits += 1;
                 }
+                f.peer_wait[k] = None;
+                continue;
             }
+            // Evidence of a genuine loss: the peer already broadcast an
+            // iteration past the front, so (links delivering in order) the
+            // front's message is not merely late. A delta frame dropped over
+            // a gap proves advancement just as a recorded value does —
+            // without it, a delta stream whose frames all miss their
+            // baseline would never build evidence through the history
+            // alone.
+            let evidence = self.history[k]
+                .latest_iter()
+                .is_some_and(|li| li > front_iter)
+                || self.dx.seen_past[k].is_some_and(|si| si > front_iter);
+            let deadline = f.loss_deadline(&self.ctl, k);
+            let (next, action) =
+                PeerWait::step(f.peer_wait[k], now, deadline, evidence, f.last_heard[k]);
+            f.peer_wait[k] = next;
+            match action {
+                LossAction::Wait => {}
+                LossAction::Promote => {
+                    f.promote_loss(k, front, &mut self.history[k], &mut self.stats);
+                }
+                LossAction::Ask => ask.push(k),
+            }
+        }
+        ask
+    }
 
-            let now = transport.now();
-            // Re-anchor the per-peer waits whenever the queue head changes
-            // (confirmation, rollback, drain): `since` stamps from a
-            // previous front must never promote inputs of the new one.
-            let front_now = exec_q.front().map(|rec| rec.iter);
-            if front_now != front_tracked {
-                front_tracked = front_now;
-                peer_wait.iter_mut().for_each(|w| *w = None);
-            }
-            if let Some(front_iter) = front_tracked {
-                let mut ask_retransmit: Vec<usize> = Vec::new();
-                for k in 0..p {
-                    if k == me.0 {
-                        continue;
-                    }
-                    // A peer whose slot is no longer speculative — or whose
-                    // actual already sits in the inbox awaiting its check —
-                    // needs no loss tracking.
-                    if exec_q[0].speculated.get(k).is_none() || inbox.get(front_iter, k).is_some() {
-                        peer_wait[k] = None;
-                        continue;
-                    }
-                    // Degraded mode: a quarantined peer gets no loss timeout
-                    // at all — its speculated input is promoted the moment
-                    // it blocks the front, so the cluster's pace no longer
-                    // depends on the dead rank.
-                    if sup.as_ref().is_some_and(|sv| sv.is_quarantined(k)) {
-                        if promote_loss(
-                            k,
-                            &mut exec_q[0],
-                            &mut history[k],
-                            &mut stats,
-                            &mut staleness[k],
-                            &mut promoted,
-                        ) {
-                            stats.degraded_commits += 1;
-                        }
-                        peer_wait[k] = None;
-                        continue;
-                    }
-                    // Evidence of a genuine loss: the peer already broadcast
-                    // an iteration past the front, so (links delivering in
-                    // order) the front's message is not merely late. A delta
-                    // frame dropped over a gap proves advancement just as a
-                    // recorded value does — without it, a delta stream whose
-                    // frames all miss their baseline would never build
-                    // evidence through the history alone.
-                    let evidence = history[k].latest_iter().is_some_and(|li| li > front_iter)
-                        || dx.seen_past[k].is_some_and(|si| si > front_iter);
-                    // Adaptive per-peer deadline: the controller's delay
-                    // quantile × headroom, clamped to never exceed the
-                    // static timeout. Falls back to the static timeout
-                    // while the controller lacks samples (or is off).
-                    let loss_deadline = ctl
-                        .as_ref()
-                        .and_then(|c| c.deadline_for(k))
-                        .unwrap_or(f.loss_timeout);
-                    match peer_wait[k] {
-                        None => peer_wait[k] = Some(PeerWait::Armed { since: now }),
-                        Some(PeerWait::Armed { since }) => {
-                            if now.duration_since(since) >= loss_deadline {
-                                if evidence {
-                                    promote_loss(
-                                        k,
-                                        &mut exec_q[0],
-                                        &mut history[k],
-                                        &mut stats,
-                                        &mut staleness[k],
-                                        &mut promoted,
-                                    );
-                                    peer_wait[k] = None;
-                                } else {
-                                    // No proof the message was lost rather
-                                    // than the peer slow: ask once before
-                                    // giving up on it.
-                                    ask_retransmit.push(k);
-                                    peer_wait[k] = Some(PeerWait::Grace { asked_at: now });
-                                }
-                            }
-                        }
-                        Some(PeerWait::Grace { asked_at }) => {
-                            if evidence {
-                                // The reply (or a late broadcast) proved the
-                                // peer is past the front: the front's
-                                // message is gone for good.
-                                promote_loss(
-                                    k,
-                                    &mut exec_q[0],
-                                    &mut history[k],
-                                    &mut stats,
-                                    &mut staleness[k],
-                                    &mut promoted,
-                                );
-                                peer_wait[k] = None;
-                            } else if last_heard[k] > asked_at {
-                                // The peer answered but is behind the front:
-                                // merely late, not lost. Wait afresh from
-                                // its last sign of life.
-                                peer_wait[k] = Some(PeerWait::Armed {
-                                    since: last_heard[k],
-                                });
-                            } else if now.duration_since(asked_at) >= loss_deadline {
-                                // Total silence through the grace period:
-                                // the request or its reply was lost too.
-                                promote_loss(
-                                    k,
-                                    &mut exec_q[0],
-                                    &mut history[k],
-                                    &mut stats,
-                                    &mut staleness[k],
-                                    &mut promoted,
-                                );
-                                peer_wait[k] = None;
-                            }
-                        }
+    /// Re-derive per-peer health from the consecutive-promotion counters
+    /// and mark the transitions. One step per pass, so thresholds crossed
+    /// together still resolve.
+    fn sweep_supervision(&mut self) {
+        let t_now = self.transport.now();
+        for k in peers(self.p, self.me) {
+            let Some(f) = &mut self.fault else { return };
+            let Some(sv) = &mut f.sup else { return };
+            let peer = k as u32;
+            match sv.observe(k, f.staleness[k]) {
+                HealthEdge::Suspected => {
+                    self.stats.peers_suspected += 1;
+                    self.mark(t_now, Mark::PeerSuspected { peer });
+                }
+                HealthEdge::Quarantined { first } => {
+                    self.stats.peers_quarantined += 1;
+                    self.mark(t_now, Mark::PeerQuarantined { peer });
+                    if first {
+                        self.mark(t_now, Mark::DegradedEnter);
                     }
                 }
-                for k in ask_retransmit {
-                    send_full_state(
-                        transport,
-                        &mut stats,
-                        app,
-                        &mut dx,
-                        Rank(k),
-                        RETRANS_REQ_TAG,
-                        last_broadcast.0,
-                        &last_broadcast.1,
-                    )
-                    .await;
-                    stats.retransmit_requests += 1;
-                }
+                HealthEdge::Steady | HealthEdge::Rejoined { .. } => {}
             }
+        }
+    }
 
-            // Supervision sweep: re-derive per-peer health from the
-            // consecutive-promotion counters and mark the transitions. One
-            // step per pass, so thresholds crossed together still resolve.
-            if let Some(sv) = &mut sup {
-                let t_now = transport.now();
-                for k in 0..p {
-                    if k == me.0 {
-                        continue;
-                    }
-                    let (suspected, quarantined, degraded_enter) = sv.observe(k, staleness[k]);
-                    if suspected {
-                        stats.peers_suspected += 1;
-                        if let Some(r) = transport.recorder() {
-                            r.mark(
-                                obs_rank,
-                                t_now.as_nanos(),
-                                Mark::PeerSuspected { peer: k as u32 },
-                            );
-                        }
-                    }
-                    if quarantined {
-                        stats.peers_quarantined += 1;
-                        if let Some(r) = transport.recorder() {
-                            r.mark(
-                                obs_rank,
-                                t_now.as_nanos(),
-                                Mark::PeerQuarantined { peer: k as u32 },
-                            );
-                            if degraded_enter {
-                                r.mark(obs_rank, t_now.as_nanos(), Mark::DegradedEnter);
-                            }
-                        }
-                    }
+    // ---- step 3: Phase 1 ---------------------------------------------------
+
+    /// Whether Phase 1 has work: an executed iteration awaits confirmation
+    /// and either an actual just arrived for it or nothing it used is
+    /// speculative any more.
+    fn front_ready(&self) -> bool {
+        let Some(front) = self.exec_q.front() else {
+            return false;
+        };
+        !self.fresh.is_empty() || front.speculated.held() == 0
+    }
+
+    /// Phase 1 (call when [`front_ready`](Self::front_ready)): validate the
+    /// oldest unconfirmed iteration against the actuals that just arrived
+    /// for it, and confirm it once no input is speculative any more.
+    async fn validate_front(&mut self) -> Step {
+        // Only an input whose actual just arrived can have become
+        // checkable; in rank order, as a scan of the row would find them.
+        self.fresh.sort_unstable();
+        for i in 0..self.fresh.len() {
+            if !self.check_input(self.fresh[i]).await {
+                self.rollback();
+                return Step::Progressed;
+            }
+        }
+        self.fresh.clear();
+        if self.exec_q[0].speculated.held() > 0 {
+            return Step::FellThrough;
+        }
+        self.commit_front().await;
+        Step::Progressed
+    }
+
+    /// Book the virtual work that just ended against `phase`, from `t0`
+    /// (read before the app hook that priced the work ran), and emit its
+    /// span. Returns the instant the work ended.
+    fn charge(&mut self, phase: Phase, t0: SimTime, iter: u64, depth: Option<u64>) -> SimTime {
+        let t1 = self.transport.now();
+        let ph = &mut self.stats.phases;
+        *match phase {
+            Phase::Compute => &mut ph.compute,
+            Phase::CommWait => &mut ph.comm_wait,
+            Phase::Speculate => &mut ph.speculate,
+            Phase::Check => &mut ph.check,
+            Phase::Correct => &mut ph.correct,
+        } += t1 - t0;
+        self.span(t0, t1, phase, iter, depth);
+        t1
+    }
+
+    /// Check peer `k`'s actual for the front iteration against the value it
+    /// was speculated with, repairing a miss in place if the config and the
+    /// app allow it. Returns `false` when only a rollback can repair it.
+    async fn check_input(&mut self, k: usize) -> bool {
+        let front_iter = self.exec_q[0].iter;
+        // Every path below leaves the input resolved or drains the record in
+        // a rollback, so the speculated value is taken, not cloned. (`None`:
+        // loss promotion resolved the input before its late actual arrived.)
+        let Some(spec) = self.exec_q[0].speculated.take(k) else {
+            return true;
+        };
+        let actual = self
+            .inbox
+            .get(front_iter, k)
+            .expect("a fresh arrival is in the inbox");
+        let t0 = self.transport.now();
+        let outcome = self.app.check(Rank(k), actual, &spec);
+        if let Some(c) = &mut self.ctl {
+            c.state.observe_error(outcome.max_error);
+        }
+        self.transport.compute(outcome.ops).await;
+        let t1 = self.charge(Phase::Check, t0, front_iter, None);
+        let st = &mut self.stats;
+        st.checked_partitions += 1;
+        st.checked_units += outcome.checked_units;
+        st.bad_units += outcome.bad_units;
+        st.max_accepted_error = st.max_accepted_error.max(outcome.max_accepted_error);
+        if outcome.accept {
+            st.accepted_partitions += 1;
+            return true;
+        }
+        st.misspeculated_partitions += 1;
+        let (peer, iter) = (k as u32, front_iter);
+        self.mark(t1, Mark::Misspeculation { peer, iter });
+        // `Recompute`: exact recomputation requested — roll back to the
+        // pre-state of the oldest record and re-execute with the actuals now
+        // in the inbox.
+        self.config.correction == CorrectionMode::Incremental && self.correct_input(k, &spec).await
+    }
+
+    /// Incrementally correct the misspeculated input from peer `k`.
+    /// Returns `false` when the app cannot propagate the correction through
+    /// the iterations already computed on top.
+    async fn correct_input(&mut self, k: usize, spec: &A::Shared) -> bool {
+        let front_iter = self.exec_q[0].iter;
+        let actual = self
+            .inbox
+            .get(front_iter, k)
+            .expect("a fresh arrival is in the inbox");
+        let depth = self.exec_q.len() as u64 - 1;
+        let t0 = self.transport.now();
+        let ops = if depth == 0 {
+            // Fix the single in-flight iteration in place: the paper's
+            // `correct(X_j(t+1))`.
+            Some(self.app.correct(Rank(k), spec, actual))
+        } else {
+            // Iterations were already computed on top; let the app propagate
+            // the correction forward if it can (first-order, bounded
+            // residual).
+            self.app.correct_deep(Rank(k), spec, actual, depth)
+        };
+        let Some(ops) = ops else { return false };
+        self.transport.compute(ops).await;
+        let t1 = self.charge(Phase::Correct, t0, front_iter, Some(depth));
+        self.stats.corrections += 1;
+        let peer = k as u32;
+        self.mark(t1, Mark::Correction { peer, depth });
+        // The live state changed; refresh the newest pending broadcast.
+        // (Below it, interim records keep a bounded θ-order residual — the
+        // paper's accepted-error philosophy.)
+        let newest = self.exec_q.back_mut().expect("correcting a queued record");
+        newest.produced = self.app.shared();
+        true
+    }
+
+    /// Roll execution back to the front record's pre-state.
+    fn rollback(&mut self) {
+        let to_iter = self.t_conf;
+        self.rewind();
+        self.stats.rollbacks += 1;
+        let t_now = self.transport.now();
+        self.mark(t_now, Mark::Rollback { to_iter });
+        self.gauge(t_now, Gauge::ExecQueueDepth, 0);
+    }
+
+    /// Confirm the front record — every input it used is now actual,
+    /// validated or promoted — and broadcast what it produced.
+    async fn commit_front(&mut self) {
+        let rec = self.exec_q.pop_front().expect("non-empty queue");
+        self.checkpoint_pool.push(rec.pre);
+        self.speculated_pool.push(rec.speculated);
+        self.t_conf = rec.iter + 1;
+        self.stats.iterations += 1;
+        // Feed the resume handshake: a transport with supervision reports
+        // this high-water mark to peers that reconnect.
+        self.transport.note_progress(rec.iter);
+        let t_now = self.transport.now();
+        let queue_depth = self.exec_q.len() as u64;
+        self.mark(t_now, Mark::Commit { iter: rec.iter });
+        self.gauge(t_now, Gauge::ExecQueueDepth, queue_depth);
+        if self.config.collect_log {
+            if let Some(mut entry) = self.log_pending.remove(&rec.iter) {
+                entry.confirmed_at = t_now;
+                self.stats.iteration_log.push(entry);
+            }
+        }
+        self.retune(t_now);
+        if self.t_conf < self.total_iters {
+            if let Some(f) = &mut self.fault {
+                f.last_broadcast = (self.t_conf, rec.produced.clone());
+            }
+            self.broadcast(self.t_conf, rec.produced).await;
+        }
+        // Everything below t_conf is fully consumed.
+        self.inbox.advance(self.t_conf);
+        #[cfg(test)]
+        if let Some(f) = &self.fault {
+            PROMOTED_PEAK.with(|peak| peak.set(peak.get().max(f.promoted.len())));
+        }
+        // The record now at the front may have actuals waiting from while it
+        // sat behind the one just committed.
+        if let Some(front) = self.exec_q.front() {
+            for k in 0..self.p {
+                if front.speculated.get(k).is_some() && self.inbox.get(self.t_conf, k).is_some() {
+                    self.fresh.push(k);
                 }
             }
         }
+    }
 
-        let inbox_depth = inbox.depth() as u64;
-        if last_inbox_depth != Some(inbox_depth) {
-            last_inbox_depth = Some(inbox_depth);
-            let t_now = transport.now();
-            if let Some(r) = transport.recorder() {
-                r.gauge(obs_rank, t_now.as_nanos(), Gauge::InboxDepth, inbox_depth);
-            }
+    /// A confirmation boundary: let the controller (if any) digest the
+    /// interval and apply whatever it decides.
+    fn retune(&mut self, t_now: SimTime) {
+        let Some(c) = &mut self.ctl else { return };
+        let loss_timeout = self.fault.as_ref().map(|f| f.policy.loss_timeout);
+        let Some(d) = c.on_confirm(&self.stats, loss_timeout) else {
+            return;
+        };
+        self.stats.controller_retunes += 1;
+        self.stats.controller_fw = u64::from(d.fw);
+        self.stats.controller_theta = d.theta.unwrap_or(0.0);
+        self.config.window = d.fw;
+        if let Some(th) = d.theta {
+            self.app.set_speculation_threshold(th);
         }
+        let retune = Mark::ControllerRetune {
+            fw: d.fw,
+            theta_ppb: d.theta.map(|t| (t * 1e9) as u64).unwrap_or(u64::MAX),
+            deadline_ns: d.tightest_deadline_ns,
+        };
+        self.mark(t_now, retune);
+    }
 
-        // ------------------------------------------------------------------
-        // Phase 1: validate and confirm the oldest unconfirmed iteration.
-        // ------------------------------------------------------------------
-        if !exec_q.is_empty() {
-            let front_iter = exec_q[0].iter;
-            let mut rollback = false;
-            // Only an input whose actual just arrived can have become
-            // checkable; in rank order, as a scan of the row would find them.
-            fresh.sort_unstable();
-            for k in fresh.drain(..) {
-                // Every path below leaves the input resolved or drains the
-                // record in a rollback, so the speculated value is taken, not
-                // cloned. (`None`: loss promotion resolved the input before
-                // its late actual arrived.)
-                let Some(spec) = exec_q[0].speculated.take(k) else {
-                    continue;
-                };
-                let actual = inbox
-                    .get(front_iter, k)
-                    .expect("a fresh arrival is in the inbox");
-                let t0 = transport.now();
-                let outcome = app.check(Rank(k), actual, &spec);
-                if let Some(c) = &mut ctl {
-                    c.observe_error(outcome.max_error);
-                }
-                transport.compute(outcome.ops).await;
-                let t1 = transport.now();
-                stats.phases.check += t1 - t0;
-                if let Some(r) = transport.recorder() {
-                    r.span_begin(
-                        obs_rank,
-                        t0.as_nanos(),
-                        Phase::Check,
-                        Some(front_iter),
-                        None,
-                    );
-                    r.span_end(obs_rank, t1.as_nanos(), Phase::Check);
-                }
-                stats.checked_partitions += 1;
-                stats.checked_units += outcome.checked_units;
-                stats.bad_units += outcome.bad_units;
+    // ---- step 4: Phase 2 ---------------------------------------------------
 
-                stats.max_accepted_error = stats.max_accepted_error.max(outcome.max_accepted_error);
-                if outcome.accept {
-                    stats.accepted_partitions += 1;
-                } else {
-                    stats.misspeculated_partitions += 1;
-                    if let Some(r) = transport.recorder() {
-                        r.mark(
-                            obs_rank,
-                            t1.as_nanos(),
-                            Mark::Misspeculation {
-                                peer: k as u32,
-                                iter: front_iter,
-                            },
-                        );
-                    }
-                    if config.correction == CorrectionMode::Incremental {
-                        let depth = exec_q.len() as u64 - 1;
-                        let t0 = transport.now();
-                        let ops = if depth == 0 {
-                            // Fix the single in-flight iteration in place:
-                            // the paper's `correct(X_j(t+1))`.
-                            let ops = app.correct(Rank(k), &spec, actual);
-                            exec_q[0].produced = app.shared();
-                            Some(ops)
-                        } else {
-                            // Iterations were already computed on top; let
-                            // the app propagate the correction forward if
-                            // it can (first-order, bounded residual).
-                            app.correct_deep(Rank(k), &spec, actual, depth)
-                        };
-                        match ops {
-                            Some(ops) => {
-                                transport.compute(ops).await;
-                                let t1 = transport.now();
-                                stats.phases.correct += t1 - t0;
-                                stats.corrections += 1;
-                                if let Some(r) = transport.recorder() {
-                                    r.span_begin(
-                                        obs_rank,
-                                        t0.as_nanos(),
-                                        Phase::Correct,
-                                        Some(front_iter),
-                                        Some(depth),
-                                    );
-                                    r.span_end(obs_rank, t1.as_nanos(), Phase::Correct);
-                                    r.mark(
-                                        obs_rank,
-                                        t1.as_nanos(),
-                                        Mark::Correction {
-                                            peer: k as u32,
-                                            depth,
-                                        },
-                                    );
-                                }
-                                if depth > 0 {
-                                    // The live state changed; refresh the
-                                    // newest pending broadcast. (Interim
-                                    // records keep a bounded θ-order
-                                    // residual — the paper's accepted-
-                                    // error philosophy.)
-                                    let last = exec_q.len() - 1;
-                                    exec_q[last].produced = app.shared();
-                                }
-                            }
-                            None => {
-                                rollback = true;
-                                break;
-                            }
-                        }
-                    } else {
-                        // Exact recomputation requested: roll back to the
-                        // pre-state of the oldest record and re-execute
-                        // with the actuals now in the inbox.
-                        rollback = true;
-                        break;
-                    }
-                }
-            }
+    /// Whether the forward window admits executing another iteration.
+    fn window_open(&self) -> bool {
+        let depth = self.t_exec - self.t_conf;
+        self.t_exec < self.total_iters && depth < u64::from(self.config.window.max(1))
+    }
 
-            if rollback {
-                app.restore(&exec_q[0].pre);
-                t_exec = front_iter;
-                for rec in exec_q.drain(..) {
-                    checkpoint_pool.push(rec.pre);
-                    speculated_pool.push(rec.speculated);
-                }
-                fresh.clear();
-                stats.rollbacks += 1;
-                let t_now = transport.now();
-                if let Some(r) = transport.recorder() {
-                    r.mark(
-                        obs_rank,
-                        t_now.as_nanos(),
-                        Mark::Rollback {
-                            to_iter: front_iter,
-                        },
-                    );
-                    r.gauge(obs_rank, t_now.as_nanos(), Gauge::ExecQueueDepth, 0);
-                }
-                continue 'main;
-            }
-
-            if exec_q[0].speculated.held() == 0 {
-                let rec = exec_q.pop_front().expect("non-empty queue");
-                checkpoint_pool.push(rec.pre);
-                speculated_pool.push(rec.speculated);
-                t_conf = rec.iter + 1;
-                stats.iterations += 1;
-                // Feed the resume handshake: a transport with supervision
-                // reports this high-water mark to peers that reconnect.
-                transport.note_progress(rec.iter);
-                let t_now = transport.now();
-                let queue_depth = exec_q.len() as u64;
-                if let Some(r) = transport.recorder() {
-                    r.mark(obs_rank, t_now.as_nanos(), Mark::Commit { iter: rec.iter });
-                    r.gauge(
-                        obs_rank,
-                        t_now.as_nanos(),
-                        Gauge::ExecQueueDepth,
-                        queue_depth,
-                    );
-                }
-                if config.collect_log {
-                    if let Some(mut entry) = log_pending.remove(&rec.iter) {
-                        entry.confirmed_at = transport.now();
-                        stats.iteration_log.push(entry);
-                    }
-                }
-                if let Some(c) = &mut ctl {
-                    let busy_total = stats.phases.compute
-                        + stats.phases.speculate
-                        + stats.phases.check
-                        + stats.phases.correct;
-                    c.on_confirm(
-                        stats.misspeculated_partitions - missed_at_confirm,
-                        stats.checked_partitions - checked_at_confirm,
-                        waited_since_confirm,
-                        busy_total - busy_at_confirm,
-                    );
-                    busy_at_confirm = busy_total;
-                    if let Some(d) = c.maybe_retune(ft.as_ref().map(|f| f.loss_timeout)) {
-                        stats.controller_retunes += 1;
-                        stats.controller_fw = u64::from(d.fw);
-                        stats.controller_theta = d.theta.unwrap_or(0.0);
-                        config.window = d.fw;
-                        if let Some(th) = d.theta {
-                            app.set_speculation_threshold(th);
-                        }
-                        if let Some(r) = transport.recorder() {
-                            r.mark(
-                                obs_rank,
-                                t_now.as_nanos(),
-                                Mark::ControllerRetune {
-                                    fw: d.fw,
-                                    theta_ppb: d
-                                        .theta
-                                        .map(|t| (t * 1e9) as u64)
-                                        .unwrap_or(u64::MAX),
-                                    deadline_ns: d.tightest_deadline_ns,
-                                },
-                            );
-                        }
-                    }
-                }
-                missed_at_confirm = stats.misspeculated_partitions;
-                checked_at_confirm = stats.checked_partitions;
-                waited_since_confirm = SimDuration::ZERO;
-                if t_conf < total_iters {
-                    if ft.is_some() {
-                        last_broadcast = (t_conf, rec.produced.clone());
-                    }
-                    broadcast(
-                        transport,
-                        &mut stats,
-                        app,
-                        &mut dx,
-                        p,
-                        me,
-                        t_conf,
-                        rec.produced,
-                    )
-                    .await;
-                }
-                // Everything below t_conf is fully consumed.
-                inbox.advance(t_conf);
-                #[cfg(test)]
-                PROMOTED_PEAK.with(|peak| peak.set(peak.get().max(promoted.len())));
-                // The record now at the front may have actuals waiting from
-                // while it sat behind the one just committed.
-                if let Some(front) = exec_q.front() {
-                    fresh.extend((0..p).filter(|&k| {
-                        front.speculated.get(k).is_some() && inbox.get(t_conf, k).is_some()
-                    }));
-                }
-                continue 'main;
-            }
-        }
-
-        // ------------------------------------------------------------------
-        // Phase 2: execute the next iteration if the window allows it.
-        // ------------------------------------------------------------------
-        let window = config.window;
-        if last_window != Some(u64::from(window)) {
-            last_window = Some(u64::from(window));
-            let t_now = transport.now();
-            if let Some(r) = transport.recorder() {
-                r.gauge(
-                    obs_rank,
-                    t_now.as_nanos(),
-                    Gauge::WindowSize,
-                    u64::from(window),
-                );
-            }
-        }
-        let depth = t_exec - t_conf;
+    /// Phase 2 (call when [`window_open`](Self::window_open)): execute the
+    /// next iteration if every input is either here or speculable.
+    async fn execute_next(&mut self) -> Step {
+        let window = self.config.window;
+        let depth = self.t_exec - self.t_conf;
         // Starvation breaker: with fault tolerance on, a rank that has had
         // nothing in flight and nothing executable for a full loss timeout
         // executes anyway, skipping inputs it cannot even extrapolate
         // (e.g. iteration 0 under total loss, where no history exists).
-        let force_execute = match (&ft, starved_since) {
-            (Some(f), Some(s)) if exec_q.is_empty() => {
-                transport.now().duration_since(s) >= f.loss_timeout
-            }
+        let force = match &self.fault {
+            Some(f) if self.exec_q.is_empty() => f.starved_since.is_some_and(|since| {
+                self.transport.now().duration_since(since) >= f.policy.loss_timeout
+            }),
             _ => false,
         };
-        if t_exec < total_iters && depth < u64::from(window.max(1)) {
-            let all_arrived = inbox.arrived(t_exec) == p - 1;
+        let all_arrived = self.inbox.arrived(self.t_exec) == self.p - 1;
+        if all_arrived || (window >= 1 && self.plan_speculations()) || force {
+            self.execute(depth, force).await;
+            return Step::Progressed;
+        }
+        // Abandoned: drop whatever was speculated for the attempt.
+        self.speculations.iter_mut().for_each(|s| *s = None);
+        Step::FellThrough
+    }
 
-            // Pre-compute speculations (read-only on the app) so we can
-            // abandon the attempt without side effects if any peer is
-            // unpredictable (e.g. empty history at iteration 0).
-            let mut speculable = window >= 1;
-            if speculable && !all_arrived {
-                for k in 0..p {
-                    if k == me.0 || inbox.get(t_exec, k).is_some() {
-                        continue;
-                    }
-                    let ahead = history[k]
-                        .latest_iter()
-                        .map(|li| t_exec.saturating_sub(li).max(1) as u32);
-                    speculations[k] = ahead.and_then(|a| {
-                        app.speculate(Rank(k), &history[k], a)
-                            .map(|(sv, ops)| (sv, ops, a))
-                    });
-                    if speculations[k].is_none() {
-                        speculable = false;
-                        if ft.is_none() {
-                            break;
-                        }
-                        // Under fault tolerance, keep collecting what
-                        // *can* be speculated: a forced execution uses
-                        // every extrapolation it has.
-                    }
+    /// Pre-compute a speculation for every input to `t_exec` that has not
+    /// arrived (read-only on the app), so the attempt can be abandoned
+    /// without side effects if any peer is unpredictable (e.g. empty
+    /// history at iteration 0). Returns whether every one could be made.
+    fn plan_speculations(&mut self) -> bool {
+        let mut speculable = true;
+        for k in peers(self.p, self.me) {
+            if self.inbox.get(self.t_exec, k).is_some() {
+                continue;
+            }
+            let hist = &self.history[k];
+            let ahead = hist
+                .latest_iter()
+                .map(|li| self.t_exec.saturating_sub(li).max(1) as u32);
+            self.speculations[k] = ahead.and_then(|a| {
+                let (sv, ops) = self.app.speculate(Rank(k), hist, a)?;
+                Some((sv, ops, a))
+            });
+            if self.speculations[k].is_none() {
+                speculable = false;
+                // Under fault tolerance, keep collecting what *can* be
+                // speculated: a forced execution uses every extrapolation
+                // it has.
+                if self.fault.is_none() {
+                    break;
                 }
             }
+        }
+        speculable
+    }
 
-            if all_arrived || speculable || force_execute {
-                stats.executions += 1;
-                stats.max_depth_used = stats.max_depth_used.max(depth + 1);
-                let exec_start = transport.now();
-                let mut pre_slot = checkpoint_pool.pop();
-                app.checkpoint_into(&mut pre_slot);
-                let pre = pre_slot.expect("checkpoint_into must fill the slot");
-                let mut speculated = speculated_pool.pop().unwrap_or(Slots::UNSIZED);
-                speculated.reset(p);
+    /// Execute iteration `t_exec` on the actuals that arrived and the
+    /// speculations [`plan_speculations`](Self::plan_speculations) left,
+    /// and queue it for confirmation.
+    async fn execute(&mut self, depth: u64, force: bool) {
+        let t_exec = self.t_exec;
+        self.stats.executions += 1;
+        self.stats.max_depth_used = self.stats.max_depth_used.max(depth + 1);
+        let exec_start = self.transport.now();
+        let mut pre_slot = self.checkpoint_pool.pop();
+        self.app.checkpoint_into(&mut pre_slot);
+        let pre = pre_slot.expect("checkpoint_into must fill the slot");
+        let mut speculated = self.speculated_pool.pop().unwrap_or(Slots::UNSIZED);
+        speculated.reset(self.p);
 
-                let mut comp_ops = app.begin_iteration();
-                let mut spec_ops = 0u64;
-                // Peers whose staleness budget ran out during a forced
-                // execution (empty unless fault tolerance forced the skip
-                // path below, so the fault-free hot path never allocates).
-                let mut ask_retransmit: Vec<usize> = Vec::new();
-                for k in 0..p {
-                    if k == me.0 {
-                        continue;
-                    }
-                    if let Some(actual) = inbox.get(t_exec, k) {
-                        comp_ops += app.absorb(Rank(k), actual);
-                    } else if let Some((sv, ops, ahead)) = speculations[k].take() {
-                        spec_ops += ops;
-                        comp_ops += app.absorb(Rank(k), &sv);
-                        stats.speculated_partitions += 1;
-                        if let Some(r) = transport.recorder() {
-                            r.mark(
-                                obs_rank,
-                                exec_start.as_nanos(),
-                                Mark::Speculation {
-                                    peer: k as u32,
-                                    ahead,
-                                },
-                            );
-                        }
-                        speculated.put(k, sv);
-                    } else {
-                        // Forced execution with no history to extrapolate
-                        // from: proceed without this peer's contribution.
-                        // Only reachable with fault tolerance on.
-                        debug_assert!(force_execute);
-                        if promoted.insert(k, t_exec, t_conf) {
-                            stats.speculate_through_loss_commits += 1;
-                            staleness[k] += 1;
-                        }
-                        if let Some(f) = &ft {
-                            if staleness[k] >= f.staleness_budget
-                                && staleness[k].is_multiple_of(f.staleness_budget)
-                            {
-                                ask_retransmit.push(k);
-                            }
-                        }
-                    }
+        let mut comp_ops = self.app.begin_iteration();
+        let mut spec_ops = 0u64;
+        // Peers whose staleness budget ran out during a forced execution
+        // (empty unless fault tolerance forced the skip path below, so the
+        // fault-free hot path never allocates).
+        let mut ask: Vec<usize> = Vec::new();
+        for k in peers(self.p, self.me) {
+            if let Some(actual) = self.inbox.get(t_exec, k) {
+                comp_ops += self.app.absorb(Rank(k), actual);
+            } else if let Some((sv, ops, ahead)) = self.speculations[k].take() {
+                spec_ops += ops;
+                comp_ops += self.app.absorb(Rank(k), &sv);
+                self.stats.speculated_partitions += 1;
+                let peer = k as u32;
+                self.mark(exec_start, Mark::Speculation { peer, ahead });
+                speculated.put(k, sv);
+            } else {
+                // Forced execution with no history to extrapolate from:
+                // proceed without this peer's contribution. Only reachable
+                // with fault tolerance on.
+                debug_assert!(force);
+                let Some(f) = &mut self.fault else { continue };
+                f.count_loss(k, t_exec, self.t_conf, &mut self.stats);
+                let stale = f.staleness[k];
+                if stale >= f.policy.staleness_budget
+                    && stale.is_multiple_of(f.policy.staleness_budget)
+                {
+                    ask.push(k);
                 }
-                comp_ops += app.finish_iteration();
-                for k in ask_retransmit {
-                    send_full_state(
-                        transport,
-                        &mut stats,
-                        app,
-                        &mut dx,
-                        Rank(k),
-                        RETRANS_REQ_TAG,
-                        last_broadcast.0,
-                        &last_broadcast.1,
-                    )
-                    .await;
-                    stats.retransmit_requests += 1;
-                }
-
-                if spec_ops > 0 {
-                    let t0 = transport.now();
-                    transport.compute(spec_ops).await;
-                    let t1 = transport.now();
-                    stats.phases.speculate += t1 - t0;
-                    if let Some(r) = transport.recorder() {
-                        r.span_begin(
-                            obs_rank,
-                            t0.as_nanos(),
-                            Phase::Speculate,
-                            Some(t_exec),
-                            Some(depth),
-                        );
-                        r.span_end(obs_rank, t1.as_nanos(), Phase::Speculate);
-                    }
-                }
-                let t0 = transport.now();
-                transport.compute(comp_ops).await;
-                let t1 = transport.now();
-                stats.phases.compute += t1 - t0;
-                if let Some(r) = transport.recorder() {
-                    r.span_begin(
-                        obs_rank,
-                        t0.as_nanos(),
-                        Phase::Compute,
-                        Some(t_exec),
-                        Some(depth),
-                    );
-                    r.span_end(obs_rank, t1.as_nanos(), Phase::Compute);
-                }
-
-                if config.collect_log {
-                    let rerun = log_pending.contains_key(&t_exec);
-                    let entry = log_pending.entry(t_exec).or_insert(IterationLog {
-                        iter: t_exec,
-                        exec_start,
-                        exec_end: exec_start,
-                        confirmed_at: exec_start,
-                        speculated_inputs: 0,
-                        re_executions: 0,
-                    });
-                    if rerun {
-                        entry.re_executions += 1;
-                    }
-                    entry.exec_start = exec_start;
-                    entry.exec_end = transport.now();
-                    entry.speculated_inputs = speculated.held() as u32;
-                }
-
-                exec_q.push_back(ExecRecord {
-                    iter: t_exec,
-                    pre,
-                    produced: app.shared(),
-                    speculated,
-                });
-                let queue_depth = exec_q.len() as u64;
-                let t_now = transport.now();
-                if let Some(r) = transport.recorder() {
-                    r.gauge(
-                        obs_rank,
-                        t_now.as_nanos(),
-                        Gauge::ExecQueueDepth,
-                        queue_depth,
-                    );
-                }
-                t_exec += 1;
-                starved_since = None;
-                continue 'main;
             }
-            // Abandoned: drop whatever was speculated for the attempt.
-            speculations.iter_mut().for_each(|s| *s = None);
+        }
+        comp_ops += self.app.finish_iteration();
+        for k in ask {
+            self.resend_latest(Rank(k), RETRANS_REQ_TAG).await;
         }
 
-        // ------------------------------------------------------------------
-        // Phase 3: nothing to compute — block for the next message. With
-        // fault tolerance on, the wait is bounded by whichever comes first:
-        // a missing peer's loss deadline (armed or in grace), the
-        // starvation timeout, or this rank's next scripted crash. The
-        // transport wakes exactly at the arrival or the deadline, so
-        // θ-acceptance decisions do not depend on any poll interval.
-        // ------------------------------------------------------------------
-        let t0 = transport.now();
-        let env = if let Some(f) = &ft {
-            if exec_q.is_empty() && starved_since.is_none() {
-                starved_since = Some(t0);
-            }
-            let mut deadline: Option<SimTime> = None;
-            let mut consider = |d: SimTime| {
-                deadline = Some(match deadline {
-                    Some(cur) if cur <= d => cur,
-                    _ => d,
-                });
+        if spec_ops > 0 {
+            let t0 = self.transport.now();
+            self.transport.compute(spec_ops).await;
+            self.charge(Phase::Speculate, t0, t_exec, Some(depth));
+        }
+        let t0 = self.transport.now();
+        self.transport.compute(comp_ops).await;
+        let exec_end = self.charge(Phase::Compute, t0, t_exec, Some(depth));
+
+        if self.config.collect_log {
+            let earlier = self.log_pending.get(&t_exec);
+            let entry = IterationLog {
+                iter: t_exec,
+                exec_start,
+                exec_end,
+                // Stamped at the commit.
+                confirmed_at: exec_start,
+                speculated_inputs: speculated.held() as u32,
+                re_executions: earlier.map_or(0, |e| e.re_executions + 1),
             };
-            for (k, w) in peer_wait.iter().enumerate() {
-                let Some(w) = w else { continue };
-                // Mirror the promotion check's deadline exactly, or the
-                // wakeup would fire early/late relative to the promotion.
-                let loss_deadline = ctl
-                    .as_ref()
-                    .and_then(|c| c.deadline_for(k))
-                    .unwrap_or(f.loss_timeout);
-                match w {
-                    PeerWait::Armed { since } => consider(*since + loss_deadline),
-                    PeerWait::Grace { asked_at } => consider(*asked_at + loss_deadline),
-                }
-            }
-            if let Some(s) = starved_since {
-                consider(s + f.loss_timeout);
-            }
-            if let Some(c) = my_crashes.get(next_crash) {
-                consider(c.at);
-            }
-            match deadline {
-                Some(d) if d > t0 => transport.recv_timeout(d.duration_since(t0)).await,
-                // A deadline is already due: act on it at the loop top.
-                Some(_) => None,
-                // Unreachable with fault tolerance on (one of the waits
-                // above is always armed), kept for safety.
-                None => Some(transport.recv().await),
-            }
-        } else {
-            Some(transport.recv().await)
+            self.log_pending.insert(t_exec, entry);
+        }
+
+        self.exec_q.push_back(ExecRecord {
+            iter: t_exec,
+            pre,
+            produced: self.app.shared(),
+            speculated,
+        });
+        let queue_depth = self.exec_q.len() as u64;
+        self.gauge(exec_end, Gauge::ExecQueueDepth, queue_depth);
+        self.t_exec += 1;
+        if let Some(f) = &mut self.fault {
+            f.starved_since = None;
+        }
+    }
+
+    // ---- step 5: Phase 3 ---------------------------------------------------
+
+    /// Phase 3, before blocking: nothing to compute, so the rank waits for
+    /// the next message. Returns the instant the wait starts and, with
+    /// fault tolerance on, the [`FaultState::wake_deadline`] that bounds
+    /// it. The transport wakes exactly at the arrival or the deadline, so
+    /// θ-acceptance decisions do not depend on any poll interval.
+    fn begin_wait(&mut self) -> (SimTime, Option<SimTime>) {
+        let t0 = self.transport.now();
+        let Some(f) = &mut self.fault else {
+            return (t0, None);
         };
-        let t1 = transport.now();
+        if self.exec_q.is_empty() && f.starved_since.is_none() {
+            f.starved_since = Some(t0);
+        }
+        (t0, f.wake_deadline(&self.ctl))
+    }
+
+    /// Phase 3, after blocking since `t0`: book the wait and carry what
+    /// arrived (if anything) to the next pass.
+    fn end_wait(&mut self, t0: SimTime, env: Option<Envelope<IterMsg<A::Shared>>>) {
+        let t1 = self.transport.now();
         let waited = t1 - t0;
-        stats.phases.comm_wait += waited;
-        waited_since_confirm += waited;
-        if waited > SimDuration::ZERO || ft.is_none() {
-            if let Some(r) = transport.recorder() {
-                r.span_begin(obs_rank, t0.as_nanos(), Phase::CommWait, Some(t_conf), None);
-                r.span_end(obs_rank, t1.as_nanos(), Phase::CommWait);
-            }
+        self.stats.phases.comm_wait += waited;
+        if waited > SimDuration::ZERO || self.fault.is_none() {
+            self.span(t0, t1, Phase::CommWait, self.t_conf, None);
         }
-        carried = env;
+        self.carried = env;
     }
-
-    stats.messages_lost = transport.fault_counters().dropped;
-    stats.total_time = transport.now() - start;
-    stats
-}
-
-/// Broadcast this iteration's partition to every peer. Without a delta
-/// policy every peer gets the full snapshot, exactly as before. With one,
-/// each peer gets either a keyframe (on the keyframe cadence, or when its
-/// shadow is missing) or the sparse diff against its sender shadow; the
-/// shadow is then advanced by *what was sent* — not by the true state —
-/// so quantization error never compounds across iterations.
-#[allow(clippy::too_many_arguments)] // the driver's send path in one place
-async fn broadcast<T, A>(
-    transport: &mut T,
-    stats: &mut RunStats,
-    app: &A,
-    dx: &mut DeltaState<A::Shared>,
-    p: usize,
-    me: Rank,
-    iter: u64,
-    data: A::Shared,
-) where
-    A: SpeculativeApp,
-    A::Shared: WireSize,
-    T: mpk::AsyncTransport<Msg = IterMsg<A::Shared>>,
-{
-    let Some(pol) = dx.policy else {
-        for k in 0..p {
-            if k != me.0 {
-                send_msg(
-                    transport,
-                    stats,
-                    Rank(k),
-                    DATA_TAG,
-                    IterMsg::full(iter, data.clone()),
-                )
-                .await;
-            }
-        }
-        return;
-    };
-    let capable = app.delta_extract(&data, &mut dx.cur);
-    debug_assert!(capable, "delta policy active on a non-capable app");
-    let full_bytes = (HEADER_BYTES + 8 + data.wire_size()) as u64;
-    let keyframe_due = iter.is_multiple_of(pol.keyframe_interval);
-    let obs_rank = me.0 as u32;
-    for k in 0..p {
-        if k == me.0 {
-            continue;
-        }
-        match &mut dx.tx_shadow[k] {
-            Some(shadow) if !keyframe_due => {
-                dx.frame.diff_into(&dx.cur, shadow, pol.floor);
-                dx.frame.apply(shadow);
-                let msg = IterMsg::delta(iter, dx.frame.clone());
-                let suppressed = full_bytes.saturating_sub((HEADER_BYTES + msg.wire_size()) as u64);
-                stats.delta_suppressed_bytes += suppressed;
-                let t_now = transport.now().as_nanos();
-                if let Some(r) = transport.recorder() {
-                    r.mark(
-                        obs_rank,
-                        t_now,
-                        Mark::DeltaSuppressed {
-                            to: k as u32,
-                            bytes: suppressed,
-                        },
-                    );
-                }
-                send_msg(transport, stats, Rank(k), DATA_TAG, msg).await;
-            }
-            shadow => {
-                let shadow = shadow.get_or_insert_with(Vec::new);
-                shadow.clear();
-                shadow.extend_from_slice(&dx.cur);
-                send_msg(
-                    transport,
-                    stats,
-                    Rank(k),
-                    DATA_TAG,
-                    IterMsg::full(iter, data.clone()),
-                )
-                .await;
-            }
-        }
-    }
-}
-
-/// Fold one received frame into the inbox and history. Full frames behave
-/// exactly as the pre-delta protocol did (and additionally re-seed the
-/// receiver shadow); a delta frame reconstructs the sender's snapshot by
-/// patching the shadow, but only when it extends it by exactly one
-/// iteration — duplicates and gap frames are dropped without touching the
-/// history or inbox, so they can never fabricate promotion evidence or
-/// corrupt a reconstruction. Gaps heal when the next keyframe, retransmit
-/// reply, or recovery request (all full frames) re-seeds the shadow.
-/// Returns whether the frame filled an empty inbox slot (not a duplicate,
-/// not for a consumed iteration).
-fn stash<A: SpeculativeApp>(
-    app: &A,
-    dx: &mut DeltaState<A::Shared>,
-    env: Envelope<IterMsg<A::Shared>>,
-    inbox: &mut Inbox<A::Shared>,
-    history: &mut [History<A::Shared>],
-    stats: &mut RunStats,
-) -> bool
-where
-    A::Shared: WireSize,
-{
-    stats.messages_received += 1;
-    stats.bytes_received += (HEADER_BYTES + env.msg.wire_size()) as u64;
-    let src = env.src.0;
-    let IterMsg { iter, body } = env.msg;
-    // No honest rank stamps an iteration the run never executes. Left in,
-    // one such frame would be the peer's newest history entry and standing
-    // loss evidence (`seen_past`) for the rest of the run.
-    if iter >= inbox.limit() {
-        return false;
-    }
-    match &mut dx.seen_past[src] {
-        Some(sp) => *sp = (*sp).max(iter),
-        sp => *sp = Some(iter),
-    }
-    let data = match body {
-        MsgBody::Full(data) => {
-            if dx.policy.is_some() {
-                // Never regress the shadow: a stale (reordered or
-                // duplicated) full frame must not break the chain the
-                // newer deltas continue from.
-                match &dx.rx_shadow[src] {
-                    Some((si, _)) if *si > iter => {}
-                    _ => dx.rx_shadow[src] = Some((iter, data.clone())),
-                }
-            }
-            data
-        }
-        MsgBody::Delta(frame) => {
-            // A frame the app cannot patch (a lane out of range, or deltas
-            // sent to a non-delta-capable app) is dropped like a gap: the
-            // shadow stays as it was.
-            let patched = match &dx.rx_shadow[src] {
-                Some((si, base)) if si + 1 == iter => app.delta_patch(base, &frame.entries),
-                _ => None,
-            };
-            let Some(next) = patched else {
-                stats.delta_frames_dropped += 1;
-                return false;
-            };
-            dx.rx_shadow[src] = Some((iter, next.clone()));
-            next
-        }
-    };
-    history[src].record(iter, data.clone());
-    inbox.insert(iter, src, data)
 }
 
 // ---------------------------------------------------------------------------
@@ -2422,50 +2454,112 @@ mod tests {
         }
     }
 
-    /// Rank 0's receive-side state facing peer 1, for driving `stash`
-    /// directly.
-    struct StashRig {
-        app: Toy,
-        dx: DeltaState<f64>,
-        inbox: Inbox<f64>,
-        history: Vec<History<f64>>,
-        stats: RunStats,
-    }
-
-    impl StashRig {
-        fn new() -> Self {
-            let mut dx = DeltaState::inert(2);
-            dx.policy = Some(DeltaExchange::lossless());
-            StashRig {
-                app: Toy::new(0, 2, 0.0),
-                dx,
-                inbox: Inbox::new(2, 100),
-                history: vec![History::new(4), History::new(4)],
-                stats: RunStats::new(Rank(0)),
+    /// The local form of commits ≤ losses: every input of the pure loss
+    /// detector, `{None, Armed, Grace}` × evidence × heard-since-the-ask ×
+    /// deadline-due.
+    #[test]
+    fn peer_wait_step_transition_table() {
+        let at = SimTime::from_nanos;
+        let deadline = SimDuration::from_nanos(100);
+        let (t0, mut cases) = (at(1_000), 0);
+        let starts = [
+            None,
+            Some(PeerWait::Armed { since: t0 }),
+            Some(PeerWait::Grace { asked_at: t0 }),
+        ];
+        for cur in starts {
+            for evidence in [false, true] {
+                for heard_since in [false, true] {
+                    for due in [false, true] {
+                        cases += 1;
+                        let now = at(if due { 1_100 } else { 1_099 });
+                        let last_heard = at(if heard_since { 1_050 } else { 1_000 });
+                        let (next, action) =
+                            PeerWait::step(cur, now, deadline, evidence, last_heard);
+                        let ctx =
+                            format!("{cur:?} evidence={evidence} heard={heard_since} due={due}");
+                        match cur {
+                            // `None` only arms.
+                            None => {
+                                assert_eq!(next, Some(PeerWait::Armed { since: now }), "{ctx}");
+                                assert_eq!(action, LossAction::Wait, "{ctx}");
+                            }
+                            Some(PeerWait::Armed { .. }) => {
+                                let want = match (due, evidence) {
+                                    (false, _) => (cur, LossAction::Wait),
+                                    (true, true) => (None, LossAction::Promote),
+                                    (true, false) => {
+                                        (Some(PeerWait::Grace { asked_at: now }), LossAction::Ask)
+                                    }
+                                };
+                                assert_eq!((next, action), want, "{ctx}");
+                            }
+                            Some(PeerWait::Grace { .. }) => {
+                                let want = match (evidence, heard_since, due) {
+                                    (true, _, _) => (None, LossAction::Promote),
+                                    // Heard but behind: re-arm from `last_heard`.
+                                    (false, true, _) => (
+                                        Some(PeerWait::Armed { since: last_heard }),
+                                        LossAction::Wait,
+                                    ),
+                                    (false, false, true) => (None, LossAction::Promote),
+                                    (false, false, false) => (cur, LossAction::Wait),
+                                };
+                                assert_eq!((next, action), want, "{ctx}");
+                            }
+                        }
+                        // `Ask` comes only from `Armed` + due + no evidence.
+                        let armed = matches!(cur, Some(PeerWait::Armed { .. }));
+                        assert_eq!(
+                            action == LossAction::Ask,
+                            armed && due && !evidence,
+                            "{ctx}"
+                        );
+                        // Every `Promote` has evidence, or a full deadline of
+                        // silence after an ask.
+                        if action == LossAction::Promote {
+                            let silent_grace =
+                                matches!(cur, Some(PeerWait::Grace { .. })) && due && !heard_since;
+                            assert!(evidence || silent_grace, "{ctx}");
+                            assert_eq!(next, None, "a promoted wait is over: {ctx}");
+                        }
+                    }
+                }
             }
         }
+        // `LossAction` is one value per call, so no input can yield both
+        // `Ask` and `Promote`; the table is complete at 3 × 2 × 2 × 2.
+        assert_eq!(cases, 24);
+    }
 
-        /// Receive one frame from peer 1.
-        fn stash(&mut self, iter: u64, body: MsgBody<f64>) -> bool {
-            let env = Envelope {
-                src: Rank(1),
-                tag: DATA_TAG,
-                msg: IterMsg { iter, body },
-            };
-            stash(
-                &self.app,
-                &mut self.dx,
-                env,
-                &mut self.inbox,
-                &mut self.history,
-                &mut self.stats,
-            )
+    /// Rank 0's receive-side state in a 2-rank, 100-iteration run with
+    /// lossless delta exchange on: what [`DeltaState::stash`] reads and
+    /// writes.
+    fn receive_side() -> (
+        Toy,
+        DeltaState<f64>,
+        Inbox<f64>,
+        Vec<History<f64>>,
+        RunStats,
+    ) {
+        let app = Toy::new(0, 2, 0.0);
+        let dx = DeltaState::new(2, Some(DeltaExchange::lossless()), &app);
+        let history = vec![History::new(4), History::new(4)];
+        (app, dx, Inbox::new(2, 100), history, RunStats::new(Rank(0)))
+    }
+
+    /// A data frame from peer 1.
+    fn from_peer(iter: u64, body: MsgBody<f64>) -> Envelope<IterMsg<f64>> {
+        Envelope {
+            src: Rank(1),
+            tag: DATA_TAG,
+            msg: IterMsg { iter, body },
         }
     }
 
     #[test]
     fn stash_drops_gap_and_duplicate_delta_frames() {
-        let mut rig = StashRig::new();
+        let (app, mut dx, mut inbox, mut hist, mut stats) = receive_side();
         let delta = |v: f64| {
             MsgBody::Delta(DeltaFrame {
                 entries: vec![(0, v)],
@@ -2473,38 +2567,58 @@ mod tests {
         };
 
         // A full frame seeds the shadow.
-        rig.stash(5, MsgBody::Full(2.0));
-        assert_eq!(rig.dx.rx_shadow[1], Some((5, 2.0)));
+        let env = from_peer(5, MsgBody::Full(2.0));
+        dx.stash(&app, env, &mut inbox, &mut hist, &mut stats);
+        assert_eq!(dx.rx_shadow[1], Some((5, 2.0)));
 
         // A gap delta (iter 7 against shadow 5) is dropped untouched.
-        rig.stash(7, delta(9.0));
-        assert_eq!(rig.stats.delta_frames_dropped, 1);
-        assert_eq!(rig.history[1].latest_iter(), Some(5));
+        dx.stash(
+            &app,
+            from_peer(7, delta(9.0)),
+            &mut inbox,
+            &mut hist,
+            &mut stats,
+        );
+        assert_eq!(stats.delta_frames_dropped, 1);
+        assert_eq!(hist[1].latest_iter(), Some(5));
         assert_eq!(
-            rig.dx.rx_shadow[1],
+            dx.rx_shadow[1],
             Some((5, 2.0)),
             "gap must not move the shadow"
         );
 
         // The in-order delta applies and advances the shadow.
-        rig.stash(6, delta(3.0));
-        assert_eq!(rig.dx.rx_shadow[1], Some((6, 3.0)));
-        assert_eq!(rig.history[1].latest_iter(), Some(6));
-        assert_eq!(rig.inbox.get(6, 1), Some(&3.0));
+        dx.stash(
+            &app,
+            from_peer(6, delta(3.0)),
+            &mut inbox,
+            &mut hist,
+            &mut stats,
+        );
+        assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
+        assert_eq!(hist[1].latest_iter(), Some(6));
+        assert_eq!(inbox.get(6, 1), Some(&3.0));
 
         // A duplicate of that delta is inert.
-        rig.stash(6, delta(3.0));
-        assert_eq!(rig.stats.delta_frames_dropped, 2);
-        assert_eq!(rig.dx.rx_shadow[1], Some((6, 3.0)));
+        dx.stash(
+            &app,
+            from_peer(6, delta(3.0)),
+            &mut inbox,
+            &mut hist,
+            &mut stats,
+        );
+        assert_eq!(stats.delta_frames_dropped, 2);
+        assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
 
         // A stale full frame never regresses the shadow.
-        rig.stash(4, MsgBody::Full(1.0));
-        assert_eq!(rig.dx.rx_shadow[1], Some((6, 3.0)));
+        let env = from_peer(4, MsgBody::Full(1.0));
+        dx.stash(&app, env, &mut inbox, &mut hist, &mut stats);
+        assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
 
         // `seen_past` remembers the gap frame's iteration as promotion
         // evidence even though its payload was dropped.
-        assert_eq!(rig.dx.seen_past[1], Some(7));
-        assert_eq!(rig.stats.messages_received, 5);
+        assert_eq!(dx.seen_past[1], Some(7));
+        assert_eq!(stats.messages_received, 5);
     }
 
     proptest::proptest! {
@@ -2529,46 +2643,48 @@ mod tests {
             let patchable = entries.iter().all(|&(lane, _)| lane == 0);
             let last = entries.last().map_or(2.0, |e| e.1);
 
-            let mut rig = StashRig::new();
-            rig.stash(5, MsgBody::Full(2.0));
-            let arrived = rig.stash(6, MsgBody::Delta(DeltaFrame { entries }));
+            let (app, mut dx, mut inbox, mut hist, mut stats) = receive_side();
+            let env = from_peer(5, MsgBody::Full(2.0));
+            dx.stash(&app, env, &mut inbox, &mut hist, &mut stats);
+            let env = from_peer(6, MsgBody::Delta(DeltaFrame { entries }));
+            let arrived = dx.stash(&app, env, &mut inbox, &mut hist, &mut stats);
             assert_eq!(arrived, patchable);
             if patchable {
-                assert_eq!(rig.stats.delta_frames_dropped, 0);
-                assert_eq!(rig.inbox.get(6, 1).map(|v| v.to_bits()), Some(last.to_bits()));
-                assert_eq!(rig.history[1].latest_iter(), Some(6));
+                assert_eq!(stats.delta_frames_dropped, 0);
+                assert_eq!(inbox.get(6, 1).map(|v| v.to_bits()), Some(last.to_bits()));
+                assert_eq!(hist[1].latest_iter(), Some(6));
             } else {
-                assert_eq!(rig.stats.delta_frames_dropped, 1);
-                assert_eq!(rig.dx.rx_shadow[1], Some((5, 2.0)), "shadow must not move");
-                assert_eq!(rig.history[1].latest_iter(), Some(5));
-                assert_eq!(rig.inbox.get(6, 1), None);
+                assert_eq!(stats.delta_frames_dropped, 1);
+                assert_eq!(dx.rx_shadow[1], Some((5, 2.0)), "shadow must not move");
+                assert_eq!(hist[1].latest_iter(), Some(5));
+                assert_eq!(inbox.get(6, 1), None);
             }
 
-            // The rig runs 100 iterations: half the stamps sit just past
-            // the end, the rest anywhere up to `u64::MAX`.
+            // The run is 100 iterations: half the stamps sit just past the
+            // end, the rest anywhere up to `u64::MAX`.
             let stamp = if past & 1 == 0 { 100 + (past >> 1) % 4 } else { past.max(100) };
             let before = (
-                rig.dx.rx_shadow.clone(),
-                rig.dx.seen_past.clone(),
-                rig.history[1].latest_iter(),
-                rig.inbox.depth(),
-                rig.stats.delta_frames_dropped,
+                dx.rx_shadow.clone(),
+                dx.seen_past.clone(),
+                hist[1].latest_iter(),
+                inbox.depth(),
+                stats.delta_frames_dropped,
             );
             for body in [
                 MsgBody::Full(8.0),
                 MsgBody::Delta(DeltaFrame { entries: vec![(0, 8.0)] }),
             ] {
-                assert!(!rig.stash(stamp, body));
+                assert!(!dx.stash(&app, from_peer(stamp, body), &mut inbox, &mut hist, &mut stats));
                 let after = (
-                    rig.dx.rx_shadow.clone(),
-                    rig.dx.seen_past.clone(),
-                    rig.history[1].latest_iter(),
-                    rig.inbox.depth(),
-                    rig.stats.delta_frames_dropped,
+                    dx.rx_shadow.clone(),
+                    dx.seen_past.clone(),
+                    hist[1].latest_iter(),
+                    inbox.depth(),
+                    stats.delta_frames_dropped,
                 );
                 assert_eq!(after, before, "a frame stamped {stamp} moved state");
             }
-            assert_eq!(rig.stats.messages_received, 4);
+            assert_eq!(stats.messages_received, 4);
         }
     }
 }

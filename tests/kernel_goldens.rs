@@ -24,6 +24,8 @@
 //! 4. **Kernel and transport level** — a raw `desim` mesh and the
 //!    same-instant timer-vs-delivery race under every tie-break mode, and
 //!    a contended-medium `mpk` cluster.
+//! 5. **Driver event stream** — one run with every driver feature on,
+//!    pinning the sequence of telemetry events, not only their totals.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -31,8 +33,8 @@ use std::path::PathBuf;
 use desim::{SimDuration, SimReport, SimTime, Simulation, TieBreak};
 use mpk::{AsyncTransport, FaultSpec, SimClusterOptions, Tag};
 use netsim::{
-    ClusterSpec, ConstantLatency, Duplicate, FaultStack, Jitter, LoadModel, Loss, NetworkModel,
-    RandomSpikes, SharedMedium, TransientDelays, Unloaded,
+    ClusterSpec, ConstantLatency, CrashPlan, Duplicate, FaultStack, Jitter, LoadModel, Loss,
+    MachineCrash, NetworkModel, RandomSpikes, SharedMedium, TransientDelays, Unloaded,
 };
 use proptest::corpus;
 use proptest::strategy::Strategy;
@@ -41,7 +43,9 @@ use speccheck::{
     assert_matches_golden, drive_synthetic_aio, loss_scenario, run_sim_with_faults, spec_params,
     synthetic_scenario, DriverMode, RunOutput, SyntheticScenario,
 };
-use speccore::{FaultTolerance, IterMsg, RunStats, SpecConfig};
+use speccore::{
+    ControllerConfig, FaultTolerance, IterMsg, RunStats, SpecConfig, SupervisionConfig,
+};
 
 // ---------------------------------------------------------------------------
 // Golden lines
@@ -487,4 +491,66 @@ fn desim_timer_vs_deliver_matches_golden() {
         .unwrap();
     }
     assert_matches_golden(&golden("desim_timer_vs_deliver.txt"), &lines);
+}
+
+// ---------------------------------------------------------------------------
+// 5. Driver event stream
+// ---------------------------------------------------------------------------
+
+/// Every driver feature at once — 5 % loss, one transient scripted crash
+/// long enough to be quarantined and readmitted, supervision, the
+/// controller, delta exchange and the iteration log — with a recorder on
+/// every rank. The other goldens run untraced and the Chrome-trace golden
+/// is fault-free, so this line is what pins the *order* of the driver's
+/// marks, spans and gauges under faults.
+#[test]
+fn driver_events_match_golden() {
+    let sc = SyntheticScenario {
+        iters: 40,
+        delta_floor: 1e-3,
+        delta_keyframe: 4,
+        ..chaos_scenario()
+    };
+    let crash = MachineCrash {
+        rank: 2,
+        at: SimTime::from_nanos(30_000_000),
+        restart_after: SimDuration::from_millis(150),
+    };
+    let cfg = SpecConfig::speculative(2)
+        .with_iteration_log()
+        .with_fault_tolerance(
+            FaultTolerance::new(SimDuration::from_millis(20)).with_crashes(vec![crash]),
+        )
+        .with_supervision(SupervisionConfig::new(1, 2))
+        .with_adaptive(ControllerConfig::new().with_fw_max(3).with_cadence(2, 2))
+        .with_delta_exchange(sc.delta_policy());
+    let mode = DriverMode::Speculative(cfg);
+    let recorder = obs::SharedRecorder::new();
+    let (outs, report) = mpk::run_sim_proc_cluster_with_options::<IterMsg<Vec<f64>>, _, _, _>(
+        &sc.cluster(),
+        ConstantLatency(SimDuration::from_millis(2)),
+        Unloaded,
+        FaultSpec::new(Loss::new(0.05, 77)).with_crashes(CrashPlan::new(vec![crash])),
+        SimClusterOptions {
+            check_scheduling: true,
+            ..Default::default()
+        },
+        |mut t| {
+            t.set_recorder(Box::new(recorder.clone()));
+            let (sc, mode) = (sc.clone(), mode.clone());
+            async move { drive_synthetic_aio(&mut t, &sc, 0.05, &mode).await }
+        },
+    )
+    .expect("the all-features run must complete");
+    let events = recorder.drain();
+    let (fps, stats): (Vec<u64>, Vec<RunStats>) = outs.into_iter().unzip();
+    let line = format!(
+        "all features fw=2 loss 0.05 seed 77 crash r2@30ms+150ms | fp={} | events={} fnv={:016x} | stats={:016x} | end_ns={}\n",
+        hex_list(fps),
+        events.len(),
+        fnv(&events),
+        fnv(&stats),
+        report.end_time.as_nanos()
+    );
+    assert_matches_golden(&golden("driver_events.txt"), &line);
 }
