@@ -36,6 +36,7 @@
 mod backoff;
 mod codec;
 mod delta;
+mod frame;
 // The product crates' one `unsafe` block: the `ppoll(2)` binding.
 #[allow(unsafe_code)]
 mod poll;
@@ -48,6 +49,10 @@ mod types;
 pub use backoff::Backoff;
 pub use codec::{decode_exact, encode_to_vec, encoded_len_matches_wire_size, WireCodec};
 pub use delta::DeltaFrame;
+pub use frame::{
+    DEFAULT_MAX_FRAME, FRAME_OVERHEAD, KIND_DATA, KIND_GOODBYE, KIND_HEARTBEAT, KIND_HELLO,
+    KIND_RESUME, WIRE_VERSION,
+};
 pub use sim::{
     run_sim_proc_cluster, run_sim_proc_cluster_with_faults, run_sim_proc_cluster_with_options,
     Corruptor, FaultSpec, SimClusterOptions, SimIo,
@@ -55,8 +60,7 @@ pub use sim::{
 pub use socket::{
     connect_socket_cluster, connect_socket_cluster_with_faults, rejoin_socket_cluster,
     run_socket_cluster, run_socket_cluster_with_faults, SocketClusterOptions, SocketTransport,
-    SupervisionCounters, SupervisorOptions, DEFAULT_MAX_FRAME, FRAME_OVERHEAD, KIND_DATA,
-    KIND_GOODBYE, KIND_HEARTBEAT, KIND_HELLO, KIND_RESUME, WIRE_VERSION,
+    SupervisionCounters, SupervisorOptions,
 };
 pub use threads::{
     run_thread_cluster, run_thread_cluster_with_faults, ThreadClusterOptions, ThreadTransport,
