@@ -8,65 +8,18 @@ use std::rc::Rc;
 use desim::{
     AsyncHandle, MailboxId, SimDuration, SimError, SimReport, SimTime, Simulation, TieBreak,
 };
-use netsim::{
-    ClusterSpec, CrashPlan, FaultModel, LoadModel, MachineSpec, MsgCtx, NetworkModel, NoFaults,
-};
-use obs::{Mark, Recorder};
+use netsim::{ClusterSpec, LoadModel, MachineSpec, MsgCtx, NetworkModel};
+use obs::Recorder;
 
+use crate::faults::{FaultGate, FaultSpec, Verdict};
+use crate::tap::Tap;
 use crate::transport::AsyncTransport;
 use crate::types::{Envelope, FaultCounters, Rank, Tag, WireSize, HEADER_BYTES};
 
-/// How a corruption amplitude maps onto a concrete payload: called as
-/// `(msg, amp, salt)`, where `salt` is a deterministic per-hit counter so
-/// the perturbation can draw reproducible noise without global state.
-pub type Corruptor<M> = Box<dyn FnMut(&mut M, f64, u64) + Send>;
-
-/// Fault-injection configuration of a simulated cluster run: the
-/// per-message fate model, the scripted machine outages, and (optionally)
-/// how corruption fates apply to this payload type.
-pub struct FaultSpec<M> {
-    /// Per-message fate model (loss, duplication, corruption, partitions).
-    pub model: Box<dyn FaultModel>,
-    /// Scripted machine outages. The transport drops sends addressed to a
-    /// down rank, like datagrams to a rebooting host; the driver side
-    /// (speccore) interprets the same plan to crash and recover ranks.
-    pub crashes: CrashPlan,
-    /// Applies a [`netsim::Fate::corrupt_amp`] to the payload. `None`
-    /// turns corruption fates into no-ops.
-    pub corruptor: Option<Corruptor<M>>,
-}
-
-impl<M> FaultSpec<M> {
-    /// No faults: the configuration [`run_sim_proc_cluster`] uses.
-    pub fn none() -> Self {
-        FaultSpec {
-            model: Box::new(NoFaults),
-            crashes: CrashPlan::none(),
-            corruptor: None,
-        }
-    }
-
-    /// Faults from a fate model alone.
-    pub fn new(model: impl FaultModel + 'static) -> Self {
-        FaultSpec {
-            model: Box::new(model),
-            ..FaultSpec::none()
-        }
-    }
-
-    /// Add scripted machine outages.
-    pub fn with_crashes(mut self, crashes: CrashPlan) -> Self {
-        self.crashes = crashes;
-        self
-    }
-}
-
-struct SharedNet<M> {
+struct SharedNet {
     net: Box<dyn NetworkModel>,
     load: Box<dyn LoadModel>,
-    faults: FaultSpec<M>,
-    counters: Vec<FaultCounters>,
-    corrupt_salt: u64,
+    gate: FaultGate,
 }
 
 /// A rank's endpoint on a simulated cluster.
@@ -81,8 +34,9 @@ pub struct SimIo<M> {
     size: usize,
     machine: MachineSpec,
     mailboxes: Rc<Vec<MailboxId>>,
-    shared: Rc<RefCell<SharedNet<M>>>,
-    rec: Option<Box<dyn Recorder>>,
+    shared: Rc<RefCell<SharedNet>>,
+    tap: Tap,
+    msg: std::marker::PhantomData<fn(M)>,
 }
 
 impl<M: Send + 'static> SimIo<M> {
@@ -108,7 +62,14 @@ impl<M: Send + 'static> SimIo<M> {
     /// by the transport itself; spans and counters come from the algorithm
     /// via [`AsyncTransport::recorder`].
     pub fn set_recorder(&mut self, rec: Box<dyn Recorder>) {
-        self.rec = Some(rec);
+        self.tap.attach(rec);
+    }
+
+    /// Built where it is sent, from `self`, not from locals: what `send`
+    /// holds across its awaits is per-rank memory, at up to 100 000 ranks.
+    fn envelope(&self, tag: Tag, msg: M) -> Envelope<M> {
+        let src = self.rank;
+        Envelope { src, tag, msg }
     }
 }
 
@@ -135,99 +96,27 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
         };
         // Fate first, then the network: a dropped message never touches
         // the medium, so fault-free runs see the identical delay stream.
-        let (fate, delay) = {
+        // A corruption fate changes nothing here: there are no bytes to
+        // damage.
+        let (verdict, delay) = {
             let mut sh = self.shared.borrow_mut();
-            let fate = sh.faults.model.fate(&ctx);
-            let down = !sh.faults.crashes.is_empty() && sh.faults.crashes.is_down(to.0, ctx.now);
-            if !fate.deliver || down {
-                sh.counters[self.rank.0].dropped += 1;
-                drop(sh);
-                if let Some(r) = self.rec.as_deref_mut() {
-                    let t_ns = self.h.now().as_nanos();
-                    let rank = self.rank.0 as u32;
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MsgSent {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MessageDropped {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                }
-                return;
-            }
-            sh.counters[self.rank.0].delivered += 1;
-            if fate.extra_copies > 0 {
-                sh.counters[self.rank.0].duplicated += u64::from(fate.extra_copies);
-            }
-            (fate, sh.net.delay(&ctx))
+            let verdict = sh.gate.admit(&ctx);
+            let travels = matches!(verdict, Verdict::Deliver { .. });
+            (verdict, travels.then(|| sh.net.delay(&ctx)))
         };
-        let mut msg = msg;
-        if fate.corrupt_amp > 0.0 {
-            let mut sh = self.shared.borrow_mut();
-            sh.corrupt_salt = sh.corrupt_salt.wrapping_add(1);
-            let salt = sh.corrupt_salt;
-            if let Some(c) = sh.faults.corruptor.as_mut() {
-                c(&mut msg, fate.corrupt_amp, salt);
-            }
-        }
-        if let Some(r) = self.rec.as_deref_mut() {
-            let t_ns = self.h.now().as_nanos();
-            let rank = self.rank.0 as u32;
-            r.mark(
-                rank,
-                t_ns,
-                Mark::MsgSent {
-                    to: to.0 as u32,
-                    bytes: bytes as u64,
-                },
-            );
-            if fate.extra_copies > 0 {
-                r.mark(
-                    rank,
-                    t_ns,
-                    Mark::MessageDuplicated {
-                        to: to.0 as u32,
-                        copies: fate.extra_copies,
-                    },
-                );
-            }
-        }
+        self.tap.fated(|| ctx.now.as_nanos(), to, bytes, verdict);
+        let (Verdict::Deliver { copies, .. }, Some(delay)) = (verdict, delay) else {
+            return;
+        };
         // Each extra copy re-consults the network: duplicates occupy the
         // medium like any other message.
-        for _ in 0..fate.extra_copies {
+        for _ in 0..copies {
             let d = self.shared.borrow_mut().net.delay(&ctx);
-            self.h
-                .send(
-                    self.mailboxes[to.0],
-                    d,
-                    Envelope {
-                        src: self.rank,
-                        tag,
-                        msg: msg.clone(),
-                    },
-                )
-                .await;
+            let copy = self.envelope(tag, msg.clone());
+            self.h.send(self.mailboxes[to.0], d, copy).await;
         }
-        self.h
-            .send(
-                self.mailboxes[to.0],
-                delay,
-                Envelope {
-                    src: self.rank,
-                    tag,
-                    msg,
-                },
-            )
-            .await;
+        let original = self.envelope(tag, msg);
+        self.h.send(self.mailboxes[to.0], delay, original).await;
     }
 
     async fn try_recv(&mut self) -> Option<Envelope<M>> {
@@ -235,17 +124,8 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
             .h
             .try_recv_as::<Envelope<M>>(self.mailboxes[self.rank.0])
             .await?;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            r.mark(
-                self.rank.0 as u32,
-                self.h.now().as_nanos(),
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
+        self.tap
+            .received(|| self.h.now().as_nanos(), &env, HEADER_BYTES, None);
         Some(env)
     }
 
@@ -254,17 +134,8 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
             .h
             .recv_as::<Envelope<M>>(self.mailboxes[self.rank.0])
             .await;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            r.mark(
-                self.rank.0 as u32,
-                self.h.now().as_nanos(),
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
+        self.tap
+            .received(|| self.h.now().as_nanos(), &env, HEADER_BYTES, None);
         env
     }
 
@@ -302,35 +173,13 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
             .h
             .recv_deadline_as::<Envelope<M>>(self.mailboxes[self.rank.0], deadline)
             .await;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let now = self.h.now();
-            let waited_ns = (now - armed_at).as_nanos();
-            match &env {
-                Some(env) => {
-                    let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-                    r.mark(
-                        self.rank.0 as u32,
-                        now.as_nanos(),
-                        Mark::RecvWakeup {
-                            from: env.src.0 as u32,
-                            waited_ns,
-                        },
-                    );
-                    r.mark(
-                        self.rank.0 as u32,
-                        now.as_nanos(),
-                        Mark::MsgRecv {
-                            from: env.src.0 as u32,
-                            bytes,
-                        },
-                    );
-                }
-                None => r.mark(
-                    self.rank.0 as u32,
-                    now.as_nanos(),
-                    Mark::TimerFired { waited_ns },
-                ),
+        let now = || self.h.now().as_nanos();
+        match &env {
+            Some(env) => {
+                let armed = Some(armed_at.as_nanos());
+                self.tap.received(now, env, HEADER_BYTES, armed);
             }
+            None => self.tap.timer_fired(now, armed_at.as_nanos()),
         }
         env
     }
@@ -342,11 +191,11 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        self.shared.borrow().counters[self.rank.0]
+        self.shared.borrow().gate.counters(self.rank)
     }
 
     fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {
-        self.rec.as_deref_mut()
+        self.tap.recorder()
     }
 }
 
@@ -482,9 +331,7 @@ where
     let shared = Rc::new(RefCell::new(SharedNet {
         net: Box::new(net),
         load: Box::new(load),
-        faults,
-        counters: vec![FaultCounters::default(); p],
-        corrupt_salt: 0,
+        gate: FaultGate::new(faults, p),
     }));
 
     let results: Vec<_> = (0..p)
@@ -500,7 +347,8 @@ where
                     machine,
                     mailboxes: io_mailboxes,
                     shared: io_shared,
-                    rec: None,
+                    tap: Tap::new(Rank(r)),
+                    msg: std::marker::PhantomData,
                 })
             })
         })
@@ -727,7 +575,7 @@ mod tests {
 
     #[test]
     fn sends_to_a_crashed_destination_are_lost() {
-        use netsim::MachineCrash;
+        use netsim::{CrashPlan, MachineCrash};
         let cluster = ClusterSpec::homogeneous(2, 10.0);
         let crashes = CrashPlan::new(vec![MachineCrash {
             rank: 1,

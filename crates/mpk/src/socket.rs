@@ -106,12 +106,12 @@
 //!
 //! # Faults and disconnects
 //!
-//! [`run_socket_cluster_with_faults`] applies a [`FaultSpec`] at the
-//! frame layer of the *sender*: dropped fates are never written,
-//! duplicate fates re-write the encoded frame, and corruption either
-//! runs the spec's payload corruptor (sim-compatible semantics) or, when
-//! none is given, flips a byte of the encoded payload before the write.
-//! A peer that disconnects without a goodbye is surfaced as a
+//! [`run_socket_cluster_with_faults`] puts every send through the fault
+//! gate all three backends share (a [`FaultSpec`] and its counters) and
+//! applies the verdict at the frame layer of the *sender*: a dropped
+//! frame is never written, a duplicated one is written again, and a
+//! corrupted one has a byte of its encoded payload flipped before the
+//! write. A peer that disconnects without a goodbye is surfaced as a
 //! [`Mark::PeerCrashed`] event and the transport keeps working — no
 //! peer-controlled input panics the rank, and bounded waits keep
 //! expiring — which feeds the same crash/recovery path the
@@ -127,18 +127,20 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use desim::{SimDuration, SimTime};
-use netsim::{FaultModel, MsgCtx};
 use obs::{Mark, Recorder};
 use parking_lot::Mutex;
 
 use crate::backoff::Backoff;
+use crate::clock::WallClock;
 use crate::codec::WireCodec;
+use crate::faults::{FaultSpec, SharedGate, Verdict};
 use crate::frame::{
     bad_data, encode_frame, read_hello, read_resume, write_hello, write_resume, FrameReader,
     DEFAULT_MAX_FRAME, FRAME_OVERHEAD, KIND_DATA, KIND_GOODBYE, KIND_HEARTBEAT,
 };
 use crate::poll::{wait_ready, PollFd, POLLIN, POLLOUT};
-use crate::sim::FaultSpec;
+use crate::tap::Tap;
+use crate::threads::on_rank_threads;
 use crate::transport::Transport;
 use crate::types::{Envelope, FaultCounters, Rank, Tag, WireSize, HEADER_BYTES};
 
@@ -234,26 +236,6 @@ pub struct SupervisionCounters {
     pub reconnect_attempts: u64,
     /// Connections re-established (dialed or accepted) after a loss.
     pub reconnects: u64,
-}
-
-/// Shared fault state of a socket cluster (loopback mode shares one
-/// across ranks, matching the thread backend; multi-process mode gives
-/// each process its own).
-struct SocketFaults<M> {
-    spec: Mutex<FaultSpec<M>>,
-    counters: Mutex<Vec<FaultCounters>>,
-    /// Deterministic per-hit counter handed to corruptors.
-    salt: AtomicU64,
-}
-
-impl<M> SocketFaults<M> {
-    fn new(spec: FaultSpec<M>, p: usize) -> Self {
-        SocketFaults {
-            spec: Mutex::new(spec),
-            counters: Mutex::new(vec![FaultCounters::default(); p]),
-            salt: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Write as much of `bytes` as the kernel takes without blocking and
@@ -606,9 +588,11 @@ pub struct SocketTransport<M> {
     size: usize,
     opts: SocketClusterOptions,
     shared: Arc<Shared>,
-    epoch: Instant,
-    rec: Option<Box<dyn Recorder>>,
-    faults: Option<Arc<SocketFaults<M>>>,
+    clock: WallClock,
+    tap: Tap,
+    /// One gate per process: loopback mode shares it across ranks, like
+    /// the thread backend; multi-process mode gives each process its own.
+    faults: SharedGate,
     /// Read halves of the mesh, by peer rank: this thread is their only
     /// reader.
     conns: Vec<Option<FrameReader<TcpStream>>>,
@@ -644,23 +628,23 @@ impl<M> SocketTransport<M> {
         opts: SocketClusterOptions,
         shared: Arc<Shared>,
         bell: UnixStream,
-        faults: Option<Arc<SocketFaults<M>>>,
-        epoch: Instant,
+        faults: SharedGate,
+        clock: WallClock,
     ) -> Self {
         let size = shared.size;
         let mut t = SocketTransport {
             rank: Rank(shared.rank),
             size,
             opts,
+            tap: Tap::new(Rank(shared.rank)),
             shared,
-            epoch,
-            rec: None,
+            clock,
             faults,
             conns: (0..size).map(|_| None).collect(),
             bell,
             ready: VecDeque::new(),
             pollfds: Vec::with_capacity(size + 1),
-            last_heard: vec![epoch; size],
+            last_heard: vec![Instant::now(); size],
             bytes_sent: 0,
             bytes_received: 0,
             decode_failures: 0,
@@ -683,8 +667,8 @@ impl<M> SocketTransport<M> {
         listener: TcpListener,
         addrs: &[SocketAddr],
         opts: SocketClusterOptions,
-        faults: Option<Arc<SocketFaults<M>>>,
-        epoch: Instant,
+        faults: SharedGate,
+        clock: WallClock,
     ) -> std::io::Result<Self> {
         let size = addrs.len();
         assert!(rank < size, "rank {rank} out of range for {size} addrs");
@@ -762,13 +746,13 @@ impl<M> SocketTransport<M> {
         }
         // Without supervision the listener drops here, exactly as before.
 
-        Ok(SocketTransport::new(opts, shared, bell, faults, epoch))
+        Ok(SocketTransport::new(opts, shared, bell, faults, clock))
     }
 
     /// Attach a structured telemetry sink for this rank; same contract as
     /// [`ThreadTransport::set_recorder`](crate::ThreadTransport::set_recorder).
     pub fn set_recorder(&mut self, rec: Box<dyn Recorder>) {
-        self.rec = Some(rec);
+        self.tap.attach(rec);
     }
 
     /// How many times this rank's timed receives have blocked in
@@ -858,15 +842,9 @@ impl<M> SocketTransport<M> {
         }
     }
 
-    fn t_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn mark(&mut self, t_ns: u64, m: Mark) {
-        let rank = self.rank.0 as u32;
-        if let Some(r) = self.rec.as_deref_mut() {
-            r.mark(rank, t_ns, m);
-        }
+    /// Mark a membership event, now.
+    fn mark_peer(&mut self, mark: Mark) {
+        self.tap.mark(|| self.clock.now_ns(), mark);
     }
 
     /// Record a peer's disconnect exactly once. A peer that said
@@ -878,16 +856,12 @@ impl<M> SocketTransport<M> {
         }
         self.peer_down[peer.0] = true;
         self.peer_suspected[peer.0] = false;
-        let t_ns = self.t_ns();
         if self.peer_departed[peer.0] {
             return; // goodbye already marked the departure
         }
-        self.mark(
-            t_ns,
-            Mark::PeerCrashed {
-                peer: peer.0 as u32,
-            },
-        );
+        self.mark_peer(Mark::PeerCrashed {
+            peer: peer.0 as u32,
+        });
     }
 
     fn note_peer_departed(&mut self, peer: Rank) {
@@ -898,13 +872,9 @@ impl<M> SocketTransport<M> {
         self.peer_down[peer.0] = true;
         self.peer_suspected[peer.0] = false;
         self.shared.departed[peer.0].store(true, AtomicOrdering::Relaxed);
-        let t_ns = self.t_ns();
-        self.mark(
-            t_ns,
-            Mark::PeerDeparted {
-                peer: peer.0 as u32,
-            },
-        );
+        self.mark_peer(Mark::PeerDeparted {
+            peer: peer.0 as u32,
+        });
     }
 
     fn note_peer_back(&mut self, peer: Rank) {
@@ -913,13 +883,9 @@ impl<M> SocketTransport<M> {
         self.peer_departed[peer.0] = false;
         self.peer_suspected[peer.0] = false;
         if was_down {
-            let t_ns = self.t_ns();
-            self.mark(
-                t_ns,
-                Mark::PeerRecovered {
-                    peer: peer.0 as u32,
-                },
-            );
+            self.mark_peer(Mark::PeerRecovered {
+                peer: peer.0 as u32,
+            });
         }
     }
 
@@ -966,8 +932,7 @@ impl<M> SocketTransport<M> {
                 return;
             };
             self.peer_suspected[peer] = true;
-            let t_ns = self.t_ns();
-            self.mark(t_ns, Mark::PeerSuspected { peer: peer as u32 });
+            self.mark_peer(Mark::PeerSuspected { peer: peer as u32 });
         }
     }
 }
@@ -1067,19 +1032,14 @@ impl<M: WireCodec> SocketTransport<M> {
     }
 }
 
-impl<M: WireCodec + WireSize + Clone + Send + 'static> SocketTransport<M> {
-    fn mark_recv(&mut self, env: &Envelope<M>) {
-        if self.rec.is_some() {
-            let bytes = (env.msg.wire_size() + FRAME_OVERHEAD) as u64;
-            let t_ns = self.epoch.elapsed().as_nanos() as u64;
-            self.mark(
-                t_ns,
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
+impl<M: WireSize> SocketTransport<M> {
+    /// Mark `env` as handed to the caller, counting its real frame
+    /// header — and as what ended a timed wait armed at `armed`, if one
+    /// was in progress.
+    fn mark_recv(&mut self, env: &Envelope<M>, armed: Option<Instant>) {
+        let armed_ns = armed.map(|at| self.clock.ns_at(at));
+        self.tap
+            .received(|| self.clock.now_ns(), env, FRAME_OVERHEAD, armed_ns);
     }
 }
 
@@ -1101,76 +1061,28 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
         // header), like the other backends; wire marks below use real
         // frame bytes.
         let model_bytes = msg.wire_size() + HEADER_BYTES;
-        let t_now = SimTime::from_nanos(self.t_ns());
-        let mut extra_copies = 0u32;
-        let mut msg = msg;
-        let mut flip_salt = None;
-        if let Some(fs) = &self.faults {
-            let ctx = MsgCtx {
-                src: self.rank.0,
-                dst: to.0,
-                bytes: model_bytes,
-                now: t_now,
-            };
-            let fs = Arc::clone(fs);
-            let mut spec = fs.spec.lock();
-            let mut fate = spec.model.fate(&ctx);
-            if spec.crashes.is_down(to.0, t_now) {
-                fate.deliver = false;
-            }
-            if !fate.deliver {
-                fs.counters.lock()[self.rank.0].dropped += 1;
-                let t_ns = self.t_ns();
-                self.mark(
-                    t_ns,
-                    Mark::MsgSent {
-                        to: to.0 as u32,
-                        bytes: model_bytes as u64,
-                    },
-                );
-                self.mark(
-                    t_ns,
-                    Mark::MessageDropped {
-                        to: to.0 as u32,
-                        bytes: model_bytes as u64,
-                    },
-                );
-                return;
-            }
-            {
-                let mut counters = fs.counters.lock();
-                counters[self.rank.0].delivered += 1;
-                counters[self.rank.0].duplicated += u64::from(fate.extra_copies);
-            }
-            extra_copies = fate.extra_copies;
-            if fate.corrupt_amp > 0.0 {
-                let salt = fs.salt.fetch_add(1, AtomicOrdering::Relaxed);
-                match spec.corruptor.as_mut() {
-                    // Payload-aware corruption, identical to the sim
-                    // backend's semantics.
-                    Some(c) => c(&mut msg, fate.corrupt_amp, salt),
-                    // No corruptor: flip one byte of the encoded payload
-                    // before the write — frame-layer corruption. The
-                    // receiver either decodes a perturbed value or drops
-                    // the frame as undecodable.
-                    None => flip_salt = Some(salt),
-                }
-            }
-        }
+        let verdict = self.faults.admit(self.rank, to, model_bytes, &self.clock);
+        let Verdict::Deliver { copies, flip } = verdict else {
+            self.tap
+                .fated(|| self.clock.now_ns(), to, model_bytes, verdict);
+            return;
+        };
 
         let mut scratch = std::mem::take(&mut self.scratch);
         encode_frame(&mut scratch, KIND_DATA, self.rank.0 as u32, tag.0, &|out| {
             msg.encode(out)
         });
-        if let Some(salt) = flip_salt {
+        // A corruption fate flips one byte of the encoded payload before
+        // the write: the receiver either decodes a perturbed value or
+        // drops the frame as undecodable.
+        if let Some(hit) = flip {
             if scratch.len() > FRAME_OVERHEAD {
                 let span = scratch.len() - FRAME_OVERHEAD;
-                let idx = FRAME_OVERHEAD + (salt as usize) % span;
-                scratch[idx] ^= 0xA5;
+                scratch[FRAME_OVERHEAD + hit as usize % span] ^= 0xA5;
             }
         }
 
-        let frame_bytes = scratch.len() as u64;
+        let frame_bytes = scratch.len();
         // Hand the frame (and its duplicates) to the link once, then flush
         // until the kernel has all of it. When the buffers towards `to`
         // are full, wait for room — lock released — while receiving:
@@ -1186,7 +1098,7 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
                 link.flush()
             } else {
                 queued = true;
-                (0..=extra_copies).try_fold(true, |_, _| link.write_frame(&scratch))
+                (0..=copies).try_fold(true, |_, _| link.write_frame(&scratch))
             };
             match progress {
                 Ok(true) => break true,
@@ -1201,43 +1113,20 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
                 }
             }
         };
-        if wrote {
-            self.bytes_sent += frame_bytes * u64::from(extra_copies + 1);
-        }
         self.scratch = scratch;
 
-        let t_ns = self.t_ns();
-        if !wrote {
+        if wrote {
+            self.bytes_sent += frame_bytes as u64 * u64::from(copies + 1);
+            self.tap
+                .fated(|| self.clock.now_ns(), to, frame_bytes, verdict);
+        } else {
             // The connection is gone (or already marked down): the frame
             // is lost on the floor, like a datagram to a dead host. Read
             // what the peer left first, so a goodbye it sent before
             // closing counts as a departure, not a crash.
             self.pump(Some(Duration::ZERO), None);
             self.note_peer_gone(to);
-            self.mark(
-                t_ns,
-                Mark::MessageDropped {
-                    to: to.0 as u32,
-                    bytes: frame_bytes,
-                },
-            );
-            return;
-        }
-        self.mark(
-            t_ns,
-            Mark::MsgSent {
-                to: to.0 as u32,
-                bytes: frame_bytes,
-            },
-        );
-        if extra_copies > 0 {
-            self.mark(
-                t_ns,
-                Mark::MessageDuplicated {
-                    to: to.0 as u32,
-                    copies: extra_copies,
-                },
-            );
+            self.tap.lost(|| self.clock.now_ns(), to, frame_bytes);
         }
     }
 
@@ -1246,14 +1135,14 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
             self.pump(Some(Duration::ZERO), None);
         }
         let env = self.ready.pop_front()?;
-        self.mark_recv(&env);
+        self.mark_recv(&env, None);
         Some(env)
     }
 
     fn recv(&mut self) -> Envelope<M> {
         loop {
             if let Some(env) = self.ready.pop_front() {
-                self.mark_recv(&env);
+                self.mark_recv(&env, None);
                 return env;
             }
             self.pump(None, None);
@@ -1277,52 +1166,33 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                let waited_ns = armed.elapsed().as_nanos() as u64;
-                let t_ns = self.t_ns();
-                self.mark(t_ns, Mark::TimerFired { waited_ns });
+                let armed_ns = self.clock.ns_at(armed);
+                self.tap.timer_fired(|| self.clock.now_ns(), armed_ns);
                 return None;
             }
             self.timed_waits += 1;
             self.pump(Some(left), None);
             if let Some(env) = self.ready.pop_front() {
-                let waited_ns = armed.elapsed().as_nanos() as u64;
-                let t_ns = self.t_ns();
-                self.mark(
-                    t_ns,
-                    Mark::RecvWakeup {
-                        from: env.src.0 as u32,
-                        waited_ns,
-                    },
-                );
-                self.mark_recv(&env);
+                self.mark_recv(&env, Some(armed));
                 return Some(env);
             }
         }
     }
 
     fn sleep(&mut self, d: SimDuration) {
-        if d > SimDuration::ZERO {
-            std::thread::sleep(Duration::from_nanos(d.as_nanos()));
-        }
+        self.clock.sleep(d);
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        self.faults
-            .as_ref()
-            .map(|fs| fs.counters.lock()[self.rank.0])
-            .unwrap_or_default()
+        self.faults.counters(self.rank)
     }
 
     fn compute(&mut self, ops: u64) {
-        if ops == 0 {
-            return;
-        }
-        let secs = ops as f64 / (self.opts.mips * 1e6);
-        std::thread::sleep(Duration::from_secs_f64(secs));
+        self.clock.compute(ops);
     }
 
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+        self.clock.now()
     }
 
     fn note_progress(&mut self, iter: u64) {
@@ -1330,7 +1200,7 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
     }
 
     fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {
-        self.rec.as_deref_mut()
+        self.tap.recorder()
     }
 }
 
@@ -1405,7 +1275,7 @@ where
     R: Send,
     F: Fn(&mut SocketTransport<M>) -> R + Send + Sync,
 {
-    run_socket_cluster_inner(p, opts, None, f)
+    run_socket_cluster_inner(p, opts, SharedGate::default(), f)
 }
 
 /// [`run_socket_cluster`] with a frame-layer fault spec shared by all
@@ -1425,7 +1295,7 @@ where
     R: Send,
     F: Fn(&mut SocketTransport<M>) -> R + Send + Sync,
 {
-    run_socket_cluster_inner(p, opts, Some(Arc::new(SocketFaults::new(faults, p))), f)
+    run_socket_cluster_inner(p, opts, SharedGate::new(faults, p), f)
 }
 
 /// The loopback harness is infallible by signature (it mirrors
@@ -1435,7 +1305,7 @@ where
 fn run_socket_cluster_inner<M, R, F>(
     p: usize,
     opts: SocketClusterOptions,
-    faults: Option<Arc<SocketFaults<M>>>,
+    faults: SharedGate,
     f: F,
 ) -> Vec<R>
 where
@@ -1444,36 +1314,18 @@ where
     F: Fn(&mut SocketTransport<M>) -> R + Send + Sync,
 {
     assert!(p >= 1, "need at least one rank");
+    let clock = WallClock::new(opts.mips);
     // The host refused `p` ephemeral loopback ports (or descriptors):
     // nothing can run.
     let (listeners, addrs) = bind_loopback(p).expect("binding loopback listeners failed");
-    let epoch = Instant::now();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(r, listener)| {
-                let addrs = addrs.clone();
-                let opts = opts.clone();
-                let faults = faults.clone();
-                let f = &f;
-                s.spawn(move || {
-                    // Phase 1 dials only the listeners bound above, and
-                    // phase 2 drops and counts whatever else connects, so
-                    // this fails only if a sibling rank thread died or the
-                    // host ran out of descriptors.
-                    let mut t =
-                        SocketTransport::establish(r, listener, &addrs, opts, faults, epoch)
-                            .expect("socket mesh handshake failed");
-                    f(&mut t)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // "Panics propagate": the caller's closure panicked.
-            .map(|h| h.join().expect("rank thread panicked"))
-            .collect()
+    on_rank_threads(listeners, |r, listener| {
+        // Phase 1 dials only the listeners bound above, and phase 2 drops
+        // and counts whatever else connects, so this fails only if a
+        // sibling rank thread died or the host ran out of descriptors.
+        let (opts, faults) = (opts.clone(), faults.clone());
+        let mut t = SocketTransport::establish(r, listener, &addrs, opts, faults, clock)
+            .expect("socket mesh handshake failed");
+        f(&mut t)
     })
 }
 
@@ -1492,13 +1344,7 @@ pub fn connect_socket_cluster<M>(
 where
     M: WireCodec + Send + 'static,
 {
-    assert!(
-        rank < addrs.len(),
-        "rank {rank} out of range for {} peers",
-        addrs.len()
-    );
-    let listener = TcpListener::bind(addrs[rank])?;
-    SocketTransport::establish(rank, listener, addrs, opts, None, Instant::now())
+    connect_inner(rank, addrs, opts, SharedGate::default())
 }
 
 /// [`connect_socket_cluster`] with a process-local fault spec (each
@@ -1512,21 +1358,23 @@ pub fn connect_socket_cluster_with_faults<M>(
 where
     M: WireCodec + Send + 'static,
 {
+    connect_inner(rank, addrs, opts, SharedGate::new(faults, addrs.len()))
+}
+
+fn connect_inner<M>(
+    rank: usize,
+    addrs: &[SocketAddr],
+    opts: SocketClusterOptions,
+    faults: SharedGate,
+) -> std::io::Result<SocketTransport<M>> {
     assert!(
         rank < addrs.len(),
         "rank {rank} out of range for {} peers",
         addrs.len()
     );
-    let p = addrs.len();
+    let clock = WallClock::new(opts.mips);
     let listener = TcpListener::bind(addrs[rank])?;
-    SocketTransport::establish(
-        rank,
-        listener,
-        addrs,
-        opts,
-        Some(Arc::new(SocketFaults::new(faults, p))),
-        Instant::now(),
-    )
+    SocketTransport::establish(rank, listener, addrs, opts, faults, clock)
 }
 
 /// Re-enter an already-running mesh as a restarted `rank`.
@@ -1559,8 +1407,8 @@ where
         addrs.len()
     );
     let size = addrs.len();
+    let clock = WallClock::new(opts.mips);
     let listener = TcpListener::bind(addrs[rank])?;
-    let epoch = Instant::now();
     let (shared, bell) = Shared::new(rank, size, opts.max_frame_bytes)?;
     shared.progress.store(last_iter, AtomicOrdering::Relaxed);
 
@@ -1613,7 +1461,7 @@ where
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    let mut t = SocketTransport::new(opts, shared, bell, None, epoch);
+    let mut t = SocketTransport::new(opts, shared, bell, SharedGate::default(), clock);
     // Peers whose connection is still absent start in the down state so
     // sends are dropped quietly and recovery marks fire on arrival.
     for p in 0..size {
@@ -1655,6 +1503,29 @@ mod tests {
             (t.rank().0, t.size())
         });
         assert_eq!(ids, vec![(0, 3), (1, 3), (2, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster option `mips` must be positive")]
+    fn negative_mips_is_refused_before_any_rank_runs() {
+        let opts = SocketClusterOptions {
+            mips: -1.0,
+            ..SocketClusterOptions::default()
+        };
+        run_socket_cluster::<u64, _, _>(1, opts, |_| unreachable!("a rank ran"));
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster option `mips` must be positive")]
+    fn nan_mips_is_refused_before_the_listener_binds() {
+        // The address is taken: getting as far as `bind` is an `Err`, not
+        // the panic this test expects.
+        let taken = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let opts = SocketClusterOptions {
+            mips: f64::NAN,
+            ..SocketClusterOptions::default()
+        };
+        let _ = connect_socket_cluster::<u64>(0, &[taken.local_addr().unwrap()], opts);
     }
 
     #[test]

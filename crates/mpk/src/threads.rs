@@ -14,11 +14,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use desim::{SimDuration, SimTime};
-use netsim::{FaultModel, MsgCtx};
-use obs::{Mark, Recorder};
+use obs::Recorder;
 use parking_lot::{Condvar, Mutex};
 
-use crate::sim::FaultSpec;
+use crate::clock::WallClock;
+use crate::faults::{FaultSpec, SharedGate, Verdict};
+use crate::tap::Tap;
 use crate::transport::Transport;
 use crate::types::{Envelope, FaultCounters, Rank, Tag, WireSize, HEADER_BYTES};
 
@@ -158,26 +159,15 @@ impl<M> ThreadMailbox<M> {
     }
 }
 
-/// Shared fault state of a thread-backed cluster: one fault spec consulted
-/// under a lock (send order between threads is scheduler-dependent, so
-/// thread-backend faults are *not* reproducible across runs — use the sim
-/// backend for quantitative fault experiments) plus per-rank counters.
-struct ThreadFaults<M> {
-    spec: Mutex<FaultSpec<M>>,
-    counters: Mutex<Vec<FaultCounters>>,
-    /// Deterministic per-hit counter handed to corruptors.
-    salt: AtomicU64,
-}
-
 /// A rank's endpoint on a thread-backed cluster.
 pub struct ThreadTransport<M> {
     rank: Rank,
     size: usize,
     opts: ThreadClusterOptions,
     mailboxes: Arc<Vec<ThreadMailbox<M>>>,
-    epoch: Instant,
-    rec: Option<Box<dyn Recorder>>,
-    faults: Option<Arc<ThreadFaults<M>>>,
+    clock: WallClock,
+    tap: Tap,
+    faults: SharedGate,
 }
 
 impl<M> ThreadTransport<M> {
@@ -187,7 +177,7 @@ impl<M> ThreadTransport<M> {
     /// nanoseconds since cluster start, so they are *not* reproducible
     /// across runs — counters and marks are, spans durations are not.
     pub fn set_recorder(&mut self, rec: Box<dyn Recorder>) {
-        self.rec = Some(rec);
+        self.tap.attach(rec);
     }
 
     /// How many times this rank's timed receives have blocked on the
@@ -216,152 +206,42 @@ impl<M: WireSize + Clone + Send + 'static> Transport for ThreadTransport<M> {
         assert!(to.0 < self.size, "send to out-of-range rank {to}");
         assert_ne!(to, self.rank, "self-sends are not modelled");
         let bytes = msg.wire_size() + HEADER_BYTES;
-        let mut extra_copies = 0;
-        let mut msg = msg;
-        if let Some(fs) = &self.faults {
-            let fs = Arc::clone(fs);
-            let t_now = SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
-            let ctx = MsgCtx {
-                src: self.rank.0,
-                dst: to.0,
-                bytes,
-                now: t_now,
-            };
-            let mut spec = fs.spec.lock();
-            let mut fate = spec.model.fate(&ctx);
-            // A send addressed to a crashed rank is lost like a datagram
-            // to a rebooting host — mirroring the sim and socket
-            // backends so crash schedules behave the same on all three.
-            if spec.crashes.is_down(to.0, t_now) {
-                fate.deliver = false;
-            }
-            if !fate.deliver {
-                fs.counters.lock()[self.rank.0].dropped += 1;
-                if let Some(r) = self.rec.as_deref_mut() {
-                    let t_ns = self.epoch.elapsed().as_nanos() as u64;
-                    let rank = self.rank.0 as u32;
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MsgSent {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                    r.mark(
-                        rank,
-                        t_ns,
-                        Mark::MessageDropped {
-                            to: to.0 as u32,
-                            bytes: bytes as u64,
-                        },
-                    );
-                }
-                return;
-            }
-            {
-                let mut counters = fs.counters.lock();
-                counters[self.rank.0].delivered += 1;
-                counters[self.rank.0].duplicated += u64::from(fate.extra_copies);
-            }
-            extra_copies = fate.extra_copies;
-            // Corruption applies only through a payload-aware corruptor
-            // (there is no frame layer to flip bytes in); without one,
-            // corruption fates are no-ops, as on the sim backend.
-            if fate.corrupt_amp > 0.0 {
-                if let Some(c) = spec.corruptor.as_mut() {
-                    let salt = fs.salt.fetch_add(1, AtomicOrdering::Relaxed);
-                    c(&mut msg, fate.corrupt_amp, salt);
-                }
-            }
+        // A corruption fate changes nothing here: there is no frame layer
+        // to flip bytes in.
+        let verdict = self.faults.admit(self.rank, to, bytes, &self.clock);
+        self.tap.fated(|| self.clock.now_ns(), to, bytes, verdict);
+        let Verdict::Deliver { copies, .. } = verdict else {
+            return;
+        };
+        let visible_at = Instant::now() + self.opts.latency + self.opts.per_byte * bytes as u32;
+        let (src, mailbox) = (self.rank, &self.mailboxes[to.0]);
+        for _ in 0..copies {
+            let msg = msg.clone();
+            mailbox.push(visible_at, Envelope { src, tag, msg });
         }
-        let delay = self.opts.latency + self.opts.per_byte * bytes as u32;
-        let visible_at = Instant::now() + delay;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let t_ns = self.epoch.elapsed().as_nanos() as u64;
-            r.mark(
-                self.rank.0 as u32,
-                t_ns,
-                Mark::MsgSent {
-                    to: to.0 as u32,
-                    bytes: bytes as u64,
-                },
-            );
-            if extra_copies > 0 {
-                r.mark(
-                    self.rank.0 as u32,
-                    t_ns,
-                    Mark::MessageDuplicated {
-                        to: to.0 as u32,
-                        copies: extra_copies,
-                    },
-                );
-            }
-        }
-        for _ in 0..extra_copies {
-            self.mailboxes[to.0].push(
-                visible_at,
-                Envelope {
-                    src: self.rank,
-                    tag,
-                    msg: msg.clone(),
-                },
-            );
-        }
-        self.mailboxes[to.0].push(
-            visible_at,
-            Envelope {
-                src: self.rank,
-                tag,
-                msg,
-            },
-        );
+        mailbox.push(visible_at, Envelope { src, tag, msg });
     }
 
     fn try_recv(&mut self) -> Option<Envelope<M>> {
         let env = self.mailboxes[self.rank.0].try_pop()?;
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            let t_ns = self.epoch.elapsed().as_nanos() as u64;
-            r.mark(
-                self.rank.0 as u32,
-                t_ns,
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
+        self.tap
+            .received(|| self.clock.now_ns(), &env, HEADER_BYTES, None);
         Some(env)
     }
 
     fn recv(&mut self) -> Envelope<M> {
         let env = self.mailboxes[self.rank.0].pop_blocking();
-        if let Some(r) = self.rec.as_deref_mut() {
-            let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-            let t_ns = self.epoch.elapsed().as_nanos() as u64;
-            r.mark(
-                self.rank.0 as u32,
-                t_ns,
-                Mark::MsgRecv {
-                    from: env.src.0 as u32,
-                    bytes,
-                },
-            );
-        }
+        self.tap
+            .received(|| self.clock.now_ns(), &env, HEADER_BYTES, None);
         env
     }
 
     fn compute(&mut self, ops: u64) {
-        if ops == 0 {
-            return;
-        }
-        let secs = ops as f64 / (self.opts.mips * 1e6);
-        std::thread::sleep(Duration::from_secs_f64(secs));
+        self.clock.compute(ops);
     }
 
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
+        self.clock.now()
     }
 
     fn recv_timeout(&mut self, timeout: SimDuration) -> Option<Envelope<M>> {
@@ -377,50 +257,24 @@ impl<M: WireSize + Clone + Send + 'static> Transport for ThreadTransport<M> {
         let armed = Instant::now();
         let deadline = armed + Duration::from_nanos(timeout.as_nanos());
         let env = self.mailboxes[self.rank.0].pop_deadline(deadline);
-        if let Some(r) = self.rec.as_deref_mut() {
-            let t_ns = self.epoch.elapsed().as_nanos() as u64;
-            let waited_ns = armed.elapsed().as_nanos() as u64;
-            match &env {
-                Some(env) => {
-                    let bytes = (env.msg.wire_size() + HEADER_BYTES) as u64;
-                    r.mark(
-                        self.rank.0 as u32,
-                        t_ns,
-                        Mark::RecvWakeup {
-                            from: env.src.0 as u32,
-                            waited_ns,
-                        },
-                    );
-                    r.mark(
-                        self.rank.0 as u32,
-                        t_ns,
-                        Mark::MsgRecv {
-                            from: env.src.0 as u32,
-                            bytes,
-                        },
-                    );
-                }
-                None => r.mark(self.rank.0 as u32, t_ns, Mark::TimerFired { waited_ns }),
-            }
+        let (now, armed_ns) = (|| self.clock.now_ns(), self.clock.ns_at(armed));
+        match &env {
+            Some(env) => self.tap.received(now, env, HEADER_BYTES, Some(armed_ns)),
+            None => self.tap.timer_fired(now, armed_ns),
         }
         env
     }
 
     fn sleep(&mut self, d: SimDuration) {
-        if d > SimDuration::ZERO {
-            std::thread::sleep(Duration::from_nanos(d.as_nanos()));
-        }
+        self.clock.sleep(d);
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        self.faults
-            .as_ref()
-            .map(|fs| fs.counters.lock()[self.rank.0])
-            .unwrap_or_default()
+        self.faults.counters(self.rank)
     }
 
     fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {
-        self.rec.as_deref_mut()
+        self.tap.recorder()
     }
 }
 
@@ -433,13 +287,12 @@ where
     R: Send,
     F: Fn(&mut ThreadTransport<M>) -> R + Send + Sync,
 {
-    run_thread_cluster_inner(p, opts, None, f)
+    run_thread_cluster_inner(p, opts, SharedGate::default(), f)
 }
 
-/// [`run_thread_cluster`] with a [`FaultSpec`]: fate model plus scripted
-/// crash plan plus payload corruptor, mirroring the sim and socket
-/// backends so a crash→rejoin schedule runs identically (in values) on
-/// all three.
+/// [`run_thread_cluster`] with a [`FaultSpec`] — fate model plus scripted
+/// crash plan — behind the same gate as the sim and socket backends, so a
+/// crash→rejoin schedule runs identically (in values) on all three.
 ///
 /// Unlike the sim backend, thread-backend fates depend on the real
 /// interleaving of sends, so runs are *not* reproducible; this exists for
@@ -455,18 +308,13 @@ where
     R: Send,
     F: Fn(&mut ThreadTransport<M>) -> R + Send + Sync,
 {
-    let faults = Arc::new(ThreadFaults {
-        spec: Mutex::new(spec),
-        counters: Mutex::new(vec![FaultCounters::default(); p]),
-        salt: AtomicU64::new(0),
-    });
-    run_thread_cluster_inner(p, opts, Some(faults), f)
+    run_thread_cluster_inner(p, opts, SharedGate::new(spec, p), f)
 }
 
 fn run_thread_cluster_inner<M, R, F>(
     p: usize,
     opts: ThreadClusterOptions,
-    faults: Option<Arc<ThreadFaults<M>>>,
+    faults: SharedGate,
     f: F,
 ) -> Vec<R>
 where
@@ -475,31 +323,33 @@ where
     F: Fn(&mut ThreadTransport<M>) -> R + Send + Sync,
 {
     assert!(p >= 1, "need at least one rank");
+    let clock = WallClock::new(opts.mips);
     let mailboxes: Arc<Vec<ThreadMailbox<M>>> =
         Arc::new((0..p).map(|_| ThreadMailbox::new()).collect());
-    let epoch = Instant::now();
+    on_rank_threads(0..p, |r, _| {
+        let mut t = ThreadTransport {
+            rank: Rank(r),
+            size: p,
+            opts: opts.clone(),
+            mailboxes: Arc::clone(&mailboxes),
+            clock,
+            tap: Tap::new(Rank(r)),
+            faults: faults.clone(),
+        };
+        f(&mut t)
+    })
+}
 
+/// Run `rank_main(r, seed)` on an OS thread of its own for the `r`-th of
+/// `seeds`; results in rank order, and a panic in any rank propagates.
+pub(crate) fn on_rank_threads<S: Send, R: Send>(
+    seeds: impl IntoIterator<Item = S>,
+    rank_main: impl Fn(usize, S) -> R + Sync,
+) -> Vec<R> {
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..p)
-            .map(|r| {
-                let mailboxes = Arc::clone(&mailboxes);
-                let opts = opts.clone();
-                let faults = faults.clone();
-                let f = &f;
-                s.spawn(move || {
-                    let mut t = ThreadTransport {
-                        rank: Rank(r),
-                        size: p,
-                        opts,
-                        mailboxes,
-                        epoch,
-                        rec: None,
-                        faults,
-                    };
-                    f(&mut t)
-                })
-            })
-            .collect();
+        let rank_main = &rank_main;
+        let spawn = |(r, seed)| s.spawn(move || rank_main(r, seed));
+        let handles: Vec<_> = seeds.into_iter().enumerate().map(spawn).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("rank thread panicked"))
@@ -700,6 +550,19 @@ mod tests {
             t.recv_timeout(SimDuration::from_nanos(10)).is_none()
         });
         assert!(results[0]);
+    }
+
+    /// A `mips` no `compute` can be charged at stops the caller, naming the
+    /// option — it used to surface as "rank thread panicked" from inside
+    /// the first `compute`, or not at all.
+    #[test]
+    #[should_panic(expected = "cluster option `mips` must be positive")]
+    fn zero_mips_is_refused_before_any_rank_runs() {
+        let opts = ThreadClusterOptions {
+            mips: 0.0,
+            ..ThreadClusterOptions::default()
+        };
+        run_thread_cluster::<(), _, _>(1, opts, |_| unreachable!("a rank ran"));
     }
 
     #[test]

@@ -303,10 +303,10 @@ pub fn run_thread(sc: &SyntheticScenario, theta: f64, mode: &DriverMode) -> RunO
     }
 }
 
-/// [`run_thread`] with an explicit fault spec (loss model, crash plan,
-/// corruptor): the thread backend's wall-clock fault layer applies the
-/// same [`FaultSpec`] semantics the simulator does, so crash→rejoin
-/// schedules can be exercised on real OS threads.
+/// [`run_thread`] with an explicit fault spec (fate model, crash plan):
+/// the thread backend sends through the same fault gate as the simulator,
+/// stamped with wall-clock time, so crash→rejoin schedules can be
+/// exercised on real OS threads.
 pub fn run_thread_with_faults(
     sc: &SyntheticScenario,
     theta: f64,
