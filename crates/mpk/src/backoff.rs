@@ -1,7 +1,7 @@
 //! Deterministic jittered exponential backoff for reconnect loops.
 //!
-//! Retry loops in the socket backend (dial-time [`connect_with_retry`],
-//! supervisor reconnects) share this schedule: the raw delay doubles from a
+//! Retry loops in the socket backend (the dial of a joining
+//! [`SocketTransport`], supervisor reconnects) share this schedule: the raw delay doubles from a
 //! configurable base up to a cap, each delay is jittered into the
 //! `[raw/2, raw)` window by a seeded xorshift stream so simultaneous
 //! reconnecting peers de-synchronize, and the whole loop is bounded by a
@@ -11,7 +11,7 @@
 //! produces the same delay sequence, which keeps kill/restart chaos tests
 //! replayable.
 //!
-//! [`connect_with_retry`]: crate::SocketTransport
+//! [`SocketTransport`]: crate::SocketTransport
 
 use std::time::Duration;
 

@@ -1,15 +1,15 @@
 //! The socket backend's wire format: frame constants, the in-place
 //! [`FrameReader`], exact-length [`read_frame`], [`encode_frame`], and the
-//! `HELLO`/`RESUME` handshake frames. The format itself is described in
-//! the `socket` module's documentation.
+//! one handshake frame, `RESUME`. The format itself is described in the
+//! `socket` module's documentation.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
 /// Wire protocol version carried in every frame header.
 pub const WIRE_VERSION: u8 = 1;
-/// Handshake frame: `tag` is unused, payload is the sender's cluster size.
-pub const KIND_HELLO: u8 = 0;
+// Kind 0 is the retired cold-start `HELLO`. Do not reuse it: an old
+// build's handshake must stay a refused frame.
 /// Data frame: `src`/`tag` are the envelope fields, payload a
 /// [`WireCodec`](crate::WireCodec) encoding of the message.
 pub const KIND_DATA: u8 = 1;
@@ -20,8 +20,9 @@ pub const KIND_HEARTBEAT: u8 = 2;
 /// [`SocketTransport`](crate::SocketTransport)'s `Drop` so an orderly exit
 /// is not mistaken for a crash.
 pub const KIND_GOODBYE: u8 = 3;
-/// Rejoin handshake: payload is the sender's cluster size (`u32`) and
-/// last-seen iteration (`u64`); the accepting side replies in kind.
+/// The handshake, at cold start and on every reconnect: payload is the
+/// sender's cluster size (`u32`) and last-seen iteration (`u64`); the
+/// accepting side replies in kind.
 pub const KIND_RESUME: u8 = 4;
 /// Bytes of header inside the length-counted region (version + kind +
 /// src + tag).
@@ -198,14 +199,6 @@ pub(crate) fn encode_frame(
     out[0..4].copy_from_slice(&len.to_le_bytes());
 }
 
-pub(crate) fn write_hello(stream: &mut TcpStream, rank: usize, size: usize) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + 4);
-    encode_frame(&mut frame, KIND_HELLO, rank as u32, 0, &|out| {
-        out.extend_from_slice(&(size as u32).to_le_bytes());
-    });
-    stream.write_all(&frame)
-}
-
 /// Write a RESUME handshake frame carrying cluster size and our
 /// last-seen iteration.
 pub(crate) fn write_resume(
@@ -222,83 +215,37 @@ pub(crate) fn write_resume(
     stream.write_all(&frame)
 }
 
-/// Validate a handshake frame's cluster size and rank range.
-pub(crate) fn check_identity(src: u32, peer_size: usize, size: usize) -> std::io::Result<usize> {
+/// Read and validate a `RESUME`, returning the peer's rank and its
+/// reported last-seen iteration. The payload must be exactly the cluster
+/// size then the iteration: a shorter one is not padded with zeros, a
+/// longer one is not trimmed, and any other kind — the retired `HELLO`
+/// included — is refused.
+pub(crate) fn read_resume<R: Read>(stream: &mut R, size: usize) -> std::io::Result<(usize, u64)> {
+    let (kind, src, _tag, payload) = read_frame(stream, DEFAULT_MAX_FRAME)?.ok_or_else(|| {
+        std::io::Error::new(ErrorKind::UnexpectedEof, "peer closed during handshake")
+    })?;
+    let fields = match (kind, payload.len()) {
+        (KIND_RESUME, 12) => le_bytes(&payload, 0).zip(le_bytes(&payload, 4)),
+        _ => None,
+    };
+    let Some((peer_size, last_iter)) = fields else {
+        return Err(bad_data(format!(
+            "expected RESUME, got frame kind {kind} with a {}-byte payload",
+            payload.len()
+        )));
+    };
+    let (peer_size, peer) = (u32::from_le_bytes(peer_size) as usize, src as usize);
     if peer_size != size {
         return Err(bad_data(format!(
             "peer believes cluster size is {peer_size}, ours is {size}"
         )));
     }
-    let peer = src as usize;
     if peer >= size {
         return Err(bad_data(format!(
             "peer rank {peer} out of range for size {size}"
         )));
     }
-    Ok(peer)
-}
-
-/// The frame a handshake read must find next on `stream`.
-pub(crate) fn read_handshake_frame<R: Read>(
-    stream: &mut R,
-    max_frame: usize,
-) -> std::io::Result<Frame> {
-    read_frame(stream, max_frame)?.ok_or_else(|| {
-        std::io::Error::new(ErrorKind::UnexpectedEof, "peer closed during handshake")
-    })
-}
-
-/// The cluster size and last-seen iteration in a handshake payload, which
-/// must be exactly the kind's: the size alone in a `HELLO` (reported
-/// iteration 0), the size then the iteration in a `RESUME`. A shorter
-/// payload is not padded with zeros and a longer one is not trimmed.
-pub(crate) fn handshake_payload(kind: u8, payload: &[u8]) -> std::io::Result<(usize, u64)> {
-    let fields = match (kind, payload.len()) {
-        (KIND_HELLO, 4) => le_bytes(payload, 0).zip(Some([0; 8])),
-        (KIND_RESUME, 12) => le_bytes(payload, 0).zip(le_bytes(payload, 4)),
-        _ => None,
-    };
-    let (size, last_iter) = fields.ok_or_else(|| {
-        bad_data(format!(
-            "handshake frame kind {kind} with a {}-byte payload",
-            payload.len()
-        ))
-    })?;
-    Ok((
-        u32::from_le_bytes(size) as usize,
-        u64::from_le_bytes(last_iter),
-    ))
-}
-
-/// Read and validate a `HELLO`, returning the peer's rank.
-pub(crate) fn read_hello<R: Read>(
-    stream: &mut R,
-    size: usize,
-    max_frame: usize,
-) -> std::io::Result<usize> {
-    let (kind, src, _tag, payload) = read_handshake_frame(stream, max_frame)?;
-    if kind != KIND_HELLO {
-        return Err(bad_data(format!("expected HELLO, got frame kind {kind}")));
-    }
-    let (peer_size, _) = handshake_payload(kind, &payload)?;
-    check_identity(src, peer_size, size)
-}
-
-/// Read either a `RESUME` or (for symmetry with cold start) a `HELLO`,
-/// returning the peer's rank and its reported last-seen iteration.
-pub(crate) fn read_resume<R: Read>(
-    stream: &mut R,
-    size: usize,
-    max_frame: usize,
-) -> std::io::Result<(usize, u64)> {
-    let (kind, src, _tag, payload) = read_handshake_frame(stream, max_frame)?;
-    if kind != KIND_RESUME && kind != KIND_HELLO {
-        return Err(bad_data(format!(
-            "expected RESUME or HELLO, got frame kind {kind}"
-        )));
-    }
-    let (peer_size, last_iter) = handshake_payload(kind, &payload)?;
-    Ok((check_identity(src, peer_size, size)?, last_iter))
+    Ok((peer, u64::from_le_bytes(last_iter)))
 }
 
 #[cfg(test)]
@@ -454,15 +401,16 @@ pub(crate) mod tests {
                 prop_assert_eq!(&got, &frames);
             }
 
-            /// Both handshake readers, on a valid `HELLO` or `RESUME`, on
-            /// one with a single field, its payload length or any one
-            /// byte changed, and on arbitrary bytes: never a panic, never
-            /// a read larger than what arrived, and an accepted frame
-            /// names a rank of the cluster and is, byte for byte, the
-            /// frame a writer emits for what the reader returned.
+            /// The handshake reader, on a valid `RESUME`, on the retired
+            /// `HELLO` layout (kind 0, or a 4-byte payload), on a frame
+            /// with a single field, its payload length or any one byte
+            /// changed, and on arbitrary bytes: never a panic, never a
+            /// read larger than what arrived, and an accepted frame names
+            /// a rank of the cluster and is, byte for byte, the frame the
+            /// writer emits for what the reader returned.
             #[test]
             fn handshake_readers_accept_only_exact_frames(
-                resume in any::<bool>(),
+                layout in 0u8..3,
                 rank in 0u32..4,
                 last_iter in any::<u64>(),
                 mutation in 0u8..7,
@@ -470,8 +418,10 @@ pub(crate) mod tests {
                 junk in proptest::collection::vec(any::<u8>(), 0..64),
                 chunks in chunks(),
             ) {
+                // Layout 0 is a RESUME; 1 is an old HELLO (kind 0, size
+                // only); 2 is a RESUME carrying HELLO's 4-byte payload.
                 let (mut kind, mut src, mut size) =
-                    (if resume { KIND_RESUME } else { KIND_HELLO }, rank, 4u32);
+                    (if layout == 1 { 0 } else { KIND_RESUME }, rank, 4u32);
                 match mutation {
                     1 => kind = noise8,
                     2 => src = noise32,
@@ -479,7 +429,7 @@ pub(crate) mod tests {
                     _ => {}
                 }
                 let mut payload = size.to_le_bytes().to_vec();
-                if resume {
+                if layout == 0 {
                     payload.extend_from_slice(&last_iter.to_le_bytes());
                 }
                 if mutation == 4 {
@@ -493,31 +443,23 @@ pub(crate) mod tests {
                 let input = if mutation == 6 { junk } else { input };
                 let bound = READ_BUF.max(2 * input.len());
 
-                let mut stream = Chunked::new(input.clone(), chunks.clone());
-                let hello = read_hello(&mut stream, 4, DEFAULT_MAX_FRAME);
-                prop_assert!(stream.asked <= bound);
-                let (hello_at, hello) = (stream.at, hello.ok().map(|peer| (peer, 0)));
                 let mut stream = Chunked::new(input.clone(), chunks);
-                let resumed = read_resume(&mut stream, 4, DEFAULT_MAX_FRAME);
+                let resumed = read_resume(&mut stream, 4);
                 prop_assert!(stream.asked <= bound);
                 if mutation == 0 {
-                    prop_assert_eq!(hello, (!resume).then_some((rank as usize, 0)));
-                    let told = if resume { last_iter } else { 0 };
-                    prop_assert_eq!(resumed.as_ref().ok(), Some(&(rank as usize, told)));
+                    let told = (layout == 0).then_some((rank as usize, last_iter));
+                    prop_assert_eq!(resumed.as_ref().ok(), told.as_ref());
                 }
 
-                for (consumed, accepted) in [(hello_at, hello), (stream.at, resumed.ok())] {
-                    let Some((peer, iter)) = accepted else { continue };
+                if let Ok((peer, iter)) = resumed {
                     prop_assert!(peer < 4);
                     // The tag is carried and ignored; everything else is
                     // pinned by what the reader returned.
                     let tag = u32::from_le_bytes(le_bytes(&input, 10).unwrap());
                     let mut expected = 4u32.to_le_bytes().to_vec();
-                    if input[5] == KIND_RESUME {
-                        expected.extend_from_slice(&iter.to_le_bytes());
-                    }
-                    let expected = wire(&(input[5], peer as u32, tag, expected));
-                    prop_assert_eq!(&input[..consumed], &expected[..]);
+                    expected.extend_from_slice(&iter.to_le_bytes());
+                    let expected = wire(&(KIND_RESUME, peer as u32, tag, expected));
+                    prop_assert_eq!(&input[..stream.at], &expected[..]);
                 }
             }
 
@@ -551,11 +493,17 @@ pub(crate) mod tests {
         // accepted with `last_iter = 0`, which went into `peer_progress`.
         let mut short =
             std::io::Cursor::new(wire(&(KIND_RESUME, 1, 0, 2u32.to_le_bytes().to_vec())));
-        let err = read_resume(&mut short, 2, DEFAULT_MAX_FRAME).unwrap_err();
+        let err = read_resume(&mut short, 2).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
-        // Nor does either reader trim a payload that runs on.
-        let mut long = std::io::Cursor::new(wire(&(KIND_HELLO, 1, 0, vec![2, 0, 0, 0, 9])));
-        let err = read_hello(&mut long, 2, DEFAULT_MAX_FRAME).unwrap_err();
+        // Nor is the retired HELLO, which carried exactly that payload.
+        let mut hello = std::io::Cursor::new(wire(&(0, 1, 0, 2u32.to_le_bytes().to_vec())));
+        let err = read_resume(&mut hello, 2).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        // Nor does the reader trim a payload that runs on.
+        let mut long = 2u32.to_le_bytes().to_vec();
+        long.extend_from_slice(&[0; 9]);
+        let mut long = std::io::Cursor::new(wire(&(KIND_RESUME, 1, 0, long)));
+        let err = read_resume(&mut long, 2).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
     }
 
@@ -566,7 +514,7 @@ pub(crate) mod tests {
         // handed more than the initial buffer: the declared length bought
         // no memory here either.
         let mut wire = (200u32 << 20).to_le_bytes().to_vec();
-        wire.extend_from_slice(&[WIRE_VERSION, KIND_HELLO, 0]);
+        wire.extend_from_slice(&[WIRE_VERSION, KIND_RESUME, 0]);
         let mut dialer = Chunked::new(wire, vec![usize::MAX]);
         let err = read_frame(&mut dialer, DEFAULT_MAX_FRAME).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);

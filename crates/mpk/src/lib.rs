@@ -64,17 +64,17 @@ pub use codec::{decode_exact, encode_to_vec, encoded_len_matches_wire_size, Wire
 pub use delta::DeltaFrame;
 pub use faults::FaultSpec;
 pub use frame::{
-    DEFAULT_MAX_FRAME, FRAME_OVERHEAD, KIND_DATA, KIND_GOODBYE, KIND_HEARTBEAT, KIND_HELLO,
-    KIND_RESUME, WIRE_VERSION,
+    DEFAULT_MAX_FRAME, FRAME_OVERHEAD, KIND_DATA, KIND_GOODBYE, KIND_HEARTBEAT, KIND_RESUME,
+    WIRE_VERSION,
 };
 pub use sim::{
     run_sim_proc_cluster, run_sim_proc_cluster_with_faults, run_sim_proc_cluster_with_options,
     SimClusterOptions, SimIo,
 };
 pub use socket::{
-    connect_socket_cluster, connect_socket_cluster_with_faults, rejoin_socket_cluster,
-    run_socket_cluster, run_socket_cluster_with_faults, SocketClusterOptions, SocketTransport,
-    SupervisionCounters, SupervisorOptions,
+    connect_socket_cluster, rejoin_socket_cluster, run_socket_cluster,
+    run_socket_cluster_with_faults, SocketClusterOptions, SocketTransport, SupervisionCounters,
+    SupervisorOptions,
 };
 pub use threads::{
     run_thread_cluster, run_thread_cluster_with_faults, ThreadClusterOptions, ThreadTransport,

@@ -41,28 +41,36 @@
 //!
 //! Every frame is `[len: u32][version: u8][kind: u8][src: u32][tag: u32]
 //! [payload…]`, all little-endian; `len` counts everything after itself
-//! and is capped by [`SocketClusterOptions::max_frame_bytes`] — a hostile
-//! or corrupt length prefix is a decode failure, never an allocation:
-//! receive buffers grow only with bytes that have actually arrived.
-//! `kind` is [`KIND_HELLO`] during the handshake and [`KIND_DATA`] after;
-//! supervised meshes additionally exchange [`KIND_HEARTBEAT`] liveness
-//! probes, [`KIND_GOODBYE`] clean-shutdown notices, and [`KIND_RESUME`]
-//! rejoin handshakes. Payloads are encoded with [`WireCodec`]. A frame
-//! that fails to decode is *dropped*, not surfaced: on a real wire, a
-//! corrupt frame is a lost message (the fault-tolerant drivers already
-//! treat it exactly like loss).
+//! and is capped by [`DEFAULT_MAX_FRAME`] — a hostile or corrupt length
+//! prefix is a decode failure, never an allocation: receive buffers grow
+//! only with bytes that have actually arrived. `kind` is [`KIND_RESUME`]
+//! during the handshake and [`KIND_DATA`] after; supervised meshes
+//! additionally exchange [`KIND_HEARTBEAT`] liveness probes and
+//! [`KIND_GOODBYE`] clean-shutdown notices. Payloads are encoded with
+//! [`WireCodec`]. A frame that fails to decode is *dropped*, not
+//! surfaced: on a real wire, a corrupt frame is a lost message (the
+//! fault-tolerant drivers already treat it exactly like loss).
 //!
 //! # Handshake
 //!
-//! Connection establishment is deterministic and rank-ordered: rank `r`
-//! dials every lower rank (retrying on a jittered exponential backoff
-//! while peers are still starting) and then accepts one connection from
-//! every higher rank, identifying each accepted peer by the `HELLO`
-//! frame it must send first. Rank 0 dials no one, so it reaches its
-//! accept loop immediately; by induction every dial finds a listening
-//! accept loop and the mesh cannot deadlock. Handshake reads are
-//! exact-length, so the first data frame stays in the socket for the
-//! rank.
+//! Every link — at cold start, on rejoin, on a supervisor's redial — is
+//! opened by one function, `dial`, and accepted by one, `admit`, with
+//! one handshake: the dialer sends a `RESUME` frame (its rank, the
+//! cluster size, its last-seen iteration: 0 at cold start), the acceptor
+//! checks it and replies in kind, and the dialer checks that the rank it
+//! meant to reach is the one that answered. Every legitimate dial goes
+//! from a higher rank to a lower one, so `admit` refuses a dialer that
+//! is not a higher rank — and, at cold start, one already admitted — and
+//! counts it in `handshake_rejects`; a bogus connection never replaces a
+//! live link. Handshake reads are exact-length, so the first data frame
+//! stays in the socket for the rank.
+//!
+//! Cold start is deterministic and rank-ordered: rank `r` dials every
+//! lower rank (retrying on a jittered exponential backoff while peers
+//! are still starting) and then admits one connection from every higher
+//! rank. Rank 0 dials no one, so it reaches its accept loop immediately;
+//! by induction every dial finds a listening accept loop and the mesh
+//! cannot deadlock.
 //!
 //! # Supervision, reconnect, and rejoin
 //!
@@ -74,11 +82,12 @@
 //!   each interval — so heartbeats flow while the rank computes; a full
 //!   socket buffer skips that heartbeat, only a write *error* means the
 //!   link is dead — and re-dials dead peers it originally dialed
-//!   (`peer < rank`) on a jittered exponential backoff up to a retry
-//!   budget;
-//! * an **acceptor** that accepts post-handshake connections and admits
-//!   a peer back into the mesh via the `RESUME` handshake (peer rank +
-//!   last-seen iteration, mirrored in the reply).
+//!   (`peer < rank`), one `dial` attempt at a time on a jittered
+//!   exponential backoff up to a retry budget;
+//! * an **acceptor** that waits on the listener in `ppoll` and passes
+//!   every connection to `admit`. It stays a thread of its own: a junk
+//!   dialer can hold a handshake read for up to two seconds, far longer
+//!   than the supervisor may go without a heartbeat.
 //!
 //! Either hands a new connection's read half to the rank through a
 //! shared queue and rings a doorbell (a `UnixStream` pair whose read end
@@ -94,7 +103,8 @@
 //! rank dials lower), a restarted process calling
 //! [`rejoin_socket_cluster`] re-dials exactly its original dialees and
 //! is re-dialed by its original dialers — the same induction that makes
-//! cold start deadlock-free covers rejoin.
+//! cold start deadlock-free covers rejoin. It then waits on its doorbell,
+//! bounded by the connect timeout, for those redials to land.
 //!
 //! A transport that is *dropped* (orderly exit) first writes a `GOODBYE`
 //! frame on every connection and half-closes it, then keeps reading for
@@ -135,8 +145,8 @@ use crate::clock::WallClock;
 use crate::codec::WireCodec;
 use crate::faults::{FaultSpec, SharedGate, Verdict};
 use crate::frame::{
-    bad_data, encode_frame, read_hello, read_resume, write_hello, write_resume, FrameReader,
-    DEFAULT_MAX_FRAME, FRAME_OVERHEAD, KIND_DATA, KIND_GOODBYE, KIND_HEARTBEAT,
+    bad_data, encode_frame, read_resume, write_resume, FrameReader, DEFAULT_MAX_FRAME,
+    FRAME_OVERHEAD, KIND_DATA, KIND_GOODBYE, KIND_HEARTBEAT,
 };
 use crate::poll::{wait_ready, PollFd, POLLIN, POLLOUT};
 use crate::tap::Tap;
@@ -195,18 +205,11 @@ pub struct SocketClusterOptions {
     /// second (matches
     /// [`ThreadClusterOptions::mips`](crate::ThreadClusterOptions::mips)).
     pub mips: f64,
-    /// How long a dialing rank retries a peer that is not yet listening
-    /// before giving up. Loopback clusters connect instantly; the slack
-    /// exists for multi-process starts from separate terminals.
+    /// How long a joining rank keeps dialing lower ranks that are not
+    /// yet listening before giving up (and how long a rejoining rank
+    /// waits to be re-dialed). Loopback clusters connect instantly; the
+    /// slack exists for multi-process starts from separate terminals.
     pub connect_timeout: Duration,
-    /// Set `TCP_NODELAY` on every connection. On by default: the
-    /// workloads exchange small latency-sensitive frames, exactly the
-    /// case Nagle batching hurts.
-    pub nodelay: bool,
-    /// Upper bound accepted for a frame's declared length. A prefix
-    /// above this is a decode failure (stream treated as corrupt), so a
-    /// hostile peer cannot make the reader allocate unboundedly.
-    pub max_frame_bytes: usize,
     /// Peer supervision (heartbeats, silence detection, reconnect,
     /// rejoin acceptance). `None` — the default — reproduces the
     /// unsupervised PR 6/7 behavior bit for bit.
@@ -218,8 +221,6 @@ impl Default for SocketClusterOptions {
         SocketClusterOptions {
             mips: 1000.0,
             connect_timeout: Duration::from_secs(30),
-            nodelay: true,
-            max_frame_bytes: DEFAULT_MAX_FRAME,
             supervision: None,
         }
     }
@@ -317,7 +318,6 @@ impl Link {
 struct Shared {
     rank: usize,
     size: usize,
-    max_frame: usize,
     /// Write halves of the mesh, by peer rank (`None` for self and for
     /// peers whose connection is down).
     writers: Vec<Mutex<Option<Link>>>,
@@ -331,16 +331,16 @@ struct Shared {
     /// Peers that said goodbye: the supervisor neither probes nor
     /// re-dials them.
     departed: Vec<AtomicBool>,
-    /// Inbound connections dropped because their handshake was invalid,
-    /// truncated, or stalled (cold-start HELLO phase and acceptor RESUME
-    /// path). Peer-controlled input: counted, never fatal.
+    /// Inbound connections `admit` refused: a handshake that was invalid,
+    /// truncated or stalled, or a dialer that may not dial us.
+    /// Peer-controlled input: counted, never fatal.
     handshake_rejects: AtomicU64,
     heartbeats_sent: AtomicU64,
     reconnect_attempts: AtomicU64,
     reconnects: AtomicU64,
-    /// Last-seen iteration each peer reported in a RESUME handshake.
+    /// Last-seen iteration each peer reported in its latest handshake.
     peer_progress: Vec<AtomicU64>,
-    /// Our own progress, reported in RESUME replies.
+    /// Our own progress, reported in our handshakes.
     progress: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -348,14 +348,13 @@ struct Shared {
 impl Shared {
     /// The shared state plus the doorbell's read end, which the transport
     /// keeps to itself.
-    fn new(rank: usize, size: usize, max_frame: usize) -> std::io::Result<(Arc<Self>, UnixStream)> {
+    fn new(rank: usize, size: usize) -> std::io::Result<(Arc<Self>, UnixStream)> {
         let (bell, bell_rx) = UnixStream::pair()?;
         bell.set_nonblocking(true)?;
         bell_rx.set_nonblocking(true)?;
         let shared = Shared {
             rank,
             size,
-            max_frame,
             writers: (0..size).map(|_| Mutex::new(None)).collect(),
             handoff: Mutex::new(Vec::new()),
             bell,
@@ -370,39 +369,10 @@ impl Shared {
         };
         Ok((Arc::new(shared), bell_rx))
     }
-}
 
-/// Dial `addr` on a jittered exponential backoff, bounded by a total
-/// deadline rather than an attempt count.
-fn connect_with_retry(
-    addr: SocketAddr,
-    timeout: Duration,
-    seed: u64,
-) -> std::io::Result<TcpStream> {
-    let deadline = Instant::now() + timeout;
-    let mut backoff = Backoff::new(
-        Duration::from_millis(2),
-        Duration::from_millis(250),
-        seed ^ 0x5bd1_e995,
-    );
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(std::io::Error::new(
-                        ErrorKind::TimedOut,
-                        format!(
-                            "connecting to peer {addr} timed out after {} attempts: {e}",
-                            backoff.attempts() + 1
-                        ),
-                    ));
-                }
-                let delay = backoff.next_delay().min(deadline - now);
-                std::thread::sleep(delay);
-            }
-        }
+    /// Whether some higher rank — one that dials us — has no link yet.
+    fn awaiting_dialers(&self) -> bool {
+        (self.rank + 1..self.size).any(|p| self.writers[p].lock().is_none())
     }
 }
 
@@ -420,44 +390,94 @@ fn install_connection(shared: &Shared, peer: usize, stream: TcpStream) -> std::i
     Ok(())
 }
 
-/// Dial `addr` once and run the RESUME handshake as `shared.rank`.
-/// Returns the established stream after recording the peer's progress.
-fn resume_dial(
+/// Open a link to `peer` at `addr` as `shared.rank`: connect, send our
+/// `RESUME`, check that `peer` is the rank that answers, and record the
+/// progress it reports. Attempts repeat on a jittered backoff until
+/// `deadline`; one already past allows exactly one. Cold start, rejoin
+/// and the supervisor's redial all open their links here.
+fn dial(
     shared: &Shared,
     peer: usize,
     addr: SocketAddr,
-    nodelay: bool,
+    deadline: Instant,
 ) -> std::io::Result<TcpStream> {
-    let mut s = TcpStream::connect(addr)?;
-    s.set_nodelay(nodelay)?;
-    s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
-    write_resume(
-        &mut s,
-        shared.rank,
-        shared.size,
-        shared.progress.load(AtomicOrdering::Relaxed),
-    )?;
-    let (replied, their_iter) = read_resume(&mut s, shared.size, shared.max_frame)?;
-    if replied != peer {
-        return Err(bad_data(format!(
-            "dialed rank {peer} for resume but rank {replied} answered"
-        )));
+    let seed = (shared.rank as u64) << 16 | peer as u64;
+    let mut backoff = Backoff::new(
+        Duration::from_millis(2),
+        Duration::from_millis(250),
+        seed ^ 0x5bd1_e995,
+    );
+    loop {
+        let attempt = (|| -> std::io::Result<TcpStream> {
+            let mut s = TcpStream::connect(addr)?;
+            s.set_nodelay(true)?;
+            s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
+            let progress = shared.progress.load(AtomicOrdering::Relaxed);
+            write_resume(&mut s, shared.rank, shared.size, progress)?;
+            let (replied, their_iter) = read_resume(&mut s, shared.size)?;
+            if replied != peer {
+                return Err(bad_data(format!(
+                    "dialed rank {peer} but rank {replied} answered"
+                )));
+            }
+            s.set_read_timeout(None)?;
+            shared.peer_progress[peer].store(their_iter, AtomicOrdering::Relaxed);
+            Ok(s)
+        })();
+        let now = Instant::now();
+        match attempt {
+            Ok(s) => return Ok(s),
+            Err(e) if now >= deadline => {
+                return Err(std::io::Error::new(
+                    ErrorKind::TimedOut,
+                    format!(
+                        "dialing rank {peer} at {addr} gave up after {} attempts: {e}",
+                        backoff.attempts() + 1
+                    ),
+                ));
+            }
+            Err(_) => std::thread::sleep(backoff.next_delay().min(deadline - now)),
+        }
     }
-    shared.peer_progress[peer].store(their_iter, AtomicOrdering::Relaxed);
-    s.set_read_timeout(None)?;
-    Ok(s)
+}
+
+/// Admit the inbound connection `s`: read the dialer's `RESUME`, check
+/// that it may dial us, reply with ours, record its progress and install
+/// the link. Every legitimate dial goes from a higher rank to a lower
+/// one, so the dialer must be a higher rank — and during cold start one
+/// not admitted yet. Anything else is refused and counted, and the mesh
+/// is left as it was. `establish`'s accept loop and the acceptor thread
+/// both admit here.
+fn admit(shared: &Shared, mut s: TcpStream, cold_start: bool) {
+    let handshake = (|| -> std::io::Result<usize> {
+        s.set_nodelay(true)?;
+        s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
+        let (peer, their_iter) = read_resume(&mut s, shared.size)?;
+        if peer <= shared.rank || cold_start && shared.writers[peer].lock().is_some() {
+            return Err(bad_data(format!(
+                "rank {peer} may not dial rank {}",
+                shared.rank
+            )));
+        }
+        let progress = shared.progress.load(AtomicOrdering::Relaxed);
+        write_resume(&mut s, shared.rank, shared.size, progress)?;
+        s.set_read_timeout(None)?;
+        shared.peer_progress[peer].store(their_iter, AtomicOrdering::Relaxed);
+        Ok(peer)
+    })();
+    let counter = match handshake.and_then(|peer| install_connection(shared, peer, s)) {
+        Ok(()) if cold_start => return,
+        Ok(()) => &shared.reconnects,
+        Err(_) => &shared.handshake_rejects,
+    };
+    counter.fetch_add(1, AtomicOrdering::Relaxed);
 }
 
 /// The supervisor thread: heartbeats to live peers and backoff-bounded
 /// reconnects toward peers this rank originally dialed (`peer < rank`).
 /// It writes and dials; it never reads a mesh connection and never waits
 /// for socket-buffer space.
-fn spawn_supervisor(
-    shared: Arc<Shared>,
-    sup: SupervisorOptions,
-    addrs: Vec<SocketAddr>,
-    nodelay: bool,
-) {
+fn spawn_supervisor(shared: Arc<Shared>, sup: SupervisorOptions, addrs: Vec<SocketAddr>) {
     std::thread::spawn(move || {
         let me = shared.rank;
         let size = shared.size;
@@ -516,7 +536,7 @@ fn spawn_supervisor(
                     shared
                         .reconnect_attempts
                         .fetch_add(1, AtomicOrdering::Relaxed);
-                    match resume_dial(&shared, peer, addrs[peer], nodelay) {
+                    match dial(&shared, peer, addrs[peer], Instant::now()) {
                         Ok(stream) => {
                             if install_connection(&shared, peer, stream).is_ok() {
                                 shared.reconnects.fetch_add(1, AtomicOrdering::Relaxed);
@@ -533,50 +553,28 @@ fn spawn_supervisor(
     });
 }
 
-/// The acceptor thread: admits post-handshake connections (RESUME from a
-/// restarted peer, or a supervisor redial) back into the mesh.
-fn spawn_acceptor(shared: Arc<Shared>, listener: TcpListener, poll: Duration, nodelay: bool) {
+/// The acceptor thread: admits every connection after cold start — a
+/// restarted peer's rejoin or a supervisor's redial — back into the mesh.
+/// It waits for dialers in `ppoll`, waking every `tick` to notice
+/// shutdown. (On Linux an accepted socket does not inherit the listener's
+/// `O_NONBLOCK`, so `admit`'s handshake reads block as they should.)
+fn spawn_acceptor(shared: Arc<Shared>, listener: TcpListener, tick: Duration) {
     std::thread::spawn(move || {
         if listener.set_nonblocking(true).is_err() {
             return;
         }
-        loop {
-            if shared.shutdown.load(AtomicOrdering::Relaxed) {
-                return;
-            }
+        let mut ready = [PollFd::new(listener.as_raw_fd(), POLLIN)];
+        while !shared.shutdown.load(AtomicOrdering::Relaxed) {
             match listener.accept() {
-                Ok((mut s, _)) => {
-                    let admitted = (|| -> std::io::Result<()> {
-                        s.set_nonblocking(false)?;
-                        s.set_nodelay(nodelay)?;
-                        s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
-                        let (peer, their_iter) =
-                            read_resume(&mut s, shared.size, shared.max_frame)?;
-                        if peer == shared.rank {
-                            return Err(bad_data("peer claims our own rank".into()));
-                        }
-                        write_resume(
-                            &mut s,
-                            shared.rank,
-                            shared.size,
-                            shared.progress.load(AtomicOrdering::Relaxed),
-                        )?;
-                        s.set_read_timeout(None)?;
-                        shared.peer_progress[peer].store(their_iter, AtomicOrdering::Relaxed);
-                        install_connection(&shared, peer, s)?;
-                        shared.reconnects.fetch_add(1, AtomicOrdering::Relaxed);
-                        Ok(())
-                    })();
-                    // A bogus dialer is dropped and counted; the mesh
-                    // state is untouched.
-                    if admitted.is_err() {
-                        shared
-                            .handshake_rejects
-                            .fetch_add(1, AtomicOrdering::Relaxed);
-                    }
+                Ok((s, _)) => admit(&shared, s, false),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    wait_ready(&mut ready, Some(tick));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(poll),
-                Err(_) => std::thread::sleep(poll),
+                // Out of descriptors, say: the dialer stays queued and
+                // the listener ready, so wait a tick instead of spinning.
+                Err(_) => {
+                    wait_ready(&mut [], Some(tick));
+                }
             }
         }
     });
@@ -659,9 +657,11 @@ impl<M> SocketTransport<M> {
         t
     }
 
-    /// Build a transport from an already-bound listener and the full
-    /// address list. `addrs[rank]` must be this process's own listener
-    /// address; the call blocks until the full mesh is up.
+    /// Join the mesh as `rank` from an already-bound listener and the full
+    /// address list (`addrs[rank]` is this process's own listener): dial
+    /// every lower rank, then — at cold start, when `rejoin` is `None` —
+    /// admit every higher one. A rejoin reports its `last_iter` in its
+    /// handshakes instead and leaves the higher ranks to redial it.
     fn establish(
         rank: usize,
         listener: TcpListener,
@@ -669,84 +669,50 @@ impl<M> SocketTransport<M> {
         opts: SocketClusterOptions,
         faults: SharedGate,
         clock: WallClock,
+        rejoin: Option<u64>,
     ) -> std::io::Result<Self> {
-        let size = addrs.len();
-        assert!(rank < size, "rank {rank} out of range for {size} addrs");
-        let mut conns: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
+        let (shared, bell) = Shared::new(rank, addrs.len())?;
+        shared
+            .progress
+            .store(rejoin.unwrap_or(0), AtomicOrdering::Relaxed);
+        let deadline = Instant::now() + opts.connect_timeout;
 
-        let (shared, bell) = Shared::new(rank, size, opts.max_frame_bytes)?;
-
-        // Phase 1: dial every lower rank, in rank order. Failures here
-        // are fatal: these are *our* configured peers, so a broken dial
-        // means the cluster spec is wrong or the peer is down, and the
-        // handshake read timeout bounds how long a stalled accept side
-        // can hold us.
-        for peer in 0..rank {
-            let mut s = connect_with_retry(
-                addrs[peer],
-                opts.connect_timeout,
-                (rank as u64) << 16 | peer as u64,
-            )?;
-            s.set_nodelay(opts.nodelay)?;
-            s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
-            write_hello(&mut s, rank, size)?;
-            let replied = read_hello(&mut s, size, opts.max_frame_bytes)?;
-            if replied != peer {
-                return Err(bad_data(format!(
-                    "dialed rank {peer} but rank {replied} answered"
-                )));
-            }
-            s.set_read_timeout(None)?;
-            conns[peer] = Some(s);
+        // Dial every lower rank, in rank order. Failures here are fatal:
+        // these are *our* configured peers, so a broken dial means the
+        // cluster spec is wrong or the peer is down, and the handshake
+        // read timeout bounds how long a stalled accept side can hold us.
+        for (peer, &addr) in addrs.iter().enumerate().take(rank) {
+            install_connection(&shared, peer, dial(&shared, peer, addr, deadline)?)?;
         }
-
-        // Phase 2: accept connections until every higher rank has
-        // identified itself with a valid HELLO. Unlike phase 1, each
-        // inbound connection is peer-controlled input: one that stalls,
-        // closes mid-handshake, claims a bogus rank, or duplicates an
-        // already-admitted peer is dropped and counted — it must not
-        // tear down this rank's whole establish (which would cascade
-        // into the cluster harness as a panic).
-        let mut missing = size - rank - 1;
-        while missing > 0 {
-            let (mut s, _) = listener.accept()?;
-            let admitted = (|| -> std::io::Result<usize> {
-                s.set_nodelay(opts.nodelay)?;
-                s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
-                let peer = read_hello(&mut s, size, opts.max_frame_bytes)?;
-                if peer <= rank || conns[peer].is_some() {
-                    return Err(bad_data(format!("unexpected HELLO from rank {peer}")));
-                }
-                write_hello(&mut s, rank, size)?;
-                s.set_read_timeout(None)?;
-                Ok(peer)
-            })();
-            match admitted {
-                Ok(peer) => {
-                    conns[peer] = Some(s);
-                    missing -= 1;
-                }
-                Err(_) => {
-                    shared
-                        .handshake_rejects
-                        .fetch_add(1, AtomicOrdering::Relaxed);
-                }
-            }
-        }
-
-        for (peer, conn) in conns.into_iter().enumerate() {
-            if let Some(conn) = conn {
-                install_connection(&shared, peer, conn)?;
-            }
+        // Admit every higher rank. Each inbound connection is
+        // peer-controlled input: `admit` drops and counts a bad one
+        // rather than tear down this rank's whole establish (which would
+        // cascade into the cluster harness as a panic).
+        while rejoin.is_none() && shared.awaiting_dialers() {
+            admit(&shared, listener.accept()?.0, true);
         }
         if let Some(sup) = opts.supervision.clone() {
-            let poll = sup.heartbeat_interval;
-            spawn_acceptor(Arc::clone(&shared), listener, poll, opts.nodelay);
-            spawn_supervisor(Arc::clone(&shared), sup, addrs.to_vec(), opts.nodelay);
+            spawn_acceptor(Arc::clone(&shared), listener, sup.heartbeat_interval);
+            spawn_supervisor(Arc::clone(&shared), sup, addrs.to_vec());
         }
-        // Without supervision the listener drops here, exactly as before.
-
+        // Without supervision the listener drops here.
         Ok(SocketTransport::new(opts, shared, bell, faults, clock))
+    }
+
+    /// Bind `addrs[rank]` and [`establish`](Self::establish) this
+    /// process's rank of a multi-process mesh.
+    fn join(
+        rank: usize,
+        addrs: &[SocketAddr],
+        opts: SocketClusterOptions,
+        rejoin: Option<u64>,
+    ) -> std::io::Result<Self> {
+        let size = addrs.len();
+        assert!(rank < size, "rank {rank} out of range for {size} peers");
+        let clock = WallClock::new(opts.mips);
+        let listener = TcpListener::bind(addrs[rank])?;
+        let faults = SharedGate::default();
+        Self::establish(rank, listener, addrs, opts, faults, clock, rejoin)
     }
 
     /// Attach a structured telemetry sink for this rank; same contract as
@@ -779,9 +745,9 @@ impl<M> SocketTransport<M> {
         self.decode_failures
     }
 
-    /// Inbound connections dropped because their handshake was invalid,
-    /// truncated, or stalled — across both the cold-start HELLO phase
-    /// and the supervised acceptor's RESUME path.
+    /// Inbound connections refused at the handshake — invalid, truncated
+    /// or stalled, or from a dialer that may not dial this rank — at cold
+    /// start and by the supervised acceptor alike.
     pub fn handshake_rejects(&self) -> u64 {
         self.shared.handshake_rejects.load(AtomicOrdering::Relaxed)
     }
@@ -815,8 +781,8 @@ impl<M> SocketTransport<M> {
             .collect()
     }
 
-    /// The last-seen iteration `peer` reported in a RESUME handshake
-    /// (0 if it never resumed against us).
+    /// The last-seen iteration `peer` reported in its latest handshake
+    /// with us (0 at cold start).
     pub fn peer_progress(&self, peer: Rank) -> u64 {
         self.shared.peer_progress[peer.0].load(AtomicOrdering::Relaxed)
     }
@@ -833,8 +799,8 @@ impl<M> SocketTransport<M> {
 
     /// Tear down every connection abruptly — no goodbye frames — so
     /// peers observe crash semantics. Test-only stand-in for SIGKILL.
-    #[doc(hidden)]
-    pub fn simulate_crash(&mut self) {
+    #[cfg(test)]
+    fn simulate_crash(&mut self) {
         for w in &self.shared.writers {
             if let Some(link) = w.lock().take() {
                 let _ = link.stream.shutdown(Shutdown::Both);
@@ -998,7 +964,7 @@ impl<M: WireCodec> SocketTransport<M> {
         }
         self.peer_suspected[peer] = false;
         loop {
-            let (kind, src, tag, payload) = match conn.pop(self.shared.max_frame) {
+            let (kind, src, tag, payload) = match conn.pop(DEFAULT_MAX_FRAME) {
                 Ok(Some(frame)) => frame,
                 Ok(None) => break,
                 Err(_) => return self.note_peer_gone(Rank(peer)),
@@ -1323,7 +1289,7 @@ where
         // and counts whatever else connects, so this fails only if a
         // sibling rank thread died or the host ran out of descriptors.
         let (opts, faults) = (opts.clone(), faults.clone());
-        let mut t = SocketTransport::establish(r, listener, &addrs, opts, faults, clock)
+        let mut t = SocketTransport::establish(r, listener, &addrs, opts, faults, clock, None)
             .expect("socket mesh handshake failed");
         f(&mut t)
     })
@@ -1344,37 +1310,7 @@ pub fn connect_socket_cluster<M>(
 where
     M: WireCodec + Send + 'static,
 {
-    connect_inner(rank, addrs, opts, SharedGate::default())
-}
-
-/// [`connect_socket_cluster`] with a process-local fault spec (each
-/// process draws its own fates for the frames it sends).
-pub fn connect_socket_cluster_with_faults<M>(
-    rank: usize,
-    addrs: &[SocketAddr],
-    opts: SocketClusterOptions,
-    faults: FaultSpec<M>,
-) -> std::io::Result<SocketTransport<M>>
-where
-    M: WireCodec + Send + 'static,
-{
-    connect_inner(rank, addrs, opts, SharedGate::new(faults, addrs.len()))
-}
-
-fn connect_inner<M>(
-    rank: usize,
-    addrs: &[SocketAddr],
-    opts: SocketClusterOptions,
-    faults: SharedGate,
-) -> std::io::Result<SocketTransport<M>> {
-    assert!(
-        rank < addrs.len(),
-        "rank {rank} out of range for {} peers",
-        addrs.len()
-    );
-    let clock = WallClock::new(opts.mips);
-    let listener = TcpListener::bind(addrs[rank])?;
-    SocketTransport::establish(rank, listener, addrs, opts, faults, clock)
+    SocketTransport::join(rank, addrs, opts, None)
 }
 
 /// Re-enter an already-running mesh as a restarted `rank`.
@@ -1401,74 +1337,28 @@ pub fn rejoin_socket_cluster<M>(
 where
     M: WireCodec + Send + 'static,
 {
-    assert!(
-        rank < addrs.len(),
-        "rank {rank} out of range for {} peers",
-        addrs.len()
-    );
-    let size = addrs.len();
-    let clock = WallClock::new(opts.mips);
-    let listener = TcpListener::bind(addrs[rank])?;
-    let (shared, bell) = Shared::new(rank, size, opts.max_frame_bytes)?;
-    shared.progress.store(last_iter, AtomicOrdering::Relaxed);
-
-    // Re-dial our original dialees (every lower rank). They are alive
-    // and listening, so retry within the connect timeout covers slow
-    // accept loops, not cold starts.
+    opts.supervision.get_or_insert_with(Default::default);
     let deadline = Instant::now() + opts.connect_timeout;
-    for (peer, &addr) in addrs.iter().enumerate().take(rank) {
-        let mut bo = Backoff::new(
-            Duration::from_millis(5),
-            Duration::from_millis(250),
-            (rank as u64) << 16 | peer as u64,
-        );
-        loop {
-            match resume_dial(&shared, peer, addr, opts.nodelay) {
-                Ok(s) => {
-                    install_connection(&shared, peer, s)?;
-                    shared.reconnects.fetch_add(1, AtomicOrdering::Relaxed);
-                    break;
-                }
-                Err(e) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(std::io::Error::new(
-                            ErrorKind::TimedOut,
-                            format!("resume dial to rank {peer} timed out: {e}"),
-                        ));
-                    }
-                    std::thread::sleep(bo.next_delay().min(deadline - now));
-                }
-            }
-        }
-    }
-
-    let sup = opts
-        .supervision
-        .get_or_insert_with(Default::default)
-        .clone();
-    let poll = sup.heartbeat_interval;
-    spawn_acceptor(Arc::clone(&shared), listener, poll, opts.nodelay);
-    spawn_supervisor(Arc::clone(&shared), sup, addrs.to_vec(), opts.nodelay);
-
-    // Higher ranks re-dial us via their supervisors; wait (bounded) for
-    // the mesh to fill in before handing the transport to the driver.
-    while Instant::now() < deadline {
-        let missing = (rank + 1..size).any(|p| shared.writers[p].lock().is_none());
-        if !missing {
+    let mut t = SocketTransport::join(rank, addrs, opts, Some(last_iter))?;
+    // Each link to a lower rank was re-dialed.
+    t.shared
+        .reconnects
+        .fetch_add(rank as u64, AtomicOrdering::Relaxed);
+    // Higher ranks' supervisors re-dial us: receive — which answers the
+    // doorbell their links ring — until they all have, or the deadline.
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || t.conns[rank + 1..].iter().all(Option::is_some) {
             break;
         }
-        std::thread::sleep(Duration::from_millis(2));
+        t.pump(Some(left), None);
     }
-
-    let mut t = SocketTransport::new(opts, shared, bell, SharedGate::default(), clock);
-    // Peers whose connection is still absent start in the down state so
-    // sends are dropped quietly and recovery marks fire on arrival.
-    for p in 0..size {
-        if p != rank && t.conns[p].is_none() {
-            t.peer_down[p] = true;
-            t.peer_departed[p] = true; // suppress a spurious crash mark
-        }
+    // Peers still absent start in the down state, so sends are dropped
+    // quietly and recovery marks fire on arrival; "departed" suppresses
+    // a spurious crash mark.
+    for p in (0..t.size).filter(|&p| p != rank && t.conns[p].is_none()) {
+        t.peer_down[p] = true;
+        t.peer_departed[p] = true;
     }
     Ok(t)
 }
@@ -1479,6 +1369,7 @@ mod tests {
     use crate::frame::tests::{read_all, wire};
     use crate::frame::{Frame, READ_BUF, WIRE_VERSION};
     use netsim::{Loss, NoFaults};
+    use std::sync::Barrier;
 
     fn supervised(interval_ms: u64, miss_ms: u64) -> SocketClusterOptions {
         SocketClusterOptions {
@@ -1491,10 +1382,17 @@ mod tests {
         }
     }
 
-    /// Dial a rank whose thread was only just spawned: it may not have
-    /// bound its listener yet.
+    /// Connect, without a handshake, to a rank whose thread was only just
+    /// spawned: it may not have bound its listener yet.
     fn dial_when_listening(addr: SocketAddr) -> TcpStream {
-        connect_with_retry(addr, Duration::from_secs(5), 0).expect("rank never started listening")
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match TcpStream::connect(addr) {
+                Ok(s) => return s,
+                Err(e) if Instant::now() >= deadline => panic!("rank never started listening: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
     }
 
     #[test]
@@ -1738,14 +1636,15 @@ mod tests {
     }
 
     #[test]
-    fn connect_with_retry_gives_up_within_the_deadline() {
+    fn dial_gives_up_within_the_deadline() {
         // Grab an ephemeral port, then free it so nothing is listening.
         let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = l.local_addr().unwrap();
         drop(l);
+        let (shared, _bell) = Shared::new(1, 2).unwrap();
         let timeout = Duration::from_millis(150);
         let started = Instant::now();
-        let err = connect_with_retry(addr, timeout, 9).unwrap_err();
+        let err = dial(&shared, 0, addr, started + timeout).unwrap_err();
         let elapsed = started.elapsed();
         assert_eq!(err.kind(), ErrorKind::TimedOut);
         // Bounded: one backoff sleep past the deadline at most, plus
@@ -1824,16 +1723,23 @@ mod tests {
             let env = t.recv();
             (env.msg, t.handshake_rejects())
         });
-        // Junk flavour 1: connect and EOF before sending any HELLO.
+        // Junk flavour 1: connect and EOF before sending any handshake.
         let s = dial_when_listening(addrs[0]);
         s.shutdown(Shutdown::Both).unwrap();
         drop(s);
-        // Junk flavour 2: a well-formed HELLO claiming an impossible
+        // Junk flavour 2: a well-formed RESUME claiming an impossible
         // rank (rank 0 itself), then linger so the reject is observed
-        // before the real peer's HELLO enters the queue.
+        // before the real peer's RESUME enters the queue.
         let mut s = dial_when_listening(addrs[0]);
-        write_hello(&mut s, 0, 2).unwrap();
+        write_resume(&mut s, 0, 2, 0).unwrap();
         std::thread::sleep(Duration::from_millis(50));
+        drop(s);
+        // Junk flavour 3: an old build's HELLO (kind 0, cluster size
+        // only) from the right rank. It is refused, not answered.
+        let mut s = dial_when_listening(addrs[0]);
+        s.write_all(&wire(&(0, 1, 0, 2u32.to_le_bytes().to_vec())))
+            .unwrap();
+        assert!(read_resume(&mut s, 2).is_err(), "an old HELLO was answered");
         drop(s);
         // The real rank 1 arrives last and must still be admitted.
         let h1 = std::thread::spawn(move || {
@@ -1850,6 +1756,7 @@ mod tests {
             rejects >= 1,
             "junk handshakes were not counted (got {rejects})"
         );
+        assert_eq!(rejects, 3, "each junk dialer is one reject");
     }
 
     #[test]
@@ -1871,12 +1778,12 @@ mod tests {
             }
             (t.disconnected_peers(), t.decode_failures())
         });
-        // Fake rank 1: real HELLO handshake, then a frame whose length
-        // prefix promises 64 bytes but whose body stops after the
-        // version byte, then an abrupt close.
+        // Fake rank 1: real handshake, then a frame whose length prefix
+        // promises 64 bytes but whose body stops after the version byte,
+        // then an abrupt close.
         let mut s = dial_when_listening(addrs[0]);
-        write_hello(&mut s, 1, 2).unwrap();
-        assert_eq!(read_hello(&mut s, 2, DEFAULT_MAX_FRAME).unwrap(), 0);
+        write_resume(&mut s, 1, 2, 0).unwrap();
+        assert_eq!(read_resume(&mut s, 2).unwrap(), (0, 0));
         s.write_all(&64u32.to_le_bytes()).unwrap();
         s.write_all(&[WIRE_VERSION]).unwrap();
         s.shutdown(Shutdown::Both).unwrap();
@@ -1962,6 +1869,53 @@ mod tests {
     }
 
     #[test]
+    fn impostor_claiming_a_lower_rank_is_refused_and_the_live_link_survives() {
+        // Every legitimate dial goes from a higher rank to a lower one. An
+        // outside dialer telling rank 1's acceptor that it is rank 0 must
+        // be refused and counted, not swapped in for the live link — which
+        // would never heal: rank 0 does not redial a higher rank.
+        let l0 = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let l1 = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addrs = [l0.local_addr().unwrap(), l1.local_addr().unwrap()];
+        drop((l0, l1));
+        let (up, checked) = (Arc::new(Barrier::new(3)), Arc::new(Barrier::new(2)));
+        let rank = |me: usize| {
+            let (up, checked) = (Arc::clone(&up), Arc::clone(&checked));
+            std::thread::spawn(move || {
+                let mut t =
+                    connect_socket_cluster::<u64>(me, &addrs, supervised(5, 2_000)).unwrap();
+                up.wait(); // the mesh is up
+                up.wait(); // the impostor has been dealt with
+                t.send(Rank(1 - me), Tag(0), 10 + me as u64);
+                let deadline = Instant::now() + Duration::from_millis(1_500);
+                let mut got = None;
+                while got.is_none() && Instant::now() < deadline {
+                    got = t.recv_timeout(SimDuration::from_millis(20)).map(|e| e.msg);
+                }
+                let seen = (got, t.disconnected_peers(), t.handshake_rejects());
+                checked.wait(); // neither drops its transport early
+                seen
+            })
+        };
+        let (h0, h1) = (rank(0), rank(1));
+        up.wait();
+        let mut impostor = TcpStream::connect(addrs[1]).unwrap();
+        write_resume(&mut impostor, 0, 2, 0).unwrap();
+        let answered = read_resume(&mut impostor, 2).is_ok();
+        up.wait();
+        let (got0, down0, _) = h0.join().unwrap();
+        let (got1, down1, rejects1) = h1.join().unwrap();
+        drop(impostor);
+        assert!(!answered, "rank 1 answered a dialer claiming a lower rank");
+        assert_eq!((got0, got1), (Some(11), Some(10)), "a message was lost");
+        assert!(
+            down0.is_empty() && down1.is_empty(),
+            "down: {down0:?} {down1:?}"
+        );
+        assert_eq!(rejects1, 1, "the impostor was not counted");
+    }
+
+    #[test]
     fn multi_process_entrypoint_meshes_two_ranks() {
         // Exercise connect_socket_cluster the way two separate processes
         // would, using two plain threads with pre-agreed ports.
@@ -2037,8 +1991,8 @@ mod tests {
             (held, t.disconnected_peers(), t.departed_peers())
         });
         let mut s = dial_when_listening(addrs[0]);
-        write_hello(&mut s, 1, 2).unwrap();
-        assert_eq!(read_hello(&mut s, 2, DEFAULT_MAX_FRAME).unwrap(), 0);
+        write_resume(&mut s, 1, 2, 0).unwrap();
+        assert_eq!(read_resume(&mut s, 2).unwrap(), (0, 0));
         s.write_all(&(200u32 << 20).to_le_bytes()).unwrap();
         s.write_all(&[WIRE_VERSION, KIND_DATA, 1]).unwrap();
         quiet_rx.recv().unwrap();

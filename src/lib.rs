@@ -68,12 +68,12 @@ pub mod prelude {
     // traits in scope, method calls on a thread or socket endpoint would
     // be ambiguous).
     pub use mpk::{
-        connect_socket_cluster, connect_socket_cluster_with_faults, poll_ready,
-        rejoin_socket_cluster, run_sim_proc_cluster, run_sim_proc_cluster_with_faults,
-        run_sim_proc_cluster_with_options, run_socket_cluster, run_socket_cluster_with_faults,
-        run_thread_cluster, run_thread_cluster_with_faults, AsyncTransport, Envelope,
-        FaultCounters, FaultSpec, Rank, SimClusterOptions, SimIo, SocketClusterOptions,
-        SocketTransport, SupervisorOptions, Tag, ThreadClusterOptions, WireCodec, WireSize,
+        connect_socket_cluster, poll_ready, rejoin_socket_cluster, run_sim_proc_cluster,
+        run_sim_proc_cluster_with_faults, run_sim_proc_cluster_with_options, run_socket_cluster,
+        run_socket_cluster_with_faults, run_thread_cluster, run_thread_cluster_with_faults,
+        AsyncTransport, Envelope, FaultCounters, FaultSpec, Rank, SimClusterOptions, SimIo,
+        SocketClusterOptions, SocketTransport, SupervisorOptions, Tag, ThreadClusterOptions,
+        WireCodec, WireSize,
     };
     pub use nbody::{
         binary_pair, centered_cloud, colliding_clouds, partition_proportional, rotating_disk,

@@ -84,7 +84,6 @@ fn supervised_opts(rank: usize) -> SocketClusterOptions {
             retry_budget: 500,
             seed: SEED ^ rank as u64,
         }),
-        ..Default::default()
     }
 }
 
