@@ -47,15 +47,19 @@ echo "== socket SIGKILL chaos (release, multi-process, hard timeout)"
 timeout 150 cargo test --release --test chaos_socket \
     socket_rank_survives_sigkill_and_rejoins -- --exact --ignored --nocapture
 
+echo "== experiments (release) against the golden"
+# The workspace tests check tests/golden/experiments.txt in a debug
+# build; this pins that release prints the same bytes, which the
+# release-built perf ledger relies on.
+cargo run -q --release -p spec-bench --bin experiments | diff - tests/golden/experiments.txt
+
 echo "== kernels bench smoke (release)"
 # Emits BENCH_kernels.json under target/bench-out/ (cargo bench -p runs
 # with the package dir as cwd; the emitter creates the directory):
 # wall-clock pairs/sec for the scalar and SoA force kernels (self,
 # partition, and the incremental correction with a tenth of the sources
 # bad) at N ∈ {1024, 4096}. A scalar-vs-SoA A/B to read, not a gate:
-# wall-clock numbers are judged by the perf ledger (BENCHMARK.json), and
-# the deterministic bench facts (exchange bytes, controller ratio) are
-# asserts in tests/experiment_shapes.rs.
+# wall-clock numbers are judged by the perf ledger (BENCHMARK.json).
 SPEC_BENCH_OUT="$PWD/target/bench-out" cargo bench -q -p spec-bench --bench kernels
 
 echo "CI green."

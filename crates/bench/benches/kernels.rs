@@ -11,6 +11,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::path::PathBuf;
 use std::time::Instant;
 
 use mpk::Rank;
@@ -23,7 +24,7 @@ use nbody::{
     partition_proportional, split_soa, uniform_cloud, NBodyApp, NBodyConfig, PartitionShared, Soa3,
     SoaBodies, SpeculationOrder, Vec3, ZERO3,
 };
-use spec_bench::artifact::{kernels_json, KernelRow};
+use obs::Json;
 use speccore::{History, SpeculativeApp};
 
 fn remote_share(particles: &[nbody::Particle], range: std::ops::Range<usize>) -> PartitionShared {
@@ -128,6 +129,53 @@ criterion_group!(
     bench_barnes_hut_vs_direct,
     bench_partitioning
 );
+
+/// One wall-clock throughput measurement of a force kernel: `pairs`
+/// modelled pair interactions evaluated in `secs` median seconds.
+struct KernelRow {
+    /// Kernel under test (`"scalar_self"`, `"soa_self"`, `"soa_correct"`, …).
+    kernel: String,
+    /// Problem size N.
+    n: usize,
+    /// Modelled pair interactions per evaluation (N·(N−1) for the
+    /// self-kernel, N_t·N_s for the partition kernel, 2·N_t·N_bad for the
+    /// correction kernel) — the same count the desim op accounting
+    /// charges, so speedups here never touch the simulated-time results.
+    pairs: u64,
+    /// Median seconds per evaluation.
+    secs: f64,
+}
+
+impl KernelRow {
+    /// Throughput in modelled pair interactions per second.
+    fn pairs_per_sec(&self) -> f64 {
+        self.pairs as f64 / self.secs
+    }
+}
+
+/// Write the rows as `BENCH_kernels.json` in the directory named by
+/// `SPEC_BENCH_OUT` (default: the current one), creating it if needed.
+fn write_artifact(rows: &[KernelRow]) -> std::io::Result<PathBuf> {
+    let row = |r: &KernelRow| {
+        Json::obj([
+            ("kernel", Json::Str(r.kernel.clone())),
+            ("n", Json::U64(r.n as u64)),
+            ("pairs", Json::U64(r.pairs)),
+            ("secs", Json::F64(r.secs)),
+            ("pairs_per_sec", Json::F64(r.pairs_per_sec())),
+        ])
+    };
+    let doc = Json::obj([
+        ("name", Json::Str("kernels".into())),
+        ("kind", Json::Str("force_kernel_throughput".into())),
+        ("rows", Json::Arr(rows.iter().map(row).collect())),
+    ]);
+    let dir = std::env::var_os("SPEC_BENCH_OUT").map_or_else(|| PathBuf::from("."), PathBuf::from);
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join("BENCH_kernels.json");
+    std::fs::write(&path, format!("{doc}\n"))?;
+    Ok(path)
+}
 
 /// Median wall-clock seconds for one call of `eval`, over `samples`
 /// batches of `reps` calls each (reps sized so a batch is long enough for
@@ -323,7 +371,7 @@ fn main() {
         let [s, p, c] = speedup_at(n);
         println!("  N={n}: SoA speedup self {s:.2}x, partition {p:.2}x, correct {c:.2}x");
     }
-    match spec_bench::artifact::write("kernels", &kernels_json(&rows)) {
+    match write_artifact(&rows) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("failed to write kernels artifact: {e}"),
     }

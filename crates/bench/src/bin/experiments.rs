@@ -1,58 +1,13 @@
-//! Regenerate the paper's tables and figures.
+//! Print every deterministic result of the reproduction — the paper's
+//! tables and figures, the ablations and the controller sweep — exactly as
+//! `tests/golden/experiments.txt` pins it.
 //!
 //! ```text
-//! cargo run --release -p spec-bench --bin experiments -- [all|fig5|fig6|fig8|fig9|table2|table3] [--quick]
+//! cargo run --release -p spec-bench --bin experiments
 //! ```
 
-use spec_bench::{experiments, render, Scale};
+use spec_bench::{experiments::Report, render};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let which: Vec<&str> = args
-        .iter()
-        .map(|s| s.as_str())
-        .filter(|a| !a.starts_with("--"))
-        .collect();
-    let which = if which.is_empty() { vec!["all"] } else { which };
-    let scale = if quick {
-        Scale::quick()
-    } else {
-        Scale::from_env()
-    };
-    let all = which.contains(&"all");
-
-    println!(
-        "# Speculative Computation — experiment harness (N = {}, iters = {}, seed = {})\n",
-        scale.n_particles, scale.iterations, scale.seed
-    );
-
-    if all || which.contains(&"fig5") {
-        println!("{}", render::fig5(&experiments::fig5()));
-    }
-    if all || which.contains(&"fig6") {
-        println!("{}", render::fig6(&experiments::fig6()));
-    }
-
-    // fig8 / fig9 / table share the expensive measured sweep.
-    let need_sweep = all || which.contains(&"fig8") || which.contains(&"fig9");
-    if need_sweep {
-        eprintln!("[running measured N-body sweep…]");
-        let data = experiments::fig8_data(&scale);
-        if all || which.contains(&"fig8") {
-            println!("{}", render::fig8(&experiments::fig8_rows(&data, &scale)));
-        }
-        if all || which.contains(&"fig9") {
-            println!("{}", render::fig9(&experiments::fig9_rows(&scale, &data)));
-        }
-    }
-    if all || which.contains(&"table2") {
-        eprintln!("[running Table 2 runs…]");
-        let p = scale.p_values.iter().copied().max().unwrap_or(16).max(2);
-        println!("{}", render::table2(&experiments::table2(&scale), p));
-    }
-    if all || which.contains(&"table3") {
-        eprintln!("[running Table 3 θ sweep…]");
-        println!("{}", render::table3(&experiments::table3(&scale)));
-    }
+    print!("{}", render::report(&Report::generate()));
 }

@@ -1,10 +1,15 @@
-//! The six experiment regenerators, and the two deterministic scenarios
-//! (`exchange_bytes_per_iter`, `controller_sweep`) the root tests gate.
+//! Every deterministic result of the reproduction, built by one
+//! [`Report::generate`] at one scale: the paper's §5 artifacts, the
+//! ablations and the controller sweep. Also the exchange-bytes scenario
+//! the root tests gate.
 
 use desim::rng::derive_seed;
 use desim::SimDuration;
 use mpk::{run_sim_proc_cluster, AsyncTransport};
-use nbody::{centered_cloud, run_parallel, NBodyConfig, ParallelRunConfig, ParallelRunResult};
+use nbody::{
+    centered_cloud, run_parallel, NBodyConfig, ParallelRunConfig, ParallelRunResult,
+    SpeculationOrder,
+};
 use netsim::{
     ClusterSpec, ConstantLatency, Jitter, MsgCtx, NetworkModel, SharedMedium, TransientDelays,
     Unloaded,
@@ -15,7 +20,20 @@ use speccore::{
 };
 use workloads::{SyntheticApp, SyntheticConfig};
 
-use crate::Scale;
+/// Particles in every measured paper run (the paper uses 1000).
+pub(crate) const N_PARTICLES: usize = 1000;
+/// Timesteps per measured paper run.
+pub(crate) const ITERATIONS: u64 = 10;
+/// Master seed of every measured run.
+pub(crate) const SEED: u64 = 42;
+/// Processor counts of the measured sweep behind Figures 8 and 9.
+const P_VALUES: [usize; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
+/// The largest processor count: the cluster of Tables 2 and 3.
+pub(crate) const P_MAX: usize = 16;
+/// The ablations run a smaller problem on half the testbed.
+pub(crate) const ABLATION_N: usize = 500;
+pub(crate) const ABLATION_P: usize = 8;
+pub(crate) const ABLATION_ITERATIONS: u64 = 8;
 
 // ---------------------------------------------------------------------------
 // Shared experiment environment
@@ -29,7 +47,7 @@ use crate::Scale;
 /// Parameters are derived from the particle count so that at p = 16 the
 /// per-iteration communication-to-computation ratio lands near the paper's
 /// Table 2 (4.73 s comm vs 5.83 s comp ⇒ ≈ 0.8) at *any* problem size —
-/// the quick CI scale then probes the same regime as the paper scale.
+/// the ablations' N = 500 then probes the same regime as the paper's 1000.
 pub fn testbed_network(seed: u64, n_particles: usize) -> impl NetworkModel + 'static {
     let cluster = ClusterSpec::paper_testbed();
     let total_ops_per_sec: f64 = cluster.capacities().iter().map(|m| m * 1e6).sum();
@@ -65,84 +83,125 @@ pub fn experiment_nbody_config() -> NBodyConfig {
     }
 }
 
-fn run_case(
-    particles: &[nbody::Particle],
-    cluster: &ClusterSpec,
-    fw: u32,
-    ncfg: NBodyConfig,
-    scale: &Scale,
-    net_stream: u64,
-) -> ParallelRunResult {
-    let mut cfg = ParallelRunConfig::new(scale.iterations, fw);
-    cfg.nbody = ncfg;
-    cfg.spec = cfg.spec.with_correction(CorrectionMode::Incremental);
+/// One N-body run of `n` particles on the `p` fastest testbed machines,
+/// its network drawn from stream `net_stream` of [`SEED`].
+fn run(n: usize, p: usize, cfg: ParallelRunConfig, net_stream: u64) -> ParallelRunResult {
     run_parallel(
-        particles,
-        cluster,
-        testbed_network(derive_seed(scale.seed, net_stream), particles.len()),
+        &centered_cloud(n, SEED),
+        &ClusterSpec::paper_testbed().fastest(p),
+        testbed_network(derive_seed(SEED, net_stream), n),
         Unloaded,
         cfg,
     )
     .expect("experiment run failed")
 }
 
-// ---------------------------------------------------------------------------
-// Figure 5 and Figure 6 (model)
-// ---------------------------------------------------------------------------
-
-/// Figure 5: model speedups versus processor count for the §4 example
-/// (k = 2%).
-pub fn fig5() -> Vec<Fig5Row> {
-    fig5_series(&ModelParams::paper_example(), 16)
-}
-
-/// Figure 6: model speedup on 8 processors versus recomputation
-/// percentage.
-pub fn fig6() -> Vec<Fig6Row> {
-    let ks: Vec<f64> = (0..=30).map(|i| i as f64 * 0.01).collect();
-    fig6_series(&ModelParams::paper_example(), 8, &ks)
+/// The paper runs' configuration at forward window `fw`: the experiment
+/// physics (θ = 0.01) and incremental correction.
+fn paper_config(fw: u32) -> ParallelRunConfig {
+    let mut cfg = ParallelRunConfig::new(ITERATIONS, fw);
+    cfg.nbody = experiment_nbody_config();
+    cfg.spec = cfg.spec.with_correction(CorrectionMode::Incremental);
+    cfg
 }
 
 // ---------------------------------------------------------------------------
-// Figure 8 (measured speedups) + raw data for Figure 9
+// The report
 // ---------------------------------------------------------------------------
 
-/// One measured N-body run's summary.
+/// Every deterministic result of the reproduction, in the order
+/// [`crate::render::report`] prints it.
 #[derive(Clone, Debug)]
-pub struct Fig8Run {
-    /// Processor count.
-    pub p: usize,
-    /// Forward window.
-    pub fw: u32,
+pub struct Report {
+    /// Figure 5: model speedups vs p for the §4 example (k = 2%).
+    pub fig5: Vec<Fig5Row>,
+    /// Figure 6: model speedup on 8 processors vs recomputation fraction.
+    pub fig6: Vec<Fig6Row>,
+    /// Figure 8: measured N-body speedups vs p.
+    pub fig8: Vec<Fig8Row>,
+    /// Figure 9: the §4 model calibrated from Figure 8's runs, vs them.
+    pub fig9: Vec<Fig9Row>,
+    /// Table 2: per-iteration phase times at p = 16.
+    pub table2: Vec<Table2Row>,
+    /// Table 3: the θ sweep at p = 16.
+    pub table3: Vec<Table3Row>,
+    /// The five ablations of DESIGN.md's design choices.
+    pub ablations: Ablations,
+    /// The adaptive controller against a fixed (θ, FW) grid.
+    pub controller: ControllerSweep,
+}
+
+impl Report {
+    /// Run every experiment. The measured sweep behind Figures 8 and 9 runs
+    /// once, on its own thread beside the rest: each run is an independent
+    /// deterministic simulation, so the split cannot change a bit.
+    pub fn generate() -> Report {
+        std::thread::scope(|s| {
+            let sweep = s.spawn(Sweep::measure);
+            let table2 = table2();
+            let table3 = table3();
+            let ablations = ablations();
+            let controller = controller_sweep();
+            let sweep = sweep.join().expect("the measured sweep panicked");
+            let ks: Vec<f64> = (0..=30).map(|i| i as f64 * 0.01).collect();
+            Report {
+                fig5: fig5_series(&ModelParams::paper_example(), 16),
+                fig6: fig6_series(&ModelParams::paper_example(), 8, &ks),
+                fig8: sweep.fig8_rows(),
+                fig9: sweep.fig9_rows(),
+                table2,
+                table3,
+                ablations,
+                controller,
+            }
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Figures 8 and 9: the measured sweep
+// ---------------------------------------------------------------------------
+
+/// One `(p, FW)` run of the measured sweep.
+struct SweepRun {
+    p: usize,
+    fw: u32,
     /// Total virtual run time, seconds.
-    pub elapsed: f64,
+    elapsed: f64,
     /// Mean communication wait per iteration per rank, seconds.
-    pub comm_wait_per_iter: f64,
-    /// Mean compute time per iteration per rank, seconds.
-    pub compute_per_iter: f64,
+    comm_wait_per_iter: f64,
     /// Measured recomputation fraction `k`.
-    pub k: f64,
-    /// Largest error among accepted speculations.
-    pub max_accepted_error: f64,
-    /// Full per-phase mean per-iteration breakdown.
-    pub phases: speccore::PhaseBreakdown,
+    k: f64,
 }
 
-/// Figure 8's raw data: every `(p, FW)` run plus the single-processor
-/// reference time.
-#[derive(Clone, Debug)]
-pub struct Fig8Data {
+/// The measured N-body sweep: the fastest machine alone, then every
+/// p × FW ∈ {0, 1, 2}.
+struct Sweep {
     /// Execution time on the fastest machine alone, seconds.
-    pub t1: f64,
-    /// All parallel runs.
-    pub runs: Vec<Fig8Run>,
-    /// The cluster used (fastest-first).
-    pub cluster: ClusterSpec,
+    t1: f64,
+    runs: Vec<SweepRun>,
 }
 
-impl Fig8Data {
-    /// The run for `(p, fw)`.
-    pub fn run(&self, p: usize, fw: u32) -> &Fig8Run {
+impl Sweep {
+    fn measure() -> Sweep {
+        let t1 = run(N_PARTICLES, 1, paper_config(0), 1).elapsed_secs();
+        let mut runs = Vec::new();
+        for p in P_VALUES {
+            for fw in 0..=2u32 {
+                let result = run(N_PARTICLES, p, paper_config(fw), p as u64);
+                runs.push(SweepRun {
+                    p,
+                    fw,
+                    elapsed: result.elapsed_secs(),
+                    comm_wait_per_iter: result.stats.mean_per_iteration().comm_wait.as_secs_f64(),
+                    k: result.stats.recomputation_fraction(),
+                });
+            }
+        }
+        Sweep { t1, runs }
+    }
+
+    fn run(&self, p: usize, fw: u32) -> &SweepRun {
         self.runs
             .iter()
             .find(|r| r.p == p && r.fw == fw)
@@ -150,42 +209,65 @@ impl Fig8Data {
     }
 
     /// Measured speedup of `(p, fw)` relative to the fastest machine.
-    pub fn speedup(&self, p: usize, fw: u32) -> f64 {
+    fn speedup(&self, p: usize, fw: u32) -> f64 {
         self.t1 / self.run(p, fw).elapsed
     }
-}
 
-/// Run the full measured N-body sweep (p × FW ∈ {0, 1, 2}).
-pub fn fig8_data(scale: &Scale) -> Fig8Data {
-    let cluster = ClusterSpec::paper_testbed();
-    let particles = centered_cloud(scale.n_particles, scale.seed);
-    let ncfg = experiment_nbody_config();
-
-    let single = run_case(&particles, &cluster.fastest(1), 0, ncfg, scale, 1);
-    let t1 = single.elapsed_secs();
-
-    let mut runs = Vec::new();
-    for &p in &scale.p_values {
-        if p < 2 {
-            continue;
-        }
-        let sub = cluster.fastest(p);
-        for fw in 0..=2u32 {
-            let result = run_case(&particles, &sub, fw, ncfg, scale, p as u64);
-            let phases = result.stats.mean_per_iteration();
-            runs.push(Fig8Run {
+    fn fig8_rows(&self) -> Vec<Fig8Row> {
+        let cluster = ClusterSpec::paper_testbed();
+        P_VALUES
+            .iter()
+            .map(|&p| Fig8Row {
                 p,
-                fw,
-                elapsed: result.elapsed_secs(),
-                comm_wait_per_iter: phases.comm_wait.as_secs_f64(),
-                compute_per_iter: phases.compute.as_secs_f64(),
-                k: result.stats.recomputation_fraction(),
-                max_accepted_error: result.stats.max_accepted_error(),
-                phases,
-            });
+                fw0: self.speedup(p, 0),
+                fw1: self.speedup(p, 1),
+                fw2: self.speedup(p, 2),
+                max: cluster.max_speedup(p),
+            })
+            .collect()
+    }
+
+    /// The §4 model parameterized from the N-body experiment, the way the
+    /// paper does for its Figure 9: per-variable costs from the kernel's
+    /// operation counts (70·N compute, 12 speculate, 24 check), capacities
+    /// from the testbed, `t_comm(p)` from the measured baseline
+    /// communication waits, and `k` from the measured FW = 1 recomputation
+    /// fractions.
+    fn calibrated_model(&self) -> ModelParams {
+        let n = N_PARTICLES as f64;
+        let mut t_comm = vec![0.0; P_MAX];
+        for p in P_VALUES {
+            t_comm[p - 1] = self.run(p, 0).comm_wait_per_iter;
+        }
+        let k = P_VALUES.iter().map(|&p| self.run(p, 1).k).sum::<f64>() / P_VALUES.len() as f64;
+        ModelParams {
+            n,
+            f_comp: nbody::forces::OPS_PER_PAIR as f64 * n,
+            f_spec: nbody::forces::OPS_PER_SPECULATE as f64,
+            f_check: nbody::forces::OPS_PER_CHECK as f64,
+            capacities: ClusterSpec::paper_testbed()
+                .capacities()
+                .iter()
+                .map(|m| m * 1e6)
+                .collect(),
+            comm: CommModel::Table(t_comm),
+            k,
         }
     }
-    Fig8Data { t1, runs, cluster }
+
+    fn fig9_rows(&self) -> Vec<Fig9Row> {
+        let model = self.calibrated_model();
+        P_VALUES
+            .iter()
+            .map(|&p| Fig9Row {
+                p,
+                measured_nospec: self.speedup(p, 0),
+                model_nospec: model.speedup_nospec(p),
+                measured_spec: self.speedup(p, 1),
+                model_spec: model.speedup_spec(p),
+            })
+            .collect()
+    }
 }
 
 /// One row of Figure 8: measured speedups per forward window plus the
@@ -204,53 +286,55 @@ pub struct Fig8Row {
     pub max: f64,
 }
 
-/// Figure 8 rows derived from raw data.
-pub fn fig8_rows(data: &Fig8Data, scale: &Scale) -> Vec<Fig8Row> {
-    scale
-        .p_values
-        .iter()
-        .filter(|&&p| p >= 2)
-        .map(|&p| Fig8Row {
-            p,
-            fw0: data.speedup(p, 0),
-            fw1: data.speedup(p, 1),
-            fw2: data.speedup(p, 2),
-            max: data.cluster.max_speedup(p),
-        })
-        .collect()
+impl Fig8Row {
+    /// Gain of the better speculative window over FW = 0, percent.
+    pub fn gain_pct(&self) -> f64 {
+        100.0 * (self.fw1.max(self.fw2) / self.fw0 - 1.0)
+    }
+
+    /// The better speculative speedup as a share of the maximum, percent.
+    pub fn best_over_max_pct(&self) -> f64 {
+        100.0 * self.fw1.max(self.fw2) / self.max
+    }
 }
 
-/// Figure 8, end to end.
-pub fn fig8(scale: &Scale) -> Vec<Fig8Row> {
-    fig8_rows(&fig8_data(scale), scale)
+/// One row of Figure 9.
+#[derive(Clone, Copy, Debug)]
+pub struct Fig9Row {
+    /// Processor count.
+    pub p: usize,
+    /// Measured speedup, no speculation.
+    pub measured_nospec: f64,
+    /// Model-predicted speedup, no speculation.
+    pub model_nospec: f64,
+    /// Measured speedup, FW = 1.
+    pub measured_spec: f64,
+    /// Model-predicted speedup, FW = 1.
+    pub model_spec: f64,
 }
 
-/// Re-run the flagship Figure 8 configuration (largest `p`, FW = 1) with
-/// structured telemetry enabled and digest it into an [`obs::RunReport`]:
-/// per-rank phase totals, message counters, span histograms. This is the
-/// machine-readable run report embedded in `BENCH_fig8.json`.
-pub fn fig8_run_report(scale: &Scale) -> obs::RunReport {
-    let cluster = ClusterSpec::paper_testbed();
-    let particles = centered_cloud(scale.n_particles, scale.seed);
-    let p = scale.p_values.iter().copied().max().unwrap_or(16).max(2);
-    let sub = cluster.fastest(p);
-    let mut cfg = ParallelRunConfig::new(scale.iterations, 1).with_trace();
-    cfg.nbody = experiment_nbody_config();
-    cfg.spec = cfg.spec.with_correction(CorrectionMode::Incremental);
-    let result = run_parallel(
-        &particles,
-        &sub,
-        testbed_network(derive_seed(scale.seed, p as u64), particles.len()),
-        Unloaded,
-        cfg,
-    )
-    .expect("traced fig8 run failed");
-    let traces = result.traces.as_deref().expect("collect_trace was set");
-    obs::RunReport::from_traces(format!("fig8_p{p}_fw1"), traces)
+impl Fig9Row {
+    /// The model's error relative to the measurement, percent:
+    /// `[no speculation, FW = 1]`.
+    pub fn error_pct(&self) -> [f64; 2] {
+        [
+            100.0 * (self.model_nospec - self.measured_nospec).abs() / self.measured_nospec,
+            100.0 * (self.model_spec - self.measured_spec).abs() / self.measured_spec,
+        ]
+    }
+}
+
+/// The worst model error of Figure 9 over the rows with `p ≤ max_p`,
+/// percent.
+pub fn worst_model_error_pct(rows: &[Fig9Row], max_p: usize) -> f64 {
+    rows.iter()
+        .filter(|r| r.p <= max_p)
+        .flat_map(Fig9Row::error_pct)
+        .fold(0.0, f64::max)
 }
 
 // ---------------------------------------------------------------------------
-// Table 2: phase breakdown at the largest processor count
+// Tables 2 and 3
 // ---------------------------------------------------------------------------
 
 /// One row of Table 2: mean per-iteration seconds in each phase.
@@ -271,18 +355,12 @@ pub struct Table2Row {
     pub total: f64,
 }
 
-/// Table 2: measured per-iteration phase times for the largest `p` in the
-/// sweep (the paper's caption says 16), FW ∈ {0, 1, 2}.
-pub fn table2(scale: &Scale) -> Vec<Table2Row> {
-    let cluster = ClusterSpec::paper_testbed();
-    let particles = centered_cloud(scale.n_particles, scale.seed);
-    let ncfg = experiment_nbody_config();
-    let p = scale.p_values.iter().copied().max().unwrap_or(16).max(2);
-    let sub = cluster.fastest(p);
-
+/// Table 2: measured per-iteration phase times at p = 16 (the paper's
+/// caption), FW ∈ {0, 1, 2}.
+fn table2() -> Vec<Table2Row> {
     (0..=2u32)
         .map(|fw| {
-            let result = run_case(&particles, &sub, fw, ncfg, scale, 1000 + fw as u64);
+            let result = run(N_PARTICLES, P_MAX, paper_config(fw), 1000 + u64::from(fw));
             let ph = result.stats.mean_per_iteration();
             Table2Row {
                 fw,
@@ -290,15 +368,11 @@ pub fn table2(scale: &Scale) -> Vec<Table2Row> {
                 communication: ph.comm_wait.as_secs_f64(),
                 speculation: ph.speculate.as_secs_f64(),
                 check: ph.check.as_secs_f64(),
-                total: result.elapsed_secs() / scale.iterations as f64,
+                total: result.elapsed_secs() / ITERATIONS as f64,
             }
         })
         .collect()
 }
-
-// ---------------------------------------------------------------------------
-// Table 3: θ sweep
-// ---------------------------------------------------------------------------
 
 /// One row of Table 3.
 #[derive(Clone, Copy, Debug)]
@@ -316,18 +390,14 @@ pub struct Table3Row {
 }
 
 /// Table 3: effect of the error bound θ on recomputations and accepted
-/// force error (FW = 1, largest p).
-pub fn table3(scale: &Scale) -> Vec<Table3Row> {
-    let cluster = ClusterSpec::paper_testbed();
-    let particles = centered_cloud(scale.n_particles, scale.seed);
-    let p = scale.p_values.iter().copied().max().unwrap_or(16).max(2);
-    let sub = cluster.fastest(p);
-
+/// force error (FW = 1, p = 16).
+fn table3() -> Vec<Table3Row> {
     [0.1, 0.05, 0.01, 0.005, 0.001]
-        .iter()
-        .map(|&theta| {
-            let ncfg = experiment_nbody_config().with_theta(theta);
-            let result = run_case(&particles, &sub, 1, ncfg, scale, 2000);
+        .into_iter()
+        .map(|theta| {
+            let mut cfg = paper_config(1);
+            cfg.nbody = cfg.nbody.with_theta(theta);
+            let result = run(N_PARTICLES, P_MAX, cfg, 2000);
             Table3Row {
                 theta,
                 incorrect_pct: 100.0 * result.stats.recomputation_fraction(),
@@ -338,80 +408,115 @@ pub fn table3(scale: &Scale) -> Vec<Table3Row> {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 9: model vs measured
+// Ablations (beyond the paper)
 // ---------------------------------------------------------------------------
 
-/// One row of Figure 9.
-#[derive(Clone, Copy, Debug)]
-pub struct Fig9Row {
-    /// Processor count.
-    pub p: usize,
-    /// Measured speedup, no speculation.
-    pub measured_nospec: f64,
-    /// Model-predicted speedup, no speculation.
-    pub model_nospec: f64,
-    /// Measured speedup, FW = 1.
-    pub measured_spec: f64,
-    /// Model-predicted speedup, FW = 1.
-    pub model_spec: f64,
+/// One ablation run, with every column any ablation table prints.
+#[derive(Clone, Debug)]
+pub struct AblationRun {
+    /// The setting under test, as its table's first column prints it.
+    pub label: String,
+    /// Checked partitions rejected, percent.
+    pub rejected_pct: f64,
+    /// Largest accepted speculation error.
+    pub max_accepted_error: f64,
+    /// Virtual run time, seconds.
+    pub elapsed: f64,
+    /// Rollbacks summed over ranks.
+    pub rollbacks: u64,
+    /// Deepest forward window any rank used.
+    pub max_depth_used: u64,
+    /// Incremental corrections summed over ranks.
+    pub corrections: u64,
 }
 
-/// Build the §4 model parameterized from the N-body experiment, the way
-/// the paper does for its Figure 9: per-variable costs from the kernel's
-/// operation counts (70·N compute, 12 speculate, 24 check), capacities
-/// from the testbed, `t_comm(p)` from the measured baseline communication
-/// waits, and `k` from the measured FW = 1 recomputation fractions.
-pub fn calibrated_model(scale: &Scale, data: &Fig8Data) -> ModelParams {
-    let n = scale.n_particles as f64;
-    let capacities: Vec<f64> = data.cluster.capacities().iter().map(|m| m * 1e6).collect();
+/// The ablations of the design choices DESIGN.md calls out, each a
+/// sweep of one knob (N = 500 on the 8 fastest machines, 8 iterations).
+#[derive(Clone, Debug)]
+pub struct Ablations {
+    /// Backward window 1–4 under quadratic speculation: §3.2's
+    /// accuracy/complexity trade-off.
+    pub backward_window: Vec<AblationRun>,
+    /// Speculation function (hold, eq. 10 linear, quadratic): the "higher
+    /// order derivatives" variant §5 leaves unstudied.
+    pub order: Vec<AblationRun>,
+    /// Forward window 0–4: §3.2's masking-depth trade-off.
+    pub forward_window: Vec<AblationRun>,
+    /// Fixed windows vs the adaptive controller started from each.
+    pub controller: Vec<AblationRun>,
+    /// Incremental correction vs full recomputation at θ = 0.003: §3.1's
+    /// "corrected or recomputed" choice.
+    pub correction: Vec<AblationRun>,
+}
 
-    let max_p = *scale.p_values.iter().max().expect("non-empty sweep");
-    let mut t_comm = vec![0.0; max_p];
-    for &p in &scale.p_values {
-        if p >= 2 {
-            t_comm[p - 1] = data.run(p, 0).comm_wait_per_iter;
-        }
-    }
-    let ks: Vec<f64> = scale
-        .p_values
-        .iter()
-        .filter(|&&p| p >= 2)
-        .map(|&p| data.run(p, 1).k)
-        .collect();
-    let k = ks.iter().sum::<f64>() / ks.len().max(1) as f64;
-
-    ModelParams {
-        n,
-        f_comp: nbody::forces::OPS_PER_PAIR as f64 * n,
-        f_spec: nbody::forces::OPS_PER_SPECULATE as f64,
-        f_check: nbody::forces::OPS_PER_CHECK as f64,
-        capacities,
-        comm: CommModel::Table(t_comm),
-        k,
+fn ablation(label: impl ToString, cfg: ParallelRunConfig, net_stream: u64) -> AblationRun {
+    let r = run(ABLATION_N, ABLATION_P, cfg, net_stream);
+    let per_rank = &r.stats.per_rank;
+    AblationRun {
+        label: label.to_string(),
+        rejected_pct: 100.0 * r.stats.recomputation_fraction(),
+        max_accepted_error: r.stats.max_accepted_error(),
+        elapsed: r.elapsed_secs(),
+        rollbacks: r.stats.total_rollbacks(),
+        max_depth_used: per_rank.iter().map(|x| x.max_depth_used).max().unwrap_or(0),
+        corrections: per_rank.iter().map(|x| x.corrections).sum(),
     }
 }
 
-/// Figure 9 rows from already-collected Figure 8 data.
-pub fn fig9_rows(scale: &Scale, data: &Fig8Data) -> Vec<Fig9Row> {
-    let model = calibrated_model(scale, data);
-    scale
-        .p_values
-        .iter()
-        .filter(|&&p| p >= 2)
-        .map(|&p| Fig9Row {
-            p,
-            measured_nospec: data.speedup(p, 0),
-            model_nospec: model.speedup_nospec(p),
-            measured_spec: data.speedup(p, 1),
-            model_spec: model.speedup_spec(p),
+fn ablations() -> Ablations {
+    let base = |fw| ParallelRunConfig {
+        nbody: experiment_nbody_config(),
+        ..ParallelRunConfig::new(ABLATION_ITERATIONS, fw)
+    };
+    let with_spec = |spec| ParallelRunConfig { spec, ..base(1) };
+    let ctl = ControllerConfig::new().with_fw_max(3).with_cadence(2, 2);
+    Ablations {
+        backward_window: (1..=4usize)
+            .map(|bw| {
+                let spec = SpecConfig::speculative(1).with_backward_window(bw);
+                let cfg = ParallelRunConfig {
+                    order: SpeculationOrder::Quadratic,
+                    ..with_spec(spec)
+                };
+                ablation(bw, cfg, 10 + bw as u64)
+            })
+            .collect(),
+        order: [
+            ("hold", SpeculationOrder::Hold),
+            ("linear", SpeculationOrder::Linear),
+            ("quadratic", SpeculationOrder::Quadratic),
+        ]
+        .into_iter()
+        .map(|(name, order)| ablation(name, ParallelRunConfig { order, ..base(1) }, 20))
+        .collect(),
+        forward_window: (0..=4u32).map(|fw| ablation(fw, base(fw), 30)).collect(),
+        controller: [
+            ("fixed(1)", SpecConfig::speculative(1)),
+            ("fixed(3)", SpecConfig::speculative(3)),
+            (
+                "controller(1→)",
+                SpecConfig::speculative(1).with_adaptive(ctl.clone()),
+            ),
+            (
+                "controller(3→)",
+                SpecConfig::speculative(3).with_adaptive(ctl),
+            ),
+        ]
+        .into_iter()
+        .map(|(name, spec)| ablation(name, with_spec(spec), 40))
+        .collect(),
+        correction: [
+            ("incremental", CorrectionMode::Incremental),
+            ("recompute", CorrectionMode::Recompute),
+        ]
+        .into_iter()
+        .map(|(name, mode)| {
+            let mut cfg = with_spec(SpecConfig::speculative(1).with_correction(mode));
+            cfg.nbody = cfg.nbody.with_theta(0.003); // force misses
+            ablation(name, cfg, 50)
         })
-        .collect()
-}
-
-/// Figure 9, end to end (runs the measured sweep internally).
-pub fn fig9(scale: &Scale) -> Vec<Fig9Row> {
-    let data = fig8_data(scale);
-    fig9_rows(scale, &data)
+        .collect(),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -471,9 +576,9 @@ impl ControllerSweep {
     }
 }
 
-/// Per-source one-way latency of [`controller_sweep`], microseconds: rank 2
-/// is 16× slower than rank 0, so the best window depth differs per peer.
-pub const CONTROLLER_SWEEP_LATENCY_US: [u64; 4] = [500, 2_000, 8_000, 1_000];
+/// Per-source one-way latency of the controller sweep, microseconds: rank
+/// 2 is 16× slower than rank 0, so the best window depth differs per peer.
+pub(crate) const CONTROLLER_SWEEP_LATENCY_US: [u64; 4] = [500, 2_000, 8_000, 1_000];
 
 /// Each sender's messages take its own fixed one-way delay.
 struct HeteroLatency;
@@ -494,7 +599,7 @@ impl NetworkModel for HeteroLatency {
 /// pays corrections. The fixed rows sweep θ ∈ {0.01, 0.05} × FW ∈ 1..=6;
 /// the adaptive run starts at (θ = 0.01, FW = 1) and retunes θ over the
 /// same values and FW over the same range.
-pub fn controller_sweep() -> ControllerSweep {
+fn controller_sweep() -> ControllerSweep {
     const P: usize = 4;
     const N_VARS: usize = 32;
     const THETAS: [f64; 2] = [0.01, 0.05];
@@ -543,72 +648,5 @@ pub fn controller_sweep() -> ControllerSweep {
         adaptive_fw: stats[0].controller_fw,
         adaptive_theta: stats[0].controller_theta,
         adaptive_retunes: stats.iter().map(|s| s.controller_retunes).sum(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny_scale() -> Scale {
-        Scale {
-            n_particles: 60,
-            iterations: 4,
-            p_values: vec![1, 2, 4],
-            seed: 7,
-        }
-    }
-
-    #[test]
-    fn fig5_and_fig6_are_cheap_and_shaped() {
-        let f5 = fig5();
-        assert_eq!(f5.len(), 16);
-        let f6 = fig6();
-        assert_eq!(f6.len(), 31);
-    }
-
-    #[test]
-    fn fig8_data_is_complete_and_deterministic() {
-        let scale = tiny_scale();
-        let a = fig8_data(&scale);
-        let b = fig8_data(&scale);
-        assert_eq!(a.runs.len(), 6); // p ∈ {2,4} × FW ∈ {0,1,2}
-        assert!(a.t1 > 0.0);
-        for (ra, rb) in a.runs.iter().zip(&b.runs) {
-            assert_eq!(ra.elapsed, rb.elapsed, "experiments must be deterministic");
-        }
-    }
-
-    #[test]
-    fn table2_and_table3_have_expected_rows() {
-        let scale = tiny_scale();
-        let t2 = table2(&scale);
-        assert_eq!(t2.len(), 3);
-        assert_eq!(t2[0].fw, 0);
-        assert_eq!(t2[0].speculation, 0.0, "FW=0 must not speculate");
-        let t3 = table3(&scale);
-        assert_eq!(t3.len(), 5);
-        // Tighter θ ⇒ (weakly) more recomputations and less accepted error.
-        for w in t3.windows(2) {
-            assert!(w[0].theta > w[1].theta);
-            assert!(
-                w[0].incorrect_pct <= w[1].incorrect_pct + 1e-9,
-                "θ {} -> {}% vs θ {} -> {}%",
-                w[0].theta,
-                w[0].incorrect_pct,
-                w[1].theta,
-                w[1].incorrect_pct
-            );
-        }
-    }
-
-    #[test]
-    fn fig9_model_is_in_the_same_ballpark_as_measured() {
-        let scale = tiny_scale();
-        let rows = fig9(&scale);
-        for r in rows {
-            let rel = (r.model_nospec - r.measured_nospec).abs() / r.measured_nospec;
-            assert!(rel < 0.5, "model vs measured at p={} off by {rel}", r.p);
-        }
     }
 }

@@ -1,18 +1,22 @@
 //! # spec-bench — the experiment harness
 //!
-//! One function per table/figure of the paper's evaluation, each returning
-//! structured rows plus a text renderer, so the binaries under `src/bin`
-//! and the `cargo bench` targets can regenerate every artifact:
+//! [`experiments::Report::generate`] produces every deterministic result
+//! of the reproduction at the paper's scale, and [`render::report`] prints
+//! it. The `experiments` binary prints exactly that,
+//! `tests/golden/experiments.txt` pins it, and EXPERIMENTS.md quotes it:
 //!
-//! | Paper artifact | Function |
-//! |----------------|----------|
-//! | Figure 5 (model speedups vs p)            | [`experiments::fig5`] |
-//! | Figure 6 (model speedup vs k, p = 8)      | [`experiments::fig6`] |
-//! | Figure 8 (measured N-body speedups vs p)  | [`experiments::fig8`] |
-//! | Figure 9 (model vs measured)              | [`experiments::fig9`] |
-//! | Table 2 (per-phase times, p = 16)         | [`experiments::table2`] |
-//! | Table 3 (θ sweep)                         | [`experiments::table3`] |
+//! | Result | Field of [`experiments::Report`] |
+//! |--------|----------------------------------|
+//! | Figure 5 (model speedups vs p)            | `fig5` |
+//! | Figure 6 (model speedup vs k, p = 8)      | `fig6` |
+//! | Figure 8 (measured N-body speedups vs p)  | `fig8` |
+//! | Figure 9 (model vs measured)              | `fig9` |
+//! | Table 2 (per-phase times, p = 16)         | `table2` |
+//! | Table 3 (θ sweep)                         | `table3` |
+//! | Ablations (BW, order, FW, controller, correction) | `ablations` |
+//! | Controller vs a fixed (θ, FW) grid        | `controller` |
 //!
+//! [`paper`] holds the numbers the paper reports, printed beside ours.
 //! Measured experiments run the real N-body code on the simulated
 //! heterogeneous workstation network (`netsim`), in deterministic virtual
 //! time. Absolute seconds differ from the 1994 testbed; the *shapes* are
@@ -20,52 +24,6 @@
 
 #![warn(missing_docs)]
 
-pub mod artifact;
 pub mod experiments;
+pub mod paper;
 pub mod render;
-pub mod scale;
-
-/// Experiment sizing: the paper-scale configuration versus a quick one for
-/// CI and debug builds.
-#[derive(Clone, Debug)]
-pub struct Scale {
-    /// Number of particles (the paper uses 1000).
-    pub n_particles: usize,
-    /// Timesteps per run.
-    pub iterations: u64,
-    /// Processor counts to sweep.
-    pub p_values: Vec<usize>,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Scale {
-    /// The paper's configuration: 1000 particles on up to 16 machines.
-    pub fn paper() -> Self {
-        Scale {
-            n_particles: 1000,
-            iterations: 10,
-            p_values: vec![1, 2, 4, 6, 8, 10, 12, 14, 16],
-            seed: 42,
-        }
-    }
-
-    /// A small configuration for debug builds and CI.
-    pub fn quick() -> Self {
-        Scale {
-            n_particles: 200,
-            iterations: 6,
-            p_values: vec![1, 2, 4, 8, 16],
-            seed: 42,
-        }
-    }
-
-    /// Pick from the `SPEC_BENCH_SCALE` environment variable
-    /// (`paper`/`quick`, default `paper`).
-    pub fn from_env() -> Self {
-        match std::env::var("SPEC_BENCH_SCALE").as_deref() {
-            Ok("quick") => Scale::quick(),
-            _ => Scale::paper(),
-        }
-    }
-}

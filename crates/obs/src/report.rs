@@ -1,9 +1,8 @@
 //! Machine-readable run reports: per-phase totals, per-rank timelines,
 //! counter snapshots, and span-duration histograms, serialized as JSON.
 //!
-//! This is the artifact format the benches write (`BENCH_fig8.json` and
-//! friends): stable key order, exact integers, self-describing enough to
-//! post-process without this crate.
+//! The JSON has a stable key order and exact integers, and is
+//! self-describing enough to post-process without this crate.
 
 use crate::event::{Gauge, Phase};
 use crate::json::Json;
@@ -111,7 +110,7 @@ pub struct RankReport {
     pub controller: Option<ControllerDigest>,
 }
 
-/// A whole run's digest: what the benches persist as `BENCH_*.json`.
+/// A whole run's digest, serializable with [`RunReport::to_json`].
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// A label for the run (experiment name, figure id, …).
