@@ -26,10 +26,11 @@ echo "== perf-ledger harness (fmt, clippy, unit tests)"
 # benchmark/ is a package of its own, outside the workspace.
 benchmark/run.sh --check
 
-echo "== coverage audit (informational)"
-# Name-based audit of perfmodel/workloads public APIs against the test
-# corpus. Informational here; pass --strict to fail on gaps.
-ci/coverage_audit.sh | tail -n 3
+echo "== public-surface audit (strict)"
+# Every `pub` item of the eight product crates is used outside its crate
+# or allowlisted with a reason in ci/public_surface.allow; a stale
+# allowlist entry fails too.
+ci/coverage_audit.sh --strict
 
 echo "== chaos suite (release, fixed seeds)"
 # Seed-matrix fault injection: composed loss/duplication/partitions plus

@@ -17,13 +17,14 @@ use std::collections::BinaryHeap;
 
 use crate::mailbox::MailboxId;
 use crate::process::ProcessId;
+use crate::rng::splitmix64;
 use crate::time::SimTime;
 
 /// Type-erased message payload carried through the simulator.
 pub type Payload = Box<dyn Any + Send>;
 
 /// What happens when an event fires.
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// Resume a process: its start grant at time zero, or the end of a
     /// [`Yield::Timer`](crate::Yield::Timer) sleep.
     Wake(ProcessId),
@@ -52,7 +53,7 @@ pub enum EventKind {
 
 /// Unique, totally ordered key of a scheduled event.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub struct EventKey {
+pub(crate) struct EventKey {
     /// When the event fires.
     pub time: SimTime,
     /// Insertion order, breaking ties at equal times.
@@ -79,20 +80,13 @@ pub enum TieBreak {
 }
 
 impl TieBreak {
-    fn tie(self, seq: u64) -> u64 {
+    pub(crate) fn tie(self, seq: u64) -> u64 {
         match self {
             TieBreak::Fifo => 0,
             TieBreak::Lifo => u64::MAX - seq,
-            TieBreak::Seeded(salt) => splitmix64(seq ^ salt),
+            TieBreak::Seeded(salt) => splitmix64(&mut (seq ^ salt)),
         }
     }
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 pub(crate) struct Event {
@@ -123,7 +117,7 @@ impl Ord for Event {
 
 /// A deterministic priority queue of simulation events.
 #[derive(Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Event>,
     next_seq: u64,
     tie_break: TieBreak,
@@ -131,18 +125,18 @@ pub struct EventQueue {
 
 impl EventQueue {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Set the same-time ordering policy. Applies to events pushed from
     /// now on; call before scheduling anything (the kernel does).
-    pub fn set_tie_break(&mut self, tie_break: TieBreak) {
+    pub(crate) fn set_tie_break(&mut self, tie_break: TieBreak) {
         self.tie_break = tie_break;
     }
 
     /// Schedule `kind` to fire at `time`. Returns the assigned key.
-    pub fn push(&mut self, time: SimTime, kind: EventKind) -> EventKey {
+    pub(crate) fn push(&mut self, time: SimTime, kind: EventKind) -> EventKey {
         let key = EventKey {
             time,
             seq: self.next_seq,
@@ -161,26 +155,9 @@ impl EventQueue {
         self.heap.pop()
     }
 
-    /// Remove the earliest event, returning its key and kind (the public
-    /// counterpart of the kernel-internal `pop`, useful for tests and
-    /// benchmarks of the queue itself).
-    pub fn pop_event(&mut self) -> Option<(EventKey, EventKind)> {
-        self.heap.pop().map(|e| (e.key, e.kind))
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.key.time)
-    }
-
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -225,18 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_reports_earliest() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_nanos(7), wake(0));
-        q.push(SimTime::from_nanos(3), wake(1));
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
-    }
-
-    #[test]
     fn len_tracks_pushes_and_pops() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         q.push(SimTime::ZERO, wake(0));
         q.push(SimTime::ZERO, wake(1));
         assert_eq!(q.len(), 2);

@@ -274,7 +274,7 @@ impl Core {
 
     pub(crate) fn create_mailbox(&mut self) -> MailboxId {
         let id = MailboxId(self.mailboxes.len());
-        self.mailboxes.push(Mailbox::new());
+        self.mailboxes.push(Mailbox::default());
         id
     }
 }
@@ -398,7 +398,7 @@ impl Simulation {
             *slot_for_proc.lock().expect("result mutex poisoned") = Some(r);
         };
         self.spawn_process(name, FutureProcess::new(Box::pin(wrapped), bridge));
-        ProcessResult { slot, pid }
+        ProcessResult { slot }
     }
 
     /// Run the simulation to completion.

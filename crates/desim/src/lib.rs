@@ -67,7 +67,7 @@ pub mod rng;
 mod time;
 mod trace;
 
-pub use event::{EventKey, EventKind, EventQueue, Payload, TieBreak};
+pub use event::{Payload, TieBreak};
 pub use kernel::{preload_message, SimError, SimReport, Simulation};
 pub use mailbox::MailboxId;
 pub use process::{AsyncHandle, ProcCtx, Process, ProcessId, ProcessResult, Resume, Yield};
@@ -524,6 +524,35 @@ mod tests {
         assert_eq!(report.messages_delivered, 10);
     }
 
+    /// The handle's typed receive family: `recv_as` (blocking),
+    /// `try_recv_as` (polling, including the type-preserving miss), and
+    /// `recv_deadline_as` (hit and expiry).
+    #[test]
+    fn typed_receives_round_trip() {
+        let mut sim = Simulation::new();
+        let mbox = sim.create_mailbox();
+        let res = sim.spawn_async("typed", move |h| async move {
+            let early: Option<u64> = h.try_recv_as(mbox).await;
+            assert!(early.is_none(), "nothing delivered yet");
+            let first: u64 = h.recv_as(mbox).await;
+            let second: u64 = h
+                .recv_deadline_as(mbox, h.now() + SimDuration::from_millis(10))
+                .await
+                .expect("second message arrives before deadline");
+            let expired: Option<u64> = h
+                .recv_deadline_as(mbox, h.now() + SimDuration::from_micros(1))
+                .await;
+            assert!(expired.is_none(), "no third message: deadline must expire");
+            first + second
+        });
+        sim.spawn_async("feeder", move |h| async move {
+            h.send(mbox, SimDuration::from_millis(1), 40u64).await;
+            h.send(mbox, SimDuration::from_millis(2), 2u64).await;
+        });
+        sim.run().unwrap();
+        assert_eq!(res.take(), Some(42));
+    }
+
     /// One mixed workload exercising every grant kind (start, timer,
     /// message, deadline timeout). `tests/kernel_goldens.rs` pins its full
     /// report under every tie-break mode.
@@ -590,33 +619,17 @@ mod tests {
     // Same-timestamp Timer-vs-Deliver tie-break pin (all TieBreak modes)
     // -----------------------------------------------------------------
 
-    /// Local replica of the event-queue tie function, used to *predict*
-    /// which of two same-timestamp events pops first so the pin below is
-    /// principled rather than a recorded accident.
-    fn splitmix64(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn tie_value(tie: TieBreak, seq: u64) -> u64 {
-        match tie {
-            TieBreak::Fifo => 0,
-            TieBreak::Lifo => u64::MAX - seq,
-            TieBreak::Seeded(salt) => splitmix64(seq ^ salt),
-        }
-    }
-
-    /// Predict whether the deadline timer beats the delivery when both are
-    /// scheduled for the same instant. Event seqs: 0/1 are the two start
+    /// Predict, from the event queue's tie function, whether the deadline
+    /// timer beats the delivery when both are scheduled for the same
+    /// instant, so the pin below is principled rather than a recorded
+    /// accident. Event seqs: 0/1 are the two start
     /// wakes (rx first); whichever process runs first at t=0 enqueues its
     /// 5 ms event (Timer for rx, Deliver for tx) with seq 2, the other
     /// with seq 3.
     fn predict_timer_wins(tie: TieBreak) -> bool {
-        let rx_first_at_zero = (tie_value(tie, 0), 0) <= (tie_value(tie, 1), 1);
+        let rx_first_at_zero = (tie.tie(0), 0) <= (tie.tie(1), 1);
         let (timer_seq, deliver_seq) = if rx_first_at_zero { (2, 3) } else { (3, 2) };
-        (tie_value(tie, timer_seq), timer_seq) < (tie_value(tie, deliver_seq), deliver_seq)
+        (tie.tie(timer_seq), timer_seq) < (tie.tie(deliver_seq), deliver_seq)
     }
 
     fn timer_vs_deliver(tie: TieBreak) -> (Option<u8>, u64, u64) {

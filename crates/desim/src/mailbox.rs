@@ -22,54 +22,32 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Enqueue a delivered payload.
-    pub fn deliver(&mut self, msg: Payload) {
+    pub(crate) fn deliver(&mut self, msg: Payload) {
         self.queue.push_back(msg);
     }
 
     /// Pop the oldest delivered payload, if any.
-    pub fn pop(&mut self) -> Option<Payload> {
+    pub(crate) fn pop(&mut self) -> Option<Payload> {
         self.queue.pop_front()
     }
 
-    /// Number of delivered-but-unreceived payloads.
-    #[allow(dead_code)] // part of the kernel-internal API, exercised in tests
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Register `pid` as blocked on this mailbox.
-    pub fn add_waiter(&mut self, pid: ProcessId) {
+    pub(crate) fn add_waiter(&mut self, pid: ProcessId) {
         self.waiters.push_back(pid);
     }
 
     /// Pop the longest-waiting blocked process, if any.
-    pub fn take_waiter(&mut self) -> Option<ProcessId> {
+    pub(crate) fn take_waiter(&mut self) -> Option<ProcessId> {
         self.waiters.pop_front()
     }
 
     /// Unregister a specific blocked process (its deadline timer fired and
     /// it is no longer waiting here). No-op if `pid` is not a waiter.
-    pub fn remove_waiter(&mut self, pid: ProcessId) {
+    pub(crate) fn remove_waiter(&mut self, pid: ProcessId) {
         if let Some(at) = self.waiters.iter().position(|w| *w == pid) {
             self.waiters.remove(at);
         }
-    }
-
-    /// True if at least one process is blocked on this mailbox.
-    #[allow(dead_code)] // part of the kernel-internal API, exercised in tests
-    pub fn has_waiters(&self) -> bool {
-        !self.waiters.is_empty()
-    }
-
-    /// The processes currently blocked on this mailbox (for diagnostics).
-    #[allow(dead_code)] // part of the kernel-internal API, exercised in tests
-    pub fn waiters(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.waiters.iter().copied()
     }
 }
 
@@ -79,11 +57,11 @@ mod tests {
 
     #[test]
     fn fifo_delivery() {
-        let mut m = Mailbox::new();
+        let mut m = Mailbox::default();
         m.deliver(Box::new(1u32));
         m.deliver(Box::new(2u32));
         m.deliver(Box::new(3u32));
-        assert_eq!(m.pending(), 3);
+        assert_eq!(m.queue.len(), 3);
         for want in 1u32..=3 {
             let got = *m.pop().unwrap().downcast::<u32>().unwrap();
             assert_eq!(got, want);
@@ -93,11 +71,11 @@ mod tests {
 
     #[test]
     fn fifo_waiters() {
-        let mut m = Mailbox::new();
-        assert!(!m.has_waiters());
+        let mut m = Mailbox::default();
+        assert!(m.waiters.is_empty());
         m.add_waiter(ProcessId(7));
         m.add_waiter(ProcessId(8));
-        assert!(m.has_waiters());
+        assert!(!m.waiters.is_empty());
         assert_eq!(m.take_waiter(), Some(ProcessId(7)));
         assert_eq!(m.take_waiter(), Some(ProcessId(8)));
         assert_eq!(m.take_waiter(), None);
@@ -105,22 +83,13 @@ mod tests {
 
     #[test]
     fn remove_waiter_unregisters_only_the_given_process() {
-        let mut m = Mailbox::new();
+        let mut m = Mailbox::default();
         m.add_waiter(ProcessId(1));
         m.add_waiter(ProcessId(2));
         m.add_waiter(ProcessId(3));
         m.remove_waiter(ProcessId(2));
         m.remove_waiter(ProcessId(9)); // absent pid: no-op
-        let ids: Vec<usize> = m.waiters().map(|p| p.0).collect();
+        let ids: Vec<usize> = m.waiters.iter().map(|p| p.0).collect();
         assert_eq!(ids, vec![1, 3]);
-    }
-
-    #[test]
-    fn waiters_iterates_in_order() {
-        let mut m = Mailbox::new();
-        m.add_waiter(ProcessId(1));
-        m.add_waiter(ProcessId(2));
-        let ids: Vec<usize> = m.waiters().map(|p| p.0).collect();
-        assert_eq!(ids, vec![1, 2]);
     }
 }

@@ -129,11 +129,6 @@ pub struct ProcCtx<'k> {
 }
 
 impl ProcCtx<'_> {
-    /// This process's id.
-    pub fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.core.borrow().now
@@ -150,12 +145,7 @@ impl ProcCtx<'_> {
     /// virtual time does not pass for the sender (model any send-side CPU
     /// cost with [`Yield::Timer`]).
     pub fn send<T: Any + Send>(&mut self, mbox: MailboxId, delay: SimDuration, msg: T) {
-        self.send_payload(mbox, delay, Box::new(msg));
-    }
-
-    /// [`send`](Self::send) for an already-boxed payload.
-    pub fn send_payload(&mut self, mbox: MailboxId, delay: SimDuration, msg: Payload) {
-        self.core.borrow_mut().send(mbox, delay, msg);
+        self.core.borrow_mut().send(mbox, delay, Box::new(msg));
     }
 
     /// Take a message from `mbox` if one has already been delivered.
@@ -167,11 +157,6 @@ impl ProcCtx<'_> {
     /// Allocate a fresh mailbox.
     pub fn create_mailbox(&mut self) -> MailboxId {
         self.core.borrow_mut().create_mailbox()
-    }
-
-    /// True if tracing was enabled on the simulation.
-    pub fn tracing_enabled(&self) -> bool {
-        matches!(self.core.borrow().trace, TraceLog::Enabled(_))
     }
 
     /// Record a trace annotation at the current virtual time. A no-op unless
@@ -186,7 +171,7 @@ impl ProcCtx<'_> {
     /// closure runs outside any kernel borrow, so it may itself use this
     /// context's process (or panic) freely.
     pub fn trace_with(&mut self, label: impl FnOnce() -> String) {
-        if !self.tracing_enabled() {
+        if !matches!(self.core.borrow().trace, TraceLog::Enabled(_)) {
             return;
         }
         let label = label();
@@ -244,11 +229,6 @@ impl AsyncHandle {
         core: Rc<RefCell<Core>>,
     ) -> Self {
         AsyncHandle { pid, bridge, core }
-    }
-
-    /// This process's id.
-    pub fn pid(&self) -> ProcessId {
-        self.pid
     }
 
     /// Current virtual time.
@@ -436,15 +416,9 @@ impl Process for FutureProcess {
 /// Handle to retrieve a process's return value after the simulation ran.
 pub struct ProcessResult<R> {
     pub(crate) slot: Arc<Mutex<Option<R>>>,
-    pub(crate) pid: ProcessId,
 }
 
 impl<R> ProcessResult<R> {
-    /// The process this result belongs to.
-    pub fn pid(&self) -> ProcessId {
-        self.pid
-    }
-
     /// Take the return value. Returns `None` if the process never finished
     /// (simulation error) or the value was already taken.
     pub fn take(&self) -> Option<R> {

@@ -7,7 +7,7 @@
 
 /// One step of the SplitMix64 generator. Good avalanche behaviour; used only
 /// for seed derivation, not as a general-purpose RNG.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -41,11 +41,6 @@ impl SimTime {
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -94,21 +89,6 @@ impl SimDuration {
         self.0 as f64 * 1e-9
     }
 
-    /// True if this duration is exactly zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_add(rhs.0))
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
     /// Scale by a non-negative float, rounding to the nearest nanosecond.
     /// Negative and non-finite factors clamp to zero.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
@@ -147,7 +127,7 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        self.saturating_add(rhs)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -160,7 +140,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        self.saturating_sub(rhs)
+        SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -279,12 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn checked_add_overflow() {
-        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_nanos(1)), None);
-        assert_eq!(
-            SimTime::ZERO.checked_add(SimDuration::from_nanos(7)),
-            Some(SimTime::from_nanos(7))
-        );
+    fn duration_arithmetic_saturates_at_the_edges() {
+        let max = SimDuration::from_nanos(u64::MAX);
+        let one = SimDuration::from_nanos(1);
+        assert_eq!(max + one, max);
+        assert_eq!(one - max, SimDuration::from_nanos(0));
+        assert_eq!(SimDuration::from_nanos(5) + one, SimDuration::from_nanos(6));
+        assert_eq!(SimDuration::from_nanos(5) - one, SimDuration::from_nanos(4));
     }
 
     #[test]

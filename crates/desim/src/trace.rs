@@ -36,7 +36,7 @@ impl TraceLog {
     }
 
     /// A log that collects records.
-    pub fn enabled() -> Self {
+    pub(crate) fn enabled() -> Self {
         TraceLog::Enabled(Vec::new())
     }
 

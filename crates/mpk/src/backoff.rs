@@ -20,7 +20,7 @@ use std::time::Duration;
 /// Yields successive delays via [`Backoff::next_delay`]; the caller sleeps
 /// between attempts and stops when its own total deadline passes.
 #[derive(Clone, Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
     attempt: u32,
@@ -30,7 +30,7 @@ pub struct Backoff {
 impl Backoff {
     /// A schedule starting at `base`, doubling up to `cap`, jittered by a
     /// stream seeded with `seed`.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
+    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> Self {
         Backoff {
             base: base.max(Duration::from_micros(1)),
             cap: cap.max(base),
@@ -47,7 +47,7 @@ impl Backoff {
     }
 
     /// Number of delays handed out so far.
-    pub fn attempts(&self) -> u32 {
+    pub(crate) fn attempts(&self) -> u32 {
         self.attempt
     }
 
@@ -63,7 +63,7 @@ impl Backoff {
 
     /// The next delay to sleep before retrying: `min(cap, base · 2^n)`
     /// jittered uniformly into `[raw/2, raw)`.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         let exp = self.attempt.min(32);
         self.attempt = self.attempt.saturating_add(1);
         let raw = self

@@ -13,8 +13,6 @@
 //! payloads (a corrupted frame behaves like a checksum failure: the
 //! message is lost, never garbled into a panic).
 
-use crate::types::WireSize;
-
 /// A value that can be encoded onto / decoded from the socket wire.
 ///
 /// Implementations must round-trip: `decode(encode(x)) == x` with the
@@ -180,7 +178,7 @@ impl WireCodec for String {
     }
 }
 
-/// Like [`WireSize`], an `Arc` is transparent on the wire: the receiver
+/// Like [`WireSize`](crate::WireSize), an `Arc` is transparent on the wire: the receiver
 /// gets its own freshly-allocated copy (sharing is process-local).
 impl<T: WireCodec> WireCodec for std::sync::Arc<T> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -213,7 +211,10 @@ pub fn decode_exact<T: WireCodec>(mut buf: &[u8]) -> Option<T> {
 /// primitive impls above, the real encoding is exactly as long as
 /// [`WireSize`] has always claimed. (Asserted in tests; the transports'
 /// cost models need only proportionality, but exactness is free here.)
-pub fn encoded_len_matches_wire_size<T: WireCodec + WireSize>(value: &T) -> bool {
+#[cfg(test)]
+pub(crate) fn encoded_len_matches_wire_size<T: WireCodec + crate::types::WireSize>(
+    value: &T,
+) -> bool {
     encode_to_vec(value).len() == value.wire_size()
 }
 

@@ -74,7 +74,8 @@ impl DeltaFrame {
     }
 
     /// Convenience wrapper allocating a fresh frame.
-    pub fn diff(current: &[f64], baseline: &[f64], floor: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn diff(current: &[f64], baseline: &[f64], floor: f64) -> Self {
         let mut f = DeltaFrame::new();
         f.diff_into(current, baseline, floor);
         f

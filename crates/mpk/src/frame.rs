@@ -7,32 +7,32 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
 /// Wire protocol version carried in every frame header.
-pub const WIRE_VERSION: u8 = 1;
+pub(crate) const WIRE_VERSION: u8 = 1;
 // Kind 0 is the retired cold-start `HELLO`. Do not reuse it: an old
 // build's handshake must stay a refused frame.
 /// Data frame: `src`/`tag` are the envelope fields, payload a
 /// [`WireCodec`](crate::WireCodec) encoding of the message.
-pub const KIND_DATA: u8 = 1;
+pub(crate) const KIND_DATA: u8 = 1;
 /// Supervisor liveness probe: empty payload, never delivered to the
 /// application — it only refreshes the receiver's last-heard clock.
-pub const KIND_HEARTBEAT: u8 = 2;
+pub(crate) const KIND_HEARTBEAT: u8 = 2;
 /// Clean-shutdown notice written by
 /// [`SocketTransport`](crate::SocketTransport)'s `Drop` so an orderly exit
 /// is not mistaken for a crash.
-pub const KIND_GOODBYE: u8 = 3;
+pub(crate) const KIND_GOODBYE: u8 = 3;
 /// The handshake, at cold start and on every reconnect: payload is the
 /// sender's cluster size (`u32`) and last-seen iteration (`u64`); the
 /// accepting side replies in kind.
-pub const KIND_RESUME: u8 = 4;
+pub(crate) const KIND_RESUME: u8 = 4;
 /// Bytes of header inside the length-counted region (version + kind +
 /// src + tag).
 pub(crate) const FRAME_HEADER: usize = 10;
 /// Total framing overhead per message on the wire (length prefix plus
 /// header).
-pub const FRAME_OVERHEAD: usize = 4 + FRAME_HEADER;
+pub(crate) const FRAME_OVERHEAD: usize = 4 + FRAME_HEADER;
 /// Default upper bound on a frame's length prefix; anything larger is
 /// treated as a corrupt stream, not an allocation request.
-pub const DEFAULT_MAX_FRAME: usize = 256 << 20;
+pub(crate) const DEFAULT_MAX_FRAME: usize = 256 << 20;
 
 /// Size a connection's receive buffer starts at, and stays at unless a
 /// single frame is larger.

@@ -51,11 +51,6 @@ impl<M: Send + 'static> SimIo<M> {
         self.h.trace_with(label).await;
     }
 
-    /// The capacity of the machine this rank runs on.
-    pub fn machine(&self) -> MachineSpec {
-        self.machine
-    }
-
     /// Attach a structured telemetry sink for this rank. Typically an
     /// [`obs::SharedRecorder`] clone, so the events can be drained after
     /// [`run_sim_proc_cluster`] returns. Message sends/receives are marked

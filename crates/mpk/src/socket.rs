@@ -198,6 +198,27 @@ impl Default for SupervisorOptions {
     }
 }
 
+/// The wall clock a cluster entry point builds first, so that unusable
+/// options stop the caller before any listener binds or rank runs. A
+/// supervisor cadence is unusable when its heartbeat interval is zero —
+/// the supervisor's heartbeat loop and the acceptor's wait would spin —
+/// or when its miss deadline is within one interval, which a live, idle
+/// peer crosses between two heartbeats.
+fn checked_clock(opts: &SocketClusterOptions) -> WallClock {
+    if let Some(sup) = &opts.supervision {
+        let (interval, miss) = (sup.heartbeat_interval, sup.miss_deadline);
+        assert!(
+            !interval.is_zero(),
+            "supervisor option `heartbeat_interval` must be positive"
+        );
+        assert!(
+            miss > interval,
+            "supervisor option `miss_deadline` ({miss:?}) must exceed `heartbeat_interval` ({interval:?})"
+        );
+    }
+    WallClock::new(opts.mips)
+}
+
 /// Configuration of a socket-backed cluster.
 #[derive(Clone, Debug)]
 pub struct SocketClusterOptions {
@@ -224,19 +245,6 @@ impl Default for SocketClusterOptions {
             supervision: None,
         }
     }
-}
-
-/// Aggregate supervision activity of one rank's transport.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SupervisionCounters {
-    /// Heartbeat frames written to peers.
-    pub heartbeats_sent: u64,
-    /// Heartbeat frames received from peers.
-    pub heartbeats_received: u64,
-    /// Reconnect dials attempted by the supervisor.
-    pub reconnect_attempts: u64,
-    /// Connections re-established (dialed or accepted) after a loss.
-    pub reconnects: u64,
 }
 
 /// Write as much of `bytes` as the kernel takes without blocking and
@@ -465,7 +473,13 @@ fn admit(shared: &Shared, mut s: TcpStream, cold_start: bool) {
         shared.peer_progress[peer].store(their_iter, AtomicOrdering::Relaxed);
         Ok(peer)
     })();
-    let counter = match handshake.and_then(|peer| install_connection(shared, peer, s)) {
+    // A refused stream stays open until this function returns, so the
+    // dialer sees it close only after the refusal is counted.
+    let installed = match handshake {
+        Ok(peer) => install_connection(shared, peer, s),
+        Err(e) => Err(e),
+    };
+    let counter = match installed {
         Ok(()) if cold_start => return,
         Ok(()) => &shared.reconnects,
         Err(_) => &shared.handshake_rejects,
@@ -709,7 +723,7 @@ impl<M> SocketTransport<M> {
     ) -> std::io::Result<Self> {
         let size = addrs.len();
         assert!(rank < size, "rank {rank} out of range for {size} peers");
-        let clock = WallClock::new(opts.mips);
+        let clock = checked_clock(&opts);
         let listener = TcpListener::bind(addrs[rank])?;
         let faults = SharedGate::default();
         Self::establish(rank, listener, addrs, opts, faults, clock, rejoin)
@@ -738,63 +752,6 @@ impl<M> SocketTransport<M> {
     /// goodbyes) are not counted.
     pub fn bytes_on_wire(&self) -> (u64, u64) {
         (self.bytes_sent, self.bytes_received)
-    }
-
-    /// Frames discarded because their payload failed to decode.
-    pub fn decode_failures(&self) -> u64 {
-        self.decode_failures
-    }
-
-    /// Inbound connections refused at the handshake — invalid, truncated
-    /// or stalled, or from a dialer that may not dial this rank — at cold
-    /// start and by the supervised acceptor alike.
-    pub fn handshake_rejects(&self) -> u64 {
-        self.shared.handshake_rejects.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Peers whose TCP connection has been observed down so far (both
-    /// crashes and clean departures).
-    pub fn disconnected_peers(&self) -> Vec<Rank> {
-        self.peer_down
-            .iter()
-            .enumerate()
-            .filter_map(|(r, down)| down.then_some(Rank(r)))
-            .collect()
-    }
-
-    /// Peers that announced a clean shutdown with a goodbye frame.
-    pub fn departed_peers(&self) -> Vec<Rank> {
-        self.peer_departed
-            .iter()
-            .enumerate()
-            .filter_map(|(r, d)| d.then_some(Rank(r)))
-            .collect()
-    }
-
-    /// Peers currently suspected: nothing has arrived from them for the
-    /// miss deadline, but their connection has not been observed down.
-    pub fn suspected_peers(&self) -> Vec<Rank> {
-        self.peer_suspected
-            .iter()
-            .enumerate()
-            .filter_map(|(r, s)| s.then_some(Rank(r)))
-            .collect()
-    }
-
-    /// The last-seen iteration `peer` reported in its latest handshake
-    /// with us (0 at cold start).
-    pub fn peer_progress(&self, peer: Rank) -> u64 {
-        self.shared.peer_progress[peer.0].load(AtomicOrdering::Relaxed)
-    }
-
-    /// Aggregate supervision activity so far.
-    pub fn supervision_counters(&self) -> SupervisionCounters {
-        SupervisionCounters {
-            heartbeats_sent: self.shared.heartbeats_sent.load(AtomicOrdering::Relaxed),
-            heartbeats_received: self.heartbeats_received,
-            reconnect_attempts: self.shared.reconnect_attempts.load(AtomicOrdering::Relaxed),
-            reconnects: self.shared.reconnects.load(AtomicOrdering::Relaxed),
-        }
     }
 
     /// Tear down every connection abruptly — no goodbye frames — so
@@ -1280,7 +1237,7 @@ where
     F: Fn(&mut SocketTransport<M>) -> R + Send + Sync,
 {
     assert!(p >= 1, "need at least one rank");
-    let clock = WallClock::new(opts.mips);
+    let clock = checked_clock(&opts);
     // The host refused `p` ephemeral loopback ports (or descriptors):
     // nothing can run.
     let (listeners, addrs) = bind_loopback(p).expect("binding loopback listeners failed");
@@ -1371,6 +1328,62 @@ mod tests {
     use netsim::{Loss, NoFaults};
     use std::sync::Barrier;
 
+    /// Aggregate supervision activity of one rank's transport.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    struct SupervisionCounters {
+        heartbeats_sent: u64,
+        heartbeats_received: u64,
+        reconnect_attempts: u64,
+        reconnects: u64,
+    }
+
+    fn ranks(flags: &[bool]) -> Vec<Rank> {
+        (0..flags.len()).filter(|&r| flags[r]).map(Rank).collect()
+    }
+
+    /// What a rank's transport has observed, read by the tests below.
+    impl<M> SocketTransport<M> {
+        /// Frames discarded because their payload failed to decode.
+        fn decode_failures(&self) -> u64 {
+            self.decode_failures
+        }
+
+        /// Inbound connections refused at the handshake.
+        fn handshake_rejects(&self) -> u64 {
+            self.shared.handshake_rejects.load(AtomicOrdering::Relaxed)
+        }
+
+        /// Peers whose TCP connection has been observed down (crashes and
+        /// clean departures).
+        fn disconnected_peers(&self) -> Vec<Rank> {
+            ranks(&self.peer_down)
+        }
+
+        /// Peers that announced a clean shutdown with a goodbye frame.
+        fn departed_peers(&self) -> Vec<Rank> {
+            ranks(&self.peer_departed)
+        }
+
+        /// Peers silent past the miss deadline on a connection still up.
+        fn suspected_peers(&self) -> Vec<Rank> {
+            ranks(&self.peer_suspected)
+        }
+
+        /// The last-seen iteration `peer` reported in its latest handshake.
+        fn peer_progress(&self, peer: Rank) -> u64 {
+            self.shared.peer_progress[peer.0].load(AtomicOrdering::Relaxed)
+        }
+
+        fn supervision_counters(&self) -> SupervisionCounters {
+            SupervisionCounters {
+                heartbeats_sent: self.shared.heartbeats_sent.load(AtomicOrdering::Relaxed),
+                heartbeats_received: self.heartbeats_received,
+                reconnect_attempts: self.shared.reconnect_attempts.load(AtomicOrdering::Relaxed),
+                reconnects: self.shared.reconnects.load(AtomicOrdering::Relaxed),
+            }
+        }
+    }
+
     fn supervised(interval_ms: u64, miss_ms: u64) -> SocketClusterOptions {
         SocketClusterOptions {
             supervision: Some(SupervisorOptions {
@@ -1424,6 +1437,20 @@ mod tests {
             ..SocketClusterOptions::default()
         };
         let _ = connect_socket_cluster::<u64>(0, &[taken.local_addr().unwrap()], opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "supervisor option `heartbeat_interval` must be positive")]
+    fn zero_heartbeat_interval_is_refused_before_the_listener_binds() {
+        let taken = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let opts = supervised(0, 150);
+        let _ = connect_socket_cluster::<u64>(0, &[taken.local_addr().unwrap()], opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "supervisor option `miss_deadline` (25ms) must exceed")]
+    fn miss_deadline_within_one_heartbeat_is_refused() {
+        run_socket_cluster::<u64, _, _>(1, supervised(25, 25), |_| unreachable!("a rank ran"));
     }
 
     #[test]

@@ -247,11 +247,6 @@ impl NBodyApp {
             .collect()
     }
 
-    /// The global index range of this rank's particles.
-    pub fn range(&self) -> Range<usize> {
-        self.ranges[self.me].clone()
-    }
-
     /// Bit-exact fingerprint of this rank's positions and velocities.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = obs::Fingerprint::new();
@@ -627,7 +622,7 @@ mod tests {
     fn construction_slices_the_partition() {
         let app = make_app(30, 3, 1, 0.01);
         assert_eq!(app.len(), 10);
-        assert_eq!(app.range(), 10..20);
+        assert_eq!(app.ranges[app.me], 10..20);
         assert_eq!(app.particles().len(), 10);
     }
 

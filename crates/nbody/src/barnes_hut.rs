@@ -17,27 +17,12 @@ use crate::vec3::{Vec3, ZERO3};
 /// vector-friendly [`crate::forces::accel_point_soa`] kernel, and reused
 /// across targets so the walk allocates nothing in steady state.
 #[derive(Debug, Default)]
-pub struct InteractionList {
+struct InteractionList {
     pts: Soa3,
     mass: Vec<f64>,
 }
 
 impl InteractionList {
-    /// Empty list (buffers grow on first use, then are reused).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of sources currently gathered.
-    pub fn len(&self) -> usize {
-        self.mass.len()
-    }
-
-    /// True when no sources are gathered.
-    pub fn is_empty(&self) -> bool {
-        self.mass.is_empty()
-    }
-
     fn clear(&mut self) {
         self.pts.x.clear();
         self.pts.y.clear();
@@ -127,18 +112,6 @@ pub struct Octree {
 impl Octree {
     /// Build a tree over `particles`.
     pub fn build(particles: &[Particle], cfg: BhConfig) -> Self {
-        let mut tree = Octree {
-            nodes: Vec::new(),
-            cfg,
-        };
-        tree.rebuild(particles);
-        tree
-    }
-
-    /// Rebuild the tree over a new particle set, reusing the node storage
-    /// (trees are rebuilt every timestep; this keeps the per-step build
-    /// allocation-free once the node vector has grown to steady size).
-    pub fn rebuild(&mut self, particles: &[Particle]) {
         assert!(!particles.is_empty(), "cannot build a tree over nothing");
         // Bounding cube, padded so points on the boundary insert cleanly.
         let mut lo = particles[0].pos;
@@ -154,11 +127,14 @@ impl Octree {
         let center = (lo + hi) * 0.5;
         let half = ((hi.x - lo.x).max(hi.y - lo.y).max(hi.z - lo.z) * 0.5 + 1e-9) * 1.001;
 
-        self.nodes.clear();
-        self.nodes.push(Node::new(center, half));
+        let mut tree = Octree {
+            nodes: vec![Node::new(center, half)],
+            cfg,
+        };
         for p in particles {
-            self.insert(0, p.pos, p.mass, 0);
+            tree.insert(0, p.pos, p.mass, 0);
         }
+        tree
     }
 
     fn insert(&mut self, node: usize, pos: Vec3, mass: f64, depth: usize) {
@@ -200,13 +176,16 @@ impl Octree {
         self.insert(child as usize, pos, mass, depth + 1);
     }
 
-    /// Gravitational acceleration at `point`, excluding any source within
-    /// ~machine epsilon of the point itself (so a particle does not attract
-    /// itself).
-    pub fn accel_at(&self, point: Vec3) -> Vec3 {
+    /// Gravitational acceleration at `point` by recursive tree walk,
+    /// excluding any source within ~machine epsilon of the point itself (so
+    /// a particle does not attract itself): the reference the gather path
+    /// is tested against.
+    #[cfg(test)]
+    fn accel_at(&self, point: Vec3) -> Vec3 {
         self.accel_rec(0, point)
     }
 
+    #[cfg(test)]
     fn accel_rec(&self, node: usize, point: Vec3) -> Vec3 {
         let n = &self.nodes[node];
         if n.count == 0 {
@@ -297,7 +276,7 @@ impl Octree {
     /// SoA list. Agrees with [`accel_at`](Self::accel_at) to summation
     /// reordering (the walk's tree-shaped sum becomes a flat left-to-right
     /// sum), and reuses `scratch`'s buffers across calls.
-    pub fn accel_at_with(&self, point: Vec3, scratch: &mut InteractionList) -> Vec3 {
+    fn accel_at_with(&self, point: Vec3, scratch: &mut InteractionList) -> Vec3 {
         scratch.clear();
         self.gather(0, point, scratch);
         crate::forces::accel_point_soa(
@@ -309,73 +288,15 @@ impl Octree {
         )
     }
 
-    /// Accelerations on every particle (gather-based hot path).
+    /// Accelerations on every particle (gather-based hot path); one
+    /// gather scratch serves every target.
     pub fn accel_on_all(&self, particles: &[Particle]) -> Vec<Vec3> {
-        let mut acc = Vec::new();
-        let mut scratch = InteractionList::new();
-        self.accel_on_all_into(particles, &mut acc, &mut scratch);
-        acc
+        let mut scratch = InteractionList::default();
+        particles
+            .iter()
+            .map(|p| self.accel_at_with(p.pos, &mut scratch))
+            .collect()
     }
-
-    /// [`accel_on_all`](Self::accel_on_all) into caller-owned buffers:
-    /// `acc` is cleared and refilled, `scratch` is reused per target.
-    pub fn accel_on_all_into(
-        &self,
-        particles: &[Particle],
-        acc: &mut Vec<Vec3>,
-        scratch: &mut InteractionList,
-    ) {
-        acc.clear();
-        acc.extend(particles.iter().map(|p| self.accel_at_with(p.pos, scratch)));
-    }
-
-    /// Number of tree nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-/// Reusable buffers for a Barnes–Hut stepping loop: the tree's node
-/// storage, the per-step acceleration vector, and the gather scratch.
-#[derive(Default)]
-pub struct BhWorkspace {
-    tree: Option<Octree>,
-    acc: Vec<Vec3>,
-    scratch: InteractionList,
-}
-
-impl BhWorkspace {
-    /// Fresh workspace; buffers are sized lazily on the first step.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// One Barnes–Hut timestep (build + force + semi-implicit Euler update).
-pub fn step_barnes_hut(particles: &mut [Particle], cfg: BhConfig, dt: f64) {
-    let mut ws = BhWorkspace::new();
-    step_barnes_hut_with(&mut ws, particles, cfg, dt);
-}
-
-/// [`step_barnes_hut`] against a persistent [`BhWorkspace`]: after the
-/// first step sizes the buffers, subsequent steps rebuild the tree and
-/// evaluate forces without heap allocation (up to node-count jitter).
-pub fn step_barnes_hut_with(
-    ws: &mut BhWorkspace,
-    particles: &mut [Particle],
-    cfg: BhConfig,
-    dt: f64,
-) {
-    match &mut ws.tree {
-        Some(tree) => {
-            tree.cfg = cfg;
-            tree.rebuild(particles);
-        }
-        None => ws.tree = Some(Octree::build(particles, cfg)),
-    }
-    let tree = ws.tree.as_ref().expect("just built");
-    tree.accel_on_all_into(particles, &mut ws.acc, &mut ws.scratch);
-    crate::integrate::apply_kick_drift(particles, &ws.acc, dt);
 }
 
 #[cfg(test)]
@@ -443,7 +364,7 @@ mod tests {
         let total: f64 = ps.iter().map(|p| p.mass).sum();
         assert!((tree.nodes[0].mass - total).abs() < 1e-12);
         assert_eq!(tree.nodes[0].count, 64);
-        assert!(tree.node_count() >= 64 / 8);
+        assert!(tree.nodes.len() >= 64 / 8);
     }
 
     #[test]
@@ -503,7 +424,7 @@ mod tests {
         // of the same terms.
         let ps = uniform_cloud(300, 6);
         let tree = Octree::build(&ps, BhConfig::default());
-        let mut scratch = InteractionList::new();
+        let mut scratch = InteractionList::default();
         for p in &ps {
             let rec = tree.accel_at(p.pos);
             let flat = tree.accel_at_with(p.pos, &mut scratch);
@@ -512,42 +433,20 @@ mod tests {
                 "gather diverged from walk: {rec:?} vs {flat:?}"
             );
         }
-        assert!(!scratch.is_empty());
-    }
-
-    #[test]
-    fn rebuild_reuses_node_storage() {
-        let ps = uniform_cloud(200, 7);
-        let mut tree = Octree::build(&ps, BhConfig::default());
-        let cap = tree.nodes.capacity();
-        let ptr = tree.nodes.as_ptr();
-        tree.rebuild(&ps);
-        assert_eq!(tree.nodes.capacity(), cap);
-        assert_eq!(tree.nodes.as_ptr(), ptr, "rebuild must not reallocate");
-        assert_eq!(tree.nodes[0].count, 200);
-    }
-
-    #[test]
-    fn workspace_step_matches_fresh_step() {
-        let mut a = uniform_cloud(80, 8);
-        let mut b = a.clone();
-        let mut ws = BhWorkspace::new();
-        for _ in 0..5 {
-            step_barnes_hut(&mut a, BhConfig::default(), 1e-3);
-            step_barnes_hut_with(&mut ws, &mut b, BhConfig::default(), 1e-3);
-        }
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.pos, y.pos, "workspace path must be bit-identical");
-            assert_eq!(x.vel, y.vel);
-        }
+        assert!(!scratch.mass.is_empty());
     }
 
     #[test]
     fn bh_step_conserves_momentum_approximately() {
         let mut ps = uniform_cloud(100, 4);
+        let dt = 1e-3;
         let p0 = crate::integrate::momentum(&ps);
         for _ in 0..20 {
-            step_barnes_hut(&mut ps, BhConfig::default(), 1e-3);
+            let acc = Octree::build(&ps, BhConfig::default()).accel_on_all(&ps);
+            for (p, a) in ps.iter_mut().zip(&acc) {
+                p.vel += *a * dt;
+                p.pos += p.vel * dt;
+            }
         }
         let p1 = crate::integrate::momentum(&ps);
         // BH forces are not exactly pairwise-symmetric, so allow a small

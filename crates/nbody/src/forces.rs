@@ -16,13 +16,13 @@ pub const OPS_PER_SPECULATE: u64 = 12;
 /// Paper's cost of checking one particle's speculation error.
 pub const OPS_PER_CHECK: u64 = 24;
 /// Cost of one integration update (velocity + position) per particle.
-pub const OPS_PER_UPDATE: u64 = 12;
+pub(crate) const OPS_PER_UPDATE: u64 = 12;
 
 /// Acceleration exerted on a particle at `on_pos` by a source of mass
 /// `src_mass` at `src_pos`, with Plummer softening `eps`:
 /// `a = G · m · (r_src − r_on) / (|r|² + ε²)^{3/2}`.
 #[inline]
-pub fn accel_from(on_pos: Vec3, src_pos: Vec3, src_mass: f64, g: f64, eps: f64) -> Vec3 {
+pub(crate) fn accel_from(on_pos: Vec3, src_pos: Vec3, src_mass: f64, g: f64, eps: f64) -> Vec3 {
     let d = src_pos - on_pos;
     let dist_sq = d.norm_sq() + eps * eps;
     let inv = 1.0 / (dist_sq * dist_sq.sqrt());
@@ -279,7 +279,7 @@ fn accel_delta(act: [f64; 3], spec: [f64; 3], gm: f64, on: [f64; 3], eps2: f64) 
 /// lanes stay in registers across the whole (ascending) bad-source loop —
 /// the shape of [`accumulate_partition_soa`]. Per (source, target) the
 /// expression tree is the reference's: both accelerations as in
-/// [`accel_from`], `δ = a_actual − a_spec` per component,
+/// `accel_from`, `δ = a_actual − a_spec` per component,
 /// `vel += δ·Δt`, `pos += δ·((Δt·Δt)·steps)`. The θ test reads only
 /// `centroid` and the two snapshots, so it does not see `pos` move.
 ///
@@ -502,7 +502,7 @@ pub fn accumulate_self_soa(pos: &Soa3, mass: &[f64], acc: &mut Soa3, g: f64, eps
 /// Acceleration at a single `point` from a gathered SoA interaction list
 /// (positions + masses), accumulated in list order. Used by the
 /// Barnes–Hut tree walk after gathering accepted nodes.
-pub fn accel_point_soa(src: &Soa3, mass: &[f64], point: Vec3, g: f64, eps: f64) -> Vec3 {
+pub(crate) fn accel_point_soa(src: &Soa3, mass: &[f64], point: Vec3, g: f64, eps: f64) -> Vec3 {
     debug_assert_eq!(src.len(), mass.len());
     let eps2 = eps * eps;
     let (mut axp, mut ayp, mut azp) = (0.0f64, 0.0f64, 0.0f64);

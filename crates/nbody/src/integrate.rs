@@ -13,8 +13,9 @@ use crate::vec3::{Vec3, ZERO3};
 
 /// Advance the whole system one timestep with symplectic (semi-implicit)
 /// Euler: `v ← v + a·Δt`, then `x ← x + v·Δt`. Accumulation runs in natural
-/// index order.
-pub fn step_natural(particles: &mut [Particle], cfg: &NBodyConfig) {
+/// index order: the reference the partition-order tests compare against.
+#[cfg(test)]
+pub(crate) fn step_natural(particles: &mut [Particle], cfg: &NBodyConfig) {
     let n = particles.len();
     let mut acc = vec![ZERO3; n];
     for b in 0..n {
@@ -83,22 +84,15 @@ pub fn step_partition_order(
 }
 
 /// The shared integration update.
-pub(crate) fn apply_kick_drift(particles: &mut [Particle], acc: &[Vec3], dt: f64) {
+fn apply_kick_drift(particles: &mut [Particle], acc: &[Vec3], dt: f64) {
     for (p, a) in particles.iter_mut().zip(acc) {
         p.vel += *a * dt;
         p.pos += p.vel * dt;
     }
 }
 
-/// Run `steps` timesteps of the natural-order integrator.
-pub fn simulate(particles: &mut [Particle], cfg: &NBodyConfig, steps: u64) {
-    for _ in 0..steps {
-        step_natural(particles, cfg);
-    }
-}
-
 /// Total kinetic energy `Σ ½ m v²`.
-pub fn kinetic_energy(particles: &[Particle]) -> f64 {
+fn kinetic_energy(particles: &[Particle]) -> f64 {
     particles
         .iter()
         .map(|p| 0.5 * p.mass * p.vel.norm_sq())
@@ -107,7 +101,7 @@ pub fn kinetic_energy(particles: &[Particle]) -> f64 {
 
 /// Total (softened) potential energy
 /// `−Σ_{a<b} G·m_a·m_b / √(r² + ε²)`.
-pub fn potential_energy(particles: &[Particle], g: f64, eps: f64) -> f64 {
+fn potential_energy(particles: &[Particle], g: f64, eps: f64) -> f64 {
     let mut u = 0.0;
     for a in 0..particles.len() {
         for b in (a + 1)..particles.len() {
@@ -128,17 +122,18 @@ pub fn momentum(particles: &[Particle]) -> Vec3 {
     particles.iter().fold(ZERO3, |acc, p| acc + p.vel * p.mass)
 }
 
-/// Centre of mass.
-pub fn center_of_mass(particles: &[Particle]) -> Vec3 {
-    let m: f64 = particles.iter().map(|p| p.mass).sum();
-    particles.iter().fold(ZERO3, |acc, p| acc + p.pos * p.mass) / m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::particle::{binary_pair, uniform_cloud};
     use crate::partition::partition_proportional;
+
+    /// Run `steps` timesteps of the natural-order integrator.
+    fn simulate(particles: &mut [Particle], cfg: &NBodyConfig, steps: u64) {
+        for _ in 0..steps {
+            step_natural(particles, cfg);
+        }
+    }
 
     #[test]
     fn binary_orbit_conserves_energy_well() {
@@ -241,13 +236,17 @@ mod tests {
 
     #[test]
     fn center_of_mass_moves_inertially() {
+        let com = |ps: &[Particle]| {
+            let m: f64 = ps.iter().map(|p| p.mass).sum();
+            ps.iter().fold(ZERO3, |acc, p| acc + p.pos * p.mass) / m
+        };
         let cfg = NBodyConfig::default();
         let mut ps = uniform_cloud(30, 21);
-        let com0 = center_of_mass(&ps);
+        let com0 = com(&ps);
         let p = momentum(&ps);
         let m: f64 = ps.iter().map(|x| x.mass).sum();
         simulate(&mut ps, &cfg, 200);
-        let com1 = center_of_mass(&ps);
+        let com1 = com(&ps);
         let expected = com0 + p * (200.0 * cfg.dt / m);
         assert!(
             (com1 - expected).norm() < 1e-9,

@@ -47,7 +47,8 @@ impl SoaBodies {
     }
 
     /// Transpose back to AoS particles.
-    pub fn to_particles(&self) -> Vec<Particle> {
+    #[cfg(test)]
+    pub(crate) fn to_particles(&self) -> Vec<Particle> {
         self.pos
             .iter()
             .zip(self.vel.iter())
@@ -96,12 +97,6 @@ impl NBodyConfig {
     /// Set θ.
     pub fn with_theta(mut self, theta: f64) -> Self {
         self.theta = theta;
-        self
-    }
-
-    /// Set Δt.
-    pub fn with_dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
         self
     }
 }
@@ -178,7 +173,8 @@ pub fn rotating_disk(n: usize, seed: u64) -> Vec<Particle> {
 
 /// Two equal-mass bodies on a circular mutual orbit — the classic
 /// analytically checkable configuration.
-pub fn binary_pair(separation: f64, mass: f64, g: f64) -> Vec<Particle> {
+#[cfg(test)]
+pub(crate) fn binary_pair(separation: f64, mass: f64, g: f64) -> Vec<Particle> {
     assert!(separation > 0.0 && mass > 0.0);
     let r = separation / 2.0;
     // Circular orbit about the barycentre: v² = G·m_other·r / d².
@@ -195,26 +191,6 @@ pub fn binary_pair(separation: f64, mass: f64, g: f64) -> Vec<Particle> {
             vel: Vec3::new(0.0, v, 0.0),
         },
     ]
-}
-
-/// Two separated uniform clouds falling toward each other ("cold
-/// collision") — fast-changing dynamics that stress the speculation
-/// threshold.
-pub fn colliding_clouds(n: usize, seed: u64) -> Vec<Particle> {
-    assert!(n >= 2);
-    let half = n / 2;
-    let mut a = uniform_cloud(half, seed);
-    let mut b = uniform_cloud(n - half, seed.wrapping_add(1));
-    for p in &mut a {
-        p.pos += Vec3::new(-1.5, 0.0, 0.0);
-        p.vel += Vec3::new(0.3, 0.0, 0.0);
-    }
-    for p in &mut b {
-        p.pos += Vec3::new(1.5, 0.0, 0.0);
-        p.vel += Vec3::new(-0.3, 0.0, 0.0);
-    }
-    a.extend(b);
-    a
 }
 
 #[cfg(test)]
@@ -260,24 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn colliding_clouds_approach_each_other() {
-        let ps = colliding_clouds(40, 5);
-        assert_eq!(ps.len(), 40);
-        let left_mean_vx: f64 = ps
-            .iter()
-            .filter(|p| p.pos.x < 0.0)
-            .map(|p| p.vel.x)
-            .sum::<f64>();
-        let right_mean_vx: f64 = ps
-            .iter()
-            .filter(|p| p.pos.x > 0.0)
-            .map(|p| p.vel.x)
-            .sum::<f64>();
-        assert!(left_mean_vx > 0.0, "left cloud must move right");
-        assert!(right_mean_vx < 0.0, "right cloud must move left");
-    }
-
-    #[test]
     fn soa_bodies_round_trip() {
         let ps = uniform_cloud(17, 9);
         let soa = SoaBodies::from_particles(&ps);
@@ -290,8 +248,7 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = NBodyConfig::default().with_theta(0.05).with_dt(0.01);
+        let c = NBodyConfig::default().with_theta(0.05);
         assert_eq!(c.theta, 0.05);
-        assert_eq!(c.dt, 0.01);
     }
 }

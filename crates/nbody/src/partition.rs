@@ -57,22 +57,6 @@ pub fn partition_proportional(n: usize, capacities: &[f64]) -> Vec<Range<usize>>
     ranges
 }
 
-/// Largest relative violation of eq. 4 across processors:
-/// `max_i |N_i/M_i − N/ΣM| / (N/ΣM)`. Useful for diagnostics and tests.
-pub fn proportionality_error(ranges: &[Range<usize>], capacities: &[f64]) -> f64 {
-    let n: usize = ranges.iter().map(|r| r.len()).sum();
-    if n == 0 {
-        return 0.0;
-    }
-    let total: f64 = capacities.iter().sum();
-    let ideal = n as f64 / total;
-    ranges
-        .iter()
-        .zip(capacities)
-        .map(|(r, c)| ((r.len() as f64 / c) - ideal).abs() / ideal)
-        .fold(0.0, f64::max)
-}
-
 /// Slice an SoA body set into per-partition copies following `ranges`
 /// (as produced by [`partition_proportional`]). Each partition keeps the
 /// SoA layout, ready for the blocked kernels.
@@ -94,6 +78,22 @@ pub fn split_soa(bodies: &SoaBodies, ranges: &[Range<usize>]) -> Vec<SoaBodies> 
 mod tests {
     use super::*;
     use crate::particle::uniform_cloud;
+
+    /// Largest relative violation of eq. 4 across processors:
+    /// `max_i |N_i/M_i − N/ΣM| / (N/ΣM)`.
+    fn proportionality_error(ranges: &[Range<usize>], capacities: &[f64]) -> f64 {
+        let n: usize = ranges.iter().map(|r| r.len()).sum();
+        if n == 0 {
+            return 0.0;
+        }
+        let total: f64 = capacities.iter().sum();
+        let ideal = n as f64 / total;
+        ranges
+            .iter()
+            .zip(capacities)
+            .map(|(r, c)| ((r.len() as f64 / c) - ideal).abs() / ideal)
+            .fold(0.0, f64::max)
+    }
 
     #[test]
     fn equal_capacities_split_evenly() {

@@ -74,7 +74,7 @@ impl Soa3 {
     }
 
     /// Append one vector.
-    pub fn push(&mut self, v: Vec3) {
+    pub(crate) fn push(&mut self, v: Vec3) {
         self.x.push(v.x);
         self.y.push(v.y);
         self.z.push(v.z);
@@ -116,7 +116,7 @@ impl Soa3 {
     }
 
     /// Iterate elements as [`Vec3`] values.
-    pub fn iter(&self) -> impl Iterator<Item = Vec3> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Vec3> + '_ {
         self.x
             .iter()
             .zip(&self.y)
@@ -125,7 +125,7 @@ impl Soa3 {
     }
 
     /// An owned copy of the sub-range `r` (cold path: partitioning).
-    pub fn slice(&self, r: Range<usize>) -> Soa3 {
+    pub(crate) fn slice(&self, r: Range<usize>) -> Soa3 {
         Soa3 {
             x: self.x[r.clone()].to_vec(),
             y: self.y[r.clone()].to_vec(),

@@ -29,12 +29,12 @@ impl Vec3 {
     }
 
     /// Dot product.
-    pub fn dot(self, o: Vec3) -> f64 {
+    pub(crate) fn dot(self, o: Vec3) -> f64 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }
 
     /// Squared Euclidean norm.
-    pub fn norm_sq(self) -> f64 {
+    pub(crate) fn norm_sq(self) -> f64 {
         self.dot(self)
     }
 
@@ -46,15 +46,6 @@ impl Vec3 {
     /// Distance to another point.
     pub fn distance(self, o: Vec3) -> f64 {
         (self - o).norm()
-    }
-
-    /// Cross product.
-    pub fn cross(self, o: Vec3) -> Vec3 {
-        Vec3 {
-            x: self.y * o.z - self.z * o.y,
-            y: self.z * o.x - self.x * o.z,
-            z: self.x * o.y - self.y * o.x,
-        }
     }
 
     /// True if all components are finite.
@@ -153,14 +144,10 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_cross() {
+    fn dot_of_orthogonal_axes_is_zero() {
         let x = Vec3::new(1.0, 0.0, 0.0);
         let y = Vec3::new(0.0, 1.0, 0.0);
-        let z = Vec3::new(0.0, 0.0, 1.0);
         assert_eq!(x.dot(y), 0.0);
-        assert_eq!(x.cross(y), z);
-        assert_eq!(y.cross(x), -z);
-        assert_eq!(x.cross(x), ZERO3);
     }
 
     #[test]
@@ -190,13 +177,6 @@ mod proptests {
         #[test]
         fn addition_commutes(a in vec3(), b in vec3()) {
             prop_assert_eq!(a + b, b + a);
-        }
-
-        #[test]
-        fn cross_is_orthogonal(a in vec3(), b in vec3()) {
-            let c = a.cross(b);
-            prop_assert!(c.dot(a).abs() <= 1e-6 * (1.0 + a.norm_sq()) * (1.0 + b.norm()));
-            prop_assert!(c.dot(b).abs() <= 1e-6 * (1.0 + b.norm_sq()) * (1.0 + a.norm()));
         }
 
         #[test]

@@ -96,7 +96,7 @@ impl ClusterSpec {
     }
 
     /// Total capacity of the first `p` machines.
-    pub fn total_capacity(&self, p: usize) -> f64 {
+    pub(crate) fn total_capacity(&self, p: usize) -> f64 {
         assert!(p >= 1 && p <= self.machines.len());
         self.machines[..p].iter().map(|m| m.mips).sum()
     }

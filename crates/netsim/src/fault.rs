@@ -39,7 +39,7 @@ pub struct Fate {
 
 impl Fate {
     /// Unperturbed delivery.
-    pub fn clean() -> Fate {
+    pub(crate) fn clean() -> Fate {
         Fate {
             deliver: true,
             extra_copies: 0,
@@ -58,7 +58,7 @@ impl Fate {
 
     /// Combine two layers' decisions: a drop anywhere wins, copies add up,
     /// and the strongest corruption applies.
-    pub fn merge(self, other: Fate) -> Fate {
+    pub(crate) fn merge(self, other: Fate) -> Fate {
         Fate {
             deliver: self.deliver && other.deliver,
             extra_copies: self.extra_copies + other.extra_copies,
@@ -72,15 +72,6 @@ impl Fate {
 pub trait FaultModel: Send {
     /// Decide this message's fate.
     fn fate(&mut self, ctx: &MsgCtx) -> Fate;
-}
-
-/// Boxed model for heterogeneous composition at runtime.
-pub type BoxedFaultModel = Box<dyn FaultModel>;
-
-impl FaultModel for BoxedFaultModel {
-    fn fate(&mut self, ctx: &MsgCtx) -> Fate {
-        (**self).fate(ctx)
-    }
 }
 
 /// The identity fault model: every message arrives exactly once, intact.
@@ -306,7 +297,7 @@ impl FaultModel for FaultPlan {
 
 /// A stack of fault models applied to every message: loss composed with
 /// duplication composed with a partition, etc. All layers are always
-/// consulted (aligned RNG streams); fates merge per [`Fate::merge`].
+/// consulted (aligned RNG streams); fates merge per `Fate::merge`.
 #[derive(Default)]
 pub struct FaultStack {
     layers: Vec<Box<dyn FaultModel>>,
@@ -396,23 +387,6 @@ impl CrashPlan {
         self.crashes
             .iter()
             .any(|c| c.rank == rank && t >= c.at && t < c.back_at())
-    }
-
-    /// The scripted crashes of one rank, in time order.
-    pub fn crashes_for(&self, rank: usize) -> Vec<MachineCrash> {
-        let mut own: Vec<MachineCrash> = self
-            .crashes
-            .iter()
-            .filter(|c| c.rank == rank)
-            .copied()
-            .collect();
-        own.sort_by_key(|c| c.at);
-        own
-    }
-
-    /// All scripted crashes.
-    pub fn crashes(&self) -> &[MachineCrash] {
-        &self.crashes
     }
 
     /// True when no crash is scripted.
@@ -547,8 +521,6 @@ mod tests {
         assert!(plan.is_down(2, SimTime::from_nanos(149)));
         assert!(!plan.is_down(2, SimTime::from_nanos(150)));
         assert!(!plan.is_down(1, SimTime::from_nanos(120)));
-        assert_eq!(plan.crashes_for(2).len(), 1);
-        assert!(plan.crashes_for(0).is_empty());
     }
 }
 

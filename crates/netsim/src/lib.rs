@@ -37,13 +37,13 @@ mod network;
 
 pub use cluster::ClusterSpec;
 pub use fault::{
-    BoxedFaultModel, Corrupt, CrashPlan, Duplicate, Fate, FaultModel, FaultPlan, FaultStack,
-    LinkPartition, Loss, MachineCrash, NoFaults, ScriptedFaults,
+    Corrupt, CrashPlan, Duplicate, Fate, FaultModel, FaultPlan, FaultStack, LinkPartition, Loss,
+    MachineCrash, NoFaults, ScriptedFaults,
 };
 pub use load::{BoxedLoadModel, LoadModel, RandomSpikes, UniformNoise, Unloaded};
 pub use machine::MachineSpec;
 pub use network::{
-    BoxedNetworkModel, ConstantLatency, Jitter, LinkBandwidth, LinkLatency, MsgCtx, NetworkModel,
+    BoxedNetworkModel, ConstantLatency, Jitter, LinkBandwidth, MsgCtx, NetworkModel,
     ScriptedDelays, SharedMedium, TransientDelays,
 };
 

@@ -28,14 +28,9 @@ impl MachineSpec {
         MachineSpec { mips }
     }
 
-    /// Operations per second (`M_i`).
-    pub fn ops_per_sec(&self) -> f64 {
-        self.mips * 1e6
-    }
-
     /// Virtual time needed to execute `ops` operations on this machine.
     pub fn ops_duration(&self, ops: u64) -> SimDuration {
-        SimDuration::from_secs_f64(ops as f64 / self.ops_per_sec())
+        SimDuration::from_secs_f64(ops as f64 / (self.mips * 1e6))
     }
 }
 

@@ -41,36 +41,12 @@ impl NetworkModel for ConstantLatency {
     }
 }
 
-/// Point-to-point link: per-message latency plus size-proportional
-/// transmission time, with no cross-message contention.
-#[derive(Clone, Copy, Debug)]
-pub struct LinkLatency {
-    /// Propagation + protocol-stack latency per message.
-    pub latency: SimDuration,
-    /// Link bandwidth in bytes per second.
-    pub bytes_per_sec: f64,
-}
-
-impl LinkLatency {
-    /// Transmission time of `bytes` on this link.
-    pub fn tx_time(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
-    }
-}
-
-impl NetworkModel for LinkLatency {
-    fn delay(&mut self, ctx: &MsgCtx) -> SimDuration {
-        self.latency + self.tx_time(ctx.bytes)
-    }
-}
-
 /// Switched network: every directed `(src, dst)` pair is its own full-duplex
 /// link with the given bandwidth, so messages on the *same* link queue
 /// behind each other while different links transmit in parallel.
 ///
-/// This sits between [`LinkLatency`] (size-proportional delay, but infinite
-/// capacity — two back-to-back sends never contend) and [`SharedMedium`]
-/// (every message in the cluster fights for one bus). It is the model that
+/// Unlike [`SharedMedium`] (every message in the cluster fights for one
+/// bus), different links never contend. It is the model that
 /// makes the delta exchange's bytes-on-the-wire a first-class cost: a rank
 /// that broadcasts a full partition to `p-1` peers pays each link's
 /// serialization once, and shrinking the frames shrinks the occupancy of
@@ -94,15 +70,6 @@ impl LinkBandwidth {
             bytes_per_sec,
             busy_until: std::collections::HashMap::new(),
         }
-    }
-
-    /// When the `(src, dst)` link next becomes idle (for tests/diagnostics).
-    /// A link that has never carried a message is idle at time zero.
-    pub fn link_busy_until(&self, src: usize, dst: usize) -> SimTime {
-        self.busy_until
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(SimTime::ZERO)
     }
 }
 
@@ -148,11 +115,6 @@ impl SharedMedium {
             bytes_per_sec,
             busy_until: SimTime::ZERO,
         }
-    }
-
-    /// When the bus next becomes idle (for tests/diagnostics).
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
     }
 }
 
@@ -298,16 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn link_latency_adds_tx_time() {
-        // 1 MB/s, 1000 bytes => 1 ms of transmission.
-        let mut m = LinkLatency {
-            latency: SimDuration::from_millis(2),
-            bytes_per_sec: 1e6,
-        };
-        assert_eq!(m.delay(&ctx(1000, 0)), SimDuration::from_millis(3));
-    }
-
-    #[test]
     fn link_bandwidth_serializes_per_link_only() {
         // 1 MB/s links, zero latency. Two 1000-byte messages on the same
         // link queue (1ms then 2ms); a message on a different link at the
@@ -322,9 +274,23 @@ mod tests {
             now: SimTime::ZERO,
         };
         assert_eq!(m.delay(&other), SimDuration::from_millis(1));
-        assert_eq!(m.link_busy_until(0, 1), SimTime::from_nanos(2_000_000));
-        assert_eq!(m.link_busy_until(0, 2), SimTime::from_nanos(1_000_000));
-        assert_eq!(m.link_busy_until(2, 0), SimTime::ZERO);
+        assert_eq!(
+            m.busy_until.get(&(0, 1)),
+            Some(&SimTime::from_nanos(2_000_000))
+        );
+        assert_eq!(
+            m.busy_until.get(&(0, 2)),
+            Some(&SimTime::from_nanos(1_000_000))
+        );
+        assert_eq!(m.busy_until.get(&(2, 0)), None);
+        // Full duplex: the reverse of the busy 0 -> 1 link is idle.
+        let reverse = MsgCtx {
+            src: 1,
+            dst: 0,
+            bytes: 1000,
+            now: SimTime::ZERO,
+        };
+        assert_eq!(m.delay(&reverse), SimDuration::from_millis(1));
     }
 
     #[test]
@@ -460,8 +426,8 @@ mod proptests {
                     (got - expected_done).abs() <= 1e-6 * expected_done + 1e-9 * (i as f64 + 1.0),
                     "message {i}: got {got}, expected {expected_done}"
                 );
-                prop_assert!(m.busy_until() >= last_busy);
-                last_busy = m.busy_until();
+                prop_assert!(m.busy_until >= last_busy);
+                last_busy = m.busy_until;
             }
         }
 

@@ -12,7 +12,7 @@ use crate::json::Json;
 use crate::trace::RunTrace;
 
 /// Build the Chrome-trace document for a set of per-rank traces.
-pub fn chrome_trace(traces: &[RunTrace]) -> Json {
+pub(crate) fn chrome_trace(traces: &[RunTrace]) -> Json {
     let mut events = Vec::new();
     for trace in traces {
         events.push(thread_name_event(trace.rank));
@@ -24,8 +24,8 @@ pub fn chrome_trace(traces: &[RunTrace]) -> Json {
     ])
 }
 
-/// [`chrome_trace`] serialized to a string, ready to write to a `.json`
-/// file.
+/// The Chrome-trace document for a set of per-rank traces, serialized to
+/// a string ready to write to a `.json` file.
 pub fn chrome_trace_string(traces: &[RunTrace]) -> String {
     chrome_trace(traces).to_string()
 }
@@ -159,17 +159,17 @@ fn mark_args(mark: Mark) -> Json {
 mod tests {
     use super::*;
     use crate::event::{Gauge, Phase};
-    use crate::recorder::{MemoryRecorder, Recorder};
+    use crate::recorder::Recorder;
 
     fn sample_traces() -> Vec<RunTrace> {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         r.span_begin(0, 1_000, Phase::Compute, Some(3), Some(1));
         r.span_end(0, 4_500, Phase::Compute);
         r.mark(0, 4_500, Mark::MsgSent { to: 1, bytes: 64 });
         r.gauge(0, 4_500, Gauge::ExecQueueDepth, 2);
         r.span_begin(1, 0, Phase::CommWait, None, None);
         r.span_end(1, 9_000, Phase::CommWait);
-        RunTrace::split_by_rank(r.take())
+        RunTrace::split_by_rank(r)
     }
 
     #[test]

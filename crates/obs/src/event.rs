@@ -27,7 +27,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in `PhaseBreakdown` field order.
-    pub const ALL: [Phase; 5] = [
+    pub(crate) const ALL: [Phase; 5] = [
         Phase::Compute,
         Phase::CommWait,
         Phase::Speculate,

@@ -44,7 +44,7 @@ impl Fingerprint {
 
     /// Absorb one `f64` by IEEE-754 bit pattern (distinguishes `-0.0`
     /// from `+0.0` and preserves NaN payloads).
-    pub fn write_f64(&mut self, v: f64) {
+    fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
     }
 

@@ -64,7 +64,8 @@ impl Json {
     }
 
     /// The value as a `u64`, if losslessly representable.
-    pub fn as_u64(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match *self {
             Json::U64(v) => Some(v),
             Json::I64(v) => u64::try_from(v).ok(),

@@ -13,32 +13,32 @@
 //!    `PhaseBreakdown`, so per-rank span durations partition total run
 //!    time exactly, and tests assert it.
 //! 3. **No dependencies.** Timestamps are `u64` nanoseconds, ranks are
-//!    `u32`, JSON is hand-rolled ([`json::Json`]) — so `desim` can depend
+//!    `u32`, JSON is hand-rolled ([`Json`]) — so `desim` can depend
 //!    on `obs` without a cycle and the crate builds offline.
 //!
 //! The flow: instrumentation emits [`Event`]s into a [`Recorder`]
 //! (typically a [`SharedRecorder`] cloned into every rank);
 //! [`RunTrace::split_by_rank`] turns the drained stream into per-rank
-//! traces; [`chrome::chrome_trace`] exports a Perfetto-loadable timeline,
-//! [`report::RunReport`] a machine-readable digest, and
+//! traces; [`chrome_trace_string`] exports a Perfetto-loadable timeline,
+//! [`RunReport`] a per-rank digest, and
 //! [`timeline::render`] an ASCII quick look.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod chrome;
-pub mod event;
-pub mod fingerprint;
-pub mod json;
-pub mod recorder;
-pub mod report;
+mod chrome;
+mod event;
+mod fingerprint;
+mod json;
+mod recorder;
+mod report;
 pub mod timeline;
-pub mod trace;
+mod trace;
 
-pub use chrome::{chrome_trace, chrome_trace_string};
+pub use chrome::chrome_trace_string;
 pub use event::{Event, EventKind, Gauge, Mark, Phase};
 pub use fingerprint::{fingerprint_f64s, Fingerprint};
 pub use json::Json;
-pub use recorder::{MemoryRecorder, NullRecorder, Recorder, SharedRecorder};
-pub use report::{ControllerDigest, Histogram, RankReport, RunReport};
+pub use recorder::{Recorder, SharedRecorder};
+pub use report::{RankReport, RunReport};
 pub use trace::{CounterTotals, PhaseTotals, RunTrace, Span};

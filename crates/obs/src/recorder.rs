@@ -62,46 +62,15 @@ pub trait Recorder: Send {
     }
 }
 
-/// A recorder that drops everything. Useful where an API wants *a*
-/// recorder; prefer `Option::None` where the call site allows it.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&mut self, _event: Event) {}
-}
-
-/// A recorder that appends every event to an in-memory vector, in arrival
-/// order.
-#[derive(Debug, Default)]
-pub struct MemoryRecorder {
-    events: Vec<Event>,
-}
-
-impl MemoryRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The events recorded so far.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Remove and return every recorded event.
-    pub fn take(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-impl Recorder for MemoryRecorder {
+/// The unit tests' in-memory sink: every event appended, in arrival order.
+#[cfg(test)]
+impl Recorder for Vec<Event> {
     fn record(&mut self, event: Event) {
-        self.events.push(event);
+        self.push(event);
     }
 }
 
-/// A cloneable handle to one shared [`MemoryRecorder`].
+/// A cloneable handle to one shared in-memory event log.
 ///
 /// The pattern for cluster runs: create one `SharedRecorder` outside,
 /// clone it into every rank's closure (each clone attaches to that rank's
@@ -110,7 +79,7 @@ impl Recorder for MemoryRecorder {
 /// nothing; within a rank, order is preserved.
 #[derive(Clone, Debug, Default)]
 pub struct SharedRecorder {
-    inner: Arc<Mutex<MemoryRecorder>>,
+    inner: Arc<Mutex<Vec<Event>>>,
 }
 
 impl SharedRecorder {
@@ -122,16 +91,12 @@ impl SharedRecorder {
     /// Remove and return everything recorded so far (all ranks interleaved,
     /// per-rank order preserved).
     pub fn drain(&self) -> Vec<Event> {
-        self.inner.lock().expect("recorder mutex poisoned").take()
+        std::mem::take(&mut *self.inner.lock().expect("recorder mutex poisoned"))
     }
 
     /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("recorder mutex poisoned")
-            .events()
-            .len()
+        self.inner.lock().expect("recorder mutex poisoned").len()
     }
 
     /// Whether nothing has been recorded.
@@ -145,7 +110,7 @@ impl Recorder for SharedRecorder {
         self.inner
             .lock()
             .expect("recorder mutex poisoned")
-            .record(event);
+            .push(event);
     }
 }
 
@@ -155,18 +120,16 @@ mod tests {
 
     #[test]
     fn memory_recorder_keeps_order() {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         r.span_begin(0, 10, Phase::Compute, Some(1), Some(0));
         r.mark(0, 15, Mark::Commit { iter: 1 });
         r.span_end(0, 20, Phase::Compute);
-        let ev = r.take();
-        assert_eq!(ev.len(), 3);
-        assert_eq!(ev[0].t_ns, 10);
+        assert_eq!(r.len(), 3);
+        assert_eq!(r[0].t_ns, 10);
         assert!(matches!(
-            ev[1].kind,
+            r[1].kind,
             EventKind::Mark(Mark::Commit { iter: 1 })
         ));
-        assert!(r.events().is_empty());
     }
 
     #[test]
@@ -185,7 +148,7 @@ mod tests {
 
     #[test]
     fn recorders_are_object_safe() {
-        let mut boxed: Box<dyn Recorder> = Box::new(NullRecorder);
+        let mut boxed: Box<dyn Recorder> = Box::new(SharedRecorder::new());
         boxed.mark(0, 0, Mark::Rollback { to_iter: 0 });
         let opt: Option<&mut dyn Recorder> = None;
         if let Some(r) = opt {

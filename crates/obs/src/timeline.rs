@@ -114,17 +114,17 @@ pub fn render(traces: &[RunTrace], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{MemoryRecorder, Recorder};
+    use crate::recorder::Recorder;
 
     #[test]
     fn renders_dominant_phase_per_cell() {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         // Rank 0: first half compute, second half waiting.
         r.span_begin(0, 0, Phase::Compute, None, None);
         r.span_end(0, 500, Phase::Compute);
         r.span_begin(0, 500, Phase::CommWait, None, None);
         r.span_end(0, 1000, Phase::CommWait);
-        let traces = RunTrace::split_by_rank(r.take());
+        let traces = RunTrace::split_by_rank(r);
         let text = render(&traces, 10);
         let line = text.lines().next().unwrap();
         assert_eq!(line, "rank  0 |#####.....|");
@@ -138,13 +138,13 @@ mod tests {
 
     #[test]
     fn fault_marks_overlay_the_bar_and_extend_the_legend() {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         r.span_begin(0, 0, Phase::Compute, None, None);
         r.mark(0, 250, Mark::MessageDropped { to: 1, bytes: 64 });
         r.mark(0, 500, Mark::PeerCrashed { peer: 0 });
         r.mark(0, 750, Mark::PeerRecovered { peer: 0 });
         r.span_end(0, 1000, Phase::Compute);
-        let traces = RunTrace::split_by_rank(r.take());
+        let traces = RunTrace::split_by_rank(r);
         let text = render(&traces, 10);
         let bar = text.lines().next().unwrap();
         assert_eq!(bar, "rank  0 |##D##K#R##|");
@@ -153,10 +153,10 @@ mod tests {
 
     #[test]
     fn fault_free_render_keeps_the_plain_legend() {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         r.span_begin(0, 0, Phase::Compute, None, None);
         r.span_end(0, 1000, Phase::Compute);
-        let traces = RunTrace::split_by_rank(r.take());
+        let traces = RunTrace::split_by_rank(r);
         let text = render(&traces, 10);
         assert!(
             text.contains("x=correct   span:"),
@@ -166,10 +166,10 @@ mod tests {
 
     #[test]
     fn idle_time_stays_blank() {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         r.span_begin(0, 800, Phase::Check, None, None);
         r.span_end(0, 1000, Phase::Check);
-        let traces = RunTrace::split_by_rank(r.take());
+        let traces = RunTrace::split_by_rank(r);
         let line = render(&traces, 10);
         let bar = line.lines().next().unwrap();
         assert_eq!(bar, "rank  0 |        cc|");

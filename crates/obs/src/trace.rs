@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use crate::event::{Event, EventKind, Gauge, Mark, Phase};
+use crate::event::{Event, EventKind, Mark, Phase};
 
 /// A closed phase interval on one rank.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -22,7 +22,7 @@ pub struct Span {
 
 impl Span {
     /// The span's length in nanoseconds.
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.end_ns - self.start_ns
     }
 }
@@ -263,33 +263,8 @@ impl RunTrace {
         c
     }
 
-    /// The adaptive controller's final published decision, if any retune
-    /// fired: `(fw, theta_ppb, deadline_ns)` from the last
-    /// [`Mark::ControllerRetune`] in the trace.
-    pub fn last_controller_decision(&self) -> Option<(u32, u64, u64)> {
-        self.events.iter().rev().find_map(|ev| match ev.kind {
-            EventKind::Mark(Mark::ControllerRetune {
-                fw,
-                theta_ppb,
-                deadline_ns,
-            }) => Some((fw, theta_ppb, deadline_ns)),
-            _ => None,
-        })
-    }
-
-    /// The time series of one gauge: `(t_ns, value)` samples in order.
-    pub fn gauge_series(&self, which: Gauge) -> Vec<(u64, u64)> {
-        self.events
-            .iter()
-            .filter_map(|ev| match ev.kind {
-                EventKind::GaugeSample { gauge, value } if gauge == which => Some((ev.t_ns, value)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Timestamp of the last event, or 0 for an empty trace.
-    pub fn end_ns(&self) -> u64 {
+    pub(crate) fn end_ns(&self) -> u64 {
         self.events.last().map_or(0, |e| e.t_ns)
     }
 }
@@ -297,10 +272,11 @@ impl RunTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{MemoryRecorder, Recorder};
+    use crate::event::Gauge;
+    use crate::recorder::Recorder;
 
     fn sample_events() -> Vec<Event> {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         // Rank 0: compute 10..40, wait 40..100, check 100..110.
         r.span_begin(0, 10, Phase::Compute, Some(0), Some(1));
         r.span_end(0, 40, Phase::Compute);
@@ -322,7 +298,7 @@ mod tests {
         r.mark(1, 5, Mark::MsgSent { to: 0, bytes: 128 });
         r.span_begin(1, 5, Phase::Compute, Some(0), Some(1));
         r.span_end(1, 45, Phase::Compute);
-        r.take()
+        r
     }
 
     #[test]
@@ -364,26 +340,13 @@ mod tests {
     }
 
     #[test]
-    fn gauge_series_filters() {
-        let traces = RunTrace::split_by_rank(sample_events());
-        assert_eq!(
-            traces[0].gauge_series(Gauge::ExecQueueDepth),
-            vec![(110, 0)]
-        );
-        assert!(traces[0].gauge_series(Gauge::EventHeapSize).is_empty());
-    }
-
-    #[test]
     fn nested_spans_of_different_phases_pair_correctly() {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         r.span_begin(0, 0, Phase::Compute, None, None);
         r.span_begin(0, 10, Phase::Check, None, None);
         r.span_end(0, 20, Phase::Check);
         r.span_end(0, 50, Phase::Compute);
-        let trace = RunTrace {
-            rank: 0,
-            events: r.take(),
-        };
+        let trace = RunTrace { rank: 0, events: r };
         let totals = trace.phase_totals();
         assert_eq!(totals.compute, 50);
         assert_eq!(totals.check, 10);
@@ -392,24 +355,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "span_end without begin")]
     fn unbalanced_end_panics() {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         r.span_end(0, 5, Phase::Compute);
-        let trace = RunTrace {
-            rank: 0,
-            events: r.take(),
-        };
+        let trace = RunTrace { rank: 0, events: r };
         let _ = trace.spans();
     }
 
     #[test]
     #[should_panic(expected = "left open")]
     fn unclosed_span_panics() {
-        let mut r = MemoryRecorder::new();
+        let mut r = Vec::new();
         r.span_begin(0, 5, Phase::Compute, None, None);
-        let trace = RunTrace {
-            rank: 0,
-            events: r.take(),
-        };
+        let trace = RunTrace { rank: 0, events: r };
         let _ = trace.spans();
     }
 }

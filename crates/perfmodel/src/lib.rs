@@ -19,9 +19,7 @@ mod tune;
 
 pub use model::{CommModel, ModelError, ModelParams};
 pub use series::{fig5_series, fig6_series, Fig5Row, Fig6Row};
-pub use tune::{
-    best_forward_window, best_p, k_break_even, masked_iteration_time, predicted_iteration_time,
-};
+pub use tune::{best_forward_window, masked_iteration_time, predicted_iteration_time};
 
 #[cfg(test)]
 mod tests {

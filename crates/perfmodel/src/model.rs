@@ -38,7 +38,7 @@ impl CommModel {
     /// single processor (nothing to exchange). Always finite for finite
     /// coefficients: `Table` lookups past the end clamp to the last
     /// entry rather than indexing out of bounds.
-    pub fn t_comm(&self, p: usize) -> f64 {
+    pub(crate) fn t_comm(&self, p: usize) -> f64 {
         if p <= 1 {
             return 0.0;
         }
@@ -56,7 +56,7 @@ impl CommModel {
     /// All coefficients (or table entries) are finite and non-negative.
     /// Degenerate models fail fast here instead of feeding NaN/∞ into the
     /// eq. 8/9 argmin helpers.
-    pub fn is_well_formed(&self) -> bool {
+    fn is_well_formed(&self) -> bool {
         let ok = |v: f64| v.is_finite() && v >= 0.0;
         match self {
             CommModel::LinearInP { coef } | CommModel::QuadraticInP { coef } => ok(*coef),
@@ -68,10 +68,10 @@ impl CommModel {
 
 /// Why a [`ModelParams`] value cannot be evaluated by eqs. 3–9.
 ///
-/// Returned by [`ModelParams::validate`], which the argmin/inverse helpers
-/// ([`best_forward_window`](crate::best_forward_window) and friends) call
-/// before searching, so a degenerate parameter set is a checked error
-/// instead of NaN/∞ silently winning the argmin.
+/// Returned by [`predicted_iteration_time`](crate::predicted_iteration_time),
+/// which validates its parameters before evaluating, so a degenerate
+/// parameter set is a checked error instead of NaN/∞ silently winning a
+/// comparison.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ModelError {
     /// `capacities` is empty: there is no processor to run on.
@@ -189,7 +189,7 @@ impl ModelParams {
     /// and every speedup is 1) and `k = 0` (no recomputation cost) are
     /// *valid* and return finite values; validation only rejects inputs
     /// that would make eqs. 3–9 produce NaN or ∞.
-    pub fn validate(&self) -> Result<(), ModelError> {
+    pub(crate) fn validate(&self) -> Result<(), ModelError> {
         if self.capacities.is_empty() {
             return Err(ModelError::NoProcessors);
         }
@@ -224,14 +224,14 @@ impl ModelParams {
     /// Number of variables allocated to processor `i` (0-based) in a
     /// `p`-processor run — the continuous solution of eqs. 4–5:
     /// `N_i = N · M_i / Σ M`.
-    pub fn n_alloc(&self, i: usize, p: usize) -> f64 {
+    fn n_alloc(&self, i: usize, p: usize) -> f64 {
         assert!(i < p);
         self.n * self.capacities[i] / self.total_capacity(p)
     }
 
     /// Eq. 3 / eq. 6: iteration time without speculation. For `p = 1` this
     /// is `N·f_comp/M_1`; otherwise balanced computation plus `t_comm(p)`.
-    pub fn t_total(&self, p: usize) -> f64 {
+    fn t_total(&self, p: usize) -> f64 {
         if p == 1 {
             return self.n * self.f_comp / self.capacities[0];
         }
@@ -240,7 +240,7 @@ impl ModelParams {
     }
 
     /// Eq. 8: processor `i`'s iteration time with speculation (FW = 1).
-    pub fn t_hat_i(&self, i: usize, p: usize) -> f64 {
+    fn t_hat_i(&self, i: usize, p: usize) -> f64 {
         let m = self.capacities[i];
         let n_i = self.n_alloc(i, p);
         let others = self.n - n_i;

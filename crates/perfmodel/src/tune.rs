@@ -2,15 +2,15 @@
 //!
 //! §4's model is descriptive — it predicts iteration time for a *given*
 //! configuration. The adaptive controller (`speccore::control`) needs the
-//! prescriptive direction: *choose* the forward window, processor count, or
-//! break-even misspeculation fraction that minimizes predicted iteration
-//! time. These helpers answer those queries deterministically (pure
-//! functions, ties broken toward the smaller argument) so online retuning
-//! decisions are reproducible bit-for-bit across runs and backends.
+//! prescriptive direction: *choose* the forward window that minimizes
+//! predicted iteration time. These helpers answer that query
+//! deterministically (pure functions, ties broken toward the smaller
+//! argument) so online retuning decisions are reproducible bit-for-bit
+//! across runs and backends.
 //!
-//! All searches are over validated parameters ([`ModelParams::validate`]):
-//! a degenerate parameter set is a checked [`ModelError`], never a NaN that
-//! silently wins a comparison.
+//! Queries over [`ModelParams`] validate first
+//! ([`ModelParams::validate`]): a degenerate parameter set is a checked
+//! [`ModelError`], never a NaN that silently wins a comparison.
 
 use crate::model::{ModelError, ModelParams};
 
@@ -59,54 +59,6 @@ pub fn best_forward_window(busy: f64, comm: f64, check: f64, miss_rate: f64, fw_
         }
     }
     best_w
-}
-
-/// Processor count in `1..=p_max` (clamped to the capacity list) that
-/// minimizes eq. 9's speculative iteration time, with the time at the
-/// argmin. Ties go to fewer processors.
-pub fn best_p(params: &ModelParams, p_max: usize) -> Result<(usize, f64), ModelError> {
-    params.validate()?;
-    let hi = p_max.clamp(1, params.capacities.len());
-    let mut best = (1usize, params.t_hat(1));
-    for p in 2..=hi {
-        let t = params.t_hat(p);
-        if t < best.1 {
-            best = (p, t);
-        }
-    }
-    Ok(best)
-}
-
-/// The break-even misspeculation fraction at `p` processors: the largest
-/// `k` in `[0, 1]` for which eq. 9 still beats eq. 6 (`t_hat ≤ t_total`),
-/// found by bisection — the Figure 6 crossover, computed rather than read
-/// off the plot.
-///
-/// Returns `0.0` when speculation loses even at `k = 0` (overhead exceeds
-/// the masked communication) and `1.0` when it wins everywhere.
-pub fn k_break_even(params: &ModelParams, p: usize) -> Result<f64, ModelError> {
-    params.validate()?;
-    if p <= 1 || p > params.capacities.len() {
-        // No speculation on one processor; nothing to break even against.
-        return Ok(0.0);
-    }
-    let beats = |k: f64| params.with_k(k).t_hat(p) <= params.t_total(p);
-    if !beats(0.0) {
-        return Ok(0.0);
-    }
-    if beats(1.0) {
-        return Ok(1.0);
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if beats(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(lo)
 }
 
 /// Eq. 9 guarded by validation: `t_hat(p)` as a checked query, with `p`
@@ -183,73 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn best_p_finds_the_paper_peak() {
-        // Figure 5's speculative curve peaks at the largest p for the
-        // paper parameters before contention dominates.
-        let m = ModelParams::paper_example();
-        let (p, t) = best_p(&m, 16).unwrap();
-        assert!(t.is_finite());
-        assert!((2..=16).contains(&p));
-        // The returned time really is the minimum over the swept range.
-        for q in 1..=16 {
-            assert!(m.t_hat(q) >= t - 1e-12);
-        }
-        // Degenerate params are a checked error, not NaN.
-        let mut bad = simple(2);
-        bad.capacities[0] = 0.0;
-        assert!(best_p(&bad, 4).is_err());
-    }
-
-    #[test]
-    fn best_p_clamps_range_to_capacities() {
-        let m = simple(3);
-        let (p, _) = best_p(&m, 100).unwrap();
-        assert!(p <= 3);
-        let (p1, t1) = best_p(&m, 0).unwrap();
-        assert_eq!(p1, 1);
-        assert_eq!(t1, m.t_total(1));
-    }
-
-    #[test]
-    fn k_break_even_matches_fig6_crossover() {
-        let m = ModelParams::paper_example();
-        let k = k_break_even(&m, 8).unwrap();
-        // The headline test pins the crossover between 5% and 20%; the
-        // bisected inverse must land in the same band.
-        assert!((0.05..=0.20).contains(&k), "crossover at k={k}");
-        // And it is a genuine fixed point: just below wins, just above loses.
-        assert!(m.with_k(k - 1e-3).t_hat(8) <= m.t_total(8));
-        assert!(m.with_k(k + 1e-3).t_hat(8) > m.t_total(8));
-    }
-
-    #[test]
-    fn k_break_even_boundary_cases() {
-        // p = 1: no speculation, break-even is 0 by definition.
-        assert_eq!(k_break_even(&simple(4), 1).unwrap(), 0.0);
-        // Zero comm: speculation is pure overhead, loses even at k = 0.
-        let mut m = simple(4);
-        m.comm = CommModel::Affine {
-            base: 0.0,
-            per_proc: 0.0,
-        };
-        assert_eq!(k_break_even(&m, 4).unwrap(), 0.0);
-        // Enormous comm with zero check overhead: wins everywhere.
-        let mut m = simple(4);
-        m.f_check = 0.0;
-        m.comm = CommModel::Affine {
-            base: 1e6,
-            per_proc: 0.0,
-        };
-        assert_eq!(k_break_even(&m, 4).unwrap(), 1.0);
-        // Degenerate parameters are checked.
-        let mut bad = simple(2);
-        bad.n = f64::NAN;
-        assert!(k_break_even(&bad, 2).is_err());
-    }
-
-    #[test]
     fn predicted_iteration_time_is_checked_and_clamped() {
         let m = simple(4);
+        assert_eq!(predicted_iteration_time(&m, 3).unwrap(), m.t_hat(3));
         assert_eq!(predicted_iteration_time(&m, 4).unwrap(), m.t_hat(4));
         // Out-of-range p clamps instead of panicking.
         assert_eq!(predicted_iteration_time(&m, 100).unwrap(), m.t_hat(4));

@@ -16,7 +16,7 @@
 //!   with domain knowledge.
 //! * [`harness`] — differential runners that execute one scenario under
 //!   different transports, drivers, fault specs, or tie-breaks and
-//!   reduce each run to per-rank state [fingerprints](obs::fingerprint).
+//!   reduce each run to per-rank state [fingerprints](obs::Fingerprint).
 //! * [`oracles`] — invariant checks valid for every run: exhaustive
 //!   phase accounting, speculate-through-loss commit bounds,
 //!   checkpoint/restore round-trips, momentum conservation of the

@@ -164,7 +164,8 @@ impl DeltaExchange {
     }
 
     /// Lossless deltas (floor 0) with the default keyframe cadence of 32.
-    pub fn lossless() -> Self {
+    #[cfg(test)]
+    pub(crate) fn lossless() -> Self {
         DeltaExchange::new(0.0, 32)
     }
 }
@@ -287,7 +288,7 @@ impl SpecConfig {
     /// zero or degenerate knob past the constructors and livelock or
     /// divide-by-zero deep inside the driver. The drivers call this once at
     /// entry and panic with the returned reason.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if let Some(f) = &self.fault {
             if f.loss_timeout == SimDuration::ZERO {
                 return Err("fault tolerance loss timeout must be positive".into());

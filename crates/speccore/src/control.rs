@@ -142,7 +142,7 @@ impl ControllerConfig {
     /// All invariants the builders enforce, re-checked in one place so
     /// struct-literal construction cannot smuggle degenerate knobs into
     /// the driver. Returns a human-readable reason on failure.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.warmup < 1 {
             return Err("controller warmup must be at least 1 confirmation".into());
         }

@@ -49,12 +49,12 @@ pub struct IterMsg<S> {
     /// Which iteration's `X_j` this is.
     pub iter: u64,
     /// Full snapshot or sparse delta.
-    pub body: MsgBody<S>,
+    pub(crate) body: MsgBody<S>,
 }
 
 /// Payload of an [`IterMsg`].
 #[derive(Clone, Debug, PartialEq)]
-pub enum MsgBody<S> {
+pub(crate) enum MsgBody<S> {
     /// The complete partition snapshot (the only body before delta
     /// exchange; still used for keyframes, retransmissions and recovery).
     Full(S),
@@ -75,7 +75,7 @@ impl<S> IterMsg<S> {
     }
 
     /// A delta-frame message.
-    pub fn delta(iter: u64, frame: DeltaFrame) -> Self {
+    pub(crate) fn delta(iter: u64, frame: DeltaFrame) -> Self {
         debug_assert!(iter & DELTA_BIT == 0, "iteration stamp overflows wire tag");
         IterMsg {
             iter,
@@ -122,14 +122,14 @@ impl<S: WireCodec> WireCodec for IterMsg<S> {
 }
 
 /// Tag used for iteration data messages.
-pub const DATA_TAG: Tag = Tag(1);
+pub(crate) const DATA_TAG: Tag = Tag(1);
 
 /// Tag used for retransmit requests. The request's payload is the
 /// *requester's* latest broadcast (so even the request refreshes the
 /// receiver's view of the requester); the reply is an ordinary
 /// [`DATA_TAG`] re-send of the receiver's latest broadcast, which doubles
 /// as the acknowledgement.
-pub const RETRANS_REQ_TAG: Tag = Tag(2);
+pub(crate) const RETRANS_REQ_TAG: Tag = Tag(2);
 
 struct ExecRecord<S, C> {
     iter: u64,

@@ -56,9 +56,6 @@ mod window;
 pub use app::{CheckOutcome, SpeculativeApp};
 pub use config::{CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig};
 pub use control::ControllerConfig;
-pub use driver::{
-    run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, IterMsg, MsgBody,
-    DATA_TAG, RETRANS_REQ_TAG,
-};
+pub use driver::{run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, IterMsg};
 pub use history::History;
 pub use stats::{ClusterStats, IterationLog, PhaseBreakdown, RunStats};

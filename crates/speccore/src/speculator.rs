@@ -2,21 +2,14 @@
 //!
 //! §3.1 of the paper: "The speculation function for `X_k(t)` might be a
 //! weighted sum of its past values … `x*_i(t) = w₁x_i(t−1) + w₂x_i(t−2)…`".
-//! These helpers implement that family for scalar sequences, so apps whose
-//! shared state is (or contains) numeric vectors can assemble their
-//! speculation functions from audited pieces.
+//! The workloads' apps, whose shared state is (or contains) numeric
+//! vectors, assemble their speculation functions from the linear member of
+//! that family, applied element by element.
 
 use crate::history::History;
 
-/// Hold: predict the newest known value unchanged (zeroth-order).
-///
-/// Returns `None` on an empty history.
-pub fn hold_last(hist: &History<f64>) -> Option<f64> {
-    hist.latest().copied()
-}
-
 /// First-order linear extrapolation from the two newest values, `ahead`
-/// iterations past the newest. Falls back to [`hold_last`] with a single
+/// iterations past the newest. Holds the newest value with a single
 /// sample; returns `None` on an empty history.
 ///
 /// This is the scalar analogue of the paper's N-body speculation (eq. 10):
@@ -30,48 +23,6 @@ pub fn extrapolate_linear(hist: &History<f64>, ahead: u32) -> Option<f64> {
         }
         None => Some(v1),
     }
-}
-
-/// Second-order extrapolation using the three newest values (captures a
-/// constant "acceleration") — the higher-order-derivative variant the paper
-/// lists as unstudied future work. Falls back to lower orders when history
-/// is short; `None` on empty history.
-///
-/// Assumes the three newest samples are at consecutive iterations; with
-/// gaps it degrades gracefully to using finite differences over the actual
-/// spacing.
-pub fn extrapolate_quadratic(hist: &History<f64>, ahead: u32) -> Option<f64> {
-    let (i2, &v2) = hist.nth_back(0)?;
-    let Some((i1, &v1)) = hist.nth_back(1) else {
-        return Some(v2);
-    };
-    let Some((i0, &v0)) = hist.nth_back(2) else {
-        return extrapolate_linear(hist, ahead);
-    };
-    // Newton divided differences over (possibly uneven) spacing: the
-    // unique parabola through the three samples, evaluated `ahead` past
-    // the newest.
-    let f01 = (v1 - v0) / (i1 - i0) as f64;
-    let f12 = (v2 - v1) / (i2 - i1) as f64;
-    let f012 = (f12 - f01) / (i2 - i0) as f64;
-    let x = i2 as f64 + ahead as f64;
-    Some(v0 + (x - i0 as f64) * f01 + (x - i0 as f64) * (x - i1 as f64) * f012)
-}
-
-/// The paper's general weighted-sum speculator:
-/// `x* = w₁·x(t−1) + w₂·x(t−2) + …` with `weights[0]` applied to the newest
-/// value. Uses at most `weights.len()` history entries; returns `None` if
-/// the history has fewer entries than weights.
-pub fn weighted_sum(hist: &History<f64>, weights: &[f64]) -> Option<f64> {
-    if hist.len() < weights.len() || weights.is_empty() {
-        return None;
-    }
-    let mut acc = 0.0;
-    for (n, w) in weights.iter().enumerate() {
-        let (_, &v) = hist.nth_back(n)?;
-        acc += w * v;
-    }
-    Some(acc)
 }
 
 /// Apply a scalar speculator elementwise over vector-valued history.
@@ -112,12 +63,6 @@ mod tests {
     }
 
     #[test]
-    fn hold_last_returns_newest() {
-        assert_eq!(hold_last(&hist(&[1.0, 2.0, 3.0])), Some(3.0));
-        assert_eq!(hold_last(&History::new(2)), None);
-    }
-
-    #[test]
     fn linear_extrapolates_a_line_exactly() {
         // 2, 4, 6 → next is 8, two ahead is 10.
         let h = hist(&[2.0, 4.0, 6.0]);
@@ -139,34 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_extrapolates_a_parabola_exactly() {
-        // v(i) = i²: 0, 1, 4 → v(3) = 9, v(4) = 16.
-        let h = hist(&[0.0, 1.0, 4.0]);
-        assert_eq!(extrapolate_quadratic(&h, 1), Some(9.0));
-        assert_eq!(extrapolate_quadratic(&h, 2), Some(16.0));
-    }
-
-    #[test]
-    fn quadratic_degrades_with_short_history() {
-        assert_eq!(extrapolate_quadratic(&hist(&[2.0, 4.0]), 1), Some(6.0)); // linear
-        assert_eq!(extrapolate_quadratic(&hist(&[7.0]), 1), Some(7.0)); // hold
-        assert_eq!(extrapolate_quadratic(&History::new(2), 1), None);
-    }
-
-    #[test]
-    fn weighted_sum_matches_manual_combination() {
-        // newest = 3.0, older = 2.0; w = [0.75, 0.25] → 2.75.
-        let h = hist(&[1.0, 2.0, 3.0]);
-        assert_eq!(weighted_sum(&h, &[0.75, 0.25]), Some(2.75));
-    }
-
-    #[test]
-    fn weighted_sum_needs_enough_history() {
-        assert_eq!(weighted_sum(&hist(&[1.0]), &[0.5, 0.5]), None);
-        assert_eq!(weighted_sum(&hist(&[1.0, 2.0]), &[]), None);
-    }
-
-    #[test]
     fn elementwise_applies_per_component() {
         let mut h: History<Vec<f64>> = History::new(4);
         h.record(0, vec![0.0, 10.0]);
@@ -179,7 +96,7 @@ mod tests {
     #[test]
     fn elementwise_empty_history_is_none() {
         let h: History<Vec<f64>> = History::new(4);
-        assert_eq!(elementwise(&h, hold_last), None);
+        assert_eq!(elementwise(&h, |s| extrapolate_linear(s, 1)), None);
     }
 }
 
@@ -199,16 +116,6 @@ mod proptests {
             let expected = a + b * (2 + ahead as u64) as f64;
             let got = extrapolate_linear(&h, ahead).unwrap();
             prop_assert!((got - expected).abs() <= 1e-9 * (1.0 + expected.abs()));
-        }
-
-        /// weighted_sum([1.0]) equals hold_last.
-        #[test]
-        fn unit_weight_is_hold(values in proptest::collection::vec(-100.0f64..100.0, 1..6)) {
-            let mut h = History::new(8);
-            for (i, v) in values.iter().enumerate() {
-                h.record(i as u64, *v);
-            }
-            prop_assert_eq!(weighted_sum(&h, &[1.0]), hold_last(&h));
         }
     }
 }

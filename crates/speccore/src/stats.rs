@@ -199,15 +199,6 @@ impl RunStats {
         }
     }
 
-    /// Fraction of partition-level checks that were rejected.
-    pub fn partition_miss_rate(&self) -> f64 {
-        if self.checked_partitions == 0 {
-            0.0
-        } else {
-            self.misspeculated_partitions as f64 / self.checked_partitions as f64
-        }
-    }
-
     /// Average per-iteration phase times (Table 2 reports per-iteration
     /// seconds). Returns zeroes for a zero-iteration run.
     pub fn per_iteration(&self) -> PhaseBreakdown {
@@ -237,15 +228,6 @@ impl ClusterStats {
     pub fn new(per_rank: Vec<RunStats>) -> Self {
         assert!(!per_rank.is_empty());
         ClusterStats { per_rank }
-    }
-
-    /// The run's makespan: the slowest rank's total time (eq. 9's `max`).
-    pub fn makespan(&self) -> SimDuration {
-        self.per_rank
-            .iter()
-            .map(|r| r.total_time)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Cluster-wide recomputation fraction `k`.
@@ -321,7 +303,6 @@ mod tests {
     fn fractions_of_empty_stats_are_zero() {
         let s = RunStats::new(Rank(0));
         assert_eq!(s.recomputation_fraction(), 0.0);
-        assert_eq!(s.partition_miss_rate(), 0.0);
         assert_eq!(s.per_iteration(), PhaseBreakdown::default());
     }
 
@@ -342,16 +323,6 @@ mod tests {
         let pi = s.per_iteration();
         assert_eq!(pi.compute, SimDuration::from_millis(10));
         assert_eq!(pi.comm_wait, SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn makespan_is_max_over_ranks() {
-        let mut a = RunStats::new(Rank(0));
-        a.total_time = SimDuration::from_millis(5);
-        let mut b = RunStats::new(Rank(1));
-        b.total_time = SimDuration::from_millis(9);
-        let c = ClusterStats::new(vec![a, b]);
-        assert_eq!(c.makespan(), SimDuration::from_millis(9));
     }
 
     #[test]

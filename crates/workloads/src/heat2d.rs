@@ -108,11 +108,6 @@ impl Heat2dApp {
         obs::fingerprint_f64s(&self.u)
     }
 
-    /// Grid dimensions of this strip (rows, cols).
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     fn at(&self, r: usize, c: usize) -> f64 {
         self.u[r * self.cols + c]
     }
@@ -339,6 +334,27 @@ mod tests {
 
     fn even_ranges(n: usize, p: usize) -> Vec<Range<usize>> {
         (0..p).map(|i| i * n / p..(i + 1) * n / p).collect()
+    }
+
+    proptest::proptest! {
+        /// Each rank's strip is exactly its row range's length by the full
+        /// grid width, and `cells()` has matching size — over arbitrary
+        /// grid splits.
+        #[test]
+        fn strip_shape_matches_the_partition(
+            rows_per in 1usize..6,
+            p in 2usize..5,
+            cols in 3usize..12,
+        ) {
+            let n_rows = rows_per * p;
+            let ranges: Vec<_> = (0..p).map(|i| i * rows_per..(i + 1) * rows_per).collect();
+            for me in 0..p {
+                let app = Heat2dApp::new(n_rows, cols, &ranges, me, Heat2dConfig::default());
+                proptest::prop_assert_eq!(app.rows, rows_per);
+                proptest::prop_assert_eq!(app.cols, cols);
+                proptest::prop_assert_eq!(app.cells().len(), rows_per * cols);
+            }
+        }
     }
 
     /// Drive strips by hand with synchronous halo exchange.

@@ -267,7 +267,8 @@ impl SpeculativeApp for JacobiApp {
 }
 
 /// Sequential Jacobi reference.
-pub fn jacobi_reference(sys: &LinearSystem, iters: u64) -> Vec<f64> {
+#[cfg(test)]
+fn jacobi_reference(sys: &LinearSystem, iters: u64) -> Vec<f64> {
     let n = sys.n;
     let mut x = vec![0.0; n];
     for _ in 0..iters {

@@ -30,6 +30,6 @@ mod synthetic;
 
 pub use heat::{heat_reference, Halo, HeatApp, HeatConfig};
 pub use heat2d::{heat2d_reference, Heat2dApp, Heat2dConfig, RowHalo};
-pub use jacobi::{jacobi_reference, JacobiApp, JacobiConfig, LinearSystem};
+pub use jacobi::{JacobiApp, JacobiConfig, LinearSystem};
 pub use pagerank::{pagerank_reference, Graph, PageRankApp, PageRankConfig};
 pub use synthetic::{synthetic_reference, SyntheticApp, SyntheticConfig};

@@ -46,7 +46,7 @@ impl Graph {
     }
 
     /// Out-degree of node `j`.
-    pub fn out_degree(&self, j: usize) -> usize {
+    fn out_degree(&self, j: usize) -> usize {
         self.edges[j].len()
     }
 }
@@ -290,6 +290,28 @@ mod tests {
         apps.iter()
             .flat_map(|a| a.scores().iter().copied())
             .collect()
+    }
+
+    proptest::proptest! {
+        /// `Graph::out_degree` agrees with the adjacency it summarises, and
+        /// `Graph::random(n, d, seed)` gives every node exactly `d`
+        /// out-edges with in-range targets.
+        #[test]
+        fn graph_out_degree_is_consistent(
+            n in 2usize..40,
+            d in 1usize..6,
+            seed in 0u64..1_000,
+        ) {
+            let g = Graph::random(n, d, seed);
+            proptest::prop_assert_eq!(g.n, n);
+            for j in 0..n {
+                proptest::prop_assert_eq!(g.out_degree(j), g.edges[j].len());
+                proptest::prop_assert_eq!(g.out_degree(j), d);
+                for &t in &g.edges[j] {
+                    proptest::prop_assert!(t < n, "edge {j}->{t} out of range");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | [`desim`] | Deterministic discrete-event simulation kernel (virtual time, event-scheduled `async` processes, mailboxes) |
 //! | [`netsim`] | Heterogeneous machines (`M_i`), shared-medium/jitter/transient network models, background load |
 //! | [`mpk`] | PVM-style message-passing transport with virtual-time, real-thread, and real-TCP-socket backends |
-//! | [`speccore`] | **The paper's contribution**: the speculative driver (Figures 1 & 3, forward/backward windows, θ checks, corrections, rollback, adaptive window) |
+//! | [`speccore`] | **The paper's contribution**: the speculative driver (Figures 1 & 3, forward/backward windows, θ checks, corrections, rollback, and the adaptive controller that retunes FW, θ and deadlines online) |
 //! | [`nbody`] | The §5 case study: O(N²) N-body with eq. 10 speculation and eq. 11 checking (plus Barnes–Hut) |
 //! | [`perfmodel`] | The §4 empirical performance model (eqs. 3–9, Figures 5/6/9) |
 //! | [`workloads`] | More synchronous iterative apps: §4 synthetic, Jacobi heat, PageRank |
@@ -62,7 +62,7 @@ pub use workloads;
 
 /// The names most programs need, re-exported flat.
 pub mod prelude {
-    pub use desim::{SimDuration, SimTime, Simulation, TieBreak};
+    pub use desim::{SimDuration, SimTime, TieBreak};
     // `AsyncTransport` is the interface every backend's endpoint offers
     // (the blocking `mpk::Transport` is deliberately not here: with both
     // traits in scope, method calls on a thread or socket endpoint would
@@ -71,31 +71,25 @@ pub mod prelude {
         connect_socket_cluster, poll_ready, rejoin_socket_cluster, run_sim_proc_cluster,
         run_sim_proc_cluster_with_faults, run_sim_proc_cluster_with_options, run_socket_cluster,
         run_socket_cluster_with_faults, run_thread_cluster, run_thread_cluster_with_faults,
-        AsyncTransport, Envelope, FaultCounters, FaultSpec, Rank, SimClusterOptions, SimIo,
+        AsyncTransport, FaultCounters, FaultSpec, Rank, SimClusterOptions, SimIo,
         SocketClusterOptions, SocketTransport, SupervisorOptions, Tag, ThreadClusterOptions,
-        WireCodec, WireSize,
     };
     pub use nbody::{
-        binary_pair, centered_cloud, colliding_clouds, partition_proportional, rotating_disk,
-        run_parallel, run_parallel_with_faults, split_soa, uniform_cloud, NBodyApp, NBodyConfig,
-        ParallelRunConfig, ParallelRunResult, PartitionShared, Soa3, SoaBodies, SpeculationOrder,
-        Vec3,
+        centered_cloud, partition_proportional, rotating_disk, run_parallel,
+        run_parallel_with_faults, uniform_cloud, NBodyApp, NBodyConfig, ParallelRunConfig,
+        ParallelRunResult, PartitionShared, SpeculationOrder, Vec3,
     };
     pub use netsim::{
-        ClusterSpec, ConstantLatency, Corrupt, CrashPlan, Duplicate, Fate, FaultModel, FaultPlan,
-        FaultStack, Jitter, LinkBandwidth, LinkLatency, LinkPartition, Loss, MachineCrash,
-        MachineSpec, NetworkModel, NoFaults, RandomSpikes, ScriptedDelays, ScriptedFaults,
-        SharedMedium, TransientDelays, Unloaded,
+        ClusterSpec, ConstantLatency, CrashPlan, Duplicate, Fate, FaultPlan, FaultStack, Jitter,
+        LinkBandwidth, LinkPartition, Loss, MachineCrash, NetworkModel, RandomSpikes,
+        ScriptedDelays, ScriptedFaults, SharedMedium, TransientDelays, Unloaded,
     };
-    pub use obs::{
-        chrome_trace_string, fingerprint_f64s, Fingerprint, RunReport, RunTrace, SharedRecorder,
-    };
+    pub use obs::{chrome_trace_string, fingerprint_f64s, RunReport, RunTrace, SharedRecorder};
     pub use perfmodel::{CommModel, ModelParams};
     pub use speccore::{
-        run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, CheckOutcome,
-        ClusterStats, CorrectionMode, DeltaExchange, FaultTolerance, History, IterMsg,
-        IterationLog, MsgBody, PhaseBreakdown, RunStats, SpecConfig, SpeculativeApp,
-        SupervisionConfig,
+        run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, ClusterStats,
+        CorrectionMode, DeltaExchange, FaultTolerance, History, IterMsg, RunStats, SpecConfig,
+        SpeculativeApp, SupervisionConfig,
     };
     pub use workloads::{
         Graph, Heat2dApp, Heat2dConfig, HeatApp, HeatConfig, JacobiApp, JacobiConfig, LinearSystem,
