@@ -44,6 +44,11 @@ impl<S> History<S> {
         self.entries.push_back((iter, value));
     }
 
+    /// Forget every recorded value, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Iteration number of the newest recorded value.
     pub fn latest_iter(&self) -> Option<u64> {
         self.entries.back().map(|(i, _)| *i)

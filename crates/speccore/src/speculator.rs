@@ -27,23 +27,30 @@ pub fn extrapolate_linear(hist: &History<f64>, ahead: u32) -> Option<f64> {
 
 /// Apply a scalar speculator elementwise over vector-valued history.
 ///
-/// `histories` must all have the same layout (the same partition). The
-/// closure receives a per-element scalar [`History`] view materialized on
-/// the fly; cost is `O(len × BW)`.
-pub fn elementwise<F>(hist: &History<Vec<f64>>, mut f: F) -> Option<Vec<f64>>
+/// `lanes` picks the vector to speculate out of each history entry
+/// (`Vec::as_slice` for a plain vector, a field for a struct of rows).
+/// For each lane `e`, `f` receives the scalar [`History`] of that lane's
+/// past values — one scratch history per call, refilled lane by lane from
+/// `hist` in place; cost is `O(len × BW)`. The output has the newest
+/// entry's length. An older entry shorter than the newest has no value
+/// for every lane and is left out of every lane's scalar history.
+pub fn elementwise<S, L, F>(hist: &History<S>, lanes: L, mut f: F) -> Option<Vec<f64>>
 where
+    L: Fn(&S) -> &[f64],
     F: FnMut(&History<f64>) -> Option<f64>,
 {
-    let newest = hist.latest()?;
-    let len = newest.len();
+    let len = lanes(hist.latest()?).len();
+    let mut scalar = History::new(hist.capacity());
     let mut out = Vec::with_capacity(len);
     for e in 0..len {
-        let mut scalar = History::new(hist.capacity());
-        // Rebuild oldest-to-newest so record() accepts them.
-        let mut entries: Vec<(u64, f64)> = hist.recent().map(|(i, v)| (i, v[e])).collect();
-        entries.reverse();
-        for (i, v) in entries {
-            scalar.record(i, v);
+        scalar.clear();
+        // Oldest to newest, so record() accepts them.
+        for back in (0..hist.len()).rev() {
+            let (i, v) = hist.nth_back(back)?;
+            let lane = lanes(v);
+            if lane.len() >= len {
+                scalar.record(i, lane[e]);
+            }
         }
         out.push(f(&scalar)?);
     }
@@ -89,14 +96,47 @@ mod tests {
         h.record(0, vec![0.0, 10.0]);
         h.record(1, vec![1.0, 20.0]);
         h.record(2, vec![2.0, 30.0]);
-        let out = elementwise(&h, |s| extrapolate_linear(s, 1)).unwrap();
+        let out = elementwise(&h, Vec::as_slice, |s| extrapolate_linear(s, 1)).unwrap();
         assert_eq!(out, vec![3.0, 40.0]);
     }
 
     #[test]
     fn elementwise_empty_history_is_none() {
         let h: History<Vec<f64>> = History::new(4);
-        assert_eq!(elementwise(&h, |s| extrapolate_linear(s, 1)), None);
+        assert_eq!(
+            elementwise(&h, Vec::as_slice, |s| extrapolate_linear(s, 1)),
+            None
+        );
+    }
+
+    #[test]
+    fn elementwise_reads_a_lane_of_each_entry() {
+        let mut h: History<(Vec<f64>, Vec<f64>)> = History::new(4);
+        h.record(0, (vec![0.0], vec![5.0]));
+        h.record(1, (vec![1.0], vec![4.0]));
+        let second = elementwise(&h, |e| e.1.as_slice(), |s| extrapolate_linear(s, 2));
+        assert_eq!(second, Some(vec![2.0]));
+    }
+
+    #[test]
+    fn elementwise_skips_an_older_shorter_entry() {
+        // A peer whose broadcast grew: the length-2 entry has no value for
+        // the third lane, so every lane holds the newest value.
+        let mut h: History<Vec<f64>> = History::new(4);
+        h.record(0, vec![0.0, 0.0]);
+        h.record(1, vec![1.0, 2.0, 3.0]);
+        let out = elementwise(&h, Vec::as_slice, |s| extrapolate_linear(s, 1));
+        assert_eq!(out, Some(vec![1.0, 2.0, 3.0]));
+    }
+
+    #[test]
+    fn elementwise_reads_an_older_longer_entry() {
+        // A broadcast that shrank: the older entry's first lanes still count.
+        let mut h: History<Vec<f64>> = History::new(4);
+        h.record(0, vec![0.0, 10.0, 99.0]);
+        h.record(1, vec![1.0, 20.0]);
+        let out = elementwise(&h, Vec::as_slice, |s| extrapolate_linear(s, 1));
+        assert_eq!(out, Some(vec![2.0, 30.0]));
     }
 }
 

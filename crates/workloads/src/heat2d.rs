@@ -5,8 +5,12 @@
 //! halos of the 1-D solver), making this the realistic PDE workload: halo
 //! messages of meaningful size, per-cell error checking, and exact
 //! per-cell incremental correction.
+//!
+//! A strip's halos travel as one `Arc<RowHalo>`: the broadcast to every
+//! peer, each peer's history and the inbox share a single allocation.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use mpk::{Rank, WireSize};
 use speccore::{speculator, CheckOutcome, History, SpeculativeApp};
@@ -126,14 +130,14 @@ impl Heat2dApp {
 }
 
 impl SpeculativeApp for Heat2dApp {
-    type Shared = RowHalo;
+    type Shared = Arc<RowHalo>;
     type Checkpoint = Vec<f64>;
 
-    fn shared(&self) -> RowHalo {
-        RowHalo {
+    fn shared(&self) -> Arc<RowHalo> {
+        Arc::new(RowHalo {
             top: self.u[..self.cols].to_vec(),
             bottom: self.u[(self.rows - 1) * self.cols..].to_vec(),
-        }
+        })
     }
 
     fn begin_iteration(&mut self) -> u64 {
@@ -151,7 +155,7 @@ impl SpeculativeApp for Heat2dApp {
         self.cols as u64
     }
 
-    fn absorb(&mut self, from: Rank, halo: &RowHalo) -> u64 {
+    fn absorb(&mut self, from: Rank, halo: &Arc<RowHalo>) -> u64 {
         if self.is_top_neighbor(from.0) {
             self.top_in.copy_from_slice(&halo.bottom);
             self.cols as u64
@@ -195,27 +199,18 @@ impl SpeculativeApp for Heat2dApp {
     fn speculate(
         &self,
         _from: Rank,
-        hist: &History<RowHalo>,
+        hist: &History<Arc<RowHalo>>,
         ahead: u32,
-    ) -> Option<(RowHalo, u64)> {
-        // Extrapolate each halo row elementwise.
-        let project = |pick: fn(&RowHalo) -> &Vec<f64>| -> Option<Vec<f64>> {
-            let mut h: History<Vec<f64>> = History::new(hist.capacity());
-            let mut entries: Vec<(u64, Vec<f64>)> =
-                hist.recent().map(|(i, v)| (i, pick(v).clone())).collect();
-            entries.reverse();
-            for (i, v) in entries {
-                h.record(i, v);
-            }
-            speculator::elementwise(&h, |s| speculator::extrapolate_linear(s, ahead))
-        };
-        let top = project(|h| &h.top)?;
-        let bottom = project(|h| &h.bottom)?;
+    ) -> Option<(Arc<RowHalo>, u64)> {
+        // Extrapolate each halo row elementwise, reading the history in place.
+        let linear = |s: &History<f64>| speculator::extrapolate_linear(s, ahead);
+        let top = speculator::elementwise(hist, |h| &h.top, linear)?;
+        let bottom = speculator::elementwise(hist, |h| &h.bottom, linear)?;
         let cost = 4 * (top.len() + bottom.len()) as u64;
-        Some((RowHalo { top, bottom }, cost))
+        Some((Arc::new(RowHalo { top, bottom }), cost))
     }
 
-    fn check(&self, from: Rank, actual: &RowHalo, speculated: &RowHalo) -> CheckOutcome {
+    fn check(&self, from: Rank, actual: &Arc<RowHalo>, speculated: &Arc<RowHalo>) -> CheckOutcome {
         // Only the row we consumed matters.
         let (a, s): (&[f64], &[f64]) = if self.is_top_neighbor(from.0) {
             (&actual.bottom, &speculated.bottom)
@@ -246,7 +241,7 @@ impl SpeculativeApp for Heat2dApp {
         }
     }
 
-    fn correct(&mut self, from: Rank, speculated: &RowHalo, actual: &RowHalo) -> u64 {
+    fn correct(&mut self, from: Rank, speculated: &Arc<RowHalo>, actual: &Arc<RowHalo>) -> u64 {
         // Each halo cell feeds exactly one edge cell, linearly (β·value),
         // and only cells beyond θ are repaired — per-cell selective
         // recomputation, as in the paper's N-body correction.
@@ -365,7 +360,7 @@ mod tests {
             .map(|me| Heat2dApp::new(n_rows, cols, &ranges, me, cfg))
             .collect();
         for _ in 0..iters {
-            let halos: Vec<RowHalo> = apps.iter().map(|a| a.shared()).collect();
+            let halos: Vec<_> = apps.iter().map(|a| a.shared()).collect();
             for (me, app) in apps.iter_mut().enumerate() {
                 app.begin_iteration();
                 for (k, halo) in halos.iter().enumerate() {
@@ -423,18 +418,18 @@ mod tests {
             theta: 0.0,
             ..Default::default()
         };
-        let actual = RowHalo {
+        let actual = Arc::new(RowHalo {
             top: vec![0.3; cols],
             bottom: vec![0.7; cols],
-        };
-        let spec = RowHalo {
+        });
+        let spec = Arc::new(RowHalo {
             top: vec![0.1; cols],
             bottom: vec![0.2; cols],
-        };
-        let quiet = RowHalo {
+        });
+        let quiet = Arc::new(RowHalo {
             top: vec![0.0; cols],
             bottom: vec![0.0; cols],
-        };
+        });
 
         let mut golden = Heat2dApp::new(rows, cols, &ranges, 1, cfg);
         golden.begin_iteration();
@@ -467,7 +462,7 @@ mod tests {
         // Rank 0 is the top neighbour: its *bottom* row is what we consume.
         spec.bottom[3] = 0.9;
         actual.bottom[3] = 0.5;
-        let out = app.check(Rank(0), &actual, &spec);
+        let out = app.check(Rank(0), &Arc::new(actual), &Arc::new(spec));
         assert!(!out.accept);
         assert_eq!(out.bad_units, 1);
         assert_eq!(out.checked_units, cols as u64);
@@ -481,17 +476,17 @@ mod tests {
         let mut h = History::new(3);
         h.record(
             0,
-            RowHalo {
+            Arc::new(RowHalo {
                 top: vec![0.0; cols],
                 bottom: vec![1.0; cols],
-            },
+            }),
         );
         h.record(
             1,
-            RowHalo {
+            Arc::new(RowHalo {
                 top: vec![0.1; cols],
                 bottom: vec![0.9; cols],
-            },
+            }),
         );
         let (s, _) = app.speculate(Rank(0), &h, 1).unwrap();
         assert!(s.top.iter().all(|v| (v - 0.2).abs() < 1e-12));

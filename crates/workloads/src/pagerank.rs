@@ -165,7 +165,9 @@ impl SpeculativeApp for PageRankApp {
         hist: &History<Vec<f64>>,
         ahead: u32,
     ) -> Option<(Vec<f64>, u64)> {
-        let values = speculator::elementwise(hist, |h| speculator::extrapolate_linear(h, ahead))?;
+        let values = speculator::elementwise(hist, Vec::as_slice, |h| {
+            speculator::extrapolate_linear(h, ahead)
+        })?;
         let cost = 4 * values.len() as u64;
         Some((values, cost))
     }

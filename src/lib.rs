@@ -93,6 +93,6 @@ pub mod prelude {
     };
     pub use workloads::{
         Graph, Heat2dApp, Heat2dConfig, HeatApp, HeatConfig, JacobiApp, JacobiConfig, LinearSystem,
-        PageRankApp, PageRankConfig, RowHalo, SyntheticApp, SyntheticConfig,
+        PageRankApp, PageRankConfig, SyntheticApp, SyntheticConfig,
     };
 }
