@@ -25,8 +25,8 @@ pub type Payload = Box<dyn Any + Send>;
 
 /// What happens when an event fires.
 pub(crate) enum EventKind {
-    /// Resume a process: its start grant at time zero, or the end of a
-    /// [`Yield::Timer`](crate::Yield::Timer) sleep.
+    /// Resume a process: its start grant at time zero, or the end of an
+    /// [`AsyncHandle::advance`](crate::AsyncHandle::advance).
     Wake(ProcessId),
     /// A message reaches its destination mailbox.
     Deliver {

@@ -1,30 +1,30 @@
 //! The simulation kernel: owns the event queue, the mailboxes, and every
 //! process state, and drives everything in deterministic virtual time.
 //!
-//! Every process is a resumable state machine
-//! ([`Simulation::spawn_process`] / [`Simulation::spawn_async`]) resumed
-//! on the caller's thread whenever the event it yielded on fires: a run
-//! is one loop over one event heap, whatever the number of processes.
+//! Every process is an `async` body ([`Simulation::spawn_async`]) whose
+//! future the kernel polls on the caller's thread whenever the event it
+//! blocked on fires: a run is one loop over one event heap, whatever the
+//! number of processes.
 //!
 //! The state a *running* process may touch (event queue, mailboxes, trace
-//! log, `messages_sent`, `now`) is one [`Core`] behind `Rc<RefCell<_>>`,
-//! shared by the [`Simulation`] and every [`AsyncHandle`]. The rule that
-//! keeps it sound: the kernel never holds a `Core` borrow across
-//! [`Process::resume`], and a process only ever takes the short borrows
-//! inside [`ProcCtx`]'s methods.
+//! log, `messages_sent`, `now`, the parked-operation slot) is one [`Core`]
+//! behind `Rc<RefCell<_>>`, shared by the [`Simulation`] and every
+//! [`AsyncHandle`]. The rule that keeps it sound: the kernel never holds a
+//! `Core` borrow across a poll, and a process only ever takes the short
+//! borrows inside the handle's methods.
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Waker};
 
 use obs::{Gauge, Recorder};
 
 use crate::event::{EventKind, EventQueue, Payload};
 use crate::mailbox::{Mailbox, MailboxId};
-use crate::process::{
-    AsyncHandle, Bridge, FutureProcess, ProcCtx, Process, ProcessId, ProcessResult, Resume, Yield,
-};
+use crate::process::{AsyncHandle, Grant, Op, ProcessId, ProcessResult, Slot};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceLog};
 
@@ -94,11 +94,11 @@ pub struct SimReport {
 
 struct ProcInfo {
     name: String,
-    /// The process's state machine. `None` only transiently while the body
-    /// is being resumed, and permanently once the process finished
+    /// The process's future. `None` only transiently while it is being
+    /// polled, and permanently once the process finished or panicked
     /// (freeing its state early — at 100k ranks that is most of the
     /// memory).
-    body: Option<Box<dyn Process>>,
+    body: Option<Pin<Box<dyn Future<Output = ()>>>>,
     started: bool,
     finished: bool,
     blocked_on: Option<MailboxId>,
@@ -111,35 +111,15 @@ struct ProcInfo {
     armed_timer: Option<u64>,
 }
 
-/// The kernel's answer when it grants a process virtual time.
-enum Grant {
-    /// First grant ever, at time zero.
-    Start,
-    /// A timer elapsed ([`Yield::Timer`]).
-    Resumed,
-    /// A blocking receive resolved: the payload, or `None` on deadline.
-    Message(Option<Payload>),
-}
-
-/// The blocking yield a process is suspended on, as tracked by the
-/// scheduling-invariant oracle (see
-/// [`Simulation::enable_scheduling_checks`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum PendingYield {
-    Timer,
-    Recv,
-    RecvDeadline,
-}
-
 /// Optional runtime oracle over the kernel's scheduling invariants:
-/// no process is resumed while blocked, every blocking yield is answered
-/// exactly once and with the matching grant kind, and virtual time is
-/// monotone per process. Violations panic with a diagnostic.
+/// no process is resumed while blocked, every blocking operation is
+/// answered exactly once and with the matching grant kind, and virtual
+/// time is monotone per process. Violations panic with a diagnostic.
 #[derive(Default)]
 struct SchedChecks {
     enabled: bool,
     last_resume: Vec<SimTime>,
-    pending: Vec<Option<PendingYield>>,
+    pending: Vec<Option<Op>>,
     started: Vec<bool>,
 }
 
@@ -174,7 +154,7 @@ impl SchedChecks {
                 );
                 assert_eq!(
                     pending, None,
-                    "scheduling oracle: {pid:?} had a pending yield before its start grant"
+                    "scheduling oracle: {pid:?} had a pending operation before its start grant"
                 );
                 self.started[pid.0] = true;
             }
@@ -183,44 +163,40 @@ impl SchedChecks {
                     !blocked,
                     "scheduling oracle: {pid:?} woken while blocked on a mailbox"
                 );
-                assert_eq!(
-                    pending,
-                    Some(PendingYield::Timer),
-                    "scheduling oracle: {pid:?} granted Resumed without a pending timer yield"
+                assert!(
+                    matches!(pending, Some(Op::Timer(_))),
+                    "scheduling oracle: {pid:?} granted Resumed without a pending timer \
+                     (pending: {pending:?})"
                 );
             }
             Grant::Message(Some(_)) => {
                 assert!(
-                    matches!(
-                        pending,
-                        Some(PendingYield::Recv | PendingYield::RecvDeadline)
-                    ),
+                    matches!(pending, Some(Op::Recv(_) | Op::RecvDeadline { .. })),
                     "scheduling oracle: {pid:?} granted a message without a pending receive \
                      (pending: {pending:?})"
                 );
             }
             Grant::Message(None) => {
-                assert_eq!(
-                    pending,
-                    Some(PendingYield::RecvDeadline),
+                assert!(
+                    matches!(pending, Some(Op::RecvDeadline { .. })),
                     "scheduling oracle: {pid:?} granted a deadline timeout without a pending \
-                     timed receive"
+                     timed receive (pending: {pending:?})"
                 );
             }
         }
     }
 
-    /// Record the blocking yield a process just suspended on.
-    fn on_block(&mut self, pid: ProcessId, y: PendingYield) {
+    /// Record the blocking operation a process just suspended on.
+    fn on_block(&mut self, pid: ProcessId, op: Op) {
         if !self.enabled {
             return;
         }
         self.ensure(pid.0 + 1);
         assert_eq!(
             self.pending[pid.0], None,
-            "scheduling oracle: {pid:?} yielded {y:?} while a previous yield was unanswered"
+            "scheduling oracle: {pid:?} parked {op:?} while a previous operation was unanswered"
         );
-        self.pending[pid.0] = Some(y);
+        self.pending[pid.0] = Some(op);
     }
 }
 
@@ -263,6 +239,9 @@ pub(crate) struct Core {
     pub(crate) trace: TraceLog,
     pub(crate) messages_sent: u64,
     pub(crate) now: SimTime,
+    /// The blocking operation the running process parked, or the kernel's
+    /// answer to it; [`Slot::Empty`] between grants.
+    pub(crate) slot: Slot,
 }
 
 impl Core {
@@ -301,6 +280,7 @@ impl Simulation {
                 trace: TraceLog::disabled(),
                 messages_sent: 0,
                 now: SimTime::ZERO,
+                slot: Slot::Empty,
             })),
             recorder: None,
             checks: SchedChecks::default(),
@@ -316,10 +296,10 @@ impl Simulation {
         self.core.borrow_mut().trace = TraceLog::enabled();
     }
 
-    /// Arm the scheduling-invariant oracle: every grant and blocking yield
-    /// is validated (no process resumed while blocked, every yield answered
-    /// exactly once by a grant of the matching kind, virtual time monotone
-    /// per process). A violation panics with a diagnostic naming the
+    /// Arm the scheduling-invariant oracle: every grant and blocking
+    /// operation is validated (no process resumed while blocked, every
+    /// operation answered exactly once by a grant of the matching kind,
+    /// virtual time monotone per process). A violation panics with a diagnostic naming the
     /// process and the mismatched state. Used by the speccheck property
     /// suite; cheap enough to leave on in tests, off by default.
     pub fn enable_scheduling_checks(&mut self) {
@@ -350,29 +330,6 @@ impl Simulation {
         self.core.borrow_mut().create_mailbox()
     }
 
-    /// Spawn a simulated process from an explicit [`Process`] state
-    /// machine. The state machine lives in the kernel and is resumed on
-    /// the thread that called [`run`](Self::run) whenever the event it
-    /// yielded on fires.
-    pub fn spawn_process(
-        &mut self,
-        name: impl Into<String>,
-        body: impl Process + 'static,
-    ) -> ProcessId {
-        let pid = ProcessId(self.procs.len());
-        self.procs.push(ProcInfo {
-            name: name.into(),
-            body: Some(Box::new(body)),
-            started: false,
-            finished: false,
-            blocked_on: None,
-            finish_time: None,
-            timer_gen: 0,
-            armed_timer: None,
-        });
-        pid
-    }
-
     /// Spawn a simulated process written as an `async fn`. The compiler
     /// generates the state machine; each `await` on the provided
     /// [`AsyncHandle`] is a kernel suspension point. Its return value is
@@ -385,19 +342,24 @@ impl Simulation {
     where
         R: 'static,
         F: FnOnce(AsyncHandle) -> Fut,
-        Fut: std::future::Future<Output = R> + 'static,
+        Fut: Future<Output = R> + 'static,
     {
         let pid = ProcessId(self.procs.len());
-        let slot: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
-        let bridge = Rc::new(RefCell::new(Bridge::default()));
-        let handle = AsyncHandle::new(pid, Rc::clone(&bridge), Rc::clone(&self.core));
-        let fut = f(handle);
-        let slot_for_proc = Arc::clone(&slot);
-        let wrapped = async move {
-            let r = fut.await;
-            *slot_for_proc.lock().expect("result mutex poisoned") = Some(r);
-        };
-        self.spawn_process(name, FutureProcess::new(Box::pin(wrapped), bridge));
+        let slot = Rc::new(RefCell::new(None));
+        let fut = f(AsyncHandle::new(pid, Rc::clone(&self.core)));
+        let result = Rc::clone(&slot);
+        self.procs.push(ProcInfo {
+            name: name.into(),
+            body: Some(Box::pin(async move {
+                *result.borrow_mut() = Some(fut.await);
+            })),
+            started: false,
+            finished: false,
+            blocked_on: None,
+            finish_time: None,
+            timer_gen: 0,
+            armed_timer: None,
+        });
         ProcessResult { slot }
     }
 
@@ -530,11 +492,10 @@ impl Simulation {
     }
 
     /// Grant execution to `pid` with `grant` as the answer to whatever it
-    /// was suspended on: resume its state machine and handle its yields
-    /// until it blocks again. Non-blocking yields (`Send`, a `Recv` with a
-    /// message already delivered, an expired `RecvDeadline`) are answered
-    /// inline without returning to the event loop — the event sequence
-    /// numbers, and with them every tie-break, depend on it.
+    /// was suspended on: poll its future once, then arm the blocking
+    /// operation it parked. Everything non-blocking already happened
+    /// inside that poll, so every event is pushed at the program point the
+    /// event sequence numbers — and with them every tie-break — depend on.
     fn grant(&mut self, pid: ProcessId, grant: Grant) {
         let now = self.core.borrow().now;
         self.checks
@@ -543,83 +504,55 @@ impl Simulation {
             .body
             .take()
             .expect("process resumed while already running");
-        let mut resume = match grant {
-            Grant::Start => Resume::Start,
-            Grant::Resumed => Resume::Resumed,
-            Grant::Message(msg) => Resume::Message(msg),
-        };
-        // Whether the state machine survives to the next suspension point
-        // (false once finished or panicked: its state is dropped early).
-        let mut live = false;
-        loop {
-            // No `Core` borrow is alive here: the process takes its own.
-            let step = {
-                let mut ctx = ProcCtx {
-                    pid,
-                    resume: Some(resume),
-                    core: &self.core,
+        if !matches!(grant, Grant::Start) {
+            self.core.borrow_mut().slot = Slot::Answered(grant);
+        }
+        // No `Core` borrow is alive here: the process takes its own.
+        let polled = catch_unwind(AssertUnwindSafe(|| {
+            body.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+        }));
+        let mut core = self.core.borrow_mut();
+        let slot = std::mem::take(&mut core.slot);
+        let proc = &mut self.procs[pid.0];
+        let op = match (polled, slot) {
+            (Ok(Poll::Pending), Slot::Parked(op)) => op,
+            (Ok(Poll::Ready(())), _) => {
+                proc.finished = true;
+                proc.finish_time = Some(now);
+                return;
+            }
+            (polled, _) => {
+                proc.finished = true;
+                let message = match polled {
+                    Err(payload) => panic_message(&*payload),
+                    Ok(_) => "async process suspended on a foreign future: only AsyncHandle \
+                              operations can be awaited inside a simulated process"
+                        .to_string(),
                 };
-                catch_unwind(AssertUnwindSafe(|| body.resume(&mut ctx)))
-            };
-            let mut core = self.core.borrow_mut();
-            match step {
-                Err(payload) => {
-                    self.procs[pid.0].finished = true;
-                    self.error = Some(SimError::ProcessPanicked {
-                        name: self.procs[pid.0].name.clone(),
-                        message: panic_message(&*payload),
-                    });
-                    break;
-                }
-                Ok(Yield::Send { mbox, delay, msg }) => {
-                    core.send(mbox, delay, msg);
-                    resume = Resume::Resumed;
-                }
-                Ok(Yield::Timer(d)) => {
-                    self.checks.on_block(pid, PendingYield::Timer);
-                    core.queue.push(now + d, EventKind::Wake(pid));
-                    live = true;
-                    break;
-                }
-                Ok(Yield::Recv { mbox }) => {
-                    if let Some(msg) = core.mailboxes[mbox.0].pop() {
-                        resume = Resume::Message(Some(msg));
-                    } else {
-                        self.checks.on_block(pid, PendingYield::Recv);
-                        core.mailboxes[mbox.0].add_waiter(pid);
-                        self.procs[pid.0].blocked_on = Some(mbox);
-                        live = true;
-                        break;
-                    }
-                }
-                Ok(Yield::RecvDeadline { mbox, deadline }) => {
-                    if let Some(msg) = core.mailboxes[mbox.0].pop() {
-                        resume = Resume::Message(Some(msg));
-                    } else if deadline <= now {
-                        // Already expired: one immediate poll came up empty.
-                        resume = Resume::Message(None);
-                    } else {
-                        self.checks.on_block(pid, PendingYield::RecvDeadline);
-                        core.mailboxes[mbox.0].add_waiter(pid);
-                        self.procs[pid.0].blocked_on = Some(mbox);
-                        let generation = self.procs[pid.0].timer_gen;
-                        self.procs[pid.0].armed_timer = Some(generation);
-                        core.queue
-                            .push(deadline, EventKind::Timer { pid, generation });
-                        live = true;
-                        break;
-                    }
-                }
-                Ok(Yield::Done) => {
-                    self.procs[pid.0].finished = true;
-                    self.procs[pid.0].finish_time = Some(now);
-                    break;
+                self.error = Some(SimError::ProcessPanicked {
+                    name: proc.name.clone(),
+                    message,
+                });
+                return;
+            }
+        };
+        self.checks.on_block(pid, op);
+        match op {
+            Op::Timer(d) => {
+                core.queue.push(now + d, EventKind::Wake(pid));
+            }
+            Op::Recv(mbox) | Op::RecvDeadline { mbox, .. } => {
+                core.mailboxes[mbox.0].add_waiter(pid);
+                proc.blocked_on = Some(mbox);
+                if let Op::RecvDeadline { deadline, .. } = op {
+                    let generation = proc.timer_gen;
+                    proc.armed_timer = Some(generation);
+                    core.queue
+                        .push(deadline, EventKind::Timer { pid, generation });
                 }
             }
         }
-        if live {
-            self.procs[pid.0].body = Some(body);
-        }
+        proc.body = Some(body);
     }
 }
 

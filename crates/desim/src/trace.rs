@@ -4,7 +4,7 @@ use crate::process::ProcessId;
 use crate::time::SimTime;
 
 /// One annotation recorded via [`AsyncHandle::trace`](crate::AsyncHandle::trace)
-/// or [`ProcCtx::trace`](crate::ProcCtx::trace).
+/// or [`AsyncHandle::trace_with`](crate::AsyncHandle::trace_with).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Virtual time of the annotation.

@@ -1,8 +1,8 @@
 //! The inline contract of `AsyncHandle`, pinned rather than assumed:
 //! non-blocking kernel operations complete inside the poll that issued
-//! them, do exactly what the same script does as a hand-written `Process`
-//! over `ProcCtx`, and never leave the kernel's shared state borrowed when
-//! the process panics.
+//! them, push their events where the recorded mesh reports say they do,
+//! and never leave the kernel's shared state borrowed when the process
+//! panics.
 
 use std::cell::Cell;
 use std::future::Future;
@@ -11,8 +11,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use desim::{
-    preload_message, MailboxId, ProcCtx, Process, Resume, SimDuration, SimError, SimReport,
-    SimTime, Simulation, TieBreak, Yield,
+    preload_message, MailboxId, SimDuration, SimError, SimReport, SimTime, Simulation, TieBreak,
 };
 
 const STEP: SimDuration = SimDuration::from_micros(10);
@@ -81,16 +80,16 @@ fn a_rank_is_polled_once_per_blocking_op() {
 }
 
 // ---------------------------------------------------------------------
-// One script, two spellings
+// One script, its recorded reports
 // ---------------------------------------------------------------------
 
-/// What a rank of the mesh observed, for comparing the two spellings.
+/// What a rank of the mesh observed: its receive order, folded.
 type Seen = Rc<Cell<u64>>;
 
-/// The script as an `async` rank: an advance, then sends to every peer,
-/// two `try_recv`s, a `create_mailbox` and a `trace` inside one time
-/// grant, another advance, then one blocking receive per peer.
-fn spawn_async_rank(sim: &mut Simulation, boxes: &[MailboxId], me: usize, seen: Seen) {
+/// The script of one rank: an advance, then sends to every peer, two
+/// `try_recv`s, a `create_mailbox` and a `trace` inside one time grant,
+/// another advance, then one blocking receive per peer.
+fn spawn_rank(sim: &mut Simulation, boxes: &[MailboxId], me: usize, seen: Seen) {
     let boxes = boxes.to_vec();
     sim.spawn_async(format!("rank{me}"), move |h| async move {
         h.advance(STEP).await;
@@ -115,58 +114,7 @@ fn spawn_async_rank(sim: &mut Simulation, boxes: &[MailboxId], me: usize, seen: 
     });
 }
 
-/// The same script as an explicit state machine.
-struct HandRank {
-    boxes: Vec<MailboxId>,
-    me: usize,
-    seen: Seen,
-    state: u8,
-    to_receive: usize,
-}
-
-impl Process for HandRank {
-    fn resume(&mut self, ctx: &mut ProcCtx<'_>) -> Yield {
-        let inbox = self.boxes[self.me];
-        match self.state {
-            0 => {
-                self.state = 1;
-                Yield::Timer(STEP)
-            }
-            1 => {
-                for (k, b) in self.boxes.iter().enumerate() {
-                    if k != self.me {
-                        ctx.send(*b, WIRE, self.me as u64 + 1);
-                    }
-                }
-                for _ in 0..2 {
-                    if let Some(p) = ctx.try_recv(inbox) {
-                        let v = *p.downcast::<u64>().unwrap();
-                        self.seen.set(self.seen.get() * 31 + v);
-                    }
-                }
-                let mine = ctx.create_mailbox();
-                let me = self.me;
-                ctx.trace_with(|| format!("rank{me} made {mine:?}"));
-                ctx.send(mine, SimDuration::ZERO, 0u64);
-                self.state = 2;
-                Yield::Timer(STEP)
-            }
-            _ => {
-                if let Resume::Message(Some(p)) = ctx.take_resume() {
-                    let v = *p.downcast::<u64>().unwrap();
-                    self.seen.set(self.seen.get() * 31 + v);
-                    self.to_receive -= 1;
-                }
-                if self.to_receive == 0 {
-                    return Yield::Done;
-                }
-                Yield::Recv { mbox: inbox }
-            }
-        }
-    }
-}
-
-fn run_mesh(tie: TieBreak, hand_written: bool) -> (SimReport, Vec<u64>) {
+fn run_mesh(tie: TieBreak) -> (SimReport, Vec<u64>) {
     const P: usize = 4;
     let mut sim = Simulation::new();
     sim.set_tie_break(tie);
@@ -175,40 +123,49 @@ fn run_mesh(tie: TieBreak, hand_written: bool) -> (SimReport, Vec<u64>) {
     let boxes: Vec<_> = (0..P).map(|_| sim.create_mailbox()).collect();
     let seen: Vec<Seen> = (0..P).map(|_| Rc::new(Cell::new(0))).collect();
     for (me, seen) in seen.iter().enumerate() {
-        if hand_written {
-            sim.spawn_process(
-                format!("rank{me}"),
-                HandRank {
-                    boxes: boxes.clone(),
-                    me,
-                    seen: Rc::clone(seen),
-                    state: 0,
-                    to_receive: P - 1,
-                },
-            );
-        } else {
-            spawn_async_rank(&mut sim, &boxes, me, Rc::clone(seen));
-        }
+        spawn_rank(&mut sim, &boxes, me, Rc::clone(seen));
     }
     let report = sim.run().unwrap();
     (report, seen.iter().map(|s| s.get()).collect())
 }
 
+/// The mesh's report and receive orders under four tie-breaks, recorded
+/// when the same script also ran as a hand-written state machine and the
+/// two spellings agreed: an inline operation that moved an event's push
+/// would move a sequence number, and with it these values.
 #[test]
-fn async_and_hand_written_ranks_yield_the_same_report() {
-    for tie in [
-        TieBreak::Fifo,
-        TieBreak::Lifo,
-        TieBreak::Seeded(7),
-        TieBreak::Seeded(0xDEAD_BEEF),
-    ] {
-        let (by_async, seen_async) = run_mesh(tie, false);
-        let (by_hand, seen_hand) = run_mesh(tie, true);
-        // Events, messages, timers, end time, finish times and the trace.
-        assert_eq!(by_async, by_hand, "{tie:?}");
-        assert_eq!(seen_async, seen_hand, "{tie:?}: receive order");
-        assert_eq!(by_async.messages_sent, 4 * 3 + 4, "{tie:?}");
-        assert_eq!(by_async.trace.len(), 4, "{tie:?}");
+fn the_mesh_reports_are_pinned_under_every_tie_break() {
+    // (tie-break, rank 0..3's `seen`, the order ranks traced in)
+    let pinned: [(TieBreak, [u64; 4], [usize; 4]); 4] = [
+        (TieBreak::Fifo, [2019, 1058, 1027, 1026], [0, 1, 2, 3]),
+        (TieBreak::Lifo, [3939, 3938, 3907, 2946], [0, 1, 2, 3]),
+        (TieBreak::Seeded(7), [3909, 1058, 1087, 1956], [2, 3, 0, 1]),
+        (
+            TieBreak::Seeded(0xDEAD_BEEF),
+            [2019, 1058, 3907, 1056],
+            [3, 1, 0, 2],
+        ),
+    ];
+    let end = SimTime::ZERO + STEP + STEP;
+    for (tie, seen, traced) in pinned {
+        let (report, got) = run_mesh(tie);
+        assert_eq!(report.events_processed, 28, "{tie:?}");
+        assert_eq!(report.messages_sent, 4 * 3 + 4, "{tie:?}");
+        assert_eq!(report.messages_delivered, 4 * 3 + 4, "{tie:?}");
+        assert_eq!(report.timers_fired, 0, "{tie:?}");
+        assert_eq!(report.end_time, end, "{tie:?}");
+        assert!(
+            report.finish_times.iter().all(|(_, t)| *t == end),
+            "{tie:?}"
+        );
+        assert_eq!(got, seen, "{tie:?}: receive order");
+        let trace: Vec<_> = report.trace.iter().map(|e| (e.pid.0, e.time)).collect();
+        let want: Vec<_> = traced.iter().map(|&p| (p, SimTime::ZERO + STEP)).collect();
+        assert_eq!(trace, want, "{tie:?}: trace order");
+        for (k, e) in report.trace.iter().enumerate() {
+            let label = format!("rank{} made {:?}", e.pid.0, MailboxId(4 + k));
+            assert_eq!(e.label, label, "{tie:?}");
+        }
     }
 }
 
@@ -250,18 +207,4 @@ fn a_panic_inside_a_trace_label_is_reported_as_the_ranks_own() {
         h.trace_with(|| panic!("boom in label")).await;
     });
     expect_panic(sim, "bad", "boom in label");
-
-    struct BadLabel;
-    impl Process for BadLabel {
-        fn resume(&mut self, ctx: &mut ProcCtx<'_>) -> Yield {
-            ctx.send(MailboxId(0), WIRE, ());
-            ctx.trace_with(|| panic!("boom in a hand-written label"));
-            Yield::Done
-        }
-    }
-    let mut sim = Simulation::new();
-    sim.enable_tracing();
-    sim.create_mailbox();
-    sim.spawn_process("hand", BadLabel);
-    expect_panic(sim, "hand", "boom in a hand-written label");
 }

@@ -28,8 +28,6 @@ use crate::types::{Envelope, FaultCounters, Rank, Tag, WireSize, HEADER_BYTES};
 pub struct ThreadClusterOptions {
     /// Injected fixed latency per message.
     pub latency: Duration,
-    /// Injected additional latency per payload byte.
-    pub per_byte: Duration,
     /// Nominal speed for [`Transport::compute`], in million ops per second.
     /// `compute(ops)` sleeps `ops / (mips · 1e6)` seconds.
     pub mips: f64,
@@ -39,7 +37,6 @@ impl Default for ThreadClusterOptions {
     fn default() -> Self {
         ThreadClusterOptions {
             latency: Duration::ZERO,
-            per_byte: Duration::ZERO,
             mips: 1000.0,
         }
     }
@@ -213,7 +210,7 @@ impl<M: WireSize + Clone + Send + 'static> Transport for ThreadTransport<M> {
         let Verdict::Deliver { copies, .. } = verdict else {
             return;
         };
-        let visible_at = Instant::now() + self.opts.latency + self.opts.per_byte * bytes as u32;
+        let visible_at = Instant::now() + self.opts.latency;
         let (src, mailbox) = (self.rank, &self.mailboxes[to.0]);
         for _ in 0..copies {
             let msg = msg.clone();

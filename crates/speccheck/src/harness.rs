@@ -4,12 +4,11 @@
 //! properties can compare runs bit-for-bit.
 
 use crate::scenario::{SpecParams, SyntheticScenario};
-use desim::{SimDuration, SimReport, SimTime, TieBreak};
+use desim::{SimReport, TieBreak};
 use mpk::{
     run_sim_proc_cluster_with_options, run_socket_cluster, run_socket_cluster_with_faults,
-    run_thread_cluster, run_thread_cluster_with_faults, AsyncTransport, Envelope, FaultCounters,
-    FaultSpec, Rank, SimClusterOptions, SimIo, SocketClusterOptions, Tag, ThreadClusterOptions,
-    Transport,
+    run_thread_cluster, run_thread_cluster_with_faults, AsyncTransport, FaultSpec,
+    SimClusterOptions, SimIo, SocketClusterOptions, ThreadClusterOptions, Transport,
 };
 use speccore::{run_baseline_aio, run_speculative_aio, IterMsg, RunStats, SpecConfig};
 
@@ -74,77 +73,6 @@ impl DriverMode {
     /// The speculative mode for a grid point.
     pub fn from_params(params: &SpecParams) -> Self {
         DriverMode::Speculative(params.build())
-    }
-}
-
-/// A transport adapter reimplementing the pre-event-driven
-/// `recv_timeout`: poll `try_recv` in `timeout / 16` quanta, the last
-/// step landing exactly on the deadline. The workspace's transports wait
-/// event-driven now; this reference implementation survives so
-/// conformance properties can prove the two are observationally
-/// equivalent where they must be (exact semantics, no faults firing) and
-/// so experiments can measure what the polling cost.
-pub struct PolledRecv<'t, T>(pub &'t mut T);
-
-impl<T: AsyncTransport> AsyncTransport for PolledRecv<'_, T> {
-    type Msg = T::Msg;
-
-    fn rank(&self) -> Rank {
-        self.0.rank()
-    }
-
-    fn size(&self) -> usize {
-        self.0.size()
-    }
-
-    async fn send(&mut self, to: Rank, tag: Tag, msg: Self::Msg) {
-        self.0.send(to, tag, msg).await;
-    }
-
-    async fn try_recv(&mut self) -> Option<Envelope<Self::Msg>> {
-        self.0.try_recv().await
-    }
-
-    async fn recv(&mut self) -> Envelope<Self::Msg> {
-        self.0.recv().await
-    }
-
-    async fn recv_timeout(&mut self, timeout: SimDuration) -> Option<Envelope<Self::Msg>> {
-        if let Some(env) = self.0.try_recv().await {
-            return Some(env);
-        }
-        if timeout == SimDuration::ZERO {
-            return None;
-        }
-        let deadline = self.0.now() + timeout;
-        let quantum = SimDuration::from_nanos((timeout.as_nanos() / 16).max(1));
-        loop {
-            let now = self.0.now();
-            if now >= deadline {
-                return None;
-            }
-            let step = quantum.min(deadline - now);
-            self.0.sleep(step).await;
-            if let Some(env) = self.0.try_recv().await {
-                return Some(env);
-            }
-        }
-    }
-
-    async fn sleep(&mut self, d: SimDuration) {
-        self.0.sleep(d).await;
-    }
-
-    fn fault_counters(&self) -> FaultCounters {
-        self.0.fault_counters()
-    }
-
-    async fn compute(&mut self, ops: u64) {
-        self.0.compute(ops).await;
-    }
-
-    fn now(&self) -> SimTime {
-        self.0.now()
     }
 }
 
@@ -266,22 +194,6 @@ pub fn run_sim_values(
         }
     });
     outs
-}
-
-/// [`run_sim_with_faults`] with the reference *polling* receive of
-/// [`PolledRecv`] in place of the event-driven one: every bounded wait
-/// advances in quanta instead of blocking to an exact deadline.
-pub fn run_sim_polled(
-    sc: &SyntheticScenario,
-    theta: f64,
-    mode: &DriverMode,
-    faults: FaultSpec<IterMsg<Vec<f64>>>,
-    tie: TieBreak,
-) -> RunOutput {
-    sim_output(sim_cluster(sc, faults, tie, |mut t| {
-        let (sc, mode) = (sc.clone(), mode.clone());
-        async move { drive_synthetic_aio(&mut PolledRecv(&mut t), &sc, theta, &mode).await }
-    }))
 }
 
 /// Run the scenario on real OS threads (in-process mailboxes, no

@@ -42,9 +42,9 @@ pub mod scenario;
 
 pub use golden::assert_matches_golden;
 pub use harness::{
-    drive_synthetic, drive_synthetic_aio, run_sim, run_sim_polled, run_sim_values,
-    run_sim_with_faults, run_socket, run_socket_with_faults, run_thread, run_thread_with_faults,
-    DriverMode, KernelReport, PolledRecv, RunOutput,
+    drive_synthetic, drive_synthetic_aio, run_sim, run_sim_values, run_sim_with_faults, run_socket,
+    run_socket_with_faults, run_thread, run_thread_with_faults, DriverMode, KernelReport,
+    RunOutput,
 };
 pub use scenario::{
     delay_model, exact_spec_params, fault_stack_scenario, load_scenario, loss_scenario,

@@ -22,7 +22,7 @@ use desim::{SimDuration, SimTime, TieBreak};
 use netsim::{CrashPlan, MachineCrash};
 use proptest::prelude::*;
 use speccheck::{
-    exact_spec_params, run_sim, run_sim_polled, run_sim_values, run_sim_with_faults, run_socket,
+    exact_spec_params, run_sim, run_sim_values, run_sim_with_faults, run_socket,
     run_socket_with_faults, run_thread, run_thread_with_faults, spec_params, synthetic_scenario,
     DriverMode, SpecParams, SyntheticScenario,
 };
@@ -249,33 +249,6 @@ proptest! {
                 "survivor {}: {} promoted commits > {} lost messages",
                 k, s.speculate_through_loss_commits, s.messages_lost
             );
-        }
-    }
-
-    /// The event-driven bounded wait is observationally equivalent to the
-    /// reference polling implementation it replaced, wherever equivalence
-    /// is well-defined: under exact semantics (timing shifts cannot change
-    /// values) with fault machinery armed but no faults injected, the
-    /// final state matches bit-for-bit.
-    #[test]
-    fn event_driven_wait_matches_reference_polling(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-        timeout_ms in 200u64..500,
-    ) {
-        let ft_cfg = params
-            .build()
-            .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(timeout_ms)));
-        let mode = DriverMode::Speculative(ft_cfg);
-        let event = run_sim_with_faults(
-            &sc, params.theta, &mode, mpk::FaultSpec::none(), TieBreak::Fifo,
-        );
-        let polled = run_sim_polled(
-            &sc, params.theta, &mode, mpk::FaultSpec::none(), TieBreak::Fifo,
-        );
-        prop_assert_eq!(&event.fingerprints, &polled.fingerprints);
-        for s in &event.stats {
-            prop_assert_eq!(s.speculate_through_loss_commits, 0);
         }
     }
 

@@ -32,6 +32,10 @@ use desim::{SimDuration, SimTime};
 /// EWMA smoothing factor for the per-confirmation busy/wait/miss signals.
 const ALPHA: f64 = 0.25;
 
+/// Acceptable fraction of speculation misses when choosing θ: θ is picked
+/// to cover the `(1 − MISS_TARGET)` quantile of observed speculation errors.
+const MISS_TARGET: f64 = 0.05;
+
 /// Waits below this many nanoseconds per confirmation count as "no delay
 /// worth masking": the controller then pins θ to the most accurate grid
 /// value and leaves the window alone.
@@ -65,10 +69,6 @@ pub struct ControllerConfig {
     /// Entry 0 is the "exact" anchor the controller falls back to whenever
     /// there is no observed delay to mask (by convention `0.0`).
     pub theta_grid: Vec<f64>,
-    /// Acceptable fraction of speculation misses when choosing θ, in
-    /// `[0, 1)`: θ is picked to cover the `(1 − miss_target)` quantile of
-    /// observed speculation errors.
-    pub miss_target: f64,
     /// Quantile of observed per-peer inter-arrival gaps used for adaptive
     /// deadlines, in `(0, 1]`.
     pub delay_quantile: f64,
@@ -79,14 +79,13 @@ pub struct ControllerConfig {
 
 impl ControllerConfig {
     /// Defaults: warmup 8 confirmations, retune every 4, windows up to 4,
-    /// θ untouched, 90th-percentile gaps with 2× headroom, 5% miss target.
+    /// θ untouched, 90th-percentile gaps with 2× headroom.
     pub fn new() -> Self {
         ControllerConfig {
             warmup: 8,
             period: 4,
             fw_max: 4,
             theta_grid: Vec::new(),
-            miss_target: 0.05,
             delay_quantile: 0.9,
             deadline_headroom: 2.0,
         }
@@ -157,9 +156,6 @@ impl ControllerConfig {
         }
         if !self.theta_grid.windows(2).all(|w| w[0] < w[1]) {
             return Err("controller theta grid must be strictly ascending".into());
-        }
-        if !(self.miss_target >= 0.0 && self.miss_target < 1.0) {
-            return Err("controller miss target must be in [0, 1)".into());
         }
         if !(self.delay_quantile > 0.0 && self.delay_quantile <= 1.0) {
             return Err("controller delay quantile must be in (0, 1]".into());
@@ -370,13 +366,13 @@ impl ControllerState {
 
         // θ: with no delay worth masking, accuracy costs nothing — pin the
         // most accurate grid value. Otherwise cover the observed error
-        // quantile so at most `miss_target` of speculations miss.
+        // quantile so at most `MISS_TARGET` of speculations miss.
         let theta = if self.cfg.theta_grid.is_empty() {
             None
         } else if !delay_visible {
             Some(self.cfg.theta_grid[0])
         } else {
-            match self.errors.quantile(1.0 - self.cfg.miss_target) {
+            match self.errors.quantile(1.0 - MISS_TARGET) {
                 None => Some(self.cfg.theta_grid[0]),
                 Some(q) => Some(
                     self.cfg
@@ -470,9 +466,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = ControllerConfig::new();
         c.theta_grid = vec![f64::NAN];
-        assert!(c.validate().is_err());
-        let mut c = ControllerConfig::new();
-        c.miss_target = 1.0;
         assert!(c.validate().is_err());
         let mut c = ControllerConfig::new();
         c.delay_quantile = 0.0;

@@ -7,13 +7,21 @@
 //! per-cell incremental correction.
 //!
 //! A strip's halos travel as one `Arc<RowHalo>`: the broadcast to every
-//! peer, each peer's history and the inbox share a single allocation.
+//! peer, each peer's history and the inbox share a single allocation. A
+//! row of the wrong length is used on its common prefix with the grid
+//! width and rejected by `check` (see the `lanes` module).
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use mpk::{Rank, WireSize};
 use speccore::{speculator, CheckOutcome, History, SpeculativeApp};
+
+use crate::lanes;
+
+/// Error floor of a halo cell: errors are relative above `|u| = 0.1` and
+/// absolute below it.
+const CELL_FLOOR: f64 = 0.1;
 
 /// The two edge rows a strip exposes to its neighbours.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,9 +132,26 @@ impl Heat2dApp {
         k == self.me + 1 && k < self.p
     }
 
-    fn cell_err(&self, actual: f64, spec: f64) -> f64 {
-        (actual - spec).abs() / actual.abs().max(0.1)
+    /// The row of neighbour `k`'s halo this strip consumes, and the index
+    /// of the first cell of the edge row it feeds; `None` unless `k` is a
+    /// neighbour.
+    fn consumed<'h>(&self, k: usize, halo: &'h RowHalo) -> Option<(&'h [f64], usize)> {
+        if self.is_top_neighbor(k) {
+            Some((&halo.bottom, 0))
+        } else if self.is_bottom_neighbor(k) {
+            Some((&halo.top, (self.rows - 1) * self.cols))
+        } else {
+            None
+        }
     }
+}
+
+/// Copy the common prefix of `row` into the halo buffer `into`; returns
+/// the cells copied.
+fn take_row(into: &mut [f64], row: &[f64]) -> u64 {
+    let n = lanes::prefix(into.len(), row);
+    into[..n].copy_from_slice(&row[..n]);
+    n as u64
 }
 
 impl SpeculativeApp for Heat2dApp {
@@ -157,11 +182,9 @@ impl SpeculativeApp for Heat2dApp {
 
     fn absorb(&mut self, from: Rank, halo: &Arc<RowHalo>) -> u64 {
         if self.is_top_neighbor(from.0) {
-            self.top_in.copy_from_slice(&halo.bottom);
-            self.cols as u64
+            take_row(&mut self.top_in, &halo.bottom)
         } else if self.is_bottom_neighbor(from.0) {
-            self.bottom_in.copy_from_slice(&halo.top);
-            self.cols as u64
+            take_row(&mut self.bottom_in, &halo.top)
         } else {
             0
         }
@@ -212,59 +235,33 @@ impl SpeculativeApp for Heat2dApp {
 
     fn check(&self, from: Rank, actual: &Arc<RowHalo>, speculated: &Arc<RowHalo>) -> CheckOutcome {
         // Only the row we consumed matters.
-        let (a, s): (&[f64], &[f64]) = if self.is_top_neighbor(from.0) {
-            (&actual.bottom, &speculated.bottom)
-        } else if self.is_bottom_neighbor(from.0) {
-            (&actual.top, &speculated.top)
-        } else {
-            (&[], &[])
+        let (a, s, expected) = match (
+            self.consumed(from.0, actual),
+            self.consumed(from.0, speculated),
+        ) {
+            (Some((a, _)), Some((s, _))) => (a, s, self.cols),
+            _ => (&[][..], &[][..], 0),
         };
-        let mut max_error: f64 = 0.0;
-        let mut max_accepted: f64 = 0.0;
-        let mut bad = 0u64;
-        for (&av, &sv) in a.iter().zip(s) {
-            let err = self.cell_err(av, sv);
-            max_error = max_error.max(err);
-            if err > self.cfg.theta {
-                bad += 1;
-            } else {
-                max_accepted = max_accepted.max(err);
-            }
-        }
-        CheckOutcome {
-            accept: bad == 0,
-            max_error,
-            max_accepted_error: max_accepted,
-            checked_units: a.len() as u64,
-            bad_units: bad,
-            ops: 4 * a.len() as u64,
-        }
+        lanes::check(a, s, expected, self.cfg.theta, CELL_FLOOR, 4)
     }
 
     fn correct(&mut self, from: Rank, speculated: &Arc<RowHalo>, actual: &Arc<RowHalo>) -> u64 {
         // Each halo cell feeds exactly one edge cell, linearly (β·value),
         // and only cells beyond θ are repaired — per-cell selective
         // recomputation, as in the paper's N-body correction.
-        let beta = self.cfg.beta;
-        let theta = self.cfg.theta;
-        let cols = self.cols;
+        let (Some((a, base)), Some((s, _))) = (
+            self.consumed(from.0, actual),
+            self.consumed(from.0, speculated),
+        ) else {
+            return 0;
+        };
+        let n = lanes::prefix(lanes::prefix(self.cols, a), s);
+        let (beta, theta) = (self.cfg.beta, self.cfg.theta);
         let mut ops = 0u64;
-        if self.is_top_neighbor(from.0) {
-            for c in 0..cols {
-                let (av, sv) = (actual.bottom[c], speculated.bottom[c]);
-                if (av - sv).abs() / av.abs().max(0.1) > theta {
-                    self.u[c] += beta * (av - sv);
-                    ops += 2;
-                }
-            }
-        } else if self.is_bottom_neighbor(from.0) {
-            let base = (self.rows - 1) * cols;
-            for c in 0..cols {
-                let (av, sv) = (actual.top[c], speculated.top[c]);
-                if (av - sv).abs() / av.abs().max(0.1) > theta {
-                    self.u[base + c] += beta * (av - sv);
-                    ops += 2;
-                }
+        for (c, (&av, &sv)) in a[..n].iter().zip(&s[..n]).enumerate() {
+            if lanes::lane_error(av, sv, CELL_FLOOR) > theta {
+                self.u[base + c] += beta * (av - sv);
+                ops += 2;
             }
         }
         ops
@@ -466,6 +463,41 @@ mod tests {
         assert!(!out.accept);
         assert_eq!(out.bad_units, 1);
         assert_eq!(out.checked_units, cols as u64);
+    }
+
+    /// A neighbour's row is as long as the neighbour says: a shorter or
+    /// longer one is used on its common prefix with the grid width, and
+    /// `check` rejects it whole.
+    #[test]
+    fn wrong_length_rows_are_rejected_without_panicking() {
+        let (rows, cols) = (12, 8);
+        let ranges = even_ranges(rows, 3);
+        let cfg = Heat2dConfig {
+            theta: 0.0,
+            ..Default::default()
+        };
+        let halo = |len: usize, v: f64| {
+            Arc::new(RowHalo {
+                top: vec![v; len],
+                bottom: vec![v; len],
+            })
+        };
+        for len in [5, 11, 0] {
+            let mut app = Heat2dApp::new(rows, cols, &ranges, 1, cfg);
+            let n = len.min(cols) as u64;
+            app.begin_iteration();
+            assert_eq!(app.absorb(Rank(0), &halo(len, 0.5)), n, "len {len}");
+            assert_eq!(app.absorb(Rank(2), &halo(len, 0.5)), n, "len {len}");
+            app.finish_iteration();
+            for from in [Rank(0), Rank(2)] {
+                let out = app.check(from, &halo(len, 0.5), &halo(cols, 0.5));
+                assert!(!out.accept, "len {len}");
+                assert_eq!((out.checked_units, out.bad_units), (n, n), "len {len}");
+                let ops = app.correct(from, &halo(cols, 0.2), &halo(len, 0.5));
+                assert_eq!(ops, 2 * n, "len {len}");
+            }
+            assert!(app.cells().iter().all(|v| v.is_finite()));
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@ use desim::rng::derive_seed;
 use mpk::Rank;
 use speccore::{speculator, CheckOutcome, History, SpeculativeApp};
 
+use crate::lanes;
+
 /// A dense, diagonally dominant system `A·x = b` (dominance guarantees
 /// Jacobi convergence), generated deterministically from a seed.
 #[derive(Clone, Debug)]
@@ -165,7 +167,9 @@ impl SpeculativeApp for JacobiApp {
     fn absorb(&mut self, from: Rank, xs: &Vec<f64>) -> u64 {
         let mine = self.ranges[self.me].clone();
         let cols = self.ranges[from.0].clone();
-        let touched = accumulate_block(&self.sys, mine, cols, xs, &mut self.acc);
+        let n = lanes::prefix(cols.len(), xs);
+        let cols = cols.start..cols.start + n;
+        let touched = accumulate_block(&self.sys, mine, cols, &xs[..n], &mut self.acc);
         self.cfg.ops_per_entry * touched
     }
 
@@ -192,27 +196,9 @@ impl SpeculativeApp for JacobiApp {
         Some((values, cost))
     }
 
-    fn check(&self, _from: Rank, actual: &Vec<f64>, speculated: &Vec<f64>) -> CheckOutcome {
-        let mut max_error: f64 = 0.0;
-        let mut max_accepted: f64 = 0.0;
-        let mut bad = 0u64;
-        for (a, s) in actual.iter().zip(speculated) {
-            let err = (a - s).abs() / a.abs().max(1e-6);
-            max_error = max_error.max(err);
-            if err > self.cfg.theta {
-                bad += 1;
-            } else {
-                max_accepted = max_accepted.max(err);
-            }
-        }
-        CheckOutcome {
-            accept: bad == 0,
-            max_error,
-            max_accepted_error: max_accepted,
-            checked_units: actual.len() as u64,
-            bad_units: bad,
-            ops: 4 * actual.len() as u64,
-        }
+    fn check(&self, from: Rank, actual: &Vec<f64>, speculated: &Vec<f64>) -> CheckOutcome {
+        let expected = self.ranges[from.0].len();
+        lanes::check(actual, speculated, expected, self.cfg.theta, 1e-6, 4)
     }
 
     fn correct(&mut self, from: Rank, speculated: &Vec<f64>, actual: &Vec<f64>) -> u64 {
@@ -220,6 +206,8 @@ impl SpeculativeApp for JacobiApp {
         // re-applying the column deltas through the diagonal.
         let mine = self.ranges[self.me].clone();
         let cols = self.ranges[from.0].clone();
+        let cols =
+            cols.start..cols.start + lanes::prefix(lanes::prefix(cols.len(), actual), speculated);
         let n = self.sys.n;
         let mut touched = 0u64;
         for (local_i, i) in mine.enumerate() {
@@ -238,18 +226,11 @@ impl SpeculativeApp for JacobiApp {
     }
 
     fn delta_extract(&self, shared: &Vec<f64>, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        out.extend_from_slice(shared);
-        true
+        lanes::delta_extract(shared, out)
     }
 
     fn delta_patch(&self, base: &Vec<f64>, entries: &[(u32, f64)]) -> Option<Vec<f64>> {
-        let mut next = base.clone();
-        for &(lane, value) in entries {
-            // The lane is the peer's word: out of range drops the frame.
-            *next.get_mut(lane as usize)? = value;
-        }
-        Some(next)
+        lanes::delta_patch(base, entries)
     }
 
     fn checkpoint(&self) -> Vec<f64> {
@@ -377,6 +358,34 @@ mod tests {
 
         for (a, b) in golden.values().iter().zip(fixed.values()) {
             assert!((a - b).abs() < 1e-12, "correction residue {a} vs {b}");
+        }
+    }
+
+    /// A peer's `x` slice is as long as the peer says: a shorter or longer
+    /// one is used on its common prefix with the column block, and
+    /// `check` rejects it whole.
+    #[test]
+    fn wrong_length_values_are_rejected_without_panicking() {
+        let sys = LinearSystem::random(20, 9);
+        let ranges = even_ranges(20, 2);
+        let cfg = JacobiConfig::default();
+        for len in [7, 13, 0] {
+            let mut app = JacobiApp::new(sys.clone(), &ranges, 0, cfg);
+            let xs = vec![0.5; len];
+            app.begin_iteration();
+            let cols = len.min(10) as u64;
+            assert_eq!(app.absorb(Rank(1), &xs), 4 * 10 * cols, "len {len}");
+            app.finish_iteration();
+            let out = app.check(Rank(1), &xs, &vec![0.5; 10]);
+            assert!(!out.accept, "len {len}");
+            assert_eq!(
+                (out.checked_units, out.bad_units),
+                (cols, cols),
+                "len {len}"
+            );
+            let spec = vec![0.6; 10];
+            assert_eq!(app.correct(Rank(1), &spec, &xs), 4 * 10 * cols, "len {len}");
+            assert!(app.values().iter().all(|v| v.is_finite()));
         }
     }
 

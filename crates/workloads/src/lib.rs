@@ -4,7 +4,7 @@
 //! "iterative techniques to solve linear and non-linear equations, solution
 //! of partial differential equations, numerical integration, particle
 //! simulation". Beyond the N-body case study (the `nbody` crate), this
-//! crate implements three more members of that family against
+//! crate implements five more members of that family against
 //! [`speccore::SpeculativeApp`]:
 //!
 //! * [`SyntheticApp`] — the §4 abstract workload (`N` variables, explicit
@@ -16,8 +16,12 @@
 //!   linear system (the dense all-to-all case, O(N_i·N_k) coupling);
 //! * [`PageRankApp`] — power iteration over a seeded random graph.
 //!
-//! All three have exact incremental corrections (their updates are linear
-//! in the remote values) and sequential references for validation.
+//! All five have exact incremental corrections (their updates are linear
+//! in the remote values) and sequential references for validation. The
+//! four whose shared value is a vector of `f64` lanes (Synthetic, Jacobi,
+//! PageRank and Heat2d's rows) share one θ-check, one delta layout and one
+//! rule for a peer value of the wrong length: use its common prefix with
+//! the sender's partition, and reject it in `check`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -25,6 +29,7 @@
 mod heat;
 mod heat2d;
 mod jacobi;
+mod lanes;
 mod pagerank;
 mod synthetic;
 

@@ -14,6 +14,8 @@ use desim::rng::derive_seed;
 use mpk::Rank;
 use speccore::{speculator, CheckOutcome, History, SpeculativeApp};
 
+use crate::lanes;
+
 /// A seeded random directed graph with a fixed out-degree.
 #[derive(Clone, Debug)]
 pub struct Graph {
@@ -115,6 +117,7 @@ impl PageRankApp {
     fn scatter(&mut self, k: usize, xs: &[f64]) -> u64 {
         let mine = self.ranges[self.me].clone();
         let start = self.ranges[k].start;
+        let xs = &xs[..lanes::prefix(self.ranges[k].len(), xs)];
         let mut scanned = 0u64;
         for (offset, &score) in xs.iter().enumerate() {
             let j = start + offset;
@@ -172,27 +175,9 @@ impl SpeculativeApp for PageRankApp {
         Some((values, cost))
     }
 
-    fn check(&self, _from: Rank, actual: &Vec<f64>, speculated: &Vec<f64>) -> CheckOutcome {
-        let mut max_error: f64 = 0.0;
-        let mut max_accepted: f64 = 0.0;
-        let mut bad = 0u64;
-        for (a, s) in actual.iter().zip(speculated) {
-            let err = (a - s).abs() / a.abs().max(1e-12);
-            max_error = max_error.max(err);
-            if err > self.cfg.theta {
-                bad += 1;
-            } else {
-                max_accepted = max_accepted.max(err);
-            }
-        }
-        CheckOutcome {
-            accept: bad == 0,
-            max_error,
-            max_accepted_error: max_accepted,
-            checked_units: actual.len() as u64,
-            bad_units: bad,
-            ops: 6 * actual.len() as u64,
-        }
+    fn check(&self, from: Rank, actual: &Vec<f64>, speculated: &Vec<f64>) -> CheckOutcome {
+        let expected = self.ranges[from.0].len();
+        lanes::check(actual, speculated, expected, self.cfg.theta, 1e-12, 6)
     }
 
     fn correct(&mut self, from: Rank, speculated: &Vec<f64>, actual: &Vec<f64>) -> u64 {
@@ -200,9 +185,10 @@ impl SpeculativeApp for PageRankApp {
         // score deltas through the damping factor.
         let mine = self.ranges[self.me].clone();
         let start = self.ranges[from.0].start;
+        let n = lanes::prefix(self.ranges[from.0].len(), actual);
         let d = self.cfg.damping;
         let mut scanned = 0u64;
-        for (offset, (&a, &s)) in actual.iter().zip(speculated).enumerate() {
+        for (offset, (&a, &s)) in actual[..n].iter().zip(speculated).enumerate() {
             let delta = a - s;
             if delta == 0.0 {
                 continue;
@@ -220,18 +206,11 @@ impl SpeculativeApp for PageRankApp {
     }
 
     fn delta_extract(&self, shared: &Vec<f64>, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        out.extend_from_slice(shared);
-        true
+        lanes::delta_extract(shared, out)
     }
 
     fn delta_patch(&self, base: &Vec<f64>, entries: &[(u32, f64)]) -> Option<Vec<f64>> {
-        let mut next = base.clone();
-        for &(lane, value) in entries {
-            // The lane is the peer's word: out of range drops the frame.
-            *next.get_mut(lane as usize)? = value;
-        }
-        Some(next)
+        lanes::delta_patch(base, entries)
     }
 
     fn checkpoint(&self) -> Vec<f64> {
@@ -395,10 +374,43 @@ mod tests {
         let g = Graph::random(20, 3, 5);
         let ranges = even_ranges(20, 2);
         let app = PageRankApp::new(g, &ranges, 0, PageRankConfig::default());
-        let actual = vec![0.05, 0.05];
-        let spec = vec![0.05, 0.10];
+        let actual = vec![0.05; 10];
+        let mut spec = actual.clone();
+        spec[1] = 0.10;
         let out = app.check(Rank(1), &actual, &spec);
         assert!(!out.accept);
         assert_eq!(out.bad_units, 1);
+    }
+
+    /// A peer's score vector is as long as the peer says: one longer than
+    /// the last partition must not scatter past the graph, a shorter one
+    /// is used on its prefix, and `check` rejects either whole.
+    #[test]
+    fn wrong_length_scores_are_rejected_without_panicking() {
+        let g = Graph::random(20, 3, 5);
+        let ranges = even_ranges(20, 2);
+        let cfg = PageRankConfig::default();
+        for len in [13, 7, 0] {
+            let mut app = PageRankApp::new(g.clone(), &ranges, 0, cfg);
+            let xs = vec![0.05; len];
+            app.begin_iteration();
+            let nodes = len.min(10) as u64;
+            assert_eq!(app.absorb(Rank(1), &xs), 10 * 3 * nodes, "len {len}");
+            app.finish_iteration();
+            let out = app.check(Rank(1), &xs, &vec![0.05; 10]);
+            assert!(!out.accept, "len {len}");
+            assert_eq!(
+                (out.checked_units, out.bad_units),
+                (nodes, nodes),
+                "len {len}"
+            );
+            let spec = vec![0.06; 10];
+            assert_eq!(
+                app.correct(Rank(1), &spec, &xs),
+                10 * 3 * nodes,
+                "len {len}"
+            );
+            assert!(app.scores().iter().all(|v| v.is_finite()));
+        }
     }
 }

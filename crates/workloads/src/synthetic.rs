@@ -14,6 +14,8 @@ use desim::rng::derive_seed;
 use mpk::Rank;
 use speccore::{speculator, CheckOutcome, History, SpeculativeApp};
 
+use crate::lanes;
+
 /// Cost and dynamics parameters of the synthetic workload.
 #[derive(Clone, Copy, Debug)]
 pub struct SyntheticConfig {
@@ -164,26 +166,17 @@ impl SpeculativeApp for SyntheticApp {
     }
 
     fn check(&self, _from: Rank, actual: &Vec<f64>, speculated: &Vec<f64>) -> CheckOutcome {
-        let mut max_error: f64 = 0.0;
-        let mut max_accepted: f64 = 0.0;
-        let mut bad = 0u64;
-        for (a, s) in actual.iter().zip(speculated) {
-            let err = (a - s).abs() / a.abs().max(1e-12);
-            max_error = max_error.max(err);
-            if err > self.cfg.theta {
-                bad += 1;
-            } else {
-                max_accepted = max_accepted.max(err);
-            }
-        }
-        CheckOutcome {
-            accept: bad == 0,
-            max_error,
-            max_accepted_error: max_accepted,
-            checked_units: actual.len() as u64,
-            bad_units: bad,
-            ops: self.cfg.f_check * actual.len() as u64,
-        }
+        // The update only sums a peer's values, so any length is well
+        // formed: the two sides need only agree.
+        let cfg = &self.cfg;
+        lanes::check(
+            actual,
+            speculated,
+            actual.len(),
+            cfg.theta,
+            1e-12,
+            cfg.f_check,
+        )
     }
 
     fn set_speculation_threshold(&mut self, theta: f64) {
@@ -203,18 +196,11 @@ impl SpeculativeApp for SyntheticApp {
     }
 
     fn delta_extract(&self, shared: &Vec<f64>, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        out.extend_from_slice(shared);
-        true
+        lanes::delta_extract(shared, out)
     }
 
     fn delta_patch(&self, base: &Vec<f64>, entries: &[(u32, f64)]) -> Option<Vec<f64>> {
-        let mut next = base.clone();
-        for &(lane, value) in entries {
-            // The lane is the peer's word: out of range drops the frame.
-            *next.get_mut(lane as usize)? = value;
-        }
-        Some(next)
+        lanes::delta_patch(base, entries)
     }
 
     fn checkpoint(&self) -> (Vec<f64>, u64) {

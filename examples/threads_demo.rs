@@ -22,7 +22,6 @@ fn main() {
 
     let opts = ThreadClusterOptions {
         latency: std::time::Duration::from_millis(3),
-        per_byte: std::time::Duration::ZERO,
         mips: 2.0, // compute(ops) sleeps ops / 2e6 seconds
     };
 

@@ -152,7 +152,6 @@ fn thread_backend_handles_speculation_under_real_latency() {
         ThreadClusterOptions {
             latency: std::time::Duration::from_millis(5),
             mips: 5000.0,
-            ..Default::default()
         },
         move |t| {
             let ranges = even_ranges(n, t.size());
