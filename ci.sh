@@ -32,6 +32,11 @@ echo "== public-surface audit (strict)"
 # allowlist entry fails too.
 ci/coverage_audit.sh --strict
 
+echo "== allocation contract (release)"
+# The per-call and per-rank-iteration allocation counts are claims about
+# the optimised build the perf ledger measures, not only the debug one.
+cargo test --release --test hot_path_alloc -q
+
 echo "== chaos suite (release, fixed seeds)"
 # Seed-matrix fault injection: composed loss/duplication/partitions plus
 # a scripted crash, asserting liveness, bounded error, and bit-exact

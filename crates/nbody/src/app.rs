@@ -21,7 +21,11 @@
 //! path (begin/absorb/finish/checkpoint/shared, check, and correct
 //! through its reused gather scratch) performs no heap allocation.
 //! `speculate` is the exception by contract: it returns a freshly
-//! predicted snapshot, which necessarily owns new buffers.
+//! predicted snapshot. Eq. 10 holds the velocity constant, so a `Linear`
+//! prediction owns new positions only and shares the history entry's
+//! velocities (`PartitionShared::vel` is an `Arc`); a ring slot whose
+//! velocities a prediction still reads gets a fresh `Arc` on refresh
+//! instead of being rewritten under it.
 //!
 //! ## Snapshot lengths
 //!
@@ -51,8 +55,11 @@ use crate::vec3::{Vec3, ZERO3};
 pub struct PartitionShared {
     /// Positions of the partition's particles, partition-local order.
     pub pos: Soa3,
-    /// Velocities, same order.
-    pub vel: Soa3,
+    /// Velocities, same order. Shared, never mutated in place while
+    /// another reader holds them: an eq. 10 prediction keeps the velocity
+    /// of the snapshot it extrapolates, so it holds a clone of this `Arc`
+    /// rather than a copy of the lanes.
+    pub vel: Arc<Soa3>,
 }
 
 impl PartitionShared {
@@ -60,7 +67,7 @@ impl PartitionShared {
     pub fn from_vec3s(pos: &[Vec3], vel: &[Vec3]) -> Self {
         PartitionShared {
             pos: Soa3::from_vec3s(pos),
-            vel: Soa3::from_vec3s(vel),
+            vel: Arc::new(Soa3::from_vec3s(vel)),
         }
     }
 
@@ -130,7 +137,10 @@ impl WireCodec for PartitionShared {
         };
         let pos = decode_soa(buf)?;
         let vel = decode_soa(buf)?;
-        (pos.len() == vel.len()).then_some(PartitionShared { pos, vel })
+        (pos.len() == vel.len()).then(|| PartitionShared {
+            pos,
+            vel: Arc::new(vel),
+        })
     }
 }
 
@@ -208,7 +218,7 @@ impl NBodyApp {
         let vel = Soa3::from_vec3s(&vel);
         let snapshot = Arc::new(PartitionShared {
             pos: pos.clone(),
-            vel: vel.clone(),
+            vel: Arc::new(vel.clone()),
         });
         NBodyApp {
             cfg,
@@ -272,7 +282,10 @@ impl NBodyApp {
     /// an unreferenced ring slot in place when one exists (the steady
     /// state, once earlier broadcasts have been consumed); allocates a new
     /// slot only while every existing one is still referenced by history,
-    /// in-flight messages, or pending execution records.
+    /// in-flight messages, or pending execution records. A free slot's
+    /// velocities may still be read by a prediction speculated from it
+    /// (on this rank or a peer): those are left alone and the slot gets a
+    /// fresh `Arc`.
     fn refresh_snapshot(&mut self) {
         let free = self
             .snapshots
@@ -282,13 +295,16 @@ impl NBodyApp {
             Some(i) => {
                 let slot = Arc::get_mut(&mut self.snapshots[i]).expect("checked unreferenced");
                 slot.pos.clone_from(&self.pos);
-                slot.vel.clone_from(&self.vel);
+                match Arc::get_mut(&mut slot.vel) {
+                    Some(vel) => vel.clone_from(&self.vel),
+                    None => slot.vel = Arc::new(self.vel.clone()),
+                }
                 self.current = i;
             }
             None => {
                 self.snapshots.push(Arc::new(PartitionShared {
                     pos: self.pos.clone(),
-                    vel: self.vel.clone(),
+                    vel: Arc::new(self.vel.clone()),
                 }));
                 self.current = self.snapshots.len() - 1;
             }
@@ -388,7 +404,8 @@ impl SpeculativeApp for NBodyApp {
         let n = latest.pos.len() as u64;
         let h = self.cfg.dt * ahead as f64;
         let linear = |latest: &PartitionShared| {
-            // Eq. 10: r* = r + v·Δt (velocity held constant).
+            // Eq. 10: r* = r + v·Δt, the velocity held constant — so the
+            // prediction shares the entry's velocities instead of copying.
             let extrap = |r: &[f64], v: &[f64]| r.iter().zip(v).map(|(&r, &v)| r + v * h).collect();
             let pos = Soa3 {
                 x: extrap(&latest.pos.x, &latest.vel.x),
@@ -397,7 +414,7 @@ impl SpeculativeApp for NBodyApp {
             };
             Arc::new(PartitionShared {
                 pos,
-                vel: latest.vel.clone(),
+                vel: Arc::clone(&latest.vel),
             })
         };
         match self.order {
@@ -415,18 +432,35 @@ impl SpeculativeApp for NBodyApp {
                 };
                 let latest_iter = hist.latest_iter().expect("non-empty");
                 let span = (latest_iter - prev_iter) as f64 * self.cfg.dt;
-                let mut pos = Soa3::new();
-                let mut vel = Soa3::new();
-                for i in 0..latest.pos.len() {
-                    let a_est = (latest.vel.get(i) - prev.vel.get(i)) / span;
-                    let v = latest.vel.get(i) + a_est * h;
-                    pos.push(latest.pos.get(i) + latest.vel.get(i) * h + a_est * (0.5 * h * h));
-                    vel.push(v);
-                }
-                Some((
-                    Arc::new(PartitionShared { pos, vel }),
-                    2 * OPS_PER_SPECULATE * n,
-                ))
+                // Per axis: a = (v − v_prev)/span, r* = r + v·h + ½·a·h²,
+                // v* = v + a·h. `unzip` reserves both lanes at the zip's
+                // exact length, so each is allocated once.
+                let axis = |r: &[f64], v: &[f64], v_prev: &[f64]| -> (Vec<f64>, Vec<f64>) {
+                    r.iter()
+                        .zip(v)
+                        .zip(v_prev)
+                        .map(|((&r, &v), &v_prev)| {
+                            let a_est = (v - v_prev) / span;
+                            (r + v * h + a_est * (0.5 * h * h), v + a_est * h)
+                        })
+                        .unzip()
+                };
+                let (px, vx) = axis(&latest.pos.x, &latest.vel.x, &prev.vel.x);
+                let (py, vy) = axis(&latest.pos.y, &latest.vel.y, &prev.vel.y);
+                let (pz, vz) = axis(&latest.pos.z, &latest.vel.z, &prev.vel.z);
+                let predicted = PartitionShared {
+                    pos: Soa3 {
+                        x: px,
+                        y: py,
+                        z: pz,
+                    },
+                    vel: Arc::new(Soa3 {
+                        x: vx,
+                        y: vy,
+                        z: vz,
+                    }),
+                };
+                Some((Arc::new(predicted), 2 * OPS_PER_SPECULATE * n))
             }
         }
     }
@@ -516,6 +550,9 @@ impl SpeculativeApp for NBodyApp {
         base: &Arc<PartitionShared>,
         entries: &[(u32, f64)],
     ) -> Option<Arc<PartitionShared>> {
+        // Copies the positions; the velocities stay shared with `base` (and
+        // with any prediction made from it) until a velocity lane is
+        // patched, which copies them on write.
         let mut next = PartitionShared::clone(base);
         for &(lane, value) in entries {
             let (i, comp) = (lane as usize / 6, lane as usize % 6);
@@ -526,7 +563,7 @@ impl SpeculativeApp for NBodyApp {
             let soa = if comp < 3 {
                 &mut next.pos
             } else {
-                &mut next.vel
+                Arc::make_mut(&mut next.vel)
             };
             match comp % 3 {
                 0 => soa.x[i] = value,
@@ -577,7 +614,7 @@ mod tests {
 
         let mut moved = PartitionShared::clone(&a);
         moved.pos.x[3] += 0.25;
-        moved.vel.z[5] -= 1.5;
+        Arc::make_mut(&mut moved.vel).z[5] -= 1.5;
         let moved = Arc::new(moved);
         let mut lanes_b = Vec::new();
         app.delta_extract(&moved, &mut lanes_b);
@@ -592,6 +629,61 @@ mod tests {
         assert_eq!(entries.len(), 2, "exactly the two touched lanes differ");
         let patched = app.delta_patch(&a, &entries).unwrap();
         assert_eq!(*patched, *moved);
+    }
+
+    /// Every reader of a velocity buffer sees it unchanged: a patch of a
+    /// velocity lane copies on write, one of positions only keeps sharing.
+    #[test]
+    fn delta_patch_copies_the_velocities_only_to_write_them() {
+        let app = make_app(12, 2, 0, 0.1);
+        let base = app.shared();
+        let hist = hist_of(std::slice::from_ref(&base));
+        let (before, _) = app.speculate(Rank(1), &hist, 1).unwrap();
+        assert!(Arc::ptr_eq(&before.vel, &base.vel));
+        let base_bits = lane_bits(&base);
+        let vel_bits = |s: &PartitionShared| lane_bits(s)[3 * s.len()..].to_vec();
+
+        // Lane 6·2 + 4: particle 2's vy.
+        let patched = app.delta_patch(&base, &[(16, 7.5), (0, -1.0)]).unwrap();
+        assert_eq!((patched.vel.y[2], patched.pos.x[0]), (7.5, -1.0));
+        assert!(!Arc::ptr_eq(&patched.vel, &base.vel));
+        assert_eq!(lane_bits(&base), base_bits, "the base is unchanged");
+        assert_eq!(vel_bits(&before), vel_bits(&base), "so is a prediction");
+        assert!(Arc::ptr_eq(&before.vel, &base.vel));
+
+        let moved = app.delta_patch(&base, &[(6, 3.0), (8, 4.0)]).unwrap();
+        assert_eq!((moved.pos.x[1], moved.pos.z[1]), (3.0, 4.0));
+        assert!(
+            Arc::ptr_eq(&moved.vel, &base.vel),
+            "positions only: still shared"
+        );
+        assert_eq!(lane_bits(&base), base_bits);
+    }
+
+    /// A prediction outlives the snapshot it was made from: once nothing
+    /// else holds that snapshot, its owner recycles the ring slot, and must
+    /// give it new velocities rather than rewrite the prediction's.
+    #[test]
+    fn a_recycled_slot_leaves_a_predictions_velocities_alone() {
+        let mut a = make_app(12, 2, 0, 0.1);
+        let b = make_app(12, 2, 1, 0.1);
+        let s = a.shared();
+        let (spec, _) = b
+            .speculate(Rank(0), &hist_of(std::slice::from_ref(&s)), 1)
+            .unwrap();
+        assert!(Arc::ptr_eq(&spec.vel, &s.vel));
+        let vel_bits = lane_bits(&spec)[3 * spec.len()..].to_vec();
+        drop(s);
+
+        a.begin_iteration();
+        a.absorb(Rank(1), &b.shared());
+        a.finish_iteration();
+        assert_eq!(a.snapshots.len(), 1, "the freed slot was rewritten");
+        let now = a.shared();
+        assert_eq!(*now.vel, a.vel, "the new snapshot publishes the new state");
+        assert_ne!(*now.vel, *spec.vel, "the step moved the velocities");
+        assert!(!Arc::ptr_eq(&now.vel, &spec.vel));
+        assert_eq!(lane_bits(&spec)[3 * spec.len()..], vel_bits[..]);
     }
 
     fn hist_of(shares: &[Arc<PartitionShared>]) -> History<Arc<PartitionShared>> {
@@ -640,6 +732,22 @@ mod tests {
     }
 
     #[test]
+    fn linear_speculation_shares_the_entrys_velocities() {
+        let app = make_app(10, 2, 0, 0.01);
+        let s = share(vec![ZERO3; 3], vec![Vec3::new(1.0, -2.0, 0.5); 3]);
+        let h = hist_of(std::slice::from_ref(&s));
+        let (spec, _) = app.speculate(Rank(1), &h, 1).unwrap();
+        assert!(
+            !Arc::ptr_eq(&spec, &s),
+            "the positions are a new prediction"
+        );
+        assert!(
+            Arc::ptr_eq(&spec.vel, &s.vel),
+            "eq. 10 holds the velocity: share it, don't copy it"
+        );
+    }
+
+    #[test]
     fn speculation_scales_with_ahead() {
         let app = make_app(10, 2, 0, 0.01);
         let v = Vec3::new(1.0, 0.0, 0.0);
@@ -676,6 +784,10 @@ mod tests {
         // v* = 2 + (1/dt)·dt = 3; r* = dt + 2·dt + ½·(1/dt)·dt² = 3.5·dt.
         assert!((spec.vel.get(0).x - 3.0).abs() < 1e-12);
         assert!((spec.pos.get(0).x - 3.5 * dt).abs() < 1e-12);
+        // It predicts velocities too, so it owns them.
+        for (_, entry) in [h.nth_back(0), h.nth_back(1)].map(Option::unwrap) {
+            assert!(!Arc::ptr_eq(&spec.vel, &entry.vel));
+        }
     }
 
     #[test]
@@ -1019,7 +1131,7 @@ mod tests {
         };
         PartitionShared {
             pos: soa(0),
-            vel: soa(3),
+            vel: Arc::new(soa(3)),
         }
     }
 
@@ -1071,7 +1183,7 @@ mod tests {
                 prop_assert!(mpk::decode_exact::<PartitionShared>(&bytes[..cut]).is_none());
                 // Positions and velocities of different lengths.
                 let mut lopsided = s.clone();
-                lopsided.vel = Soa3::new();
+                lopsided.vel = Arc::default();
                 let bytes = mpk::encode_to_vec(&lopsided);
                 prop_assert!(mpk::decode_exact::<PartitionShared>(&bytes).is_none());
                 // A length prefix promising more triples than follow.

@@ -8,11 +8,12 @@
 //! plus an incremental correction pass, accepted and rejected — so the
 //! claim covers exactly what the driver executes per iteration.
 //!
-//! Deliberately excluded: `speculate` (by contract it returns a freshly
-//! owned prediction; only the `Hold` order is allocation-free) and the
-//! heat-2d `shared()` (its `RowHalo` rows are genuinely new messages).
-//! What the driver allocates around them is bounded instead: the two
-//! 16-rank steady-state ceilings at the end of this file.
+//! Counted rather than zero: N-body `speculate`, which by contract returns
+//! a new prediction — each order's exact allocations per call are pinned
+//! below (`Hold` none, eq. 10 its position lanes only) — and the heat-2d
+//! `shared()` (its `RowHalo` rows are genuinely new messages). What the
+//! driver allocates around them is bounded instead: the two 16-rank
+//! steady-state ceilings at the end of this file.
 
 use std::ops::Range;
 
@@ -116,6 +117,46 @@ fn nbody_restore_and_hold_speculation_are_allocation_free() {
         0,
         "restore + Hold speculation must not allocate"
     );
+}
+
+/// What one `speculate` call allocates, once warm: `Hold` hands out the
+/// history entry itself; eq. 10 (`Linear`) holds the velocity constant,
+/// so its prediction owns three position lanes and the snapshot's `Arc`
+/// and shares the entry's velocities; `Quadratic` predicts velocities
+/// too: six lanes, each allocated once at its final length, and two `Arc`s.
+#[test]
+fn nbody_speculate_allocates_only_the_prediction() {
+    let n = 64;
+    let particles = uniform_cloud(n, 17);
+    let ranges = partition_proportional(n, &[1.0, 1.0]);
+    let theirs = &particles[n / 2..];
+    let pos: Vec<Vec3> = theirs.iter().map(|p| p.pos).collect();
+    let mut hist = History::new(4);
+    for (iter, dv) in [
+        (0, Vec3::new(0.0, 0.0, 0.0)),
+        (1, Vec3::new(0.5, -0.25, 0.125)),
+    ] {
+        let vel: Vec<Vec3> = theirs.iter().map(|p| p.vel + dv).collect();
+        hist.record(
+            iter,
+            std::sync::Arc::new(PartitionShared::from_vec3s(&pos, &vel)),
+        );
+    }
+    let per_call = [
+        (SpeculationOrder::Hold, 0),
+        (SpeculationOrder::Linear, 4),
+        (SpeculationOrder::Quadratic, 8),
+    ];
+    for (order, want) in per_call {
+        let app = NBodyApp::new(&particles, ranges.clone(), 0, NBodyConfig::default(), order);
+        drop(app.speculate(Rank(1), &hist, 1)); // warm-up
+        for ahead in 1..=3 {
+            let before = allocations_here();
+            let prediction = app.speculate(Rank(1), &hist, ahead).unwrap();
+            assert_eq!(allocations_here() - before, want, "{order:?}");
+            drop(prediction);
+        }
+    }
 }
 
 /// The correction that matters is the one that repairs something: once
@@ -345,12 +386,13 @@ fn nbody16_run_allocations(iters: u64) -> u64 {
 /// provenance tables, speculation scratch — is recycled, so what a
 /// steady-state rank-iteration still allocates is the messages themselves:
 /// the snapshot it broadcasts, the predictions `speculate` returns by
-/// contract, and the kernel's per-send envelopes: 100.4 in all, against
-/// 111.6 with a map of hash maps for an inbox. Two run lengths cancel
-/// set-up and warm-up.
+/// contract, and the kernel's per-send envelopes: 63.8 in all, against
+/// 100.4 when every eq. 10 prediction copied its velocities and 111.6
+/// with a map of hash maps for an inbox. Two run lengths cancel set-up
+/// and warm-up.
 #[test]
 fn nbody16_driver_steady_state_allocations_stay_under_the_ceiling() {
-    const CEILING_PER_RANK_ITER: f64 = 101.0;
+    const CEILING_PER_RANK_ITER: f64 = 65.0;
     let (short, long) = (100u64, 300u64);
     let extra = nbody16_run_allocations(long) - nbody16_run_allocations(short);
     let per_rank_iter = extra as f64 / ((long - short) * 16) as f64;
