@@ -37,6 +37,12 @@ echo "== allocation contract (release)"
 # the optimised build the perf ledger measures, not only the debug one.
 cargo test --release --test hot_path_alloc -q
 
+echo "== nbody bit contract (release)"
+# The SoA force kernels' bit equality with the scalar reference (and the
+# pinned engine fingerprints) is a claim about the vectorized
+# target-cpu=native code, which only the release build produces.
+cargo test --release -p nbody -q
+
 echo "== chaos suite (release, fixed seeds)"
 # Seed-matrix fault injection: composed loss/duplication/partitions plus
 # a scripted crash, asserting liveness, bounded error, and bit-exact

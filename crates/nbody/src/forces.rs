@@ -128,12 +128,14 @@ pub fn correct_partition(
 /// (x, y, z, mass) = 16 KiB, half a typical 32 KiB L1d, leaving room for
 /// the target block and accumulators.
 const TILE: usize = 512;
+// `accumulate_self_soa` sweeps the rows of a full tile in pairs.
+const _: () = assert!(TILE.is_multiple_of(2));
 
-/// Register-block width for targets: eight independent accumulator chains
-/// let the out-of-order core overlap the sqrt/div latency of consecutive
-/// pairs, and give the autovectorizer a clean 4-lane inner loop
-/// (IEEE-754 sqrt/div/mul/add are exactly rounded, so SIMD lanes produce
-/// the same bits as scalar evaluation).
+/// Register-block width for targets: `LANES` independent accumulator
+/// chains let the out-of-order core overlap the sqrt/div latency of
+/// consecutive pairs, and give the autovectorizer an inner loop of
+/// `LANES` f64 lanes (IEEE-754 sqrt/div/mul/add are exactly rounded, so
+/// SIMD lanes produce the same bits as scalar evaluation).
 const LANES: usize = 8;
 
 /// SoA twin of [`accumulate_partition`]: accelerations from every source
@@ -358,15 +360,23 @@ pub fn correct_partition_soa(
     2 * OPS_PER_PAIR * nt as u64 * bad.len() as u64
 }
 
-/// One symmetric sweep: target `i` against sources `js`, applying each
-/// pair to both endpoints (Newton's third law). The reverse contribution
-/// is written with the exact expressions the one-sided kernel would use
-/// (`d' = r_i − r_j` recomputed, not `−d`, so even the sign of zero
-/// matches), and `dist²`/`inv` are shared — bitwise equal both ways
-/// because `(−a)² ≡ a²` under IEEE-754.
+/// One symmetric sweep: the `R` target rows `i..i + R` against sources
+/// `js`, applying each pair to both endpoints (Newton's third law). The
+/// reverse contribution is written with the exact expressions the
+/// one-sided kernel would use (`d' = r_i − r_j` recomputed, not `−d`, so
+/// even the sign of zero matches), and `dist²`/`inv` are shared — bitwise
+/// equal both ways because `(−a)² ≡ a²` under IEEE-754.
+///
+/// Each row's i-side sum is a serial add chain in ascending `j` (the
+/// order is part of the bit contract); with `R = 2` the two rows' chains
+/// are independent, so the core overlaps their add latency. A source `j`
+/// receives row `i`'s reverse term and then row `i + 1`'s as two separate
+/// adds, which is the ascending source order the one-sided loop gives it.
+/// Every source must lie above the rows (`js.start ≥ i + R`); the pairs
+/// among the rows themselves are the caller's.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn symmetric_sweep(
+fn symmetric_sweep<const R: usize>(
     px: &[f64],
     py: &[f64],
     pz: &[f64],
@@ -386,80 +396,97 @@ fn symmetric_sweep(
     // the division and square root — both exactly rounded per IEEE lane),
     // pass 2 replays the cheap multiply/adds in serial order.
     const BLK: usize = 8;
-    let (pxi, pyi, pzi) = (px[i], py[i], pz[i]);
-    let gmi = g * mass[i];
-    let (mut aix, mut aiy, mut aiz) = (ax[i], ay[i], az[i]);
+    debug_assert!(js.start >= i + R);
+    let pxi: [f64; R] = std::array::from_fn(|r| px[i + r]);
+    let pyi: [f64; R] = std::array::from_fn(|r| py[i + r]);
+    let pzi: [f64; R] = std::array::from_fn(|r| pz[i + r]);
+    let gmi: [f64; R] = std::array::from_fn(|r| g * mass[i + r]);
+    let mut aix: [f64; R] = std::array::from_fn(|r| ax[i + r]);
+    let mut aiy: [f64; R] = std::array::from_fn(|r| ay[i + r]);
+    let mut aiz: [f64; R] = std::array::from_fn(|r| az[i + r]);
     let mut j = js.start;
     while j + BLK <= js.end {
         let pxs: &[f64; BLK] = px[j..j + BLK].try_into().unwrap();
         let pys: &[f64; BLK] = py[j..j + BLK].try_into().unwrap();
         let pzs: &[f64; BLK] = pz[j..j + BLK].try_into().unwrap();
         let ms: &[f64; BLK] = mass[j..j + BLK].try_into().unwrap();
-        let mut fix = [0.0f64; BLK];
-        let mut fiy = [0.0f64; BLK];
-        let mut fiz = [0.0f64; BLK];
-        let mut gx = [0.0f64; BLK];
-        let mut gy = [0.0f64; BLK];
-        let mut gz = [0.0f64; BLK];
-        for l in 0..BLK {
-            let dx = pxs[l] - pxi;
-            let dy = pys[l] - pyi;
-            let dz = pzs[l] - pzi;
-            let dist_sq = (dx * dx + dy * dy + dz * dz) + eps2;
-            let inv = 1.0 / (dist_sq * dist_sq.sqrt());
-            let si = (g * ms[l]) * inv;
-            let sj = gmi * inv;
-            fix[l] = dx * si;
-            fiy[l] = dy * si;
-            fiz[l] = dz * si;
-            gx[l] = (pxi - pxs[l]) * sj;
-            gy[l] = (pyi - pys[l]) * sj;
-            gz[l] = (pzi - pzs[l]) * sj;
+        let mut fix = [[0.0f64; BLK]; R];
+        let mut fiy = [[0.0f64; BLK]; R];
+        let mut fiz = [[0.0f64; BLK]; R];
+        let mut gx = [[0.0f64; BLK]; R];
+        let mut gy = [[0.0f64; BLK]; R];
+        let mut gz = [[0.0f64; BLK]; R];
+        for r in 0..R {
+            for l in 0..BLK {
+                let dx = pxs[l] - pxi[r];
+                let dy = pys[l] - pyi[r];
+                let dz = pzs[l] - pzi[r];
+                let dist_sq = (dx * dx + dy * dy + dz * dz) + eps2;
+                let inv = 1.0 / (dist_sq * dist_sq.sqrt());
+                let si = (g * ms[l]) * inv;
+                let sj = gmi[r] * inv;
+                fix[r][l] = dx * si;
+                fiy[r][l] = dy * si;
+                fiz[r][l] = dz * si;
+                gx[r][l] = (pxi[r] - pxs[l]) * sj;
+                gy[r][l] = (pyi[r] - pys[l]) * sj;
+                gz[r][l] = (pzi[r] - pzs[l]) * sj;
+            }
         }
-        // The only irreducibly serial piece: the i-side sum in ascending
-        // j order (three independent add chains).
+        // The only irreducibly serial piece: each row's i-side sum in
+        // ascending j order, the rows' chains interleaved.
         for l in 0..BLK {
-            aix += fix[l];
-            aiy += fiy[l];
-            aiz += fiz[l];
+            for r in 0..R {
+                aix[r] += fix[r][l];
+                aiy[r] += fiy[r][l];
+                aiz[r] += fiz[r][l];
+            }
         }
         // Each j in the block is distinct, so the reverse updates are a
-        // contiguous vector add — no reduction, no ordering concern.
+        // contiguous vector add per row, rows in ascending order.
         let axs: &mut [f64; BLK] = (&mut ax[j..j + BLK]).try_into().unwrap();
-        for l in 0..BLK {
-            axs[l] += gx[l];
+        for gxr in &gx {
+            for l in 0..BLK {
+                axs[l] += gxr[l];
+            }
         }
         let ays: &mut [f64; BLK] = (&mut ay[j..j + BLK]).try_into().unwrap();
-        for l in 0..BLK {
-            ays[l] += gy[l];
+        for gyr in &gy {
+            for l in 0..BLK {
+                ays[l] += gyr[l];
+            }
         }
         let azs: &mut [f64; BLK] = (&mut az[j..j + BLK]).try_into().unwrap();
-        for l in 0..BLK {
-            azs[l] += gz[l];
+        for gzr in &gz {
+            for l in 0..BLK {
+                azs[l] += gzr[l];
+            }
         }
         j += BLK;
     }
     for j in j..js.end {
-        let dx = px[j] - pxi;
-        let dy = py[j] - pyi;
-        let dz = pz[j] - pzi;
-        let dist_sq = (dx * dx + dy * dy + dz * dz) + eps2;
-        let inv = 1.0 / (dist_sq * dist_sq.sqrt());
-        let si = (g * mass[j]) * inv;
-        let sj = gmi * inv;
-        aix += dx * si;
-        aiy += dy * si;
-        aiz += dz * si;
-        let ex = pxi - px[j];
-        let ey = pyi - py[j];
-        let ez = pzi - pz[j];
-        ax[j] += ex * sj;
-        ay[j] += ey * sj;
-        az[j] += ez * sj;
+        for r in 0..R {
+            let dx = px[j] - pxi[r];
+            let dy = py[j] - pyi[r];
+            let dz = pz[j] - pzi[r];
+            let dist_sq = (dx * dx + dy * dy + dz * dz) + eps2;
+            let inv = 1.0 / (dist_sq * dist_sq.sqrt());
+            let si = (g * mass[j]) * inv;
+            let sj = gmi[r] * inv;
+            aix[r] += dx * si;
+            aiy[r] += dy * si;
+            aiz[r] += dz * si;
+            let ex = pxi[r] - px[j];
+            let ey = pyi[r] - py[j];
+            let ez = pzi[r] - pz[j];
+            ax[j] += ex * sj;
+            ay[j] += ey * sj;
+            az[j] += ez * sj;
+        }
     }
-    ax[i] = aix;
-    ay[i] = aiy;
-    az[i] = aiz;
+    ax[i..i + R].copy_from_slice(&aix);
+    ay[i..i + R].copy_from_slice(&aiy);
+    az[i..i + R].copy_from_slice(&aiz);
 }
 
 /// SoA twin of [`accumulate_self`], evaluating each unordered pair once
@@ -467,9 +494,10 @@ fn symmetric_sweep(
 /// reference kernel for the same bits. Tiles are visited in
 /// lexicographic order (diagonal first, then off-diagonals ascending),
 /// which delivers every target its sources in exactly the ascending
-/// order of the one-sided loop. The returned modelled op count is
-/// unchanged: the *paper's* cost model still pays `n·(n−1)` pair
-/// evaluations; only our wall-clock exploits the symmetry.
+/// order of the one-sided loop, even though target rows are swept two
+/// at a time. The returned modelled op count is unchanged: the *paper's*
+/// cost model still pays `n·(n−1)` pair evaluations; only our wall-clock
+/// exploits the symmetry.
 pub fn accumulate_self_soa(pos: &Soa3, mass: &[f64], acc: &mut Soa3, g: f64, eps: f64) -> u64 {
     let n = pos.len();
     debug_assert_eq!(n, mass.len());
@@ -481,16 +509,22 @@ pub fn accumulate_self_soa(pos: &Soa3, mass: &[f64], acc: &mut Soa3, g: f64, eps
     let mut t0 = 0usize;
     while t0 < n {
         let t1 = (t0 + TILE).min(n);
-        // Diagonal tile: triangular sweep within [t0, t1).
-        for i in t0..t1 {
-            symmetric_sweep(px, py, pz, mass, ax, ay, az, i, i + 1..t1, g, eps2);
+        // Diagonal tile: triangular sweep within [t0, t1), rows in pairs.
+        // The pair (i, i+1) goes first, exactly as row i's first step, so
+        // row i+1 holds every source below it before its own chain
+        // starts. An odd last row has no source left in the tile.
+        for i in (t0..t1 - 1).step_by(2) {
+            symmetric_sweep::<1>(px, py, pz, mass, ax, ay, az, i, i + 1..i + 2, g, eps2);
+            symmetric_sweep::<2>(px, py, pz, mass, ax, ay, az, i, i + 2..t1, g, eps2);
         }
-        // Off-diagonal tiles [t0, t1) × [u0, u1), ascending.
+        // Off-diagonal tiles [t0, t1) × [u0, u1), ascending. Only the
+        // last tile can hold an odd row count, and it has none of these.
         let mut u0 = t1;
         while u0 < n {
             let u1 = (u0 + TILE).min(n);
-            for i in t0..t1 {
-                symmetric_sweep(px, py, pz, mass, ax, ay, az, i, u0..u1, g, eps2);
+            debug_assert_eq!(t1 - t0, TILE);
+            for i in (t0..t1).step_by(2) {
+                symmetric_sweep::<2>(px, py, pz, mass, ax, ay, az, i, u0..u1, g, eps2);
             }
             u0 = u1;
         }

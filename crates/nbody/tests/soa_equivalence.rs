@@ -27,6 +27,56 @@ use std::sync::Arc;
 // Kernel-level bit equality
 // ---------------------------------------------------------------------------
 
+/// A non-zero starting accumulator, so the comparisons also prove the
+/// SoA self kernel *accumulates* into existing values exactly like the
+/// reference rather than overwriting them.
+fn seeded_acc(n: usize, seed: u64) -> Vec<Vec3> {
+    (0..n)
+        .map(|i| Vec3::new(i as f64 * 0.125, -((i as u64 ^ seed) as f64), 0.5))
+        .collect()
+}
+
+/// Runs the symmetric SoA self kernel and the AoS reference on the same
+/// `n`-particle cloud and seeded accumulator; the first bit difference
+/// (or op-count difference) is the error.
+fn self_kernel_agrees(n: usize, seed: u64) -> Result<(), String> {
+    let particles = uniform_cloud(n, seed);
+    let pos: Vec<Vec3> = particles.iter().map(|p| p.pos).collect();
+    let mass: Vec<f64> = particles.iter().map(|p| p.mass).collect();
+
+    let mut acc_ref = seeded_acc(n, seed);
+    let ops_ref = accumulate_self(&pos, &mass, &mut acc_ref, 1.0, 0.05);
+
+    let soa_pos = Soa3::from_vec3s(&pos);
+    let mut acc_soa = Soa3::from_vec3s(&seeded_acc(n, seed));
+    let ops_soa = accumulate_self_soa(&soa_pos, &mass, &mut acc_soa, 1.0, 0.05);
+
+    if ops_ref != ops_soa {
+        return Err(format!(
+            "n = {n}: op count {ops_soa} != reference {ops_ref}"
+        ));
+    }
+    for (i, want) in acc_ref.iter().enumerate() {
+        let got = acc_soa.get(i);
+        if got.to_bits_triplet() != want.to_bits_triplet() {
+            return Err(format!(
+                "n = {n}, particle {i}: soa {got:?} != reference {want:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The two-row sweep at fixed sizes: one row pair, an odd row out, a
+/// full 8-source block with and without a remainder, and the row counts
+/// around one source tile (512), where the off-diagonal tile starts.
+#[test]
+fn self_kernel_bits_match_at_fixed_sizes() {
+    for n in [2, 3, 9, 10, 17, 511, 512, 513] {
+        self_kernel_agrees(n, 17).unwrap();
+    }
+}
+
 mod kernel_proptests {
     use super::*;
     use proptest::prelude::*;
@@ -39,25 +89,7 @@ mod kernel_proptests {
         /// remainder lanes, and the Newton's-third-law pairing all agree).
         #[test]
         fn self_kernel_bits_match(n in 1usize..260, seed in 0u64..1000) {
-            let particles = uniform_cloud(n, seed);
-            let pos: Vec<Vec3> = particles.iter().map(|p| p.pos).collect();
-            let mass: Vec<f64> = particles.iter().map(|p| p.mass).collect();
-
-            let mut acc_ref = vec![ZERO3; n];
-            let ops_ref = accumulate_self(&pos, &mass, &mut acc_ref, 1.0, 0.05);
-
-            let soa_pos = Soa3::from_vec3s(&pos);
-            let mut acc_soa = Soa3::zeros(n);
-            let ops_soa = accumulate_self_soa(&soa_pos, &mass, &mut acc_soa, 1.0, 0.05);
-
-            prop_assert_eq!(ops_ref, ops_soa);
-            for (i, want) in acc_ref.iter().enumerate() {
-                prop_assert_eq!(
-                    acc_soa.get(i).to_bits_triplet(),
-                    want.to_bits_triplet(),
-                    "particle {}", i
-                );
-            }
+            self_kernel_agrees(n, seed)?;
         }
 
         /// Same for the target×source partition kernel, with an arbitrary
@@ -92,6 +124,19 @@ mod kernel_proptests {
                     "target {}", i
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Around and past one source tile (512), each case at an odd
+        /// and an even row count: the diagonal tiles, the off-diagonal
+        /// tile between them and an odd row out of the pairing.
+        #[test]
+        fn self_kernel_bits_match_across_tiles(n in 500usize..1099, seed in 0u64..1000) {
+            self_kernel_agrees(n, seed)?;
+            self_kernel_agrees(n + 1, seed)?;
         }
     }
 
