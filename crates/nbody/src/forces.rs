@@ -5,6 +5,10 @@
 //! check one; those constants parameterize the cost model so the simulated
 //! timings keep the paper's compute/speculate/check ratios.
 
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
+
+use crate::helper::{Helper, Seat};
 use crate::particle::NBodyConfig;
 use crate::soa::Soa3;
 use crate::vec3::Vec3;
@@ -145,6 +149,9 @@ const LANES: usize = 8;
 /// `src` may be a peer's snapshot, whose length nothing upstream checks
 /// against the partition layout: only the sources that have both a
 /// position and a mass are used (and charged).
+///
+/// A call of at least 2¹⁴ pairs hands its back target rows to a helper
+/// thread; every row's sum is the same either way.
 pub fn accumulate_partition_soa(
     targets: &Soa3,
     acc: &mut Soa3,
@@ -157,14 +164,54 @@ pub fn accumulate_partition_soa(
     let ns = src.len().min(src_mass.len());
     debug_assert_eq!(nt, acc.len());
     let eps2 = eps * eps;
-    let (tx, ty, tz) = (&targets.x[..nt], &targets.y[..nt], &targets.z[..nt]);
-    let (ax, ay, az) = (&mut acc.x, &mut acc.y, &mut acc.z);
+    let ops = (nt as u64) * (ns as u64) * OPS_PER_PAIR;
+    let sources = src.lanes(0..ns);
+    let sm = &src_mass[..ns];
+    let absorb = |rows: Range<usize>, acc: &mut Soa3| {
+        absorb_rows(
+            targets.lanes(rows.clone()),
+            acc.lanes_mut(rows),
+            sources,
+            sm,
+            g,
+            eps2,
+        );
+    };
+    let Some((mid, mut seat)) = split(nt, ns) else {
+        absorb(0..nt, acc);
+        return ops;
+    };
+    let half = seat.job();
+    half.kind = Kind::Absorb { g, eps2 };
+    half.targets.assign(targets, mid..nt);
+    half.out.assign(acc, mid..nt);
+    half.src.assign(src, 0..ns);
+    half.mass.clear();
+    half.mass.extend_from_slice(sm);
+    seat.post();
+    absorb(0..mid, acc);
+    acc.write_at(mid, &seat.collect().out);
+    ops
+}
+
+/// The body of [`accumulate_partition_soa`] for the target rows `t`, with
+/// accumulators `a`, against the sources `s` of masses `sm` (all cut to
+/// length): source tiles outside, `LANES`-wide target blocks inside, then
+/// a scalar tail. A row's result does not depend on which other rows
+/// share the call, so any split of the rows gives the same bits.
+#[inline]
+fn absorb_rows(t: [&[f64]; 3], a: [&mut [f64]; 3], s: [&[f64]; 3], sm: &[f64], g: f64, eps2: f64) {
+    let nt = t[0].len();
+    let ns = sm.len();
+    // Every lane cut to `nt`, so the blocks below index without checks.
+    let [tx, ty, tz] = t.map(|t| &t[..nt]);
+    let [ax, ay, az] = a.map(|a| &mut a[..nt]);
 
     let mut s0 = 0usize;
     while s0 < ns {
         let s1 = (s0 + TILE).min(ns);
-        let (sx, sy, sz) = (&src.x[s0..s1], &src.y[s0..s1], &src.z[s0..s1]);
-        let sm = &src_mass[s0..s1];
+        let (sx, sy, sz) = (&s[0][s0..s1], &s[1][s0..s1], &s[2][s0..s1]);
+        let sm = &sm[s0..s1];
 
         let mut i = 0usize;
         while i + LANES <= nt {
@@ -214,7 +261,6 @@ pub fn accumulate_partition_soa(
         }
         s0 = s1;
     }
-    (nt as u64) * (ns as u64) * OPS_PER_PAIR
 }
 
 /// The paper's eq. 11 for the first `n` particles of a snapshot pair, in
@@ -242,12 +288,15 @@ pub(crate) fn eq11_errors<'a>(
     })
 }
 
-/// Gather buffer of [`correct_partition_soa`]: one `(actual position,
-/// speculated position, G·m)` record per source that failed eq. 11. It
-/// grows to the largest bad set seen and is reused, so a correction
-/// allocates nothing at steady state.
+/// One source that failed eq. 11, as [`correct_partition_soa`] gathers
+/// it: actual position, speculated position, `G·m`.
+type BadSource = ([f64; 3], [f64; 3], f64);
+
+/// Gather buffer of [`correct_partition_soa`]: one record per source that
+/// failed eq. 11. It grows to the largest bad set seen and is reused, so
+/// a correction allocates nothing at steady state.
 #[derive(Debug, Default)]
-pub struct CorrectionScratch(Vec<([f64; 3], [f64; 3], f64)>);
+pub struct CorrectionScratch(Vec<BadSource>);
 
 /// The [`LANES`] values of `s` starting at `at`, as a register block.
 #[inline(always)]
@@ -284,6 +333,8 @@ fn accel_delta(act: [f64; 3], spec: [f64; 3], gm: f64, on: [f64; 3], eps2: f64) 
 /// `accel_from`, `δ = a_actual − a_spec` per component,
 /// `vel += δ·Δt`, `pos += δ·((Δt·Δt)·steps)`. The θ test reads only
 /// `centroid` and the two snapshots, so it does not see `pos` move.
+/// A repair of at least 2¹⁴ pair evaluations (two per bad source and
+/// target) hands its back target rows to a helper thread.
 ///
 /// `speculated`, `actual` and `src_mass` are cut to their common length:
 /// a peer's snapshot of the wrong size repairs less, it does not panic.
@@ -317,16 +368,65 @@ pub fn correct_partition_soa(
     let eps2 = cfg.softening * cfg.softening;
     let dt = cfg.dt;
     let dt2_steps = dt * dt * steps;
-    let (tx, ty, tz) = (&targets.x[..nt], &targets.y[..nt], &targets.z[..nt]);
-    let (vx, vy, vz) = (&mut vel.x[..nt], &mut vel.y[..nt], &mut vel.z[..nt]);
-    let (px, py, pz) = (&mut pos.x[..nt], &mut pos.y[..nt], &mut pos.z[..nt]);
+    let ops = 2 * OPS_PER_PAIR * nt as u64 * bad.len() as u64;
+    let repair = |rows: Range<usize>, vel: &mut Soa3, pos: &mut Soa3| {
+        correct_rows(
+            targets.lanes(rows.clone()),
+            vel.lanes_mut(rows.clone()),
+            pos.lanes_mut(rows),
+            bad,
+            eps2,
+            dt,
+            dt2_steps,
+        );
+    };
+    let Some((mid, mut seat)) = split(nt, 2 * bad.len()) else {
+        repair(0..nt, vel, pos);
+        return ops;
+    };
+    let half = seat.job();
+    half.kind = Kind::Correct {
+        eps2,
+        dt,
+        dt2_steps,
+    };
+    half.targets.assign(targets, mid..nt);
+    half.out.assign(vel, mid..nt);
+    half.pos.assign(pos, mid..nt);
+    half.bad.clone_from(bad);
+    seat.post();
+    repair(0..mid, vel, pos);
+    let half = seat.collect();
+    vel.write_at(mid, &half.out);
+    pos.write_at(mid, &half.pos);
+    ops
+}
+
+/// The body of [`correct_partition_soa`] for the target rows `t` (the
+/// positions the forces were accumulated at), repairing `v` and `p`:
+/// `LANES`-wide register blocks, then a scalar tail. Like
+/// [`absorb_rows`], a row's result does not depend on the other rows.
+#[inline]
+fn correct_rows(
+    t: [&[f64]; 3],
+    v: [&mut [f64]; 3],
+    p: [&mut [f64]; 3],
+    bad: &[BadSource],
+    eps2: f64,
+    dt: f64,
+    dt2_steps: f64,
+) {
+    let nt = t[0].len();
+    let [tx, ty, tz] = t.map(|t| &t[..nt]);
+    let [vx, vy, vz] = v.map(|v| &mut v[..nt]);
+    let [px, py, pz] = p.map(|p| &mut p[..nt]);
 
     let mut b = 0usize;
     while b + LANES <= nt {
         let (qx, qy, qz) = (lanes(tx, b), lanes(ty, b), lanes(tz, b));
         let (mut lvx, mut lvy, mut lvz) = (lanes(vx, b), lanes(vy, b), lanes(vz, b));
         let (mut lpx, mut lpy, mut lpz) = (lanes(px, b), lanes(py, b), lanes(pz, b));
-        for &(act, spec, gm) in bad.iter() {
+        for &(act, spec, gm) in bad {
             for l in 0..LANES {
                 let f = accel_delta(act, spec, gm, [qx[l], qy[l], qz[l]], eps2);
                 lvx[l] += f[0] * dt;
@@ -347,7 +447,7 @@ pub fn correct_partition_soa(
     }
     for b in b..nt {
         let on = [tx[b], ty[b], tz[b]];
-        for &(act, spec, gm) in bad.iter() {
+        for &(act, spec, gm) in bad {
             let f = accel_delta(act, spec, gm, on, eps2);
             vx[b] += f[0] * dt;
             vy[b] += f[1] * dt;
@@ -357,7 +457,111 @@ pub fn correct_partition_soa(
             pz[b] += f[2] * dt2_steps;
         }
     }
-    2 * OPS_PER_PAIR * nt as u64 * bad.len() as u64
+}
+
+// ---------------------------------------------------------------------------
+// The second core
+// ---------------------------------------------------------------------------
+//
+// The two cross kernels above hand their back target rows to one helper
+// thread when a call is large enough, and run the front rows themselves.
+// Each row keeps its own sources, in its own order, through its own
+// expression tree, so where the rows run cannot change a bit or an op
+// count. The self kernel stays on one thread: Newton's third law writes
+// both rows of every pair.
+
+/// Pair evaluations from which a call splits. Handing a half over costs a
+/// few µs of copying (up to about 25 KB in and 6 KB back at N = 4096),
+/// under a tenth of a call this size while the helper is still polling
+/// (a parked one adds a futex wake); and no partition pair of the N = 64
+/// testbed runs or of the 64-particle real-backend ranks reaches it
+/// (`split_predicate_engages_only_on_large_partitions`).
+const SPLIT_PAIRS: usize = 1 << 14;
+
+/// Where a call over `nt` target rows, each of `per_row` pair
+/// evaluations, splits: the caller keeps rows `[0, mid)` — whole `LANES`
+/// blocks — and the helper takes `[mid, nt)`, scalar tail included.
+/// `None` below [`SPLIT_PAIRS`], or with fewer than two blocks of rows.
+fn split_point(nt: usize, per_row: usize) -> Option<usize> {
+    let large = nt >= 2 * LANES && nt.saturating_mul(per_row) >= SPLIT_PAIRS;
+    large.then(|| (nt / 2 + LANES / 2) / LANES * LANES)
+}
+
+/// Where a call over `nt` rows of `per_row` pair evaluations splits, and
+/// the helper to hand its back rows to — if the call is large enough and
+/// no other caller holds the helper.
+fn split(nt: usize, per_row: usize) -> Option<(usize, Seat<'static, Half>)> {
+    let mid = split_point(nt, per_row)?;
+    Some((mid, helper()?.seat()?))
+}
+
+/// What a split call's helper half runs, with the constants it needs.
+#[derive(Clone, Copy)]
+enum Kind {
+    Absorb { g: f64, eps2: f64 },
+    Correct { eps2: f64, dt: f64, dt2_steps: f64 },
+}
+
+impl Default for Kind {
+    fn default() -> Self {
+        Kind::Absorb { g: 0.0, eps2: 0.0 }
+    }
+}
+
+/// The helper's half of a split call, owned so that it can cross threads.
+/// One value is recycled for every call, so its buffers grow to the
+/// largest half seen and then stay.
+#[derive(Default)]
+struct Half {
+    kind: Kind,
+    /// The half's target rows.
+    targets: Soa3,
+    /// Its accumulators (`absorb`) or velocities (correction).
+    out: Soa3,
+    /// Its positions (correction only).
+    pos: Soa3,
+    /// Every source and its mass (`absorb` only).
+    src: Soa3,
+    mass: Vec<f64>,
+    /// The gathered bad sources (correction only).
+    bad: Vec<BadSource>,
+}
+
+/// Runs a [`Half`] on the helper thread, in place: no allocation.
+fn run_half(h: &mut Half) {
+    let rows = 0..h.targets.len();
+    match h.kind {
+        Kind::Absorb { g, eps2 } => absorb_rows(
+            h.targets.lanes(rows.clone()),
+            h.out.lanes_mut(rows),
+            h.src.lanes(0..h.mass.len()),
+            &h.mass,
+            g,
+            eps2,
+        ),
+        Kind::Correct {
+            eps2,
+            dt,
+            dt2_steps,
+        } => correct_rows(
+            h.targets.lanes(rows.clone()),
+            h.out.lanes_mut(rows.clone()),
+            h.pos.lanes_mut(rows),
+            &h.bad,
+            eps2,
+            dt,
+            dt2_steps,
+        ),
+    }
+}
+
+/// The process's one force helper thread, started by the first call that
+/// splits; `None` on a one-core host.
+fn helper() -> Option<&'static Helper<Half>> {
+    static HELPER: OnceLock<Option<Arc<Helper<Half>>>> = OnceLock::new();
+    HELPER
+        .get_or_init(|| Helper::spawn("nbody-forces", run_half))
+        .as_deref()
 }
 
 /// One symmetric sweep: the `R` target rows `i..i + R` against sources
@@ -736,6 +940,78 @@ mod tests {
         let src = crate::soa::Soa3::from_vec3s(&pos);
         let got = accel_point_soa(&src, &mass, point, G, 0.02);
         assert_eq!(want.to_bits_triplet(), got.to_bits_triplet());
+    }
+
+    /// Partition sizes of `n` particles on the paper's testbed.
+    fn testbed_sizes(n: usize) -> Vec<usize> {
+        let caps = netsim::ClusterSpec::paper_testbed().capacities();
+        crate::partition_proportional(n, &caps)
+            .iter()
+            .map(|r| r.len())
+            .collect()
+    }
+
+    /// Only the N = 4096 row can split: no absorb or correction (every
+    /// source bad, two evaluations each) between two partitions of the
+    /// N = 64 testbed, nor of two 64-particle real-backend ranks, reaches
+    /// the threshold; the largest N = 4096 pairs do, both ways round.
+    #[test]
+    fn split_predicate_engages_only_on_large_partitions() {
+        let small = testbed_sizes(64);
+        assert_eq!(small.len(), 16);
+        for (i, &nt) in small.iter().enumerate() {
+            for (k, &ns) in small.iter().enumerate() {
+                if i != k {
+                    assert_eq!(split_point(nt, ns), None, "absorb {nt} x {ns}");
+                    assert_eq!(split_point(nt, 2 * ns), None, "correct {nt} x {ns}");
+                }
+            }
+        }
+        assert_eq!(split_point(64, 64), None);
+        assert_eq!(split_point(64, 2 * 64), None);
+
+        let large = testbed_sizes(4096);
+        let (first, second) = (large[0], large[1]);
+        assert!(first > 400 && second > 400, "{large:?}");
+        for (nt, ns) in [(first, second), (second, first)] {
+            for per_row in [ns, 2 * ns] {
+                let mid = split_point(nt, per_row).expect("the largest pairs split");
+                assert!(mid.is_multiple_of(LANES) && mid > 0 && mid < nt);
+                assert!(mid.abs_diff(nt - mid) <= LANES, "{mid} of {nt}");
+            }
+        }
+    }
+
+    /// Both halves of a split hold at least one `LANES` block of rows, and
+    /// the caller's half is whole blocks.
+    #[test]
+    fn split_point_keeps_whole_blocks_in_front() {
+        assert_eq!(split_point(2 * LANES - 1, SPLIT_PAIRS), None);
+        assert_eq!(split_point(2 * LANES, SPLIT_PAIRS / (2 * LANES) - 1), None);
+        for nt in 2 * LANES..700 {
+            let mid = split_point(nt, SPLIT_PAIRS).unwrap();
+            assert!(mid.is_multiple_of(LANES) && mid >= LANES && nt - mid >= LANES);
+        }
+    }
+
+    /// A call that finds the helper taken runs inline, to the same bits,
+    /// instead of waiting for it.
+    #[test]
+    fn a_call_runs_inline_while_the_helper_is_held() {
+        let (all, mass) = cloud(400, 5);
+        let targets = Soa3::from_vec3s(&all[..200]);
+        let src = Soa3::from_vec3s(&all[200..]);
+        assert!(split_point(200, 200).is_some());
+        let run = || {
+            let mut acc = Soa3::from_vec3s(&seeded_acc(200));
+            accumulate_partition_soa(&targets, &mut acc, &src, &mass[200..], G, 0.05);
+            acc
+        };
+        let bits = |acc: Soa3| acc.iter().map(|a| a.to_bits_triplet()).collect::<Vec<_>>();
+        let free = bits(run());
+        let held = helper().map(|h| h.seat());
+        assert_eq!(bits(run()), free);
+        drop(held);
     }
 }
 

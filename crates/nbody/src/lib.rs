@@ -31,6 +31,7 @@
 mod app;
 pub mod barnes_hut;
 pub mod forces;
+mod helper;
 pub mod integrate;
 mod particle;
 mod partition;

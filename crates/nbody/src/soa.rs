@@ -124,6 +124,41 @@ impl Soa3 {
             .map(|((&x, &y), &z)| Vec3::new(x, y, z))
     }
 
+    /// The three lanes of the sub-range `r`.
+    pub(crate) fn lanes(&self, r: Range<usize>) -> [&[f64]; 3] {
+        [&self.x[r.clone()], &self.y[r.clone()], &self.z[r]]
+    }
+
+    /// The three lanes of the sub-range `r`, writable.
+    pub(crate) fn lanes_mut(&mut self, r: Range<usize>) -> [&mut [f64]; 3] {
+        [
+            &mut self.x[r.clone()],
+            &mut self.y[r.clone()],
+            &mut self.z[r],
+        ]
+    }
+
+    /// Become a copy of `src`'s sub-range `r`, in this storage's existing
+    /// allocations once they are large enough.
+    pub(crate) fn assign(&mut self, src: &Soa3, r: Range<usize>) {
+        for (dst, src) in [
+            (&mut self.x, &src.x),
+            (&mut self.y, &src.y),
+            (&mut self.z, &src.z),
+        ] {
+            dst.clear();
+            dst.extend_from_slice(&src[r.clone()]);
+        }
+    }
+
+    /// Overwrite elements `at..at + src.len()` with `src`.
+    pub(crate) fn write_at(&mut self, at: usize, src: &Soa3) {
+        let r = at..at + src.len();
+        self.x[r.clone()].copy_from_slice(&src.x);
+        self.y[r.clone()].copy_from_slice(&src.y);
+        self.z[r].copy_from_slice(&src.z);
+    }
+
     /// An owned copy of the sub-range `r` (cold path: partitioning).
     pub(crate) fn slice(&self, r: Range<usize>) -> Soa3 {
         Soa3 {

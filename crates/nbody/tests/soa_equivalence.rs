@@ -77,6 +77,223 @@ fn self_kernel_bits_match_at_fixed_sizes() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Above the split threshold
+// ---------------------------------------------------------------------------
+//
+// A partition or correction call of at least 2^14 pair evaluations (two
+// per bad source and target in a correction) over at least two `LANES`
+// blocks of targets hands its back rows to a helper thread. Every absorb
+// below is that large, and so is every correction with all sources bad,
+// so these calls run split whenever the helper is free, and inline when
+// another test holds it: the bits must be the reference's either way.
+
+/// One absorb and one correction of `nt` targets by `ns` sources, with
+/// their AoS reference results.
+struct SplitCase {
+    targets: Vec<Vec3>,
+    src: Vec<Vec3>,
+    /// `extra` longer than `src`: the kernels use only the common prefix.
+    src_mass: Vec<f64>,
+    vel: Vec<Vec3>,
+    pos: Vec<Vec3>,
+    speculated: Vec<Vec3>,
+    centroid: Vec3,
+    cfg: NBodyConfig,
+    /// The accumulator both absorbs start from.
+    acc0: Vec<Vec3>,
+    acc_ref: Vec<Vec3>,
+    pos_ref: Vec<Vec3>,
+    vel_ref: Vec<Vec3>,
+    absorb_ops: u64,
+    correct_ops: u64,
+}
+
+impl SplitCase {
+    /// Every `stride`-th source is speculated wrong (θ = 0, so exactly
+    /// those fail eq. 11); `None` gives an empty bad set.
+    fn new(nt: usize, ns: usize, extra: usize, stride: Option<usize>, seed: u64) -> Self {
+        let cfg = NBodyConfig::default().with_theta(0.0);
+        let particles = uniform_cloud(nt + ns + extra, seed);
+        let targets: Vec<Vec3> = particles[..nt].iter().map(|p| p.pos).collect();
+        let vel: Vec<Vec3> = particles[..nt].iter().map(|p| p.vel).collect();
+        let src: Vec<Vec3> = particles[nt..nt + ns].iter().map(|p| p.pos).collect();
+        let src_mass: Vec<f64> = particles[nt..].iter().map(|p| p.mass).collect();
+        let speculated: Vec<Vec3> = src
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| match stride {
+                Some(s) if i % s == 0 => a + Vec3::new(0.05, -0.02, 0.01),
+                _ => a,
+            })
+            .collect();
+        let pos: Vec<Vec3> = targets
+            .iter()
+            .zip(&vel)
+            .map(|(&p, &v)| p + v * cfg.dt)
+            .collect();
+        let centroid = pos.iter().fold(ZERO3, |a, &p| a + p) / nt as f64;
+
+        let acc0 = seeded_acc(nt, seed);
+        let mut acc_ref = acc0.clone();
+        let absorb_ops =
+            accumulate_partition(&targets, &mut acc_ref, &src, &src_mass[..ns], 1.0, 0.05);
+        let (mut pos_ref, mut vel_ref) = (pos.clone(), vel.clone());
+        let correct_ops = correct_partition(
+            &mut pos_ref,
+            &mut vel_ref,
+            &targets,
+            &speculated,
+            &src,
+            &src_mass,
+            centroid,
+            2.0,
+            &cfg,
+        );
+        let n_bad = stride.map_or(0, |s| ns.div_ceil(s)) as u64;
+        assert_eq!(correct_ops, 2 * OPS_PER_PAIR * nt as u64 * n_bad);
+        SplitCase {
+            targets,
+            src,
+            src_mass,
+            vel,
+            pos,
+            speculated,
+            centroid,
+            cfg,
+            acc0,
+            acc_ref,
+            pos_ref,
+            vel_ref,
+            absorb_ops,
+            correct_ops,
+        }
+    }
+
+    /// Runs both SoA kernels; the first bit or op-count difference from
+    /// the reference is the error.
+    fn check(&self, scratch: &mut CorrectionScratch) -> Result<(), String> {
+        let label = format!("{} x {}", self.targets.len(), self.src.len());
+        let targets = Soa3::from_vec3s(&self.targets);
+        let mut acc = Soa3::from_vec3s(&self.acc0);
+        let ops = accumulate_partition_soa(
+            &targets,
+            &mut acc,
+            &Soa3::from_vec3s(&self.src),
+            &self.src_mass,
+            1.0,
+            0.05,
+        );
+        same_bits(&label, "absorb", &acc, &self.acc_ref, ops, self.absorb_ops)?;
+
+        let (mut pos, mut vel) = (Soa3::from_vec3s(&self.pos), Soa3::from_vec3s(&self.vel));
+        let ops = correct_partition_soa(
+            &mut pos,
+            &mut vel,
+            &targets,
+            &Soa3::from_vec3s(&self.speculated),
+            &Soa3::from_vec3s(&self.src),
+            &self.src_mass,
+            self.centroid,
+            2.0,
+            &self.cfg,
+            scratch,
+        );
+        same_bits(&label, "pos", &pos, &self.pos_ref, ops, self.correct_ops)?;
+        same_bits(&label, "vel", &vel, &self.vel_ref, ops, self.correct_ops)
+    }
+}
+
+fn same_bits(
+    label: &str,
+    what: &str,
+    got: &Soa3,
+    want: &[Vec3],
+    ops: u64,
+    ops_want: u64,
+) -> Result<(), String> {
+    if ops != ops_want {
+        return Err(format!(
+            "{label} {what}: op count {ops} != reference {ops_want}"
+        ));
+    }
+    for (i, w) in want.iter().enumerate() {
+        if got.get(i).to_bits_triplet() != w.to_bits_triplet() {
+            return Err(format!(
+                "{label} {what}, target {i}: {:?} != {w:?}",
+                got.get(i)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Target counts from two `LANES` blocks to 601, odd ones among them (the
+/// helper's half then ends in the scalar tail); source counts past one
+/// 512-source tile; masses longer than positions; bad sets of every
+/// third source, of all of them, and empty.
+#[test]
+fn split_kernels_match_the_reference_above_the_threshold() {
+    let shapes = [
+        (16, 1024),
+        (17, 1000),
+        (39, 473),
+        (473, 39),
+        (128, 128),
+        (255, 300),
+        (601, 700),
+    ];
+    let mut scratch = CorrectionScratch::default();
+    for (k, &(nt, ns)) in shapes.iter().enumerate() {
+        for (extra, stride) in [(0, Some(1)), (5, Some(3)), (3, None)] {
+            SplitCase::new(nt, ns, extra, stride, 40 + k as u64)
+                .check(&mut scratch)
+                .unwrap();
+        }
+    }
+}
+
+/// Callers that find the helper thread busy run inline rather than wait:
+/// four threads that start every round together at a barrier, each
+/// calling both split kernels, get the reference bits every round. A
+/// watchdog turns a deadlock into a failure instead of a hang.
+#[test]
+fn split_kernels_agree_under_contention() {
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 30;
+    let case = Arc::new(SplitCase::new(129, 200, 0, Some(2), 8));
+    let barrier = Arc::new(Barrier::new(THREADS));
+    let (done, finished) = mpsc::channel();
+    let threads: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (case, barrier, done) = (Arc::clone(&case), Arc::clone(&barrier), done.clone());
+            std::thread::spawn(move || {
+                let mut scratch = CorrectionScratch::default();
+                let mut first_error = Ok(());
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    let result = case.check(&mut scratch);
+                    if first_error.is_ok() {
+                        first_error = result.map_err(|e| format!("thread {t}, round {round}: {e}"));
+                    }
+                }
+                done.send(first_error).unwrap();
+            })
+        })
+        .collect();
+    for _ in 0..THREADS {
+        finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a caller hung on the helper thread")
+            .unwrap();
+    }
+    for thread in threads {
+        thread.join().unwrap();
+    }
+}
+
 mod kernel_proptests {
     use super::*;
     use proptest::prelude::*;

@@ -211,6 +211,66 @@ fn nbody_rejected_correction_is_allocation_free() {
     );
 }
 
+/// At N = 1024 on two ranks every absorb (512 × 512 pairs) and every
+/// repair of a fifth of the peer's units is large enough to hand half its
+/// target rows to the force helper thread. The thread-local counter still
+/// sees every allocation the split could make: the caller grows the
+/// recycled buffers the helper's half travels in (during warm-up, along
+/// with starting the thread), and the helper thread computes in place and
+/// never allocates.
+#[test]
+fn nbody_split_kernels_are_allocation_free() {
+    let n = 1024;
+    let particles = uniform_cloud(n, 23);
+    let ranges = partition_proportional(n, &[1.0, 1.0]);
+    let cfg = NBodyConfig::default().with_theta(0.01);
+    let mut a = NBodyApp::new(&particles, ranges.clone(), 0, cfg, SpeculationOrder::Linear);
+    let mut b = NBodyApp::new(&particles, ranges, 1, cfg, SpeculationOrder::Linear);
+    let theirs = &particles[n / 2..];
+    let vel: Vec<Vec3> = theirs.iter().map(|p| p.vel).collect();
+    let pos: Vec<Vec3> = theirs.iter().map(|p| p.pos).collect();
+    let actual = std::sync::Arc::new(PartitionShared::from_vec3s(&pos, &vel));
+    let off = Vec3::new(0.5, -0.25, 0.125);
+    let wrong: Vec<Vec3> = pos
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| if i % 5 == 0 { p + off } else { p })
+        .collect();
+    let speculated = std::sync::Arc::new(PartitionShared::from_vec3s(&wrong, &vel));
+    let (mine, bad) = ((n / 2) as u64, (n / 2).div_ceil(5) as u64);
+    let (mut ckpt_a, mut ckpt_b) = (None, None);
+
+    let mut iteration = |a: &mut NBodyApp, b: &mut NBodyApp| {
+        let share_a = a.shared();
+        let share_b = b.shared();
+        a.checkpoint_into(&mut ckpt_a);
+        b.checkpoint_into(&mut ckpt_b);
+        a.begin_iteration();
+        b.begin_iteration();
+        a.absorb(Rank(1), &share_b);
+        b.absorb(Rank(0), &share_a);
+        drop(share_a);
+        drop(share_b);
+        a.finish_iteration();
+        b.finish_iteration();
+        let ops = a.correct(Rank(1), &speculated, &actual);
+        assert_eq!(ops, 2 * nbody::forces::OPS_PER_PAIR * mine * bad);
+    };
+
+    for _ in 0..3 {
+        iteration(&mut a, &mut b);
+    }
+    let before = allocations_here();
+    for _ in 0..4 {
+        iteration(&mut a, &mut b);
+    }
+    assert_eq!(
+        allocations_here() - before,
+        0,
+        "split absorb and correction must not allocate"
+    );
+}
+
 #[test]
 fn heat2d_compute_path_is_allocation_free() {
     let (rows, cols, p) = (24, 16, 3);
