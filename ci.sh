@@ -1,5 +1,9 @@
 #!/usr/bin/env bash
-# Repository CI gate: formatting, lints, tests. Run from anywhere.
+# Repository CI gate: formatting, lints, docs, tests, the perf-ledger
+# harness's own checks, the public-surface audit, the release-build
+# contracts and the release experiments golden. No step times anything:
+# wall-clock performance is judged by the perf ledger (BENCHMARK.json).
+# Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -64,14 +68,5 @@ echo "== experiments (release) against the golden"
 # build; this pins that release prints the same bytes, which the
 # release-built perf ledger relies on.
 cargo run -q --release -p spec-bench --bin experiments | diff - tests/golden/experiments.txt
-
-echo "== kernels bench smoke (release)"
-# Emits BENCH_kernels.json under target/bench-out/ (cargo bench -p runs
-# with the package dir as cwd; the emitter creates the directory):
-# wall-clock pairs/sec for the scalar and SoA force kernels (self,
-# partition, and the incremental correction with a tenth of the sources
-# bad) at N ∈ {1024, 4096}. A scalar-vs-SoA A/B to read, not a gate:
-# wall-clock numbers are judged by the perf ledger (BENCHMARK.json).
-SPEC_BENCH_OUT="$PWD/target/bench-out" cargo bench -q -p spec-bench --bench kernels
 
 echo "CI green."

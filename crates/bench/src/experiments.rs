@@ -359,11 +359,12 @@ pub struct Table2Row {
 }
 
 /// Table 2: measured per-iteration phase times at p = 16 (the paper's
-/// caption), FW ∈ {0, 1, 2}.
+/// caption), FW ∈ {0, 1, 2}, all three on one network stream so the rows
+/// differ only in FW.
 fn table2() -> Vec<Table2Row> {
     (0..=2u32)
         .map(|fw| {
-            let result = run(N_PARTICLES, P_MAX, paper_config(fw), 1000 + u64::from(fw));
+            let result = run(N_PARTICLES, P_MAX, paper_config(fw), 1000);
             let ph = result.stats.mean_per_iteration();
             Table2Row {
                 fw,

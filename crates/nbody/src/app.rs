@@ -63,7 +63,7 @@ pub struct PartitionShared {
 }
 
 impl PartitionShared {
-    /// Build from AoS slices (cold path: construction, tests, benches).
+    /// Build from AoS slices (cold path: construction, tests).
     pub fn from_vec3s(pos: &[Vec3], vel: &[Vec3]) -> Self {
         PartitionShared {
             pos: Soa3::from_vec3s(pos),

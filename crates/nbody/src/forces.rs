@@ -76,7 +76,7 @@ pub fn accumulate_self(pos: &[Vec3], mass: &[f64], acc: &mut [Vec3], g: f64, eps
 
 /// AoS reference twin of [`correct_partition_soa`] — the scalar
 /// retract/reapply loop the production kernel replaced, kept for the
-/// bit-equality tests and the kernels bench, never as a runtime path.
+/// bit-equality tests only, never as a runtime path.
 ///
 /// For every source whose speculated position fails eq. 11 against
 /// `cfg.theta` (relative to `centroid`), the force it exerted on each
@@ -737,27 +737,6 @@ pub fn accumulate_self_soa(pos: &Soa3, mass: &[f64], acc: &mut Soa3, g: f64, eps
     (n as u64) * (n.saturating_sub(1) as u64) * OPS_PER_PAIR
 }
 
-/// Acceleration at a single `point` from a gathered SoA interaction list
-/// (positions + masses), accumulated in list order. Used by the
-/// Barnes–Hut tree walk after gathering accepted nodes.
-pub(crate) fn accel_point_soa(src: &Soa3, mass: &[f64], point: Vec3, g: f64, eps: f64) -> Vec3 {
-    debug_assert_eq!(src.len(), mass.len());
-    let eps2 = eps * eps;
-    let (mut axp, mut ayp, mut azp) = (0.0f64, 0.0f64, 0.0f64);
-    for (((&qx, &qy), &qz), &qm) in src.x.iter().zip(&src.y).zip(&src.z).zip(mass) {
-        let dx = qx - point.x;
-        let dy = qy - point.y;
-        let dz = qz - point.z;
-        let dist_sq = (dx * dx + dy * dy + dz * dz) + eps2;
-        let inv = 1.0 / (dist_sq * dist_sq.sqrt());
-        let s = (g * qm) * inv;
-        axp += dx * s;
-        ayp += dy * s;
-        azp += dz * s;
-    }
-    Vec3::new(axp, ayp, azp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,19 +906,6 @@ mod tests {
         let mut acc = Soa3::zeros(1);
         assert_eq!(accumulate_self_soa(&one, &[2.0], &mut acc, G, 0.05), 0);
         assert_eq!(acc.get(0), ZERO3);
-    }
-
-    #[test]
-    fn accel_point_soa_matches_scalar_accumulation() {
-        let (pos, mass) = cloud(37, 21);
-        let point = Vec3::new(0.3, -0.1, 0.8);
-        let mut want = ZERO3;
-        for (j, &p) in pos.iter().enumerate() {
-            want += accel_from(point, p, mass[j], G, 0.02);
-        }
-        let src = crate::soa::Soa3::from_vec3s(&pos);
-        let got = accel_point_soa(&src, &mass, point, G, 0.02);
-        assert_eq!(want.to_bits_triplet(), got.to_bits_triplet());
     }
 
     /// Partition sizes of `n` particles on the paper's testbed.

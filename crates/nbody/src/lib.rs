@@ -15,8 +15,6 @@
 //!   correction;
 //! * [`run_parallel`] — the full experiment pipeline on a simulated
 //!   heterogeneous cluster;
-//! * [`barnes_hut`] — the O(N log N) comparator the paper's footnote
-//!   references;
 //! * initial-condition generators ([`uniform_cloud`], [`centered_cloud`],
 //!   [`rotating_disk`]).
 //!
@@ -29,7 +27,6 @@
 #![deny(unsafe_code)]
 
 mod app;
-pub mod barnes_hut;
 pub mod forces;
 mod helper;
 pub mod integrate;
@@ -40,10 +37,8 @@ mod soa;
 mod vec3;
 
 pub use app::{NBodyApp, PartitionShared, SpeculationOrder};
-pub use particle::{
-    centered_cloud, rotating_disk, uniform_cloud, NBodyConfig, Particle, SoaBodies,
-};
-pub use partition::{partition_proportional, split_soa};
+pub use particle::{centered_cloud, rotating_disk, uniform_cloud, NBodyConfig, Particle};
+pub use partition::partition_proportional;
 pub use runner::{run_parallel, run_parallel_with_faults, ParallelRunConfig, ParallelRunResult};
 pub use soa::Soa3;
 pub use vec3::{Vec3, ZERO3};

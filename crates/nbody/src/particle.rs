@@ -3,7 +3,6 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::soa::Soa3;
 use crate::vec3::{Vec3, ZERO3};
 
 /// One point mass.
@@ -15,57 +14,6 @@ pub struct Particle {
     pub pos: Vec3,
     /// Velocity.
     pub vel: Vec3,
-}
-
-/// A body set in structure-of-arrays layout: the form the cache-blocked
-/// force kernels ([`crate::forces`]) consume directly. Conversions to and
-/// from `[Particle]` are cold-path only (setup, output).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SoaBodies {
-    /// Positions, one lane per axis.
-    pub pos: Soa3,
-    /// Velocities.
-    pub vel: Soa3,
-    /// Masses.
-    pub mass: Vec<f64>,
-}
-
-impl SoaBodies {
-    /// Transpose an AoS particle slice into SoA storage.
-    pub fn from_particles(particles: &[Particle]) -> Self {
-        let mut out = SoaBodies {
-            pos: Soa3::new(),
-            vel: Soa3::new(),
-            mass: Vec::with_capacity(particles.len()),
-        };
-        for p in particles {
-            out.pos.push(p.pos);
-            out.vel.push(p.vel);
-            out.mass.push(p.mass);
-        }
-        out
-    }
-
-    /// Transpose back to AoS particles.
-    #[cfg(test)]
-    pub(crate) fn to_particles(&self) -> Vec<Particle> {
-        self.pos
-            .iter()
-            .zip(self.vel.iter())
-            .zip(&self.mass)
-            .map(|((pos, vel), &mass)| Particle { mass, pos, vel })
-            .collect()
-    }
-
-    /// Number of bodies.
-    pub fn len(&self) -> usize {
-        self.mass.len()
-    }
-
-    /// True when there are no bodies.
-    pub fn is_empty(&self) -> bool {
-        self.mass.is_empty()
-    }
 }
 
 /// Physical and numerical parameters of a simulation.
@@ -233,17 +181,6 @@ mod tests {
             // velocity ⊥ radius for circular orbits
             assert!(p.vel.dot(radial).abs() < 1e-9, "orbit not tangential");
         }
-    }
-
-    #[test]
-    fn soa_bodies_round_trip() {
-        let ps = uniform_cloud(17, 9);
-        let soa = SoaBodies::from_particles(&ps);
-        assert_eq!(soa.len(), 17);
-        assert!(!soa.is_empty());
-        assert_eq!(soa.pos.get(3), ps[3].pos);
-        assert_eq!(soa.to_particles(), ps);
-        assert!(SoaBodies::default().is_empty());
     }
 
     #[test]

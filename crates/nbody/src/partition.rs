@@ -10,8 +10,6 @@
 
 use std::ops::Range;
 
-use crate::particle::SoaBodies;
-
 /// Split `n` items into contiguous ranges proportional to `capacities`.
 ///
 /// Returns one (possibly empty) range per capacity, in order, covering
@@ -57,27 +55,9 @@ pub fn partition_proportional(n: usize, capacities: &[f64]) -> Vec<Range<usize>>
     ranges
 }
 
-/// Slice an SoA body set into per-partition copies following `ranges`
-/// (as produced by [`partition_proportional`]). Each partition keeps the
-/// SoA layout, ready for the blocked kernels.
-///
-/// # Panics
-/// Panics if any range exceeds the body count.
-pub fn split_soa(bodies: &SoaBodies, ranges: &[Range<usize>]) -> Vec<SoaBodies> {
-    ranges
-        .iter()
-        .map(|r| SoaBodies {
-            pos: bodies.pos.slice(r.clone()),
-            vel: bodies.vel.slice(r.clone()),
-            mass: bodies.mass[r.clone()].to_vec(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::particle::uniform_cloud;
 
     /// Largest relative violation of eq. 4 across processors:
     /// `max_i |N_i/M_i − N/ΣM| / (N/ΣM)`.
@@ -153,20 +133,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_zero_capacity() {
         partition_proportional(10, &[1.0, 0.0]);
-    }
-
-    #[test]
-    fn split_soa_preserves_order_and_coverage() {
-        let ps = uniform_cloud(23, 4);
-        let bodies = SoaBodies::from_particles(&ps);
-        let ranges = partition_proportional(23, &[3.0, 2.0, 1.0]);
-        let parts = split_soa(&bodies, &ranges);
-        assert_eq!(parts.len(), 3);
-        let mut rebuilt = Vec::new();
-        for part in &parts {
-            rebuilt.extend(part.to_particles());
-        }
-        assert_eq!(rebuilt, ps);
     }
 }
 

@@ -73,13 +73,6 @@ impl Soa3 {
         self.x.is_empty()
     }
 
-    /// Append one vector.
-    pub(crate) fn push(&mut self, v: Vec3) {
-        self.x.push(v.x);
-        self.y.push(v.y);
-        self.z.push(v.z);
-    }
-
     /// Element `i` as a [`Vec3`].
     #[inline]
     pub fn get(&self, i: usize) -> Vec3 {
@@ -110,8 +103,9 @@ impl Soa3 {
         }
     }
 
-    /// Scatter back to an owned `Vec<Vec3>` (cold path: results / tests).
-    pub fn to_vec3s(&self) -> Vec<Vec3> {
+    /// Scatter back to an owned `Vec<Vec3>`.
+    #[cfg(test)]
+    pub(crate) fn to_vec3s(&self) -> Vec<Vec3> {
         (0..self.len()).map(|i| self.get(i)).collect()
     }
 
@@ -158,15 +152,6 @@ impl Soa3 {
         self.y[r.clone()].copy_from_slice(&src.y);
         self.z[r].copy_from_slice(&src.z);
     }
-
-    /// An owned copy of the sub-range `r` (cold path: partitioning).
-    pub(crate) fn slice(&self, r: Range<usize>) -> Soa3 {
-        Soa3 {
-            x: self.x[r.clone()].to_vec(),
-            y: self.y[r.clone()].to_vec(),
-            z: self.z[r].to_vec(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -185,16 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn push_set_fill_and_slice() {
-        let mut soa = Soa3::zeros(2);
-        soa.push(Vec3::new(4.0, 5.0, 6.0));
-        assert_eq!(soa.len(), 3);
+    fn set_and_fill() {
+        let mut soa = Soa3::zeros(3);
         soa.set(0, Vec3::new(1.0, 1.0, 1.0));
         assert_eq!(soa.get(0), Vec3::new(1.0, 1.0, 1.0));
-        let tail = soa.slice(1..3);
-        assert_eq!(tail.to_vec3s(), vec![ZERO3, Vec3::new(4.0, 5.0, 6.0)]);
         soa.fill(ZERO3);
-        assert_eq!(soa.get(2), ZERO3);
+        assert_eq!(soa.get(0), ZERO3);
     }
 
     #[test]

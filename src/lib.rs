@@ -20,7 +20,7 @@
 //! | [`netsim`] | Heterogeneous machines (`M_i`), shared-medium/jitter/transient network models, background load |
 //! | [`mpk`] | PVM-style message-passing transport with virtual-time, real-thread, and real-TCP-socket backends |
 //! | [`speccore`] | **The paper's contribution**: the speculative driver (Figures 1 & 3, forward/backward windows, θ checks, corrections, rollback, and the adaptive controller that retunes FW, θ and deadlines online) |
-//! | [`nbody`] | The §5 case study: O(N²) N-body with eq. 10 speculation and eq. 11 checking (plus Barnes–Hut) |
+//! | [`nbody`] | The §5 case study: O(N²) N-body with eq. 10 speculation and eq. 11 checking |
 //! | [`perfmodel`] | The §4 empirical performance model (eqs. 3–9, Figures 5/6/9) |
 //! | [`workloads`] | Five more synchronous iterative apps: §4 synthetic, 1-D and 2-D heat diffusion, dense Jacobi, PageRank |
 //! | [`obs`] | Structured telemetry: typed spans/counters, Chrome-trace export, run reports |
