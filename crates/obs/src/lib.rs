@@ -19,8 +19,8 @@
 //! The flow: instrumentation emits [`Event`]s into a [`Recorder`]
 //! (typically a [`SharedRecorder`] cloned into every rank);
 //! [`RunTrace::split_by_rank`] turns the drained stream into per-rank
-//! traces; [`chrome_trace_string`] exports a Perfetto-loadable timeline,
-//! [`RunReport`] a per-rank digest, and
+//! traces, each with its [`PhaseTotals`] and [`CounterTotals`];
+//! [`chrome_trace_string`] exports a Perfetto-loadable timeline, and
 //! [`timeline::render`] an ASCII quick look.
 
 #![warn(missing_docs)]
@@ -31,7 +31,6 @@ mod event;
 mod fingerprint;
 mod json;
 mod recorder;
-mod report;
 pub mod timeline;
 mod trace;
 
@@ -40,5 +39,4 @@ pub use event::{Event, EventKind, Gauge, Mark, Phase};
 pub use fingerprint::{fingerprint_f64s, Fingerprint};
 pub use json::Json;
 pub use recorder::{Recorder, SharedRecorder};
-pub use report::{RankReport, RunReport};
 pub use trace::{CounterTotals, PhaseTotals, RunTrace, Span};

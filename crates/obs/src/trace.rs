@@ -329,14 +329,28 @@ mod tests {
 
     #[test]
     fn counters_tally_marks() {
-        let traces = RunTrace::split_by_rank(sample_events());
+        let mut events = sample_events();
+        for (t, fw) in [(50, 1), (90, 3)] {
+            events.mark(
+                0,
+                t,
+                Mark::ControllerRetune {
+                    fw,
+                    theta_ppb: 0,
+                    deadline_ns: 0,
+                },
+            );
+        }
+        let traces = RunTrace::split_by_rank(events);
         let c0 = traces[0].counter_totals();
         assert_eq!(c0.messages_received, 1);
         assert_eq!(c0.bytes_received, 128);
         assert_eq!(c0.commits, 1);
+        assert_eq!(c0.controller_retunes, 2);
         let c1 = traces[1].counter_totals();
         assert_eq!(c1.messages_sent, 1);
         assert_eq!(c1.bytes_sent, 128);
+        assert_eq!(c1.controller_retunes, 0);
     }
 
     #[test]

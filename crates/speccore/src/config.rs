@@ -235,7 +235,9 @@ impl SpecConfig {
         }
     }
 
-    /// Enable the per-iteration timing log (for timeline rendering).
+    /// Enable the per-iteration timing log,
+    /// [`RunStats::iteration_log`](crate::RunStats::iteration_log): one
+    /// commit record per iteration, for commit-gap statistics.
     pub fn with_iteration_log(mut self) -> Self {
         self.collect_log = true;
         self

@@ -68,11 +68,6 @@ impl<S> History<S> {
         self.entries.get(len - 1 - n).map(|(i, v)| (*i, v))
     }
 
-    /// All recorded values, newest first.
-    pub fn recent(&self) -> impl Iterator<Item = (u64, &S)> {
-        self.entries.iter().rev().map(|(i, v)| (*i, v))
-    }
-
     /// Number of recorded values (≤ capacity).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -125,16 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn recent_iterates_newest_first() {
-        let mut h = History::new(3);
-        for i in 0..3u64 {
-            h.record(i, i as f64);
-        }
-        let got: Vec<u64> = h.recent().map(|(i, _)| i).collect();
-        assert_eq!(got, vec![2, 1, 0]);
-    }
-
-    #[test]
     fn gaps_are_allowed() {
         let mut h = History::new(3);
         h.record(0, 0.0);
@@ -173,7 +158,7 @@ mod proptests {
             }
             prop_assert!(h.len() <= cap);
             prop_assert_eq!(h.latest_iter(), best);
-            let seq: Vec<u64> = h.recent().map(|(i, _)| i).collect();
+            let seq: Vec<u64> = (0..h.len()).map(|n| h.nth_back(n).unwrap().0).collect();
             for w in seq.windows(2) {
                 prop_assert!(w[0] > w[1], "iterations must strictly decrease newest-first");
             }

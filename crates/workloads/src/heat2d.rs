@@ -1,10 +1,9 @@
 //! 2-D Jacobi heat diffusion with speculative row-halo exchange.
 //!
 //! The grid is split into horizontal strips, one per rank; each iteration a
-//! strip needs its neighbours' edge *rows* (vectors, unlike the scalar
-//! halos of the 1-D solver), making this the realistic PDE workload: halo
-//! messages of meaningful size, per-cell error checking, and exact
-//! per-cell incremental correction.
+//! strip needs its neighbours' edge *rows*, making this the realistic PDE
+//! workload: halo messages of meaningful size, per-cell error checking,
+//! and exact per-cell incremental correction.
 //!
 //! A strip's halos travel as one `Arc<RowHalo>`: the broadcast to every
 //! peer, each peer's history and the inbox share a single allocation. A
@@ -463,6 +462,42 @@ mod tests {
         assert!(!out.accept);
         assert_eq!(out.bad_units, 1);
         assert_eq!(out.checked_units, cols as u64);
+    }
+
+    /// A halo from a rank that is not adjacent couples nothing: absorbing
+    /// it is free and leaves the step bit-identical, and `check` and
+    /// `correct` ignore it.
+    #[test]
+    fn non_neighbors_do_not_couple() {
+        let (rows, cols) = (12, 8);
+        let ranges = even_ranges(rows, 3);
+        let far = Arc::new(RowHalo {
+            top: vec![99.0; cols],
+            bottom: vec![99.0; cols],
+        });
+        let near = Arc::new(RowHalo {
+            top: vec![0.5; cols],
+            bottom: vec![0.5; cols],
+        });
+        let step = |with_far: bool| {
+            let mut app = Heat2dApp::new(rows, cols, &ranges, 0, Heat2dConfig::default());
+            app.begin_iteration();
+            if with_far {
+                // Rank 2 is not adjacent to rank 0.
+                assert_eq!(app.absorb(Rank(2), &far), 0);
+            }
+            app.absorb(Rank(1), &near);
+            app.finish_iteration();
+            app
+        };
+        let mut app = step(true);
+        assert_eq!(app.fingerprint(), step(false).fingerprint());
+        let out = app.check(Rank(2), &near, &far);
+        assert!(out.accept, "unused halos are always acceptable");
+        assert_eq!(out.checked_units, 0);
+        let before = app.fingerprint();
+        assert_eq!(app.correct(Rank(2), &far, &near), 0);
+        assert_eq!(app.fingerprint(), before);
     }
 
     /// A neighbour's row is as long as the neighbour says: a shorter or

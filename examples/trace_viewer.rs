@@ -45,17 +45,17 @@ fn main() {
     );
     print!("{}", obs::timeline::render(traces, 78));
 
-    let report = RunReport::from_traces("trace_viewer", traces);
     println!("\nPer-rank phase totals (ns):");
-    for rank in &report.per_rank {
+    for trace in traces {
+        let phases = trace.phase_totals();
         println!(
             "  rank {}: compute {:>12}  comm_wait {:>12}  speculate {:>10}  check {:>10}  correct {:>10}",
-            rank.rank,
-            rank.phases.compute,
-            rank.phases.comm_wait,
-            rank.phases.speculate,
-            rank.phases.check,
-            rank.phases.correct,
+            trace.rank,
+            phases.compute,
+            phases.comm_wait,
+            phases.speculate,
+            phases.check,
+            phases.correct,
         );
     }
 

@@ -22,8 +22,8 @@
 //! | [`speccore`] | **The paper's contribution**: the speculative driver (Figures 1 & 3, forward/backward windows, θ checks, corrections, rollback, and the adaptive controller that retunes FW, θ and deadlines online) |
 //! | [`nbody`] | The §5 case study: O(N²) N-body with eq. 10 speculation and eq. 11 checking |
 //! | [`perfmodel`] | The §4 empirical performance model (eqs. 3–9, Figures 5/6/9) |
-//! | [`workloads`] | Five more synchronous iterative apps: §4 synthetic, 1-D and 2-D heat diffusion, dense Jacobi, PageRank |
-//! | [`obs`] | Structured telemetry: typed spans/counters, Chrome-trace export, run reports |
+//! | [`workloads`] | Four more synchronous iterative apps: §4 synthetic, 2-D heat diffusion, dense Jacobi, PageRank |
+//! | [`obs`] | Structured telemetry: typed spans/counters, per-rank phase totals, Chrome-trace export |
 //!
 //! ## Quickstart
 //!
@@ -84,7 +84,7 @@ pub mod prelude {
         LinkBandwidth, LinkPartition, Loss, MachineCrash, NetworkModel, RandomSpikes,
         ScriptedDelays, ScriptedFaults, SharedMedium, TransientDelays, Unloaded,
     };
-    pub use obs::{chrome_trace_string, fingerprint_f64s, RunReport, RunTrace, SharedRecorder};
+    pub use obs::{chrome_trace_string, fingerprint_f64s, RunTrace, SharedRecorder};
     pub use perfmodel::{CommModel, ModelParams};
     pub use speccore::{
         run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, ClusterStats,
@@ -92,7 +92,7 @@ pub mod prelude {
         SpeculativeApp, SupervisionConfig,
     };
     pub use workloads::{
-        Graph, Heat2dApp, Heat2dConfig, HeatApp, HeatConfig, JacobiApp, JacobiConfig, LinearSystem,
-        PageRankApp, PageRankConfig, SyntheticApp, SyntheticConfig,
+        Graph, Heat2dApp, Heat2dConfig, JacobiApp, JacobiConfig, LinearSystem, PageRankApp,
+        PageRankConfig, SyntheticApp, SyntheticConfig,
     };
 }
