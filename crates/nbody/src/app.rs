@@ -38,7 +38,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use mpk::{Rank, WireCodec, WireSize};
-use speccore::{CheckOutcome, History, SpeculativeApp};
+use speccore::{CheckOutcome, History, Lanes, SpeculativeApp};
 
 use crate::forces::{
     accumulate_partition_soa, accumulate_self_soa, correct_partition_soa, eq11_errors,
@@ -79,6 +79,37 @@ impl PartitionShared {
     /// True when the snapshot is empty.
     pub fn is_empty(&self) -> bool {
         self.pos.is_empty()
+    }
+}
+
+/// Six rows: `pos.x`, `pos.y`, `pos.z`, `vel.x`, `vel.y`, `vel.z`. A
+/// velocity row is written through `Arc::make_mut`, so whoever else holds
+/// the velocities (a prediction made from this snapshot) keeps them.
+impl Lanes for PartitionShared {
+    fn row_count(&self) -> usize {
+        6
+    }
+
+    fn row(&self, r: usize) -> &[f64] {
+        let soa = if r < 3 { &self.pos } else { &*self.vel };
+        match r % 3 {
+            0 => &soa.x,
+            1 => &soa.y,
+            _ => &soa.z,
+        }
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        let soa = if r < 3 {
+            &mut self.pos
+        } else {
+            Arc::make_mut(&mut self.vel)
+        };
+        match r % 3 {
+            0 => &mut soa.x,
+            1 => &mut soa.y,
+            _ => &mut soa.z,
+        }
     }
 }
 
@@ -478,26 +509,9 @@ impl SpeculativeApp for NBodyApp {
         let expected = self.ranges[from.0].len();
         let n = expected.min(actual.len()).min(speculated.len());
         let malformed = actual.len() != expected || speculated.len() != expected;
-        let mut max_error: f64 = 0.0;
-        let mut max_accepted: f64 = 0.0;
-        let mut bad = 0u64;
         let softening = self.cfg.softening;
-        for err in eq11_errors(&speculated.pos, &actual.pos, n, self.centroid(), softening) {
-            max_error = max_error.max(err);
-            if malformed || err > self.cfg.theta {
-                bad += 1;
-            } else {
-                max_accepted = max_accepted.max(err);
-            }
-        }
-        CheckOutcome {
-            accept: bad == 0 && !malformed,
-            max_error,
-            max_accepted_error: max_accepted,
-            checked_units: n as u64,
-            bad_units: bad,
-            ops: OPS_PER_CHECK * n as u64,
-        }
+        let errors = eq11_errors(&speculated.pos, &actual.pos, n, self.centroid(), softening);
+        CheckOutcome::tally(errors, malformed, self.cfg.theta, OPS_PER_CHECK)
     }
 
     fn correct(
@@ -524,54 +538,6 @@ impl SpeculativeApp for NBodyApp {
         // θ-bounded quantity — the same accept-small-errors trade the
         // paper makes throughout.
         Some(self.apply_correction(from, speculated, actual, (depth + 1) as f64))
-    }
-
-    fn delta_extract(&self, shared: &Arc<PartitionShared>, out: &mut Vec<f64>) -> bool {
-        // Six lanes per particle, particle-major: the layout is a pure
-        // function of the partition size, so lane indices are stable across
-        // iterations and identical on sender and receiver.
-        out.clear();
-        out.reserve(6 * shared.len());
-        for i in 0..shared.len() {
-            out.extend_from_slice(&[
-                shared.pos.x[i],
-                shared.pos.y[i],
-                shared.pos.z[i],
-                shared.vel.x[i],
-                shared.vel.y[i],
-                shared.vel.z[i],
-            ]);
-        }
-        true
-    }
-
-    fn delta_patch(
-        &self,
-        base: &Arc<PartitionShared>,
-        entries: &[(u32, f64)],
-    ) -> Option<Arc<PartitionShared>> {
-        // Copies the positions; the velocities stay shared with `base` (and
-        // with any prediction made from it) until a velocity lane is
-        // patched, which copies them on write.
-        let mut next = PartitionShared::clone(base);
-        for &(lane, value) in entries {
-            let (i, comp) = (lane as usize / 6, lane as usize % 6);
-            if i >= next.len() {
-                // The lane is the peer's word: out of range drops the frame.
-                return None;
-            }
-            let soa = if comp < 3 {
-                &mut next.pos
-            } else {
-                Arc::make_mut(&mut next.vel)
-            };
-            match comp % 3 {
-                0 => soa.x[i] = value,
-                1 => soa.y[i] = value,
-                _ => soa.z[i] = value,
-            }
-        }
-        Some(Arc::new(next))
     }
 
     fn checkpoint(&self) -> NBodyCheckpoint {
@@ -643,15 +609,15 @@ mod tests {
         let base_bits = lane_bits(&base);
         let vel_bits = |s: &PartitionShared| lane_bits(s)[3 * s.len()..].to_vec();
 
-        // Lane 6·2 + 4: particle 2's vy.
-        let patched = app.delta_patch(&base, &[(16, 7.5), (0, -1.0)]).unwrap();
+        // Lane 4·6 + 2: row 4 (vy), particle 2.
+        let patched = app.delta_patch(&base, &[(26, 7.5), (0, -1.0)]).unwrap();
         assert_eq!((patched.vel.y[2], patched.pos.x[0]), (7.5, -1.0));
         assert!(!Arc::ptr_eq(&patched.vel, &base.vel));
         assert_eq!(lane_bits(&base), base_bits, "the base is unchanged");
         assert_eq!(vel_bits(&before), vel_bits(&base), "so is a prediction");
         assert!(Arc::ptr_eq(&before.vel, &base.vel));
 
-        let moved = app.delta_patch(&base, &[(6, 3.0), (8, 4.0)]).unwrap();
+        let moved = app.delta_patch(&base, &[(1, 3.0), (13, 4.0)]).unwrap();
         assert_eq!((moved.pos.x[1], moved.pos.z[1]), (3.0, 4.0));
         assert!(
             Arc::ptr_eq(&moved.vel, &base.vel),
@@ -1135,11 +1101,12 @@ mod tests {
         }
     }
 
+    /// The snapshot's lanes, row-major, as bits: the layout delta
+    /// exchange uses.
     fn lane_bits(s: &PartitionShared) -> Vec<u64> {
-        [&s.pos, &s.vel]
-            .into_iter()
-            .flat_map(|soa| [&soa.x, &soa.y, &soa.z])
-            .flat_map(|lane| lane.iter().map(|v| v.to_bits()))
+        (0..s.row_count())
+            .flat_map(|r| s.row(r))
+            .map(|v| v.to_bits())
             .collect()
     }
 

@@ -7,8 +7,8 @@ use nbody::{partition_proportional, uniform_cloud, NBodyApp, NBodyConfig, Specul
 use proptest::prelude::*;
 use speccore::SpeculativeApp;
 use workloads::{
-    Graph, JacobiApp, JacobiConfig, LinearSystem, PageRankApp, PageRankConfig, SyntheticApp,
-    SyntheticConfig,
+    Graph, Heat2dApp, Heat2dConfig, JacobiApp, JacobiConfig, LinearSystem, PageRankApp,
+    PageRankConfig, SyntheticApp, SyntheticConfig,
 };
 
 fn lanes_of<A: SpeculativeApp>(app: &A, shared: &A::Shared) -> Vec<u64> {
@@ -76,5 +76,9 @@ proptest! {
             &SyntheticApp::new(12, &ranges, 1, SyntheticConfig::default()),
             &entries,
         );
+        patch_is_total(
+            &Heat2dApp::new(12, 5, &ranges, 0, Heat2dConfig::default()),
+            &entries,
+        ); // 2 halo rows × 5 cells
     }
 }

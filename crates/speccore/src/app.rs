@@ -17,6 +17,54 @@
 use mpk::Rank;
 
 use crate::history::History;
+use crate::speculator;
+
+/// A partition snapshot as a fixed list of `f64` rows. Lane `l` is the
+/// `l`-th scalar of the rows concatenated: what §3.1's speculation
+/// extrapolates and delta exchange diffs, the same scalar on every rank.
+pub trait Lanes: Clone {
+    /// Number of rows.
+    fn row_count(&self) -> usize;
+
+    /// Row `r` (`r < row_count()`).
+    fn row(&self, r: usize) -> &[f64];
+
+    /// Row `r`, writable; storage shared with another value is copied.
+    fn row_mut(&mut self, r: usize) -> &mut [f64];
+
+    /// Number of lanes: the rows' lengths summed.
+    fn lane_count(&self) -> usize {
+        (0..self.row_count()).map(|r| self.row(r).len()).sum()
+    }
+}
+
+impl Lanes for Vec<f64> {
+    fn row_count(&self) -> usize {
+        1
+    }
+
+    fn row(&self, _r: usize) -> &[f64] {
+        self
+    }
+
+    fn row_mut(&mut self, _r: usize) -> &mut [f64] {
+        self
+    }
+}
+
+impl<T: Lanes> Lanes for std::sync::Arc<T> {
+    fn row_count(&self) -> usize {
+        T::row_count(self)
+    }
+
+    fn row(&self, r: usize) -> &[f64] {
+        T::row(self, r)
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        std::sync::Arc::make_mut(self).row_mut(r)
+    }
+}
 
 /// Result of comparing a speculated partition value with the actual one.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,6 +87,39 @@ pub struct CheckOutcome {
     pub ops: u64,
 }
 
+impl CheckOutcome {
+    /// Tally per-unit errors against θ, charging `ops_per_unit` per unit.
+    /// A `malformed` pair (a side of the wrong length, compared on its
+    /// common prefix) is rejected whole, every unit bad.
+    pub fn tally(
+        errors: impl IntoIterator<Item = f64>,
+        malformed: bool,
+        theta: f64,
+        ops_per_unit: u64,
+    ) -> Self {
+        let mut max_error: f64 = 0.0;
+        let mut max_accepted: f64 = 0.0;
+        let (mut units, mut bad) = (0u64, 0u64);
+        for err in errors {
+            units += 1;
+            max_error = max_error.max(err);
+            if malformed || err > theta {
+                bad += 1;
+            } else {
+                max_accepted = max_accepted.max(err);
+            }
+        }
+        CheckOutcome {
+            accept: bad == 0 && !malformed,
+            max_error,
+            max_accepted_error: max_accepted,
+            checked_units: units,
+            bad_units: bad,
+            ops: ops_per_unit * units,
+        }
+    }
+}
+
 /// A partitioned synchronous iterative algorithm, speculation-ready.
 ///
 /// The driver calls, per iteration `t`:
@@ -53,7 +134,7 @@ pub struct CheckOutcome {
 ///    rollback followed by re-execution.
 pub trait SpeculativeApp {
     /// The partition snapshot broadcast every iteration (`X_j(t)`).
-    type Shared: Clone + Send + 'static;
+    type Shared: Lanes + Send + 'static;
     /// Opaque state snapshot used for forward-window rollback.
     type Checkpoint;
 
@@ -74,12 +155,20 @@ pub trait SpeculativeApp {
     /// Predict partition `from`'s value `ahead` iterations past the newest
     /// entry of `hist` (`ahead ≥ 1`). Returns the prediction and its cost
     /// (`f_spec` work), or `None` if the history is insufficient.
+    ///
+    /// The default extrapolates every lane linearly
+    /// ([`speculator::linear`]) at 4 operations per lane.
     fn speculate(
         &self,
         from: Rank,
         hist: &History<Self::Shared>,
         ahead: u32,
-    ) -> Option<(Self::Shared, u64)>;
+    ) -> Option<(Self::Shared, u64)> {
+        let _ = from;
+        let next = speculator::linear(hist, ahead)?;
+        let ops = 4 * next.lane_count() as u64;
+        Some((next, ops))
+    }
 
     /// Compare a speculated input with the actual value that has now
     /// arrived. The app owns the error metric and threshold.
@@ -115,29 +204,35 @@ pub trait SpeculativeApp {
         None
     }
 
-    /// Flatten a [`Shared`](Self::Shared) snapshot into scalar lanes for
-    /// delta exchange, appending into `out` (cleared first). Returns
-    /// `false` — the default — when the app does not support deltas, in
-    /// which case the driver ignores any
-    /// [`DeltaExchange`](crate::config::DeltaExchange) policy and keeps
-    /// broadcasting full snapshots.
-    ///
-    /// The lane layout must be a pure, stable function of the partition
-    /// shape: the same index always refers to the same scalar across the
-    /// whole run, on every rank. An app that returns `true` here must also
-    /// implement [`delta_patch`](Self::delta_patch).
+    /// Flatten a [`Shared`](Self::Shared) snapshot into its lanes for
+    /// delta exchange, into `out` (cleared first): the rows concatenated.
+    /// An override returning `false` makes the driver ignore any
+    /// [`DeltaExchange`](crate::config::DeltaExchange) policy.
     fn delta_extract(&self, shared: &Self::Shared, out: &mut Vec<f64>) -> bool {
-        let _ = (shared, out);
-        false
+        out.clear();
+        for r in 0..shared.row_count() {
+            out.extend_from_slice(shared.row(r));
+        }
+        true
     }
 
-    /// Rebuild a [`Shared`](Self::Shared) snapshot from `base` with the
-    /// given `(lane, value)` entries applied — the receiving side of
-    /// [`delta_extract`](Self::delta_extract)'s lane layout. Returns
-    /// `None` when the app does not support deltas (the default).
+    /// Rebuild a snapshot from `base` with `(lane, value)` entries of
+    /// [`delta_extract`](Self::delta_extract)'s layout applied; `None`
+    /// when a lane is out of range (the lane is the peer's word).
     fn delta_patch(&self, base: &Self::Shared, entries: &[(u32, f64)]) -> Option<Self::Shared> {
-        let _ = (base, entries);
-        None
+        let mut next = base.clone();
+        for &(lane, value) in entries {
+            let (mut r, mut at) = (0, lane as usize);
+            while r < next.row_count() && at >= next.row(r).len() {
+                at -= next.row(r).len();
+                r += 1;
+            }
+            if r == next.row_count() {
+                return None;
+            }
+            next.row_mut(r)[at] = value;
+        }
+        Some(next)
     }
 
     /// Update the acceptance threshold θ the app uses in

@@ -1617,6 +1617,21 @@ mod tests {
         }
     }
 
+    /// The toy's shared value: one row of one lane.
+    impl crate::app::Lanes for f64 {
+        fn row_count(&self) -> usize {
+            1
+        }
+
+        fn row(&self, _r: usize) -> &[f64] {
+            std::slice::from_ref(self)
+        }
+
+        fn row_mut(&mut self, _r: usize) -> &mut [f64] {
+            std::slice::from_mut(self)
+        }
+    }
+
     impl SpeculativeApp for Toy {
         type Shared = f64;
         type Checkpoint = f64;
@@ -1665,21 +1680,6 @@ mod tests {
         }
         fn set_speculation_threshold(&mut self, theta: f64) {
             self.theta = theta;
-        }
-        fn delta_extract(&self, shared: &f64, out: &mut Vec<f64>) -> bool {
-            out.clear();
-            out.push(*shared);
-            true
-        }
-        fn delta_patch(&self, base: &f64, entries: &[(u32, f64)]) -> Option<f64> {
-            let mut v = *base;
-            for &(lane, value) in entries {
-                if lane != 0 {
-                    return None; // the toy app has a single lane
-                }
-                v = value;
-            }
-            Some(v)
         }
         fn checkpoint(&self) -> f64 {
             self.x

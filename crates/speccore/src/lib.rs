@@ -22,13 +22,15 @@
 //! * [`SpeculativeApp`] — how an application exposes its iteration structure
 //!   (absorb-per-peer + finish) plus speculation, checking, correction and
 //!   checkpointing hooks;
+//! * [`Lanes`] — the shared value as a fixed list of `f64` rows, over which
+//!   delta exchange and the default speculation are written once;
 //! * [`run_baseline`] / [`run_speculative`] — the Figure 1 and Figure 3
 //!   drivers; the speculative driver generalizes to any forward window
 //!   (§3.2) with checkpoint/rollback, and the window can be resized at
 //!   run time by the controller ([`ControllerConfig`]);
 //! * [`History`] — the backward window (BW) of past peer values;
-//! * [`speculator`] — stock speculation functions (hold, linear, quadratic,
-//!   weighted-sum — the paper's §3.1 family);
+//! * [`speculator`] — linear extrapolation lane by lane, the linear member
+//!   of the paper's §3.1 weighted-sum family;
 //! * [`RunStats`]/[`ClusterStats`] — phase timings and miss counters
 //!   matching the paper's Tables 2–3 measurements;
 //! * [`ControllerConfig`] — the adaptive speculation controller: online
@@ -53,7 +55,7 @@ pub mod speculator;
 mod stats;
 mod window;
 
-pub use app::{CheckOutcome, SpeculativeApp};
+pub use app::{CheckOutcome, Lanes, SpeculativeApp};
 pub use config::{CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig};
 pub use control::ControllerConfig;
 pub use driver::{run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, IterMsg};

@@ -2,10 +2,12 @@
 //!
 //! §3.1 of the paper: "The speculation function for `X_k(t)` might be a
 //! weighted sum of its past values … `x*_i(t) = w₁x_i(t−1) + w₂x_i(t−2)…`".
-//! The workloads' apps, whose shared state is (or contains) numeric
-//! vectors, assemble their speculation functions from the linear member of
-//! that family, applied element by element.
+//! [`linear`] is the linear member of that family, applied lane by lane
+//! over a value's [`Lanes`]; it is
+//! [`SpeculativeApp::speculate`](crate::SpeculativeApp::speculate)'s
+//! default.
 
+use crate::app::Lanes;
 use crate::history::History;
 
 /// First-order linear extrapolation from the two newest values, `ahead`
@@ -14,7 +16,7 @@ use crate::history::History;
 ///
 /// This is the scalar analogue of the paper's N-body speculation (eq. 10):
 /// position extrapolated by one velocity step.
-pub fn extrapolate_linear(hist: &History<f64>, ahead: u32) -> Option<f64> {
+fn extrapolate_linear(hist: &History<f64>, ahead: u32) -> Option<f64> {
     let (i1, &v1) = hist.nth_back(0)?;
     match hist.nth_back(1) {
         Some((i0, &v0)) => {
@@ -25,36 +27,34 @@ pub fn extrapolate_linear(hist: &History<f64>, ahead: u32) -> Option<f64> {
     }
 }
 
-/// Apply a scalar speculator elementwise over vector-valued history.
+/// Extrapolate every lane of `hist`'s values linearly, `ahead` iterations
+/// past the newest entry; `None` on an empty history.
 ///
-/// `lanes` picks the vector to speculate out of each history entry
-/// (`Vec::as_slice` for a plain vector, a field for a struct of rows).
-/// For each lane `e`, `f` receives the scalar [`History`] of that lane's
-/// past values — one scratch history per call, refilled lane by lane from
-/// `hist` in place; cost is `O(len × BW)`. The output has the newest
-/// entry's length. An older entry shorter than the newest has no value
-/// for every lane and is left out of every lane's scalar history.
-pub fn elementwise<S, L, F>(hist: &History<S>, lanes: L, mut f: F) -> Option<Vec<f64>>
-where
-    L: Fn(&S) -> &[f64],
-    F: FnMut(&History<f64>) -> Option<f64>,
-{
-    let len = lanes(hist.latest()?).len();
+/// The prediction is a clone of the newest entry with each row
+/// overwritten in place. Each lane's past values are refilled into one
+/// scratch scalar [`History`] per call; cost is `O(lanes × BW)`. An older
+/// entry whose row is shorter than the newest one's has no value for
+/// that row's lanes and is left out of their scalar histories.
+pub fn linear<S: Lanes>(hist: &History<S>, ahead: u32) -> Option<S> {
+    let mut next = hist.latest()?.clone();
     let mut scalar = History::new(hist.capacity());
-    let mut out = Vec::with_capacity(len);
-    for e in 0..len {
-        scalar.clear();
-        // Oldest to newest, so record() accepts them.
-        for back in (0..hist.len()).rev() {
-            let (i, v) = hist.nth_back(back)?;
-            let lane = lanes(v);
-            if lane.len() >= len {
-                scalar.record(i, lane[e]);
+    for r in 0..next.row_count() {
+        let row = next.row_mut(r);
+        let len = row.len();
+        for (e, out) in row.iter_mut().enumerate() {
+            scalar.clear();
+            // Oldest to newest, so record() accepts them.
+            for back in (0..hist.len()).rev() {
+                let (i, v) = hist.nth_back(back)?;
+                let lane = if r < v.row_count() { v.row(r) } else { &[] };
+                if lane.len() >= len {
+                    scalar.record(i, lane[e]);
+                }
             }
+            *out = extrapolate_linear(&scalar, ahead)?;
         }
-        out.push(f(&scalar)?);
     }
-    Some(out)
+    Some(next)
 }
 
 #[cfg(test)]
@@ -91,52 +91,77 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_applies_per_component() {
+    fn linear_applies_per_lane() {
         let mut h: History<Vec<f64>> = History::new(4);
         h.record(0, vec![0.0, 10.0]);
         h.record(1, vec![1.0, 20.0]);
         h.record(2, vec![2.0, 30.0]);
-        let out = elementwise(&h, Vec::as_slice, |s| extrapolate_linear(s, 1)).unwrap();
-        assert_eq!(out, vec![3.0, 40.0]);
+        assert_eq!(linear(&h, 1), Some(vec![3.0, 40.0]));
     }
 
     #[test]
-    fn elementwise_empty_history_is_none() {
+    fn linear_on_an_empty_history_is_none() {
         let h: History<Vec<f64>> = History::new(4);
-        assert_eq!(
-            elementwise(&h, Vec::as_slice, |s| extrapolate_linear(s, 1)),
-            None
-        );
+        assert_eq!(linear(&h, 1), None);
+    }
+
+    /// A value of two rows, the shape of a strip's two halo rows.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Rows(Vec<f64>, Vec<f64>);
+
+    impl Lanes for Rows {
+        fn row_count(&self) -> usize {
+            2
+        }
+
+        fn row(&self, r: usize) -> &[f64] {
+            if r == 0 {
+                &self.0
+            } else {
+                &self.1
+            }
+        }
+
+        fn row_mut(&mut self, r: usize) -> &mut [f64] {
+            if r == 0 {
+                &mut self.0
+            } else {
+                &mut self.1
+            }
+        }
     }
 
     #[test]
-    fn elementwise_reads_a_lane_of_each_entry() {
-        let mut h: History<(Vec<f64>, Vec<f64>)> = History::new(4);
-        h.record(0, (vec![0.0], vec![5.0]));
-        h.record(1, (vec![1.0], vec![4.0]));
-        let second = elementwise(&h, |e| e.1.as_slice(), |s| extrapolate_linear(s, 2));
-        assert_eq!(second, Some(vec![2.0]));
+    fn linear_skips_an_older_shorter_row_for_that_row_only() {
+        // The middle entry's second row is short: the second row's lanes
+        // extrapolate from the other two entries, the first row's from all
+        // three.
+        let mut h: History<Rows> = History::new(4);
+        h.record(0, Rows(vec![0.0], vec![5.0, 50.0]));
+        h.record(1, Rows(vec![1.0], vec![9.0]));
+        h.record(2, Rows(vec![3.0], vec![3.0, 30.0]));
+        let next = linear(&h, 1).unwrap();
+        assert_eq!(next, Rows(vec![5.0], vec![2.0, 20.0]));
+        assert_eq!(next.lane_count(), 3);
     }
 
     #[test]
-    fn elementwise_skips_an_older_shorter_entry() {
+    fn linear_skips_an_older_shorter_entry() {
         // A peer whose broadcast grew: the length-2 entry has no value for
         // the third lane, so every lane holds the newest value.
         let mut h: History<Vec<f64>> = History::new(4);
         h.record(0, vec![0.0, 0.0]);
         h.record(1, vec![1.0, 2.0, 3.0]);
-        let out = elementwise(&h, Vec::as_slice, |s| extrapolate_linear(s, 1));
-        assert_eq!(out, Some(vec![1.0, 2.0, 3.0]));
+        assert_eq!(linear(&h, 1), Some(vec![1.0, 2.0, 3.0]));
     }
 
     #[test]
-    fn elementwise_reads_an_older_longer_entry() {
+    fn linear_reads_an_older_longer_entry() {
         // A broadcast that shrank: the older entry's first lanes still count.
         let mut h: History<Vec<f64>> = History::new(4);
         h.record(0, vec![0.0, 10.0, 99.0]);
         h.record(1, vec![1.0, 20.0]);
-        let out = elementwise(&h, Vec::as_slice, |s| extrapolate_linear(s, 1));
-        assert_eq!(out, Some(vec![2.0, 30.0]));
+        assert_eq!(linear(&h, 1), Some(vec![2.0, 30.0]));
     }
 }
 

@@ -14,7 +14,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use mpk::{Rank, WireSize};
-use speccore::{speculator, CheckOutcome, History, SpeculativeApp};
+use speccore::{CheckOutcome, Lanes, SpeculativeApp};
 
 use crate::lanes;
 
@@ -29,6 +29,27 @@ pub struct RowHalo {
     pub top: Vec<f64>,
     /// The strip's last (bottom) row.
     pub bottom: Vec<f64>,
+}
+
+/// Two rows: `top`, then `bottom`.
+impl Lanes for RowHalo {
+    fn row_count(&self) -> usize {
+        2
+    }
+
+    fn row(&self, r: usize) -> &[f64] {
+        match r {
+            0 => &self.top,
+            _ => &self.bottom,
+        }
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        match r {
+            0 => &mut self.top,
+            _ => &mut self.bottom,
+        }
+    }
 }
 
 impl WireSize for RowHalo {
@@ -218,20 +239,6 @@ impl SpeculativeApp for Heat2dApp {
         self.cfg.ops_per_cell * (rows * cols) as u64
     }
 
-    fn speculate(
-        &self,
-        _from: Rank,
-        hist: &History<Arc<RowHalo>>,
-        ahead: u32,
-    ) -> Option<(Arc<RowHalo>, u64)> {
-        // Extrapolate each halo row elementwise, reading the history in place.
-        let linear = |s: &History<f64>| speculator::extrapolate_linear(s, ahead);
-        let top = speculator::elementwise(hist, |h| &h.top, linear)?;
-        let bottom = speculator::elementwise(hist, |h| &h.bottom, linear)?;
-        let cost = 4 * (top.len() + bottom.len()) as u64;
-        Some((Arc::new(RowHalo { top, bottom }), cost))
-    }
-
     fn check(&self, from: Rank, actual: &Arc<RowHalo>, speculated: &Arc<RowHalo>) -> CheckOutcome {
         // Only the row we consumed matters.
         let (a, s, expected) = match (
@@ -322,6 +329,7 @@ pub fn heat2d_reference(n_rows: usize, cols: usize, cfg: Heat2dConfig, iters: u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use speccore::History;
 
     fn even_ranges(n: usize, p: usize) -> Vec<Range<usize>> {
         (0..p).map(|i| i * n / p..(i + 1) * n / p).collect()

@@ -13,7 +13,7 @@ use std::ops::Range;
 
 use desim::rng::derive_seed;
 use mpk::Rank;
-use speccore::{speculator, CheckOutcome, History, SpeculativeApp};
+use speccore::{CheckOutcome, SpeculativeApp};
 
 use crate::lanes;
 
@@ -183,19 +183,6 @@ impl SpeculativeApp for JacobiApp {
         3 * self.x.len() as u64
     }
 
-    fn speculate(
-        &self,
-        _from: Rank,
-        hist: &History<Vec<f64>>,
-        ahead: u32,
-    ) -> Option<(Vec<f64>, u64)> {
-        let values = speculator::elementwise(hist, Vec::as_slice, |h| {
-            speculator::extrapolate_linear(h, ahead)
-        })?;
-        let cost = 4 * values.len() as u64;
-        Some((values, cost))
-    }
-
     fn check(&self, from: Rank, actual: &Vec<f64>, speculated: &Vec<f64>) -> CheckOutcome {
         let expected = self.ranges[from.0].len();
         lanes::check(actual, speculated, expected, self.cfg.theta, 1e-6, 4)
@@ -223,14 +210,6 @@ impl SpeculativeApp for JacobiApp {
             self.x[local_i] -= delta / diag;
         }
         self.cfg.ops_per_entry * touched
-    }
-
-    fn delta_extract(&self, shared: &Vec<f64>, out: &mut Vec<f64>) -> bool {
-        lanes::delta_extract(shared, out)
-    }
-
-    fn delta_patch(&self, base: &Vec<f64>, entries: &[(u32, f64)]) -> Option<Vec<f64>> {
-        lanes::delta_patch(base, entries)
     }
 
     fn checkpoint(&self) -> Vec<f64> {

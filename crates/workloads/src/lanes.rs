@@ -1,6 +1,7 @@
 //! What the `Vec<f64>`-lane apps (Jacobi, PageRank, Synthetic, and the
-//! rows of Heat2d) share: the identity delta layout, the per-lane θ-check,
-//! and the rule for a peer value of the wrong length.
+//! rows of Heat2d) share beyond their [`speccore::Lanes`] view: the
+//! per-lane relative error and its θ-check, and the rule for a peer value
+//! of the wrong length.
 //!
 //! ## Value lengths
 //!
@@ -38,43 +39,11 @@ pub(crate) fn check(
 ) -> CheckOutcome {
     let n = prefix(prefix(expected, actual), speculated);
     let malformed = actual.len() != expected || speculated.len() != expected;
-    let mut max_error: f64 = 0.0;
-    let mut max_accepted: f64 = 0.0;
-    let mut bad = 0u64;
-    for (&a, &s) in actual[..n].iter().zip(&speculated[..n]) {
-        let err = lane_error(a, s, floor);
-        max_error = max_error.max(err);
-        if malformed || err > theta {
-            bad += 1;
-        } else {
-            max_accepted = max_accepted.max(err);
-        }
-    }
-    CheckOutcome {
-        accept: bad == 0 && !malformed,
-        max_error,
-        max_accepted_error: max_accepted,
-        checked_units: n as u64,
-        bad_units: bad,
-        ops: ops_per_unit * n as u64,
-    }
-}
-
-/// `SpeculativeApp::delta_extract` for a value that is its own lanes.
-pub(crate) fn delta_extract(shared: &[f64], out: &mut Vec<f64>) -> bool {
-    out.clear();
-    out.extend_from_slice(shared);
-    true
-}
-
-/// `SpeculativeApp::delta_patch` for a value that is its own lanes.
-pub(crate) fn delta_patch(base: &[f64], entries: &[(u32, f64)]) -> Option<Vec<f64>> {
-    let mut next = base.to_vec();
-    for &(lane, value) in entries {
-        // The lane is the peer's word: out of range drops the frame.
-        *next.get_mut(lane as usize)? = value;
-    }
-    Some(next)
+    let errors = actual[..n]
+        .iter()
+        .zip(&speculated[..n])
+        .map(|(&a, &s)| lane_error(a, s, floor));
+    CheckOutcome::tally(errors, malformed, theta, ops_per_unit)
 }
 
 #[cfg(test)]
@@ -97,15 +66,5 @@ mod tests {
         let out = check(&long, &long, 3, 0.01, 1e-12, 4);
         assert!(!out.accept);
         assert_eq!((out.checked_units, out.bad_units), (3, 3));
-    }
-
-    #[test]
-    fn delta_patch_drops_a_frame_with_an_out_of_range_lane() {
-        let base = [1.0, 2.0];
-        assert_eq!(delta_patch(&base, &[(1, 5.0)]), Some(vec![1.0, 5.0]));
-        assert_eq!(delta_patch(&base, &[(0, 5.0), (2, 5.0)]), None);
-        let mut out = vec![9.0];
-        assert!(delta_extract(&base, &mut out));
-        assert_eq!(out, base);
     }
 }

@@ -18,10 +18,12 @@
 //!
 //! All four have exact incremental corrections (their updates are linear
 //! in the remote values) and sequential references for validation. Their
-//! shared values are vectors of `f64` lanes (Synthetic, Jacobi and
-//! PageRank's partitions, Heat2d's rows), and they share one θ-check, one
-//! delta layout and one rule for a peer value of the wrong length: use its
-//! common prefix with the sender's partition, and reject it in `check`.
+//! shared values are [`speccore::Lanes`] of `f64` (Synthetic, Jacobi and
+//! PageRank's partitions are one row, Heat2d's halo two), so delta
+//! exchange, and the linear speculation of all but Synthetic, are
+//! `speccore`'s defaults. They share one per-lane θ-check and one rule for
+//! a peer value of the wrong length: use its common prefix with the
+//! sender's partition, and reject it in `check`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

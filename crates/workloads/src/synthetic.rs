@@ -158,9 +158,7 @@ impl SpeculativeApp for SyntheticApp {
         hist: &History<Vec<f64>>,
         ahead: u32,
     ) -> Option<(Vec<f64>, u64)> {
-        let values = speculator::elementwise(hist, Vec::as_slice, |h| {
-            speculator::extrapolate_linear(h, ahead)
-        })?;
+        let values = speculator::linear(hist, ahead)?;
         let cost = self.cfg.f_spec * values.len() as u64;
         Some((values, cost))
     }
@@ -193,14 +191,6 @@ impl SpeculativeApp for SyntheticApp {
             *v += self.cfg.alpha * delta_mean;
         }
         self.cfg.f_comp / 10 * self.x.len() as u64
-    }
-
-    fn delta_extract(&self, shared: &Vec<f64>, out: &mut Vec<f64>) -> bool {
-        lanes::delta_extract(shared, out)
-    }
-
-    fn delta_patch(&self, base: &Vec<f64>, entries: &[(u32, f64)]) -> Option<Vec<f64>> {
-        lanes::delta_patch(base, entries)
     }
 
     fn checkpoint(&self) -> (Vec<f64>, u64) {

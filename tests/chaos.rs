@@ -11,6 +11,7 @@
 //! 3. **Determinism** — identical seeds reproduce results bit-for-bit
 //!    under the virtual clock.
 
+use speculative_computation::desim::SimError;
 use speculative_computation::obs::{EventKind, Mark};
 use speculative_computation::prelude::*;
 
@@ -572,6 +573,43 @@ fn fault_free_lossless_delta_matches_full_broadcast_bit_for_bit() {
         assert_eq!(s.iterations, iters);
         assert_eq!(s.delta_frames_dropped, 0, "FIFO net must not gap frames");
         assert!(s.bytes_sent > 0, "delta runs must still meter bytes");
+    }
+}
+
+/// A known gap, asserted so that it cannot move unnoticed (ROADMAP item
+/// 19): delta exchange without fault tolerance assumes FIFO links. The
+/// testbed network samples jitter and stalls per message, so two frames
+/// on one link can arrive out of order; `stash` drops a delta whose
+/// predecessor has not arrived yet, and only a retransmit, which exists
+/// only with fault tolerance, could heal that. So every rank waits
+/// forever. On a FIFO network the same run completes and equals full
+/// broadcast. When item 19 lands (hold early frames, or reject the
+/// configuration), this assertion flips.
+#[test]
+fn delta_exchange_without_fault_tolerance_deadlocks_on_a_reordering_network() {
+    let particles = uniform_cloud(64, 11);
+    let cluster = ClusterSpec::paper_testbed();
+    let fifo = || ConstantLatency(SimDuration::from_millis(2));
+    for fw in [1, 2] {
+        let mut cfg = ParallelRunConfig::new(30, fw);
+        cfg.spec = cfg.spec.with_delta_exchange(DeltaExchange::new(0.0, 32));
+        let reordering = spec_bench::experiments::testbed_network(42, 64);
+        match run_parallel(&particles, &cluster, reordering, Unloaded, cfg.clone()) {
+            Err(SimError::Deadlock { blocked, .. }) => {
+                assert_eq!(blocked.len(), cluster.len(), "FW={fw}: every rank waits");
+            }
+            other => panic!("FW={fw}: the reordering-network gap moved: {other:?}"),
+        }
+        let delta = run_parallel(&particles, &cluster, fifo(), Unloaded, cfg).unwrap();
+        let full = run_parallel(
+            &particles,
+            &cluster,
+            fifo(),
+            Unloaded,
+            ParallelRunConfig::new(30, fw),
+        )
+        .unwrap();
+        assert_eq!(position_bits(&delta), position_bits(&full), "FW={fw}");
     }
 }
 

@@ -317,31 +317,37 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
     assert!(pr(1) < pr(0), "pagerank workload failed to benefit");
 }
 
-/// Per-rank bit fingerprints of a 64 × 64 heat-2d grid on the paper
-/// testbed (p = 16, θ = 0.01) after 30 iterations, with the number of
-/// rollbacks.
-fn heat2d16_fingerprints(fw: u32, correction: CorrectionMode) -> (Vec<u64>, u64) {
+/// A 64 × 64 heat-2d grid on the paper testbed (p = 16, θ = 0.01) run
+/// for 30 iterations: per-rank fingerprints and driver statistics, and
+/// the virtual end time.
+fn heat2d16_run(
+    net: impl NetworkModel + 'static,
+    cfg: SpecConfig,
+) -> (Vec<u64>, Vec<RunStats>, SimTime) {
     let (rows, cols) = (64, 64);
     let cluster = ClusterSpec::paper_testbed();
     let ranges = even_ranges(rows, cluster.len());
-    let cfg = SpecConfig::speculative(fw).with_correction(correction);
-    let (outs, _) = run_sim_proc_cluster::<IterMsg<_>, _, _, _>(
-        &cluster,
-        spec_bench::experiments::testbed_network(42, 64),
-        Unloaded,
-        false,
-        |mut t| {
+    let (outs, report) =
+        run_sim_proc_cluster::<IterMsg<_>, _, _, _>(&cluster, net, Unloaded, false, |mut t| {
             let mut app = Heat2dApp::new(rows, cols, &ranges, t.rank().0, Heat2dConfig::default());
             let cfg = cfg.clone();
             async move {
                 let stats = run_speculative_aio(&mut t, &mut app, 30, cfg).await;
                 (app.fingerprint(), stats)
             }
-        },
-    )
-    .unwrap();
-    let rollbacks = outs.iter().map(|(_, s)| s.rollbacks).sum();
-    (outs.into_iter().map(|(f, _)| f).collect(), rollbacks)
+        })
+        .unwrap();
+    let (fingerprints, stats) = outs.into_iter().unzip();
+    (fingerprints, stats, report.end_time)
+}
+
+/// [`heat2d16_run`]'s fingerprints on the testbed's jittered network, with
+/// the number of rollbacks.
+fn heat2d16_fingerprints(fw: u32, correction: CorrectionMode) -> (Vec<u64>, u64) {
+    let cfg = SpecConfig::speculative(fw).with_correction(correction);
+    let (fingerprints, stats, _) =
+        heat2d16_run(spec_bench::experiments::testbed_network(42, 64), cfg);
+    (fingerprints, stats.iter().map(|s| s.rollbacks).sum())
 }
 
 /// The speculative outputs are pinned bit for bit, not just held within
@@ -388,7 +394,30 @@ fn heat2d16_speculative_outputs_are_pinned() {
     }
 }
 
-/// Jacobi and PageRank, the other two `elementwise` users on the driver,
+/// Heat-2d's halo rows are its delta lanes: on a FIFO network, lossless
+/// delta exchange (floor 0) is bit-identical to full broadcast, in every
+/// rank's state and in the virtual schedule, and sends fewer bytes.
+#[test]
+fn heat2d16_lossless_delta_matches_full_broadcast() {
+    let net = || ConstantLatency(SimDuration::from_millis(2));
+    for fw in [1, 2] {
+        let (full, full_stats, full_end) = heat2d16_run(net(), SpecConfig::speculative(fw));
+        let cfg = SpecConfig::speculative(fw).with_delta_exchange(DeltaExchange::new(0.0, 8));
+        let (delta, delta_stats, delta_end) = heat2d16_run(net(), cfg);
+        assert_eq!(full, delta, "FW={fw} fingerprints");
+        assert_eq!(full_end, delta_end, "FW={fw} virtual end time");
+        assert!(delta_stats.iter().all(|s| s.delta_frames_dropped == 0));
+        let bytes = |stats: &[RunStats]| stats.iter().map(|s| s.bytes_sent).sum::<u64>();
+        assert!(
+            bytes(&delta_stats) < bytes(&full_stats),
+            "FW={fw}: delta sent {} bytes, full broadcast {}",
+            bytes(&delta_stats),
+            bytes(&full_stats)
+        );
+    }
+}
+
+/// Jacobi and PageRank, the other two apps on the default `speculate`,
 /// pinned the same way (the settings of the full-driver tests above).
 #[test]
 fn jacobi_and_pagerank_speculative_outputs_are_pinned() {
