@@ -19,16 +19,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --keep-going
 
 echo "== cargo test --workspace"
 # Every crate's unit, integration and doc tests, not only the root
-# package's: the speccheck conformance/property/controller suites (64
-# cases per property, fixed seeds; the checked-in regression corpus under
-# crates/speccheck/proptest-regressions/ replays every historical
-# counterexample first), the root kernel_goldens suite, and the ~300 unit
-# tests of mpk, speccore, nbody, workloads, netsim, obs and perfmodel.
+# package's: speccheck's conformance matrix and property suites (fixed
+# seeds, 64 cases per in-process row or property, 12 per socket row; the
+# checked-in regression corpus under crates/speccheck/proptest-regressions/
+# replays every historical counterexample first), mpk's transport
+# contract on all three backends, the root kernel_goldens suite, and the
+# 376 unit tests of mpk, speccore, nbody, workloads, netsim, obs and
+# perfmodel.
 cargo test -q --workspace
 
 echo "== perf-ledger harness (fmt, clippy, unit tests)"
 # benchmark/ is a package of its own, outside the workspace.
 benchmark/run.sh --check
+
+echo "== mutant table (patterns only, no build)"
+# Every row of ci/mutants.txt still names a pattern that occurs exactly
+# once in its file, so the on-demand kill matrix (ci/mutants.sh with no
+# argument) cannot rot silently.
+ci/mutants.sh --check
 
 echo "== public-surface audit (strict)"
 # Every `pub` item of the eight product crates is used outside its crate

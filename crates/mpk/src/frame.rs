@@ -252,6 +252,7 @@ pub(crate) fn read_resume<R: Read>(stream: &mut R, size: usize) -> std::io::Resu
 pub(crate) mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::time::Duration;
 
     #[test]
     fn oversized_length_prefix_is_rejected_not_allocated() {
@@ -265,7 +266,14 @@ pub(crate) mod tests {
             s.write_all(&[0u8; 32]).unwrap();
             s
         });
-        let (mut conn, _) = l.accept().unwrap();
+        // The writer keeps its end open: without a deadline a reader that
+        // waits for the declared bytes would hang the test, not fail it.
+        let bounded = |l: &TcpListener| {
+            let (conn, _) = l.accept().unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            conn
+        };
+        let mut conn = bounded(&l);
         let err = read_frame(&mut conn, DEFAULT_MAX_FRAME).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         // A tight per-cluster cap rejects even modest frames.
@@ -280,7 +288,7 @@ pub(crate) mod tests {
             s.write_all(&frame).unwrap();
             s
         });
-        let (mut conn2, _) = l2.accept().unwrap();
+        let mut conn2 = bounded(&l2);
         let err2 = read_frame(&mut conn2, 128).unwrap_err();
         assert_eq!(err2.kind(), ErrorKind::InvalidData);
         drop(writer.join().unwrap());

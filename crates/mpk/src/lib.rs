@@ -75,40 +75,3 @@ pub use threads::{
 };
 pub use transport::{poll_ready, AsyncTransport, Transport};
 pub use types::{Envelope, FaultCounters, Rank, Tag, WireSize, HEADER_BYTES};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use desim::SimDuration;
-    use netsim::{ClusterSpec, ConstantLatency, Unloaded};
-
-    /// The same all-reduce runs on both backends and produces identical
-    /// payload-level results.
-    #[test]
-    fn backends_agree_on_message_contents() {
-        async fn allreduce<T: AsyncTransport<Msg = u64>>(t: &mut T) -> u64 {
-            t.broadcast(Tag(0), t.rank().0 as u64 + 1).await;
-            let mut acc = t.rank().0 as u64 + 1;
-            for _ in 0..t.size() - 1 {
-                acc += t.recv().await.msg;
-            }
-            acc
-        }
-
-        let cluster = ClusterSpec::homogeneous(4, 100.0);
-        let (sim_out, _) = run_sim_proc_cluster::<u64, _, _, _>(
-            &cluster,
-            ConstantLatency(SimDuration::from_micros(10)),
-            Unloaded,
-            false,
-            |mut t| async move { allreduce(&mut t).await },
-        )
-        .unwrap();
-        let thread_out = run_thread_cluster::<u64, _, _>(4, ThreadClusterOptions::default(), |t| {
-            poll_ready(allreduce(t))
-        });
-
-        assert_eq!(sim_out, thread_out);
-        assert!(sim_out.iter().all(|&s| s == 1 + 2 + 3 + 4));
-    }
-}

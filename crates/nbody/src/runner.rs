@@ -148,7 +148,6 @@ mod tests {
     use crate::particle::uniform_cloud;
     use desim::SimDuration;
     use netsim::{ConstantLatency, Unloaded};
-    use speccore::CorrectionMode;
 
     #[test]
     fn parallel_baseline_matches_sequential_bitwise() {
@@ -177,44 +176,6 @@ mod tests {
             assert_eq!(got.pos, want.pos, "baseline must match sequential exactly");
             assert_eq!(got.vel, want.vel);
         }
-    }
-
-    #[test]
-    fn speculative_theta_zero_recompute_matches_sequential_bitwise() {
-        let particles = uniform_cloud(18, 8);
-        let cluster = ClusterSpec::homogeneous(3, 10.0);
-        let iters = 4;
-        let mut cfg = ParallelRunConfig::new(iters, 1);
-        cfg.nbody = cfg.nbody.with_theta(0.0);
-        cfg.spec = cfg.spec.with_correction(CorrectionMode::Recompute);
-        let result = run_parallel(
-            &particles,
-            &cluster,
-            ConstantLatency(SimDuration::from_millis(2)),
-            Unloaded,
-            cfg,
-        )
-        .unwrap();
-
-        let ranges = partition_proportional(particles.len(), &cluster.capacities());
-        let mut reference = particles.clone();
-        for _ in 0..iters {
-            step_partition_order(
-                &mut reference,
-                &ranges,
-                &NBodyConfig::default().with_theta(0.0),
-            );
-        }
-        for (got, want) in result.particles.iter().zip(&reference) {
-            assert_eq!(got.pos, want.pos, "θ=0 + recompute must be exact");
-        }
-        // And speculation must actually have happened for the test to mean
-        // anything.
-        assert!(result
-            .stats
-            .per_rank
-            .iter()
-            .any(|r| r.speculated_partitions > 0));
     }
 
     #[test]

@@ -289,31 +289,3 @@ pub fn run_socket(sc: &SyntheticScenario, theta: f64, mode: &DriverMode) -> RunO
         kernel: None,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scenario::synthetic_scenario;
-    use proptest::{Strategy, TestRng};
-
-    #[test]
-    fn sim_run_is_reproducible_bit_for_bit() {
-        let sc = synthetic_scenario().sample(&mut TestRng::from_state(7));
-        let mode = DriverMode::Speculative(SpecConfig::speculative(2));
-        let a = run_sim(&sc, 0.2, &mode, TieBreak::Fifo);
-        let b = run_sim(&sc, 0.2, &mode, TieBreak::Fifo);
-        assert_eq!(a.fingerprints, b.fingerprints);
-        assert_eq!(a.elapsed, b.elapsed);
-    }
-
-    #[test]
-    fn baseline_mode_never_speculates() {
-        let sc = synthetic_scenario().sample(&mut TestRng::from_state(8));
-        let out = run_sim(&sc, 0.2, &DriverMode::Baseline, TieBreak::Fifo);
-        assert_eq!(out.fingerprints.len(), sc.p);
-        for s in &out.stats {
-            assert_eq!(s.speculated_partitions, 0);
-            assert_eq!(s.iterations, sc.iters);
-        }
-    }
-}

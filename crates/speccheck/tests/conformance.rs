@@ -1,18 +1,31 @@
-//! Differential conformance properties: the headline equivalences of the
-//! speculative scheme, checked across generated scenario space.
+//! Differential conformance: the headline equivalences of the
+//! speculative scheme, each written once as a row of one matrix and
+//! checked across generated scenario space, plus the crash and
+//! degraded-mode properties, which bound rather than equate.
 //!
 //! Semantics notes (what is *exactly* equal vs merely bounded):
 //!
 //! * θ = 0 + recompute (or FW = 0) makes speculation a pure latency
 //!   optimization — every speculated input is re-derived from actuals, so
 //!   final state must be **bit-identical** to the blocking baseline, to
-//!   the other transport backend, and across event tie-breaks.
+//!   the other transport backends, and across event tie-breaks.
 //! * θ > 0 with incremental correction accepts bounded per-value error
 //!   (the paper's eq. 11): runs are still deterministic per seed, but not
 //!   comparable bit-for-bit across transports or tie-breaks — those
 //!   configurations are only asserted reproducible, never equal.
-//! * Fault *machinery* (timeouts, retransmits) on a fault-free network
-//!   must be inert: identical fingerprints and zero loss-path counters.
+//! * Fault *machinery* (timeouts, retransmits, supervision) and a dormant
+//!   controller on a fault-free network must be inert: identical
+//!   fingerprints and virtual timing, zero counters of their own.
+//!
+//! A row of the [`matrix!`] names its property, its case count, the
+//! strategies it draws a [`Point`] from, the fields its arms must agree
+//! on, and its arms: backend (and tie-break on the simulator) × driver
+//! configuration. Every arm must also commit every iteration and keep
+//! the promises its configuration makes about its own counters
+//! ([`Driver::promises`]); a simulator arm must also attribute every
+//! virtual nanosecond of every rank's run to exactly one phase. A
+//! property is seeded by its name, so a row keeps the name of the
+//! property it first restated.
 //!
 //! Failures shrink (see `speccheck::scenario`) and persist their RNG
 //! state to `crates/speccheck/proptest-regressions/`, which is checked in
@@ -21,12 +34,339 @@
 use desim::{SimDuration, SimTime, TieBreak};
 use netsim::{CrashPlan, MachineCrash};
 use proptest::prelude::*;
+use speccheck::oracles::phase_partition;
 use speccheck::{
     exact_spec_params, run_sim, run_sim_values, run_sim_with_faults, run_socket,
     run_socket_with_faults, run_thread, run_thread_with_faults, spec_params, synthetic_scenario,
-    DriverMode, SpecParams, SyntheticScenario,
+    DriverMode, RunOutput, SpecParams, SyntheticScenario,
 };
-use speccore::{DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig};
+use speccore::{
+    ControllerConfig, DeltaExchange, FaultTolerance, RunStats, SpecConfig, SupervisionConfig,
+};
+use Backend::{SimSalted, Socket, Thread};
+use Driver::*;
+use Field::*;
+
+// ---------------------------------------------------------------------------
+// The matrix
+// ---------------------------------------------------------------------------
+
+/// Where an arm runs: the simulator under a fixed or the point's seeded
+/// tie-break, real OS threads, or real loopback TCP.
+#[derive(Clone, Copy, Debug)]
+enum Backend {
+    Sim(TieBreak),
+    SimSalted,
+    Thread,
+    Socket,
+}
+
+const FIFO: Backend = Backend::Sim(TieBreak::Fifo);
+const LIFO: Backend = Backend::Sim(TieBreak::Lifo);
+
+/// The driver configuration an arm runs, derived from the point.
+#[derive(Clone, Copy, Debug)]
+enum Driver {
+    /// The blocking loop (the paper's Figure 1).
+    Baseline,
+    /// The grid point as drawn (Figure 3).
+    Grid,
+    /// The speculative driver with an empty forward window.
+    Fw0,
+    /// The grid point plus fault tolerance at the point's timeout.
+    FaultTolerant,
+    /// [`Driver::FaultTolerant`] plus default supervision.
+    Supervised,
+    /// The grid point plus supervision alone, which nothing drives.
+    SupervisionOnly,
+    /// The grid point plus lossless (floor 0) delta exchange.
+    LosslessDelta,
+    /// The grid point plus lossy delta exchange with a keyframe every
+    /// iteration.
+    KeyframeEveryIteration,
+    /// The grid point plus a controller whose warmup outlasts the run.
+    DormantController,
+    /// The grid point plus a controller that retunes early and often,
+    /// with the exact θ anchor as its only grid point.
+    ExactAnchorController,
+    /// FW ≥ 1 plus a controller over a three-point θ grid.
+    Controller,
+}
+
+impl Driver {
+    fn mode(self, pt: &Point) -> DriverMode {
+        let grid = pt.params.build();
+        let ft = || FaultTolerance::new(SimDuration::from_millis(pt.timeout_ms));
+        let sup = SupervisionConfig::default();
+        let retuning = ControllerConfig::new().with_cadence(2, 1).with_fw_max(4);
+        DriverMode::Speculative(match self {
+            Baseline => return DriverMode::Baseline,
+            Grid => grid,
+            Fw0 => SpecConfig::baseline(),
+            FaultTolerant => grid.with_fault_tolerance(ft()),
+            Supervised => grid.with_fault_tolerance(ft()).with_supervision(sup),
+            SupervisionOnly => grid.with_supervision(sup),
+            LosslessDelta => {
+                grid.with_delta_exchange(DeltaExchange::new(0.0, pt.sc.delta_keyframe))
+            }
+            KeyframeEveryIteration => grid.with_delta_exchange(DeltaExchange::new(0.5, 1)),
+            DormantController => {
+                grid.with_adaptive(ControllerConfig::new().with_cadence(1_000_000, 1))
+            }
+            ExactAnchorController => grid.with_adaptive(retuning.with_theta_grid(vec![0.0])),
+            Controller => SpecParams {
+                fw: pt.params.fw.max(1),
+                ..pt.params
+            }
+            .build()
+            .with_adaptive(retuning.with_theta_grid(vec![0.0, 0.01, 0.05])),
+        })
+    }
+
+    /// What this configuration promises about one rank's counters on a
+    /// fault-free network.
+    fn promises(self, s: &RunStats) -> Result<(), String> {
+        let loss = [
+            s.messages_lost,
+            s.speculate_through_loss_commits,
+            s.retransmit_requests,
+            s.peer_restarts,
+        ];
+        let health = [
+            s.peers_suspected,
+            s.peers_quarantined,
+            s.peer_rejoins,
+            s.degraded_commits,
+        ];
+        let ctl = (s.controller_retunes, s.controller_fw, s.controller_theta);
+        let kept = match self {
+            Baseline | Fw0 => s.speculated_partitions == 0,
+            Grid | DormantController => ctl == (0, 0, 0.0),
+            FaultTolerant => loss == [0; 4],
+            Supervised => loss == [0; 4] && health == [0; 4],
+            SupervisionOnly => health == [0; 4],
+            LosslessDelta => s.delta_frames_dropped == 0,
+            KeyframeEveryIteration => s.delta_suppressed_bytes == 0,
+            // warmup = 2 ≤ iters, so the controller must have decided.
+            ExactAnchorController => ctl.0 >= 1 && ctl.2 == 0.0 && (1..=4).contains(&ctl.1),
+            Controller => true,
+        };
+        match kept {
+            true => Ok(()),
+            false => Err(format!(
+                "broke its promise: speculated {}, loss {loss:?}, health {health:?}, \
+                 controller {ctl:?}, delta drops {}, suppressed {} B",
+                s.speculated_partitions, s.delta_frames_dropped, s.delta_suppressed_bytes
+            )),
+        }
+    }
+}
+
+/// A field a row claims equal across its arms.
+#[derive(Clone, Copy, Debug)]
+enum Field {
+    /// Per-rank state fingerprints.
+    Fingerprints,
+    /// The virtual end time (simulator arms only).
+    Elapsed,
+    /// Named per-rank counters, rendered.
+    Counters(fn(&RunStats) -> String),
+}
+
+/// One drawn case. `timeout_ms` feeds the fault-tolerant arms, `salt`
+/// [`Backend::SimSalted`]; rows that draw neither leave them 0.
+struct Point {
+    sc: SyntheticScenario,
+    params: SpecParams,
+    timeout_ms: u64,
+    salt: u64,
+}
+
+fn point(sc: SyntheticScenario, params: SpecParams) -> Point {
+    Point {
+        sc,
+        params,
+        timeout_ms: 0,
+        salt: 0,
+    }
+}
+
+/// One equivalence claim: every arm agrees with the first on `equal`.
+struct Row<'a> {
+    equal: &'a [Field],
+    arms: &'a [(Backend, Driver)],
+}
+
+impl Row<'_> {
+    fn holds(&self, pt: &Point) -> Result<(), String> {
+        let (sc, theta) = (&pt.sc, pt.params.theta);
+        let mut first: Option<(String, RunOutput)> = None;
+        for &(backend, driver) in self.arms {
+            let arm = format!("{backend:?}/{driver:?}");
+            let mode = driver.mode(pt);
+            let run = match backend {
+                Backend::Sim(tie) => run_sim(sc, theta, &mode, tie),
+                SimSalted => run_sim(sc, theta, &mode, TieBreak::Seeded(pt.salt)),
+                Thread => run_thread(sc, theta, &mode),
+                Socket => run_socket(sc, theta, &mode),
+            };
+            for (k, s) in run.stats.iter().enumerate() {
+                if s.iterations != sc.iters {
+                    return Err(format!("{arm}: rank {k} committed {}", s.iterations));
+                }
+                driver
+                    .promises(s)
+                    .map_err(|e| format!("{arm}: rank {k} {e}"))?;
+                if let Backend::Sim(_) | SimSalted = backend {
+                    phase_partition(s).map_err(|e| format!("{arm}: {e}"))?;
+                }
+            }
+            let Some((first_arm, base)) = &first else {
+                first = Some((arm, run));
+                continue;
+            };
+            for field in self.equal {
+                let view = |o: &RunOutput| match field {
+                    Fingerprints => format!("{:?}", o.fingerprints),
+                    Elapsed => format!("{:?}", o.elapsed),
+                    Counters(read) => format!("{:?}", o.stats.iter().map(read).collect::<Vec<_>>()),
+                };
+                let (want, got) = (view(base), view(&run));
+                if want != got {
+                    return Err(format!(
+                        "{field:?}: {arm} gave {got}, {first_arm} gave {want}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `name, N cases, (strategies) => point, equal [fields], arms [arms];`:
+/// one property per row.
+macro_rules! matrix {
+    ($(
+        $(#[$meta:meta])*
+        $name:ident, $cases:literal cases, ($($arg:ident in $strat:expr),+) => $point:expr,
+        equal [$($field:expr),+], arms [$($arm:expr),+];
+    )+) => {$(
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases($cases))]
+            $(#[$meta])*
+            #[test]
+            fn $name($($arg in $strat),+) {
+                Row { equal: &[$($field),+], arms: &[$($arm),+] }.holds(&$point)?;
+            }
+        }
+    )+};
+}
+
+matrix! {
+    /// Exact grid: speculation changes *when* values are computed, never
+    /// *what* (PAPER.md Fig. 1 vs Fig. 3).
+    theta_zero_recompute_equals_baseline, 64 cases,
+        (sc in synthetic_scenario(), params in exact_spec_params()) => point(sc, params),
+        equal [Fingerprints], arms [(FIFO, Grid), (FIFO, Baseline)];
+
+    /// The same row, 1024 cases (nightly: `--ignored`).
+    #[ignore = "extended sweep: run with --ignored (nightly)"]
+    extended_theta_zero_recompute_equals_baseline, 1024 cases,
+        (sc in synthetic_scenario(), params in exact_spec_params()) => point(sc, params),
+        equal [Fingerprints], arms [(FIFO, Grid), (FIFO, Baseline)];
+
+    /// Full θ range: with an empty forward window nothing is speculated.
+    forward_window_zero_is_the_baseline, 64 cases,
+        (sc in synthetic_scenario(), theta in 0.0f64..0.5)
+            => point(sc, SpecParams { fw: 0, bw: 1, theta, recompute: false }),
+        equal [Fingerprints], arms [(FIFO, Fw0), (FIFO, Baseline)];
+
+    /// Exact grid: real threads agree with the simulator.
+    sim_and_thread_agree_under_exact_semantics, 64 cases,
+        (sc in synthetic_scenario(), params in exact_spec_params()) => point(sc, params),
+        equal [Fingerprints], arms [(FIFO, Grid), (Thread, Grid)];
+
+    /// Exact grid: encoding, framing, the kernel's TCP stack and decoding
+    /// preserve the algorithm end to end. (Socket runs mesh real TCP
+    /// connections per case, so fewer cases.)
+    sim_thread_and_socket_agree_under_exact_semantics, 12 cases,
+        (sc in synthetic_scenario(), params in exact_spec_params()) => point(sc, params),
+        equal [Fingerprints], arms [(FIFO, Grid), (Thread, Grid), (Socket, Grid)];
+
+    /// Exact grid: FIFO, LIFO and seeded orders of simultaneous events land
+    /// on one state, also with the deadline timers fault tolerance adds.
+    exact_results_are_tiebreak_insensitive, 64 cases,
+        (sc in synthetic_scenario(), params in exact_spec_params(),
+         timeout_ms in 200u64..500, salt in 0u64..1_000_000)
+            => Point { timeout_ms, salt, ..point(sc, params) },
+        equal [Fingerprints],
+        arms [(FIFO, Grid), (LIFO, Grid), (SimSalted, Grid),
+              (FIFO, FaultTolerant), (LIFO, FaultTolerant), (SimSalted, FaultTolerant)];
+
+    /// Full grid: fault tolerance and supervision never fire on a
+    /// fault-free network and leave values and virtual timing untouched.
+    /// The timeout keeps "late" unmistakable for "lost" (scenario
+    /// latencies top out near 10 ms). The corpus witness once proved θ > 0
+    /// timing-sensitive under the old polling receive.
+    fault_tolerance_is_inert_without_faults, 64 cases,
+        (sc in synthetic_scenario(), params in spec_params(), timeout_ms in 200u64..500)
+            => Point { timeout_ms, ..point(sc, params) },
+        equal [Fingerprints, Elapsed],
+        arms [(FIFO, Grid), (FIFO, FaultTolerant), (FIFO, Supervised), (FIFO, SupervisionOnly)];
+
+    /// Full grid, FIFO net: every lossless delta frame reconstructs the
+    /// sender's exact snapshot, and timing is untouched.
+    lossless_delta_equals_full_broadcast_across_grid, 64 cases,
+        (sc in synthetic_scenario(), params in spec_params()) => point(fifo_net(&sc), params),
+        equal [Fingerprints, Elapsed, Counters(|s| format!("{}", s.messages_sent))],
+        arms [(FIFO, Grid), (FIFO, LosslessDelta)];
+
+    /// Full grid: a keyframe every iteration is full broadcast at any
+    /// floor, bytes on the wire included.
+    keyframe_every_iteration_is_full_broadcast, 64 cases,
+        (sc in synthetic_scenario(), params in spec_params()) => point(sc, params),
+        equal [Fingerprints, Elapsed, Counters(|s| format!("{}", s.bytes_sent))],
+        arms [(FIFO, Grid), (FIFO, KeyframeEveryIteration)];
+
+    /// Exact grid, FIFO net: delta frames survive real encode/frame/decode.
+    lossless_delta_agrees_across_all_three_backends, 12 cases,
+        (sc in synthetic_scenario(), params in exact_spec_params()) => point(fifo_net(&sc), params),
+        equal [Fingerprints],
+        arms [(FIFO, Grid), (FIFO, LosslessDelta), (Thread, LosslessDelta), (Socket, LosslessDelta)];
+
+    /// Any configuration: the same salt reproduces the whole run.
+    same_salt_reproduces_the_run, 64 cases,
+        (sc in synthetic_scenario(), params in spec_params(), salt in 0u64..1_000_000)
+            => Point { salt, ..point(sc, params) },
+        equal [Fingerprints, Elapsed, Counters(|s| format!("{:?}",
+            (s.speculated_partitions, s.rollbacks, s.corrections)))],
+        arms [(SimSalted, Grid), (SimSalted, Grid)];
+
+    /// Full grid: a controller that never decides is no controller.
+    dormant_controller_is_bit_inert, 64 cases,
+        (sc in synthetic_scenario(), params in spec_params()) => point(sc, params),
+        equal [Fingerprints, Elapsed, Counters(|s| format!("{:?}",
+            (s.speculated_partitions, s.misspeculated_partitions, s.rollbacks)))],
+        arms [(FIFO, Grid), (FIFO, DormantController)];
+
+    /// Exact grid: every decision an exact-anchor controller makes keeps
+    /// exact semantics, also on threads, whose waits drive other decisions.
+    active_exact_anchor_controller_equals_baseline, 64 cases,
+        (sc in synthetic_scenario(), params in exact_spec_params()) => point(sc, params),
+        equal [Fingerprints],
+        arms [(FIFO, ExactAnchorController), (FIFO, Baseline), (Thread, ExactAnchorController)];
+
+    /// Full grid: decisions are a pure function of committed virtual time.
+    controller_runs_replay_bit_for_bit, 64 cases,
+        (sc in synthetic_scenario(), params in spec_params()) => point(sc, params),
+        equal [Fingerprints, Elapsed, Counters(|s| format!("{:?}",
+            (s.controller_retunes, s.controller_fw, s.controller_theta)))],
+        arms [(FIFO, Controller), (FIFO, Controller)];
+}
+
+// ---------------------------------------------------------------------------
+// Bounds, not equivalences: crash, degraded-mode and quantized-delta runs
+// ---------------------------------------------------------------------------
 
 /// The grid point's driver mode with a delta-exchange policy attached.
 fn delta_mode(params: &SpecParams, floor: f64, keyframe: u64) -> DriverMode {
@@ -75,133 +415,6 @@ fn crash_faults(crash: MachineCrash) -> mpk::FaultSpec<speccore::IterMsg<Vec<f64
 }
 
 proptest! {
-    /// Sim and thread transports agree bit-for-bit on final state under
-    /// exact semantics (θ = 0 + recompute).
-    #[test]
-    fn sim_and_thread_agree_under_exact_semantics(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-    ) {
-        let mode = DriverMode::from_params(&params);
-        let sim = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let thread = run_thread(&sc, params.theta, &mode);
-        prop_assert_eq!(sim.fingerprints, thread.fingerprints);
-    }
-
-    /// θ = 0 + recompute is bit-identical to the blocking baseline: the
-    /// speculative driver must change *when* values are computed, never
-    /// *what* is computed (PAPER.md Fig. 1 vs Fig. 3).
-    #[test]
-    fn theta_zero_recompute_equals_baseline(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-    ) {
-        let spec = run_sim(&sc, params.theta, &DriverMode::from_params(&params), TieBreak::Fifo);
-        let base = run_sim(&sc, params.theta, &DriverMode::Baseline, TieBreak::Fifo);
-        prop_assert_eq!(&spec.fingerprints, &base.fingerprints);
-        for s in &spec.stats {
-            prop_assert_eq!(s.iterations, sc.iters);
-        }
-    }
-
-    /// FW = 0 run through the speculative driver is the baseline: with an
-    /// empty forward window nothing is ever speculated, so the driver
-    /// degenerates to the blocking loop bit-for-bit.
-    #[test]
-    fn forward_window_zero_is_the_baseline(sc in synthetic_scenario(), theta in 0.0f64..0.5) {
-        let fw0 = DriverMode::Speculative(SpecConfig::baseline());
-        let spec = run_sim(&sc, theta, &fw0, TieBreak::Fifo);
-        let base = run_sim(&sc, theta, &DriverMode::Baseline, TieBreak::Fifo);
-        prop_assert_eq!(&spec.fingerprints, &base.fingerprints);
-        for s in &spec.stats {
-            prop_assert_eq!(s.speculated_partitions, 0);
-        }
-    }
-
-    /// Fault-tolerance machinery on a fault-free network is inert for
-    /// **every** configuration on the grid — θ and the correction mode
-    /// included: the loss paths never fire and the final state is
-    /// bit-identical to the plain config. (The generous timeout keeps
-    /// "merely late" unmistakable for "lost" — scenario latencies top out
-    /// near 10 ms.)
-    ///
-    /// This full-grid equality is exactly what the old polling receive
-    /// could not deliver: bounded waits observed arrivals on poll quanta,
-    /// shifting virtual timing and changing *which* speculations a
-    /// nonzero θ accepted — the shrunk counterexample (p=5, n=8, fw=1,
-    /// θ≈0.008, 33 µs jittered latency) stays in the regression corpus
-    /// and now replays green against the event-driven wait, which wakes
-    /// at the exact arrival or deadline instant and leaves virtual
-    /// timing untouched (the end-time equality below pins that too).
-    #[test]
-    fn fault_tolerance_is_inert_without_faults(
-        sc in synthetic_scenario(),
-        params in spec_params(),
-        timeout_ms in 200u64..500,
-    ) {
-        let plain = run_sim(&sc, params.theta, &DriverMode::from_params(&params), TieBreak::Fifo);
-        let ft_cfg = params
-            .build()
-            .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(timeout_ms)));
-        let ft = run_sim_with_faults(
-            &sc,
-            params.theta,
-            &DriverMode::Speculative(ft_cfg),
-            mpk::FaultSpec::none(),
-            TieBreak::Fifo,
-        );
-        prop_assert_eq!(&plain.fingerprints, &ft.fingerprints);
-        prop_assert_eq!(plain.elapsed, ft.elapsed);
-        for s in &ft.stats {
-            prop_assert_eq!(s.iterations, sc.iters);
-            prop_assert_eq!(s.messages_lost, 0);
-            prop_assert_eq!(s.speculate_through_loss_commits, 0);
-            prop_assert_eq!(s.retransmit_requests, 0);
-        }
-    }
-
-    /// Supervision armed on a fault-free network is inert for **every**
-    /// configuration on the grid: no peer ever goes stale, so the
-    /// lifecycle never leaves `Healthy`, no quarantine bypass fires, and
-    /// the run is bit-identical — values and virtual timing — to the
-    /// same config without supervision. Together with `supervision:
-    /// None` being the constructor default, this pins the PR 7 behavior
-    /// exactly: a supervision-off config cannot be affected by the new
-    /// machinery at all.
-    #[test]
-    fn supervision_is_inert_without_faults(
-        sc in synthetic_scenario(),
-        params in spec_params(),
-        timeout_ms in 200u64..500,
-    ) {
-        let ft = FaultTolerance::new(SimDuration::from_millis(timeout_ms));
-        let plain_cfg = params.build().with_fault_tolerance(ft.clone());
-        let sup_cfg = plain_cfg.clone().with_supervision(SupervisionConfig::default());
-        let plain = run_sim_with_faults(
-            &sc,
-            params.theta,
-            &DriverMode::Speculative(plain_cfg),
-            mpk::FaultSpec::none(),
-            TieBreak::Fifo,
-        );
-        let sup = run_sim_with_faults(
-            &sc,
-            params.theta,
-            &DriverMode::Speculative(sup_cfg),
-            mpk::FaultSpec::none(),
-            TieBreak::Fifo,
-        );
-        prop_assert_eq!(&plain.fingerprints, &sup.fingerprints);
-        prop_assert_eq!(plain.elapsed, sup.elapsed);
-        for s in &sup.stats {
-            prop_assert_eq!(s.iterations, sc.iters);
-            prop_assert_eq!(s.peers_suspected, 0);
-            prop_assert_eq!(s.peers_quarantined, 0);
-            prop_assert_eq!(s.peer_rejoins, 0);
-            prop_assert_eq!(s.degraded_commits, 0);
-        }
-    }
-
     /// Degraded-mode termination: a rank that dies at t = 0 and never
     /// returns must not wedge the cluster. Survivors quarantine it after
     /// the configured staleness and from then on carry its partition by
@@ -252,78 +465,6 @@ proptest! {
         }
     }
 
-    /// Arming fault tolerance must not make exact results tie-break
-    /// sensitive: the deadline timer events it adds to the kernel's queue
-    /// consume sequence numbers, and FIFO, LIFO, and seeded orderings of
-    /// simultaneous events must still all land on the same final state.
-    #[test]
-    fn ft_exact_results_are_tiebreak_insensitive(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-        timeout_ms in 200u64..500,
-        salt in 0u64..1_000_000,
-    ) {
-        let ft_cfg = params
-            .build()
-            .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(timeout_ms)));
-        let mode = DriverMode::Speculative(ft_cfg);
-        let fifo = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let lifo = run_sim(&sc, params.theta, &mode, TieBreak::Lifo);
-        let seeded = run_sim(&sc, params.theta, &mode, TieBreak::Seeded(salt));
-        prop_assert_eq!(&fifo.fingerprints, &lifo.fingerprints);
-        prop_assert_eq!(&fifo.fingerprints, &seeded.fingerprints);
-    }
-
-    /// Seeded same-virtual-time tie-breaking is deterministic: the same
-    /// salt reproduces the whole run bit-for-bit — fingerprints, virtual
-    /// end time, and speculation counters — for *any* configuration.
-    #[test]
-    fn same_salt_reproduces_the_run(
-        sc in synthetic_scenario(),
-        params in spec_params(),
-        salt in 0u64..1_000_000,
-    ) {
-        let mode = DriverMode::from_params(&params);
-        let a = run_sim(&sc, params.theta, &mode, TieBreak::Seeded(salt));
-        let b = run_sim(&sc, params.theta, &mode, TieBreak::Seeded(salt));
-        prop_assert_eq!(&a.fingerprints, &b.fingerprints);
-        prop_assert_eq!(a.elapsed, b.elapsed);
-        let counters = |o: &speccheck::RunOutput| -> Vec<(u64, u64, u64)> {
-            o.stats
-                .iter()
-                .map(|s| (s.speculated_partitions, s.rollbacks, s.corrections))
-                .collect()
-        };
-        prop_assert_eq!(counters(&a), counters(&b));
-    }
-
-    /// Lossless (floor = 0) delta exchange is bit-identical to full
-    /// broadcast across the **whole** θ/FW grid: every delta frame
-    /// reconstructs the sender's exact snapshot, and keyframes merely
-    /// re-seed shadows. Timing is also untouched — on a size-independent
-    /// latency model the virtual end times match exactly.
-    #[test]
-    fn lossless_delta_equals_full_broadcast_across_grid(
-        sc in synthetic_scenario(),
-        params in spec_params(),
-    ) {
-        let sc = fifo_net(&sc);
-        let mode = DriverMode::from_params(&params);
-        let full = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let delta = run_sim(
-            &sc,
-            params.theta,
-            &delta_mode(&params, 0.0, sc.delta_keyframe),
-            TieBreak::Fifo,
-        );
-        prop_assert_eq!(&full.fingerprints, &delta.fingerprints);
-        prop_assert_eq!(full.elapsed, delta.elapsed);
-        for s in &delta.stats {
-            prop_assert_eq!(s.delta_frames_dropped, 0);
-            prop_assert_eq!(s.iterations, sc.iters);
-        }
-    }
-
     /// A positive quantization floor offsets every exchanged value by at
     /// most `floor`, and the workload's dynamics amplify a received
     /// offset by at most the jump factor per iteration — so the final
@@ -363,23 +504,6 @@ proptest! {
         }
     }
 
-    /// Under exact semantics the *result* cannot hinge on how
-    /// same-virtual-time ties are broken: FIFO, LIFO, and seeded
-    /// permutations of simultaneous events all land on the same final
-    /// state (scheduling affects only timing).
-    #[test]
-    fn exact_results_are_tiebreak_insensitive(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-        salt in 0u64..1_000_000,
-    ) {
-        let mode = DriverMode::from_params(&params);
-        let fifo = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let lifo = run_sim(&sc, params.theta, &mode, TieBreak::Lifo);
-        let seeded = run_sim(&sc, params.theta, &mode, TieBreak::Seeded(salt));
-        prop_assert_eq!(&fifo.fingerprints, &lifo.fingerprints);
-        prop_assert_eq!(&fifo.fingerprints, &seeded.fingerprints);
-    }
 }
 
 /// The full quarantine → rejoin → readmission lifecycle, pinned on a
@@ -454,67 +578,6 @@ fn quarantined_peer_rejoins_and_is_readmitted() {
         );
         assert!(s.degraded_commits >= 1, "survivor {k} never ran degraded");
         assert!(s.peer_rejoins >= 1, "survivor {k} never readmitted rank 2");
-    }
-}
-
-/// The thread backend's bounded wait never spins: a timeout that runs to
-/// expiry on an empty mailbox costs exactly one condvar block, observed
-/// through the transport's wakeup counter. (The sim backend's equivalent
-/// guarantee — exactly one timer event per expired wait — is pinned by
-/// `desim`'s `SimReport::timers_fired` unit tests.)
-#[test]
-fn thread_backend_timed_wait_never_spins() {
-    use desim::SimDuration;
-    use mpk::{run_thread_cluster, ThreadClusterOptions, Transport};
-    let waits = run_thread_cluster::<u8, _, _>(1, ThreadClusterOptions::default(), |t| {
-        assert!(t.recv_timeout(SimDuration::from_millis(25)).is_none());
-        t.timed_waits()
-    });
-    assert_eq!(waits[0], 1, "one expired wait must cost exactly one block");
-}
-
-proptest! {
-    // Socket runs mesh real TCP connections per case, so fewer cases
-    // than the in-process properties; the regression file still replays
-    // any counterexample first.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Three-way transport agreement: the virtual-time simulator, the
-    /// in-process thread backend, and the real TCP socket backend
-    /// produce bit-identical state fingerprints under exact semantics.
-    /// This is the proof that encoding, framing, kernel delivery, and
-    /// decoding preserve the algorithm end to end.
-    #[test]
-    fn sim_thread_and_socket_agree_under_exact_semantics(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-    ) {
-        let mode = DriverMode::from_params(&params);
-        let sim = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let thread = run_thread(&sc, params.theta, &mode);
-        let socket = run_socket(&sc, params.theta, &mode);
-        prop_assert_eq!(&sim.fingerprints, &thread.fingerprints);
-        prop_assert_eq!(&sim.fingerprints, &socket.fingerprints);
-    }
-
-    /// Lossless delta exchange agrees with full broadcast on **all three
-    /// backends** under exact semantics: delta frames survive real
-    /// encode/frame/decode over TCP and in-process mailboxes alike, and
-    /// land on the PR 6 full-broadcast fingerprints bit for bit.
-    #[test]
-    fn lossless_delta_agrees_across_all_three_backends(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-    ) {
-        let sc = fifo_net(&sc);
-        let mode = delta_mode(&params, 0.0, sc.delta_keyframe);
-        let full = run_sim(&sc, params.theta, &DriverMode::from_params(&params), TieBreak::Fifo);
-        let sim = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let thread = run_thread(&sc, params.theta, &mode);
-        let socket = run_socket(&sc, params.theta, &mode);
-        prop_assert_eq!(&full.fingerprints, &sim.fingerprints);
-        prop_assert_eq!(&sim.fingerprints, &thread.fingerprints);
-        prop_assert_eq!(&sim.fingerprints, &socket.fingerprints);
     }
 }
 
@@ -619,17 +682,4 @@ proptest! {
             prop_assert_eq!(out.stats[sc.p - 1].peer_restarts, 1);
         }
     }
-}
-
-/// The socket backend's bounded wait never spins either: one expired
-/// timeout on a silent wire is exactly one `ppoll` block.
-#[test]
-fn socket_backend_timed_wait_never_spins() {
-    use desim::SimDuration;
-    use mpk::{run_socket_cluster, SocketClusterOptions, Transport};
-    let waits = run_socket_cluster::<u8, _, _>(1, SocketClusterOptions::default(), |t| {
-        assert!(t.recv_timeout(SimDuration::from_millis(25)).is_none());
-        t.timed_waits()
-    });
-    assert_eq!(waits[0], 1, "one expired wait must cost exactly one block");
 }

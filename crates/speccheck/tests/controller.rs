@@ -1,27 +1,18 @@
-//! Conformance properties for the adaptive speculation controller.
+//! Convergence of the adaptive speculation controller: under a
+//! stationary delay the chosen window stabilizes and lands within one
+//! grid step of the best fixed window found by an offline sweep, and
+//! adaptive deadlines tighten a pessimistic static loss timeout enough to
+//! beat it under real loss.
 //!
-//! The controller's contract has three layers, each pinned here:
-//!
-//! * **Inertness** — `controller: None` is the constructor default, and an
-//!   attached-but-dormant controller (warmup beyond the run length) never
-//!   evaluates a decision, so it must be bit-inert: identical
-//!   fingerprints, identical virtual timing, zero controller counters.
-//! * **Exactness under the exact anchor** — a θ grid pinned to `{0.0}`
-//!   with recompute correction keeps *every* decision sequence exact, so
-//!   the controller may retune the window freely and the run must still be
-//!   bit-identical to the blocking baseline — on the simulator and across
-//!   the sim/thread backend pair (whose wall-clock waits drive genuinely
-//!   different decision sequences).
-//! * **Convergence** — under a stationary delay the chosen window
-//!   stabilizes and lands within one grid step of the best fixed window
-//!   found by an offline sweep, and adaptive deadlines tighten a
-//!   pessimistic static loss timeout enough to beat it under real loss.
+//! The controller's equivalences — a dormant controller is no controller,
+//! an exact-anchor controller is the baseline on the simulator and on
+//! threads, decisions replay — are rows of the conformance matrix
+//! (`conformance.rs`).
 
 use desim::TieBreak;
 use proptest::prelude::*;
 use speccheck::{
-    exact_spec_params, run_sim, run_sim_with_faults, run_thread, spec_params, synthetic_scenario,
-    DriverMode, SpecParams, SyntheticScenario,
+    run_sim, run_sim_with_faults, synthetic_scenario, DriverMode, SpecParams, SyntheticScenario,
 };
 use speccore::{ControllerConfig, CorrectionMode, FaultTolerance, SpecConfig};
 
@@ -30,108 +21,7 @@ fn adaptive_mode(params: &SpecParams, ctl: ControllerConfig) -> DriverMode {
     DriverMode::Speculative(params.build().with_adaptive(ctl))
 }
 
-/// A controller that retunes early and often, with the exact θ anchor as
-/// its only grid point: every decision it can make preserves exact
-/// semantics when paired with recompute correction.
-fn exact_anchor_controller() -> ControllerConfig {
-    ControllerConfig::new()
-        .with_theta_grid(vec![0.0])
-        .with_cadence(2, 1)
-        .with_fw_max(4)
-}
-
 proptest! {
-    /// An attached-but-dormant controller (warmup beyond the run length)
-    /// is bit-inert across the whole configuration grid: fingerprints,
-    /// virtual end time, and every stat match the controller-less run,
-    /// and the controller counters stay zero.
-    #[test]
-    fn dormant_controller_is_bit_inert(
-        sc in synthetic_scenario(),
-        params in spec_params(),
-    ) {
-        let plain = run_sim(&sc, params.theta, &DriverMode::from_params(&params), TieBreak::Fifo);
-        let dormant = ControllerConfig::new().with_cadence(1_000_000, 1);
-        let ctl = run_sim(&sc, params.theta, &adaptive_mode(&params, dormant), TieBreak::Fifo);
-        prop_assert_eq!(&plain.fingerprints, &ctl.fingerprints);
-        prop_assert_eq!(plain.elapsed, ctl.elapsed);
-        for (a, b) in plain.stats.iter().zip(&ctl.stats) {
-            prop_assert_eq!(a.iterations, b.iterations);
-            prop_assert_eq!(a.speculated_partitions, b.speculated_partitions);
-            prop_assert_eq!(a.misspeculated_partitions, b.misspeculated_partitions);
-            prop_assert_eq!(a.rollbacks, b.rollbacks);
-            prop_assert_eq!(b.controller_retunes, 0);
-            prop_assert_eq!(b.controller_fw, 0);
-            prop_assert_eq!(b.controller_theta, 0.0);
-        }
-    }
-
-    /// An *active* controller whose θ grid holds only the exact anchor
-    /// (θ = 0) under recompute correction is bit-identical to the
-    /// blocking baseline for every scenario: window retunes change when
-    /// values are computed, never what is computed.
-    #[test]
-    fn active_exact_anchor_controller_equals_baseline(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-    ) {
-        let mode = adaptive_mode(&params, exact_anchor_controller());
-        let ctl = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let base = run_sim(&sc, params.theta, &DriverMode::Baseline, TieBreak::Fifo);
-        prop_assert_eq!(&ctl.fingerprints, &base.fingerprints);
-        for s in &ctl.stats {
-            prop_assert_eq!(s.iterations, sc.iters);
-            // warmup = 2 ≤ iters, so the controller must have decided.
-            prop_assert!(s.controller_retunes >= 1, "controller never evaluated");
-            prop_assert_eq!(s.controller_theta, 0.0);
-            prop_assert!(s.controller_fw >= 1 && s.controller_fw <= 4);
-        }
-    }
-
-    /// Controller decisions are a pure function of committed virtual-time
-    /// telemetry: the same scenario replays bit-for-bit — fingerprints,
-    /// virtual end time, and the decision counters themselves.
-    #[test]
-    fn controller_runs_replay_bit_for_bit(
-        sc in synthetic_scenario(),
-        params in spec_params(),
-    ) {
-        let params = SpecParams { fw: params.fw.max(1), ..params };
-        let ctl = ControllerConfig::new()
-            .with_theta_grid(vec![0.0, 0.01, 0.05])
-            .with_cadence(2, 1)
-            .with_fw_max(4);
-        let mode = adaptive_mode(&params, ctl);
-        let a = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let b = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        prop_assert_eq!(&a.fingerprints, &b.fingerprints);
-        prop_assert_eq!(a.elapsed, b.elapsed);
-        let decisions = |o: &speccheck::RunOutput| -> Vec<(u64, u64, f64)> {
-            o.stats
-                .iter()
-                .map(|s| (s.controller_retunes, s.controller_fw, s.controller_theta))
-                .collect()
-        };
-        prop_assert_eq!(decisions(&a), decisions(&b));
-    }
-
-    /// Sim and thread backends agree bit-for-bit under the controller
-    /// with the exact anchor grid. The thread backend's wall-clock waits
-    /// drive genuinely different decision sequences than the simulator's
-    /// virtual-time waits — and the final state must not care, because
-    /// every decision the exact-anchor controller can make is semantics-
-    /// preserving.
-    #[test]
-    fn sim_and_thread_agree_under_exact_anchor_controller(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-    ) {
-        let mode = adaptive_mode(&params, exact_anchor_controller());
-        let sim = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let thread = run_thread(&sc, params.theta, &mode);
-        prop_assert_eq!(&sim.fingerprints, &thread.fingerprints);
-    }
-
     /// Convergence: under a stationary delay and stationary compute (no
     /// jitter, no value jumps, no compute ramp) the controller's final
     /// window lands within one grid step of a near-optimal fixed window

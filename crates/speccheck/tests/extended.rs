@@ -1,4 +1,4 @@
-//! Extended conformance sweeps, ignored by default.
+//! Extended conformance sweep, ignored by default.
 //!
 //! `ci.sh` runs the default suites at 64 cases per property with the
 //! shim's fixed per-test seeds. Nightly (or any paranoid) runs add
@@ -7,46 +7,18 @@
 //! cargo test -q -p speccheck -- --ignored
 //! ```
 //!
-//! for 1024 cases per property, plus a randomly seeded sweep whose seed
-//! is printed on stderr (`SPECCHECK_SWEEP_SEED=<hex>` replays it).
+//! for the 1024-case deepening of the conformance matrix's exact-grid row
+//! (which also checks phase accounting on its simulator arms), plus a
+//! randomly seeded sweep whose seed is printed on stderr
+//! (`SPECCHECK_SWEEP_SEED=<hex>` replays it).
 
 use desim::TieBreak;
 use proptest::prelude::*;
-use proptest::{ProptestConfig, TestRng};
+use proptest::TestRng;
 use speccheck::oracles::phase_partition;
 use speccheck::{exact_spec_params, run_sim, synthetic_scenario, DriverMode};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1024))]
-
-    /// 1024-case deepening of the headline θ = 0 equivalence.
-    #[test]
-    #[ignore = "extended sweep: run with --ignored (nightly)"]
-    fn extended_theta_zero_recompute_equals_baseline(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-    ) {
-        let spec = run_sim(&sc, params.theta, &DriverMode::from_params(&params), TieBreak::Fifo);
-        let base = run_sim(&sc, params.theta, &DriverMode::Baseline, TieBreak::Fifo);
-        prop_assert_eq!(&spec.fingerprints, &base.fingerprints);
-    }
-
-    /// 1024-case deepening of exhaustive phase accounting.
-    #[test]
-    #[ignore = "extended sweep: run with --ignored (nightly)"]
-    fn extended_phases_partition_total_time(
-        sc in synthetic_scenario(),
-        params in exact_spec_params(),
-    ) {
-        let out = run_sim(&sc, params.theta, &DriverMode::from_params(&params), TieBreak::Fifo);
-        for s in &out.stats {
-            let check = phase_partition(s);
-            prop_assert!(check.is_ok(), "{}", check.unwrap_err());
-        }
-    }
-}
-
-/// Randomly seeded sweep: unlike the fixed-seed properties above, every
+/// Randomly seeded sweep: unlike the fixed-seed properties, every
 /// nightly run explores a *fresh* region of scenario space. The seed is
 /// taken from `SPECCHECK_SWEEP_SEED` (hex, `0x` optional) when set, else
 /// from the wall clock, and is always printed so a failure is

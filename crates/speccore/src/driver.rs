@@ -1764,31 +1764,6 @@ mod tests {
     }
 
     #[test]
-    fn theta_zero_recompute_is_bit_exact_with_baseline() {
-        let p = 5;
-        let iters = 12;
-        let cfg = SpecConfig::speculative(1).with_correction(CorrectionMode::Recompute);
-        let (out, _) = run_toy(p, iters, 0.0, cfg, 3);
-        let reference = toy_reference(p, iters);
-        for (j, (x, stats)) in out.iter().enumerate() {
-            assert_eq!(*x, reference[j], "rank {j}: θ=0 + recompute must be exact");
-            assert_eq!(stats.iterations, iters);
-        }
-    }
-
-    #[test]
-    fn theta_zero_fw2_recompute_is_bit_exact_with_baseline() {
-        let p = 3;
-        let iters = 15;
-        let cfg = SpecConfig::speculative(2).with_correction(CorrectionMode::Recompute);
-        let (out, _) = run_toy(p, iters, 0.0, cfg, 5);
-        let reference = toy_reference(p, iters);
-        for (j, (x, _)) in out.iter().enumerate() {
-            assert_eq!(*x, reference[j], "rank {j}: FW=2 θ=0 must be exact");
-        }
-    }
-
-    #[test]
     fn incremental_correction_with_theta_zero_is_close_to_reference() {
         // Incremental correction is algebraically exact for the linear toy
         // but floating-point non-associative; expect tiny drift only.
@@ -1953,58 +1928,6 @@ mod tests {
     }
 
     #[test]
-    fn controller_retunes_and_theta_zero_grid_stays_exact() {
-        // A θ grid pinned to {0.0} with recompute correction is exact for
-        // ANY forward-window schedule, so the controller may retune freely
-        // without perturbing the result. Asserts the integration actually
-        // fires (decisions recorded in stats) and stays bit-exact.
-        use crate::control::ControllerConfig;
-        let p = 4;
-        let iters = 24;
-        let cfg = SpecConfig::speculative(1)
-            .with_correction(CorrectionMode::Recompute)
-            .with_adaptive(
-                ControllerConfig::new()
-                    .with_theta_grid(vec![0.0])
-                    .with_cadence(2, 2)
-                    .with_fw_max(3),
-            );
-        let (out, _) = run_toy(p, iters, 0.0, cfg, 3);
-        let reference = toy_reference(p, iters);
-        for (j, (x, stats)) in out.iter().enumerate() {
-            assert_eq!(*x, reference[j], "rank {j}: θ=0 grid must stay exact");
-            assert_eq!(stats.iterations, iters);
-            assert!(
-                stats.controller_retunes > 0,
-                "controller must have evaluated retunes"
-            );
-            assert_eq!(stats.controller_theta, 0.0);
-            assert!(stats.controller_fw >= 1 && stats.controller_fw <= 3);
-        }
-    }
-
-    #[test]
-    fn controller_off_leaves_new_stats_fields_zero() {
-        let (out, _) = run_toy(3, 8, 0.05, SpecConfig::speculative(1), 2);
-        for (_, stats) in &out {
-            assert_eq!(stats.controller_retunes, 0);
-            assert_eq!(stats.controller_fw, 0);
-            assert_eq!(stats.controller_theta, 0.0);
-        }
-    }
-
-    #[test]
-    fn phase_times_account_for_total() {
-        // compute + wait + speculate + check + correct should equal the
-        // rank's total time (the driver does no unaccounted virtual work).
-        let (out, _) = run_toy(4, 10, 0.05, SpecConfig::speculative(1), 2);
-        for (_, stats) in &out {
-            let sum = stats.phases.total();
-            assert_eq!(sum, stats.total_time, "phases must partition total time");
-        }
-    }
-
-    #[test]
     fn stats_message_counts() {
         let p = 5;
         let iters = 8;
@@ -2055,22 +1978,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn determinism_across_runs() {
-        let run = || {
-            let (out, end) = run_toy(4, 15, 0.01, SpecConfig::speculative(2), 3);
-            let xs: Vec<f64> = out.iter().map(|(x, _)| *x).collect();
-            let specs: Vec<u64> = out.iter().map(|(_, s)| s.speculated_partitions).collect();
-            (xs, specs, end)
-        };
-        assert_eq!(run(), run());
-    }
-
     // ---- fault tolerance ------------------------------------------------
 
     use crate::config::FaultTolerance;
     use mpk::{run_sim_proc_cluster_with_faults, FaultSpec};
-    use netsim::{Loss, MachineCrash};
+    use netsim::{Loss, MachineCrash, MachineSpec};
 
     fn run_toy_with_faults(
         p: usize,
@@ -2315,47 +2227,31 @@ mod tests {
     }
 
     #[test]
-    fn supervision_without_fault_tolerance_is_inert() {
-        // Supervision rides on the loss-promotion staleness counters; with
-        // no fault-tolerance policy there is nothing to drive it, and the
-        // run must be bit-identical to the plain config.
-        let p = 3;
-        let iters = 10;
-        let plain = run_toy(p, iters, 0.05, SpecConfig::speculative(1), 2).0;
-        let sup_cfg = SpecConfig::speculative(1).with_supervision(SupervisionConfig::default());
-        let sup = run_toy(p, iters, 0.05, sup_cfg, 2).0;
-        for (j, (x, stats)) in sup.iter().enumerate() {
-            assert_eq!(*x, plain[j].0, "rank {j} values must match exactly");
-            assert_eq!(stats.peers_suspected, 0);
-            assert_eq!(stats.peers_quarantined, 0);
-            assert_eq!(stats.degraded_commits, 0);
-        }
-    }
-
-    #[test]
-    fn fault_tolerant_config_on_reliable_net_matches_fault_free_values() {
-        // Same network, same app; the only difference is the bounded waits.
-        // Those waits are event-driven (the transport wakes exactly at the
-        // arrival or the deadline), so not just the committed values and
-        // message counts but the per-rank timings must match exactly, and
-        // nothing may be promoted.
-        let p = 4;
-        let iters = 12;
-        let plain = run_toy(p, iters, 0.05, SpecConfig::speculative(1), 2).0;
-        let ft = FaultTolerance::new(SimDuration::from_millis(50));
-        let cfg = SpecConfig::speculative(1).with_fault_tolerance(ft);
-        let tolerant = run_toy_with_faults(p, iters, 0.05, cfg, 2, FaultSpec::none());
-        for (j, (x, stats)) in tolerant.iter().enumerate() {
-            assert_eq!(*x, plain[j].0, "rank {j} values must match exactly");
-            assert_eq!(
-                stats.total_time, plain[j].1.total_time,
-                "rank {j} timing must match exactly"
-            );
-            assert_eq!(stats.iterations, iters);
-            assert_eq!(stats.speculate_through_loss_commits, 0);
-            assert_eq!(stats.peer_restarts, 0);
-            assert_eq!(stats.messages_lost, 0);
-        }
+    fn readmission_ships_the_latest_state_at_once() {
+        // Rank 1 is slow enough that rank 0 promotes its inputs and
+        // quarantines it, yet alive: its next broadcast readmits it. That
+        // arrival is no retransmit request, so only the readmission makes
+        // rank 0 send its latest state back. Rank 1 is never behind on
+        // rank 0's inputs and asks for nothing, so every message rank 0
+        // sends beyond its broadcasts is a request or a readmission.
+        let iters = 30;
+        let cluster = ClusterSpec::new(vec![MachineSpec::new(0.02), MachineSpec::new(0.005)]);
+        let cfg = SpecConfig::speculative(1)
+            .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(5)))
+            .with_supervision(SupervisionConfig::new(1, 1));
+        let (out, _) = run_sim_proc_cluster::<IterMsg<f64>, _, _, _>(
+            &cluster,
+            ConstantLatency(SimDuration::from_millis(2)),
+            Unloaded,
+            false,
+            |t| run_toy_rank(t, 1e9, iters, cfg.clone()),
+        )
+        .unwrap();
+        let (fast, slow) = (&out[0].1, &out[1].1);
+        assert_eq!(slow.retransmit_requests, 0, "the slow rank fell behind");
+        assert!(fast.peer_rejoins >= 1, "the slow rank was never readmitted");
+        let extra = fast.retransmit_requests + fast.peer_rejoins;
+        assert_eq!(fast.messages_sent, iters + extra);
     }
 
     #[test]
@@ -2379,30 +2275,6 @@ mod tests {
     }
 
     #[test]
-    fn lossless_delta_is_bit_identical_to_full_broadcast() {
-        let p = 4;
-        let iters = 16;
-        let theta = 0.05;
-        let full_cfg = SpecConfig::speculative(2);
-        let delta_cfg = full_cfg
-            .clone()
-            .with_delta_exchange(DeltaExchange::lossless());
-        let (full, t_full) = run_toy(p, iters, theta, full_cfg, 3);
-        let (delta, t_delta) = run_toy(p, iters, theta, delta_cfg, 3);
-        assert_eq!(t_full, t_delta, "floor=0 must not change the schedule");
-        for (j, ((xf, sf), (xd, sd))) in full.iter().zip(&delta).enumerate() {
-            assert_eq!(
-                xf.to_bits(),
-                xd.to_bits(),
-                "rank {j}: floor=0 delta must be bit-identical"
-            );
-            assert_eq!(sf.messages_sent, sd.messages_sent);
-            assert_eq!(sd.delta_frames_dropped, 0, "reliable net drops nothing");
-            assert_eq!(sf.total_time, sd.total_time);
-        }
-    }
-
-    #[test]
     fn delta_mode_preserves_send_count_and_meters_bytes() {
         let p = 4;
         let iters = 12;
@@ -2413,23 +2285,6 @@ mod tests {
             assert!(stats.bytes_sent > 0, "sends must be metered");
             assert!(stats.bytes_received > 0, "receives must be metered");
             assert_eq!(stats.iterations, iters);
-        }
-    }
-
-    #[test]
-    fn keyframe_every_iteration_degenerates_to_full_broadcast() {
-        let p = 3;
-        let iters = 10;
-        let full_cfg = SpecConfig::speculative(1);
-        let kf_cfg = full_cfg
-            .clone()
-            .with_delta_exchange(DeltaExchange::new(0.5, 1));
-        let (full, _) = run_toy(p, iters, 0.05, full_cfg, 2);
-        let (kf, _) = run_toy(p, iters, 0.05, kf_cfg, 2);
-        for (j, ((xf, sf), (xk, sk))) in full.iter().zip(&kf).enumerate() {
-            assert_eq!(xf.to_bits(), xk.to_bits(), "rank {j}: K=1 is full frames");
-            assert_eq!(sf.bytes_sent, sk.bytes_sent, "rank {j}: same wire bytes");
-            assert_eq!(sk.delta_suppressed_bytes, 0);
         }
     }
 

@@ -472,6 +472,36 @@ mod tests {
         assert_eq!(out.checked_units, cols as u64);
     }
 
+    /// Eq. 11: a halo cell is bad iff its error is *beyond* θ. A cell
+    /// exactly at θ is accepted by `check` and left alone by `correct`,
+    /// which repairs and charges (2 ops) only the cells `check` counts bad.
+    #[test]
+    fn cells_at_theta_are_neither_bad_nor_repaired() {
+        let (rows, cols) = (12, 8);
+        let ranges = even_ranges(rows, 3);
+        let cfg = Heat2dConfig {
+            theta: 0.5,
+            ..Default::default()
+        };
+        let mut app = Heat2dApp::new(rows, cols, &ranges, 1, cfg);
+        // Rank 0 is the top neighbour: its bottom row is what we consume.
+        let halo = |bottom: Vec<f64>| {
+            Arc::new(RowHalo {
+                top: vec![2.0; cols],
+                bottom,
+            })
+        };
+        let actual = halo(vec![2.0; cols]);
+        // Lane error |2 − s| / 2: exactly θ on the first half, 1.0 beyond.
+        let spec = halo([vec![1.0; cols / 2], vec![0.0; cols / 2]].concat());
+        let before = app.cells().to_vec();
+        let ops = app.correct(Rank(0), &spec, &actual);
+        let repaired = app.cells().iter().zip(&before).filter(|(a, b)| a != b);
+        let repaired = repaired.count() as u64;
+        assert_eq!((ops, repaired), (cols as u64, cols as u64 / 2));
+        assert_eq!(app.check(Rank(0), &actual, &spec).bad_units, repaired);
+    }
+
     /// A halo from a rank that is not adjacent couples nothing: absorbing
     /// it is free and leaves the step bit-identical, and `check` and
     /// `correct` ignore it.

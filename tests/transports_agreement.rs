@@ -1,74 +1,14 @@
 //! The virtual-time, real-thread, and real-TCP-socket backends run the
 //! same speculative algorithm and must produce the same *results*
-//! (timing differs by construction).
+//! (timing differs by construction). Fault-free exact-semantics agreement
+//! of the speculative driver is a row of speccheck's conformance matrix;
+//! these tests pin the baseline entry points, and agreement under loss,
+//! real latency and scripted faults.
 
 use speculative_computation::prelude::*;
 
 fn even_ranges(n: usize, p: usize) -> Vec<std::ops::Range<usize>> {
     (0..p).map(|i| i * n / p..(i + 1) * n / p).collect()
-}
-
-/// Run the synthetic workload with exact semantics (θ = 0 + recompute) on
-/// any transport and return the final values.
-async fn run_exact<T: AsyncTransport<Msg = IterMsg<Vec<f64>>>>(
-    t: &mut T,
-    n: usize,
-    iters: u64,
-) -> Vec<f64> {
-    let ranges = even_ranges(n, t.size());
-    let scfg = SyntheticConfig {
-        theta: 0.0,
-        jump_prob: 0.1,
-        seed: 5,
-        ..Default::default()
-    };
-    let mut app = SyntheticApp::new(n, &ranges, t.rank().0, scfg);
-    let cfg = SpecConfig::speculative(1).with_correction(CorrectionMode::Recompute);
-    run_speculative_aio(t, &mut app, iters, cfg).await;
-    app.values().to_vec()
-}
-
-#[test]
-fn sim_thread_and_socket_backends_agree_exactly() {
-    let n = 32;
-    let p = 4;
-    let iters = 8;
-
-    let cluster = ClusterSpec::homogeneous(p, 1000.0);
-    let (sim_out, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
-        &cluster,
-        ConstantLatency(SimDuration::from_micros(100)),
-        Unloaded,
-        false,
-        |mut t| async move { run_exact(&mut t, n, iters).await },
-    )
-    .unwrap();
-
-    let thread_out = run_thread_cluster::<IterMsg<Vec<f64>>, _, _>(
-        p,
-        ThreadClusterOptions {
-            latency: std::time::Duration::from_micros(200),
-            ..Default::default()
-        },
-        move |t| poll_ready(run_exact(t, n, iters)),
-    );
-
-    // Third arm: every message is codec-encoded, framed, and crosses the
-    // kernel's TCP stack on loopback.
-    let socket_out = run_socket_cluster::<IterMsg<Vec<f64>>, _, _>(
-        p,
-        SocketClusterOptions::default(),
-        move |t| poll_ready(run_exact(t, n, iters)),
-    );
-
-    assert_eq!(
-        sim_out, thread_out,
-        "sim and thread backends must agree bit-for-bit under θ=0+recompute"
-    );
-    assert_eq!(
-        sim_out, socket_out,
-        "socket backend must agree bit-for-bit with the in-process backends"
-    );
 }
 
 /// Frame-layer loss on the socket backend feeds the same fault-tolerance
