@@ -9,7 +9,7 @@
 //! shows up here as a hard failure.
 
 use desim::SimDuration;
-use mpk::{run_thread_cluster, ThreadClusterOptions, Transport};
+use mpk::{poll_ready, run_thread_cluster, AsyncTransport, ThreadClusterOptions};
 use nbody::forces::{
     accumulate_partition, accumulate_partition_soa, accumulate_self, accumulate_self_soa,
     correct_partition, correct_partition_soa, CorrectionScratch, OPS_PER_PAIR,
@@ -20,7 +20,7 @@ use nbody::{
     ParallelRunConfig, ParallelRunResult, PartitionShared, Soa3, SpeculationOrder, Vec3, ZERO3,
 };
 use netsim::{ClusterSpec, ConstantLatency, MachineSpec, Unloaded};
-use speccore::{run_speculative, CorrectionMode, IterMsg, RunStats, SpecConfig};
+use speccore::{run_speculative_aio, CorrectionMode, IterMsg, RunStats, SpecConfig};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -688,7 +688,7 @@ fn thread_transport_theta0_recompute_matches_sequential_bitwise() {
                     SpeculationOrder::Linear,
                 );
                 let spec = SpecConfig::speculative(1).with_correction(CorrectionMode::Recompute);
-                let stats = run_speculative(t, &mut app, iters, spec);
+                let stats = poll_ready(run_speculative_aio(t, &mut app, iters, spec));
                 (app.particles(), stats)
             },
         );

@@ -9,9 +9,12 @@
 //!    `Option<&mut dyn Recorder>`; the disabled path is a branch on `None`
 //!    — no allocation, no formatting, no virtual-time perturbation.
 //! 2. **Bit-exact phase accounting.** Spans are emitted with the *same*
-//!    `Transport::now()` readings the driver uses for its
-//!    `PhaseBreakdown`, so per-rank span durations partition total run
-//!    time exactly, and tests assert it.
+//!    `AsyncTransport::now()` readings the driver uses for its
+//!    `PhaseBreakdown`, so per-rank span durations equal the phase totals
+//!    bit for bit. On the simulator they also partition a rank's virtual
+//!    run time exactly, and tests assert it; on the thread and socket
+//!    backends the wall time between charged spans (sends, bookkeeping)
+//!    is in no phase.
 //! 3. **No dependencies.** Timestamps are `u64` nanoseconds, ranks are
 //!    `u32`, JSON is hand-rolled ([`Json`]) — so `desim` can depend
 //!    on `obs` without a cycle and the crate builds offline.

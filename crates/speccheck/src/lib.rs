@@ -1,11 +1,11 @@
 //! # speccheck — deterministic conformance & property-testing harness
 //!
 //! The workspace's correctness claims are mostly *equivalences*: the
-//! speculative driver with θ = 0 (or FW = 0) is bit-identical to the
-//! blocking baseline; a [`mpk::FaultSpec::none`] run is bit-identical to
-//! a fault-free one; the virtual-time simulator, the real-thread backend,
-//! and the TCP socket backend agree on final values under exact
-//! semantics; and a seeded run
+//! speculative driver with θ = 0 + recompute is bit-identical to the
+//! blocking baseline (the same driver with FW = 0); a
+//! [`mpk::FaultSpec::none`] run is bit-identical to a fault-free one; the
+//! virtual-time simulator, the real-thread backend, and the TCP socket
+//! backend agree on final values under exact semantics; and a seeded run
 //! reproduces bit-for-bit regardless of how same-virtual-time event ties
 //! are broken. Hand-picked examples exercise each claim once; this crate
 //! exercises them across *generated scenario space*:
@@ -14,11 +14,12 @@
 //!   delay/load models, FW/BW/θ grids, fault stacks, small workload
 //!   instances) and [`proptest`] strategies that draw and *shrink* them
 //!   with domain knowledge.
-//! * [`harness`] — differential runners that execute one scenario under
-//!   different transports, drivers, fault specs, or tie-breaks and
-//!   reduce each run to per-rank state [fingerprints](obs::Fingerprint).
-//! * [`oracles`] — invariant checks valid for every run: exhaustive
-//!   phase accounting, speculate-through-loss commit bounds,
+//! * [`harness`] — one differential runner, [`run`], that executes a
+//!   scenario on any [`Backend`] under any driver configuration, fault
+//!   spec, or tie-break and reduces the run to per-rank state
+//!   [fingerprints](obs::Fingerprint).
+//! * [`oracles`] — invariant checks: exhaustive phase accounting of
+//!   virtual time (simulator runs), speculate-through-loss commit bounds,
 //!   checkpoint/restore round-trips, momentum conservation of the
 //!   symmetric N-body kernel.
 //! * [`alloc`] — the counting global allocator behind the workspace's
@@ -41,11 +42,7 @@ pub mod oracles;
 pub mod scenario;
 
 pub use golden::assert_matches_golden;
-pub use harness::{
-    drive_synthetic, drive_synthetic_aio, run_sim, run_sim_values, run_sim_with_faults, run_socket,
-    run_socket_with_faults, run_thread, run_thread_with_faults, DriverMode, KernelReport,
-    RunOutput,
-};
+pub use harness::{drive_synthetic_aio, run, Backend, KernelReport, RunOutput};
 pub use scenario::{
     delay_model, exact_spec_params, fault_stack_scenario, load_scenario, loss_scenario,
     spec_params, synthetic_scenario, synthetic_scenario_up_to, DelayModel, FaultScenario,

@@ -32,18 +32,19 @@
 //! and replayed before fresh cases.
 
 use desim::{SimDuration, SimTime, TieBreak};
+use mpk::FaultSpec;
 use netsim::{CrashPlan, MachineCrash};
 use proptest::prelude::*;
 use speccheck::oracles::phase_partition;
 use speccheck::{
-    exact_spec_params, run_sim, run_sim_values, run_sim_with_faults, run_socket,
-    run_socket_with_faults, run_thread, run_thread_with_faults, spec_params, synthetic_scenario,
-    DriverMode, RunOutput, SpecParams, SyntheticScenario,
+    exact_spec_params, run, spec_params, synthetic_scenario, Backend, RunOutput, SpecParams,
+    SyntheticScenario,
 };
 use speccore::{
-    ControllerConfig, DeltaExchange, FaultTolerance, RunStats, SpecConfig, SupervisionConfig,
+    ControllerConfig, DeltaExchange, FaultTolerance, IterMsg, RunStats, SpecConfig,
+    SupervisionConfig,
 };
-use Backend::{SimSalted, Socket, Thread};
+use Backend::{Socket, Thread};
 use Driver::*;
 use Field::*;
 
@@ -51,27 +52,19 @@ use Field::*;
 // The matrix
 // ---------------------------------------------------------------------------
 
-/// Where an arm runs: the simulator under a fixed or the point's seeded
-/// tie-break, real OS threads, or real loopback TCP.
-#[derive(Clone, Copy, Debug)]
-enum Backend {
-    Sim(TieBreak),
-    SimSalted,
-    Thread,
-    Socket,
-}
-
 const FIFO: Backend = Backend::Sim(TieBreak::Fifo);
 const LIFO: Backend = Backend::Sim(TieBreak::Lifo);
+/// The simulator under the point's seeded tie-break: [`Row::holds`]
+/// replaces this placeholder seed with the point's `salt`.
+const SALTED: Backend = Backend::Sim(TieBreak::Seeded(0));
 
 /// The driver configuration an arm runs, derived from the point.
 #[derive(Clone, Copy, Debug)]
 enum Driver {
-    /// The blocking loop (the paper's Figure 1).
-    Baseline,
     /// The grid point as drawn (Figure 3).
     Grid,
-    /// The speculative driver with an empty forward window.
+    /// The driver with an empty forward window: the blocking baseline
+    /// (the paper's Figure 1).
     Fw0,
     /// The grid point plus fault tolerance at the point's timeout.
     FaultTolerant,
@@ -94,13 +87,12 @@ enum Driver {
 }
 
 impl Driver {
-    fn mode(self, pt: &Point) -> DriverMode {
+    fn config(self, pt: &Point) -> SpecConfig {
         let grid = pt.params.build();
         let ft = || FaultTolerance::new(SimDuration::from_millis(pt.timeout_ms));
         let sup = SupervisionConfig::default();
         let retuning = ControllerConfig::new().with_cadence(2, 1).with_fw_max(4);
-        DriverMode::Speculative(match self {
-            Baseline => return DriverMode::Baseline,
+        match self {
             Grid => grid,
             Fw0 => SpecConfig::baseline(),
             FaultTolerant => grid.with_fault_tolerance(ft()),
@@ -120,7 +112,7 @@ impl Driver {
             }
             .build()
             .with_adaptive(retuning.with_theta_grid(vec![0.0, 0.01, 0.05])),
-        })
+        }
     }
 
     /// What this configuration promises about one rank's counters on a
@@ -140,7 +132,7 @@ impl Driver {
         ];
         let ctl = (s.controller_retunes, s.controller_fw, s.controller_theta);
         let kept = match self {
-            Baseline | Fw0 => s.speculated_partitions == 0,
+            Fw0 => s.speculated_partitions == 0,
             Grid | DormantController => ctl == (0, 0, 0.0),
             FaultTolerant => loss == [0; 4],
             Supervised => loss == [0; 4] && health == [0; 4],
@@ -174,7 +166,7 @@ enum Field {
 }
 
 /// One drawn case. `timeout_ms` feeds the fault-tolerant arms, `salt`
-/// [`Backend::SimSalted`]; rows that draw neither leave them 0.
+/// the [`SALTED`] ones; rows that draw neither leave them 0.
 struct Point {
     sc: SyntheticScenario,
     params: SpecParams,
@@ -202,27 +194,25 @@ impl Row<'_> {
         let (sc, theta) = (&pt.sc, pt.params.theta);
         let mut first: Option<(String, RunOutput)> = None;
         for &(backend, driver) in self.arms {
-            let arm = format!("{backend:?}/{driver:?}");
-            let mode = driver.mode(pt);
-            let run = match backend {
-                Backend::Sim(tie) => run_sim(sc, theta, &mode, tie),
-                SimSalted => run_sim(sc, theta, &mode, TieBreak::Seeded(pt.salt)),
-                Thread => run_thread(sc, theta, &mode),
-                Socket => run_socket(sc, theta, &mode),
+            let backend = match backend {
+                Backend::Sim(TieBreak::Seeded(_)) => Backend::Sim(TieBreak::Seeded(pt.salt)),
+                other => other,
             };
-            for (k, s) in run.stats.iter().enumerate() {
+            let arm = format!("{backend:?}/{driver:?}");
+            let out = run(backend, sc, theta, &driver.config(pt), FaultSpec::none());
+            for (k, s) in out.stats.iter().enumerate() {
                 if s.iterations != sc.iters {
                     return Err(format!("{arm}: rank {k} committed {}", s.iterations));
                 }
                 driver
                     .promises(s)
                     .map_err(|e| format!("{arm}: rank {k} {e}"))?;
-                if let Backend::Sim(_) | SimSalted = backend {
+                if let Backend::Sim(_) = backend {
                     phase_partition(s).map_err(|e| format!("{arm}: {e}"))?;
                 }
             }
             let Some((first_arm, base)) = &first else {
-                first = Some((arm, run));
+                first = Some((arm, out));
                 continue;
             };
             for field in self.equal {
@@ -231,7 +221,7 @@ impl Row<'_> {
                     Elapsed => format!("{:?}", o.elapsed),
                     Counters(read) => format!("{:?}", o.stats.iter().map(read).collect::<Vec<_>>()),
                 };
-                let (want, got) = (view(base), view(&run));
+                let (want, got) = (view(base), view(&out));
                 if want != got {
                     return Err(format!(
                         "{field:?}: {arm} gave {got}, {first_arm} gave {want}"
@@ -267,19 +257,20 @@ matrix! {
     /// *what* (PAPER.md Fig. 1 vs Fig. 3).
     theta_zero_recompute_equals_baseline, 64 cases,
         (sc in synthetic_scenario(), params in exact_spec_params()) => point(sc, params),
-        equal [Fingerprints], arms [(FIFO, Grid), (FIFO, Baseline)];
+        equal [Fingerprints], arms [(FIFO, Grid), (FIFO, Fw0)];
 
     /// The same row, 1024 cases (nightly: `--ignored`).
     #[ignore = "extended sweep: run with --ignored (nightly)"]
     extended_theta_zero_recompute_equals_baseline, 1024 cases,
         (sc in synthetic_scenario(), params in exact_spec_params()) => point(sc, params),
-        equal [Fingerprints], arms [(FIFO, Grid), (FIFO, Baseline)];
+        equal [Fingerprints], arms [(FIFO, Grid), (FIFO, Fw0)];
 
-    /// Full θ range: with an empty forward window nothing is speculated.
+    /// Full θ range: with an empty forward window nothing is speculated,
+    /// so the baseline on real threads agrees with the simulator's.
     forward_window_zero_is_the_baseline, 64 cases,
         (sc in synthetic_scenario(), theta in 0.0f64..0.5)
             => point(sc, SpecParams { fw: 0, bw: 1, theta, recompute: false }),
-        equal [Fingerprints], arms [(FIFO, Fw0), (FIFO, Baseline)];
+        equal [Fingerprints], arms [(FIFO, Fw0), (Thread, Fw0)];
 
     /// Exact grid: real threads agree with the simulator.
     sim_and_thread_agree_under_exact_semantics, 64 cases,
@@ -300,8 +291,8 @@ matrix! {
          timeout_ms in 200u64..500, salt in 0u64..1_000_000)
             => Point { timeout_ms, salt, ..point(sc, params) },
         equal [Fingerprints],
-        arms [(FIFO, Grid), (LIFO, Grid), (SimSalted, Grid),
-              (FIFO, FaultTolerant), (LIFO, FaultTolerant), (SimSalted, FaultTolerant)];
+        arms [(FIFO, Grid), (LIFO, Grid), (SALTED, Grid),
+              (FIFO, FaultTolerant), (LIFO, FaultTolerant), (SALTED, FaultTolerant)];
 
     /// Full grid: fault tolerance and supervision never fire on a
     /// fault-free network and leave values and virtual timing untouched.
@@ -340,7 +331,7 @@ matrix! {
             => Point { salt, ..point(sc, params) },
         equal [Fingerprints, Elapsed, Counters(|s| format!("{:?}",
             (s.speculated_partitions, s.rollbacks, s.corrections)))],
-        arms [(SimSalted, Grid), (SimSalted, Grid)];
+        arms [(SALTED, Grid), (SALTED, Grid)];
 
     /// Full grid: a controller that never decides is no controller.
     dormant_controller_is_bit_inert, 64 cases,
@@ -354,7 +345,7 @@ matrix! {
     active_exact_anchor_controller_equals_baseline, 64 cases,
         (sc in synthetic_scenario(), params in exact_spec_params()) => point(sc, params),
         equal [Fingerprints],
-        arms [(FIFO, ExactAnchorController), (FIFO, Baseline), (Thread, ExactAnchorController)];
+        arms [(FIFO, ExactAnchorController), (FIFO, Fw0), (Thread, ExactAnchorController)];
 
     /// Full grid: decisions are a pure function of committed virtual time.
     controller_runs_replay_bit_for_bit, 64 cases,
@@ -368,13 +359,11 @@ matrix! {
 // Bounds, not equivalences: crash, degraded-mode and quantized-delta runs
 // ---------------------------------------------------------------------------
 
-/// The grid point's driver mode with a delta-exchange policy attached.
-fn delta_mode(params: &SpecParams, floor: f64, keyframe: u64) -> DriverMode {
-    DriverMode::Speculative(
-        params
-            .build()
-            .with_delta_exchange(DeltaExchange::new(floor, keyframe)),
-    )
+/// The grid point's driver config with a delta-exchange policy attached.
+fn delta_config(params: &SpecParams, floor: f64, keyframe: u64) -> SpecConfig {
+    params
+        .build()
+        .with_delta_exchange(DeltaExchange::new(floor, keyframe))
 }
 
 /// Delta frames only apply in order; a reordered frame is dropped and
@@ -392,26 +381,24 @@ fn fifo_net(sc: &SyntheticScenario) -> SyntheticScenario {
 /// The driver-side half of a crash schedule: fault tolerance with the
 /// scripted outage attached, plus the supervision lifecycle that
 /// quarantines the silent rank and readmits it on rejoin.
-fn crash_mode(
+fn crash_config(
     params: &SpecParams,
     timeout: SimDuration,
     sup: SupervisionConfig,
     crash: MachineCrash,
-) -> DriverMode {
-    DriverMode::Speculative(
-        params
-            .build()
-            .with_fault_tolerance(FaultTolerance::new(timeout).with_crashes(vec![crash]))
-            .with_supervision(sup),
-    )
+) -> SpecConfig {
+    params
+        .build()
+        .with_fault_tolerance(FaultTolerance::new(timeout).with_crashes(vec![crash]))
+        .with_supervision(sup)
 }
 
 /// The transport-side half: sends addressed to the crashed rank during
 /// its outage are dropped — and counted — at the sender, like datagrams
 /// to a rebooting host. Keeping both halves on the same schedule is what
 /// makes the "promoted commits ≤ messages lost" oracle meaningful.
-fn crash_faults(crash: MachineCrash) -> mpk::FaultSpec<speccore::IterMsg<Vec<f64>>> {
-    mpk::FaultSpec::none().with_crashes(CrashPlan::new(vec![crash]))
+fn crash_faults(crash: MachineCrash) -> FaultSpec<IterMsg<Vec<f64>>> {
+    FaultSpec::none().with_crashes(CrashPlan::new(vec![crash]))
 }
 
 proptest! {
@@ -436,14 +423,14 @@ proptest! {
         let params = SpecParams { fw: params.fw.max(1), ..params };
         let dead = sc.p - 1;
         let crash = MachineCrash::permanent(dead, SimTime::ZERO);
-        let mode = crash_mode(
+        let cfg = crash_config(
             &params,
             SimDuration::from_millis(timeout_ms),
             SupervisionConfig::new(1, 1),
             crash,
         );
-        let fifo = run_sim_with_faults(&sc, params.theta, &mode, crash_faults(crash), TieBreak::Fifo);
-        let lifo = run_sim_with_faults(&sc, params.theta, &mode, crash_faults(crash), TieBreak::Lifo);
+        let fifo = run(FIFO, &sc, params.theta, &cfg, crash_faults(crash));
+        let lifo = run(LIFO, &sc, params.theta, &cfg, crash_faults(crash));
         prop_assert_eq!(&fifo.fingerprints, &lifo.fingerprints);
         for (k, s) in fifo.stats.iter().enumerate() {
             if k == dead {
@@ -478,14 +465,9 @@ proptest! {
     ) {
         let sc = fifo_net(&sc);
         let floor = if sc.delta_floor > 0.0 { sc.delta_floor } else { 1e-4 };
-        let mode = DriverMode::from_params(&params);
-        let full = run_sim_values(&sc, 0.0, &mode, TieBreak::Fifo);
-        let lossy = run_sim_values(
-            &sc,
-            0.0,
-            &delta_mode(&params, floor, sc.delta_keyframe),
-            TieBreak::Fifo,
-        );
+        let full = run(FIFO, &sc, 0.0, &params.build(), FaultSpec::none()).values;
+        let delta = delta_config(&params, floor, sc.delta_keyframe);
+        let lossy = run(FIFO, &sc, 0.0, &delta, FaultSpec::none()).values;
         // app_cfg: alpha = 0.1, multiplicative jumps of ±0.5.
         let (alpha, jump) = (0.1, 0.5);
         let envelope: f64 = (0..sc.iters)
@@ -546,15 +528,15 @@ fn quarantined_peer_rejoins_and_is_readmitted() {
         at: SimTime::ZERO,
         restart_after: SimDuration::from_millis(100),
     };
-    let mode = crash_mode(
+    let cfg = crash_config(
         &params,
         SimDuration::from_millis(20),
         SupervisionConfig::new(1, 1),
         crash,
     );
-    let run = || run_sim_with_faults(&sc, 0.0, &mode, crash_faults(crash), TieBreak::Fifo);
-    let a = run();
-    let b = run();
+    let replay = || run(FIFO, &sc, 0.0, &cfg, crash_faults(crash));
+    let a = replay();
+    let b = replay();
     assert_eq!(
         a.fingerprints, b.fingerprints,
         "crash→rejoin must replay bit-for-bit"
@@ -611,16 +593,14 @@ proptest! {
         let crash = MachineCrash::permanent(dead, SimTime::ZERO);
         // Timeout far above both simulated (≤ 5 ms) and loopback
         // latencies: only the dead rank's inputs ever promote.
-        let mode = crash_mode(
+        let cfg = crash_config(
             &params,
             SimDuration::from_millis(150),
             SupervisionConfig::new(1, 1),
             crash,
         );
-        let sim = run_sim_with_faults(&sc, params.theta, &mode, crash_faults(crash), TieBreak::Fifo);
-        let lifo = run_sim_with_faults(&sc, params.theta, &mode, crash_faults(crash), TieBreak::Lifo);
-        let thread = run_thread_with_faults(&sc, params.theta, &mode, crash_faults(crash));
-        let socket = run_socket_with_faults(&sc, params.theta, &mode, crash_faults(crash));
+        let on = |backend| run(backend, &sc, params.theta, &cfg, crash_faults(crash));
+        let (sim, lifo, thread, socket) = (on(FIFO), on(LIFO), on(Thread), on(Socket));
         prop_assert_eq!(&sim.fingerprints, &lifo.fingerprints);
         prop_assert_eq!(&sim.fingerprints, &thread.fingerprints);
         prop_assert_eq!(&sim.fingerprints, &socket.fingerprints);
@@ -663,16 +643,14 @@ proptest! {
             at: SimTime::ZERO,
             restart_after: SimDuration::from_millis(250),
         };
-        let mode = crash_mode(
+        let cfg = crash_config(
             &params,
             SimDuration::from_millis(150),
             SupervisionConfig::new(1, 2),
             crash,
         );
-        let sim = run_sim_with_faults(&sc, params.theta, &mode, crash_faults(crash), TieBreak::Fifo);
-        let again = run_sim_with_faults(&sc, params.theta, &mode, crash_faults(crash), TieBreak::Fifo);
-        let thread = run_thread_with_faults(&sc, params.theta, &mode, crash_faults(crash));
-        let socket = run_socket_with_faults(&sc, params.theta, &mode, crash_faults(crash));
+        let on = |backend| run(backend, &sc, params.theta, &cfg, crash_faults(crash));
+        let (sim, again, thread, socket) = (on(FIFO), on(FIFO), on(Thread), on(Socket));
         prop_assert_eq!(&sim.fingerprints, &again.fingerprints);
         prop_assert_eq!(sim.elapsed, again.elapsed);
         for out in [&sim, &thread, &socket] {

@@ -10,16 +10,12 @@
 //! (`conformance.rs`).
 
 use desim::TieBreak;
+use mpk::FaultSpec;
 use proptest::prelude::*;
-use speccheck::{
-    run_sim, run_sim_with_faults, synthetic_scenario, DriverMode, SpecParams, SyntheticScenario,
-};
+use speccheck::{run, synthetic_scenario, Backend, SpecParams, SyntheticScenario};
 use speccore::{ControllerConfig, CorrectionMode, FaultTolerance, SpecConfig};
 
-/// The grid point's config with an adaptive controller attached.
-fn adaptive_mode(params: &SpecParams, ctl: ControllerConfig) -> DriverMode {
-    DriverMode::Speculative(params.build().with_adaptive(ctl))
-}
+const FIFO: Backend = Backend::Sim(TieBreak::Fifo);
 
 proptest! {
     /// Convergence: under a stationary delay and stationary compute (no
@@ -50,7 +46,7 @@ proptest! {
         let theta = 0.5;
         let fixed = |fw: u32| SpecParams { fw, bw, theta, recompute: false };
         let sweep: Vec<f64> = (1..=FW_MAX)
-            .map(|fw| run_sim(&sc, theta, &DriverMode::from_params(&fixed(fw)), TieBreak::Fifo).elapsed)
+            .map(|fw| run(FIFO, &sc, theta, &fixed(fw).build(), FaultSpec::none()).elapsed)
             .collect();
         let best = sweep.iter().cloned().fold(f64::INFINITY, f64::min);
         // The plateau: fixed windows within 5% of the best.
@@ -59,10 +55,10 @@ proptest! {
             .collect();
 
         let ctl = ControllerConfig::new().with_cadence(4, 2).with_fw_max(FW_MAX);
-        let mode = adaptive_mode(&fixed(1), ctl);
-        let run = run_sim(&sc, theta, &mode, TieBreak::Fifo);
+        let cfg = fixed(1).build().with_adaptive(ctl);
+        let adaptive = run(FIFO, &sc, theta, &cfg, FaultSpec::none());
         let longer_sc = SyntheticScenario { iters: sc.iters + 6, ..sc.clone() };
-        let longer = run_sim(&longer_sc, theta, &mode, TieBreak::Fifo);
+        let longer = run(FIFO, &longer_sc, theta, &cfg, FaultSpec::none());
         // The issue's acceptance criterion is "match or beat the best
         // fixed window": either the final decision sits within one grid
         // step of the plateau, or the adaptive run's own end time is
@@ -70,15 +66,15 @@ proptest! {
         // predictor, so on a nearly-flat sweep it may settle one or two
         // steps away, and the run also pays its warmup; what must never
         // happen is picking a window whose real cost is far off the best.
-        let on_plateau = run.elapsed <= best * 1.15;
-        for (k, s) in run.stats.iter().enumerate() {
+        let on_plateau = adaptive.elapsed <= best * 1.15;
+        for (k, s) in adaptive.stats.iter().enumerate() {
             prop_assert!(s.controller_retunes >= 1);
             let fw = s.controller_fw as u32;
             prop_assert!(
                 on_plateau || plateau.iter().any(|p| p.abs_diff(fw) <= 1),
                 "rank {}: final fw {} more than one step from plateau {:?} \
                  and adaptive elapsed {} off the best fixed {} (sweep {:?})",
-                k, fw, plateau, run.elapsed, best, sweep
+                k, fw, plateau, adaptive.elapsed, best, sweep
             );
             prop_assert_eq!(
                 longer.stats[k].controller_fw, s.controller_fw,
@@ -135,18 +131,10 @@ fn adaptive_deadlines_beat_pessimistic_static_timeout_under_loss() {
             .with_fw_max(2)
             .with_deadline(0.5, 4.0),
     );
-    let run = |cfg: &SpecConfig| {
-        run_sim_with_faults(
-            &sc,
-            theta,
-            &DriverMode::Speculative(cfg.clone()),
-            loss.build(),
-            TieBreak::Fifo,
-        )
-    };
-    let static_run = run(&base_cfg);
-    let adaptive = run(&adaptive_cfg);
-    let again = run(&adaptive_cfg);
+    let lossy = |cfg: &SpecConfig| run(FIFO, &sc, theta, cfg, loss.build());
+    let static_run = lossy(&base_cfg);
+    let adaptive = lossy(&adaptive_cfg);
+    let again = lossy(&adaptive_cfg);
     assert_eq!(
         adaptive.fingerprints, again.fingerprints,
         "lossy controller run must replay bit-for-bit"

@@ -13,10 +13,12 @@
 //! (`SPECCHECK_SWEEP_SEED=<hex>` replays it).
 
 use desim::TieBreak;
+use mpk::FaultSpec;
 use proptest::prelude::*;
 use proptest::TestRng;
 use speccheck::oracles::phase_partition;
-use speccheck::{exact_spec_params, run_sim, synthetic_scenario, DriverMode};
+use speccheck::{exact_spec_params, run, synthetic_scenario, Backend};
+use speccore::SpecConfig;
 
 /// Randomly seeded sweep: unlike the fixed-seed properties, every
 /// nightly run explores a *fresh* region of scenario space. The seed is
@@ -41,9 +43,17 @@ fn extended_random_seed_sweep() {
     for case in 0..1024u32 {
         let sc = synthetic_scenario().sample(&mut rng);
         let params = exact_spec_params().sample(&mut rng);
-        let mode = DriverMode::from_params(&params);
-        let spec = run_sim(&sc, params.theta, &mode, TieBreak::Fifo);
-        let base = run_sim(&sc, params.theta, &DriverMode::Baseline, TieBreak::Fifo);
+        let sim = |cfg: &SpecConfig| {
+            run(
+                Backend::Sim(TieBreak::Fifo),
+                &sc,
+                params.theta,
+                cfg,
+                FaultSpec::none(),
+            )
+        };
+        let spec = sim(&params.build());
+        let base = sim(&SpecConfig::baseline());
         assert_eq!(
             spec.fingerprints, base.fingerprints,
             "case {case} (sweep seed {seed:#018x}): θ=0+recompute diverged from baseline on {sc:?} / {params:?}"

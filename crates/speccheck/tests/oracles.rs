@@ -14,7 +14,7 @@ use speccheck::oracles::{
     checkpoint_round_trip, loss_commit_accounting, momentum_drift, monotone_nondecreasing,
     phase_partition,
 };
-use speccheck::{loss_scenario, run_sim_with_faults, synthetic_scenario, DriverMode};
+use speccheck::{loss_scenario, run, synthetic_scenario, Backend};
 use speccore::SpeculativeApp;
 use workloads::SyntheticApp;
 
@@ -61,13 +61,7 @@ proptest! {
         sc.jitter_frac = 0.0;
         sc.latency_us = sc.latency_us.min(2_000);
         let cfg = speccore::SpecConfig::speculative(fw).with_fault_tolerance(fault.tolerance());
-        let out = run_sim_with_faults(
-            &sc,
-            theta,
-            &DriverMode::Speculative(cfg),
-            fault.build(),
-            TieBreak::Fifo,
-        );
+        let out = run(Backend::Sim(TieBreak::Fifo), &sc, theta, &cfg, fault.build());
         let check = loss_commit_accounting(&out.stats, sc.iters);
         prop_assert!(check.is_ok(), "{}", check.unwrap_err());
         for s in &out.stats {

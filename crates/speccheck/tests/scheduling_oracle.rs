@@ -6,7 +6,7 @@
 //! concurrently, and every suspension is matched by exactly one resumption.
 //! These properties drive generated clusters — including the widened
 //! rank-count axis up to 4096 — through the oracle. (The speculative driver
-//! runs under it too: every `speccheck::run_sim*` arms it.)
+//! runs under it too: every simulator run of `speccheck::run` arms it.)
 
 use mpk::{run_sim_proc_cluster_with_options, FaultSpec, SimClusterOptions};
 use netsim::Unloaded;

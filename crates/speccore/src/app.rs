@@ -9,10 +9,11 @@
 //! values per peer and correct or re-execute afterwards.
 //!
 //! Every mutating method returns its cost in abstract *operations*; the
-//! driver charges them through [`Transport::compute`], so the same code
-//! is timed by the virtual-time backend and spun by the thread backend.
+//! driver charges them through [`AsyncTransport::compute`], so the same
+//! code is timed by the virtual-time backend and spun by the thread
+//! backend.
 //!
-//! [`Transport::compute`]: mpk::Transport::compute
+//! [`AsyncTransport::compute`]: mpk::AsyncTransport::compute
 
 use mpk::Rank;
 

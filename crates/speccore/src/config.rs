@@ -133,10 +133,12 @@ impl Default for SupervisionConfig {
 /// state is sent instead, bounding drift and re-synchronising peers that
 /// missed frames.
 ///
-/// Delta frames assume per-link FIFO delivery (true of all three
-/// transports and of size-independent simulated latency): a frame only
-/// applies on top of its immediate predecessor, and a receiver drops
-/// frames that arrive over a gap. Under loss or reordering, combine with
+/// Delta frames assume per-link FIFO delivery: a frame only applies on
+/// top of its immediate predecessor, and a receiver drops frames that
+/// arrive over a gap. The thread and socket transports keep a link FIFO,
+/// and so does the simulator under constant latency; [`netsim::Jitter`]
+/// and [`netsim::TransientDelays`] sample each message's delay on its
+/// own and can reorder a link. Under loss or reordering, combine with
 /// [`FaultTolerance`] so dropped frames heal via retransmission, the next
 /// keyframe, or speculate-through-loss promotion.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -1,12 +1,13 @@
-//! The synchronous-iterative execution drivers.
+//! The synchronous-iterative execution driver.
 //!
-//! [`run_baseline`] implements the paper's Figure 1: broadcast the
-//! partition, block for every peer's values, compute. [`run_speculative`]
-//! implements Figure 3 generalized to any forward window: missing inputs are
-//! speculated from history, computation proceeds immediately, and arriving
-//! actuals either validate the speculation (error ≤ θ), trigger an
-//! incremental correction, or — when deeper speculation consumed the
-//! corrupted state — roll execution back to the last confirmed checkpoint.
+//! [`run_speculative_aio`] implements the paper's Figure 3 generalized to
+//! any forward window. With an empty window ([`SpecConfig::baseline`]) it
+//! is Figure 1: broadcast the partition, block for every peer's values,
+//! compute. With FW ≥ 1 missing inputs are speculated from history,
+//! computation proceeds immediately, and arriving actuals either validate
+//! the speculation (error ≤ θ), trigger an incremental correction, or —
+//! when deeper speculation consumed the corrupted state — roll execution
+//! back to the last confirmed checkpoint.
 //!
 //! ## Send-on-confirm semantics
 //!
@@ -22,9 +23,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use desim::{SimDuration, SimTime};
-use mpk::{
-    AsyncTransport, DeltaFrame, Envelope, Rank, Tag, Transport, WireCodec, WireSize, HEADER_BYTES,
-};
+use mpk::{AsyncTransport, DeltaFrame, Envelope, Rank, Tag, WireCodec, WireSize, HEADER_BYTES};
 use netsim::MachineCrash;
 use obs::{Gauge, Mark, Phase};
 
@@ -655,57 +654,17 @@ impl<S: Clone + WireSize> DeltaState<S> {
 }
 
 // ---------------------------------------------------------------------------
-// Entry points
+// Entry point
 // ---------------------------------------------------------------------------
 
-/// Run the non-speculative baseline (the paper's Figure 1) for
-/// `total_iters` iterations.
-pub fn run_baseline<T, A>(transport: &mut T, app: &mut A, total_iters: u64) -> RunStats
-where
-    A: SpeculativeApp,
-    A::Shared: WireSize,
-    T: Transport<Msg = IterMsg<A::Shared>>,
-{
-    run_speculative(transport, app, total_iters, SpecConfig::baseline())
-}
-
-/// The `async` twin of [`run_baseline`]: the non-speculative Figure 1
-/// protocol on any [`mpk::AsyncTransport`].
-pub async fn run_baseline_aio<T, A>(transport: &mut T, app: &mut A, total_iters: u64) -> RunStats
-where
-    A: SpeculativeApp,
-    A::Shared: WireSize,
-    T: AsyncTransport<Msg = IterMsg<A::Shared>>,
-{
-    run_speculative_aio(transport, app, total_iters, SpecConfig::baseline()).await
-}
-
 /// Run the speculative driver (the paper's Figure 3, generalized over
-/// forward windows) for `total_iters` iterations.
+/// forward windows) for `total_iters` iterations. Under
+/// [`SpecConfig::baseline`], an empty forward window, nothing is
+/// speculated and this is the paper's Figure 1 loop.
 ///
-/// The body is [`run_speculative_aio`]; on a blocking [`Transport`] the
-/// async form completes in one poll ([`mpk::poll_ready`]), so this wrapper
-/// is zero-cost.
-pub fn run_speculative<T, A>(
-    transport: &mut T,
-    app: &mut A,
-    total_iters: u64,
-    config: SpecConfig,
-) -> RunStats
-where
-    A: SpeculativeApp,
-    A::Shared: WireSize,
-    T: Transport<Msg = IterMsg<A::Shared>>,
-{
-    mpk::poll_ready(run_speculative_aio(transport, app, total_iters, config))
-}
-
-/// The `async` speculative driver: [`run_speculative`]'s actual body,
-/// written once against [`mpk::AsyncTransport`].
-///
-/// On a blocking transport (every [`Transport`], via the blanket impl)
-/// the returned future completes on its first poll — which is exactly how
-/// the sync entry points drive it, no executor involved. On
+/// Written once against [`mpk::AsyncTransport`]. On a thread or socket
+/// endpoint the returned future completes on its first poll, so callers
+/// there drive it with [`mpk::poll_ready`], no executor involved. On
 /// [`mpk::SimIo`] each `.await` suspends the rank's state machine into
 /// the `desim` event kernel, so every rank of a simulated cluster runs the
 /// identical driver code on one OS thread.

@@ -24,10 +24,10 @@
 //!   checkpointing hooks;
 //! * [`Lanes`] — the shared value as a fixed list of `f64` rows, over which
 //!   delta exchange and the default speculation are written once;
-//! * [`run_baseline`] / [`run_speculative`] — the Figure 1 and Figure 3
-//!   drivers; the speculative driver generalizes to any forward window
-//!   (§3.2) with checkpoint/rollback, and the window can be resized at
-//!   run time by the controller ([`ControllerConfig`]);
+//! * [`run_speculative_aio`] — the Figure 3 driver, generalized to any
+//!   forward window (§3.2) with checkpoint/rollback; an empty window
+//!   ([`SpecConfig::baseline`]) is Figure 1, and the window can be resized
+//!   at run time by the controller ([`ControllerConfig`]);
 //! * [`History`] — the backward window (BW) of past peer values;
 //! * [`speculator`] — linear extrapolation lane by lane, the linear member
 //!   of the paper's §3.1 weighted-sum family;
@@ -37,9 +37,10 @@
 //!   θ/FW/deadline retuning from observed telemetry through the
 //!   `perfmodel` §4 equations.
 //!
-//! Drivers are generic over [`mpk::Transport`], so the same application code
-//! runs deterministically in virtual time (for experiments) and on real
-//! threads (for demos).
+//! The driver is generic over [`mpk::AsyncTransport`], so the same
+//! application code runs deterministically in virtual time (for
+//! experiments) and on real threads or sockets (for demos), where
+//! [`mpk::poll_ready`] completes it in one poll.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -58,6 +59,6 @@ mod window;
 pub use app::{CheckOutcome, Lanes, SpeculativeApp};
 pub use config::{CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig};
 pub use control::ControllerConfig;
-pub use driver::{run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, IterMsg};
+pub use driver::{run_speculative_aio, IterMsg};
 pub use history::History;
 pub use stats::{ClusterStats, IterationLog, PhaseBreakdown, RunStats};

@@ -132,7 +132,9 @@ pub struct RunStats {
     /// Quarantined peers readmitted after being heard from again.
     pub peer_rejoins: u64,
     /// Virtual time this rank spent down (crashed), excluded from the
-    /// phase breakdown: `phases.total() + downtime == total_time`.
+    /// phase breakdown. On the simulator `phases.total() + downtime ==
+    /// total_time`; on the thread and socket backends wall time between
+    /// charged spans is in no phase, so the sum falls short.
     pub downtime: SimDuration,
     /// Retune evaluations the adaptive controller performed. Zero when the
     /// controller is off.

@@ -45,7 +45,7 @@ fn drive(t: &mut SocketTransport<IterMsg<Vec<f64>>>, n: usize, iters: u64) -> (u
     let cfg = SpecConfig::speculative(1)
         .with_correction(CorrectionMode::Recompute)
         .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(200)));
-    let stats = run_speculative(t, &mut app, iters, cfg);
+    let stats = poll_ready(run_speculative_aio(t, &mut app, iters, cfg));
     (fingerprint_f64s(app.values()), stats)
 }
 

@@ -49,7 +49,7 @@ fn main() {
             } else {
                 SpecConfig::speculative(fw)
             };
-            run_speculative(t, &mut app, iterations, cfg)
+            poll_ready(run_speculative_aio(t, &mut app, iterations, cfg))
         });
         (started.elapsed(), ClusterStats::new(stats))
     };

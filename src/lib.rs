@@ -63,10 +63,12 @@ pub use workloads;
 /// The names most programs need, re-exported flat.
 pub mod prelude {
     pub use desim::{SimDuration, SimTime, TieBreak};
-    // `AsyncTransport` is the interface every backend's endpoint offers
-    // (the blocking `mpk::Transport` is deliberately not here: with both
-    // traits in scope, method calls on a thread or socket endpoint would
-    // be ambiguous).
+    // `AsyncTransport` is the interface every backend's endpoint offers,
+    // and `run_speculative_aio` the one driver: on a thread or socket
+    // endpoint `poll_ready` completes it in one poll. (The blocking
+    // `mpk::Transport` is deliberately not here: with both traits in
+    // scope, method calls on a thread or socket endpoint would be
+    // ambiguous.)
     pub use mpk::{
         connect_socket_cluster, poll_ready, rejoin_socket_cluster, run_sim_proc_cluster,
         run_sim_proc_cluster_with_faults, run_sim_proc_cluster_with_options, run_socket_cluster,
@@ -87,9 +89,8 @@ pub mod prelude {
     pub use obs::{chrome_trace_string, fingerprint_f64s, RunTrace, SharedRecorder};
     pub use perfmodel::{CommModel, ModelParams};
     pub use speccore::{
-        run_baseline, run_baseline_aio, run_speculative, run_speculative_aio, ClusterStats,
-        CorrectionMode, DeltaExchange, FaultTolerance, History, IterMsg, RunStats, SpecConfig,
-        SpeculativeApp, SupervisionConfig,
+        run_speculative_aio, ClusterStats, CorrectionMode, DeltaExchange, FaultTolerance, History,
+        IterMsg, RunStats, SpecConfig, SpeculativeApp, SupervisionConfig,
     };
     pub use workloads::{
         Graph, Heat2dApp, Heat2dConfig, JacobiApp, JacobiConfig, LinearSystem, PageRankApp,

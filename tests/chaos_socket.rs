@@ -26,7 +26,7 @@ use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use speccheck::{run_sim_values, DriverMode, SpecParams, SyntheticScenario};
+use speccheck::{run, Backend, SpecParams, SyntheticScenario};
 use speculative_computation::prelude::*;
 
 /// Cluster size. The victim is the highest rank: its listener never
@@ -119,7 +119,7 @@ fn chaos_socket_child() {
 
     let rgs = ranges();
     let mut app = SyntheticApp::new(N, &rgs, rank, app_cfg());
-    let stats = run_speculative(&mut t, &mut app, ITERS, driver_cfg());
+    let stats = poll_ready(run_speculative_aio(&mut t, &mut app, ITERS, driver_cfg()));
     let values = app
         .values()
         .iter()
@@ -335,16 +335,15 @@ fn socket_rank_survives_sigkill_and_rejoins() {
         delta_keyframe: 1,
         seed: SEED,
     };
-    let mode = DriverMode::Speculative(
-        SpecParams {
-            fw: 2,
-            bw: 2,
-            theta: 0.0,
-            recompute: true,
-        }
-        .build(),
-    );
-    let reference = run_sim_values(&sc, 0.0, &mode, TieBreak::Fifo);
+    let cfg = SpecParams {
+        fw: 2,
+        bw: 2,
+        theta: 0.0,
+        recompute: true,
+    }
+    .build();
+    let fifo = Backend::Sim(TieBreak::Fifo);
+    let reference = run(fifo, &sc, 0.0, &cfg, FaultSpec::none()).values;
     for (r, res) in results.iter().enumerate() {
         assert_eq!(res.values.len(), reference[r].len(), "rank {r} value count");
         for (i, (got, want)) in res.values.iter().zip(&reference[r]).enumerate() {

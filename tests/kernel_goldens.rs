@@ -40,8 +40,8 @@ use proptest::corpus;
 use proptest::strategy::Strategy;
 use proptest::TestRng;
 use speccheck::{
-    assert_matches_golden, drive_synthetic_aio, loss_scenario, run_sim_with_faults, spec_params,
-    synthetic_scenario, DriverMode, RunOutput, SyntheticScenario,
+    assert_matches_golden, drive_synthetic_aio, loss_scenario, run, spec_params,
+    synthetic_scenario, Backend, RunOutput, SyntheticScenario,
 };
 use speccore::{
     ControllerConfig, FaultTolerance, IterMsg, RunStats, SpecConfig, SupervisionConfig,
@@ -118,7 +118,7 @@ fn run_line(ctx: &str, out: &RunOutput) -> String {
 fn chaos_arm<N: NetworkModel + 'static, L: LoadModel + 'static>(
     sc: &SyntheticScenario,
     theta: f64,
-    mode: &DriverMode,
+    cfg: &SpecConfig,
     net: N,
     load: L,
     faults: FaultSpec<IterMsg<Vec<f64>>>,
@@ -133,8 +133,8 @@ fn chaos_arm<N: NetworkModel + 'static, L: LoadModel + 'static>(
             ..Default::default()
         },
         |mut t| {
-            let (sc, mode) = (sc.clone(), mode.clone());
-            async move { drive_synthetic_aio(&mut t, &sc, theta, &mode).await }
+            let (sc, cfg) = (sc.clone(), cfg.clone());
+            async move { drive_synthetic_aio(&mut t, &sc, theta, &cfg).await }
         },
     )
     .expect("chaos run must complete")
@@ -248,20 +248,13 @@ fn conformance_witness_matches_golden() {
     for state in speccheck_corpus("conformance::fault_tolerance_is_inert_without_faults") {
         let mut rng = TestRng::from_state(state);
         let (sc, params, timeout_ms) = Strategy::sample(&strategy, &mut rng);
-        let mode = DriverMode::from_params(&params);
-        let plain =
-            run_sim_with_faults(&sc, params.theta, &mode, FaultSpec::none(), TieBreak::Fifo);
+        let fifo = Backend::Sim(TieBreak::Fifo);
+        let plain = run(fifo, &sc, params.theta, &params.build(), FaultSpec::none());
         lines += &run_line(&format!("conformance witness {state:#x} plain"), &plain);
         let ft_cfg = params
             .build()
             .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(timeout_ms)));
-        let ft = run_sim_with_faults(
-            &sc,
-            params.theta,
-            &DriverMode::Speculative(ft_cfg),
-            FaultSpec::none(),
-            TieBreak::Fifo,
-        );
+        let ft = run(fifo, &sc, params.theta, &ft_cfg, FaultSpec::none());
         lines += &run_line(
             &format!("conformance witness {state:#x} fault-tolerant"),
             &ft,
@@ -284,12 +277,12 @@ fn loss_witness_matches_golden() {
         sc.jitter_frac = 0.0;
         sc.latency_us = sc.latency_us.min(2_000);
         let cfg = SpecConfig::speculative(fw).with_fault_tolerance(fault.tolerance());
-        let out = run_sim_with_faults(
+        let out = run(
+            Backend::Sim(TieBreak::Fifo),
             &sc,
             theta,
-            &DriverMode::Speculative(cfg),
+            &cfg,
             fault.build(),
-            TieBreak::Fifo,
         );
         lines += &run_line(&format!("loss witness {state:#x}"), &out);
     }
@@ -324,10 +317,8 @@ fn chaos_scenario() -> SyntheticScenario {
 #[test]
 fn chaos_matrix_matches_golden() {
     let sc = chaos_scenario();
-    let spec = DriverMode::Speculative(
-        SpecConfig::speculative(2)
-            .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(60))),
-    );
+    let spec = SpecConfig::speculative(2)
+        .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(60)));
     let base = || ConstantLatency(SimDuration::from_millis(5));
     let mut lines = String::new();
     let mut case = |ctx: &str, (outs, report): (Vec<(u64, RunStats)>, SimReport)| {
@@ -426,14 +417,20 @@ fn tie_breaks_and_baseline_match_golden() {
     let sc = chaos_scenario();
     let mut lines = String::new();
     for tie in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(7)] {
-        let base = run_sim_with_faults(&sc, 0.0, &DriverMode::Baseline, FaultSpec::none(), tie);
+        let base = run(
+            Backend::Sim(tie),
+            &sc,
+            0.0,
+            &SpecConfig::baseline(),
+            FaultSpec::none(),
+        );
         lines += &run_line(&format!("baseline {tie:?}"), &base);
-        let spec = run_sim_with_faults(
+        let spec = run(
+            Backend::Sim(tie),
             &sc,
             0.15,
-            &DriverMode::Speculative(SpecConfig::speculative(3)),
+            &SpecConfig::speculative(3),
             FaultSpec::none(),
-            tie,
         );
         lines += &run_line(&format!("speculative fw=3 {tie:?}"), &spec);
     }
@@ -524,7 +521,6 @@ fn driver_events_match_golden() {
         .with_supervision(SupervisionConfig::new(1, 2))
         .with_adaptive(ControllerConfig::new().with_fw_max(3).with_cadence(2, 2))
         .with_delta_exchange(sc.delta_policy());
-    let mode = DriverMode::Speculative(cfg);
     let recorder = obs::SharedRecorder::new();
     let (outs, report) = mpk::run_sim_proc_cluster_with_options::<IterMsg<Vec<f64>>, _, _, _>(
         &sc.cluster(),
@@ -537,8 +533,8 @@ fn driver_events_match_golden() {
         },
         |mut t| {
             t.set_recorder(Box::new(recorder.clone()));
-            let (sc, mode) = (sc.clone(), mode.clone());
-            async move { drive_synthetic_aio(&mut t, &sc, 0.05, &mode).await }
+            let (sc, cfg) = (sc.clone(), cfg.clone());
+            async move { drive_synthetic_aio(&mut t, &sc, 0.05, &cfg).await }
         },
     )
     .expect("the all-features run must complete");

@@ -1,10 +1,12 @@
 //! End-to-end contract of the `obs` telemetry subsystem.
 //!
 //! The headline guarantee: spans are emitted with the *same*
-//! `Transport::now()` readings the speculative driver feeds its
+//! `AsyncTransport::now()` readings the speculative driver feeds its
 //! `PhaseBreakdown`, so per-rank span durations agree with the phase
-//! accounting **bit for bit** — and, since the phases partition the
-//! driver's run time exhaustively, they partition total time too.
+//! accounting **bit for bit** — and on the simulator, where the phases
+//! partition a rank's virtual run time exhaustively, they partition total
+//! time too. (On real threads the wall time between charged spans is in
+//! no phase, so there the partition does not hold.)
 //!
 //! Also covered: the Chrome-trace exporter against a golden file,
 //! determinism of same-seed traces (virtual-time runs byte-identical;
@@ -222,7 +224,12 @@ fn traced_thread_run(iters: u64) -> Vec<RunTrace> {
                 ..Default::default()
             },
         );
-        run_speculative(t, &mut app, iters, SpecConfig::speculative(1))
+        poll_ready(run_speculative_aio(
+            t,
+            &mut app,
+            iters,
+            SpecConfig::speculative(1),
+        ))
     });
     RunTrace::split_by_rank(recorder.drain())
 }

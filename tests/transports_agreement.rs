@@ -1,9 +1,9 @@
 //! The virtual-time, real-thread, and real-TCP-socket backends run the
 //! same speculative algorithm and must produce the same *results*
 //! (timing differs by construction). Fault-free exact-semantics agreement
-//! of the speculative driver is a row of speccheck's conformance matrix;
-//! these tests pin the baseline entry points, and agreement under loss,
-//! real latency and scripted faults.
+//! of the driver, the baseline (FW 0) included, is a row of speccheck's
+//! conformance matrix; these tests pin agreement under loss, real latency
+//! and scripted faults.
 
 use speculative_computation::prelude::*;
 
@@ -16,7 +16,7 @@ fn even_ranges(n: usize, p: usize) -> Vec<std::ops::Range<usize>> {
 /// an identically-seeded `FaultSpec`, nothing is ever delivered on either
 /// backend, so the speculate-through-loss machinery must promote the same
 /// speculations and converge to the same values.
-fn run_lossy<T: mpk::Transport<Msg = IterMsg<Vec<f64>>>>(
+async fn run_lossy<T: AsyncTransport<Msg = IterMsg<Vec<f64>>>>(
     t: &mut T,
     n: usize,
     iters: u64,
@@ -34,7 +34,7 @@ fn run_lossy<T: mpk::Transport<Msg = IterMsg<Vec<f64>>>>(
         .with_fault_tolerance(
             FaultTolerance::new(SimDuration::from_millis(5)).with_staleness_budget(1),
         );
-    let stats = run_speculative(t, &mut app, iters, cfg);
+    let stats = run_speculative_aio(t, &mut app, iters, cfg).await;
     (app.values().to_vec(), stats)
 }
 
@@ -49,13 +49,13 @@ fn socket_loss_promotions_match_thread_backend() {
         p,
         ThreadClusterOptions::default(),
         FaultSpec::new(Loss::new(1.0, seed)),
-        move |t| run_lossy(t, n, iters),
+        move |t| poll_ready(run_lossy(t, n, iters)),
     );
     let socket_out = run_socket_cluster_with_faults::<IterMsg<Vec<f64>>, _, _>(
         p,
         SocketClusterOptions::default(),
         FaultSpec::new(Loss::new(1.0, seed)),
-        move |t| run_lossy(t, n, iters),
+        move |t| poll_ready(run_lossy(t, n, iters)),
     );
 
     for (rank, ((tv, ts), (sv, ss))) in thread_out.iter().zip(&socket_out).enumerate() {
@@ -104,7 +104,12 @@ fn thread_backend_handles_speculation_under_real_latency() {
                     ..Default::default()
                 },
             );
-            run_speculative(t, &mut app, 10, SpecConfig::speculative(1))
+            poll_ready(run_speculative_aio(
+                t,
+                &mut app,
+                10,
+                SpecConfig::speculative(1),
+            ))
         },
     );
     let total_spec: u64 = stats.iter().map(|s| s.speculated_partitions).sum();
@@ -115,39 +120,6 @@ fn thread_backend_handles_speculation_under_real_latency() {
     for s in &stats {
         assert_eq!(s.iterations, 10);
     }
-}
-
-#[test]
-fn thread_backend_baseline_equals_sim_baseline() {
-    let n = 30;
-    let p = 3;
-    let iters = 6;
-    let cluster = ClusterSpec::homogeneous(p, 1000.0);
-    let (sim_out, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
-        &cluster,
-        ConstantLatency(SimDuration::from_micros(50)),
-        Unloaded,
-        false,
-        |mut t| async move {
-            let ranges = even_ranges(n, t.size());
-            let mut app = SyntheticApp::new(n, &ranges, t.rank().0, SyntheticConfig::default());
-            run_baseline_aio(&mut t, &mut app, iters).await;
-            app.values().to_vec()
-        },
-    )
-    .unwrap();
-
-    let thread_out = run_thread_cluster::<IterMsg<Vec<f64>>, _, _>(
-        p,
-        ThreadClusterOptions::default(),
-        move |t| {
-            let ranges = even_ranges(n, t.size());
-            let mut app = SyntheticApp::new(n, &ranges, t.rank().0, SyntheticConfig::default());
-            run_baseline(t, &mut app, iters);
-            app.values().to_vec()
-        },
-    );
-    assert_eq!(sim_out, thread_out);
 }
 
 /// How long the scripted outage of rank 1 lasts, from time zero.
