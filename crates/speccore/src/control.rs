@@ -240,8 +240,6 @@ pub(crate) struct ControllerState {
     cfg: ControllerConfig,
     /// Per-peer inter-arrival gaps in nanoseconds.
     gaps: Vec<Ring>,
-    /// Virtual instant each peer was last heard from.
-    last_heard: Vec<Option<SimTime>>,
     /// Observed speculation errors from committed check outcomes.
     errors: Ring,
     busy_ewma_ns: f64,
@@ -260,7 +258,6 @@ impl ControllerState {
     pub(crate) fn new(cfg: ControllerConfig, p: usize, initial_fw: u32) -> Self {
         ControllerState {
             gaps: (0..p).map(|_| Ring::new(RING_CAP)).collect(),
-            last_heard: vec![None; p],
             errors: Ring::new(RING_CAP),
             busy_ewma_ns: 0.0,
             wait_ewma_ns: 0.0,
@@ -274,15 +271,13 @@ impl ControllerState {
         }
     }
 
-    /// Record a message arrival from `src` at virtual instant `now`.
-    pub(crate) fn on_receive(&mut self, src: usize, now: SimTime) {
-        if src >= self.gaps.len() {
-            return;
+    /// Record a message arrival from `src` at virtual instant `now`;
+    /// `prev` is the peer's previous arrival, if any (the driver keeps the
+    /// one arrival clock per peer).
+    pub(crate) fn on_receive(&mut self, src: usize, prev: Option<SimTime>, now: SimTime) {
+        if let (Some(ring), Some(prev)) = (self.gaps.get_mut(src), prev) {
+            ring.push(now.duration_since(prev).as_nanos() as f64);
         }
-        if let Some(prev) = self.last_heard[src] {
-            self.gaps[src].push(now.duration_since(prev).as_nanos() as f64);
-        }
-        self.last_heard[src] = Some(now);
     }
 
     /// Record one committed check outcome's observed speculation error.
@@ -575,10 +570,11 @@ mod tests {
         // Peer 1 heard every 5ms; peer 2 has too few samples.
         let mut t = SimTime::ZERO;
         for _ in 0..6 {
+            let prev = (t > SimTime::ZERO).then_some(t);
             t += ms(5);
-            st.on_receive(1, t);
+            st.on_receive(1, prev, t);
         }
-        st.on_receive(2, SimTime::from_nanos(ms(1).as_nanos()));
+        st.on_receive(2, None, SimTime::from_nanos(ms(1).as_nanos()));
         for _ in 0..4 {
             st.on_confirm(0, 1, ms(5), ms(5));
         }
@@ -593,8 +589,9 @@ mod tests {
         let mut st2 = ControllerState::new(cfg().with_deadline(1.0, 2.0), 3, 1);
         let mut t = SimTime::ZERO;
         for _ in 0..6 {
+            let prev = (t > SimTime::ZERO).then_some(t);
             t += ms(5);
-            st2.on_receive(1, t);
+            st2.on_receive(1, prev, t);
         }
         for _ in 0..4 {
             st2.on_confirm(0, 1, ms(5), ms(5));
@@ -606,7 +603,7 @@ mod tests {
     #[test]
     fn estimators_ignore_out_of_range_and_non_finite_samples() {
         let mut st = ControllerState::new(cfg(), 2, 1);
-        st.on_receive(99, SimTime::from_nanos(5)); // out of range: ignored
+        st.on_receive(99, Some(SimTime::ZERO), SimTime::from_nanos(5)); // out of range: ignored
         st.observe_error(f64::NAN); // non-finite: ignored
         st.observe_error(f64::INFINITY);
         assert_eq!(st.errors.len(), 0);

@@ -28,11 +28,11 @@ use netsim::MachineCrash;
 use obs::{Gauge, Mark, Phase};
 
 use crate::app::SpeculativeApp;
-use crate::config::{CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig, SupervisionConfig};
+use crate::config::{CorrectionMode, DeltaExchange, FaultTolerance, SpecConfig};
 use crate::control::{ControllerState, Decision};
-use crate::history::History;
+use crate::peer::{LossAction, Peer, PeerHealth, Refused};
 use crate::stats::{IterationLog, PhaseBreakdown, RunStats};
-use crate::window::{Inbox, Promoted, Slots};
+use crate::window::{Inbox, Slots};
 
 /// Wire discriminant for delta frames: the top bit of the iteration stamp.
 /// Iteration counts never approach 2^63, so full frames — whose encoding
@@ -161,184 +161,10 @@ fn peers(p: usize, me: Rank) -> impl Iterator<Item = usize> {
 // Fault tolerance
 // ---------------------------------------------------------------------------
 
-/// Loss-detection state for one peer's missing input to the queue-head
-/// iteration. Promotion of a speculated value to a committed one is
-/// evidence-based: a peer that demonstrably broadcast *past* the front
-/// (links deliver in order on calm networks, so the front's message
-/// cannot still be in flight) is promoted at its first deadline; a peer
-/// that has merely gone quiet is asked to retransmit first, and only a
-/// second full timeout of silence — which itself consumed a lost request
-/// or reply — promotes. This keeps merely-late broadcasts from being
-/// promoted and ties every promotion to at least one genuinely dropped
-/// message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PeerWait {
-    /// Waiting for the peer's broadcast to arrive on its own.
-    Armed {
-        /// When this wait (re-)started.
-        since: SimTime,
-    },
-    /// A retransmit request is in flight; waiting for any sign of life.
-    Grace {
-        /// When the request was sent.
-        asked_at: SimTime,
-    },
-}
-
-/// What the loss detector wants done about one peer on this pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LossAction {
-    /// Keep waiting.
-    Wait,
-    /// Commit the speculated value in the missing actual's place.
-    Promote,
-    /// Send the peer a retransmit request.
-    Ask,
-}
-
-impl PeerWait {
-    /// One pass of the detector over a peer whose input to the front is
-    /// still speculative. `evidence`: the peer already broadcast an
-    /// iteration past the front; `last_heard`: when it last delivered
-    /// anything. Returns the wait to keep and what to do now.
-    ///
-    /// `#[inline]`, like the other non-generic helpers on the per-pass
-    /// path: the generic driver is instantiated in its caller's crate,
-    /// where a plain `fn` of this crate would be an out-of-line call per
-    /// peer per loop pass.
-    #[inline]
-    fn step(
-        cur: Option<PeerWait>,
-        now: SimTime,
-        deadline: SimDuration,
-        evidence: bool,
-        last_heard: SimTime,
-    ) -> (Option<PeerWait>, LossAction) {
-        match cur {
-            None => (Some(PeerWait::Armed { since: now }), LossAction::Wait),
-            Some(PeerWait::Armed { since }) if now.duration_since(since) < deadline => {
-                (cur, LossAction::Wait)
-            }
-            Some(PeerWait::Armed { .. }) if evidence => (None, LossAction::Promote),
-            // No proof the message was lost rather than the peer slow: ask
-            // once before giving up on it.
-            Some(PeerWait::Armed { .. }) => {
-                (Some(PeerWait::Grace { asked_at: now }), LossAction::Ask)
-            }
-            // The reply (or a late broadcast) proved the peer is past the
-            // front: the front's message is gone for good.
-            Some(PeerWait::Grace { .. }) if evidence => (None, LossAction::Promote),
-            // The peer answered but is behind the front: merely late, not
-            // lost. Wait afresh from its last sign of life.
-            Some(PeerWait::Grace { asked_at }) if last_heard > asked_at => (
-                Some(PeerWait::Armed { since: last_heard }),
-                LossAction::Wait,
-            ),
-            // Total silence through the grace period: the request or its
-            // reply was lost too.
-            Some(PeerWait::Grace { asked_at }) if now.duration_since(asked_at) >= deadline => {
-                (None, LossAction::Promote)
-            }
-            Some(PeerWait::Grace { .. }) => (cur, LossAction::Wait),
-        }
-    }
-
-    /// The instant [`PeerWait::step`] next acts on this wait by itself.
-    #[inline]
-    fn due(self, deadline: SimDuration) -> SimTime {
-        let (PeerWait::Armed { since: from } | PeerWait::Grace { asked_at: from }) = self;
-        from + deadline
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Most promotion-table entries any rank on this thread held at a
-    /// commit (stackless sim ranks all run on the caller's thread).
-    static PROMOTED_PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Per-peer health in the supervision lifecycle.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PeerHealth {
-    /// Contributing normally.
-    Healthy,
-    /// Too many consecutive promotions; may be dead.
-    Suspected,
-    /// Given up on: its partition is carried by speculation alone, with no
-    /// loss timeout spent on it, until it is heard from again.
-    Quarantined,
-}
-
-/// A transition of one peer's [`PeerHealth`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum HealthEdge {
-    /// No transition worth reporting.
-    Steady,
-    /// Healthy → suspected.
-    Suspected,
-    /// Suspected → quarantined; `first` when no other peer was, so the
-    /// rank entered degraded mode.
-    Quarantined { first: bool },
-    /// Quarantined → healthy; `last` when no other peer remains
-    /// quarantined, so the rank left degraded mode.
-    Rejoined { last: bool },
-}
-
-/// Driver-side supervision: per-peer health derived from the
-/// consecutive-promotion staleness counters, plus the degraded-mode
-/// population count. Inert (never constructed) unless the config sets both
-/// a fault-tolerance policy and a supervision policy.
-struct SupervisionState {
-    cfg: SupervisionConfig,
-    health: Vec<PeerHealth>,
-    quarantined: usize,
-}
-
-impl SupervisionState {
-    fn is_quarantined(&self, k: usize) -> bool {
-        self.health[k] == PeerHealth::Quarantined
-    }
-
-    /// Re-derive peer `k`'s health from its consecutive-promotion count.
-    /// One step per call (the sweep runs every loop pass, so a count past
-    /// both thresholds quarantines on the next pass).
-    fn observe(&mut self, k: usize, staleness: u32) -> HealthEdge {
-        match self.health[k] {
-            PeerHealth::Healthy if staleness >= self.cfg.suspect_after => {
-                self.health[k] = PeerHealth::Suspected;
-                HealthEdge::Suspected
-            }
-            PeerHealth::Suspected if staleness >= self.cfg.quarantine_after => {
-                self.health[k] = PeerHealth::Quarantined;
-                self.quarantined += 1;
-                HealthEdge::Quarantined {
-                    first: self.quarantined == 1,
-                }
-            }
-            _ => HealthEdge::Steady,
-        }
-    }
-
-    /// The peer spoke.
-    fn on_heard(&mut self, k: usize) -> HealthEdge {
-        let was_quarantined = self.health[k] == PeerHealth::Quarantined;
-        self.health[k] = PeerHealth::Healthy;
-        if was_quarantined {
-            self.quarantined -= 1;
-            HealthEdge::Rejoined {
-                last: self.quarantined == 0,
-            }
-        } else {
-            HealthEdge::Steady
-        }
-    }
-}
-
-/// Everything fault tolerance adds to a rank: speculate-through-loss
-/// promotion, retransmit requests, scripted crashes and (optionally) peer
-/// supervision. Constructed only when the config carries a
-/// [`FaultTolerance`] policy.
+/// Everything fault tolerance adds to a rank beyond its [`Peer`]s:
+/// speculate-through-loss promotion, retransmit requests and scripted
+/// crashes. Constructed only when the config carries a [`FaultTolerance`]
+/// policy.
 struct FaultState<S> {
     /// The configured policy, its crash plan cut down to this rank's own
     /// outages still to come, in schedule order.
@@ -346,71 +172,26 @@ struct FaultState<S> {
     /// Latest state this rank put on the wire, re-sent on retransmit
     /// requests and after crash recovery.
     last_broadcast: (u64, S),
-    /// Consecutive speculate-through-loss promotions per peer since its
-    /// last heard-from message.
-    staleness: Vec<u32>,
     /// The queue-head iteration whose missing inputs are being tracked;
-    /// `peer_wait` is meaningful only while this matches the front.
+    /// the peers' loss waits are meaningful only while this matches the
+    /// front.
     front_tracked: Option<u64>,
-    /// Per-peer loss-detection state for the tracked front iteration.
-    peer_wait: Vec<Option<PeerWait>>,
-    /// Virtual time each peer last delivered anything (any tag).
-    last_heard: Vec<SimTime>,
-    /// (peer, iteration) pairs whose loss promotion was already counted.
-    promoted: Promoted,
     /// When the rank first found itself with nothing in flight and nothing
     /// executable (starved — e.g. iteration 0 under loss, before any
     /// history exists to extrapolate from).
     starved_since: Option<SimTime>,
-    /// Peer supervision rides on the loss-promotion counters, so it lives
-    /// (and is inert) with them.
-    sup: Option<SupervisionState>,
 }
 
 impl<S: Clone> FaultState<S> {
-    fn new(
-        mut policy: FaultTolerance,
-        sup: Option<SupervisionConfig>,
-        me: Rank,
-        p: usize,
-        x0: S,
-    ) -> Self {
+    fn new(mut policy: FaultTolerance, me: Rank, x0: S) -> Self {
         policy.crashes.retain(|c| c.rank == me.0);
         policy.crashes.sort_by_key(|c| c.at);
         FaultState {
             policy,
             last_broadcast: (0, x0),
-            staleness: vec![0; p],
             front_tracked: None,
-            peer_wait: vec![None; p],
-            last_heard: vec![SimTime::ZERO; p],
-            promoted: Promoted::new(p),
             starved_since: None,
-            sup: sup.map(|cfg| SupervisionState {
-                cfg,
-                health: vec![PeerHealth::Healthy; p],
-                quarantined: 0,
-            }),
         }
-    }
-
-    /// Peer `k` delivered something at `now`.
-    fn on_heard(&mut self, k: usize, now: SimTime) -> HealthEdge {
-        self.staleness[k] = 0;
-        self.last_heard[k] = now;
-        match &mut self.sup {
-            Some(sv) => sv.on_heard(k),
-            None => HealthEdge::Steady,
-        }
-    }
-
-    /// The machine restarted: every wait and counter anchored in the
-    /// volatile state is void.
-    fn forget_volatile(&mut self) {
-        self.staleness.fill(0);
-        self.front_tracked = None;
-        self.peer_wait.fill(None);
-        self.starved_since = None;
     }
 
     /// Peer `k`'s loss deadline: the controller's delay quantile ×
@@ -427,51 +208,14 @@ impl<S: Clone> FaultState<S> {
     /// The earliest instant something here acts without a message: a
     /// missing peer's loss deadline (armed or in grace), the starvation
     /// timeout, or this rank's next scripted crash.
-    fn wake_deadline(&self, ctl: &Option<Ctl>) -> Option<SimTime> {
-        let waits = self
-            .peer_wait
+    fn wake_deadline(&self, ctl: &Option<Ctl>, peers: &[Peer<S>]) -> Option<SimTime> {
+        let waits = peers
             .iter()
             .enumerate()
-            .filter_map(|(k, w)| w.map(|w| w.due(self.loss_deadline(ctl, k))));
+            .filter_map(|(k, peer)| peer.due(self.loss_deadline(ctl, k)));
         let starved = self.starved_since.map(|s| s + self.policy.loss_timeout);
         let crash = self.policy.crashes.first().map(|c| c.at);
         waits.chain(starved).chain(crash).min()
-    }
-
-    /// Flip peer `k`'s speculated input to the front record into a
-    /// committed one. Counted in the stats only the first time this (peer,
-    /// iteration) pair promotes — a rollback can make the same slot
-    /// speculative again, and re-flipping it is not a second loss. Returns
-    /// whether this promotion was freshly counted.
-    fn promote_loss<C>(
-        &mut self,
-        k: usize,
-        rec: &mut ExecRecord<S, C>,
-        history: &mut History<S>,
-        stats: &mut RunStats,
-    ) -> bool {
-        // The front record's iteration is the confirmation point.
-        let iter = rec.iter;
-        let sv = rec
-            .speculated
-            .take(k)
-            .expect("promotion of a non-speculated slot");
-        // Recording the promoted value keeps the backward window anchored (a
-        // late actual for the same iteration is ignored by the history's
-        // freshness guard, so the promotion is final); on a re-promotion
-        // after rollback the same guard makes this a no-op.
-        history.record(iter, sv);
-        self.count_loss(k, iter, iter, stats)
-    }
-
-    /// Book one loss commit for (`k`, `iter`) unless already counted.
-    fn count_loss(&mut self, k: usize, iter: u64, t_conf: u64, stats: &mut RunStats) -> bool {
-        let fresh = self.promoted.insert(k, iter, t_conf);
-        if fresh {
-            stats.speculate_through_loss_commits += 1;
-            self.staleness[k] += 1;
-        }
-        fresh
     }
 }
 
@@ -519,137 +263,34 @@ impl Ctl {
 // Delta exchange
 // ---------------------------------------------------------------------------
 
-/// All per-run delta-exchange state. `policy` is `Some` only when the
-/// config asked for deltas *and* the app exposes scalar lanes; otherwise
-/// every field stays empty and the driver's behavior (and allocations) are
-/// bit-identical to the pre-delta protocol.
-struct DeltaState<S> {
+/// The rank-level half of delta exchange (the shadows are per [`Peer`]).
+/// `policy` is `Some` only when the config asked for deltas *and* the app
+/// exposes scalar lanes; otherwise the driver's behavior (and
+/// allocations) are bit-identical to the pre-delta protocol.
+struct DeltaState {
     policy: Option<DeltaExchange>,
-    /// Per-peer sender shadow: the scalar lanes that peer has
-    /// reconstructed from our stream (diff baseline). `None` until the
-    /// first full frame to that peer.
-    tx_shadow: Vec<Option<Vec<f64>>>,
-    /// Per-sender receiver shadow: `(iter, reconstruction)` of the
-    /// newest frame applied from that sender.
-    rx_shadow: Vec<Option<(u64, S)>>,
-    /// Highest iteration stamp seen on *any* frame from each peer —
-    /// including delta frames dropped over a gap, which prove the peer
-    /// advanced even though no value could be recorded. Feeds the
-    /// loss-promotion evidence check alongside the history.
-    seen_past: Vec<Option<u64>>,
     /// Scratch: current partition flattened to scalar lanes.
     cur: Vec<f64>,
     /// Scratch: the frame being diffed for the peer in progress.
     frame: DeltaFrame,
 }
 
-impl<S: Clone + WireSize> DeltaState<S> {
-    /// State for `p` ranks; `requested` takes effect only if `app` exposes
-    /// scalar lanes.
-    fn new<A: SpeculativeApp<Shared = S>>(
-        p: usize,
-        requested: Option<DeltaExchange>,
-        app: &A,
-    ) -> Self {
+impl DeltaState {
+    /// `requested` takes effect only if `app` exposes scalar lanes.
+    fn new<A: SpeculativeApp>(requested: Option<DeltaExchange>, app: &A) -> Self {
         let mut cur = Vec::new();
         DeltaState {
             policy: requested.filter(|_| app.delta_extract(&app.shared(), &mut cur)),
-            tx_shadow: (0..p).map(|_| None).collect(),
-            rx_shadow: (0..p).map(|_| None).collect(),
-            seen_past: vec![None; p],
             cur,
             frame: DeltaFrame::new(),
         }
     }
 
-    /// Forget everything volatile (crash recovery): shadows on both sides
-    /// and the advancement evidence. The next frame to every peer will be
-    /// a full keyframe, and peers' next full frames re-seed our receiver
-    /// shadows.
-    fn reset(&mut self) {
-        self.tx_shadow.iter_mut().for_each(|s| *s = None);
-        self.rx_shadow.iter_mut().for_each(|s| *s = None);
-        self.seen_past.iter_mut().for_each(|s| *s = None);
-    }
-
-    /// Peer `k` is being sent the full snapshot whose lanes are in `cur`:
-    /// its stream restarts from that baseline.
-    fn reseed_tx(&mut self, k: usize) {
-        let shadow = self.tx_shadow[k].get_or_insert_with(Vec::new);
-        shadow.clear();
-        shadow.extend_from_slice(&self.cur);
-    }
-
     /// Flatten `data` into `cur`. Only called with a policy, which is only
     /// set for an app that exposes lanes.
-    fn extract<A: SpeculativeApp<Shared = S>>(&mut self, app: &A, data: &S) {
+    fn extract<A: SpeculativeApp>(&mut self, app: &A, data: &A::Shared) {
         let capable = app.delta_extract(data, &mut self.cur);
         debug_assert!(capable, "delta policy active on a non-capable app");
-    }
-
-    /// Fold one received frame into the inbox and history. Full frames behave
-    /// exactly as the pre-delta protocol did (and additionally re-seed the
-    /// receiver shadow); a delta frame reconstructs the sender's snapshot by
-    /// patching the shadow, but only when it extends it by exactly one
-    /// iteration — duplicates and gap frames are dropped without touching the
-    /// history or inbox, so they can never fabricate promotion evidence or
-    /// corrupt a reconstruction. Gaps heal when the next keyframe, retransmit
-    /// reply, or recovery request (all full frames) re-seeds the shadow.
-    /// Returns whether the frame filled an empty inbox slot (not a duplicate,
-    /// not for a consumed iteration).
-    fn stash<A: SpeculativeApp<Shared = S>>(
-        &mut self,
-        app: &A,
-        env: Envelope<IterMsg<S>>,
-        inbox: &mut Inbox<S>,
-        history: &mut [History<S>],
-        stats: &mut RunStats,
-    ) -> bool {
-        stats.messages_received += 1;
-        stats.bytes_received += (HEADER_BYTES + env.msg.wire_size()) as u64;
-        let src = env.src.0;
-        let IterMsg { iter, body } = env.msg;
-        // No honest rank stamps an iteration the run never executes. Left in,
-        // one such frame would be the peer's newest history entry and standing
-        // loss evidence (`seen_past`) for the rest of the run.
-        if iter >= inbox.limit() {
-            return false;
-        }
-        match &mut self.seen_past[src] {
-            Some(sp) => *sp = (*sp).max(iter),
-            sp => *sp = Some(iter),
-        }
-        let data = match body {
-            MsgBody::Full(data) => {
-                if self.policy.is_some() {
-                    // Never regress the shadow: a stale (reordered or
-                    // duplicated) full frame must not break the chain the
-                    // newer deltas continue from.
-                    match &self.rx_shadow[src] {
-                        Some((si, _)) if *si > iter => {}
-                        _ => self.rx_shadow[src] = Some((iter, data.clone())),
-                    }
-                }
-                data
-            }
-            MsgBody::Delta(frame) => {
-                // A frame the app cannot patch (a lane out of range, or deltas
-                // sent to a non-delta-capable app) is dropped like a gap: the
-                // shadow stays as it was.
-                let patched = match &self.rx_shadow[src] {
-                    Some((si, base)) if si + 1 == iter => app.delta_patch(base, &frame.entries),
-                    _ => None,
-                };
-                let Some(next) = patched else {
-                    stats.delta_frames_dropped += 1;
-                    return false;
-                };
-                self.rx_shadow[src] = Some((iter, next.clone()));
-                next
-            }
-        };
-        history[src].record(iter, data.clone());
-        inbox.insert(iter, src, data)
     }
 }
 
@@ -727,10 +368,13 @@ where
 // The rank
 // ---------------------------------------------------------------------------
 
-/// One rank's whole driver state. Each optional feature is one field —
-/// `fault`, `ctl`, and `dx` (whose policy is the option) — that stays
-/// `None`/inert unless configured, which keeps the plain run bit-identical
-/// to a driver that never heard of the feature. The main loop in
+/// One rank's whole driver state. Everything it knows about each remote
+/// rank is one sans-I/O [`Peer`] in `peers`, whose verdicts the steps
+/// below act on: every send, stats counter and mark is made here. Each
+/// optional feature's rank-level state is one field — `fault`, `ctl`, and
+/// `dx` (whose policy is the option) — that stays `None`/inert unless
+/// configured, which keeps the plain run bit-identical to a driver that
+/// never heard of the feature. The main loop in
 /// [`run_speculative_aio`] calls the five steps in order:
 /// [`fold_arrivals`](Self::fold_arrivals),
 /// [`fault_sweep`](Self::fault_sweep),
@@ -752,8 +396,9 @@ struct RankState<'a, T, A: SpeculativeApp> {
     last_window: Option<u64>,
     /// Actual values received, by iteration (from `t_conf` on) and sender.
     inbox: Inbox<A::Shared>,
-    /// Per-peer history of actuals (the backward window).
-    history: Vec<History<A::Shared>>,
+    /// Everything known about each remote rank, indexed by rank (this
+    /// rank's own entry stays unused).
+    peers: Vec<Peer<A::Shared>>,
     /// Executed-but-unconfirmed iterations, oldest first.
     exec_q: VecDeque<ExecRecord<A::Shared, A::Checkpoint>>,
     /// Recycled checkpoint buffers: confirmed (or rolled-back) records
@@ -782,7 +427,7 @@ struct RankState<'a, T, A: SpeculativeApp> {
     halted: bool,
     fault: Option<FaultState<A::Shared>>,
     ctl: Option<Ctl>,
-    dx: DeltaState<A::Shared>,
+    dx: DeltaState,
 }
 
 impl<'a, T, A> RankState<'a, T, A>
@@ -802,7 +447,7 @@ where
             last_inbox_depth: None,
             last_window: None,
             inbox: Inbox::new(p, total_iters),
-            history: (0..p).map(|_| History::new(bw)).collect(),
+            peers: (0..p).map(|_| Peer::new(bw)).collect(),
             exec_q: VecDeque::new(),
             checkpoint_pool: Vec::new(),
             speculated_pool: Vec::new(),
@@ -816,14 +461,14 @@ where
             fault: config
                 .fault
                 .clone()
-                .map(|ft| FaultState::new(ft, config.supervision, me, p, app.shared())),
+                .map(|ft| FaultState::new(ft, me, app.shared())),
             ctl: config.controller.clone().map(|cc| Ctl {
                 state: ControllerState::new(cc, p, config.window),
                 phases_at_confirm: PhaseBreakdown::default(),
                 checked_at_confirm: 0,
                 missed_at_confirm: 0,
             }),
-            dx: DeltaState::new(p, config.delta, &*app),
+            dx: DeltaState::new(config.delta, &*app),
             transport,
             app,
             config,
@@ -887,7 +532,7 @@ where
         let (iter, data) = &f.last_broadcast;
         if self.dx.policy.is_some() {
             self.dx.extract(&*self.app, data);
-            self.dx.reseed_tx(to.0);
+            self.peers[to.0].reseed_tx(&self.dx.cur);
         }
         let msg = IterMsg::full(*iter, data.clone());
         self.send(to, tag, msg).await;
@@ -914,7 +559,7 @@ where
         let full_bytes = (HEADER_BYTES + 8 + data.wire_size()) as u64;
         let keyframe_due = iter.is_multiple_of(pol.keyframe_interval);
         for k in peers(self.p, self.me) {
-            let msg = match &mut self.dx.tx_shadow[k] {
+            let msg = match &mut self.peers[k].tx_shadow {
                 Some(shadow) if !keyframe_due => {
                     self.dx.frame.diff_into(&self.dx.cur, shadow, pol.floor);
                     self.dx.frame.apply(shadow);
@@ -926,7 +571,7 @@ where
                     msg
                 }
                 _ => {
-                    self.dx.reseed_tx(k);
+                    self.peers[k].reseed_tx(&self.dx.cur);
                     IterMsg::full(iter, data.clone())
                 }
             };
@@ -943,39 +588,46 @@ where
             Some(env) => Some(env),
             None => self.transport.try_recv().await,
         } {
-            let (src, iter) = (env.src, env.msg.iter);
-            if let Some(c) = &mut self.ctl {
-                c.state.on_receive(src.0, self.transport.now());
-            }
-            if let Some(f) = &mut self.fault {
+            let Envelope { src, tag, msg } = env;
+            // Only the controller and fault tolerance read the arrival clock.
+            if self.ctl.is_some() || self.fault.is_some() {
                 let now = self.transport.now();
-                let edge = f.on_heard(src.0, now);
-                if let HealthEdge::Rejoined { last } = edge {
-                    // Readmission: forget the receive-side delta view of the
-                    // peer (its stream must restart from a keyframe) and
-                    // ship it our full state so its backward window re-seeds
+                let peer = &mut self.peers[src.0];
+                if let Some(c) = &mut self.ctl {
+                    c.state.on_receive(src.0, peer.last_heard(), now);
+                }
+                let heard = peer.heard(now, tag);
+                if heard.rejoined {
+                    // Readmission: the peer's receive-side view is gone (its
+                    // stream must restart from a keyframe), and the reply
+                    // ships it our full state so its backward window re-seeds
                     // at once. The keyframe doubles as the retransmit reply.
                     self.stats.peer_rejoins += 1;
-                    self.dx.rx_shadow[src.0] = None;
-                    self.dx.seen_past[src.0] = None;
                     let peer = src.0 as u32;
                     self.mark(now, Mark::PeerRejoined { peer });
-                    if last {
+                    if !self.peers.iter().any(Peer::is_quarantined) {
                         self.mark(now, Mark::DegradedExit);
                     }
                 }
-                // A retransmit request is answered with the same full frame.
-                if edge != HealthEdge::Steady || env.tag == RETRANS_REQ_TAG {
+                if heard.reply {
                     self.resend_latest(src, DATA_TAG).await;
                 }
             }
-            let arrived = self.dx.stash(
-                &*self.app,
-                env,
-                &mut self.inbox,
-                &mut self.history,
-                &mut self.stats,
-            );
+            self.stats.messages_received += 1;
+            self.stats.bytes_received += (HEADER_BYTES + msg.wire_size()) as u64;
+            let IterMsg { iter, body } = msg;
+            let app = &*self.app;
+            let patch = |base: &A::Shared, entries: &[(u32, f64)]| app.delta_patch(base, entries);
+            let delta = self.dx.policy.is_some();
+            let arrived =
+                match self.peers[src.0].receive(iter, body, self.inbox.limit(), delta, patch) {
+                    Ok(data) => self.inbox.insert(iter, src.0, data),
+                    Err(Refused::Unpatched) => {
+                        self.stats.delta_frames_dropped += 1;
+                        false
+                    }
+                    Err(Refused::PastEnd) => false,
+                };
             if arrived && iter == self.t_conf && !self.exec_q.is_empty() {
                 self.fresh.push(src.0);
             }
@@ -1026,7 +678,9 @@ where
         let Some(f) = &mut self.fault else { return };
         f.policy.crashes.remove(0);
         // Volatile state dies with the machine.
-        f.forget_volatile();
+        f.front_tracked = None;
+        f.starved_since = None;
+        self.peers.iter_mut().for_each(Peer::forget);
         let peer = self.me.0 as u32;
         self.mark(c.at, Mark::PeerCrashed { peer });
         if c.is_permanent() {
@@ -1043,9 +697,6 @@ where
         // the crash).
         self.rewind();
         self.inbox.clear();
-        let bw = self.config.backward_window.max(1);
-        self.history.iter_mut().for_each(|h| *h = History::new(bw));
-        self.dx.reset();
         self.gauge(c.at, Gauge::ExecQueueDepth, 0);
         let wake = c.at + c.restart_after;
         if wake > now {
@@ -1076,7 +727,7 @@ where
         let front_now = self.exec_q.front().map(|rec| rec.iter);
         if front_now != f.front_tracked {
             f.front_tracked = front_now;
-            f.peer_wait.fill(None);
+            self.peers.iter_mut().for_each(Peer::disarm);
         }
         let Some(front_iter) = front_now else {
             return ask;
@@ -1086,40 +737,21 @@ where
             // A peer whose slot is no longer speculative — or whose actual
             // already sits in the inbox awaiting its check — needs no loss
             // tracking.
-            if front.speculated.get(k).is_none() || self.inbox.get(front_iter, k).is_some() {
-                f.peer_wait[k] = None;
-                continue;
-            }
-            // Degraded mode: a quarantined peer gets no loss timeout at all
-            // — its speculated input is promoted the moment it blocks the
-            // front, so the cluster's pace no longer depends on the dead
-            // rank.
-            if f.sup.as_ref().is_some_and(|sv| sv.is_quarantined(k)) {
-                if f.promote_loss(k, front, &mut self.history[k], &mut self.stats) {
-                    self.stats.degraded_commits += 1;
-                }
-                f.peer_wait[k] = None;
-                continue;
-            }
-            // Evidence of a genuine loss: the peer already broadcast an
-            // iteration past the front, so (links delivering in order) the
-            // front's message is not merely late. A delta frame dropped over
-            // a gap proves advancement just as a recorded value does —
-            // without it, a delta stream whose frames all miss their
-            // baseline would never build evidence through the history
-            // alone.
-            let evidence = self.history[k]
-                .latest_iter()
-                .is_some_and(|li| li > front_iter)
-                || self.dx.seen_past[k].is_some_and(|si| si > front_iter);
+            let speculative =
+                front.speculated.get(k).is_some() && self.inbox.get(front_iter, k).is_none();
             let deadline = f.loss_deadline(&self.ctl, k);
-            let (next, action) =
-                PeerWait::step(f.peer_wait[k], now, deadline, evidence, f.last_heard[k]);
-            f.peer_wait[k] = next;
-            match action {
+            let peer = &mut self.peers[k];
+            match peer.sweep(now, front_iter, speculative, deadline) {
                 LossAction::Wait => {}
-                LossAction::Promote => {
-                    f.promote_loss(k, front, &mut self.history[k], &mut self.stats);
+                LossAction::Promote { degraded } => {
+                    // The front record's iteration is the confirmation point.
+                    let sv = front.speculated.take(k).expect("promoting a resolved slot");
+                    if peer.promote(front_iter, front_iter, Some(sv)) {
+                        self.stats.speculate_through_loss_commits += 1;
+                        // Degraded mode: the cluster's pace no longer
+                        // depends on the dead rank.
+                        self.stats.degraded_commits += u64::from(degraded);
+                    }
                 }
                 LossAction::Ask => ask.push(k),
             }
@@ -1131,24 +763,28 @@ where
     /// and mark the transitions. One step per pass, so thresholds crossed
     /// together still resolve.
     fn sweep_supervision(&mut self) {
+        let Some(sup) = self.config.supervision else {
+            return;
+        };
         let t_now = self.transport.now();
         for k in peers(self.p, self.me) {
-            let Some(f) = &mut self.fault else { return };
-            let Some(sv) = &mut f.sup else { return };
             let peer = k as u32;
-            match sv.observe(k, f.staleness[k]) {
-                HealthEdge::Suspected => {
+            match self.peers[k].observe(sup) {
+                Some(PeerHealth::Suspected) => {
                     self.stats.peers_suspected += 1;
                     self.mark(t_now, Mark::PeerSuspected { peer });
                 }
-                HealthEdge::Quarantined { first } => {
+                Some(PeerHealth::Quarantined) => {
                     self.stats.peers_quarantined += 1;
                     self.mark(t_now, Mark::PeerQuarantined { peer });
+                    // The first peer quarantined puts the rank in degraded
+                    // mode.
+                    let first = self.peers.iter().filter(|p| p.is_quarantined()).count() == 1;
                     if first {
                         self.mark(t_now, Mark::DegradedEnter);
                     }
                 }
-                HealthEdge::Steady | HealthEdge::Rejoined { .. } => {}
+                Some(PeerHealth::Healthy) | None => {}
             }
         }
     }
@@ -1318,10 +954,6 @@ where
         }
         // Everything below t_conf is fully consumed.
         self.inbox.advance(self.t_conf);
-        #[cfg(test)]
-        if let Some(f) = &self.fault {
-            PROMOTED_PEAK.with(|peak| peak.set(peak.get().max(f.promoted.len())));
-        }
         // The record now at the front may have actuals waiting from while it
         // sat behind the one just committed.
         if let Some(front) = self.exec_q.front() {
@@ -1399,7 +1031,7 @@ where
             if self.inbox.get(self.t_exec, k).is_some() {
                 continue;
             }
-            let hist = &self.history[k];
+            let hist = &self.peers[k].history;
             let ahead = hist
                 .latest_iter()
                 .map(|li| self.t_exec.saturating_sub(li).max(1) as u32);
@@ -1455,9 +1087,12 @@ where
                 // proceed without this peer's contribution. Only reachable
                 // with fault tolerance on.
                 debug_assert!(force);
-                let Some(f) = &mut self.fault else { continue };
-                f.count_loss(k, t_exec, self.t_conf, &mut self.stats);
-                let stale = f.staleness[k];
+                let Some(f) = &self.fault else { continue };
+                let peer = &mut self.peers[k];
+                if peer.promote(t_exec, self.t_conf, None) {
+                    self.stats.speculate_through_loss_commits += 1;
+                }
+                let stale = peer.staleness();
                 if stale >= f.policy.staleness_budget
                     && stale.is_multiple_of(f.policy.staleness_budget)
                 {
@@ -1522,7 +1157,7 @@ where
         if self.exec_q.is_empty() && f.starved_since.is_none() {
             f.starved_since = Some(t0);
         }
-        (t0, f.wake_deadline(&self.ctl))
+        (t0, f.wake_deadline(&self.ctl, &self.peers))
     }
 
     /// Phase 3, after blocking since `t0`: book the wait and carry what
@@ -1541,9 +1176,10 @@ where
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::app::CheckOutcome;
+    use crate::history::History;
     use desim::SimDuration;
     use mpk::{run_sim_proc_cluster, AsyncTransport};
     use netsim::{ClusterSpec, ConstantLatency, ScriptedDelays, Unloaded};
@@ -1553,7 +1189,7 @@ mod tests {
     /// correction exact, and smooth trajectories make linear extrapolation
     /// a good speculator.
     #[derive(Clone)]
-    struct Toy {
+    pub(crate) struct Toy {
         #[allow(dead_code)] // identifies the rank in debug dumps
         me: usize,
         x: f64,
@@ -1564,7 +1200,7 @@ mod tests {
     }
 
     impl Toy {
-        fn new(me: usize, p: usize, theta: f64) -> Self {
+        pub(crate) fn new(me: usize, p: usize, theta: f64) -> Self {
             Toy {
                 me,
                 x: 1.0 + me as f64,
@@ -1697,7 +1333,7 @@ mod tests {
 
     /// Entry point for the property tests below: run the toy app with an
     /// arbitrary configuration.
-    pub fn run_any_config(
+    pub(crate) fn run_any_config(
         p: usize,
         iters: u64,
         theta: f64,
@@ -1939,7 +1575,7 @@ mod tests {
 
     // ---- fault tolerance ------------------------------------------------
 
-    use crate::config::FaultTolerance;
+    use crate::config::{FaultTolerance, SupervisionConfig};
     use mpk::{run_sim_proc_cluster_with_faults, FaultSpec};
     use netsim::{Loss, MachineCrash, MachineSpec};
 
@@ -1979,26 +1615,20 @@ mod tests {
     fn promotion_table_stays_within_the_live_window_over_a_long_lossy_run() {
         // Every loss promotion used to leave a (peer, iteration) entry
         // behind for the rest of the run. Thousands of promotions later the
-        // table must still hold no more than the window's worth per peer.
+        // run still completes; the bound on each peer's table is asserted on
+        // `Peer` itself (`peer::tests`).
         let (p, fw, iters) = (4usize, 2u32, 5_000u64);
         let ft = FaultTolerance::new(SimDuration::from_millis(5));
         let cfg = SpecConfig::speculative(fw).with_fault_tolerance(ft);
-        PROMOTED_PEAK.with(|peak| peak.set(0));
         let out = run_toy_with_faults(p, iters, 1e9, cfg, 1, FaultSpec::new(Loss::new(0.05, 7)));
         let promotions: u64 = out
             .iter()
             .map(|(_, s)| s.speculate_through_loss_commits)
             .sum();
-        let peak = PROMOTED_PEAK.with(|peak| peak.get());
         assert!(out.iter().all(|(_, s)| s.iterations == iters));
         assert!(
             promotions > 100 * (p as u64) * u64::from(fw + 1),
             "the run must promote far more often than the bound ({promotions})"
-        );
-        assert!(peak > 0, "no commit sampled the table");
-        assert!(
-            peak <= p * (fw as usize + 1),
-            "promotion table grew to {peak} entries"
         );
     }
 
@@ -2265,240 +1895,6 @@ mod tests {
                 reference[j]
             );
             assert_eq!(stats.iterations, iters);
-        }
-    }
-
-    /// The local form of commits ≤ losses: every input of the pure loss
-    /// detector, `{None, Armed, Grace}` × evidence × heard-since-the-ask ×
-    /// deadline-due.
-    #[test]
-    fn peer_wait_step_transition_table() {
-        let at = SimTime::from_nanos;
-        let deadline = SimDuration::from_nanos(100);
-        let (t0, mut cases) = (at(1_000), 0);
-        let starts = [
-            None,
-            Some(PeerWait::Armed { since: t0 }),
-            Some(PeerWait::Grace { asked_at: t0 }),
-        ];
-        for cur in starts {
-            for evidence in [false, true] {
-                for heard_since in [false, true] {
-                    for due in [false, true] {
-                        cases += 1;
-                        let now = at(if due { 1_100 } else { 1_099 });
-                        let last_heard = at(if heard_since { 1_050 } else { 1_000 });
-                        let (next, action) =
-                            PeerWait::step(cur, now, deadline, evidence, last_heard);
-                        let ctx =
-                            format!("{cur:?} evidence={evidence} heard={heard_since} due={due}");
-                        match cur {
-                            // `None` only arms.
-                            None => {
-                                assert_eq!(next, Some(PeerWait::Armed { since: now }), "{ctx}");
-                                assert_eq!(action, LossAction::Wait, "{ctx}");
-                            }
-                            Some(PeerWait::Armed { .. }) => {
-                                let want = match (due, evidence) {
-                                    (false, _) => (cur, LossAction::Wait),
-                                    (true, true) => (None, LossAction::Promote),
-                                    (true, false) => {
-                                        (Some(PeerWait::Grace { asked_at: now }), LossAction::Ask)
-                                    }
-                                };
-                                assert_eq!((next, action), want, "{ctx}");
-                            }
-                            Some(PeerWait::Grace { .. }) => {
-                                let want = match (evidence, heard_since, due) {
-                                    (true, _, _) => (None, LossAction::Promote),
-                                    // Heard but behind: re-arm from `last_heard`.
-                                    (false, true, _) => (
-                                        Some(PeerWait::Armed { since: last_heard }),
-                                        LossAction::Wait,
-                                    ),
-                                    (false, false, true) => (None, LossAction::Promote),
-                                    (false, false, false) => (cur, LossAction::Wait),
-                                };
-                                assert_eq!((next, action), want, "{ctx}");
-                            }
-                        }
-                        // `Ask` comes only from `Armed` + due + no evidence.
-                        let armed = matches!(cur, Some(PeerWait::Armed { .. }));
-                        assert_eq!(
-                            action == LossAction::Ask,
-                            armed && due && !evidence,
-                            "{ctx}"
-                        );
-                        // Every `Promote` has evidence, or a full deadline of
-                        // silence after an ask.
-                        if action == LossAction::Promote {
-                            let silent_grace =
-                                matches!(cur, Some(PeerWait::Grace { .. })) && due && !heard_since;
-                            assert!(evidence || silent_grace, "{ctx}");
-                            assert_eq!(next, None, "a promoted wait is over: {ctx}");
-                        }
-                    }
-                }
-            }
-        }
-        // `LossAction` is one value per call, so no input can yield both
-        // `Ask` and `Promote`; the table is complete at 3 × 2 × 2 × 2.
-        assert_eq!(cases, 24);
-    }
-
-    /// Rank 0's receive-side state in a 2-rank, 100-iteration run with
-    /// lossless delta exchange on: what [`DeltaState::stash`] reads and
-    /// writes.
-    fn receive_side() -> (
-        Toy,
-        DeltaState<f64>,
-        Inbox<f64>,
-        Vec<History<f64>>,
-        RunStats,
-    ) {
-        let app = Toy::new(0, 2, 0.0);
-        let dx = DeltaState::new(2, Some(DeltaExchange::lossless()), &app);
-        let history = vec![History::new(4), History::new(4)];
-        (app, dx, Inbox::new(2, 100), history, RunStats::new(Rank(0)))
-    }
-
-    /// A data frame from peer 1.
-    fn from_peer(iter: u64, body: MsgBody<f64>) -> Envelope<IterMsg<f64>> {
-        Envelope {
-            src: Rank(1),
-            tag: DATA_TAG,
-            msg: IterMsg { iter, body },
-        }
-    }
-
-    #[test]
-    fn stash_drops_gap_and_duplicate_delta_frames() {
-        let (app, mut dx, mut inbox, mut hist, mut stats) = receive_side();
-        let delta = |v: f64| {
-            MsgBody::Delta(DeltaFrame {
-                entries: vec![(0, v)],
-            })
-        };
-
-        // A full frame seeds the shadow.
-        let env = from_peer(5, MsgBody::Full(2.0));
-        dx.stash(&app, env, &mut inbox, &mut hist, &mut stats);
-        assert_eq!(dx.rx_shadow[1], Some((5, 2.0)));
-
-        // A gap delta (iter 7 against shadow 5) is dropped untouched.
-        dx.stash(
-            &app,
-            from_peer(7, delta(9.0)),
-            &mut inbox,
-            &mut hist,
-            &mut stats,
-        );
-        assert_eq!(stats.delta_frames_dropped, 1);
-        assert_eq!(hist[1].latest_iter(), Some(5));
-        assert_eq!(
-            dx.rx_shadow[1],
-            Some((5, 2.0)),
-            "gap must not move the shadow"
-        );
-
-        // The in-order delta applies and advances the shadow.
-        dx.stash(
-            &app,
-            from_peer(6, delta(3.0)),
-            &mut inbox,
-            &mut hist,
-            &mut stats,
-        );
-        assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
-        assert_eq!(hist[1].latest_iter(), Some(6));
-        assert_eq!(inbox.get(6, 1), Some(&3.0));
-
-        // A duplicate of that delta is inert.
-        dx.stash(
-            &app,
-            from_peer(6, delta(3.0)),
-            &mut inbox,
-            &mut hist,
-            &mut stats,
-        );
-        assert_eq!(stats.delta_frames_dropped, 2);
-        assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
-
-        // A stale full frame never regresses the shadow.
-        let env = from_peer(4, MsgBody::Full(1.0));
-        dx.stash(&app, env, &mut inbox, &mut hist, &mut stats);
-        assert_eq!(dx.rx_shadow[1], Some((6, 3.0)));
-
-        // `seen_past` remembers the gap frame's iteration as promotion
-        // evidence even though its payload was dropped.
-        assert_eq!(dx.seen_past[1], Some(7));
-        assert_eq!(stats.messages_received, 5);
-    }
-
-    proptest::proptest! {
-        /// A frame's entries and iteration stamp are the peer's word:
-        /// whatever lanes, bit patterns and stamps they hold, `stash` does
-        /// not panic, and a frame the app cannot patch, or one stamped past
-        /// the run's last iteration, leaves shadow, history, `seen_past`
-        /// and inbox as they were.
-        #[test]
-        fn stash_survives_arbitrary_delta_entries(
-            raw in proptest::collection::vec(
-                (proptest::prelude::any::<u32>(), proptest::prelude::any::<u64>()),
-                0..6,
-            ),
-            past in proptest::prelude::any::<u64>(),
-        ) {
-            // Half the lanes are the toy app's only lane, the rest wild.
-            let entries: Vec<(u32, f64)> = raw
-                .iter()
-                .map(|&(lane, bits)| (if lane & 1 == 0 { 0 } else { lane >> 1 }, f64::from_bits(bits)))
-                .collect();
-            let patchable = entries.iter().all(|&(lane, _)| lane == 0);
-            let last = entries.last().map_or(2.0, |e| e.1);
-
-            let (app, mut dx, mut inbox, mut hist, mut stats) = receive_side();
-            let env = from_peer(5, MsgBody::Full(2.0));
-            dx.stash(&app, env, &mut inbox, &mut hist, &mut stats);
-            let env = from_peer(6, MsgBody::Delta(DeltaFrame { entries }));
-            let arrived = dx.stash(&app, env, &mut inbox, &mut hist, &mut stats);
-            assert_eq!(arrived, patchable);
-            if patchable {
-                assert_eq!(stats.delta_frames_dropped, 0);
-                assert_eq!(inbox.get(6, 1).map(|v| v.to_bits()), Some(last.to_bits()));
-                assert_eq!(hist[1].latest_iter(), Some(6));
-            } else {
-                assert_eq!(stats.delta_frames_dropped, 1);
-                assert_eq!(dx.rx_shadow[1], Some((5, 2.0)), "shadow must not move");
-                assert_eq!(hist[1].latest_iter(), Some(5));
-                assert_eq!(inbox.get(6, 1), None);
-            }
-
-            // The run is 100 iterations: half the stamps sit just past the
-            // end, the rest anywhere up to `u64::MAX`.
-            let stamp = if past & 1 == 0 { 100 + (past >> 1) % 4 } else { past.max(100) };
-            let before = (
-                dx.rx_shadow.clone(),
-                dx.seen_past.clone(),
-                hist[1].latest_iter(),
-                inbox.depth(),
-                stats.delta_frames_dropped,
-            );
-            for body in [
-                MsgBody::Full(8.0),
-                MsgBody::Delta(DeltaFrame { entries: vec![(0, 8.0)] }),
-            ] {
-                assert!(!dx.stash(&app, from_peer(stamp, body), &mut inbox, &mut hist, &mut stats));
-                let after = (
-                    dx.rx_shadow.clone(),
-                    dx.seen_past.clone(),
-                    hist[1].latest_iter(),
-                    inbox.depth(),
-                    stats.delta_frames_dropped,
-                );
-                assert_eq!(after, before, "a frame stamped {stamp} moved state");
-            }
-            assert_eq!(stats.messages_received, 4);
         }
     }
 }

@@ -52,6 +52,7 @@ mod config;
 mod control;
 mod driver;
 mod history;
+mod peer;
 pub mod speculator;
 mod stats;
 mod window;

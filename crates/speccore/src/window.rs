@@ -9,9 +9,10 @@
 //! * [`Slots`] — one value per peer, with the number held kept alongside:
 //!   an inbox row, and the speculated inputs of an executed iteration (so
 //!   "is this iteration resolved?" is a comparison, not a scan);
-//! * [`Inbox`] — received actuals, one row per buffered iteration;
-//! * [`Promoted`] — which (peer, iteration) loss promotions were already
-//!   counted, pruned to the live window.
+//! * [`Inbox`] — received actuals, one row per buffered iteration.
+//!
+//! Which loss promotions were already counted is per peer, on
+//! [`Peer`](crate::peer::Peer).
 
 use std::collections::VecDeque;
 
@@ -178,47 +179,11 @@ impl<S> Inbox<S> {
     }
 }
 
-/// Which `(peer, iteration)` speculated inputs were already promoted to
-/// committed ones, so a rollback that makes the same slot speculative
-/// again does not count a second loss. Promotion only ever targets the
-/// live window, so each insert first forgets the peer's entries below the
-/// confirmation point: a peer never holds more than the window's worth.
-pub(crate) struct Promoted {
-    per_peer: Vec<Vec<u64>>,
-}
-
-impl Promoted {
-    pub(crate) fn new(p: usize) -> Self {
-        Promoted {
-            per_peer: vec![Vec::new(); p],
-        }
-    }
-
-    /// Record that `peer`'s input to `iter >= t_conf` was promoted.
-    /// Returns whether this is the first time.
-    pub(crate) fn insert(&mut self, peer: usize, iter: u64, t_conf: u64) -> bool {
-        debug_assert!(iter >= t_conf, "promotion below the confirmation point");
-        let iters = &mut self.per_peer[peer];
-        iters.retain(|&i| i >= t_conf);
-        let fresh = !iters.contains(&iter);
-        if fresh {
-            iters.push(iter);
-        }
-        fresh
-    }
-
-    /// Entries currently held, over all peers.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.per_peer.iter().map(Vec::len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::collections::{BTreeMap, HashMap};
 
     /// The invariants `Inbox` keeps between its counters and its slots.
     fn assert_inbox_books_close<S>(inbox: &Inbox<S>) {
@@ -350,20 +315,6 @@ mod tests {
         assert_eq!(inputs.held(), 0);
     }
 
-    #[test]
-    fn promoted_counts_each_pair_once_and_prunes_below_the_window() {
-        let mut promoted = Promoted::new(3);
-        assert!(promoted.insert(1, 5, 5));
-        assert!(!promoted.insert(1, 5, 5), "re-promotion after a rollback");
-        assert!(promoted.insert(2, 5, 5), "another peer, same iteration");
-        assert!(promoted.insert(1, 6, 5), "forced execution one ahead");
-        assert_eq!(promoted.len(), 3);
-        // The window moved on: peer 1's old entries go at its next insert.
-        assert!(promoted.insert(1, 9, 8));
-        assert_eq!(promoted.per_peer[1], vec![9]);
-        assert_eq!(promoted.len(), 2);
-    }
-
     /// One step of the differential test below.
     #[derive(Clone, Debug)]
     enum Op {
@@ -432,25 +383,6 @@ mod tests {
                     }
                 }
                 assert_inbox_books_close(&inbox);
-            }
-        }
-
-        /// `Promoted` against the never-pruned `HashSet` it replaced:
-        /// pruning below the confirmation point changes no answer, and the
-        /// table never outgrows the live window.
-        #[test]
-        fn promoted_matches_the_unbounded_set_within_the_window(
-            steps in proptest::collection::vec((0usize..P, 0u64..3, any::<bool>()), 1..200),
-        ) {
-            let window = 3u64;
-            let mut promoted = Promoted::new(P);
-            let mut model: HashSet<(usize, u64)> = HashSet::new();
-            let mut t_conf = 0u64;
-            for (k, ahead, commit) in steps {
-                let iter = t_conf + ahead;
-                prop_assert_eq!(promoted.insert(k, iter, t_conf), model.insert((k, iter)));
-                prop_assert!(promoted.len() <= P * window as usize);
-                t_conf += u64::from(commit);
             }
         }
     }
