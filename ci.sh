@@ -24,18 +24,22 @@ echo "== cargo test --workspace"
 # checked-in regression corpus under crates/speccheck/proptest-regressions/
 # replays every historical counterexample first), mpk's transport
 # contract on all three backends, the root kernel_goldens suite, and the
-# 376 unit tests of mpk, speccore, nbody, workloads, netsim, obs and
-# perfmodel.
+# in-file unit tests of all eight product crates (desim, netsim, obs,
+# perfmodel, mpk, speccore, nbody, workloads). A test that no row of
+# ci/mutants.txt needs and another test restates is deleted, so the count
+# is not pinned here; `ci/mutants.sh --check` below fails on a row whose
+# expected killer is gone.
 cargo test -q --workspace
 
 echo "== perf-ledger harness (fmt, clippy, unit tests)"
 # benchmark/ is a package of its own, outside the workspace.
 benchmark/run.sh --check
 
-echo "== mutant table (patterns only, no build)"
+echo "== mutant table (patterns and killers only, no build)"
 # Every row of ci/mutants.txt still names a pattern that occurs exactly
-# once in its file, so the on-demand kill matrix (ci/mutants.sh with no
-# argument) cannot rot silently.
+# once in its file and an expected killer that still exists, so the
+# on-demand kill matrix (ci/mutants.sh with no argument) cannot rot
+# silently, and a deletion that orphans a row fails here at once.
 ci/mutants.sh --check
 
 echo "== public-surface audit (strict)"

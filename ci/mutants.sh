@@ -2,7 +2,8 @@
 # Mutation table runner: which tests catch which fault.
 #
 #   ci/mutants.sh --check     every row's pattern occurs exactly once in its
-#                             file (no build; `ci.sh` runs this)
+#                             file, and its expected killer still exists (no
+#                             build; `ci.sh` runs this)
 #   ci/mutants.sh [ID...]     run the named rows of ci/mutants.txt (all by
 #                             default) and print each mutant's killers
 #
@@ -42,6 +43,21 @@ rows() {
     grep -v '^#' "$table" | grep -v '^[[:space:]]*$'
 }
 
+# Whether a killer `binary::path::test` still exists, without a build: its
+# last segment occurs as a whole word (a `fn` or a matrix row name) in the
+# crate whose unit-test binary the first segment names, or else in the
+# integration test file of that name.
+killer_exists() {
+    local bin=${1%%::*} name=${1##*::}
+    local -a where
+    if [[ -d $root/crates/$bin/src ]]; then
+        where=("$root/crates/$bin/src")
+    else
+        where=("$root"/tests/"$bin".rs "$root"/crates/*/tests/"$bin".rs)
+    fi
+    grep -rqsw -- "$name" "${where[@]}"
+}
+
 check_table() {
     local bad=0 id file pattern replacement killer extra n
     while IFS=$'\t' read -r id file pattern replacement killer extra; do
@@ -60,6 +76,10 @@ check_table() {
             echo "mutants.txt: $id: pattern occurs $n times in $file (must be once): $pattern" >&2
             bad=1
         fi
+        if ! killer_exists "$killer"; then
+            echo "mutants.txt: $id: expected killer $killer no longer exists" >&2
+            bad=1
+        fi
     done < <(rows)
     local dups
     dups=$(rows | cut -f1 | sort | uniq -d)
@@ -72,7 +92,7 @@ check_table() {
 
 if [[ ${1:-} == --check ]]; then
     check_table
-    echo "mutants.txt: $(rows | wc -l) rows, every pattern occurs once"
+    echo "mutants.txt: $(rows | wc -l) rows, every pattern occurs once, every killer exists"
     exit 0
 fi
 check_table

@@ -178,30 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(30), wake(3));
-        q.push(SimTime::from_nanos(10), wake(1));
-        q.push(SimTime::from_nanos(20), wake(2));
-        assert_eq!(pop_pid(&mut q), (SimTime::from_nanos(10), 1));
-        assert_eq!(pop_pid(&mut q), (SimTime::from_nanos(20), 2));
-        assert_eq!(pop_pid(&mut q), (SimTime::from_nanos(30), 3));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn equal_times_fire_in_insertion_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(5);
-        for pid in 0..100 {
-            q.push(t, wake(pid));
-        }
-        for pid in 0..100 {
-            assert_eq!(pop_pid(&mut q), (t, pid));
-        }
-    }
-
-    #[test]
     fn len_tracks_pushes_and_pops() {
         let mut q = EventQueue::new();
         assert_eq!(q.len(), 0);
@@ -300,26 +276,6 @@ mod proptests {
                     prop_assert!(prev.time <= e.key.time);
                 }
                 last = Some(e.key);
-            }
-        }
-
-        /// Interleaved pushes and pops never pop an event earlier than one
-        /// already popped at the same or earlier push time.
-        #[test]
-        fn interleaved_monotone(ops in proptest::collection::vec((0u64..100, any::<bool>()), 1..200)) {
-            let mut q = EventQueue::new();
-            let mut horizon = SimTime::ZERO;
-            for (t, do_pop) in ops {
-                // Schedule only in the future relative to what we've popped,
-                // mirroring how the kernel uses the queue.
-                let at = horizon + crate::time::SimDuration::from_nanos(t);
-                q.push(at, EventKind::Wake(ProcessId(0)));
-                if do_pop {
-                    if let Some(e) = q.pop() {
-                        prop_assert!(e.key.time >= horizon);
-                        horizon = e.key.time;
-                    }
-                }
             }
         }
     }

@@ -33,20 +33,9 @@ mod tests {
     use std::collections::HashSet;
 
     #[test]
-    fn deterministic() {
-        assert_eq!(derive_seed(42, 3), derive_seed(42, 3));
-    }
-
-    #[test]
     fn streams_differ() {
         let seeds: HashSet<u64> = (0..1000).map(|s| derive_seed(7, s)).collect();
         assert_eq!(seeds.len(), 1000, "stream seeds must not collide");
-    }
-
-    #[test]
-    fn masters_differ() {
-        let seeds: HashSet<u64> = (0..1000).map(|m| derive_seed(m, 0)).collect();
-        assert_eq!(seeds.len(), 1000, "master seeds must not collide");
     }
 
     #[test]

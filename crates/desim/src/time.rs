@@ -193,12 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn time_plus_duration() {
-        let t = SimTime::from_nanos(10) + SimDuration::from_nanos(5);
-        assert_eq!(t.as_nanos(), 15);
-    }
-
-    #[test]
     fn time_difference_saturates() {
         let a = SimTime::from_nanos(5);
         let b = SimTime::from_nanos(10);
@@ -256,16 +250,6 @@ mod tests {
     fn ordering() {
         assert!(SimTime::from_nanos(1) < SimTime::from_nanos(2));
         assert!(SimDuration::from_nanos(1) < SimDuration::from_nanos(2));
-    }
-
-    #[test]
-    fn duration_arithmetic_saturates_at_the_edges() {
-        let max = SimDuration::from_nanos(u64::MAX);
-        let one = SimDuration::from_nanos(1);
-        assert_eq!(max + one, max);
-        assert_eq!(one - max, SimDuration::from_nanos(0));
-        assert_eq!(SimDuration::from_nanos(5) + one, SimDuration::from_nanos(6));
-        assert_eq!(SimDuration::from_nanos(5) - one, SimDuration::from_nanos(4));
     }
 
     #[test]

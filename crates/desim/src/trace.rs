@@ -79,15 +79,4 @@ mod tests {
             panic!("label closure must not run when tracing is disabled")
         });
     }
-
-    #[test]
-    fn enabled_log_keeps_order() {
-        let mut log = TraceLog::enabled();
-        log.record(SimTime::from_nanos(1), ProcessId(0), || "a".into());
-        log.record(SimTime::from_nanos(2), ProcessId(1), || "b".into());
-        let events = log.take();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].label, "a");
-        assert_eq!(events[1].pid, ProcessId(1));
-    }
 }

@@ -152,75 +152,3 @@ impl SharedGate {
             .unwrap_or_default()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use desim::SimTime;
-    use netsim::{Fate, MachineCrash};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Hands out one fixed fate and counts how often it was asked.
-    struct Fixed(Fate, Arc<AtomicU64>);
-
-    impl FaultModel for Fixed {
-        fn fate(&mut self, _ctx: &MsgCtx) -> Fate {
-            self.1.fetch_add(1, Ordering::Relaxed);
-            self.0
-        }
-    }
-
-    /// Every combination of deliver × copies × corruption × destination
-    /// up/down, three sends each: the verdict, what each send adds to the
-    /// sender's counters, one fate draw per send whatever the outcome, and
-    /// `flip` numbering the corrupted deliveries 0, 1, 2.
-    #[test]
-    fn admit_table() {
-        let ctx = MsgCtx {
-            src: 0,
-            dst: 1,
-            bytes: 100,
-            now: SimTime::from_nanos(5),
-        };
-        for case in 0..16u32 {
-            let bit = |n: u32| case >> n & 1;
-            let fate = Fate {
-                deliver: bit(0) == 1,
-                extra_copies: 2 * bit(1),
-                corrupt_amp: 0.5 * f64::from(bit(2)),
-            };
-            let down = bit(3) == 1;
-            let outage = down.then_some(MachineCrash::permanent(1, SimTime::ZERO));
-            let asked = Arc::new(AtomicU64::new(0));
-            let spec = FaultSpec::<()>::new(Fixed(fate, Arc::clone(&asked)))
-                .with_crashes(CrashPlan::new(Vec::from_iter(outage)));
-            let mut gate = FaultGate::new(spec, 2);
-            for n in 1..=3u64 {
-                let verdict = gate.admit(&ctx);
-                let (want, booked) = if fate.deliver && !down {
-                    let deliver = Verdict::Deliver {
-                        copies: fate.extra_copies,
-                        flip: (fate.corrupt_amp > 0.0).then_some(n - 1),
-                    };
-                    let booked = FaultCounters {
-                        delivered: n,
-                        dropped: 0,
-                        duplicated: n * u64::from(fate.extra_copies),
-                    };
-                    (deliver, booked)
-                } else {
-                    let booked = FaultCounters {
-                        dropped: n,
-                        ..FaultCounters::default()
-                    };
-                    (Verdict::Dropped, booked)
-                };
-                let case = format!("send {n} under {fate:?}, destination down: {down}");
-                assert_eq!(verdict, want, "{case}");
-                assert_eq!(gate.counters(Rank(0)), booked, "{case}");
-                assert_eq!(gate.counters(Rank(1)), FaultCounters::default(), "{case}");
-                assert_eq!(asked.load(Ordering::Relaxed), n, "{case}: fate draws");
-            }
-        }
-    }
-}

@@ -513,6 +513,12 @@ pub(crate) mod tests {
         let mut long = std::io::Cursor::new(wire(&(KIND_RESUME, 1, 0, long)));
         let err = read_resume(&mut long, 2).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
+        // Nor a well-formed one from a rank one past the last.
+        let mut exact = 2u32.to_le_bytes().to_vec();
+        exact.extend_from_slice(&[0; 8]);
+        let mut past = std::io::Cursor::new(wire(&(KIND_RESUME, 2, 0, exact)));
+        let err = read_resume(&mut past, 2).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
     }
 
     #[test]

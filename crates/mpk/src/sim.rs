@@ -413,40 +413,6 @@ mod tests {
         assert!(fast < slow / 10.0, "faster bus must shrink the run");
     }
 
-    async fn total_loss_body(mut t: SimIo<u64>) -> u64 {
-        if t.rank().0 == 0 {
-            for i in 0..10 {
-                t.send(Rank(1), Tag(0), i).await;
-            }
-            t.fault_counters().dropped
-        } else {
-            // Every send was swallowed: the wait must time out.
-            match t.recv_timeout(SimDuration::from_millis(50)).await {
-                Some(_) => 99,
-                None => 0,
-            }
-        }
-    }
-
-    #[test]
-    fn faulted_run_passes_the_scheduling_checks() {
-        use netsim::Loss;
-        let cluster = ClusterSpec::homogeneous(2, 10.0);
-        let (got, _) = run_sim_proc_cluster_with_options::<u64, _, _, _>(
-            &cluster,
-            ConstantLatency(SimDuration::from_millis(1)),
-            Unloaded,
-            FaultSpec::new(Loss::new(1.0, 1)),
-            SimClusterOptions {
-                check_scheduling: true,
-                ..SimClusterOptions::default()
-            },
-            total_loss_body,
-        )
-        .unwrap();
-        assert_eq!(got, vec![10, 0]);
-    }
-
     #[test]
     fn duplication_delivers_extra_copies() {
         use netsim::Duplicate;

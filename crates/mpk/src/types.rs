@@ -123,23 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn primitive_sizes() {
-        assert_eq!(3.5f64.wire_size(), 8);
-        assert_eq!(7u32.wire_size(), 4);
-        assert_eq!(true.wire_size(), 1);
-    }
-
-    #[test]
     fn vec_size_includes_length_prefix() {
         let v = vec![1.0f64; 10];
         assert_eq!(v.wire_size(), 8 + 80);
-    }
-
-    #[test]
-    fn tuple_and_array_sizes_compose() {
-        assert_eq!((1u64, 2.0f64).wire_size(), 16);
-        assert_eq!([0f32; 4].wire_size(), 16);
-        assert_eq!((1u8, 2u8, 3u32).wire_size(), 6);
     }
 
     #[test]

@@ -158,12 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_cloud_is_seeded() {
-        assert_eq!(uniform_cloud(10, 7), uniform_cloud(10, 7));
-        assert_ne!(uniform_cloud(10, 7), uniform_cloud(10, 8));
-    }
-
-    #[test]
     fn binary_pair_is_symmetric() {
         let ps = binary_pair(1.0, 0.5, 1.0);
         assert_eq!(ps[0].pos, -ps[1].pos);

@@ -177,80 +177,4 @@ mod tests {
             assert_eq!(got.vel, want.vel);
         }
     }
-
-    #[test]
-    fn speculation_accepted_run_stays_physically_close() {
-        let particles = uniform_cloud(30, 3);
-        let cluster = ClusterSpec::homogeneous(3, 10.0);
-        let iters = 10;
-        let cfg = ParallelRunConfig::new(iters, 1); // θ = 0.01 default
-        let result = run_parallel(
-            &particles,
-            &cluster,
-            ConstantLatency(SimDuration::from_millis(2)),
-            Unloaded,
-            cfg,
-        )
-        .unwrap();
-
-        let ranges = partition_proportional(particles.len(), &cluster.capacities());
-        let mut reference = particles.clone();
-        for _ in 0..iters {
-            step_partition_order(&mut reference, &ranges, &NBodyConfig::default());
-        }
-        // Accepted speculations leave bounded error; trajectories must stay
-        // close on this timescale.
-        for (got, want) in result.particles.iter().zip(&reference) {
-            assert!(
-                got.pos.distance(want.pos) < 1e-3,
-                "accepted-speculation drift too large: {}",
-                got.pos.distance(want.pos)
-            );
-        }
-    }
-
-    #[test]
-    fn speculation_reduces_makespan_under_latency() {
-        let particles = uniform_cloud(64, 9);
-        let cluster = ClusterSpec::homogeneous(4, 1.0);
-        // ~64/4=16 particles/rank → begin+absorb ≈ 16·64·70 ≈ 72k ops ≈
-        // 72ms at 1 MIPS; latency 30ms is worth masking.
-        let run = |fw: u32| {
-            run_parallel(
-                &particles,
-                &cluster,
-                ConstantLatency(SimDuration::from_millis(30)),
-                Unloaded,
-                ParallelRunConfig::new(8, fw),
-            )
-            .unwrap()
-            .elapsed_secs()
-        };
-        let base = run(0);
-        let spec = run(1);
-        assert!(
-            spec < base,
-            "speculation must mask the 30ms latency: base {base}s vs spec {spec}s"
-        );
-    }
-
-    #[test]
-    fn stats_cover_all_ranks() {
-        let particles = uniform_cloud(20, 2);
-        let cluster = ClusterSpec::homogeneous(4, 10.0);
-        let result = run_parallel(
-            &particles,
-            &cluster,
-            ConstantLatency(SimDuration::from_millis(1)),
-            Unloaded,
-            ParallelRunConfig::new(3, 1),
-        )
-        .unwrap();
-        assert_eq!(result.stats.per_rank.len(), 4);
-        assert_eq!(result.particles.len(), 20);
-        for (i, r) in result.stats.per_rank.iter().enumerate() {
-            assert_eq!(r.rank.0, i);
-            assert_eq!(r.iterations, 3);
-        }
-    }
 }

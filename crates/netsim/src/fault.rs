@@ -413,27 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_zero_is_identity() {
-        let mut m = Loss::new(0.0, 7);
-        assert!(fates(&mut m, 100).iter().all(|f| *f == Fate::clean()));
-    }
-
-    #[test]
-    fn loss_one_drops_everything() {
-        let mut m = Loss::new(1.0, 7);
-        assert!(fates(&mut m, 100).iter().all(|f| !f.deliver));
-    }
-
-    #[test]
-    fn loss_is_deterministic_per_seed() {
-        let a = fates(&mut Loss::new(0.3, 42), 200);
-        let b = fates(&mut Loss::new(0.3, 42), 200);
-        let c = fates(&mut Loss::new(0.3, 43), 200);
-        assert_eq!(a, b);
-        assert_ne!(a, c, "different seeds should diverge at p=0.3, n=200");
-    }
-
-    #[test]
     fn loss_rate_tracks_probability() {
         let dropped = fates(&mut Loss::new(0.2, 11), 5000)
             .iter()

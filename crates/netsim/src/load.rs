@@ -57,39 +57,6 @@ impl LoadModel for RandomSpikes {
     }
 }
 
-/// Continuous mild noise: each compute phase is scaled by a uniform factor
-/// in `[1, 1+frac]`.
-pub struct UniformNoise {
-    frac: f64,
-    rng: SmallRng,
-}
-
-impl UniformNoise {
-    /// Scale compute phases by up to `1 + frac`.
-    pub fn new(frac: f64, seed: u64) -> Self {
-        assert!(frac >= 0.0, "noise fraction must be non-negative");
-        UniformNoise {
-            frac,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl LoadModel for UniformNoise {
-    fn factor(&mut self, _rank: usize, _now: SimTime) -> f64 {
-        1.0 + self.frac * self.rng.gen::<f64>()
-    }
-}
-
-/// Boxed model for runtime composition.
-pub type BoxedLoadModel = Box<dyn LoadModel>;
-
-impl LoadModel for BoxedLoadModel {
-    fn factor(&mut self, rank: usize, now: SimTime) -> f64 {
-        (**self).factor(rank, now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,26 +75,6 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(never.factor(0, SimTime::ZERO), 1.0);
             assert_eq!(always.factor(0, SimTime::ZERO), 4.0);
-        }
-    }
-
-    #[test]
-    fn spikes_deterministic_per_seed() {
-        let run = |seed| {
-            let mut m = RandomSpikes::new(0.5, 3.0, seed);
-            (0..100)
-                .map(|_| m.factor(0, SimTime::ZERO))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(11), run(11));
-    }
-
-    #[test]
-    fn noise_within_bounds() {
-        let mut m = UniformNoise::new(0.25, 9);
-        for _ in 0..200 {
-            let f = m.factor(0, SimTime::ZERO);
-            assert!((1.0..=1.25).contains(&f));
         }
     }
 

@@ -110,18 +110,29 @@ pub enum Mark {
         /// Number of extra copies injected (beyond the original).
         copies: u32,
     },
-    /// A rank crashed (scripted), losing its volatile state.
+    /// A rank crashed, losing its volatile state. Two emitters: the
+    /// speculative driver marks its *own* scripted crash (`peer` is the
+    /// recording rank), and the socket transport marks a remote link that
+    /// disconnected without a goodbye (`peer` is the remote rank).
     PeerCrashed {
         /// The crashed rank.
         peer: u32,
     },
     /// A crashed rank finished restarting and rejoined the computation.
+    /// As with [`Mark::PeerCrashed`], the driver marks its own restart and
+    /// the socket transport marks a remote link coming back up.
     PeerRecovered {
         /// The recovered rank.
         peer: u32,
     },
-    /// A peer has been silent past the heartbeat miss deadline — it may be
-    /// dead, but no disconnect has been observed yet.
+    /// A peer may be dead, but no disconnect has been observed yet. Two
+    /// emitters that mean different things: the socket transport marks wire
+    /// silence past its heartbeat `miss_deadline`, and the speculative
+    /// driver's supervision marks a peer whose inputs were promoted on loss
+    /// `suspect_after` times in a row. Both reach the same recorder, so
+    /// [`CounterTotals::peers_suspected`](crate::CounterTotals) adds them
+    /// up, while the driver's `RunStats::peers_suspected` counts only its
+    /// own.
     PeerSuspected {
         /// The silent rank.
         peer: u32,

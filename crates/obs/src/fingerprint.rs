@@ -73,12 +73,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identical_slices_agree() {
-        let a = [1.0, 2.5, -3.25];
-        assert_eq!(fingerprint_f64s(&a), fingerprint_f64s(&[1.0, 2.5, -3.25]));
-    }
-
-    #[test]
     fn order_and_sign_of_zero_matter() {
         assert_ne!(fingerprint_f64s(&[1.0, 2.0]), fingerprint_f64s(&[2.0, 1.0]));
         assert_ne!(fingerprint_f64s(&[0.0]), fingerprint_f64s(&[-0.0]));

@@ -145,14 +145,4 @@ mod tests {
         assert_eq!(ev[1].rank, 1);
         assert!(shared.is_empty());
     }
-
-    #[test]
-    fn recorders_are_object_safe() {
-        let mut boxed: Box<dyn Recorder> = Box::new(SharedRecorder::new());
-        boxed.mark(0, 0, Mark::Rollback { to_iter: 0 });
-        let opt: Option<&mut dyn Recorder> = None;
-        if let Some(r) = opt {
-            r.mark(0, 0, Mark::Rollback { to_iter: 0 });
-        }
-    }
 }

@@ -142,6 +142,8 @@ mod tests {
         r.span_begin(0, 0, Phase::Compute, None, None);
         r.mark(0, 250, Mark::MessageDropped { to: 1, bytes: 64 });
         r.mark(0, 500, Mark::PeerCrashed { peer: 0 });
+        // A lower-priority mark in the same cell does not hide the crash.
+        r.mark(0, 520, Mark::MessageDropped { to: 1, bytes: 64 });
         r.mark(0, 750, Mark::PeerRecovered { peer: 0 });
         r.span_end(0, 1000, Phase::Compute);
         let traces = RunTrace::split_by_rank(r);

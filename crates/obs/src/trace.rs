@@ -96,11 +96,16 @@ pub struct CounterTotals {
     pub messages_dropped: u64,
     /// Extra message copies the fault layer injected.
     pub messages_duplicated: u64,
-    /// Scripted rank crashes.
+    /// [`Mark::PeerCrashed`] events: the rank's own scripted crashes (from
+    /// the driver) plus remote links that dropped (from the socket
+    /// transport).
     pub peer_crashes: u64,
-    /// Crashed ranks that finished restarting.
+    /// [`Mark::PeerRecovered`] events, from the same two emitters.
     pub peer_recoveries: u64,
-    /// Peers flagged silent past the heartbeat miss deadline.
+    /// [`Mark::PeerSuspected`] events: the socket transport's wire-silence
+    /// suspicions *plus* the driver's supervision suspicions, so on the
+    /// socket backend this can exceed the driver's
+    /// `RunStats::peers_suspected`, which counts only the latter.
     pub peers_suspected: u64,
     /// Peers the driver stopped waiting for (speculate-through-failure).
     pub peers_quarantined: u64,
@@ -341,8 +346,11 @@ mod tests {
                 },
             );
         }
+        events.mark(0, 60, Mark::MessageDuplicated { to: 1, copies: 2 });
+        events.mark(0, 70, Mark::PeerSuspected { peer: 1 });
         let traces = RunTrace::split_by_rank(events);
         let c0 = traces[0].counter_totals();
+        assert_eq!((c0.messages_duplicated, c0.peers_suspected), (2, 1));
         assert_eq!(c0.messages_received, 1);
         assert_eq!(c0.bytes_received, 128);
         assert_eq!(c0.commits, 1);

@@ -53,44 +53,4 @@ mod tests {
         );
         assert!(params.speedup_nospec(16) < params.speedup_nospec(peak_p));
     }
-
-    #[test]
-    fn speculation_gain_vanishes_for_small_p() {
-        // §4: "Speculative computation has very little impact for small
-        // processor systems (2 to 5 processors)."
-        let params = ModelParams::paper_example();
-        for p in 2..=4 {
-            let gain = params.speedup_spec(p) / params.speedup_nospec(p) - 1.0;
-            assert!(
-                gain.abs() < 0.06,
-                "gain at p={p} should be small, got {gain}"
-            );
-        }
-    }
-
-    #[test]
-    fn fig6_crossover_near_ten_percent() {
-        // §4 / Figure 6: "Speculation yields performance gain over the no
-        // speculation case for errors less than 10%."
-        let params = ModelParams::paper_example();
-        let base = params.speedup_nospec(8);
-        let at = |k: f64| params.with_k(k).speedup_spec(8);
-        assert!(at(0.02) > base, "2% error must still win");
-        assert!(at(0.30) < base, "30% error must lose");
-        // Crossover between 5% and 20%.
-        let mut crossover = None;
-        let mut k = 0.0;
-        while k <= 0.30 {
-            if at(k) < base {
-                crossover = Some(k);
-                break;
-            }
-            k += 0.005;
-        }
-        let crossover = crossover.expect("speculation must eventually lose");
-        assert!(
-            (0.05..=0.20).contains(&crossover),
-            "crossover at k={crossover}, paper says about 10%"
-        );
-    }
 }

@@ -249,7 +249,7 @@ impl ModelParams {
     }
 
     /// Eq. 9: iteration time with speculation = max over processors.
-    pub fn t_hat(&self, p: usize) -> f64 {
+    pub(crate) fn t_hat(&self, p: usize) -> f64 {
         if p == 1 {
             // Nothing to speculate on a single processor.
             return self.t_total(1);
@@ -292,15 +292,6 @@ mod tests {
             },
             k: 0.0,
         }
-    }
-
-    #[test]
-    fn eq3_single_processor() {
-        let m = simple(4);
-        // 100 vars · 1000 ops / 1e6 ops/s = 0.1 s.
-        assert!((m.t_total(1) - 0.1).abs() < 1e-12);
-        assert!((m.speedup_nospec(1) - 1.0).abs() < 1e-12);
-        assert!((m.speedup_spec(1) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -359,16 +350,6 @@ mod tests {
             "k enters eq. 8 linearly"
         );
         assert!(t100 > t50 && t50 > t0);
-    }
-
-    #[test]
-    fn speedups_never_exceed_maximum() {
-        let m = ModelParams::paper_example();
-        for p in 1..=16 {
-            let cap = m.speedup_max(p) + 1e-9;
-            assert!(m.speedup_nospec(p) <= cap);
-            assert!(m.speedup_spec(p) <= cap);
-        }
     }
 
     #[test]
@@ -457,51 +438,5 @@ mod tests {
         let p = 16;
         let slowest = m.t_hat_i(p - 1, p);
         assert!((m.t_hat(p) - slowest).abs() <= m.t_hat(p) * 1e-12);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Speculation gain over no-speculation is bounded below by the
-        /// pure-overhead case: with k=0 and zero comm time, speculation
-        /// can only lose (overhead), never win.
-        #[test]
-        fn no_comm_means_no_gain(
-            n in 10.0f64..10_000.0,
-            f_comp in 10.0f64..1e5,
-            procs in 2usize..12,
-        ) {
-            let m = ModelParams {
-                n,
-                f_comp,
-                f_spec: f_comp / 100.0,
-                f_check: f_comp / 50.0,
-                capacities: vec![1e6; procs],
-                comm: CommModel::Affine { base: 0.0, per_proc: 0.0 },
-                k: 0.0,
-            };
-            prop_assert!(m.t_hat(procs) >= m.t_total(procs));
-        }
-
-        /// t_hat is monotone nondecreasing in k.
-        #[test]
-        fn t_hat_monotone_in_k(k1 in 0.0f64..1.0, k2 in 0.0f64..1.0) {
-            let m = ModelParams::paper_example();
-            let (lo, hi) = if k1 <= k2 { (k1, k2) } else { (k2, k1) };
-            prop_assert!(m.with_k(lo).t_hat(8) <= m.with_k(hi).t_hat(8) + 1e-15);
-        }
-
-        /// Adding a processor never increases total capacity-normalized
-        /// compute time (the compute term of eq. 6 shrinks with p).
-        #[test]
-        fn compute_term_shrinks_with_p(p in 2usize..16) {
-            let m = ModelParams::paper_example();
-            let compute = |p: usize| m.n * m.f_comp / m.capacities[..p].iter().sum::<f64>();
-            prop_assert!(compute(p) >= compute(p + 1) - 1e-12);
-        }
     }
 }

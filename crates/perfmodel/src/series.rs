@@ -65,33 +65,4 @@ mod tests {
         assert!((s[0].max - 1.0).abs() < 1e-12);
         assert_eq!(s[15].p, 16);
     }
-
-    #[test]
-    fn fig5_spec_dominates_nospec_at_scale() {
-        let s = fig5_series(&ModelParams::paper_example(), 16);
-        for row in &s[7..] {
-            assert!(
-                row.spec >= row.no_spec,
-                "speculation must not lose at p={} (spec {}, nospec {})",
-                row.p,
-                row.spec,
-                row.no_spec
-            );
-            assert!(row.spec <= row.max + 1e-9);
-        }
-    }
-
-    #[test]
-    fn fig6_spec_declines_with_k() {
-        let ks: Vec<f64> = (0..=20).map(|i| i as f64 * 0.01).collect();
-        let s = fig6_series(&ModelParams::paper_example(), 8, &ks);
-        for w in s.windows(2) {
-            assert!(
-                w[0].spec >= w[1].spec - 1e-12,
-                "speedup must fall as k grows"
-            );
-        }
-        // no_spec is flat.
-        assert!(s.iter().all(|r| (r.no_spec - s[0].no_spec).abs() < 1e-12));
-    }
 }

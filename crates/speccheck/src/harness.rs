@@ -8,9 +8,11 @@ use desim::{SimReport, TieBreak};
 use mpk::{
     poll_ready, run_sim_proc_cluster_with_options, run_socket_cluster_with_faults,
     run_thread_cluster_with_faults, AsyncTransport, FaultSpec, SimClusterOptions,
-    SocketClusterOptions, ThreadClusterOptions,
+    SocketClusterOptions, ThreadClusterOptions, WireCodec, WireSize,
 };
-use speccore::{run_speculative_aio, IterMsg, RunStats, SpecConfig};
+use nbody::{centered_cloud, NBodyApp, NBodyConfig, SpeculationOrder};
+use speccore::{run_speculative_aio, IterMsg, RunStats, SpecConfig, SpeculativeApp};
+use workloads::SyntheticApp;
 
 /// Where a run executes.
 #[derive(Clone, Copy, Debug)]
@@ -76,6 +78,67 @@ impl KernelReport {
     }
 }
 
+/// A workload the harness drives over a [`SyntheticScenario`]'s shape:
+/// `n` variables (or particles) on `p` ranks for `iters` iterations,
+/// over the scenario's machines and network.
+pub trait Workload: Clone + Sync + 'static {
+    /// The app one rank runs.
+    type App: SpeculativeApp;
+    /// The shape, machines and network of the run.
+    fn scenario(&self) -> &SyntheticScenario;
+    /// Rank `rank`'s app at acceptance threshold `theta`.
+    fn app(&self, rank: usize, theta: f64) -> Self::App;
+    /// The app's state fingerprint and final values.
+    fn reduce(app: &Self::App) -> (u64, Vec<f64>);
+}
+
+/// What a rank of workload `W` broadcasts.
+type Shared<W> = <<W as Workload>::App as SpeculativeApp>::Shared;
+
+/// The synthetic app over the scenario's `n` variables.
+impl Workload for SyntheticScenario {
+    type App = SyntheticApp;
+
+    fn scenario(&self) -> &SyntheticScenario {
+        self
+    }
+
+    fn app(&self, rank: usize, theta: f64) -> SyntheticApp {
+        SyntheticApp::new(self.n, &self.ranges(), rank, self.app_cfg(theta))
+    }
+
+    fn reduce(app: &SyntheticApp) -> (u64, Vec<f64>) {
+        (app.fingerprint(), app.values().to_vec())
+    }
+}
+
+/// The N-body arm: the scenario's `n` particles as a centred cloud drawn
+/// from its `seed`, eq. 10 linear speculation and eq. 11 checks at θ.
+/// Final values are the positions, x, y, z per particle.
+#[derive(Clone, Debug)]
+pub struct NBodyScenario(pub SyntheticScenario);
+
+impl Workload for NBodyScenario {
+    type App = NBodyApp;
+
+    fn scenario(&self) -> &SyntheticScenario {
+        &self.0
+    }
+
+    fn app(&self, rank: usize, theta: f64) -> NBodyApp {
+        let sc = &self.0;
+        let cfg = NBodyConfig::default().with_theta(theta);
+        let particles = centered_cloud(sc.n, sc.seed);
+        NBodyApp::new(&particles, sc.ranges(), rank, cfg, SpeculationOrder::Linear)
+    }
+
+    fn reduce(app: &NBodyApp) -> (u64, Vec<f64>) {
+        let particles = app.particles();
+        let values = particles.iter().flat_map(|p| [p.pos.x, p.pos.y, p.pos.z]);
+        (app.fingerprint(), values.collect())
+    }
+}
+
 /// Run the scenario's synthetic app under `cfg` on any transport and
 /// reduce to (fingerprint, stats). This is the *one* definition every
 /// differential arm executes: the runs differ only in the transport
@@ -90,30 +153,35 @@ pub async fn drive_synthetic_aio<T: AsyncTransport<Msg = IterMsg<Vec<f64>>>>(
     (fingerprint, stats)
 }
 
-/// Build the scenario's app for this rank, run it to completion and
+/// Build the workload's app for this rank, run it to completion and
 /// reduce it to (fingerprint, final values, stats).
-async fn drive<T: AsyncTransport<Msg = IterMsg<Vec<f64>>>>(
-    t: &mut T,
-    sc: &SyntheticScenario,
-    theta: f64,
-    cfg: &SpecConfig,
-) -> (u64, Vec<f64>, RunStats) {
-    let ranges = sc.ranges();
-    let mut app = workloads::SyntheticApp::new(sc.n, &ranges, t.rank().0, sc.app_cfg(theta));
-    let stats = run_speculative_aio(t, &mut app, sc.iters, cfg.clone()).await;
-    (app.fingerprint(), app.values().to_vec(), stats)
+async fn drive<W, T>(t: &mut T, w: &W, theta: f64, cfg: &SpecConfig) -> (u64, Vec<f64>, RunStats)
+where
+    W: Workload,
+    Shared<W>: WireSize,
+    T: AsyncTransport<Msg = IterMsg<Shared<W>>>,
+{
+    let mut app = w.app(t.rank().0, theta);
+    let stats = run_speculative_aio(t, &mut app, w.scenario().iters, cfg.clone()).await;
+    let (fingerprint, values) = W::reduce(&app);
+    (fingerprint, values, stats)
 }
 
-/// Run the scenario under `cfg` on `backend`, with `faults` applied at
+/// Run the workload under `cfg` on `backend`, with `faults` applied at
 /// every send (the thread and socket backends share the simulator's
 /// fault gate, stamped with wall-clock time).
-pub fn run(
+pub fn run<W>(
     backend: Backend,
-    sc: &SyntheticScenario,
+    w: &W,
     theta: f64,
     cfg: &SpecConfig,
-    faults: FaultSpec<IterMsg<Vec<f64>>>,
-) -> RunOutput {
+    faults: FaultSpec<IterMsg<Shared<W>>>,
+) -> RunOutput
+where
+    W: Workload,
+    Shared<W>: WireCodec + WireSize + Clone,
+{
+    let sc = w.scenario();
     let (outs, kernel, elapsed) = match backend {
         Backend::Sim(tie) => {
             let options = SimClusterOptions {
@@ -122,8 +190,8 @@ pub fn run(
                 ..Default::default()
             };
             let body = |mut t| {
-                let (sc, cfg) = (sc.clone(), cfg.clone());
-                async move { drive(&mut t, &sc, theta, &cfg).await }
+                let (w, cfg) = (w.clone(), cfg.clone());
+                async move { drive(&mut t, &w, theta, &cfg).await }
             };
             let (outs, report) = run_sim_proc_cluster_with_options(
                 &sc.cluster(),
@@ -138,13 +206,13 @@ pub fn run(
             (outs, Some(KernelReport::from_report(&report)), elapsed)
         }
         Backend::Thread => {
-            let body = |t: &mut _| poll_ready(drive(t, sc, theta, cfg));
+            let body = |t: &mut _| poll_ready(drive(t, w, theta, cfg));
             let opts = ThreadClusterOptions::default();
             let outs = run_thread_cluster_with_faults(sc.p, opts, faults, body);
             (outs, None, 0.0)
         }
         Backend::Socket => {
-            let body = |t: &mut _| poll_ready(drive(t, sc, theta, cfg));
+            let body = |t: &mut _| poll_ready(drive(t, w, theta, cfg));
             let opts = SocketClusterOptions::default();
             let outs = run_socket_cluster_with_faults(sc.p, opts, faults, body);
             (outs, None, 0.0)

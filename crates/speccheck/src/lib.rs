@@ -11,17 +11,17 @@
 //! exercises them across *generated scenario space*:
 //!
 //! * [`scenario`] — plain-data scenario descriptions (machine ramps,
-//!   delay/load models, FW/BW/θ grids, fault stacks, small workload
-//!   instances) and [`proptest`] strategies that draw and *shrink* them
-//!   with domain knowledge.
+//!   networks, FW/BW/θ grids, loss stacks, small workload instances) and
+//!   [`proptest`] strategies that draw and *shrink* them with domain
+//!   knowledge.
 //! * [`harness`] — one differential runner, [`run`], that executes a
-//!   scenario on any [`Backend`] under any driver configuration, fault
-//!   spec, or tie-break and reduces the run to per-rank state
+//!   scenario's synthetic app, or its N-body arm ([`NBodyScenario`]), on
+//!   any [`Backend`] under any driver configuration, fault spec, or
+//!   tie-break and reduces the run to per-rank state
 //!   [fingerprints](obs::Fingerprint).
 //! * [`oracles`] — invariant checks: exhaustive phase accounting of
-//!   virtual time (simulator runs), speculate-through-loss commit bounds,
-//!   checkpoint/restore round-trips, momentum conservation of the
-//!   symmetric N-body kernel.
+//!   virtual time (simulator runs) and speculate-through-loss commit
+//!   bounds.
 //! * [`alloc`] — the counting global allocator behind the workspace's
 //!   zero-allocation hot-path oracles.
 //! * [`golden`] — golden-file comparison with the uniform
@@ -42,9 +42,10 @@ pub mod oracles;
 pub mod scenario;
 
 pub use golden::assert_matches_golden;
-pub use harness::{drive_synthetic_aio, run, Backend, KernelReport, RunOutput};
+pub use harness::{
+    drive_synthetic_aio, run, Backend, KernelReport, NBodyScenario, RunOutput, Workload,
+};
 pub use scenario::{
-    delay_model, exact_spec_params, fault_stack_scenario, load_scenario, loss_scenario,
-    spec_params, synthetic_scenario, synthetic_scenario_up_to, DelayModel, FaultScenario,
-    LoadScenario, SpecParams, SyntheticScenario,
+    exact_spec_params, loss_scenario, spec_params, synthetic_scenario, synthetic_scenario_up_to,
+    FaultScenario, SpecParams, SyntheticScenario,
 };

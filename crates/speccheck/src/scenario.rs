@@ -1,5 +1,5 @@
 //! Scenario generators: plain-data descriptions of clusters, networks,
-//! speculation configs, fault stacks, and small workload instances, plus
+//! speculation configs, loss stacks, and small workload instances, plus
 //! [`mod@proptest`] strategies that draw them.
 //!
 //! Several workspace config objects hold trait objects
@@ -18,8 +18,7 @@
 
 use desim::SimDuration;
 use netsim::{
-    BoxedLoadModel, BoxedNetworkModel, ClusterSpec, ConstantLatency, Duplicate, FaultStack, Jitter,
-    Loss, MachineSpec, RandomSpikes, SharedMedium, TransientDelays, UniformNoise, Unloaded,
+    BoxedNetworkModel, ClusterSpec, ConstantLatency, FaultStack, Jitter, Loss, MachineSpec,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -366,159 +365,15 @@ impl Strategy for SpecParamsStrategy {
 }
 
 // ---------------------------------------------------------------------------
-// Delay / load model menagerie.
-// ---------------------------------------------------------------------------
-
-/// Plain-data description of a network delay model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DelayModel {
-    /// Fixed one-way latency.
-    Constant {
-        /// Latency in microseconds.
-        us: u64,
-    },
-    /// Latency plus serialization on a contended shared medium.
-    Shared {
-        /// Base latency in microseconds.
-        us: u64,
-        /// Medium bandwidth in bytes per second.
-        bytes_per_sec: f64,
-    },
-    /// Seeded multiplicative jitter around a constant base.
-    Jittered {
-        /// Base latency in microseconds.
-        us: u64,
-        /// Jitter fraction in `(0, 1)`.
-        frac: f64,
-        /// Jitter seed.
-        seed: u64,
-    },
-    /// Occasional large stalls on top of a constant base.
-    Transient {
-        /// Base latency in microseconds.
-        us: u64,
-        /// Per-message stall probability.
-        prob: f64,
-        /// Stall length in milliseconds.
-        extra_ms: u64,
-        /// Stall seed.
-        seed: u64,
-    },
-}
-
-impl DelayModel {
-    /// Instantiate the described [`netsim::NetworkModel`].
-    pub fn build(&self) -> BoxedNetworkModel {
-        match *self {
-            DelayModel::Constant { us } => Box::new(ConstantLatency(SimDuration::from_micros(us))),
-            DelayModel::Shared { us, bytes_per_sec } => Box::new(SharedMedium::new(
-                SimDuration::from_micros(us),
-                bytes_per_sec,
-            )),
-            DelayModel::Jittered { us, frac, seed } => Box::new(Jitter::new(
-                ConstantLatency(SimDuration::from_micros(us)),
-                frac,
-                seed,
-            )),
-            DelayModel::Transient {
-                us,
-                prob,
-                extra_ms,
-                seed,
-            } => Box::new(TransientDelays::new(
-                ConstantLatency(SimDuration::from_micros(us)),
-                prob,
-                SimDuration::from_millis(extra_ms),
-                seed,
-            )),
-        }
-    }
-}
-
-/// Draw one of the four delay-model families with small parameters.
-pub fn delay_model() -> impl Strategy<Value = DelayModel> {
-    prop_oneof![
-        (0u64..5_000).prop_map(|us| DelayModel::Constant { us }),
-        (10u64..2_000, 1e5f64..1e8)
-            .prop_map(|(us, bytes_per_sec)| DelayModel::Shared { us, bytes_per_sec }),
-        (10u64..2_000, 0.1f64..0.9, 0u64..1_000)
-            .prop_map(|(us, frac, seed)| { DelayModel::Jittered { us, frac, seed } }),
-        (10u64..1_000, 0.01f64..0.2, 1u64..20, 0u64..1_000).prop_map(
-            |(us, prob, extra_ms, seed)| DelayModel::Transient {
-                us,
-                prob,
-                extra_ms,
-                seed
-            }
-        ),
-    ]
-}
-
-/// Plain-data description of a background-load model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LoadScenario {
-    /// No background load.
-    Unloaded,
-    /// Seeded multiplicative slowdown spikes.
-    Spikes {
-        /// Per-quantum spike probability.
-        prob: f64,
-        /// Slowdown factor during a spike.
-        slowdown: f64,
-        /// Spike seed.
-        seed: u64,
-    },
-    /// Seeded uniform capacity noise.
-    Noise {
-        /// Noise fraction in `(0, 1)`.
-        frac: f64,
-        /// Noise seed.
-        seed: u64,
-    },
-}
-
-impl LoadScenario {
-    /// Instantiate the described [`netsim::LoadModel`].
-    pub fn build(&self) -> BoxedLoadModel {
-        match *self {
-            LoadScenario::Unloaded => Box::new(Unloaded),
-            LoadScenario::Spikes {
-                prob,
-                slowdown,
-                seed,
-            } => Box::new(RandomSpikes::new(prob, slowdown, seed)),
-            LoadScenario::Noise { frac, seed } => Box::new(UniformNoise::new(frac, seed)),
-        }
-    }
-}
-
-/// Draw a background-load scenario (unloaded, spikes, or noise).
-pub fn load_scenario() -> impl Strategy<Value = LoadScenario> {
-    prop_oneof![
-        Just(LoadScenario::Unloaded),
-        (0.05f64..0.4, 1.5f64..5.0, 0u64..1_000).prop_map(|(prob, slowdown, seed)| {
-            LoadScenario::Spikes {
-                prob,
-                slowdown,
-                seed,
-            }
-        }),
-        (0.05f64..0.5, 0u64..1_000).prop_map(|(frac, seed)| LoadScenario::Noise { frac, seed }),
-    ]
-}
-
-// ---------------------------------------------------------------------------
 // Fault stacks.
 // ---------------------------------------------------------------------------
 
-/// Plain-data description of a message-fault stack plus the driver-side
+/// Plain-data description of a message-loss stack plus the driver-side
 /// tolerance needed to survive it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultScenario {
     /// Per-message loss probability.
     pub loss_prob: f64,
-    /// Per-message duplication probability (`0` for loss-only stacks).
-    pub dup_prob: f64,
     /// Fate seed.
     pub seed: u64,
     /// Driver retransmit timeout in milliseconds. Generators keep this
@@ -530,11 +385,7 @@ pub struct FaultScenario {
 impl FaultScenario {
     /// The message-fate stack ([`mpk::FaultSpec`] wants a model).
     pub fn build<M>(&self) -> mpk::FaultSpec<M> {
-        let mut stack = FaultStack::new().with(Loss::new(self.loss_prob, self.seed));
-        if self.dup_prob > 0.0 {
-            stack = stack.with(Duplicate::new(self.dup_prob, self.seed.wrapping_add(1)));
-        }
-        mpk::FaultSpec::new(stack)
+        mpk::FaultSpec::new(FaultStack::new().with(Loss::new(self.loss_prob, self.seed)))
     }
 
     /// The driver-side tolerance matching [`FaultScenario::timeout_ms`].
@@ -549,23 +400,9 @@ impl FaultScenario {
 pub fn loss_scenario() -> impl Strategy<Value = FaultScenario> {
     (0.02f64..0.2, 0u64..1_000, 20u64..80).prop_map(|(loss_prob, seed, timeout_ms)| FaultScenario {
         loss_prob,
-        dup_prob: 0.0,
         seed,
         timeout_ms,
     })
-}
-
-/// Draw a loss + duplication stack (accounting oracles that require
-/// loss-only stacks should use [`loss_scenario`] instead).
-pub fn fault_stack_scenario() -> impl Strategy<Value = FaultScenario> {
-    (0.02f64..0.2, 0.0f64..0.2, 0u64..1_000, 20u64..80).prop_map(
-        |(loss_prob, dup_prob, seed, timeout_ms)| FaultScenario {
-            loss_prob,
-            dup_prob,
-            seed,
-            timeout_ms,
-        },
-    )
 }
 
 #[cfg(test)]
@@ -647,10 +484,7 @@ mod tests {
     fn builders_construct_real_models() {
         let mut r = rng();
         for _ in 0..100 {
-            let _ = delay_model().sample(&mut r).build();
-            let _ = load_scenario().sample(&mut r).build();
             let f = loss_scenario().sample(&mut r);
-            assert_eq!(f.dup_prob, 0.0);
             let _ = f.build::<u64>();
             assert!(f.timeout_ms >= 20);
         }

@@ -37,8 +37,8 @@ use netsim::{CrashPlan, MachineCrash};
 use proptest::prelude::*;
 use speccheck::oracles::phase_partition;
 use speccheck::{
-    exact_spec_params, run, spec_params, synthetic_scenario, Backend, RunOutput, SpecParams,
-    SyntheticScenario,
+    exact_spec_params, run, spec_params, synthetic_scenario, Backend, NBodyScenario, RunOutput,
+    SpecParams, SyntheticScenario,
 };
 use speccore::{
     ControllerConfig, DeltaExchange, FaultTolerance, IterMsg, RunStats, SpecConfig,
@@ -166,12 +166,14 @@ enum Field {
 }
 
 /// One drawn case. `timeout_ms` feeds the fault-tolerant arms, `salt`
-/// the [`SALTED`] ones; rows that draw neither leave them 0.
+/// the [`SALTED`] ones; rows that draw neither leave them 0. `nbody` runs
+/// the scenario's shape as an N-body cluster instead of the synthetic app.
 struct Point {
     sc: SyntheticScenario,
     params: SpecParams,
     timeout_ms: u64,
     salt: u64,
+    nbody: bool,
 }
 
 fn point(sc: SyntheticScenario, params: SpecParams) -> Point {
@@ -180,6 +182,14 @@ fn point(sc: SyntheticScenario, params: SpecParams) -> Point {
         params,
         timeout_ms: 0,
         salt: 0,
+        nbody: false,
+    }
+}
+
+fn nbody(sc: SyntheticScenario, params: SpecParams) -> Point {
+    Point {
+        nbody: true,
+        ..point(sc, params)
     }
 }
 
@@ -199,7 +209,17 @@ impl Row<'_> {
                 other => other,
             };
             let arm = format!("{backend:?}/{driver:?}");
-            let out = run(backend, sc, theta, &driver.config(pt), FaultSpec::none());
+            let cfg = driver.config(pt);
+            let out = match pt.nbody {
+                true => run(
+                    backend,
+                    &NBodyScenario(sc.clone()),
+                    theta,
+                    &cfg,
+                    FaultSpec::none(),
+                ),
+                false => run(backend, sc, theta, &cfg, FaultSpec::none()),
+            };
             for (k, s) in out.stats.iter().enumerate() {
                 if s.iterations != sc.iters {
                     return Err(format!("{arm}: rank {k} committed {}", s.iterations));
@@ -265,6 +285,12 @@ matrix! {
         (sc in synthetic_scenario(), params in exact_spec_params()) => point(sc, params),
         equal [Fingerprints], arms [(FIFO, Grid), (FIFO, Fw0)];
 
+    /// The N-body arm of the row above, also on real threads: eq. 10
+    /// speculation and eq. 11 checks at θ = 0 with recompute change nothing.
+    nbody_theta_zero_recompute_equals_baseline, 16 cases,
+        (sc in synthetic_scenario(), params in exact_spec_params()) => nbody(sc, params),
+        equal [Fingerprints], arms [(FIFO, Grid), (FIFO, Fw0), (Thread, Grid)];
+
     /// Full θ range: with an empty forward window nothing is speculated,
     /// so the baseline on real threads agrees with the simulator's.
     forward_window_zero_is_the_baseline, 64 cases,
@@ -312,6 +338,15 @@ matrix! {
         equal [Fingerprints, Elapsed, Counters(|s| format!("{}", s.messages_sent))],
         arms [(FIFO, Grid), (FIFO, LosslessDelta)];
 
+    /// The N-body arm of the two rows above, FIFO net: idle fault tolerance
+    /// and lossless delta frames of positions and velocities change
+    /// neither state nor timing.
+    nbody_fault_tolerance_and_lossless_delta_are_inert, 16 cases,
+        (sc in synthetic_scenario(), params in spec_params(), timeout_ms in 200u64..500)
+            => Point { timeout_ms, ..nbody(fifo_net(&sc), params) },
+        equal [Fingerprints, Elapsed],
+        arms [(FIFO, Grid), (FIFO, FaultTolerant), (FIFO, LosslessDelta)];
+
     /// Full grid: a keyframe every iteration is full broadcast at any
     /// floor, bytes on the wire included.
     keyframe_every_iteration_is_full_broadcast, 64 cases,
@@ -329,6 +364,14 @@ matrix! {
     same_salt_reproduces_the_run, 64 cases,
         (sc in synthetic_scenario(), params in spec_params(), salt in 0u64..1_000_000)
             => Point { salt, ..point(sc, params) },
+        equal [Fingerprints, Elapsed, Counters(|s| format!("{:?}",
+            (s.speculated_partitions, s.rollbacks, s.corrections)))],
+        arms [(SALTED, Grid), (SALTED, Grid)];
+
+    /// The N-body arm of the row above.
+    nbody_same_salt_reproduces_the_run, 16 cases,
+        (sc in synthetic_scenario(), params in spec_params(), salt in 0u64..1_000_000)
+            => Point { salt, ..nbody(sc, params) },
         equal [Fingerprints, Elapsed, Counters(|s| format!("{:?}",
             (s.speculated_partitions, s.rollbacks, s.corrections)))],
         arms [(SALTED, Grid), (SALTED, Grid)];
@@ -488,81 +531,6 @@ proptest! {
 
 }
 
-/// The full quarantine → rejoin → readmission lifecycle, pinned on a
-/// hand-scheduled simulator run (generated scenarios cannot guarantee
-/// the rejoin lands *while survivors are still running*, so this one is
-/// a fixed deterministic schedule rather than a property):
-///
-/// * rank 2 crashes at t = 0 and stays down 100 ms — far past the
-///   ~40 ms (2× loss timeout) it takes survivors to promote its first
-///   missing input and quarantine it at `SupervisionConfig::new(1, 1)`;
-/// * survivors run degraded (quarantine bypass promotions) until the
-///   restarted rank's retransmit request is heard at ~102 ms, well
-///   before their ~220 ms finish under 2 ms links × 60 iterations;
-/// * being heard readmits the peer: keyframe shipped, shadows reset,
-///   `peer_rejoins` counted — and the whole schedule replays
-///   bit-identically.
-#[test]
-fn quarantined_peer_rejoins_and_is_readmitted() {
-    let sc = SyntheticScenario {
-        p: 3,
-        n: 12,
-        iters: 60,
-        mips: 50.0,
-        ramp: 0.0,
-        latency_us: 2_000,
-        jitter_frac: 0.0,
-        jump_prob: 0.0,
-        delta_floor: 0.0,
-        delta_keyframe: 4,
-        seed: 7,
-    };
-    let params = SpecParams {
-        fw: 2,
-        bw: 2,
-        theta: 0.0,
-        recompute: true,
-    };
-    let crash = MachineCrash {
-        rank: 2,
-        at: SimTime::ZERO,
-        restart_after: SimDuration::from_millis(100),
-    };
-    let cfg = crash_config(
-        &params,
-        SimDuration::from_millis(20),
-        SupervisionConfig::new(1, 1),
-        crash,
-    );
-    let replay = || run(FIFO, &sc, 0.0, &cfg, crash_faults(crash));
-    let a = replay();
-    let b = replay();
-    assert_eq!(
-        a.fingerprints, b.fingerprints,
-        "crash→rejoin must replay bit-for-bit"
-    );
-    assert_eq!(a.elapsed, b.elapsed);
-    for (k, s) in a.stats.iter().enumerate() {
-        assert_eq!(
-            s.iterations, sc.iters,
-            "rank {k} must finish every iteration"
-        );
-    }
-    assert_eq!(
-        a.stats[2].peer_restarts, 1,
-        "rank 2 must restart exactly once"
-    );
-    for k in 0..2 {
-        let s = &a.stats[k];
-        assert!(
-            s.peers_quarantined >= 1,
-            "survivor {k} never quarantined rank 2"
-        );
-        assert!(s.degraded_commits >= 1, "survivor {k} never ran degraded");
-        assert!(s.peer_rejoins >= 1, "survivor {k} never readmitted rank 2");
-    }
-}
-
 proptest! {
     // Crash schedules stall survivors for up to 2× the loss timeout in
     // *wall clock* on the thread and socket backends (the sim pays it in
@@ -629,8 +597,8 @@ proptest! {
     /// recovered history depends on which iteration its peers' replies
     /// carry, which is genuinely timing-dependent; the provable
     /// cross-backend equality lives in the permanent-crash property
-    /// above, and the readmission semantics are pinned by the
-    /// deterministic sim test.)
+    /// above, and the readmission semantics are pinned by
+    /// `tests/chaos.rs::crash_rejoin_timeline_quarantines_then_readmits`.)
     #[test]
     fn crash_rejoin_completes_on_all_three_backends(
         sc in synthetic_scenario(),

@@ -116,7 +116,6 @@ fn adaptive_deadlines_beat_pessimistic_static_timeout_under_loss() {
     let theta = 0.3;
     let loss = speccheck::FaultScenario {
         loss_prob: 0.08,
-        dup_prob: 0.0,
         seed: 5,
         timeout_ms: 250,
     };

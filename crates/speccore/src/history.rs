@@ -134,34 +134,3 @@ mod tests {
         History::<f64>::new(0);
     }
 }
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// After any record sequence: len ≤ capacity, iterations strictly
-        /// increase front-to-back, and the newest value is the max recorded.
-        #[test]
-        fn invariants_hold(
-            cap in 1usize..8,
-            iters in proptest::collection::vec(0u64..50, 0..100),
-        ) {
-            let mut h = History::new(cap);
-            let mut best: Option<u64> = None;
-            for (k, i) in iters.iter().enumerate() {
-                h.record(*i, k as f64);
-                if best.is_none_or(|b| *i > b) {
-                    best = Some(*i);
-                }
-            }
-            prop_assert!(h.len() <= cap);
-            prop_assert_eq!(h.latest_iter(), best);
-            let seq: Vec<u64> = (0..h.len()).map(|n| h.nth_back(n).unwrap().0).collect();
-            for w in seq.windows(2) {
-                prop_assert!(w[0] > w[1], "iterations must strictly decrease newest-first");
-            }
-        }
-    }
-}

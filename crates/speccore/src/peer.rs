@@ -129,6 +129,9 @@ pub(crate) struct Heard {
     /// retransmit request, or the keyframe a readmitted stream restarts
     /// from.
     pub(crate) reply: bool,
+    /// When the peer was heard before this frame: the controller's
+    /// inter-arrival gap starts there.
+    pub(crate) prev: Option<SimTime>,
 }
 
 /// Why an arriving frame was not stashed.
@@ -187,11 +190,6 @@ impl<S: Clone> Peer<S> {
         }
     }
 
-    /// When the peer last delivered anything.
-    pub(crate) fn last_heard(&self) -> Option<SimTime> {
-        self.last_heard
-    }
-
     /// The instant the loss wait in force, if any, next acts by itself
     /// under `deadline`.
     pub(crate) fn due(&self, deadline: SimDuration) -> Option<SimTime> {
@@ -209,19 +207,26 @@ impl<S: Clone> Peer<S> {
         self.health == PeerHealth::Quarantined
     }
 
-    /// The peer delivered a frame tagged `tag` at `now`. Readmission
-    /// forgets the receive-side view of the peer: its stream must restart
-    /// from a keyframe.
-    pub(crate) fn heard(&mut self, now: SimTime, tag: Tag) -> Heard {
+    /// The peer delivered a frame tagged `tag` and stamped `iter` at `now`.
+    /// Readmission forgets the receive-side view of the peer: its stream
+    /// must restart from a keyframe. A frame stamped at or past `limit`,
+    /// the run's iteration count, is no honest rank's: it is not the peer
+    /// being heard (`None`), and changes nothing.
+    pub(crate) fn heard(&mut self, now: SimTime, tag: Tag, iter: u64, limit: u64) -> Option<Heard> {
+        if limit <= iter {
+            return None;
+        }
         let rejoined = self.health == PeerHealth::Quarantined;
+        let prev = self.last_heard;
         (self.staleness, self.last_heard, self.health) = (0, Some(now), PeerHealth::Healthy);
         if rejoined {
             (self.rx_shadow, self.seen_past) = (None, None);
         }
-        Heard {
+        Some(Heard {
             rejoined,
             reply: rejoined || tag == RETRANS_REQ_TAG,
-        }
+            prev,
+        })
     }
 
     /// Fold one frame stamped `iter` into the shadow and the history, and
@@ -388,19 +393,6 @@ mod tests {
     use std::collections::HashSet;
 
     // ---- promotions -------------------------------------------------------
-
-    #[test]
-    fn promotions_count_each_iteration_once_and_prune_below_the_window() {
-        let mut peer: Peer<f64> = Peer::new(2);
-        assert!(peer.promote(5, 5, None));
-        assert!(!peer.promote(5, 5, None), "re-promotion after a rollback");
-        assert!(peer.promote(6, 5, None), "forced execution one ahead");
-        assert_eq!(peer.promoted, vec![5, 6]);
-        assert_eq!(peer.staleness(), 2, "only fresh promotions count");
-        // The window moved on: the old entries go at the next promotion.
-        assert!(peer.promote(9, 8, None));
-        assert_eq!(peer.promoted, vec![9]);
-    }
 
     const P: usize = 4;
 
@@ -640,18 +632,42 @@ mod tests {
         }
 
         /// One frame from the peer: it is heard, then its body is received.
+        /// A frame stamped past the run's end is neither.
         fn arrive(&mut self, tag: Tag, iter: u64, body: MsgBody<f64>, path: &[Input]) -> bool {
+            let receive_side = |p: &Peer<f64>| (p.rx_shadow, p.seen_past, p.history.latest_iter());
+            if iter >= LIMIT {
+                let clock = |p: &Peer<f64>| (p.last_heard, p.staleness, p.health);
+                let before = (receive_side(&self.peer), clock(&self.peer));
+                assert_eq!(
+                    self.peer.heard(self.now, tag, iter, LIMIT),
+                    None,
+                    "{path:?}"
+                );
+                let got = self.peer.receive(iter, body, LIMIT, true, |_, _| None);
+                assert_eq!(got, Err(Refused::PastEnd), "{path:?}");
+                let after = (receive_side(&self.peer), clock(&self.peer));
+                assert_eq!(after, before, "past-the-end frame: {path:?}");
+                return false;
+            }
             let rejoined = self.health == PeerHealth::Quarantined;
-            let heard = self.peer.heard(self.now, tag);
+            let heard = self.peer.heard(self.now, tag, iter, LIMIT);
             let reply = rejoined || tag == RETRANS_REQ_TAG;
-            assert_eq!(heard, Heard { rejoined, reply }, "{path:?}");
+            let prev = self.heard;
+            assert_eq!(
+                heard,
+                Some(Heard {
+                    rejoined,
+                    reply,
+                    prev
+                }),
+                "{path:?}"
+            );
             assert_eq!(self.peer.staleness(), 0, "heard resets staleness: {path:?}");
             (self.heard, self.health, self.staleness) = (Some(self.now), PeerHealth::Healthy, 0);
             if rejoined {
                 // Readmission: the stream restarts from a keyframe.
                 (self.shadow, self.seen) = (None, None);
             }
-            let receive_side = |p: &Peer<f64>| (p.rx_shadow, p.seen_past, p.history.latest_iter());
             let before = receive_side(&self.peer);
             let patch = |base: &f64, entries: &[(u32, f64)]| {
                 let pred = iter.checked_sub(1).map(|i| i as f64);
@@ -663,15 +679,6 @@ mod tests {
                 Some(entries[0].1)
             };
             let got = self.peer.receive(iter, body.clone(), LIMIT, true, patch);
-            if iter >= LIMIT {
-                assert_eq!(got, Err(Refused::PastEnd), "{path:?}");
-                assert_eq!(
-                    receive_side(&self.peer),
-                    before,
-                    "past-the-end frame: {path:?}"
-                );
-                return false;
-            }
             self.seen = self.seen.max(Some(iter));
             let want = match body {
                 MsgBody::Full(_) => {

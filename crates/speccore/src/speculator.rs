@@ -70,14 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_extrapolates_a_line_exactly() {
-        // 2, 4, 6 → next is 8, two ahead is 10.
-        let h = hist(&[2.0, 4.0, 6.0]);
-        assert_eq!(extrapolate_linear(&h, 1), Some(8.0));
-        assert_eq!(extrapolate_linear(&h, 2), Some(10.0));
-    }
-
-    #[test]
     fn linear_single_sample_degrades_to_hold() {
         assert_eq!(extrapolate_linear(&hist(&[5.0]), 3), Some(5.0));
     }

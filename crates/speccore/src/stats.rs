@@ -309,14 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn recomputation_fraction_counts_units() {
-        let mut s = RunStats::new(Rank(0));
-        s.checked_units = 200;
-        s.bad_units = 4;
-        assert!((s.recomputation_fraction() - 0.02).abs() < 1e-12);
-    }
-
-    #[test]
     fn per_iteration_divides_by_iterations() {
         let mut s = RunStats::new(Rank(0));
         s.iterations = 4;
@@ -325,18 +317,6 @@ mod tests {
         let pi = s.per_iteration();
         assert_eq!(pi.compute, SimDuration::from_millis(10));
         assert_eq!(pi.comm_wait, SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn phase_total_sums_components() {
-        let p = PhaseBreakdown {
-            compute: SimDuration::from_millis(1),
-            comm_wait: SimDuration::from_millis(2),
-            speculate: SimDuration::from_millis(3),
-            check: SimDuration::from_millis(4),
-            correct: SimDuration::from_millis(5),
-        };
-        assert_eq!(p.total(), SimDuration::from_millis(15));
     }
 
     #[test]

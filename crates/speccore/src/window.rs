@@ -201,23 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn inbox_buffers_per_iteration_and_peer() {
-        let mut inbox: Inbox<u32> = Inbox::new(3, 100);
-        assert_eq!(inbox.get(0, 1), None);
-        assert!(inbox.insert(0, 1, 10));
-        assert!(inbox.insert(2, 0, 20));
-        assert_eq!(inbox.get(0, 1), Some(&10));
-        assert_eq!(inbox.get(2, 0), Some(&20));
-        assert_eq!(inbox.get(1, 0), None, "the skipped iteration stays empty");
-        assert_eq!(
-            (inbox.arrived(0), inbox.arrived(1), inbox.arrived(2)),
-            (1, 0, 1)
-        );
-        assert_eq!(inbox.depth(), 2);
-        assert_inbox_books_close(&inbox);
-    }
-
-    #[test]
     fn inbox_duplicate_replaces_without_recounting() {
         let mut inbox: Inbox<u32> = Inbox::new(2, 100);
         assert!(inbox.insert(4, 1, 1));
@@ -237,82 +220,6 @@ mod tests {
         assert_eq!(inbox.depth(), 0);
         assert!(inbox.rows.is_empty(), "a dropped frame grows nothing");
         assert!(inbox.insert(9, 1, 1), "the last iteration is buffered");
-    }
-
-    #[test]
-    fn inbox_advance_recycles_rows_and_keeps_the_rest() {
-        let mut inbox: Inbox<u32> = Inbox::new(2, 100);
-        inbox.insert(0, 1, 1);
-        inbox.insert(1, 1, 2);
-        inbox.insert(3, 0, 3);
-        inbox.advance(1);
-        assert_eq!(inbox.get(0, 1), None);
-        assert_eq!(inbox.get(1, 1), Some(&2));
-        assert_eq!(inbox.get(3, 0), Some(&3));
-        assert_eq!(inbox.depth(), 2);
-        assert_eq!(inbox.spare.len(), 1, "the consumed row is kept for reuse");
-        // The recycled row serves the next new iteration, clean.
-        inbox.insert(4, 0, 4);
-        assert!(inbox.spare.is_empty());
-        assert_eq!(inbox.get(4, 1), None);
-        // Sliding past everything buffered empties the ring.
-        inbox.advance(50);
-        assert_eq!(inbox.depth(), 0);
-        assert!(inbox.insert(50, 1, 5));
-        assert_inbox_books_close(&inbox);
-    }
-
-    #[test]
-    fn inbox_clear_forgets_values_but_not_the_window() {
-        let mut inbox: Inbox<u32> = Inbox::new(2, 100);
-        inbox.advance(7);
-        inbox.insert(7, 1, 1);
-        inbox.insert(9, 0, 2);
-        inbox.clear();
-        assert_eq!(inbox.depth(), 0);
-        assert_eq!((inbox.arrived(7), inbox.arrived(9)), (0, 0));
-        assert!(!inbox.insert(6, 1, 3), "still below the confirmation point");
-        assert!(inbox.insert(7, 1, 4), "a re-sent frame is fresh again");
-        assert_inbox_books_close(&inbox);
-    }
-
-    #[test]
-    fn slots_count_tracks_occupied_slots() {
-        // As the driver uses it for a record's speculated inputs: `held`
-        // is the number of inputs still awaiting their actual.
-        let check = |inputs: &Slots<u32>| {
-            let occupied = inputs.slots.iter().filter(|s| s.is_some()).count();
-            assert_eq!(inputs.held(), occupied);
-        };
-        let mut inputs: Slots<u32> = Slots::UNSIZED;
-        assert_eq!(inputs.get(2), None, "an unsized table holds nothing");
-        inputs.reset(4);
-        check(&inputs);
-        assert_eq!(inputs.held(), 0, "a fresh record is resolved");
-
-        assert!(inputs.put(2, 20));
-        assert!(inputs.put(3, 30));
-        check(&inputs);
-        assert_eq!(inputs.held(), 2);
-
-        // Validation (or loss promotion) resolves one input, once.
-        assert_eq!(inputs.take(2), Some(20));
-        assert_eq!(inputs.take(2), None, "already resolved");
-        assert_eq!(inputs.take(1), None, "an actual was never open");
-        assert!(!inputs.put(3, 33), "replacing a value is not a second one");
-        assert_eq!(inputs.get(3), Some(&33));
-        check(&inputs);
-        assert_eq!(inputs.held(), 1);
-
-        // Rollback and crash recovery both hand the record back for the
-        // re-execution to refill: nothing carries over.
-        inputs.reset(4);
-        check(&inputs);
-        assert_eq!(inputs.held(), 0);
-        assert_eq!(inputs.get(3), None);
-        inputs.put(3, 31);
-        assert_eq!(inputs.take(3), Some(31));
-        assert_eq!(inputs.held(), 0);
     }
 
     /// One step of the differential test below.

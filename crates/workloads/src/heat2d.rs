@@ -389,32 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn heat_is_conserved_with_zero_flux_walls() {
-        // Insulated boundaries: total heat is invariant.
-        let (rows, cols) = (18, 18);
-        let before: f64 = heat2d_reference(rows, cols, Heat2dConfig::default(), 0)
-            .iter()
-            .sum();
-        let after: f64 = heat2d_reference(rows, cols, Heat2dConfig::default(), 200)
-            .iter()
-            .sum();
-        assert!(
-            (before - after).abs() < 1e-9,
-            "heat leaked: {before} -> {after}"
-        );
-    }
-
-    #[test]
-    fn diffusion_flattens_the_square() {
-        let (rows, cols) = (18, 18);
-        let u = heat2d_reference(rows, cols, Heat2dConfig::default(), 2000);
-        let mean = u.iter().sum::<f64>() / u.len() as f64;
-        for v in &u {
-            assert!((v - mean).abs() < 1e-2, "not flattened: {v} vs mean {mean}");
-        }
-    }
-
-    #[test]
     fn correction_is_exact_per_cell() {
         let (rows, cols) = (12, 8);
         let ranges = even_ranges(rows, 3);
@@ -451,25 +425,6 @@ mod tests {
         for (a, b) in golden.cells().iter().zip(fixed.cells()) {
             assert!((a - b).abs() < 1e-15, "residue {a} vs {b}");
         }
-    }
-
-    #[test]
-    fn check_is_per_cell() {
-        let (rows, cols) = (12, 8);
-        let ranges = even_ranges(rows, 3);
-        let app = Heat2dApp::new(rows, cols, &ranges, 1, Heat2dConfig::default());
-        let mut actual = RowHalo {
-            top: vec![0.5; cols],
-            bottom: vec![0.5; cols],
-        };
-        let mut spec = actual.clone();
-        // Rank 0 is the top neighbour: its *bottom* row is what we consume.
-        spec.bottom[3] = 0.9;
-        actual.bottom[3] = 0.5;
-        let out = app.check(Rank(0), &Arc::new(actual), &Arc::new(spec));
-        assert!(!out.accept);
-        assert_eq!(out.bad_units, 1);
-        assert_eq!(out.checked_units, cols as u64);
     }
 
     /// Eq. 11: a halo cell is bad iff its error is *beyond* θ. A cell

@@ -297,13 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_converges_to_the_solution() {
-        let sys = LinearSystem::random(25, 7);
-        let x = jacobi_reference(&sys, 200);
-        assert!(sys.residual(&x) < 1e-8, "residual {}", sys.residual(&x));
-    }
-
-    #[test]
     fn parallel_matches_sequential_closely() {
         let sys = LinearSystem::random(24, 3);
         let got = run_by_hand(&sys, 4, 30);
@@ -376,14 +369,5 @@ mod tests {
         wrong[0] += 1.0;
         assert!(sys.residual(&solved) < 1e-9);
         assert!(sys.residual(&wrong) > 0.1);
-    }
-
-    #[test]
-    fn generation_is_seeded() {
-        let a = LinearSystem::random(12, 3);
-        let b = LinearSystem::random(12, 3);
-        let c = LinearSystem::random(12, 4);
-        assert_eq!(a.a, b.a);
-        assert_ne!(a.a, c.a);
     }
 }

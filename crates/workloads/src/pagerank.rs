@@ -284,24 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn graph_is_seeded() {
-        assert_eq!(Graph::random(20, 3, 9).edges, Graph::random(20, 3, 9).edges);
-        assert_ne!(
-            Graph::random(20, 3, 9).edges,
-            Graph::random(20, 3, 10).edges
-        );
-    }
-
-    #[test]
-    fn scores_sum_to_one() {
-        let g = Graph::random(40, 3, 1);
-        let r = pagerank_reference(&g, PageRankConfig::default(), 50);
-        let total: f64 = r.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "PageRank mass leaked: {total}");
-        assert!(r.iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
     fn parallel_matches_sequential_closely() {
         let g = Graph::random(40, 3, 2);
         let got = run_by_hand(&g, 4, 30);
@@ -312,16 +294,6 @@ mod tests {
                 "parallel pagerank diverged: {a} vs {b}"
             );
         }
-    }
-
-    #[test]
-    fn power_iteration_converges() {
-        let g = Graph::random(30, 4, 7);
-        let cfg = PageRankConfig::default();
-        let r30 = pagerank_reference(&g, cfg, 30);
-        let r60 = pagerank_reference(&g, cfg, 60);
-        let diff: f64 = r30.iter().zip(&r60).map(|(a, b)| (a - b).abs()).sum();
-        assert!(diff < 1e-6, "not converged: {diff}");
     }
 
     #[test]

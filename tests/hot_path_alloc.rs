@@ -17,6 +17,7 @@
 
 use std::ops::Range;
 
+use desim::SimReport;
 use mpk::Rank;
 use speccore::SpeculativeApp;
 use speculative_computation::prelude::*;
@@ -405,17 +406,27 @@ fn stackless_kernel_steady_state_is_allocation_free() {
     );
 }
 
+/// The kernel's exact growth from the short run to the long one:
+/// `(events_processed, messages_sent)`. 200 more iterations of 16 ranks
+/// broadcasting to 15 peers send 48 000 more messages. Beside each
+/// allocation ceiling it is an exact arm for a change that claims the
+/// driver's schedule does not move.
+fn steady_counts(long: &SimReport, short: &SimReport) -> (u64, u64) {
+    let events = long.events_processed - short.events_processed;
+    (events, long.messages_sent - short.messages_sent)
+}
+
 /// Heap allocations of one fault-free 16-rank stackless N-body run: the
 /// benchmark's `nbody16_small_sim` shape (N = 64 on the paper testbed,
 /// FW = 1, θ = 0.01, incremental correction).
-fn nbody16_run_allocations(iters: u64) -> u64 {
+fn nbody16_run_allocations(iters: u64) -> (u64, SimReport) {
     let n = 64;
     let cluster = netsim::ClusterSpec::paper_testbed();
     let particles = centered_cloud(n, 42);
     let ranges = partition_proportional(n, &cluster.capacities());
     let app_cfg = spec_bench::experiments::experiment_nbody_config().with_theta(0.01);
     let cfg = SpecConfig::speculative(1).with_correction(CorrectionMode::Incremental);
-    let (allocs, stats) = speccheck::alloc::count(|| {
+    let (allocs, (stats, report)) = speccheck::alloc::count(|| {
         mpk::run_sim_proc_cluster_with_faults::<IterMsg<_>, _, _, _>(
             &cluster,
             spec_bench::experiments::testbed_network(42, n),
@@ -436,10 +447,9 @@ fn nbody16_run_allocations(iters: u64) -> u64 {
             },
         )
         .expect("fault-free cluster must complete")
-        .0
     });
     assert!(stats.iter().all(|s| s.iterations == iters));
-    allocs
+    (allocs, report)
 }
 
 /// The driver's own per-iteration bookkeeping — inbox rows, input
@@ -453,25 +463,28 @@ fn nbody16_run_allocations(iters: u64) -> u64 {
 #[test]
 fn nbody16_driver_steady_state_allocations_stay_under_the_ceiling() {
     const CEILING_PER_RANK_ITER: f64 = 65.0;
+    const NBODY16_STEADY_COUNTS: (u64, u64) = (93_348, 48_000);
     let (short, long) = (100u64, 300u64);
-    let extra = nbody16_run_allocations(long) - nbody16_run_allocations(short);
-    let per_rank_iter = extra as f64 / ((long - short) * 16) as f64;
+    let (a_long, long_run) = nbody16_run_allocations(long);
+    let (a_short, short_run) = nbody16_run_allocations(short);
+    let per_rank_iter = (a_long - a_short) as f64 / ((long - short) * 16) as f64;
     assert!(
         per_rank_iter <= CEILING_PER_RANK_ITER,
         "steady-state allocations per rank-iteration rose to {per_rank_iter:.1}"
     );
+    assert_eq!(steady_counts(&long_run, &short_run), NBODY16_STEADY_COUNTS);
 }
 
 /// Heap allocations of one 16-rank stackless heat-2d run: the benchmark's
 /// `heat2d16_sim` shape (64 × 64 grid on the paper testbed with the N = 64
 /// network, FW = 1, θ = 0.01, incremental correction).
-fn heat2d16_run_allocations(iters: u64) -> u64 {
+fn heat2d16_run_allocations(iters: u64) -> (u64, SimReport) {
     let (rows, cols) = (64, 64);
     let cluster = netsim::ClusterSpec::paper_testbed();
     let p = cluster.len();
     let ranges: Vec<Range<usize>> = (0..p).map(|r| r * rows / p..(r + 1) * rows / p).collect();
     let cfg = SpecConfig::speculative(1).with_correction(CorrectionMode::Incremental);
-    let (allocs, stats) = speccheck::alloc::count(|| {
+    let (allocs, (stats, report)) = speccheck::alloc::count(|| {
         mpk::run_sim_proc_cluster_with_faults::<IterMsg<_>, _, _, _>(
             &cluster,
             spec_bench::experiments::testbed_network(42, 64),
@@ -487,10 +500,9 @@ fn heat2d16_run_allocations(iters: u64) -> u64 {
             },
         )
         .expect("fault-free cluster must complete")
-        .0
     });
     assert!(stats.iter().all(|s| s.iterations == iters));
-    allocs
+    (allocs, report)
 }
 
 /// Heat-2d's halos are one shared `Arc` per broadcast and `speculate`
@@ -502,11 +514,14 @@ fn heat2d16_run_allocations(iters: u64) -> u64 {
 #[test]
 fn heat2d16_driver_steady_state_allocations_stay_under_the_ceiling() {
     const CEILING_PER_RANK_ITER: f64 = 80.0;
+    const HEAT2D16_STEADY_COUNTS: (u64, u64) = (59_958, 48_000);
     let (short, long) = (100u64, 300u64);
-    let extra = heat2d16_run_allocations(long) - heat2d16_run_allocations(short);
-    let per_rank_iter = extra as f64 / ((long - short) * 16) as f64;
+    let (a_long, long_run) = heat2d16_run_allocations(long);
+    let (a_short, short_run) = heat2d16_run_allocations(short);
+    let per_rank_iter = (a_long - a_short) as f64 / ((long - short) * 16) as f64;
     assert!(
         per_rank_iter <= CEILING_PER_RANK_ITER,
         "steady-state allocations per rank-iteration rose to {per_rank_iter:.1}"
     );
+    assert_eq!(steady_counts(&long_run, &short_run), HEAT2D16_STEADY_COUNTS);
 }
