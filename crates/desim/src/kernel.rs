@@ -6,6 +6,14 @@
 //! blocked on fires: a run is one loop over one event heap, whatever the
 //! number of processes.
 //!
+//! A process costs one heap allocation, its own future: the kernel boxes
+//! the caller's future as it is and polls it through the object-safe
+//! `Body` trait, which boxes the output once, when the future completes,
+//! into one results table shared with every [`ProcessResult`]. The body is
+//! not an `async` wrapper that stores the output: such a wrapper's state
+//! machine keeps the captured future beside the copy it awaits, so every
+//! rank would be held twice.
+//!
 //! The state a *running* process may touch (event queue, mailboxes, trace
 //! log, `messages_sent`, `now`, the parked-operation slot) is one [`Core`]
 //! behind `Rc<RefCell<_>>`, shared by the [`Simulation`] and every
@@ -15,6 +23,7 @@
 
 use std::cell::RefCell;
 use std::future::Future;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
@@ -24,7 +33,7 @@ use obs::{Gauge, Recorder};
 
 use crate::event::{EventKind, EventQueue, Payload};
 use crate::mailbox::{Mailbox, MailboxId};
-use crate::process::{AsyncHandle, Grant, Op, ProcessId, ProcessResult, Slot};
+use crate::process::{AsyncHandle, Body, Grant, Op, ProcessId, ProcessResult, Results, Slot};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceLog};
 
@@ -98,7 +107,7 @@ struct ProcInfo {
     /// polled, and permanently once the process finished or panicked
     /// (freeing its state early — at 100k ranks that is most of the
     /// memory).
-    body: Option<Pin<Box<dyn Future<Output = ()>>>>,
+    body: Option<Pin<Box<dyn Body>>>,
     started: bool,
     finished: bool,
     blocked_on: Option<MailboxId>,
@@ -224,6 +233,7 @@ impl SchedChecks {
 pub struct Simulation {
     procs: Vec<ProcInfo>,
     core: Rc<RefCell<Core>>,
+    results: Results,
     recorder: Option<Box<dyn Recorder>>,
     checks: SchedChecks,
     error: Option<SimError>,
@@ -282,6 +292,7 @@ impl Simulation {
                 now: SimTime::ZERO,
                 slot: Slot::Empty,
             })),
+            results: Rc::default(),
             recorder: None,
             checks: SchedChecks::default(),
             error: None,
@@ -337,7 +348,8 @@ impl Simulation {
     /// [`run`](Self::run) completes.
     ///
     /// The closure runs immediately (to build the future); the body itself
-    /// first executes when the kernel grants time zero.
+    /// first executes when the kernel grants time zero. The future is boxed
+    /// as it is, so the process costs one allocation of its own size.
     pub fn spawn_async<R, F, Fut>(&mut self, name: impl Into<String>, f: F) -> ProcessResult<R>
     where
         R: 'static,
@@ -345,14 +357,10 @@ impl Simulation {
         Fut: Future<Output = R> + 'static,
     {
         let pid = ProcessId(self.procs.len());
-        let slot = Rc::new(RefCell::new(None));
-        let fut = f(AsyncHandle::new(pid, Rc::clone(&self.core)));
-        let result = Rc::clone(&slot);
+        let body = Box::pin(f(AsyncHandle::new(pid, Rc::clone(&self.core))));
         self.procs.push(ProcInfo {
             name: name.into(),
-            body: Some(Box::pin(async move {
-                *result.borrow_mut() = Some(fut.await);
-            })),
+            body: Some(body),
             started: false,
             finished: false,
             blocked_on: None,
@@ -360,7 +368,12 @@ impl Simulation {
             timer_gen: 0,
             armed_timer: None,
         });
-        ProcessResult { slot }
+        self.results.borrow_mut().push(None);
+        ProcessResult {
+            pid,
+            results: Rc::clone(&self.results),
+            output: PhantomData,
+        }
     }
 
     /// Run the simulation to completion.
@@ -450,45 +463,50 @@ impl Simulation {
             }
         }
 
-        let mut core = self.core.borrow_mut();
-        if self.error.is_none() {
-            let blocked: Vec<(String, MailboxId)> = self
-                .procs
-                .iter()
-                .filter(|p| !p.finished)
-                .map(|p| {
-                    (
-                        p.name.clone(),
-                        p.blocked_on
-                            .expect("unfinished process not blocked after queue drain"),
-                    )
-                })
-                .collect();
-            if !blocked.is_empty() {
-                self.error = Some(SimError::Deadlock {
-                    blocked,
-                    at: core.now,
-                });
-            }
+        if let Some(e) = self.error.take() {
+            return Err(e);
         }
-
-        let finish_times: Vec<(String, SimTime)> = self
+        // The run consumes the kernel, so the names move into the report
+        // rather than being cloned. `Core` is released before the process
+        // table goes: an unfinished body dropped with it must find `Core`
+        // unborrowed.
+        let (now, messages_sent, trace) = {
+            let mut core = self.core.borrow_mut();
+            (core.now, core.messages_sent, core.trace.take())
+        };
+        let blocked: Vec<(String, MailboxId)> = self
             .procs
-            .iter()
-            .map(|p| (p.name.clone(), p.finish_time.unwrap_or(core.now)))
+            .iter_mut()
+            .filter(|p| !p.finished)
+            .map(|p| {
+                (
+                    std::mem::take(&mut p.name),
+                    p.blocked_on
+                        .expect("unfinished process not blocked after queue drain"),
+                )
+            })
             .collect();
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => Ok(SimReport {
-                end_time: core.now,
-                events_processed: self.events_processed,
-                messages_sent: core.messages_sent,
-                messages_delivered: self.messages_delivered,
-                timers_fired: self.timers_fired,
-                finish_times,
-                trace: core.trace.take(),
-            }),
+        if !blocked.is_empty() {
+            return Err(SimError::Deadlock { blocked, at: now });
         }
+        // A fresh buffer of the exact size: `collect` would reuse the
+        // process table's allocation in place, about three times as large, and
+        // the report would keep it alive.
+        let mut finish_times = Vec::with_capacity(self.procs.len());
+        finish_times.extend(
+            self.procs
+                .into_iter()
+                .map(|p| (p.name, p.finish_time.unwrap_or(now))),
+        );
+        Ok(SimReport {
+            end_time: now,
+            events_processed: self.events_processed,
+            messages_sent,
+            messages_delivered: self.messages_delivered,
+            timers_fired: self.timers_fired,
+            finish_times,
+            trace,
+        })
     }
 
     /// Grant execution to `pid` with `grant` as the answer to whatever it
@@ -509,16 +527,18 @@ impl Simulation {
         }
         // No `Core` borrow is alive here: the process takes its own.
         let polled = catch_unwind(AssertUnwindSafe(|| {
-            body.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+            body.as_mut()
+                .poll_body(&mut Context::from_waker(Waker::noop()))
         }));
         let mut core = self.core.borrow_mut();
         let slot = std::mem::take(&mut core.slot);
         let proc = &mut self.procs[pid.0];
         let op = match (polled, slot) {
             (Ok(Poll::Pending), Slot::Parked(op)) => op,
-            (Ok(Poll::Ready(())), _) => {
+            (Ok(Poll::Ready(out)), _) => {
                 proc.finished = true;
                 proc.finish_time = Some(now);
+                self.results.borrow_mut()[pid.0] = Some(out);
                 return;
             }
             (polled, _) => {

@@ -19,6 +19,13 @@
 //!   [`TieBreak`]). Everything runs on the thread that calls
 //!   [`Simulation::run`], so simulations scale to hundreds of thousands of
 //!   processes.
+//! * A process costs **one allocation, its own future**: the kernel boxes
+//!   the future the closure returns as it is, and boxes the output once,
+//!   when the future completes, into a results table that every
+//!   [`ProcessResult`] reads by process id. The body is deliberately not an
+//!   `async` wrapper that stores the output: a wrapper's state machine
+//!   keeps the captured future beside the copy it awaits, which held every
+//!   rank twice.
 //! * Virtual time only moves when a process advances it (modelling
 //!   computation) or blocks in a receive (modelling waiting for a message).
 //! * Messages are sent with an explicit delivery delay chosen by the caller —

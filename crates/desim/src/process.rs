@@ -3,7 +3,9 @@
 //! A process is the future returned by the closure passed to
 //! [`Simulation::spawn_async`](crate::Simulation::spawn_async). The kernel
 //! owns every such future, so 10k–1M ranks are just a `Vec` of boxed state
-//! machines and one event heap.
+//! machines and one event heap. It boxes that future itself, once, and
+//! polls it through the object-safe `Body` trait: a process costs one
+//! allocation the size of its own future.
 //!
 //! The [`AsyncHandle`] a process receives is its whole view of the kernel.
 //! Non-blocking operations (`send`, `try_recv`, `create_mailbox`, `trace`,
@@ -19,6 +21,7 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::future::Future;
+use std::marker::PhantomData;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
@@ -261,15 +264,43 @@ impl Future for OpFuture<'_> {
     }
 }
 
-/// Handle to retrieve a process's return value after the simulation ran.
-pub struct ProcessResult<R> {
-    pub(crate) slot: Rc<RefCell<Option<R>>>,
+/// A process body as the kernel stores and polls it: the caller's future
+/// itself, its output boxed once, when it completes.
+pub(crate) trait Body {
+    /// Poll the future once; on completion, its output as `dyn Any`.
+    fn poll_body(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Box<dyn Any>>;
 }
 
-impl<R> ProcessResult<R> {
+impl<F> Body for F
+where
+    F: Future,
+    F::Output: 'static,
+{
+    fn poll_body(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Box<dyn Any>> {
+        self.poll(cx).map(|out| Box::new(out) as Box<dyn Any>)
+    }
+}
+
+/// Every process's output, by pid: one table shared by the
+/// [`Simulation`](crate::Simulation), which fills a process's entry when it
+/// finishes, and every [`ProcessResult`].
+pub(crate) type Results = Rc<RefCell<Vec<Option<Box<dyn Any>>>>>;
+
+/// Handle to retrieve a process's return value after the simulation ran.
+pub struct ProcessResult<R> {
+    pub(crate) pid: ProcessId,
+    pub(crate) results: Results,
+    pub(crate) output: PhantomData<fn() -> R>,
+}
+
+impl<R: 'static> ProcessResult<R> {
     /// Take the return value. Returns `None` if the process never finished
     /// (simulation error) or the value was already taken.
     pub fn take(&self) -> Option<R> {
-        self.slot.borrow_mut().take()
+        let out = self.results.borrow_mut()[self.pid.0].take()?;
+        Some(
+            *out.downcast::<R>()
+                .expect("a process's output has the type it was spawned with"),
+        )
     }
 }

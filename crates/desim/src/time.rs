@@ -64,19 +64,12 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Construct from fractional seconds. Negative and non-finite inputs
-    /// clamp to zero; values beyond the representable range clamp to
-    /// [`SimDuration::MAX`].
+    /// Construct from fractional seconds, rounded to the nearest
+    /// nanosecond. NaN and inputs ≤ 0 give zero; +∞ and values beyond the
+    /// representable range give [`SimDuration::MAX`] (the saturating
+    /// `f64 as u64` cast is the whole rule).
     pub fn from_secs_f64(secs: f64) -> Self {
-        if secs.is_nan() || secs <= 0.0 {
-            return SimDuration(0);
-        }
-        let ns = secs * 1e9;
-        if ns >= u64::MAX as f64 {
-            SimDuration(u64::MAX)
-        } else {
-            SimDuration(ns.round() as u64)
-        }
+        SimDuration((secs * 1e9).round() as u64)
     }
 
     /// Raw nanoseconds.
@@ -89,18 +82,12 @@ impl SimDuration {
         self.0 as f64 * 1e-9
     }
 
-    /// Scale by a non-negative float, rounding to the nearest nanosecond.
-    /// Negative and non-finite factors clamp to zero.
+    /// Scale by a float, rounding to the nearest nanosecond. The rule is
+    /// [`from_secs_f64`](Self::from_secs_f64)'s: a NaN or ≤ 0 factor gives
+    /// zero; a factor of +∞, or a product beyond the representable range,
+    /// gives [`SimDuration::MAX`]. Zero stays zero under any factor.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
-        if !factor.is_finite() || factor <= 0.0 {
-            return SimDuration(0);
-        }
-        let ns = self.0 as f64 * factor;
-        if ns >= u64::MAX as f64 {
-            SimDuration(u64::MAX)
-        } else {
-            SimDuration(ns.round() as u64)
-        }
+        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 }
 
@@ -209,18 +196,45 @@ mod tests {
 
     #[test]
     fn from_secs_clamps_garbage() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::MAX);
+        let from = SimDuration::from_secs_f64;
+        // NaN and ≤ 0 give zero.
+        assert_eq!(from(f64::NAN), SimDuration::ZERO);
+        assert_eq!(from(-f64::NAN), SimDuration::ZERO);
+        assert_eq!(from(f64::NEG_INFINITY), SimDuration::ZERO);
+        assert_eq!(from(-1.0), SimDuration::ZERO);
+        assert_eq!(from(-1e-12), SimDuration::ZERO);
+        assert_eq!(from(-0.0), SimDuration::ZERO);
+        assert_eq!(from(0.0), SimDuration::ZERO);
+        // Rounding to the nearest nanosecond.
+        assert_eq!(from(0.4e-9), SimDuration::ZERO);
+        assert_eq!(from(0.6e-9).as_nanos(), 1);
+        // +∞ and overflow give MAX; a value just in range stays exact.
+        assert_eq!(from(f64::INFINITY), SimDuration::MAX);
+        assert_eq!(from(f64::MAX), SimDuration::MAX);
+        assert_eq!(from(1.9e10), SimDuration::MAX);
+        assert_eq!(from(1.8e10).as_nanos(), 18_000_000_000_000_000_000);
     }
 
     #[test]
     fn mul_f64_rounds() {
         let d = SimDuration::from_nanos(1000);
         assert_eq!(d.mul_f64(1.5).as_nanos(), 1500);
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
-        assert_eq!(d.mul_f64(-3.0), SimDuration::ZERO);
+        assert_eq!(d.mul_f64(1.0006).as_nanos(), 1001);
+        assert_eq!(d.mul_f64(3.0).as_nanos(), 3000);
+        // NaN and ≤ 0 give zero.
         assert_eq!(d.mul_f64(f64::NAN), SimDuration::ZERO);
+        assert_eq!(d.mul_f64(f64::NEG_INFINITY), SimDuration::ZERO);
+        assert_eq!(d.mul_f64(-3.0), SimDuration::ZERO);
+        assert_eq!(d.mul_f64(-0.0), SimDuration::ZERO);
+        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
+        // +∞ and overflow give MAX.
+        assert_eq!(d.mul_f64(f64::INFINITY), SimDuration::MAX);
+        assert_eq!(d.mul_f64(f64::MAX), SimDuration::MAX);
+        assert_eq!(SimDuration::MAX.mul_f64(2.0), SimDuration::MAX);
+        assert_eq!(SimDuration::MAX.mul_f64(1.0), SimDuration::MAX);
+        // Zero stays zero, even under +∞ (0 · ∞ is NaN).
+        assert_eq!(SimDuration::ZERO.mul_f64(f64::INFINITY), SimDuration::ZERO);
+        assert_eq!(SimDuration::ZERO.mul_f64(5.0), SimDuration::ZERO);
     }
 
     #[test]

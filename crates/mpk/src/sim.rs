@@ -361,7 +361,7 @@ where
 mod tests {
     use super::*;
     use desim::SimDuration;
-    use netsim::{ConstantLatency, SharedMedium, Unloaded};
+    use netsim::{ConstantLatency, RandomSpikes, SharedMedium, Unloaded};
 
     #[test]
     fn compute_time_reflects_machine_speed() {
@@ -381,6 +381,26 @@ mod tests {
         assert_eq!(times[0], 10_000_000); // 10 ms on the fast machine
         assert_eq!(times[1], 100_000_000); // 100 ms on the slow machine
         assert_eq!(report.end_time.as_nanos(), 100_000_000);
+    }
+
+    #[test]
+    fn compute_time_reflects_background_load() {
+        // The same two machines under a spike on every compute: 3× the
+        // unloaded times above, exactly.
+        let cluster = ClusterSpec::new(vec![MachineSpec::new(100.0), MachineSpec::new(10.0)]);
+        let (times, report) = run_sim_proc_cluster::<(), _, _, _>(
+            &cluster,
+            ConstantLatency(SimDuration::ZERO),
+            RandomSpikes::new(1.0, 3.0, 7),
+            false,
+            |mut t| async move {
+                t.compute(1_000_000).await;
+                t.now().as_nanos()
+            },
+        )
+        .unwrap();
+        assert_eq!(times, [30_000_000, 300_000_000]);
+        assert_eq!(report.end_time.as_nanos(), 300_000_000);
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl Heat2dApp {
     }
 
     fn is_bottom_neighbor(&self, k: usize) -> bool {
-        k == self.me + 1 && k < self.p
+        k == self.me + 1
     }
 
     /// The row of neighbour `k`'s halo this strip consumes, and the index
