@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repository CI gate: formatting, lints, docs, tests, the perf-ledger
 # harness's own checks, the public-surface audit, the release-build
-# contracts and the release experiments golden. No step times anything:
-# wall-clock performance is judged by the perf ledger (BENCHMARK.json).
+# contracts, one run of every example and the release experiments
+# golden. No step times anything: wall-clock performance is judged by
+# the perf ledger (BENCHMARK.json).
 # Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -74,6 +75,20 @@ echo "== socket SIGKILL chaos (release, multi-process, hard timeout)"
 # children with a diagnostic first.
 timeout 150 cargo test --release --test chaos_socket \
     socket_rank_survives_sigkill_and_rejoins -- --exact --ignored --nocapture
+
+echo "== examples (release, default arguments)"
+# clippy --all-targets compiles every example; this runs each once, so
+# one that panics or exits non-zero fails here. They run in a scratch
+# directory because trace_viewer writes its trace (out.json) to the cwd.
+cargo build -q --release --examples
+examples_bin=$(realpath "${CARGO_TARGET_DIR:-target}")/release/examples
+examples_cwd=$(mktemp -d)
+trap 'rm -rf "$examples_cwd"' EXIT
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "-- $name"
+    (cd "$examples_cwd" && "$examples_bin/$name" >/dev/null)
+done
 
 echo "== experiments (release) against the golden"
 # The workspace tests check tests/golden/experiments.txt in a debug

@@ -22,9 +22,16 @@ use crate::types::{FaultCounters, Rank};
 pub struct FaultSpec<M> {
     /// Per-message fate model (loss, duplication, corruption, partitions).
     pub model: Box<dyn FaultModel>,
-    /// Scripted machine outages. The transport drops sends addressed to a
-    /// down rank, like datagrams to a rebooting host; the driver side
-    /// (speccore) interprets the same plan to crash and recover ranks.
+    /// Scripted machine outages, as the network sees them: the transport
+    /// drops sends addressed to a down rank, like datagrams to a rebooting
+    /// host. Nothing else reads this plan. A rank's own outage (it stops,
+    /// sleeps and rolls back) comes from the driver's separate list,
+    /// `speccore::FaultTolerance::with_crashes`, which the caller fills
+    /// with the same `MachineCrash`es. With only this list, the "down"
+    /// rank keeps computing and sending while its mail is dropped; with
+    /// only the driver's, it sleeps through the outage while mail sent to
+    /// it still arrives, and it discards what its mailbox holds when it
+    /// restarts: the same loss, but no sender counts a drop.
     pub crashes: CrashPlan,
     payload: PhantomData<fn(M)>,
 }

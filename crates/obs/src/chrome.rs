@@ -53,7 +53,7 @@ fn thread_name_event(rank: u32) -> Json {
 }
 
 fn emit_rank(trace: &RunTrace, out: &mut Vec<Json>) {
-    // Spans become "X" (complete) events, in begin order.
+    // Spans become "X" (complete) events, in the order they closed.
     for span in trace.spans() {
         let mut args = Vec::new();
         if let Some(iter) = span.iter {
@@ -94,7 +94,7 @@ fn emit_rank(trace: &RunTrace, out: &mut Vec<Json>) {
                 ("name", Json::Str(gauge.name().into())),
                 ("args", Json::obj([("value", Json::U64(value))])),
             ])),
-            EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. } => {}
+            EventKind::Span { .. } => {}
         }
     }
 }
@@ -163,12 +163,10 @@ mod tests {
 
     fn sample_traces() -> Vec<RunTrace> {
         let mut r = Vec::new();
-        r.span_begin(0, 1_000, Phase::Compute, Some(3), Some(1));
-        r.span_end(0, 4_500, Phase::Compute);
+        r.span(0, 1_000, 4_500, Phase::Compute, Some(3), Some(1));
         r.mark(0, 4_500, Mark::MsgSent { to: 1, bytes: 64 });
         r.gauge(0, 4_500, Gauge::ExecQueueDepth, 2);
-        r.span_begin(1, 0, Phase::CommWait, None, None);
-        r.span_end(1, 9_000, Phase::CommWait);
+        r.span(1, 0, 9_000, Phase::CommWait, None, None);
         RunTrace::split_by_rank(r)
     }
 

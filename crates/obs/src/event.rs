@@ -1,12 +1,13 @@
 //! The typed event vocabulary of the telemetry subsystem.
 //!
-//! Everything a recorder can capture is one of four shapes: a phase span
-//! boundary ([`EventKind::SpanBegin`]/[`EventKind::SpanEnd`]), a point
-//! [`Mark`] (message sent, misspeculation, rollback, …), or a [`Gauge`]
-//! sample (queue depths, event-heap size). Timestamps are raw `u64`
-//! nanoseconds and ranks raw `u32` so this crate stays dependency-free and
-//! every layer of the workspace — from the simulation kernel up to the
-//! benches — can emit into it without a cycle.
+//! Everything a recorder can capture is one of three shapes: a closed
+//! phase span ([`EventKind::Span`], recorded when it closes, so the
+//! event's `t_ns` is its end), a point [`Mark`] (message sent,
+//! misspeculation, rollback, …), or a [`Gauge`] sample (queue depths,
+//! event-heap size). Timestamps are raw `u64` nanoseconds and ranks raw
+//! `u32` so this crate stays dependency-free and every layer of the
+//! workspace — from the simulation kernel up to the benches — can emit
+//! into it without a cycle.
 
 /// The phases of the speculative driver, mirroring
 /// `speccore::PhaseBreakdown` field for field so span totals can be
@@ -257,19 +258,16 @@ impl Gauge {
 /// What happened, without the when/who.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EventKind {
-    /// A phase interval opened.
-    SpanBegin {
+    /// A phase interval closed; the event's `t_ns` is its end.
+    Span {
         /// Which phase.
         phase: Phase,
+        /// When the interval opened, nanoseconds (at most `t_ns`).
+        start_ns: u64,
         /// Iteration the span belongs to, if meaningful.
         iter: Option<u64>,
         /// Forward-window depth at the time, if meaningful.
         depth: Option<u64>,
-    },
-    /// The most recent open span of this phase closed.
-    SpanEnd {
-        /// Which phase.
-        phase: Phase,
     },
     /// A point event.
     Mark(Mark),

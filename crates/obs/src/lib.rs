@@ -2,7 +2,7 @@
 //!
 //! `obs` is the one vocabulary every layer emits into: the simulation
 //! kernel samples its event heap, the transports mark message traffic, the
-//! speculative driver wraps its phases in typed spans, and the apps and
+//! speculative driver records each phase as a typed span, and the apps and
 //! benches digest the result. The design constraints, in order:
 //!
 //! 1. **Zero cost when disabled.** Instrumented code holds an

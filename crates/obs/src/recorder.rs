@@ -18,28 +18,26 @@ pub trait Recorder: Send {
     /// Accept one event.
     fn record(&mut self, event: Event);
 
-    /// Open a phase span on `rank` at `t_ns`.
-    fn span_begin(
+    /// Record the closed phase span `[start_ns, end_ns]` on `rank`.
+    fn span(
         &mut self,
         rank: u32,
-        t_ns: u64,
+        start_ns: u64,
+        end_ns: u64,
         phase: Phase,
         iter: Option<u64>,
         depth: Option<u64>,
     ) {
+        debug_assert!(start_ns <= end_ns, "span ends before it begins");
         self.record(Event {
-            t_ns,
+            t_ns: end_ns,
             rank,
-            kind: EventKind::SpanBegin { phase, iter, depth },
-        });
-    }
-
-    /// Close the most recent open span of `phase` on `rank` at `t_ns`.
-    fn span_end(&mut self, rank: u32, t_ns: u64, phase: Phase) {
-        self.record(Event {
-            t_ns,
-            rank,
-            kind: EventKind::SpanEnd { phase },
+            kind: EventKind::Span {
+                phase,
+                start_ns,
+                iter,
+                depth,
+            },
         });
     }
 
@@ -121,15 +119,15 @@ mod tests {
     #[test]
     fn memory_recorder_keeps_order() {
         let mut r = Vec::new();
-        r.span_begin(0, 10, Phase::Compute, Some(1), Some(0));
         r.mark(0, 15, Mark::Commit { iter: 1 });
-        r.span_end(0, 20, Phase::Compute);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[0].t_ns, 10);
+        r.span(0, 10, 20, Phase::Compute, Some(1), Some(0));
+        assert_eq!(r.len(), 2);
         assert!(matches!(
-            r[1].kind,
+            r[0].kind,
             EventKind::Mark(Mark::Commit { iter: 1 })
         ));
+        assert_eq!(r[1].t_ns, 20);
+        assert!(matches!(r[1].kind, EventKind::Span { start_ns: 10, .. }));
     }
 
     #[test]

@@ -120,10 +120,8 @@ mod tests {
     fn renders_dominant_phase_per_cell() {
         let mut r = Vec::new();
         // Rank 0: first half compute, second half waiting.
-        r.span_begin(0, 0, Phase::Compute, None, None);
-        r.span_end(0, 500, Phase::Compute);
-        r.span_begin(0, 500, Phase::CommWait, None, None);
-        r.span_end(0, 1000, Phase::CommWait);
+        r.span(0, 0, 500, Phase::Compute, None, None);
+        r.span(0, 500, 1000, Phase::CommWait, None, None);
         let traces = RunTrace::split_by_rank(r);
         let text = render(&traces, 10);
         let line = text.lines().next().unwrap();
@@ -139,13 +137,12 @@ mod tests {
     #[test]
     fn fault_marks_overlay_the_bar_and_extend_the_legend() {
         let mut r = Vec::new();
-        r.span_begin(0, 0, Phase::Compute, None, None);
         r.mark(0, 250, Mark::MessageDropped { to: 1, bytes: 64 });
         r.mark(0, 500, Mark::PeerCrashed { peer: 0 });
         // A lower-priority mark in the same cell does not hide the crash.
         r.mark(0, 520, Mark::MessageDropped { to: 1, bytes: 64 });
         r.mark(0, 750, Mark::PeerRecovered { peer: 0 });
-        r.span_end(0, 1000, Phase::Compute);
+        r.span(0, 0, 1000, Phase::Compute, None, None);
         let traces = RunTrace::split_by_rank(r);
         let text = render(&traces, 10);
         let bar = text.lines().next().unwrap();
@@ -156,8 +153,7 @@ mod tests {
     #[test]
     fn fault_free_render_keeps_the_plain_legend() {
         let mut r = Vec::new();
-        r.span_begin(0, 0, Phase::Compute, None, None);
-        r.span_end(0, 1000, Phase::Compute);
+        r.span(0, 0, 1000, Phase::Compute, None, None);
         let traces = RunTrace::split_by_rank(r);
         let text = render(&traces, 10);
         assert!(
@@ -169,8 +165,7 @@ mod tests {
     #[test]
     fn idle_time_stays_blank() {
         let mut r = Vec::new();
-        r.span_begin(0, 800, Phase::Check, None, None);
-        r.span_end(0, 1000, Phase::Check);
+        r.span(0, 800, 1000, Phase::Check, None, None);
         let traces = RunTrace::split_by_rank(r);
         let line = render(&traces, 10);
         let bar = line.lines().next().unwrap();

@@ -1,5 +1,5 @@
-//! Assembling raw event streams into per-rank [`RunTrace`]s: span pairing,
-//! phase totals, counter totals, gauge series.
+//! Assembling raw event streams into per-rank [`RunTrace`]s: spans, phase
+//! totals, counter totals, gauge series.
 
 use std::collections::HashMap;
 
@@ -14,9 +14,9 @@ pub struct Span {
     pub start_ns: u64,
     /// When it closed, nanoseconds.
     pub end_ns: u64,
-    /// Iteration attribute from the begin event.
+    /// Iteration attribute, if recorded.
     pub iter: Option<u64>,
-    /// Forward-window-depth attribute from the begin event.
+    /// Forward-window-depth attribute, if recorded.
     pub depth: Option<u64>,
 }
 
@@ -161,52 +161,26 @@ impl RunTrace {
             .collect()
     }
 
-    /// Pair span begin/end events into closed [`Span`]s, in begin order.
-    ///
-    /// Spans of different phases may nest; within one phase, ends match the
-    /// most recent open begin.
-    ///
-    /// # Panics
-    ///
-    /// On a `SpanEnd` without a matching open begin, or an end before its
-    /// begin — both indicate broken instrumentation.
+    /// The closed [`Span`]s, in the order they closed.
     pub fn spans(&self) -> Vec<Span> {
-        let mut open: HashMap<Phase, Vec<usize>> = HashMap::new();
-        let mut spans: Vec<Option<Span>> = Vec::new();
-        for ev in &self.events {
-            match ev.kind {
-                EventKind::SpanBegin { phase, iter, depth } => {
-                    open.entry(phase).or_default().push(spans.len());
-                    spans.push(Some(Span {
-                        phase,
-                        start_ns: ev.t_ns,
-                        end_ns: ev.t_ns,
-                        iter,
-                        depth,
-                    }));
-                }
-                EventKind::SpanEnd { phase } => {
-                    let idx = open
-                        .get_mut(&phase)
-                        .and_then(Vec::pop)
-                        .unwrap_or_else(|| panic!("span_end without begin: {phase:?}"));
-                    let span = spans[idx].as_mut().expect("span slot filled at begin");
-                    assert!(ev.t_ns >= span.start_ns, "span ends before it begins");
-                    span.end_ns = ev.t_ns;
-                }
-                _ => {}
-            }
-        }
-        let unclosed: Vec<Phase> = open
+        self.events
             .iter()
-            .filter(|(_, stack)| !stack.is_empty())
-            .map(|(p, _)| *p)
-            .collect();
-        assert!(
-            unclosed.is_empty(),
-            "spans left open at end of trace: {unclosed:?}"
-        );
-        spans.into_iter().flatten().collect()
+            .filter_map(|ev| match ev.kind {
+                EventKind::Span {
+                    phase,
+                    start_ns,
+                    iter,
+                    depth,
+                } => Some(Span {
+                    phase,
+                    start_ns,
+                    end_ns: ev.t_ns,
+                    iter,
+                    depth,
+                }),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Per-phase total span time. When the instrumented code accounts every
@@ -283,9 +257,7 @@ mod tests {
     fn sample_events() -> Vec<Event> {
         let mut r = Vec::new();
         // Rank 0: compute 10..40, wait 40..100, check 100..110.
-        r.span_begin(0, 10, Phase::Compute, Some(0), Some(1));
-        r.span_end(0, 40, Phase::Compute);
-        r.span_begin(0, 40, Phase::CommWait, None, None);
+        r.span(0, 10, 40, Phase::Compute, Some(0), Some(1));
         r.mark(
             0,
             70,
@@ -294,15 +266,13 @@ mod tests {
                 bytes: 128,
             },
         );
-        r.span_end(0, 100, Phase::CommWait);
-        r.span_begin(0, 100, Phase::Check, Some(0), Some(1));
-        r.span_end(0, 110, Phase::Check);
+        r.span(0, 40, 100, Phase::CommWait, None, None);
+        r.span(0, 100, 110, Phase::Check, Some(0), Some(1));
         r.mark(0, 110, Mark::Commit { iter: 0 });
         r.gauge(0, 110, Gauge::ExecQueueDepth, 0);
         // Rank 1: one compute span and a send.
         r.mark(1, 5, Mark::MsgSent { to: 0, bytes: 128 });
-        r.span_begin(1, 5, Phase::Compute, Some(0), Some(1));
-        r.span_end(1, 45, Phase::Compute);
+        r.span(1, 5, 45, Phase::Compute, Some(0), Some(1));
         r
     }
 
@@ -312,8 +282,8 @@ mod tests {
         assert_eq!(traces.len(), 2);
         assert_eq!(traces[0].rank, 0);
         assert_eq!(traces[1].rank, 1);
-        assert_eq!(traces[0].events.len(), 9);
-        assert_eq!(traces[1].events.len(), 3);
+        assert_eq!(traces[0].events.len(), 6);
+        assert_eq!(traces[1].events.len(), 2);
     }
 
     #[test]
@@ -359,36 +329,5 @@ mod tests {
         assert_eq!(c1.messages_sent, 1);
         assert_eq!(c1.bytes_sent, 128);
         assert_eq!(c1.controller_retunes, 0);
-    }
-
-    #[test]
-    fn nested_spans_of_different_phases_pair_correctly() {
-        let mut r = Vec::new();
-        r.span_begin(0, 0, Phase::Compute, None, None);
-        r.span_begin(0, 10, Phase::Check, None, None);
-        r.span_end(0, 20, Phase::Check);
-        r.span_end(0, 50, Phase::Compute);
-        let trace = RunTrace { rank: 0, events: r };
-        let totals = trace.phase_totals();
-        assert_eq!(totals.compute, 50);
-        assert_eq!(totals.check, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "span_end without begin")]
-    fn unbalanced_end_panics() {
-        let mut r = Vec::new();
-        r.span_end(0, 5, Phase::Compute);
-        let trace = RunTrace { rank: 0, events: r };
-        let _ = trace.spans();
-    }
-
-    #[test]
-    #[should_panic(expected = "left open")]
-    fn unclosed_span_panics() {
-        let mut r = Vec::new();
-        r.span_begin(0, 5, Phase::Compute, None, None);
-        let trace = RunTrace { rank: 0, events: r };
-        let _ = trace.spans();
     }
 }

@@ -68,10 +68,8 @@ enum Driver {
     Fw0,
     /// The grid point plus fault tolerance at the point's timeout.
     FaultTolerant,
-    /// [`Driver::FaultTolerant`] plus default supervision.
+    /// [`Driver::FaultTolerant`] plus supervision at (3, 8).
     Supervised,
-    /// The grid point plus supervision alone, which nothing drives.
-    SupervisionOnly,
     /// The grid point plus lossless (floor 0) delta exchange.
     LosslessDelta,
     /// The grid point plus lossy delta exchange with a keyframe every
@@ -90,14 +88,13 @@ impl Driver {
     fn config(self, pt: &Point) -> SpecConfig {
         let grid = pt.params.build();
         let ft = || FaultTolerance::new(SimDuration::from_millis(pt.timeout_ms));
-        let sup = SupervisionConfig::default();
+        let sup = SupervisionConfig::new(3, 8);
         let retuning = ControllerConfig::new().with_cadence(2, 1).with_fw_max(4);
         match self {
             Grid => grid,
             Fw0 => SpecConfig::baseline(),
             FaultTolerant => grid.with_fault_tolerance(ft()),
-            Supervised => grid.with_fault_tolerance(ft()).with_supervision(sup),
-            SupervisionOnly => grid.with_supervision(sup),
+            Supervised => grid.with_fault_tolerance(ft().with_supervision(sup)),
             LosslessDelta => {
                 grid.with_delta_exchange(DeltaExchange::new(0.0, pt.sc.delta_keyframe))
             }
@@ -136,7 +133,6 @@ impl Driver {
             Grid | DormantController => ctl == (0, 0, 0.0),
             FaultTolerant => loss == [0; 4],
             Supervised => loss == [0; 4] && health == [0; 4],
-            SupervisionOnly => health == [0; 4],
             LosslessDelta => s.delta_frames_dropped == 0,
             KeyframeEveryIteration => s.delta_suppressed_bytes == 0,
             // warmup = 2 ≤ iters, so the controller must have decided.
@@ -329,7 +325,7 @@ matrix! {
         (sc in synthetic_scenario(), params in spec_params(), timeout_ms in 200u64..500)
             => Point { timeout_ms, ..point(sc, params) },
         equal [Fingerprints, Elapsed],
-        arms [(FIFO, Grid), (FIFO, FaultTolerant), (FIFO, Supervised), (FIFO, SupervisionOnly)];
+        arms [(FIFO, Grid), (FIFO, FaultTolerant), (FIFO, Supervised)];
 
     /// Full grid, FIFO net: every lossless delta frame reconstructs the
     /// sender's exact snapshot, and timing is untouched.
@@ -430,10 +426,11 @@ fn crash_config(
     sup: SupervisionConfig,
     crash: MachineCrash,
 ) -> SpecConfig {
-    params
-        .build()
-        .with_fault_tolerance(FaultTolerance::new(timeout).with_crashes(vec![crash]))
-        .with_supervision(sup)
+    params.build().with_fault_tolerance(
+        FaultTolerance::new(timeout)
+            .with_crashes(vec![crash])
+            .with_supervision(sup),
+    )
 }
 
 /// The transport-side half: sends addressed to the crashed rank during

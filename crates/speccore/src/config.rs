@@ -35,19 +35,23 @@ pub enum CorrectionMode {
 pub struct FaultTolerance {
     /// How long the oldest unconfirmed iteration may wait on a missing
     /// input before the driver commits the speculated value in its place.
-    pub loss_timeout: SimDuration,
+    pub(crate) loss_timeout: SimDuration,
     /// How many *consecutive* iterations a peer's input may be promoted
     /// from speculation before the driver asks that peer to retransmit its
     /// latest state (and again every further `staleness_budget` promotions).
-    pub staleness_budget: u32,
+    pub(crate) staleness_budget: u32,
     /// Scripted crashes of this run's own ranks. Each rank sleeps through
     /// its outages and re-seeds from its confirmed checkpoint on restart.
-    pub crashes: Vec<MachineCrash>,
+    pub(crate) crashes: Vec<MachineCrash>,
+    /// Peer-supervision policy; `None` keeps the flat per-message loss
+    /// handling with no health lifecycle.
+    pub(crate) supervision: Option<SupervisionConfig>,
 }
 
 impl FaultTolerance {
     /// Speculate-through-loss after `loss_timeout`, with a default
-    /// staleness budget of 4 promoted iterations per peer and no crashes.
+    /// staleness budget of 4 promoted iterations per peer, no crashes and
+    /// no supervision.
     pub fn new(loss_timeout: SimDuration) -> Self {
         assert!(
             loss_timeout > SimDuration::ZERO,
@@ -57,6 +61,7 @@ impl FaultTolerance {
             loss_timeout,
             staleness_budget: 4,
             crashes: Vec::new(),
+            supervision: None,
         }
     }
 
@@ -67,15 +72,29 @@ impl FaultTolerance {
         self
     }
 
-    /// Script machine crashes into the run.
+    /// Script machine crashes of this run's own ranks into the driver.
+    ///
+    /// This is the driver's copy of the plan: a rank acts out only the
+    /// crashes listed here (it stops, sleeps through the outage and rolls
+    /// back). The transport's [`mpk::FaultSpec::crashes`] is a separate
+    /// list, which drops the messages sent to a rank while it is down; a
+    /// faithful crash lists the same [`MachineCrash`] in both.
     pub fn with_crashes(mut self, crashes: Vec<MachineCrash>) -> Self {
         self.crashes = crashes;
+        self
+    }
+
+    /// Track per-peer health and quarantine persistently silent peers.
+    pub fn with_supervision(mut self, sup: SupervisionConfig) -> Self {
+        self.supervision = Some(sup);
         self
     }
 }
 
 /// Peer-supervision policy: a per-peer health lifecycle layered on top of
-/// [`FaultTolerance`].
+/// [`FaultTolerance`], which carries it
+/// ([`FaultTolerance::with_supervision`]): without a loss timeout no input
+/// is ever promoted, so no peer would ever be suspected.
 ///
 /// Loss timeouts treat every missing message independently; supervision
 /// tracks the *peer*. A peer that has contributed nothing for
@@ -90,10 +109,10 @@ impl FaultTolerance {
 pub struct SupervisionConfig {
     /// Consecutive speculate-through-loss promotions of a peer's input
     /// before the peer is marked `Suspected` (at least 1).
-    pub suspect_after: u32,
+    pub(crate) suspect_after: u32,
     /// Consecutive promotions before a suspected peer is `Quarantined`
     /// (must be ≥ `suspect_after`).
-    pub quarantine_after: u32,
+    pub(crate) quarantine_after: u32,
 }
 
 impl SupervisionConfig {
@@ -109,13 +128,6 @@ impl SupervisionConfig {
             suspect_after,
             quarantine_after,
         }
-    }
-}
-
-impl Default for SupervisionConfig {
-    /// Suspect after 3 consecutive promotions, quarantine after 8.
-    fn default() -> Self {
-        SupervisionConfig::new(3, 8)
     }
 }
 
@@ -145,10 +157,10 @@ impl Default for SupervisionConfig {
 pub struct DeltaExchange {
     /// Largest per-lane change that may be suppressed. `0.0` compares bit
     /// patterns: the delta stream is exactly lossless.
-    pub floor: f64,
+    pub(crate) floor: f64,
     /// Broadcast a full keyframe whenever `iter % keyframe_interval == 0`
     /// (at least 1; 1 degenerates to full broadcast every iteration).
-    pub keyframe_interval: u64,
+    pub(crate) keyframe_interval: u64,
 }
 
 impl DeltaExchange {
@@ -164,15 +176,12 @@ impl DeltaExchange {
             keyframe_interval,
         }
     }
-
-    /// Lossless deltas (floor 0) with the default keyframe cadence of 32.
-    #[cfg(test)]
-    pub(crate) fn lossless() -> Self {
-        DeltaExchange::new(0.0, 32)
-    }
 }
 
-/// Complete driver configuration.
+/// Complete driver configuration, built from [`SpecConfig::baseline`] or
+/// [`SpecConfig::speculative`] and the `with_*` builders. The fields of
+/// every driver config are private to the crate, so a config exists only
+/// through builders, which reject each degenerate knob at construction.
 #[derive(Clone, Debug)]
 pub struct SpecConfig {
     /// The forward window (FW): how many unconfirmed iterations may be in
@@ -180,32 +189,31 @@ pub struct SpecConfig {
     /// Figure 1 baseline; `1` is the Figure 3 algorithm; larger values add
     /// forward speculation (Figure 4). With a `controller` attached this is
     /// the starting window, which the controller then resizes at runtime.
-    pub window: u32,
-    /// Number of past values retained per peer (the backward window, BW).
-    pub backward_window: usize,
+    pub(crate) window: u32,
+    /// The backward window (BW): how many past values per peer the
+    /// speculator extrapolates from (at least 1). They are the newest
+    /// actual values received, except that an input promoted on loss
+    /// counts as that iteration's value: the late actual is then ignored
+    /// (see [`History`](crate::History)).
+    pub(crate) backward_window: usize,
     /// Misspeculation repair strategy.
-    pub correction: CorrectionMode,
+    pub(crate) correction: CorrectionMode,
     /// Collect per-iteration timing records into
     /// [`RunStats::iteration_log`](crate::RunStats::iteration_log).
-    pub collect_log: bool,
-    /// Fault-tolerance policy; `None` (the default) assumes a reliable
-    /// transport and keeps the driver's behavior bit-identical to the
-    /// fault-unaware implementation.
-    pub fault: Option<FaultTolerance>,
+    pub(crate) collect_log: bool,
+    /// Fault-tolerance policy, supervision included; `None` (the default)
+    /// assumes a reliable transport and keeps the driver's behavior
+    /// bit-identical to the fault-unaware implementation.
+    pub(crate) fault: Option<FaultTolerance>,
     /// Delta-exchange policy; `None` (the default) broadcasts full
     /// partition snapshots exactly as before. Ignored for apps that do not
     /// expose scalar lanes (see
     /// [`SpeculativeApp::delta_extract`](crate::SpeculativeApp::delta_extract)).
-    pub delta: Option<DeltaExchange>,
-    /// Peer-supervision policy; `None` (the default) keeps the flat
-    /// per-message loss handling of [`FaultTolerance`] with no health
-    /// lifecycle. Only meaningful when `fault` is also set — without a
-    /// loss timeout no promotions happen, so no peer is ever suspected.
-    pub supervision: Option<SupervisionConfig>,
+    pub(crate) delta: Option<DeltaExchange>,
     /// Adaptive speculation controller; `None` (the default) keeps every
     /// knob static and the driver's behavior bit-identical to the
     /// controller-unaware implementation.
-    pub controller: Option<ControllerConfig>,
+    pub(crate) controller: Option<ControllerConfig>,
 }
 
 impl SpecConfig {
@@ -218,7 +226,6 @@ impl SpecConfig {
             collect_log: false,
             fault: None,
             delta: None,
-            supervision: None,
             controller: None,
         }
     }
@@ -228,12 +235,7 @@ impl SpecConfig {
         SpecConfig {
             window: forward_window,
             backward_window: 2,
-            correction: CorrectionMode::Incremental,
-            collect_log: false,
-            fault: None,
-            delta: None,
-            supervision: None,
-            controller: None,
+            ..SpecConfig::baseline()
         }
     }
 
@@ -245,8 +247,9 @@ impl SpecConfig {
         self
     }
 
-    /// Set the backward window.
+    /// Set the backward window (at least 1).
     pub fn with_backward_window(mut self, bw: usize) -> Self {
+        assert!(bw >= 1, "backward window must be at least 1");
         self.backward_window = bw;
         self
     }
@@ -258,7 +261,7 @@ impl SpecConfig {
     }
 
     /// Enable fault tolerance (speculate-through-loss, retransmit
-    /// requests, crash recovery).
+    /// requests, crash recovery, and supervision if the policy carries it).
     pub fn with_fault_tolerance(mut self, ft: FaultTolerance) -> Self {
         self.fault = Some(ft);
         self
@@ -271,56 +274,11 @@ impl SpecConfig {
         self
     }
 
-    /// Track per-peer health and quarantine persistently silent peers
-    /// (requires [`SpecConfig::with_fault_tolerance`] to have any effect).
-    pub fn with_supervision(mut self, sup: SupervisionConfig) -> Self {
-        self.supervision = Some(sup);
-        self
-    }
-
     /// Retune θ, the forward window, and per-peer loss deadlines online
     /// from observed telemetry (see [`ControllerConfig`]).
     pub fn with_adaptive(mut self, controller: ControllerConfig) -> Self {
-        controller.validate().expect("invalid controller config");
         self.controller = Some(controller);
         self
-    }
-
-    /// Cross-field validation of the whole configuration, re-checking every
-    /// invariant the individual builders assert so that struct-literal
-    /// construction (the fields are deliberately public) cannot smuggle a
-    /// zero or degenerate knob past the constructors and livelock or
-    /// divide-by-zero deep inside the driver. The drivers call this once at
-    /// entry and panic with the returned reason.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if let Some(f) = &self.fault {
-            if f.loss_timeout == SimDuration::ZERO {
-                return Err("fault tolerance loss timeout must be positive".into());
-            }
-            if f.staleness_budget < 1 {
-                return Err("fault tolerance staleness budget must be at least 1".into());
-            }
-        }
-        if let Some(d) = &self.delta {
-            if !(d.floor.is_finite() && d.floor >= 0.0) {
-                return Err("delta quantization floor must be finite and non-negative".into());
-            }
-            if d.keyframe_interval < 1 {
-                return Err("delta keyframe interval must be at least 1".into());
-            }
-        }
-        if let Some(s) = &self.supervision {
-            if s.suspect_after < 1 {
-                return Err("supervision suspect_after must be at least 1".into());
-            }
-            if s.quarantine_after < s.suspect_after {
-                return Err("supervision quarantine_after must be >= suspect_after".into());
-            }
-        }
-        if let Some(c) = &self.controller {
-            c.validate()?;
-        }
-        Ok(())
     }
 }
 
@@ -343,24 +301,21 @@ mod tests {
     #[test]
     fn fault_tolerance_builder() {
         use desim::SimTime;
+        let sup = SupervisionConfig::new(1, 2);
         let ft = FaultTolerance::new(SimDuration::from_millis(5))
             .with_staleness_budget(2)
             .with_crashes(vec![MachineCrash {
                 rank: 1,
                 at: SimTime::from_nanos(100),
                 restart_after: SimDuration::from_nanos(50),
-            }]);
+            }])
+            .with_supervision(sup);
         assert_eq!(ft.loss_timeout, SimDuration::from_millis(5));
         assert_eq!(ft.staleness_budget, 2);
         assert_eq!(ft.crashes.len(), 1);
+        assert_eq!(ft.supervision, Some(sup));
         let c = SpecConfig::speculative(1).with_fault_tolerance(ft.clone());
         assert_eq!(c.fault, Some(ft));
-    }
-
-    #[test]
-    #[should_panic(expected = "loss timeout must be positive")]
-    fn zero_loss_timeout_is_rejected() {
-        let _ = FaultTolerance::new(SimDuration::ZERO);
     }
 
     #[test]
@@ -371,92 +326,58 @@ mod tests {
         let c = SpecConfig::speculative(1).with_delta_exchange(d);
         assert_eq!(c.delta, Some(d));
         assert!(SpecConfig::baseline().delta.is_none());
-        let lossless = DeltaExchange::lossless();
-        assert_eq!(lossless.floor, 0.0);
     }
 
+    /// Every knob a builder refuses, with the words its panic carries.
     #[test]
-    #[should_panic(expected = "keyframe interval must be >= 1")]
-    fn zero_keyframe_interval_is_rejected() {
-        let _ = DeltaExchange::new(0.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantization floor must be finite")]
-    fn negative_floor_is_rejected() {
-        let _ = DeltaExchange::new(-1.0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "staleness budget must be at least 1")]
-    fn zero_staleness_budget_is_rejected() {
-        let _ = FaultTolerance::new(SimDuration::from_millis(5)).with_staleness_budget(0);
-    }
-
-    #[test]
-    fn validate_catches_struct_literal_bypass() {
-        // The builders assert, but the fields are public: a struct literal
-        // can carry degenerate knobs straight to the driver. validate()
-        // is the driver's backstop.
-        let ok = SpecConfig::speculative(1);
-        assert_eq!(ok.validate(), Ok(()));
-
-        let mut c = SpecConfig::speculative(1);
-        c.fault = Some(FaultTolerance {
-            loss_timeout: SimDuration::ZERO,
-            staleness_budget: 4,
-            crashes: Vec::new(),
-        });
-        assert!(c.validate().unwrap_err().contains("loss timeout"));
-
-        let mut c = SpecConfig::speculative(1);
-        c.fault = Some(FaultTolerance {
-            loss_timeout: SimDuration::from_millis(5),
-            staleness_budget: 0,
-            crashes: Vec::new(),
-        });
-        assert!(c.validate().unwrap_err().contains("staleness budget"));
-
-        let mut c = SpecConfig::speculative(1);
-        c.delta = Some(DeltaExchange {
-            floor: 0.0,
-            keyframe_interval: 0,
-        });
-        assert!(c.validate().unwrap_err().contains("keyframe interval"));
-
-        let mut c = SpecConfig::speculative(1);
-        c.delta = Some(DeltaExchange {
-            floor: f64::NAN,
-            keyframe_interval: 8,
-        });
-        assert!(c.validate().unwrap_err().contains("floor"));
-
-        let mut c = SpecConfig::speculative(1);
-        c.supervision = Some(SupervisionConfig {
-            suspect_after: 0,
-            quarantine_after: 4,
-        });
-        assert!(c.validate().unwrap_err().contains("suspect_after"));
-
-        let mut c = SpecConfig::speculative(1);
-        c.supervision = Some(SupervisionConfig {
-            suspect_after: 5,
-            quarantine_after: 4,
-        });
-        assert!(c.validate().unwrap_err().contains("quarantine_after"));
-
-        let mut c = SpecConfig::speculative(1);
-        let mut cc = ControllerConfig::new();
-        cc.period = 0;
-        c.controller = Some(cc);
-        assert!(c.validate().unwrap_err().contains("period"));
+    fn builders_reject_degenerate_knobs() {
+        let cases: [(fn(), &str); 8] = [
+            (
+                || _ = FaultTolerance::new(SimDuration::ZERO),
+                "loss timeout must be positive",
+            ),
+            (
+                || _ = FaultTolerance::new(SimDuration::from_millis(5)).with_staleness_budget(0),
+                "staleness budget must be at least 1",
+            ),
+            (
+                || _ = DeltaExchange::new(0.0, 0),
+                "keyframe interval must be >= 1",
+            ),
+            (
+                || _ = DeltaExchange::new(-1.0, 4),
+                "quantization floor must be finite",
+            ),
+            (
+                || _ = DeltaExchange::new(f64::NAN, 4),
+                "quantization floor must be finite",
+            ),
+            (
+                || _ = SupervisionConfig::new(0, 4),
+                "suspect_after must be at least 1",
+            ),
+            (
+                || _ = SupervisionConfig::new(5, 4),
+                "quarantine_after must be >= suspect_after",
+            ),
+            (
+                || _ = SpecConfig::speculative(1).with_backward_window(0),
+                "backward window must be at least 1",
+            ),
+        ];
+        for (build, want) in cases {
+            let payload = std::panic::catch_unwind(build).expect_err(want);
+            let msg = payload
+                .downcast_ref::<&str>()
+                .expect("a literal panic message");
+            assert!(msg.contains(want), "{want:?} panicked with {msg:?}");
+        }
     }
 
     #[test]
     fn with_adaptive_attaches_a_controller() {
         let c = SpecConfig::speculative(1).with_adaptive(ControllerConfig::new());
         assert!(c.controller.is_some());
-        assert_eq!(c.validate(), Ok(()));
         assert!(SpecConfig::baseline().controller.is_none());
     }
 }

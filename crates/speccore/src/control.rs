@@ -60,21 +60,21 @@ const FW_HYSTERESIS: f64 = 0.01;
 #[derive(Clone, Debug, PartialEq)]
 pub struct ControllerConfig {
     /// Confirmations observed before the first retune. Must be ≥ 1.
-    pub warmup: u64,
+    pub(crate) warmup: u64,
     /// Confirmations between retune evaluations after warmup. Must be ≥ 1.
-    pub period: u64,
+    pub(crate) period: u64,
     /// Largest forward window the controller may choose. Must be ≥ 1.
-    pub fw_max: u32,
+    pub(crate) fw_max: u32,
     /// Ascending candidate acceptance thresholds. Empty leaves θ untouched.
     /// Entry 0 is the "exact" anchor the controller falls back to whenever
     /// there is no observed delay to mask (by convention `0.0`).
-    pub theta_grid: Vec<f64>,
+    pub(crate) theta_grid: Vec<f64>,
     /// Quantile of observed per-peer inter-arrival gaps used for adaptive
     /// deadlines, in `(0, 1]`.
-    pub delay_quantile: f64,
+    pub(crate) delay_quantile: f64,
     /// Multiplier applied to the gap quantile to form the deadline.
     /// Must be ≥ 1.
-    pub deadline_headroom: f64,
+    pub(crate) deadline_headroom: f64,
 }
 
 impl ControllerConfig {
@@ -136,34 +136,6 @@ impl ControllerConfig {
         self.delay_quantile = quantile;
         self.deadline_headroom = headroom;
         self
-    }
-
-    /// All invariants the builders enforce, re-checked in one place so
-    /// struct-literal construction cannot smuggle degenerate knobs into
-    /// the driver. Returns a human-readable reason on failure.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if self.warmup < 1 {
-            return Err("controller warmup must be at least 1 confirmation".into());
-        }
-        if self.period < 1 {
-            return Err("controller period must be at least 1 confirmation".into());
-        }
-        if self.fw_max < 1 {
-            return Err("controller fw_max must be at least 1".into());
-        }
-        if !self.theta_grid.iter().all(|t| t.is_finite() && *t >= 0.0) {
-            return Err("controller theta grid entries must be finite and non-negative".into());
-        }
-        if !self.theta_grid.windows(2).all(|w| w[0] < w[1]) {
-            return Err("controller theta grid must be strictly ascending".into());
-        }
-        if !(self.delay_quantile > 0.0 && self.delay_quantile <= 1.0) {
-            return Err("controller delay quantile must be in (0, 1]".into());
-        }
-        if !(self.deadline_headroom.is_finite() && self.deadline_headroom >= 1.0) {
-            return Err("controller deadline headroom must be finite and at least 1".into());
-        }
-        Ok(())
     }
 }
 
@@ -433,47 +405,53 @@ mod tests {
     }
 
     #[test]
-    fn controller_config_builders_validate() {
+    fn controller_config_builders_set_their_knobs() {
         let c = cfg();
-        assert_eq!(c.validate(), Ok(()));
-        assert_eq!(c.warmup, 2);
-        assert_eq!(c.period, 1);
-        assert_eq!(c.fw_max, 8);
+        assert_eq!((c.warmup, c.period, c.fw_max), (2, 1, 8));
         let c = ControllerConfig::default().with_deadline(0.5, 3.0);
-        assert_eq!(c.delay_quantile, 0.5);
-        assert_eq!(c.deadline_headroom, 3.0);
-        assert_eq!(c.validate(), Ok(()));
+        assert_eq!((c.delay_quantile, c.deadline_headroom), (0.5, 3.0));
     }
 
+    /// Every knob a builder refuses, with the words its panic carries.
     #[test]
-    fn controller_config_validate_rejects_struct_literal_bypass() {
-        let mut c = ControllerConfig::new();
-        c.warmup = 0;
-        assert!(c.validate().is_err());
-        let mut c = ControllerConfig::new();
-        c.period = 0;
-        assert!(c.validate().is_err());
-        let mut c = ControllerConfig::new();
-        c.fw_max = 0;
-        assert!(c.validate().is_err());
-        let mut c = ControllerConfig::new();
-        c.theta_grid = vec![0.05, 0.01];
-        assert!(c.validate().is_err());
-        let mut c = ControllerConfig::new();
-        c.theta_grid = vec![f64::NAN];
-        assert!(c.validate().is_err());
-        let mut c = ControllerConfig::new();
-        c.delay_quantile = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = ControllerConfig::new();
-        c.deadline_headroom = 0.5;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn theta_grid_builder_rejects_descending() {
-        let _ = ControllerConfig::new().with_theta_grid(vec![0.1, 0.01]);
+    fn builders_reject_degenerate_knobs() {
+        let cases: [(fn(), &str); 7] = [
+            (
+                || _ = ControllerConfig::new().with_cadence(0, 4),
+                "warmup must be at least 1",
+            ),
+            (
+                || _ = ControllerConfig::new().with_cadence(8, 0),
+                "period must be at least 1",
+            ),
+            (
+                || _ = ControllerConfig::new().with_fw_max(0),
+                "fw_max must be at least 1",
+            ),
+            (
+                || _ = ControllerConfig::new().with_deadline(0.0, 2.0),
+                "delay quantile must be in (0, 1]",
+            ),
+            (
+                || _ = ControllerConfig::new().with_deadline(0.9, 0.5),
+                "headroom must be finite and at least 1",
+            ),
+            (
+                || _ = ControllerConfig::new().with_theta_grid(vec![f64::NAN]),
+                "finite and non-negative",
+            ),
+            (
+                || _ = ControllerConfig::new().with_theta_grid(vec![0.1, 0.01]),
+                "strictly ascending",
+            ),
+        ];
+        for (build, want) in cases {
+            let payload = std::panic::catch_unwind(build).expect_err(want);
+            let msg = payload
+                .downcast_ref::<&str>()
+                .expect("a literal panic message");
+            assert!(msg.contains(want), "{want:?} panicked with {msg:?}");
+        }
     }
 
     #[test]

@@ -320,9 +320,6 @@ where
     A::Shared: WireSize,
     T: AsyncTransport<Msg = IterMsg<A::Shared>>,
 {
-    config
-        .validate()
-        .expect("invalid SpecConfig reached the driver");
     let start = transport.now();
     let mut s = RankState::new(transport, app, total_iters, config);
     if total_iters == 0 {
@@ -438,7 +435,6 @@ where
 {
     fn new(transport: &'a mut T, app: &'a mut A, total_iters: u64, config: SpecConfig) -> Self {
         let (me, p) = (transport.rank(), transport.size());
-        let bw = config.backward_window.max(1);
         RankState {
             me,
             p,
@@ -447,7 +443,7 @@ where
             last_inbox_depth: None,
             last_window: None,
             inbox: Inbox::new(p, total_iters),
-            peers: (0..p).map(|_| Peer::new(bw)).collect(),
+            peers: (0..p).map(|_| Peer::new(config.backward_window)).collect(),
             exec_q: VecDeque::new(),
             checkpoint_pool: Vec::new(),
             speculated_pool: Vec::new(),
@@ -493,8 +489,8 @@ where
     /// A closed phase span `[t0, t1]`.
     fn span(&mut self, t0: SimTime, t1: SimTime, phase: Phase, iter: u64, depth: Option<u64>) {
         if let Some(r) = self.transport.recorder() {
-            r.span_begin(self.me.0 as u32, t0.as_nanos(), phase, Some(iter), depth);
-            r.span_end(self.me.0 as u32, t1.as_nanos(), phase);
+            let rank = self.me.0 as u32;
+            r.span(rank, t0.as_nanos(), t1.as_nanos(), phase, Some(iter), depth);
         }
     }
 
@@ -766,7 +762,7 @@ where
     /// and mark the transitions. One step per pass, so thresholds crossed
     /// together still resolve.
     fn sweep_supervision(&mut self) {
-        let Some(sup) = self.config.supervision else {
+        let Some(sup) = self.fault.as_ref().and_then(|f| f.policy.supervision) else {
             return;
         };
         let t_now = self.transport.now();
@@ -1591,9 +1587,8 @@ pub(crate) mod tests {
         let crash = MachineCrash::permanent(1, desim::SimTime::ZERO);
         let ft = || FaultTolerance::new(SimDuration::from_millis(10)).with_crashes(vec![crash]);
         let slow_cfg = SpecConfig::speculative(1).with_fault_tolerance(ft());
-        let fast_cfg = slow_cfg
-            .clone()
-            .with_supervision(SupervisionConfig::new(1, 1));
+        let fast_cfg = SpecConfig::speculative(1)
+            .with_fault_tolerance(ft().with_supervision(SupervisionConfig::new(1, 1)));
         let faults = || FaultSpec::none().with_crashes(netsim::CrashPlan::new(vec![crash]));
         let slow = run_toy_with_faults_timed(p, iters, 1e9, slow_cfg, 2, faults());
         let fast = run_toy_with_faults_timed(p, iters, 1e9, fast_cfg, 2, faults());
@@ -1637,9 +1632,10 @@ pub(crate) mod tests {
         // sends beyond its broadcasts is a request or a readmission.
         let iters = 30;
         let cluster = ClusterSpec::new(vec![MachineSpec::new(0.02), MachineSpec::new(0.005)]);
-        let cfg = SpecConfig::speculative(1)
-            .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(5)))
-            .with_supervision(SupervisionConfig::new(1, 1));
+        let cfg = SpecConfig::speculative(1).with_fault_tolerance(
+            FaultTolerance::new(SimDuration::from_millis(5))
+                .with_supervision(SupervisionConfig::new(1, 1)),
+        );
         let (out, _) = run_sim_proc_cluster::<IterMsg<f64>, _, _, _>(
             &cluster,
             ConstantLatency(SimDuration::from_millis(2)),

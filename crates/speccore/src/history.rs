@@ -3,12 +3,15 @@
 //! §3.2: "we define a backward window (BW) as the maximum number of past
 //! values of the variables used in the speculation function. The speculated
 //! value of a variable is an extrapolation of its present value and previous
-//! BW values." A [`History`] holds the most recent `capacity` *actual*
-//! (received) values of one peer's partition, newest last.
+//! BW values." A [`History`] holds the most recent `capacity` values of
+//! one peer's partition, newest last: the actual (received) ones, and any
+//! the driver promoted on loss (a speculation committed in place of the
+//! actual), whose late actual [`History::record`]'s freshness guard then
+//! ignores.
 
 use std::collections::VecDeque;
 
-/// Ring buffer of the last `capacity` received values from one peer.
+/// Ring buffer of the last `capacity` values from one peer.
 #[derive(Clone, Debug)]
 pub struct History<S> {
     entries: VecDeque<(u64, S)>,
@@ -29,7 +32,7 @@ impl<S> History<S> {
         }
     }
 
-    /// Record the actual value of iteration `iter`. Values that do not
+    /// Record the value of iteration `iter`. Values that do not
     /// advance the newest recorded iteration are ignored (late, reordered
     /// deliveries add no prediction power once newer data exists).
     pub fn record(&mut self, iter: u64, value: S) {

@@ -28,12 +28,11 @@ fn run(crash: MachineCrash, supervised: bool) -> ParallelRunResult {
     let cluster = ClusterSpec::paper_testbed().fastest(p);
 
     let mut cfg = ParallelRunConfig::new(60, 2).with_trace();
-    cfg.spec = cfg.spec.with_fault_tolerance(
-        FaultTolerance::new(SimDuration::from_millis(15)).with_crashes(vec![crash]),
-    );
+    let mut ft = FaultTolerance::new(SimDuration::from_millis(15)).with_crashes(vec![crash]);
     if supervised {
-        cfg.spec = cfg.spec.with_supervision(SupervisionConfig::new(1, 2));
+        ft = ft.with_supervision(SupervisionConfig::new(1, 2));
     }
+    cfg.spec = cfg.spec.with_fault_tolerance(ft);
 
     run_parallel_with_faults(
         &particles,

@@ -187,12 +187,11 @@ fn permanent_crash_finishes_degraded_and_marks_the_trace() {
     let crash = MachineCrash::permanent(2, SimTime::from_nanos(100_000_000));
     let run = || {
         let mut cfg = chaos_config(iters, 2, 10).with_trace();
-        cfg.spec = cfg
-            .spec
-            .with_fault_tolerance(
-                FaultTolerance::new(SimDuration::from_millis(10)).with_crashes(vec![crash]),
-            )
-            .with_supervision(SupervisionConfig::new(1, 2));
+        cfg.spec = cfg.spec.with_fault_tolerance(
+            FaultTolerance::new(SimDuration::from_millis(10))
+                .with_crashes(vec![crash])
+                .with_supervision(SupervisionConfig::new(1, 2)),
+        );
         run_parallel_with_faults(
             &particles,
             &cluster,
@@ -276,12 +275,11 @@ fn crash_rejoin_timeline_quarantines_then_readmits() {
         restart_after: SimDuration::from_millis(80),
     };
     let mut cfg = chaos_config(iters, 2, 10).with_trace();
-    cfg.spec = cfg
-        .spec
-        .with_fault_tolerance(
-            FaultTolerance::new(SimDuration::from_millis(10)).with_crashes(vec![crash]),
-        )
-        .with_supervision(SupervisionConfig::new(1, 2));
+    cfg.spec = cfg.spec.with_fault_tolerance(
+        FaultTolerance::new(SimDuration::from_millis(10))
+            .with_crashes(vec![crash])
+            .with_supervision(SupervisionConfig::new(1, 2)),
+    );
     let result = run_parallel_with_faults(
         &particles,
         &cluster,

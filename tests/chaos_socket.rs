@@ -64,10 +64,10 @@ fn driver_cfg() -> SpecConfig {
     SpecConfig::speculative(2)
         .with_backward_window(2)
         .with_correction(CorrectionMode::Recompute)
-        .with_fault_tolerance(FaultTolerance::new(SimDuration::from_millis(
-            LOSS_TIMEOUT_MS,
-        )))
-        .with_supervision(SupervisionConfig::new(1, 2))
+        .with_fault_tolerance(
+            FaultTolerance::new(SimDuration::from_millis(LOSS_TIMEOUT_MS))
+                .with_supervision(SupervisionConfig::new(1, 2)),
+        )
 }
 
 fn supervised_opts(rank: usize) -> SocketClusterOptions {

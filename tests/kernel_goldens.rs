@@ -516,9 +516,10 @@ fn driver_events_match_golden() {
     let cfg = SpecConfig::speculative(2)
         .with_iteration_log()
         .with_fault_tolerance(
-            FaultTolerance::new(SimDuration::from_millis(20)).with_crashes(vec![crash]),
+            FaultTolerance::new(SimDuration::from_millis(20))
+                .with_crashes(vec![crash])
+                .with_supervision(SupervisionConfig::new(1, 2)),
         )
-        .with_supervision(SupervisionConfig::new(1, 2))
         .with_adaptive(ControllerConfig::new().with_fw_max(3).with_cadence(2, 2))
         .with_delta_exchange(sc.delta_policy());
     let recorder = obs::SharedRecorder::new();

@@ -290,7 +290,7 @@ fn disabled_process_tracing_and_recorder_do_not_allocate() {
                 // No recorder installed: instrumentation sees `None` and
                 // skips — the pattern used across driver and transports.
                 if let Some(r) = t.recorder() {
-                    r.span_begin(0, 0, obs::Phase::Compute, None, None);
+                    r.span(0, 0, 0, obs::Phase::Compute, None, None);
                 }
             }
             allocations_here() - before
