@@ -10,7 +10,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use netsim::{CrashPlan, FaultModel, MsgCtx, NoFaults};
+use netsim::{CrashPlan, FaultModel, MachineCrash, MsgCtx, NoFaults};
 use parking_lot::Mutex;
 
 use crate::clock::WallClock;
@@ -22,16 +22,12 @@ use crate::types::{FaultCounters, Rank};
 pub struct FaultSpec<M> {
     /// Per-message fate model (loss, duplication, corruption, partitions).
     pub model: Box<dyn FaultModel>,
-    /// Scripted machine outages, as the network sees them: the transport
-    /// drops sends addressed to a down rank, like datagrams to a rebooting
-    /// host. Nothing else reads this plan. A rank's own outage (it stops,
-    /// sleeps and rolls back) comes from the driver's separate list,
-    /// `speccore::FaultTolerance::with_crashes`, which the caller fills
-    /// with the same `MachineCrash`es. With only this list, the "down"
-    /// rank keeps computing and sending while its mail is dropped; with
-    /// only the driver's, it sleeps through the outage while mail sent to
-    /// it still arrives, and it discards what its mailbox holds when it
-    /// restarts: the same loss, but no sender counts a drop.
+    /// Scripted machine outages: the cluster's one crash schedule. The
+    /// transport drops sends addressed to a down rank, like datagrams to a
+    /// rebooting host, and hands each rank its own outages
+    /// ([`AsyncTransport::scripted_crashes`](crate::AsyncTransport::scripted_crashes)),
+    /// which a fault-tolerant driver acts out: it stops, sleeps and rolls
+    /// back.
     pub crashes: CrashPlan,
     payload: PhantomData<fn(M)>,
 }
@@ -118,6 +114,11 @@ impl FaultGate {
     pub(crate) fn counters(&self, rank: Rank) -> FaultCounters {
         self.counters[rank.0]
     }
+
+    /// `rank`'s own scripted outages, in time order.
+    pub(crate) fn crashes(&self, rank: Rank) -> Vec<MachineCrash> {
+        self.crashes.of(rank.0)
+    }
 }
 
 /// The gate as the thread and socket endpoints hold it: one per process,
@@ -156,6 +157,13 @@ impl SharedGate {
         self.0
             .as_ref()
             .map(|gate| gate.lock().counters(rank))
+            .unwrap_or_default()
+    }
+
+    pub(crate) fn crashes(&self, rank: Rank) -> Vec<MachineCrash> {
+        self.0
+            .as_ref()
+            .map(|gate| gate.lock().crashes(rank))
             .unwrap_or_default()
     }
 }

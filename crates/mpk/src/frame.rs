@@ -21,8 +21,8 @@ pub(crate) const KIND_HEARTBEAT: u8 = 2;
 /// is not mistaken for a crash.
 pub(crate) const KIND_GOODBYE: u8 = 3;
 /// The handshake, at cold start and on every reconnect: payload is the
-/// sender's cluster size (`u32`) and last-seen iteration (`u64`); the
-/// accepting side replies in kind.
+/// sender's cluster size (`u32`) and an iteration field (`u64`) that is
+/// always written as 0; the accepting side replies in kind.
 pub(crate) const KIND_RESUME: u8 = 4;
 /// Bytes of header inside the length-counted region (version + kind +
 /// src + tag).
@@ -199,24 +199,23 @@ pub(crate) fn encode_frame(
     out[0..4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Write a RESUME handshake frame carrying cluster size and our
-/// last-seen iteration.
+/// Write a RESUME handshake frame carrying the cluster size and an
+/// iteration field, always 0: nothing reads a peer's iteration.
 pub(crate) fn write_resume(
     stream: &mut TcpStream,
     rank: usize,
     size: usize,
-    last_iter: u64,
 ) -> std::io::Result<()> {
     let mut frame = Vec::with_capacity(FRAME_OVERHEAD + 12);
     encode_frame(&mut frame, KIND_RESUME, rank as u32, 0, &|out| {
         out.extend_from_slice(&(size as u32).to_le_bytes());
-        out.extend_from_slice(&last_iter.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
     });
     stream.write_all(&frame)
 }
 
-/// Read and validate a `RESUME`, returning the peer's rank and its
-/// reported last-seen iteration. The payload must be exactly the cluster
+/// Read and validate a `RESUME`, returning the peer's rank and the
+/// iteration field it carried. The payload must be exactly the cluster
 /// size then the iteration: a shorter one is not padded with zeros, a
 /// longer one is not trimmed, and any other kind — the retired `HELLO`
 /// included — is refused.
@@ -498,7 +497,7 @@ pub(crate) mod tests {
     #[test]
     fn truncated_resume_is_refused_not_read_as_iteration_zero() {
         // A RESUME carrying the cluster size and no iteration used to be
-        // accepted with `last_iter = 0`, which went into `peer_progress`.
+        // accepted with `last_iter = 0`.
         let mut short =
             std::io::Cursor::new(wire(&(KIND_RESUME, 1, 0, 2u32.to_le_bytes().to_vec())));
         let err = read_resume(&mut short, 2).unwrap_err();

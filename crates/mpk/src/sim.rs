@@ -8,7 +8,7 @@ use std::rc::Rc;
 use desim::{
     AsyncHandle, MailboxId, SimDuration, SimError, SimReport, SimTime, Simulation, TieBreak,
 };
-use netsim::{ClusterSpec, LoadModel, MachineSpec, MsgCtx, NetworkModel};
+use netsim::{ClusterSpec, LoadModel, MachineCrash, MachineSpec, MsgCtx, NetworkModel};
 use obs::Recorder;
 
 use crate::faults::{FaultGate, FaultSpec, Verdict};
@@ -187,6 +187,10 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
 
     fn fault_counters(&self) -> FaultCounters {
         self.shared.borrow().gate.counters(self.rank)
+    }
+
+    fn scripted_crashes(&self) -> Vec<MachineCrash> {
+        self.shared.borrow().gate.crashes(self.rank)
     }
 
     fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {

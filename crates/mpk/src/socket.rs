@@ -56,7 +56,7 @@
 //! Every link — at cold start, on rejoin, on a supervisor's redial — is
 //! opened by one function, `dial`, and accepted by one, `admit`, with
 //! one handshake: the dialer sends a `RESUME` frame (its rank, the
-//! cluster size, its last-seen iteration: 0 at cold start), the acceptor
+//! cluster size and an iteration field that is always 0), the acceptor
 //! checks it and replies in kind, and the dialer checks that the rank it
 //! meant to reach is the one that answered. Every legitimate dial goes
 //! from a higher rank to a lower one, so `admit` refuses a dialer that
@@ -137,6 +137,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use desim::{SimDuration, SimTime};
+use netsim::MachineCrash;
 use obs::{Mark, Recorder};
 use parking_lot::Mutex;
 
@@ -346,10 +347,6 @@ struct Shared {
     heartbeats_sent: AtomicU64,
     reconnect_attempts: AtomicU64,
     reconnects: AtomicU64,
-    /// Last-seen iteration each peer reported in its latest handshake.
-    peer_progress: Vec<AtomicU64>,
-    /// Our own progress, reported in our handshakes.
-    progress: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -371,8 +368,6 @@ impl Shared {
             heartbeats_sent: AtomicU64::new(0),
             reconnect_attempts: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
-            peer_progress: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            progress: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         };
         Ok((Arc::new(shared), bell_rx))
@@ -399,10 +394,10 @@ fn install_connection(shared: &Shared, peer: usize, stream: TcpStream) -> std::i
 }
 
 /// Open a link to `peer` at `addr` as `shared.rank`: connect, send our
-/// `RESUME`, check that `peer` is the rank that answers, and record the
-/// progress it reports. Attempts repeat on a jittered backoff until
-/// `deadline`; one already past allows exactly one. Cold start, rejoin
-/// and the supervisor's redial all open their links here.
+/// `RESUME` and check that `peer` is the rank that answers. Attempts
+/// repeat on a jittered backoff until `deadline`; one already past allows
+/// exactly one. Cold start, rejoin and the supervisor's redial all open
+/// their links here.
 fn dial(
     shared: &Shared,
     peer: usize,
@@ -420,16 +415,14 @@ fn dial(
             let mut s = TcpStream::connect(addr)?;
             s.set_nodelay(true)?;
             s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
-            let progress = shared.progress.load(AtomicOrdering::Relaxed);
-            write_resume(&mut s, shared.rank, shared.size, progress)?;
-            let (replied, their_iter) = read_resume(&mut s, shared.size)?;
+            write_resume(&mut s, shared.rank, shared.size)?;
+            let (replied, _) = read_resume(&mut s, shared.size)?;
             if replied != peer {
                 return Err(bad_data(format!(
                     "dialed rank {peer} but rank {replied} answered"
                 )));
             }
             s.set_read_timeout(None)?;
-            shared.peer_progress[peer].store(their_iter, AtomicOrdering::Relaxed);
             Ok(s)
         })();
         let now = Instant::now();
@@ -450,27 +443,24 @@ fn dial(
 }
 
 /// Admit the inbound connection `s`: read the dialer's `RESUME`, check
-/// that it may dial us, reply with ours, record its progress and install
-/// the link. Every legitimate dial goes from a higher rank to a lower
-/// one, so the dialer must be a higher rank — and during cold start one
-/// not admitted yet. Anything else is refused and counted, and the mesh
-/// is left as it was. `establish`'s accept loop and the acceptor thread
-/// both admit here.
+/// that it may dial us, reply with ours and install the link. Every
+/// legitimate dial goes from a higher rank to a lower one, so the dialer
+/// must be a higher rank — and during cold start one not admitted yet.
+/// Anything else is refused and counted, and the mesh is left as it was.
+/// `establish`'s accept loop and the acceptor thread both admit here.
 fn admit(shared: &Shared, mut s: TcpStream, cold_start: bool) {
     let handshake = (|| -> std::io::Result<usize> {
         s.set_nodelay(true)?;
         s.set_read_timeout(Some(HANDSHAKE_READ_TIMEOUT))?;
-        let (peer, their_iter) = read_resume(&mut s, shared.size)?;
+        let (peer, _) = read_resume(&mut s, shared.size)?;
         if peer <= shared.rank || cold_start && shared.writers[peer].lock().is_some() {
             return Err(bad_data(format!(
                 "rank {peer} may not dial rank {}",
                 shared.rank
             )));
         }
-        let progress = shared.progress.load(AtomicOrdering::Relaxed);
-        write_resume(&mut s, shared.rank, shared.size, progress)?;
+        write_resume(&mut s, shared.rank, shared.size)?;
         s.set_read_timeout(None)?;
-        shared.peer_progress[peer].store(their_iter, AtomicOrdering::Relaxed);
         Ok(peer)
     })();
     // A refused stream stays open until this function returns, so the
@@ -673,9 +663,9 @@ impl<M> SocketTransport<M> {
 
     /// Join the mesh as `rank` from an already-bound listener and the full
     /// address list (`addrs[rank]` is this process's own listener): dial
-    /// every lower rank, then — at cold start, when `rejoin` is `None` —
-    /// admit every higher one. A rejoin reports its `last_iter` in its
-    /// handshakes instead and leaves the higher ranks to redial it.
+    /// every lower rank, then — at cold start, when `rejoin` is false —
+    /// admit every higher one. A rejoin leaves the higher ranks to redial
+    /// it instead.
     fn establish(
         rank: usize,
         listener: TcpListener,
@@ -683,12 +673,9 @@ impl<M> SocketTransport<M> {
         opts: SocketClusterOptions,
         faults: SharedGate,
         clock: WallClock,
-        rejoin: Option<u64>,
+        rejoin: bool,
     ) -> std::io::Result<Self> {
         let (shared, bell) = Shared::new(rank, addrs.len())?;
-        shared
-            .progress
-            .store(rejoin.unwrap_or(0), AtomicOrdering::Relaxed);
         let deadline = Instant::now() + opts.connect_timeout;
 
         // Dial every lower rank, in rank order. Failures here are fatal:
@@ -702,7 +689,7 @@ impl<M> SocketTransport<M> {
         // peer-controlled input: `admit` drops and counts a bad one
         // rather than tear down this rank's whole establish (which would
         // cascade into the cluster harness as a panic).
-        while rejoin.is_none() && shared.awaiting_dialers() {
+        while !rejoin && shared.awaiting_dialers() {
             admit(&shared, listener.accept()?.0, true);
         }
         if let Some(sup) = opts.supervision.clone() {
@@ -719,7 +706,7 @@ impl<M> SocketTransport<M> {
         rank: usize,
         addrs: &[SocketAddr],
         opts: SocketClusterOptions,
-        rejoin: Option<u64>,
+        rejoin: bool,
     ) -> std::io::Result<Self> {
         let size = addrs.len();
         assert!(rank < size, "rank {rank} out of range for {size} peers");
@@ -1110,16 +1097,16 @@ impl<M: WireCodec + WireSize + Clone + Send + 'static> Transport for SocketTrans
         self.faults.counters(self.rank)
     }
 
+    fn scripted_crashes(&self) -> Vec<MachineCrash> {
+        self.faults.crashes(self.rank)
+    }
+
     fn compute(&mut self, ops: u64) {
         self.clock.compute(ops);
     }
 
     fn now(&self) -> SimTime {
         self.clock.now()
-    }
-
-    fn note_progress(&mut self, iter: u64) {
-        self.shared.progress.store(iter, AtomicOrdering::Relaxed);
     }
 
     fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {
@@ -1246,7 +1233,7 @@ where
         // and counts whatever else connects, so this fails only if a
         // sibling rank thread died or the host ran out of descriptors.
         let (opts, faults) = (opts.clone(), faults.clone());
-        let mut t = SocketTransport::establish(r, listener, &addrs, opts, faults, clock, None)
+        let mut t = SocketTransport::establish(r, listener, &addrs, opts, faults, clock, false)
             .expect("socket mesh handshake failed");
         f(&mut t)
     })
@@ -1267,20 +1254,19 @@ pub fn connect_socket_cluster<M>(
 where
     M: WireCodec + Send + 'static,
 {
-    SocketTransport::join(rank, addrs, opts, None)
+    SocketTransport::join(rank, addrs, opts, false)
 }
 
 /// Re-enter an already-running mesh as a restarted `rank`.
 ///
 /// Binds `addrs[rank]`, re-dials every *lower* rank with a RESUME
-/// handshake carrying `last_iter` (the furthest iteration this process
-/// had confirmed before it died, 0 for a cold restart), and waits up to
-/// `opts.connect_timeout` for every *higher* rank's supervisor to
-/// re-dial us — the same rank-ordered induction as cold start, so rejoin
-/// cannot deadlock against it. Requires the surviving peers to be
-/// running with supervision enabled (their acceptors admit us); our own
-/// supervisor/acceptor are spawned with `opts.supervision`
-/// (or defaults if unset, since a rejoining rank must accept redials).
+/// handshake, and waits up to `opts.connect_timeout` for every *higher*
+/// rank's supervisor to re-dial us — the same rank-ordered induction as
+/// cold start, so rejoin cannot deadlock against it. Requires the
+/// surviving peers to be running with supervision enabled (their
+/// acceptors admit us); our own supervisor/acceptor are spawned with
+/// `opts.supervision` (or defaults if unset, since a rejoining rank must
+/// accept redials).
 ///
 /// Returns once the mesh is fully re-established, or with however many
 /// connections came up when the timeout expires — the fault-tolerant
@@ -1289,14 +1275,13 @@ pub fn rejoin_socket_cluster<M>(
     rank: usize,
     addrs: &[SocketAddr],
     mut opts: SocketClusterOptions,
-    last_iter: u64,
 ) -> std::io::Result<SocketTransport<M>>
 where
     M: WireCodec + Send + 'static,
 {
     opts.supervision.get_or_insert_with(Default::default);
     let deadline = Instant::now() + opts.connect_timeout;
-    let mut t = SocketTransport::join(rank, addrs, opts, Some(last_iter))?;
+    let mut t = SocketTransport::join(rank, addrs, opts, true)?;
     // Each link to a lower rank was re-dialed.
     t.shared
         .reconnects
@@ -1366,11 +1351,6 @@ mod tests {
         /// Peers silent past the miss deadline on a connection still up.
         fn suspected_peers(&self) -> Vec<Rank> {
             ranks(&self.peer_suspected)
-        }
-
-        /// The last-seen iteration `peer` reported in its latest handshake.
-        fn peer_progress(&self, peer: Rank) -> u64 {
-            self.shared.peer_progress[peer.0].load(AtomicOrdering::Relaxed)
         }
 
         fn supervision_counters(&self) -> SupervisionCounters {
@@ -1664,7 +1644,7 @@ mod tests {
         // rank (rank 0 itself), then linger so the reject is observed
         // before the real peer's RESUME enters the queue.
         let mut s = dial_when_listening(addrs[0]);
-        write_resume(&mut s, 0, 2, 0).unwrap();
+        write_resume(&mut s, 0, 2).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         drop(s);
         // Junk flavour 3: an old build's HELLO (kind 0, cluster size
@@ -1715,7 +1695,7 @@ mod tests {
         // promises 64 bytes but whose body stops after the version byte,
         // then an abrupt close.
         let mut s = dial_when_listening(addrs[0]);
-        write_resume(&mut s, 1, 2, 0).unwrap();
+        write_resume(&mut s, 1, 2).unwrap();
         assert_eq!(read_resume(&mut s, 2).unwrap(), (0, 0));
         s.write_all(&64u32.to_le_bytes()).unwrap();
         s.write_all(&[WIRE_VERSION]).unwrap();
@@ -1741,7 +1721,7 @@ mod tests {
         let a2 = addrs.clone();
 
         // Rank 0: survive, observe the crash, then receive post-rejoin
-        // data and the peer's resumed progress.
+        // data.
         let h0 = std::thread::spawn(move || {
             let mut t = connect_socket_cluster::<u64>(0, &a0, supervised(5, 80)).unwrap();
             // Wait for rank 2's crash...
@@ -1762,7 +1742,7 @@ mod tests {
                     }
                 }
             }
-            (got, t.peer_progress(Rank(2)), t.disconnected_peers())
+            (got, t.disconnected_peers())
         });
         // Rank 1: just keep the mesh alive.
         let h1 = std::thread::spawn(move || {
@@ -1779,23 +1759,21 @@ mod tests {
             }
             heard_back
         });
-        // Rank 2: join, crash without goodbye, rejoin with progress 7,
-        // then broadcast.
+        // Rank 2: join, crash without goodbye, rejoin, then broadcast.
         let h2 = std::thread::spawn(move || {
             let mut t = connect_socket_cluster::<u64>(2, &a2, supervised(5, 80)).unwrap();
             t.simulate_crash();
             drop(t);
             std::thread::sleep(Duration::from_millis(100));
-            let mut t = rejoin_socket_cluster::<u64>(2, &a2, supervised(5, 80), 7).unwrap();
+            let mut t = rejoin_socket_cluster::<u64>(2, &a2, supervised(5, 80)).unwrap();
             t.send(Rank(0), Tag(0), 99);
             t.send(Rank(1), Tag(0), 99);
             // Linger so the frames flush before drop.
             let _ = t.recv_timeout(SimDuration::from_millis(100));
             t.supervision_counters().reconnects
         });
-        let (got, progress, down) = h0.join().unwrap();
+        let (got, down) = h0.join().unwrap();
         assert_eq!(got, Some(99), "post-rejoin data did not arrive");
-        assert_eq!(progress, 7, "RESUME did not carry the peer's progress");
         assert!(!down.contains(&Rank(2)), "rejoin did not clear down state");
         assert!(h1.join().unwrap(), "rank 1 never heard the rejoined peer");
         assert!(h2.join().unwrap() >= 1, "rejoin made no connections");
@@ -1833,7 +1811,7 @@ mod tests {
         let (h0, h1) = (rank(0), rank(1));
         up.wait();
         let mut impostor = dial_when_listening(addrs[1]);
-        write_resume(&mut impostor, 0, 2, 0).unwrap();
+        write_resume(&mut impostor, 0, 2).unwrap();
         let answered = read_resume(&mut impostor, 2).is_ok();
         up.wait();
         let (got0, down0, _) = h0.join().unwrap();
@@ -1906,7 +1884,7 @@ mod tests {
             (held, t.disconnected_peers(), t.departed_peers())
         });
         let mut s = dial_when_listening(addrs[0]);
-        write_resume(&mut s, 1, 2, 0).unwrap();
+        write_resume(&mut s, 1, 2).unwrap();
         assert_eq!(read_resume(&mut s, 2).unwrap(), (0, 0));
         s.write_all(&(200u32 << 20).to_le_bytes()).unwrap();
         s.write_all(&[WIRE_VERSION, KIND_DATA, 1]).unwrap();
@@ -1940,7 +1918,7 @@ mod tests {
             (env.src, env.msg, seen)
         });
         let mut s = dial_when_listening(addrs[0]);
-        write_resume(&mut s, 1, 2, 0).unwrap();
+        write_resume(&mut s, 1, 2).unwrap();
         assert_eq!(read_resume(&mut s, 2).unwrap(), (0, 0));
         let payload = |v: u64| crate::encode_to_vec(&v);
         s.write_all(&wire(&(KIND_DATA, 0, 0, payload(11)))).unwrap();

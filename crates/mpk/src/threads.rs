@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use desim::{SimDuration, SimTime};
+use netsim::MachineCrash;
 use obs::Recorder;
 use parking_lot::{Condvar, Mutex};
 
@@ -268,6 +269,10 @@ impl<M: WireSize + Clone + Send + 'static> Transport for ThreadTransport<M> {
 
     fn fault_counters(&self) -> FaultCounters {
         self.faults.counters(self.rank)
+    }
+
+    fn scripted_crashes(&self) -> Vec<MachineCrash> {
+        self.faults.crashes(self.rank)
     }
 
     fn recorder(&mut self) -> Option<&mut (dyn Recorder + 'static)> {

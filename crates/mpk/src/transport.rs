@@ -12,6 +12,7 @@
 //! paper's experiments.
 
 use desim::{SimDuration, SimTime};
+use netsim::MachineCrash;
 use obs::Recorder;
 
 use crate::types::{Envelope, FaultCounters, Rank, Tag};
@@ -64,6 +65,14 @@ pub trait Transport {
         FaultCounters::default()
     }
 
+    /// This rank's own outages in the cluster's crash plan
+    /// ([`FaultSpec::crashes`](crate::FaultSpec::crashes)), in time order:
+    /// the same plan the fault layer drops sends to a down rank by. Empty
+    /// on transports without a fault layer (the default).
+    fn scripted_crashes(&self) -> Vec<MachineCrash> {
+        Vec::new()
+    }
+
     /// Perform `ops` operations' worth of computation. On the simulated
     /// backend this advances virtual time by `ops / M_i` (scaled by any
     /// background-load model); on the thread backend it spins real time.
@@ -74,8 +83,8 @@ pub trait Transport {
     fn now(&self) -> SimTime;
 
     /// Tell the transport how far this rank's computation has advanced
-    /// (highest confirmed iteration). Backends with a resume handshake
-    /// report it to peers that reconnect; everywhere else it is a no-op.
+    /// (highest confirmed iteration). No backend acts on it: the default
+    /// is a no-op and none overrides it.
     fn note_progress(&mut self, iter: u64) {
         let _ = iter;
     }
@@ -121,8 +130,8 @@ pub trait Transport {
 ///   OS thread.
 ///
 /// Non-`async` methods (`rank`, `size`, `now`, `fault_counters`,
-/// `note_progress`, `recorder`) are identical to [`Transport`]'s and keep
-/// the same semantics.
+/// `scripted_crashes`, `note_progress`, `recorder`) are identical to
+/// [`Transport`]'s and keep the same semantics.
 #[allow(async_fn_in_trait)] // single-threaded drivers; no Send bound wanted
 pub trait AsyncTransport {
     /// Message payload type.
@@ -165,14 +174,20 @@ pub trait AsyncTransport {
         FaultCounters::default()
     }
 
+    /// This rank's own scripted outages, in time order. Same contract as
+    /// [`Transport::scripted_crashes`]; empty by default.
+    fn scripted_crashes(&self) -> Vec<MachineCrash> {
+        Vec::new()
+    }
+
     /// Perform `ops` operations' worth of computation.
     async fn compute(&mut self, ops: u64);
 
     /// Current time.
     fn now(&self) -> SimTime;
 
-    /// Report this rank's progress (highest confirmed iteration) to
-    /// backends with a resume handshake. Default: no-op.
+    /// Report this rank's progress (highest confirmed iteration). No
+    /// backend acts on it. Default: no-op.
     fn note_progress(&mut self, iter: u64) {
         let _ = iter;
     }
@@ -236,6 +251,10 @@ impl<T: Transport> AsyncTransport for T {
 
     fn fault_counters(&self) -> FaultCounters {
         Transport::fault_counters(self)
+    }
+
+    fn scripted_crashes(&self) -> Vec<MachineCrash> {
+        Transport::scripted_crashes(self)
     }
 
     async fn compute(&mut self, ops: u64) {

@@ -5,13 +5,13 @@
 //! mailbox's visibility order, the socket's handshake, supervision and
 //! hostile bytes) is tested beside that backend.
 
-use desim::SimDuration;
+use desim::{SimDuration, SimTime};
 use mpk::{
     poll_ready, run_sim_proc_cluster_with_faults, run_socket_cluster_with_faults,
     run_thread_cluster_with_faults, AsyncTransport, Envelope, FaultCounters, FaultSpec, Rank,
     SocketClusterOptions, Tag, ThreadClusterOptions,
 };
-use netsim::{ClusterSpec, ConstantLatency, Loss, NoFaults, Unloaded};
+use netsim::{ClusterSpec, ConstantLatency, CrashPlan, Loss, MachineCrash, NoFaults, Unloaded};
 
 /// Run `case` on every rank of a `p`-rank cluster of each backend behind
 /// the fault spec `faults` (the simulator with 1 ms links). Each rank's
@@ -207,6 +207,26 @@ fn total_loss_drops_and_counts_every_send() {
     for (backend, ranks) in on_every_backend!(2, total_loss(), five_sends::<false, _>) {
         assert_eq!(ranks[0].0, ((0, 5, 0), vec![]), "{backend}");
         assert_eq!(ranks[1].0 .1, vec![], "{backend}: total loss delivered");
+    }
+}
+
+/// What the crash plan scripts for this rank.
+async fn own_outages<T: AsyncTransport<Msg = u64>>(t: &mut T) -> Vec<MachineCrash> {
+    t.scripted_crashes()
+}
+
+#[test]
+fn each_rank_reads_its_own_outages_from_the_crash_plan() {
+    let late = MachineCrash::permanent(1, SimTime::from_nanos(300_000_000));
+    let early = MachineCrash {
+        rank: 1,
+        at: SimTime::from_nanos(100_000_000),
+        restart_after: SimDuration::from_millis(50),
+    };
+    let plan = || FaultSpec::none().with_crashes(CrashPlan::new(vec![late, early]));
+    for (backend, ranks) in on_every_backend!(2, plan(), own_outages) {
+        let got: Vec<_> = ranks.into_iter().map(|(own, _)| own).collect();
+        assert_eq!(got, vec![vec![], vec![early, late]], "{backend}");
     }
 }
 

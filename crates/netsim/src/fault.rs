@@ -389,9 +389,12 @@ impl CrashPlan {
             .any(|c| c.rank == rank && t >= c.at && t < c.back_at())
     }
 
-    /// True when no crash is scripted.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
+    /// `rank`'s own outages, in time order: what that machine acts out.
+    pub fn of(&self, rank: usize) -> Vec<MachineCrash> {
+        let mut own = self.crashes.clone();
+        own.retain(|c| c.rank == rank);
+        own.sort_by_key(|c| c.at);
+        own
     }
 }
 

@@ -417,26 +417,19 @@ fn fifo_net(sc: &SyntheticScenario) -> SyntheticScenario {
     }
 }
 
-/// The driver-side half of a crash schedule: fault tolerance with the
-/// scripted outage attached, plus the supervision lifecycle that
-/// quarantines the silent rank and readmits it on rejoin.
-fn crash_config(
-    params: &SpecParams,
-    timeout: SimDuration,
-    sup: SupervisionConfig,
-    crash: MachineCrash,
-) -> SpecConfig {
-    params.build().with_fault_tolerance(
-        FaultTolerance::new(timeout)
-            .with_crashes(vec![crash])
-            .with_supervision(sup),
-    )
+/// The driver's side of a crash run: fault tolerance plus the supervision
+/// lifecycle that quarantines the silent rank and readmits it on rejoin.
+/// The outage itself comes from the transport ([`crash_faults`]).
+fn crash_config(params: &SpecParams, timeout: SimDuration, sup: SupervisionConfig) -> SpecConfig {
+    params
+        .build()
+        .with_fault_tolerance(FaultTolerance::new(timeout).with_supervision(sup))
 }
 
-/// The transport-side half: sends addressed to the crashed rank during
-/// its outage are dropped — and counted — at the sender, like datagrams
-/// to a rebooting host. Keeping both halves on the same schedule is what
-/// makes the "promoted commits ≤ messages lost" oracle meaningful.
+/// The one crash schedule: the crashed rank acts out its outage, and
+/// sends addressed to it meanwhile are dropped — and counted — at the
+/// sender, like datagrams to a rebooting host, which is what makes the
+/// "promoted commits ≤ messages lost" oracle meaningful.
 fn crash_faults(crash: MachineCrash) -> FaultSpec<IterMsg<Vec<f64>>> {
     FaultSpec::none().with_crashes(CrashPlan::new(vec![crash]))
 }
@@ -467,7 +460,6 @@ proptest! {
             &params,
             SimDuration::from_millis(timeout_ms),
             SupervisionConfig::new(1, 1),
-            crash,
         );
         let fifo = run(FIFO, &sc, params.theta, &cfg, crash_faults(crash));
         let lifo = run(LIFO, &sc, params.theta, &cfg, crash_faults(crash));
@@ -562,7 +554,6 @@ proptest! {
             &params,
             SimDuration::from_millis(150),
             SupervisionConfig::new(1, 1),
-            crash,
         );
         let on = |backend| run(backend, &sc, params.theta, &cfg, crash_faults(crash));
         let (sim, lifo, thread, socket) = (on(FIFO), on(LIFO), on(Thread), on(Socket));
@@ -582,6 +573,11 @@ proptest! {
                     "survivor {}: promoted commits exceed lost messages", k
                 );
             }
+        }
+        // The dead rank is down from t = 0, so the one plan reaches the
+        // thread backend's gate only if every survivor counts a drop.
+        for (k, s) in thread.stats.iter().enumerate().filter(|&(k, _)| k != dead) {
+            prop_assert!(s.messages_lost >= 1, "survivor {} lost nothing to the dead rank", k);
         }
     }
 
@@ -612,7 +608,6 @@ proptest! {
             &params,
             SimDuration::from_millis(150),
             SupervisionConfig::new(1, 2),
-            crash,
         );
         let on = |backend| run(backend, &sc, params.theta, &cfg, crash_faults(crash));
         let (sim, again, thread, socket) = (on(FIFO), on(FIFO), on(Thread), on(Socket));
@@ -623,6 +618,10 @@ proptest! {
                 prop_assert_eq!(s.iterations, sc.iters, "rank {} wedged", k);
             }
             prop_assert_eq!(out.stats[sc.p - 1].peer_restarts, 1);
+        }
+        // Down from t = 0: every survivor's first broadcast to it is lost.
+        for s in &thread.stats[..sc.p - 1] {
+            prop_assert!(s.messages_lost >= 1, "survivor {} lost nothing to the down rank", s.rank.0);
         }
     }
 }

@@ -3,7 +3,6 @@
 
 use crate::control::ControllerConfig;
 use desim::SimDuration;
-use netsim::MachineCrash;
 
 /// How misspeculated inputs are repaired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -40,9 +39,6 @@ pub struct FaultTolerance {
     /// from speculation before the driver asks that peer to retransmit its
     /// latest state (and again every further `staleness_budget` promotions).
     pub(crate) staleness_budget: u32,
-    /// Scripted crashes of this run's own ranks. Each rank sleeps through
-    /// its outages and re-seeds from its confirmed checkpoint on restart.
-    pub(crate) crashes: Vec<MachineCrash>,
     /// Peer-supervision policy; `None` keeps the flat per-message loss
     /// handling with no health lifecycle.
     pub(crate) supervision: Option<SupervisionConfig>,
@@ -50,8 +46,8 @@ pub struct FaultTolerance {
 
 impl FaultTolerance {
     /// Speculate-through-loss after `loss_timeout`, with a default
-    /// staleness budget of 4 promoted iterations per peer, no crashes and
-    /// no supervision.
+    /// staleness budget of 4 promoted iterations per peer and no
+    /// supervision.
     pub fn new(loss_timeout: SimDuration) -> Self {
         assert!(
             loss_timeout > SimDuration::ZERO,
@@ -60,7 +56,6 @@ impl FaultTolerance {
         FaultTolerance {
             loss_timeout,
             staleness_budget: 4,
-            crashes: Vec::new(),
             supervision: None,
         }
     }
@@ -69,18 +64,6 @@ impl FaultTolerance {
     pub fn with_staleness_budget(mut self, budget: u32) -> Self {
         assert!(budget >= 1, "staleness budget must be at least 1");
         self.staleness_budget = budget;
-        self
-    }
-
-    /// Script machine crashes of this run's own ranks into the driver.
-    ///
-    /// This is the driver's copy of the plan: a rank acts out only the
-    /// crashes listed here (it stops, sleeps through the outage and rolls
-    /// back). The transport's [`mpk::FaultSpec::crashes`] is a separate
-    /// list, which drops the messages sent to a rank while it is down; a
-    /// faithful crash lists the same [`MachineCrash`] in both.
-    pub fn with_crashes(mut self, crashes: Vec<MachineCrash>) -> Self {
-        self.crashes = crashes;
         self
     }
 
@@ -261,7 +244,8 @@ impl SpecConfig {
     }
 
     /// Enable fault tolerance (speculate-through-loss, retransmit
-    /// requests, crash recovery, and supervision if the policy carries it).
+    /// requests, recovery from the rank's outages in the transport's crash
+    /// plan, and supervision if the policy carries it).
     pub fn with_fault_tolerance(mut self, ft: FaultTolerance) -> Self {
         self.fault = Some(ft);
         self
@@ -300,19 +284,12 @@ mod tests {
 
     #[test]
     fn fault_tolerance_builder() {
-        use desim::SimTime;
         let sup = SupervisionConfig::new(1, 2);
         let ft = FaultTolerance::new(SimDuration::from_millis(5))
             .with_staleness_budget(2)
-            .with_crashes(vec![MachineCrash {
-                rank: 1,
-                at: SimTime::from_nanos(100),
-                restart_after: SimDuration::from_nanos(50),
-            }])
             .with_supervision(sup);
         assert_eq!(ft.loss_timeout, SimDuration::from_millis(5));
         assert_eq!(ft.staleness_budget, 2);
-        assert_eq!(ft.crashes.len(), 1);
         assert_eq!(ft.supervision, Some(sup));
         let c = SpecConfig::speculative(1).with_fault_tolerance(ft.clone());
         assert_eq!(c.fault, Some(ft));

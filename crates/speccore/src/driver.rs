@@ -166,9 +166,10 @@ fn peers(p: usize, me: Rank) -> impl Iterator<Item = usize> {
 /// crashes. Constructed only when the config carries a [`FaultTolerance`]
 /// policy.
 struct FaultState<S> {
-    /// The configured policy, its crash plan cut down to this rank's own
-    /// outages still to come, in schedule order.
     policy: FaultTolerance,
+    /// This rank's outages still to come, in time order, as the
+    /// transport's crash plan scripts them.
+    crashes: Vec<MachineCrash>,
     /// Latest state this rank put on the wire, re-sent on retransmit
     /// requests and after crash recovery.
     last_broadcast: (u64, S),
@@ -183,11 +184,10 @@ struct FaultState<S> {
 }
 
 impl<S: Clone> FaultState<S> {
-    fn new(mut policy: FaultTolerance, me: Rank, x0: S) -> Self {
-        policy.crashes.retain(|c| c.rank == me.0);
-        policy.crashes.sort_by_key(|c| c.at);
+    fn new(policy: FaultTolerance, crashes: Vec<MachineCrash>, x0: S) -> Self {
         FaultState {
             policy,
+            crashes,
             last_broadcast: (0, x0),
             front_tracked: None,
             starved_since: None,
@@ -214,7 +214,7 @@ impl<S: Clone> FaultState<S> {
             .enumerate()
             .filter_map(|(k, peer)| peer.due(self.loss_deadline(ctl, k)));
         let starved = self.starved_since.map(|s| s + self.policy.loss_timeout);
-        let crash = self.policy.crashes.first().map(|c| c.at);
+        let crash = self.crashes.first().map(|c| c.at);
         waits.chain(starved).chain(crash).min()
     }
 }
@@ -457,7 +457,7 @@ where
             fault: config
                 .fault
                 .clone()
-                .map(|ft| FaultState::new(ft, me, app.shared())),
+                .map(|ft| FaultState::new(ft, transport.scripted_crashes(), app.shared())),
             ctl: config.controller.clone().map(|cc| Ctl {
                 state: ControllerState::new(cc, p, config.window),
                 phases_at_confirm: PhaseBreakdown::default(),
@@ -645,7 +645,7 @@ where
             return Step::FellThrough;
         };
         let now = self.transport.now();
-        if let Some(&c) = f.policy.crashes.first().filter(|c| now >= c.at) {
+        if let Some(&c) = f.crashes.first().filter(|c| now >= c.at) {
             self.crash(c, now).await;
             return Step::Progressed;
         }
@@ -675,7 +675,7 @@ where
     /// Act out this rank's scripted crash `c`, which came due by `now`.
     async fn crash(&mut self, c: MachineCrash, now: SimTime) {
         let Some(f) = &mut self.fault else { return };
-        f.policy.crashes.remove(0);
+        f.crashes.remove(0);
         // Volatile state dies with the machine.
         f.front_tracked = None;
         f.starved_since = None;
@@ -703,7 +703,9 @@ where
             self.transport.sleep(outage).await;
             self.stats.downtime += outage;
         }
-        // Mail delivered while the machine was down is lost.
+        // Mail delivered while the machine was down is lost: the sends to
+        // a down rank are dropped, but a frame sent before the crash may
+        // still land during it.
         while self.transport.try_recv().await.is_some() {}
         self.mark(self.transport.now(), Mark::PeerRecovered { peer });
         // Ask every peer for its latest state to rebuild the backward
@@ -931,9 +933,6 @@ where
         self.speculated_pool.push(rec.speculated);
         self.t_conf = rec.iter + 1;
         self.stats.iterations += 1;
-        // Feed the resume handshake: a transport with supervision reports
-        // this high-water mark to peers that reconnect.
-        self.transport.note_progress(rec.iter);
         let t_now = self.transport.now();
         let queue_depth = self.exec_q.len() as u64;
         self.mark(t_now, Mark::Commit { iter: rec.iter });
@@ -1585,7 +1584,7 @@ pub(crate) mod tests {
         let p = 3;
         let iters = 12;
         let crash = MachineCrash::permanent(1, desim::SimTime::ZERO);
-        let ft = || FaultTolerance::new(SimDuration::from_millis(10)).with_crashes(vec![crash]);
+        let ft = || FaultTolerance::new(SimDuration::from_millis(10));
         let slow_cfg = SpecConfig::speculative(1).with_fault_tolerance(ft());
         let fast_cfg = SpecConfig::speculative(1)
             .with_fault_tolerance(ft().with_supervision(SupervisionConfig::new(1, 1)));

@@ -38,9 +38,7 @@ fn main() {
 
     let mut cfg = ParallelRunConfig::new(iters, 2).with_trace();
     cfg.spec = cfg.spec.with_fault_tolerance(
-        FaultTolerance::new(SimDuration::from_millis(25))
-            .with_staleness_budget(3)
-            .with_crashes(vec![crash]),
+        FaultTolerance::new(SimDuration::from_millis(25)).with_staleness_budget(3),
     );
 
     let faulty = run_parallel_with_faults(
@@ -48,7 +46,7 @@ fn main() {
         &cluster,
         ConstantLatency(SimDuration::from_millis(4)),
         Unloaded,
-        FaultSpec::new(burst),
+        FaultSpec::new(burst).with_crashes(CrashPlan::new(vec![crash])),
         cfg,
     )
     .expect("chaos run failed");

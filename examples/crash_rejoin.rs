@@ -28,7 +28,7 @@ fn run(crash: MachineCrash, supervised: bool) -> ParallelRunResult {
     let cluster = ClusterSpec::paper_testbed().fastest(p);
 
     let mut cfg = ParallelRunConfig::new(60, 2).with_trace();
-    let mut ft = FaultTolerance::new(SimDuration::from_millis(15)).with_crashes(vec![crash]);
+    let mut ft = FaultTolerance::new(SimDuration::from_millis(15));
     if supervised {
         ft = ft.with_supervision(SupervisionConfig::new(1, 2));
     }

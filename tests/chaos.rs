@@ -108,8 +108,9 @@ fn paper_testbed_survives_five_percent_loss() {
 }
 
 // ---------------------------------------------------------------------------
-// Crash recovery: a scripted mid-run crash re-seeds from the checkpoint
-// and leaves PeerCrashed/PeerRecovered marks at the scripted times.
+// Crash recovery: a scripted mid-run crash re-seeds from the checkpoint,
+// leaves PeerCrashed/PeerRecovered marks at the scripted times, and every
+// send to the down rank is dropped and counted.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -117,21 +118,19 @@ fn scripted_crash_recovers_and_marks_the_trace() {
     let particles = uniform_cloud(48, 3);
     let cluster = ClusterSpec::paper_testbed().fastest(8);
     let iters = 40;
+    // Mid-run: the survivors are still exchanging when rank 3 goes down.
     let crash = MachineCrash {
         rank: 3,
-        at: SimTime::from_nanos(120_000_000),
+        at: SimTime::from_nanos(60_000_000),
         restart_after: SimDuration::from_millis(60),
     };
-    let mut cfg = chaos_config(iters, 2, 30).with_trace();
-    cfg.spec = cfg.spec.with_fault_tolerance(
-        FaultTolerance::new(SimDuration::from_millis(30)).with_crashes(vec![crash]),
-    );
+    let cfg = chaos_config(iters, 2, 30).with_trace();
     let result = run_parallel_with_faults(
         &particles,
         &cluster,
         ConstantLatency(SimDuration::from_millis(3)),
         Unloaded,
-        FaultSpec::none(),
+        FaultSpec::none().with_crashes(CrashPlan::new(vec![crash])),
         cfg,
     )
     .unwrap();
@@ -172,6 +171,28 @@ fn scripted_crash_recovers_and_marks_the_trace() {
     for t in traces.iter().filter(|t| t.rank != 3) {
         assert_eq!(t.counter_totals().peer_crashes, 0);
     }
+
+    // The one crash plan reaches the transport too: every send to rank 3
+    // during its outage is marked dropped right after it is marked sent,
+    // and those drops are all the senders count lost.
+    let outage = crash.at.as_nanos()..crash.back_at().as_nanos();
+    let mut drops = 0;
+    for t in traces {
+        for pair in t.events.windows(2) {
+            let (sent, next) = (pair[0], pair[1]);
+            let EventKind::Mark(Mark::MsgSent { to: 3, bytes }) = sent.kind else {
+                continue;
+            };
+            if outage.contains(&sent.t_ns) {
+                let dropped = EventKind::Mark(Mark::MessageDropped { to: 3, bytes });
+                let why = format!("rank {}'s send at {} ns", t.rank, sent.t_ns);
+                assert_eq!((next.t_ns, next.kind), (sent.t_ns, dropped), "{why}");
+                drops += 1;
+            }
+        }
+    }
+    assert!(drops > 0, "no peer sent to rank 3 during its outage");
+    assert_eq!(result.stats.total_messages_lost(), drops);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +210,6 @@ fn permanent_crash_finishes_degraded_and_marks_the_trace() {
         let mut cfg = chaos_config(iters, 2, 10).with_trace();
         cfg.spec = cfg.spec.with_fault_tolerance(
             FaultTolerance::new(SimDuration::from_millis(10))
-                .with_crashes(vec![crash])
                 .with_supervision(SupervisionConfig::new(1, 2)),
         );
         run_parallel_with_faults(
@@ -277,7 +297,6 @@ fn crash_rejoin_timeline_quarantines_then_readmits() {
     let mut cfg = chaos_config(iters, 2, 10).with_trace();
     cfg.spec = cfg.spec.with_fault_tolerance(
         FaultTolerance::new(SimDuration::from_millis(10))
-            .with_crashes(vec![crash])
             .with_supervision(SupervisionConfig::new(1, 2)),
     );
     let result = run_parallel_with_faults(
@@ -734,16 +753,13 @@ fn scripted_crash_under_delta_exchange_recovers() {
         at: SimTime::from_nanos(100_000_000),
         restart_after: SimDuration::from_millis(50),
     };
-    let mut cfg = delta_chaos_config(iters, 2, 30, DeltaExchange::new(0.0, 8));
-    cfg.spec = cfg.spec.with_fault_tolerance(
-        FaultTolerance::new(SimDuration::from_millis(30)).with_crashes(vec![crash]),
-    );
+    let cfg = delta_chaos_config(iters, 2, 30, DeltaExchange::new(0.0, 8));
     let result = run_parallel_with_faults(
         &particles,
         &cluster,
         ConstantLatency(SimDuration::from_millis(3)),
         Unloaded,
-        FaultSpec::none(),
+        FaultSpec::none().with_crashes(CrashPlan::new(vec![crash])),
         cfg,
     )
     .unwrap();

@@ -108,10 +108,9 @@ fn chaos_socket_child() {
     let opts = supervised_opts(rank);
     let mut t = if rejoining {
         // A SIGKILLed process has no volatile state to resume from: it
-        // reports progress 0 and re-runs its partition from iteration 0,
-        // letting the survivors' keyframe sync and loss promotions carry
+        // re-runs its partition from iteration 0, letting the survivors' keyframe sync and loss promotions carry
         // it back to the frontier.
-        rejoin_socket_cluster::<IterMsg<Vec<f64>>>(rank, &addrs, opts, 0).expect("rejoin")
+        rejoin_socket_cluster::<IterMsg<Vec<f64>>>(rank, &addrs, opts).expect("rejoin")
     } else {
         connect_socket_cluster::<IterMsg<Vec<f64>>>(rank, &addrs, opts).expect("connect")
     };

@@ -517,7 +517,6 @@ fn driver_events_match_golden() {
         .with_iteration_log()
         .with_fault_tolerance(
             FaultTolerance::new(SimDuration::from_millis(20))
-                .with_crashes(vec![crash])
                 .with_supervision(SupervisionConfig::new(1, 2)),
         )
         .with_adaptive(ControllerConfig::new().with_fw_max(3).with_cadence(2, 2))
