@@ -614,12 +614,8 @@ fn controller_sweep() -> ControllerSweep {
             .map(|i| i * N_VARS / P..(i + 1) * N_VARS / P)
             .collect();
         let net = TransientDelays::new(HeteroLatency, 0.25, SimDuration::from_millis(30), 7);
-        let (stats, report) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
-            &cluster,
-            net,
-            Unloaded,
-            false,
-            |mut t| {
+        let (stats, report) =
+            run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(&cluster, net, Unloaded, |mut t| {
                 let app_cfg = SyntheticConfig {
                     theta,
                     seed: 42,
@@ -629,9 +625,8 @@ fn controller_sweep() -> ControllerSweep {
                 let mut app = SyntheticApp::new(N_VARS, &ranges, t.rank().0, app_cfg);
                 let cfg = cfg.clone();
                 async move { run_speculative_aio(&mut t, &mut app, 60, cfg).await }
-            },
-        )
-        .expect("controller sweep run failed");
+            })
+            .expect("controller sweep run failed");
         (report.end_time.as_nanos(), stats)
     };
 

@@ -14,8 +14,8 @@
 //! machine keeps the captured future beside the copy it awaits, so every
 //! rank would be held twice.
 //!
-//! The state a *running* process may touch (event queue, mailboxes, trace
-//! log, `messages_sent`, `now`, the parked-operation slot) is one [`Core`]
+//! The state a *running* process may touch (event queue, mailboxes,
+//! `messages_sent`, `now`, the parked-operation slot) is one [`Core`]
 //! behind `Rc<RefCell<_>>`, shared by the [`Simulation`] and every
 //! [`AsyncHandle`]. The rule that keeps it sound: the kernel never holds a
 //! `Core` borrow across a poll, and a process only ever takes the short
@@ -35,7 +35,6 @@ use crate::event::{EventKind, EventQueue, Payload};
 use crate::mailbox::{Mailbox, MailboxId};
 use crate::process::{AsyncHandle, Body, Grant, Op, ProcessId, ProcessResult, Results, Slot};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceLog};
 
 /// Why a simulation failed.
 #[derive(Debug)]
@@ -97,8 +96,6 @@ pub struct SimReport {
     pub timers_fired: u64,
     /// `(name, finish time)` per process, in spawn order.
     pub finish_times: Vec<(String, SimTime)>,
-    /// Trace annotations, if tracing was enabled.
-    pub trace: Vec<TraceEvent>,
 }
 
 struct ProcInfo {
@@ -246,7 +243,6 @@ pub struct Simulation {
 pub(crate) struct Core {
     pub(crate) queue: EventQueue,
     pub(crate) mailboxes: Vec<Mailbox>,
-    pub(crate) trace: TraceLog,
     pub(crate) messages_sent: u64,
     pub(crate) now: SimTime,
     /// The blocking operation the running process parked, or the kernel's
@@ -280,14 +276,13 @@ impl Default for Simulation {
 }
 
 impl Simulation {
-    /// An empty simulation with tracing disabled.
+    /// An empty simulation.
     pub fn new() -> Self {
         Simulation {
             procs: Vec::new(),
             core: Rc::new(RefCell::new(Core {
                 queue: EventQueue::new(),
                 mailboxes: Vec::new(),
-                trace: TraceLog::disabled(),
                 messages_sent: 0,
                 now: SimTime::ZERO,
                 slot: Slot::Empty,
@@ -300,11 +295,6 @@ impl Simulation {
             events_processed: 0,
             timers_fired: 0,
         }
-    }
-
-    /// Enable recording of trace annotations into the final [`SimReport`].
-    pub fn enable_tracing(&mut self) {
-        self.core.borrow_mut().trace = TraceLog::enabled();
     }
 
     /// Arm the scheduling-invariant oracle: every grant and blocking
@@ -357,7 +347,7 @@ impl Simulation {
         Fut: Future<Output = R> + 'static,
     {
         let pid = ProcessId(self.procs.len());
-        let body = Box::pin(f(AsyncHandle::new(pid, Rc::clone(&self.core))));
+        let body = Box::pin(f(AsyncHandle::new(Rc::clone(&self.core))));
         self.procs.push(ProcInfo {
             name: name.into(),
             body: Some(body),
@@ -470,9 +460,9 @@ impl Simulation {
         // rather than being cloned. `Core` is released before the process
         // table goes: an unfinished body dropped with it must find `Core`
         // unborrowed.
-        let (now, messages_sent, trace) = {
-            let mut core = self.core.borrow_mut();
-            (core.now, core.messages_sent, core.trace.take())
+        let (now, messages_sent) = {
+            let core = self.core.borrow();
+            (core.now, core.messages_sent)
         };
         let blocked: Vec<(String, MailboxId)> = self
             .procs
@@ -505,7 +495,6 @@ impl Simulation {
             messages_delivered: self.messages_delivered,
             timers_fired: self.timers_fired,
             finish_times,
-            trace,
         })
     }
 

@@ -74,14 +74,12 @@ mod mailbox;
 mod process;
 pub mod rng;
 mod time;
-mod trace;
 
 pub use event::{Payload, TieBreak};
 pub use kernel::{preload_message, SimError, SimReport, Simulation};
 pub use mailbox::MailboxId;
-pub use process::{AsyncHandle, ProcessId, ProcessResult};
+pub use process::{AsyncHandle, ProcessResult};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceLog};
 
 #[cfg(test)]
 mod tests {
@@ -192,21 +190,6 @@ mod tests {
             }
             other => panic!("expected panic error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn traces_are_recorded_when_enabled() {
-        let mut sim = Simulation::new();
-        sim.enable_tracing();
-        sim.spawn_async("p", |h| async move {
-            h.trace("start").await;
-            h.advance(SimDuration::from_millis(1)).await;
-            h.trace("end").await;
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(report.trace.len(), 2);
-        assert_eq!(report.trace[0].label, "start");
-        assert_eq!(report.trace[1].time, SimTime::from_nanos(1_000_000));
     }
 
     #[test]

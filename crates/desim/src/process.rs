@@ -8,8 +8,8 @@
 //! allocation the size of its own future.
 //!
 //! The [`AsyncHandle`] a process receives is its whole view of the kernel.
-//! Non-blocking operations (`send`, `try_recv`, `create_mailbox`, `trace`,
-//! and a receive that need not wait) act on the kernel's shared `Core`
+//! Non-blocking operations (`send`, `try_recv`, `create_mailbox`, and a
+//! receive that need not wait) act on the kernel's shared `Core`
 //! inline and complete on their first poll; only a *blocking* operation
 //! (`advance`, a receive on an empty mailbox with its deadline still ahead)
 //! parks an [`Op`] in the `Core`'s one slot and returns `Pending`, giving
@@ -30,11 +30,10 @@ use crate::event::Payload;
 use crate::kernel::Core;
 use crate::mailbox::MailboxId;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceLog;
 
 /// Identifier of a process within one simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct ProcessId(pub usize);
+pub(crate) struct ProcessId(pub(crate) usize);
 
 /// A blocking operation a process parks when it gives the time grant back.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,7 +83,7 @@ pub(crate) enum Slot {
 /// is `async`, but only the blocking ones (`advance`, and `recv` /
 /// `recv_deadline` on an empty mailbox with the deadline still ahead) ever
 /// suspend: they give the time grant back until the matching event fires.
-/// `send`, `try_recv`, `create_mailbox`, `trace`/`trace_with` — and a
+/// `send`, `try_recv`, `create_mailbox` — and a
 /// receive that finds a message already delivered or its deadline already
 /// passed — each take one short borrow of the kernel state and complete on
 /// their first poll. Exactly one operation may be in flight at a time:
@@ -96,13 +95,12 @@ pub(crate) enum Slot {
 /// no way to complete it.
 #[derive(Clone)]
 pub struct AsyncHandle {
-    pid: ProcessId,
     core: Rc<RefCell<Core>>,
 }
 
 impl AsyncHandle {
-    pub(crate) fn new(pid: ProcessId, core: Rc<RefCell<Core>>) -> Self {
-        AsyncHandle { pid, core }
+    pub(crate) fn new(core: Rc<RefCell<Core>>) -> Self {
+        AsyncHandle { core }
     }
 
     /// Current virtual time.
@@ -207,30 +205,6 @@ impl AsyncHandle {
     /// Allocate a fresh mailbox owned by no one in particular.
     pub async fn create_mailbox(&self) -> MailboxId {
         self.core.borrow_mut().create_mailbox()
-    }
-
-    /// Record a trace annotation at the current virtual time. A no-op unless
-    /// tracing was enabled on the [`Simulation`](crate::Simulation).
-    pub async fn trace(&self, label: impl Into<String>) {
-        self.record(|| label.into());
-    }
-
-    /// Record a trace annotation, building the label lazily. When tracing
-    /// is disabled the closure never runs and nothing allocates.
-    pub async fn trace_with(&self, label: impl FnOnce() -> String) {
-        self.record(label);
-    }
-
-    /// The label closure runs outside any kernel borrow, so it may itself
-    /// use this handle (or panic) freely.
-    fn record(&self, label: impl FnOnce() -> String) {
-        if !matches!(self.core.borrow().trace, TraceLog::Enabled(_)) {
-            return;
-        }
-        let label = label();
-        let mut core = self.core.borrow_mut();
-        let now = core.now;
-        core.trace.record(now, self.pid, || label);
     }
 }
 

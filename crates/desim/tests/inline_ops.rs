@@ -4,7 +4,7 @@
 //! and never leave the kernel's shared state borrowed when the process
 //! panics.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -35,7 +35,6 @@ impl<F: Future> Future for CountPolls<F> {
 #[test]
 fn a_rank_is_polled_once_per_blocking_op() {
     let mut sim = Simulation::new();
-    sim.enable_tracing();
     let sink = sim.create_mailbox();
     let ready = sim.create_mailbox();
     preload_message(&mut sim, ready, SimTime::ZERO, 1u8);
@@ -53,7 +52,6 @@ fn a_rank_is_polled_once_per_blocking_op() {
                 assert!(h.try_recv(sink).await.is_none());
             }
             let mine = h.create_mailbox().await;
-            h.trace("between the advances").await;
             // Receives that need not wait are inline too: a message already
             // delivered, a deadline already passed.
             assert_eq!(h.recv_as::<u8>(ready).await, 1);
@@ -75,7 +73,6 @@ fn a_rank_is_polled_once_per_blocking_op() {
     );
     assert_eq!(report.messages_sent, 2 + 7);
     assert_eq!(report.timers_fired, 1);
-    assert_eq!(report.trace.len(), 1);
     assert_eq!(report.end_time, SimTime::ZERO + STEP + STEP + STEP);
 }
 
@@ -86,10 +83,13 @@ fn a_rank_is_polled_once_per_blocking_op() {
 /// What a rank of the mesh observed: its receive order, folded.
 type Seen = Rc<Cell<u64>>;
 
+/// `(rank, virtual time, mailbox it made)`, in the order ranks made one.
+type Made = Rc<RefCell<Vec<(usize, SimTime, MailboxId)>>>;
+
 /// The script of one rank: an advance, then sends to every peer, two
-/// `try_recv`s, a `create_mailbox` and a `trace` inside one time grant,
-/// another advance, then one blocking receive per peer.
-fn spawn_rank(sim: &mut Simulation, boxes: &[MailboxId], me: usize, seen: Seen) {
+/// `try_recv`s and a `create_mailbox` inside one time grant, another
+/// advance, then one blocking receive per peer.
+fn spawn_rank(sim: &mut Simulation, boxes: &[MailboxId], me: usize, seen: Seen, made: Made) {
     let boxes = boxes.to_vec();
     sim.spawn_async(format!("rank{me}"), move |h| async move {
         h.advance(STEP).await;
@@ -104,7 +104,7 @@ fn spawn_rank(sim: &mut Simulation, boxes: &[MailboxId], me: usize, seen: Seen) 
             }
         }
         let mine = h.create_mailbox().await;
-        h.trace_with(|| format!("rank{me} made {mine:?}")).await;
+        made.borrow_mut().push((me, h.now(), mine));
         h.send(mine, SimDuration::ZERO, 0u64).await;
         h.advance(STEP).await;
         for _ in 0..boxes.len() - 1 {
@@ -114,19 +114,22 @@ fn spawn_rank(sim: &mut Simulation, boxes: &[MailboxId], me: usize, seen: Seen) 
     });
 }
 
-fn run_mesh(tie: TieBreak) -> (SimReport, Vec<u64>) {
+type MeshRun = (SimReport, Vec<u64>, Vec<(usize, SimTime, MailboxId)>);
+
+fn run_mesh(tie: TieBreak) -> MeshRun {
     const P: usize = 4;
     let mut sim = Simulation::new();
     sim.set_tie_break(tie);
-    sim.enable_tracing();
     sim.enable_scheduling_checks();
     let boxes: Vec<_> = (0..P).map(|_| sim.create_mailbox()).collect();
     let seen: Vec<Seen> = (0..P).map(|_| Rc::new(Cell::new(0))).collect();
+    let made = Made::default();
     for (me, seen) in seen.iter().enumerate() {
-        spawn_rank(&mut sim, &boxes, me, Rc::clone(seen));
+        spawn_rank(&mut sim, &boxes, me, Rc::clone(seen), Rc::clone(&made));
     }
     let report = sim.run().unwrap();
-    (report, seen.iter().map(|s| s.get()).collect())
+    let made = made.take();
+    (report, seen.iter().map(|s| s.get()).collect(), made)
 }
 
 /// The mesh's report and receive orders under four tie-breaks, recorded
@@ -135,7 +138,7 @@ fn run_mesh(tie: TieBreak) -> (SimReport, Vec<u64>) {
 /// would move a sequence number, and with it these values.
 #[test]
 fn the_mesh_reports_are_pinned_under_every_tie_break() {
-    // (tie-break, rank 0..3's `seen`, the order ranks traced in)
+    // (tie-break, rank 0..3's `seen`, the order ranks made a mailbox in)
     let pinned: [(TieBreak, [u64; 4], [usize; 4]); 4] = [
         (TieBreak::Fifo, [2019, 1058, 1027, 1026], [0, 1, 2, 3]),
         (TieBreak::Lifo, [3939, 3938, 3907, 2946], [0, 1, 2, 3]),
@@ -147,8 +150,8 @@ fn the_mesh_reports_are_pinned_under_every_tie_break() {
         ),
     ];
     let end = SimTime::ZERO + STEP + STEP;
-    for (tie, seen, traced) in pinned {
-        let (report, got) = run_mesh(tie);
+    for (tie, seen, order) in pinned {
+        let (report, got, made) = run_mesh(tie);
         assert_eq!(report.events_processed, 28, "{tie:?}");
         assert_eq!(report.messages_sent, 4 * 3 + 4, "{tie:?}");
         assert_eq!(report.messages_delivered, 4 * 3 + 4, "{tie:?}");
@@ -159,13 +162,12 @@ fn the_mesh_reports_are_pinned_under_every_tie_break() {
             "{tie:?}"
         );
         assert_eq!(got, seen, "{tie:?}: receive order");
-        let trace: Vec<_> = report.trace.iter().map(|e| (e.pid.0, e.time)).collect();
-        let want: Vec<_> = traced.iter().map(|&p| (p, SimTime::ZERO + STEP)).collect();
-        assert_eq!(trace, want, "{tie:?}: trace order");
-        for (k, e) in report.trace.iter().enumerate() {
-            let label = format!("rank{} made {:?}", e.pid.0, MailboxId(4 + k));
-            assert_eq!(e.label, label, "{tie:?}");
-        }
+        let want: Vec<_> = order
+            .iter()
+            .enumerate()
+            .map(|(k, &p)| (p, SimTime::ZERO + STEP, MailboxId(4 + k)))
+            .collect();
+        assert_eq!(made, want, "{tie:?}: the order ranks ran in");
     }
 }
 
@@ -196,15 +198,4 @@ fn a_panic_right_after_an_inline_send_is_reported_as_the_ranks_own() {
         panic!("boom after send at {}", h.now());
     });
     expect_panic(sim, "bad", "boom after send");
-}
-
-#[test]
-fn a_panic_inside_a_trace_label_is_reported_as_the_ranks_own() {
-    let mut sim = Simulation::new();
-    sim.enable_tracing();
-    sim.spawn_async("bad", |h| async move {
-        h.advance(STEP).await;
-        h.trace_with(|| panic!("boom in label")).await;
-    });
-    expect_panic(sim, "bad", "boom in label");
 }

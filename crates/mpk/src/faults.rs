@@ -100,7 +100,7 @@ impl FaultGate {
         }
         counters.delivered += 1;
         counters.duplicated += u64::from(fate.extra_copies);
-        let flip = (fate.corrupt_amp > 0.0).then(|| {
+        let flip = fate.corrupt.then(|| {
             self.corrupt_hits += 1;
             self.corrupt_hits - 1
         });

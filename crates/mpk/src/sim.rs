@@ -40,17 +40,6 @@ pub struct SimIo<M> {
 }
 
 impl<M: Send + 'static> SimIo<M> {
-    /// Record a trace annotation (visible in the [`SimReport`] if tracing
-    /// was enabled).
-    pub async fn trace(&mut self, label: impl Into<String>) {
-        self.h.trace(label).await;
-    }
-
-    /// Lazily-built trace annotation; free when tracing is disabled.
-    pub async fn trace_with(&mut self, label: impl FnOnce() -> String) {
-        self.h.trace_with(label).await;
-    }
-
     /// Attach a structured telemetry sink for this rank. Typically an
     /// [`obs::SharedRecorder`] clone, so the events can be drained after
     /// [`run_sim_proc_cluster`] returns. Message sends/receives are marked
@@ -203,8 +192,6 @@ impl<M: WireSize + Clone + Send + 'static> AsyncTransport for SimIo<M> {
 /// [`run_sim_proc_cluster_with_faults`] exactly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimClusterOptions {
-    /// Record per-process trace annotations into the [`SimReport`].
-    pub trace: bool,
     /// How simultaneous events are ordered ([`TieBreak::Fifo`] is the
     /// historical insertion order). Conformance tests re-run a scenario
     /// under [`TieBreak::Lifo`]/[`TieBreak::Seeded`] to prove its result
@@ -238,7 +225,6 @@ pub struct SimClusterOptions {
 ///     &cluster,
 ///     ConstantLatency(SimDuration::from_millis(1)),
 ///     Unloaded,
-///     false,
 ///     |mut t| async move {
 ///         t.broadcast(Tag(0), t.rank().0 as u64).await;
 ///         let mut sum = 0;
@@ -256,7 +242,6 @@ pub fn run_sim_proc_cluster<M, R, F, Fut>(
     cluster: &ClusterSpec,
     net: impl NetworkModel + 'static,
     load: impl LoadModel + 'static,
-    trace: bool,
     f: F,
 ) -> Result<(Vec<R>, SimReport), SimError>
 where
@@ -265,13 +250,22 @@ where
     F: Fn(SimIo<M>) -> Fut,
     Fut: std::future::Future<Output = R> + 'static,
 {
-    run_sim_proc_cluster_with_faults(cluster, net, load, FaultSpec::none(), trace, f)
+    run_sim_proc_cluster_with_faults(cluster, net, load, FaultSpec::none(), false, f)
 }
 
 /// [`run_sim_proc_cluster`] with a fault layer: every send is routed through
 /// `faults.model` (and the crash plan) before it may touch the network
 /// model. With [`FaultSpec::none`] this is exactly `run_sim_proc_cluster` —
 /// same delay stream, same schedule, bit for bit.
+///
+/// `trace` must be `false`: the kernel keeps no string trace, and a rank's
+/// telemetry is its [`obs`] recorder ([`SimIo::set_recorder`]). The
+/// parameter stays only because the perf ledger (`benchmark/src/runs.rs`)
+/// passes it; it goes when the ledger changes.
+///
+/// # Panics
+///
+/// If `trace` is `true`, before any rank is spawned.
 pub fn run_sim_proc_cluster_with_faults<M, R, F, Fut>(
     cluster: &ClusterSpec,
     net: impl NetworkModel + 'static,
@@ -286,21 +280,16 @@ where
     F: Fn(SimIo<M>) -> Fut,
     Fut: std::future::Future<Output = R> + 'static,
 {
-    run_sim_proc_cluster_with_options(
-        cluster,
-        net,
-        load,
-        faults,
-        SimClusterOptions {
-            trace,
-            ..SimClusterOptions::default()
-        },
-        f,
-    )
+    assert!(
+        !trace,
+        "run_sim_proc_cluster_with_faults: there is no string trace; \
+         attach an obs recorder with SimIo::set_recorder"
+    );
+    run_sim_proc_cluster_with_options(cluster, net, load, faults, SimClusterOptions::default(), f)
 }
 
 /// [`run_sim_proc_cluster_with_faults`] with explicit [`SimClusterOptions`]
-/// (trace collection, same-time event ordering, scheduling checks).
+/// (same-time event ordering, scheduling checks).
 pub fn run_sim_proc_cluster_with_options<M, R, F, Fut>(
     cluster: &ClusterSpec,
     net: impl NetworkModel + 'static,
@@ -316,9 +305,6 @@ where
     Fut: std::future::Future<Output = R> + 'static,
 {
     let mut sim = Simulation::new();
-    if options.trace {
-        sim.enable_tracing();
-    }
     if options.check_scheduling {
         sim.enable_scheduling_checks();
     }
@@ -375,7 +361,6 @@ mod tests {
             &cluster,
             ConstantLatency(SimDuration::ZERO),
             Unloaded,
-            false,
             |mut t| async move {
                 t.compute(1_000_000).await;
                 t.now().as_nanos()
@@ -396,7 +381,6 @@ mod tests {
             &cluster,
             ConstantLatency(SimDuration::ZERO),
             RandomSpikes::new(1.0, 3.0, 7),
-            false,
             |mut t| async move {
                 t.compute(1_000_000).await;
                 t.now().as_nanos()
@@ -417,7 +401,6 @@ mod tests {
                 &cluster,
                 SharedMedium::new(SimDuration::ZERO, bw),
                 Unloaded,
-                false,
                 |mut t| async move {
                     if t.rank().0 == 0 {
                         for _ in 0..4 {
@@ -505,7 +488,6 @@ mod tests {
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
-            false,
             |mut t| async move {
                 if t.rank().0 == 0 {
                     let start = t.now();
@@ -531,7 +513,6 @@ mod tests {
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
-            false,
             |mut t| async move {
                 if t.rank().0 == 0 {
                     t.send(Rank(1), Tag(0), 42).await;
@@ -560,7 +541,6 @@ mod tests {
             &cluster,
             ConstantLatency(SimDuration::from_millis(1)),
             Unloaded,
-            false,
             |mut t| async move {
                 let start = t.now();
                 assert!(t.recv_timeout(SimDuration::from_nanos(10)).await.is_none());
@@ -578,7 +558,6 @@ mod tests {
             &cluster,
             ConstantLatency(SimDuration::ZERO),
             Unloaded,
-            false,
             |mut t| async move {
                 if t.rank().0 == 1 {
                     panic!("rank 1 exploded");

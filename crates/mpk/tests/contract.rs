@@ -237,3 +237,34 @@ fn a_no_faults_spec_is_fault_free() {
         assert_eq!(ranks[1].0 .1, (0..5).collect::<Vec<_>>(), "{backend}");
     }
 }
+
+/// The simulator keeps no string trace: asking for one panics before the
+/// first rank's body is even built.
+#[test]
+fn a_sim_cluster_asked_for_a_string_trace_panics_before_any_rank_runs() {
+    let built = std::cell::Cell::new(0);
+    let run = std::panic::AssertUnwindSafe(|| {
+        run_sim_proc_cluster_with_faults::<u64, _, _, _>(
+            &ClusterSpec::homogeneous(2, 100.0),
+            ConstantLatency(SimDuration::from_millis(1)),
+            Unloaded,
+            FaultSpec::none(),
+            true,
+            |_t| {
+                built.set(built.get() + 1);
+                async {}
+            },
+        )
+    });
+    let payload = std::panic::catch_unwind(run).expect_err("trace = true must panic");
+    let message = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(
+        message.contains("there is no string trace"),
+        "got: {message}"
+    );
+    assert_eq!(built.get(), 0, "a rank was built before the refusal");
+}

@@ -31,10 +31,11 @@ pub struct Fate {
     /// Extra copies to deliver beyond the original, each re-consulting the
     /// network model for its own delay.
     pub extra_copies: u32,
-    /// Relative payload perturbation amplitude; `0.0` leaves the payload
-    /// untouched. How the amplitude maps onto a concrete payload is the
-    /// transport's business (it knows the message type).
-    pub corrupt_amp: f64,
+    /// Corrupt the payload in transit? What that does to a concrete
+    /// message is the transport's business: the socket backend flips a
+    /// byte of the encoded frame; backends that carry no bytes deliver
+    /// it intact.
+    pub corrupt: bool,
 }
 
 impl Fate {
@@ -43,7 +44,7 @@ impl Fate {
         Fate {
             deliver: true,
             extra_copies: 0,
-            corrupt_amp: 0.0,
+            corrupt: false,
         }
     }
 
@@ -52,17 +53,17 @@ impl Fate {
         Fate {
             deliver: false,
             extra_copies: 0,
-            corrupt_amp: 0.0,
+            corrupt: false,
         }
     }
 
     /// Combine two layers' decisions: a drop anywhere wins, copies add up,
-    /// and the strongest corruption applies.
+    /// and a corruption anywhere applies.
     pub(crate) fn merge(self, other: Fate) -> Fate {
         Fate {
             deliver: self.deliver && other.deliver,
             extra_copies: self.extra_copies + other.extra_copies,
-            corrupt_amp: self.corrupt_amp.max(other.corrupt_amp),
+            corrupt: self.corrupt || other.corrupt,
         }
     }
 }
@@ -148,32 +149,24 @@ impl FaultModel for Duplicate {
 }
 
 /// Independent per-message payload corruption: with probability `p` the
-/// payload is perturbed with relative amplitude drawn uniformly from
-/// `(0, amp]`.
-///
-/// The perturbation stays within θ semantics by design: a corrupted value
-/// is just a slightly-wrong one, exactly the shape of error the paper's
-/// check/correct machinery (|X̂ - X| against θ) already classifies and
-/// repairs, so corruption needs no new driver machinery — only honesty
-/// from the transport about applying it before delivery.
+/// message is marked [`Fate::corrupt`]. On the socket backend a corrupted
+/// frame fails to decode and is dropped at the receiver, so to the driver
+/// it is one more lost message.
 pub struct Corrupt {
     p: f64,
-    amp: f64,
     rng: SmallRng,
 }
 
 impl Corrupt {
-    /// Corrupt each message with probability `p` and relative amplitude up
-    /// to `amp`, deterministically per `seed`.
-    pub fn new(p: f64, amp: f64, seed: u64) -> Self {
+    /// Corrupt each message with probability `p`, one draw per message,
+    /// deterministically per `seed`.
+    pub fn new(p: f64, seed: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&p),
             "corruption probability must be in [0,1]"
         );
-        assert!(amp > 0.0, "corruption amplitude must be positive");
         Corrupt {
             p,
-            amp,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -181,13 +174,10 @@ impl Corrupt {
 
 impl FaultModel for Corrupt {
     fn fate(&mut self, _ctx: &MsgCtx) -> Fate {
-        let mut f = Fate::clean();
-        if self.rng.gen_bool(self.p) {
-            // Draw even when amp maps to the same value so the stream stays
-            // one-draw-per-hit regardless of amplitude.
-            f.corrupt_amp = self.amp * self.rng.gen::<f64>().max(f64::MIN_POSITIVE);
+        Fate {
+            corrupt: self.rng.gen_bool(self.p),
+            ..Fate::clean()
         }
-        f
     }
 }
 
@@ -434,10 +424,10 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_amp_is_bounded_and_only_sometimes_set() {
-        let fs = fates(&mut Corrupt::new(0.5, 0.01, 9), 1000);
-        assert!(fs.iter().all(|f| f.deliver && f.corrupt_amp <= 0.01));
-        let hit = fs.iter().filter(|f| f.corrupt_amp > 0.0).count();
+    fn corrupt_is_only_sometimes_set() {
+        let fs = fates(&mut Corrupt::new(0.5, 9), 1000);
+        assert!(fs.iter().all(|f| f.deliver && f.extra_copies == 0));
+        let hit = fs.iter().filter(|f| f.corrupt).count();
         assert!(hit > 300 && hit < 700, "hits {hit}");
     }
 
@@ -537,8 +527,8 @@ mod proptests {
         #[test]
         fn merge_is_commutative(da in 0u32..2, db in 0u32..2,
                                 ca in 0u32..4, cb in 0u32..4) {
-            let a = Fate { deliver: da == 1, extra_copies: ca, corrupt_amp: 0.0 };
-            let b = Fate { deliver: db == 1, extra_copies: cb, corrupt_amp: 0.0 };
+            let a = Fate { deliver: da == 1, extra_copies: ca, corrupt: false };
+            let b = Fate { deliver: db == 1, extra_copies: cb, corrupt: false };
             prop_assert_eq!(a.merge(b), b.merge(a));
         }
     }

@@ -187,7 +187,6 @@ where
             let options = SimClusterOptions {
                 tie_break: tie,
                 check_scheduling: true,
-                ..Default::default()
             };
             let body = |mut t| {
                 let (w, cfg) = (w.clone(), cfg.clone());

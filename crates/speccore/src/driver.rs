@@ -1371,14 +1371,11 @@ pub(crate) mod tests {
                 vec![(0, 1, 3, SimDuration::from_millis(40))],
             );
             let cfg = SpecConfig::speculative(fw);
-            let (_, report) = run_sim_proc_cluster::<IterMsg<f64>, _, _, _>(
-                &cluster,
-                net,
-                Unloaded,
-                false,
-                |t| run_toy_rank(t, 0.5, iters, cfg.clone()),
-            )
-            .unwrap();
+            let (_, report) =
+                run_sim_proc_cluster::<IterMsg<f64>, _, _, _>(&cluster, net, Unloaded, |t| {
+                    run_toy_rank(t, 0.5, iters, cfg.clone())
+                })
+                .unwrap();
             report.end_time
         };
         let t1 = run(1);
@@ -1459,7 +1456,6 @@ pub(crate) mod tests {
                 &cluster,
                 ConstantLatency(SimDuration::from_millis(10)),
                 Unloaded,
-                false,
                 |t| run_toy_rank(t, 0.5, iters, cfg.clone()),
             )
             .unwrap();
@@ -1491,7 +1487,6 @@ pub(crate) mod tests {
             &cluster,
             ConstantLatency(SimDuration::from_millis(2)),
             Unloaded,
-            false,
             |t| run_toy_rank(t, 0.5, iters, cfg.clone()),
         )
         .unwrap();
@@ -1639,7 +1634,6 @@ pub(crate) mod tests {
             &cluster,
             ConstantLatency(SimDuration::from_millis(2)),
             Unloaded,
-            false,
             |t| run_toy_rank(t, 1e9, iters, cfg.clone()),
         )
         .unwrap();

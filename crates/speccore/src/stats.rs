@@ -111,6 +111,13 @@ pub struct RunStats {
     pub max_accepted_error: f64,
     /// Messages the fault layer dropped from this rank's sends (loss,
     /// partitions, crashed destinations). Zero on reliable transports.
+    ///
+    /// Not counted anywhere: frames sent *before* a destination's crash
+    /// that land during its outage. The restarted rank drains and
+    /// discards them (each drain emits a `MsgRecv` mark), but no field
+    /// here or in `FaultCounters` books them: 7 of the 21 frames aimed
+    /// at the crashed rank in `chaos::scripted_crash_recovers_and_marks_the_trace`.
+    /// They belong in a per-cause byte table (ROADMAP item 24(a)).
     pub messages_lost: u64,
     /// Speculated inputs promoted to committed values because the actual
     /// message was declared lost (speculate-through-loss commits).

@@ -33,7 +33,6 @@ fn main() {
             &cluster,
             ConstantLatency(SimDuration::from_millis(25)),
             Unloaded,
-            false,
             |mut t| {
                 // θ = 0.05: tight enough to bound the rank error, loose
                 // enough that the early power-iteration transient (where

@@ -29,7 +29,6 @@ fn main() {
             // the regime the paper targets.
             SharedMedium::new(SimDuration::from_millis(1), 2e5),
             Unloaded,
-            false,
             |mut t| {
                 let mut app =
                     SyntheticApp::new(n_vars, &ranges, t.rank().0, SyntheticConfig::default());

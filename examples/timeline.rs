@@ -26,7 +26,6 @@ fn run(fw: u32) -> Vec<RunTrace> {
         // A slow channel: delivery takes about as long as one compute phase.
         ConstantLatency(SimDuration::from_millis(12)),
         Unloaded,
-        false,
         |mut t| {
             t.set_recorder(Box::new(recorder.clone()));
             let mut app = SyntheticApp::new(

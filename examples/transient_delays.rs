@@ -30,12 +30,8 @@ fn main() {
             // The 4th message from rank 0 to rank 1 crawls.
             vec![(0, 1, 3, SimDuration::from_millis(60))],
         );
-        let (stats, report) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
-            &cluster,
-            net,
-            Unloaded,
-            false,
-            |mut t| {
+        let (stats, report) =
+            run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(&cluster, net, Unloaded, |mut t| {
                 let ranges: Vec<_> = (0..3).map(|i| i * 30..(i + 1) * 30).collect();
                 // ~270 ops/iteration ⇒ ~27 ms of compute on these 0.01-MIPS
                 // machines, so the 60 ms stall spans about two iterations.
@@ -57,9 +53,8 @@ fn main() {
                     SpecConfig::speculative(fw)
                 };
                 async move { run_speculative_aio(&mut t, &mut app, iters, cfg).await }
-            },
-        )
-        .expect("simulation failed");
+            })
+            .expect("simulation failed");
         let p2_wait = stats[1].per_iteration().comm_wait.as_secs_f64();
         let total = report.end_time.as_secs_f64();
         let note = match fw {

@@ -70,19 +70,15 @@ fn driver_cfg() -> SpecConfig {
         )
 }
 
-fn supervised_opts(rank: usize) -> SocketClusterOptions {
+/// Redials of the victim, dead for about half a second, back off from one
+/// heartbeat interval (20 ms) to the miss deadline (100 ms).
+fn supervised_opts() -> SocketClusterOptions {
     SocketClusterOptions {
         mips: MIPS,
         connect_timeout: Duration::from_secs(20),
         supervision: Some(SupervisorOptions {
             heartbeat_interval: Duration::from_millis(20),
             miss_deadline: Duration::from_millis(100),
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(100),
-            // The victim stays dead for ~half a second; keep redialing
-            // until it returns rather than giving up on it.
-            retry_budget: 500,
-            seed: SEED ^ rank as u64,
         }),
     }
 }
@@ -105,7 +101,7 @@ fn chaos_socket_child() {
         .collect();
     let rejoining = std::env::var("SPEC_CHAOS_MODE").as_deref() == Ok("rejoin");
 
-    let opts = supervised_opts(rank);
+    let opts = supervised_opts();
     let mut t = if rejoining {
         // A SIGKILLed process has no volatile state to resume from: it
         // re-runs its partition from iteration 0, letting the survivors' keyframe sync and loss promotions carry

@@ -20,7 +20,7 @@ fn run_synthetic(
     let cluster = ClusterSpec::homogeneous(p, 10.0);
     let ranges = even_ranges(n, p);
     let (outs, report) =
-        run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(&cluster, net, load, false, |mut t| {
+        run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(&cluster, net, load, |mut t| {
             let mut app = SyntheticApp::new(
                 n,
                 &ranges,
@@ -105,7 +105,6 @@ fn baseline_and_speculative_agree_under_chaos_with_exact_config() {
         &cluster,
         chaos_net(),
         Unloaded,
-        false,
         |mut t| {
             let mut app = SyntheticApp::new(
                 n,
@@ -146,7 +145,6 @@ fn adaptive_window_deepens_then_retreats() {
             &cluster,
             ConstantLatency(SimDuration::from_millis(50)),
             Unloaded,
-            false,
             |mut t| {
                 let mut app = SyntheticApp::new(
                     n,

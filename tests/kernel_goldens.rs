@@ -78,14 +78,13 @@ fn report_fields(r: &SimReport) -> String {
         .map(|(name, t)| format!("{name}@{}", t.as_nanos()))
         .collect();
     format!(
-        "end_ns={} events={} sent={} delivered={} timers={} finish={} trace={}",
+        "end_ns={} events={} sent={} delivered={} timers={} finish={}",
         r.end_time.as_nanos(),
         r.events_processed,
         r.messages_sent,
         r.messages_delivered,
         r.timers_fired,
-        finish.join(","),
-        r.trace.len()
+        finish.join(",")
     )
 }
 
@@ -147,7 +146,6 @@ fn mpk_cluster_arm() -> (Vec<(u64, f64)>, SimReport) {
         &ClusterSpec::paper_model_example(),
         SharedMedium::new(SimDuration::from_micros(200), 1.25e6),
         Unloaded,
-        false,
         |mut t| async move {
             let mut acc = 0.0f64;
             for round in 0..5u64 {

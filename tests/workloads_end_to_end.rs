@@ -24,7 +24,6 @@ fn synthetic_theta_zero_recompute_is_exact() {
         &cluster,
         ConstantLatency(SimDuration::from_millis(2)),
         Unloaded,
-        false,
         |mut t| {
             let mut app = SyntheticApp::new(n, &ranges, t.rank().0, scfg);
             let cfg = SpecConfig::speculative(1).with_correction(CorrectionMode::Recompute);
@@ -65,7 +64,6 @@ fn synthetic_jump_rate_drives_measured_k() {
             &cluster,
             ConstantLatency(SimDuration::from_millis(2)),
             Unloaded,
-            false,
             |mut t| {
                 let mut app = SyntheticApp::new(n, &ranges, t.rank().0, scfg);
                 async move {
@@ -100,7 +98,6 @@ fn heat2d_full_driver_conserves_heat_and_stays_close() {
         &cluster,
         ConstantLatency(SimDuration::from_millis(1)),
         Unloaded,
-        false,
         |mut t| {
             let mut app = Heat2dApp::new(rows, cols, &ranges, t.rank().0, hcfg);
             async move {
@@ -146,7 +143,6 @@ fn pagerank_full_driver_stays_normalized() {
         &cluster,
         ConstantLatency(SimDuration::from_millis(1)),
         Unloaded,
-        false,
         |mut t| {
             let mut app = PageRankApp::new(
                 graph.clone(),
@@ -185,7 +181,6 @@ fn jacobi_full_driver_solves_the_system() {
         &cluster,
         ConstantLatency(SimDuration::from_millis(1)),
         Unloaded,
-        false,
         |mut t| {
             let mut app = JacobiApp::new(sys.clone(), &ranges, t.rank().0, JacobiConfig::default());
             async move {
@@ -224,7 +219,6 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
             &cluster,
             latency,
             Unloaded,
-            false,
             |mut t| {
                 let mut app = SyntheticApp::new(
                     40,
@@ -254,12 +248,8 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
     // Heat.
     let heat = |fw: u32| {
         let ranges = even_ranges(8, p);
-        let (_, report) = run_sim_proc_cluster::<IterMsg<_>, _, _, _>(
-            &cluster,
-            latency,
-            Unloaded,
-            false,
-            |mut t| {
+        let (_, report) =
+            run_sim_proc_cluster::<IterMsg<_>, _, _, _>(&cluster, latency, Unloaded, |mut t| {
                 let mut app = Heat2dApp::new(
                     8,
                     25,
@@ -277,9 +267,8 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
                     SpecConfig::speculative(fw)
                 };
                 async move { run_speculative_aio(&mut t, &mut app, 10, cfg).await }
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
         report.end_time.as_secs_f64()
     };
     assert!(heat(1) < heat(0), "heat workload failed to benefit");
@@ -292,7 +281,6 @@ fn all_workloads_benefit_from_speculation_when_comm_bound() {
             &cluster,
             latency,
             Unloaded,
-            false,
             |mut t| {
                 let mut app = PageRankApp::new(
                     graph.clone(),
@@ -328,7 +316,7 @@ fn heat2d16_run(
     let cluster = ClusterSpec::paper_testbed();
     let ranges = even_ranges(rows, cluster.len());
     let (outs, report) =
-        run_sim_proc_cluster::<IterMsg<_>, _, _, _>(&cluster, net, Unloaded, false, |mut t| {
+        run_sim_proc_cluster::<IterMsg<_>, _, _, _>(&cluster, net, Unloaded, |mut t| {
             let mut app = Heat2dApp::new(rows, cols, &ranges, t.rank().0, Heat2dConfig::default());
             let cfg = cfg.clone();
             async move {
@@ -427,20 +415,15 @@ fn jacobi_and_pagerank_speculative_outputs_are_pinned() {
 
     let sys = LinearSystem::random(32, 13);
     let ranges = even_ranges(32, p);
-    let (jacobi, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
-        &cluster,
-        latency,
-        Unloaded,
-        false,
-        |mut t| {
+    let (jacobi, _) =
+        run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(&cluster, latency, Unloaded, |mut t| {
             let mut app = JacobiApp::new(sys.clone(), &ranges, t.rank().0, JacobiConfig::default());
             async move {
                 run_speculative_aio(&mut t, &mut app, 60, SpecConfig::speculative(1)).await;
                 fingerprint_f64s(app.values())
             }
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
 
     let graph = Graph::random(80, 5, 17);
     let ranges = even_ranges(80, p);
@@ -448,20 +431,15 @@ fn jacobi_and_pagerank_speculative_outputs_are_pinned() {
         theta: 0.02,
         ..Default::default()
     };
-    let (pagerank, _) = run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(
-        &cluster,
-        latency,
-        Unloaded,
-        false,
-        |mut t| {
+    let (pagerank, _) =
+        run_sim_proc_cluster::<IterMsg<Vec<f64>>, _, _, _>(&cluster, latency, Unloaded, |mut t| {
             let mut app = PageRankApp::new(graph.clone(), &ranges, t.rank().0, pcfg);
             async move {
                 run_speculative_aio(&mut t, &mut app, 25, SpecConfig::speculative(1)).await;
                 fingerprint_f64s(app.scores())
             }
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
     assert_eq!(
         jacobi,
         [
