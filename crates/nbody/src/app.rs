@@ -20,12 +20,14 @@
 //! place as soon as nobody references it — so the steady-state iteration
 //! path (begin/absorb/finish/checkpoint/shared, check, and correct
 //! through its reused gather scratch) performs no heap allocation.
-//! `speculate` is the exception by contract: it returns a freshly
-//! predicted snapshot. Eq. 10 holds the velocity constant, so a `Linear`
-//! prediction owns new positions only and shares the history entry's
-//! velocities (`PartitionShared::vel` is an `Arc`); a ring slot whose
-//! velocities a prediction still reads gets a fresh `Arc` on refresh
-//! instead of being rewritten under it.
+//! `speculate` computes one eq. 10 prediction per snapshot and step: the
+//! snapshot it extrapolates memoises it, so every receiver of one
+//! broadcast shares one `Arc` (each is still charged its own `f_spec`).
+//! Eq. 10 holds the velocity constant, so a `Linear` prediction owns new
+//! positions only and shares the history entry's velocities
+//! (`PartitionShared::vel` is an `Arc`); a ring slot whose velocities a
+//! prediction still reads gets a fresh `Arc` on refresh instead of being
+//! rewritten under it.
 //!
 //! ## Snapshot lengths
 //!
@@ -34,8 +36,9 @@
 //! partition, and `check` rejects one of the wrong length outright; none
 //! of them indexes past what it was given.
 
+use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mpk::{Rank, WireCodec, WireSize};
 use speccore::{CheckOutcome, History, Lanes, SpeculativeApp};
@@ -51,24 +54,32 @@ use crate::vec3::{Vec3, ZERO3};
 /// One partition's broadcast snapshot: positions and velocities
 /// (the paper: "each processor sends the current position and velocity of
 /// all its particles to all other processors").
-#[derive(Clone, Debug, PartialEq)]
 pub struct PartitionShared {
     /// Positions of the partition's particles, partition-local order.
-    pub pos: Soa3,
+    pub(crate) pos: Soa3,
     /// Velocities, same order. Shared, never mutated in place while
     /// another reader holds them: an eq. 10 prediction keeps the velocity
     /// of the snapshot it extrapolates, so it holds a clone of this `Arc`
     /// rather than a copy of the lanes.
-    pub vel: Arc<Soa3>,
+    pub(crate) vel: Arc<Soa3>,
+    /// The eq. 10 prediction made from these lanes, keyed by the bits of
+    /// its step: every receiver of one broadcast shares it. Emptied before
+    /// either lane is written ([`Lanes::row_mut`], the ring's refresh).
+    memo: OnceLock<(u64, Arc<PartitionShared>)>,
 }
 
 impl PartitionShared {
+    fn new(pos: Soa3, vel: Arc<Soa3>) -> Self {
+        PartitionShared {
+            pos,
+            vel,
+            memo: OnceLock::new(),
+        }
+    }
+
     /// Build from AoS slices (cold path: construction, tests).
     pub fn from_vec3s(pos: &[Vec3], vel: &[Vec3]) -> Self {
-        PartitionShared {
-            pos: Soa3::from_vec3s(pos),
-            vel: Arc::new(Soa3::from_vec3s(vel)),
-        }
+        PartitionShared::new(Soa3::from_vec3s(pos), Arc::new(Soa3::from_vec3s(vel)))
     }
 
     /// Number of particles in the snapshot.
@@ -79,6 +90,48 @@ impl PartitionShared {
     /// True when the snapshot is empty.
     pub fn is_empty(&self) -> bool {
         self.pos.is_empty()
+    }
+
+    /// Eq. 10, `r* = r + v·h` with the velocity held constant: the
+    /// prediction shares these velocities instead of copying them. The
+    /// first step asked for is memoised; another step is computed afresh.
+    fn extrapolated(&self, h: f64) -> Arc<PartitionShared> {
+        let key = h.to_bits();
+        if let Some((_, predicted)) = self.memo.get().filter(|(bits, _)| *bits == key) {
+            return Arc::clone(predicted);
+        }
+        let extrap = |r: &[f64], v: &[f64]| r.iter().zip(v).map(|(&r, &v)| r + v * h).collect();
+        let pos = Soa3 {
+            x: extrap(&self.pos.x, &self.vel.x),
+            y: extrap(&self.pos.y, &self.vel.y),
+            z: extrap(&self.pos.z, &self.vel.z),
+        };
+        let predicted = Arc::new(PartitionShared::new(pos, Arc::clone(&self.vel)));
+        let _ = self.memo.set((key, Arc::clone(&predicted)));
+        predicted
+    }
+}
+
+/// A copy has the same lanes and no memo of its own yet.
+impl Clone for PartitionShared {
+    fn clone(&self) -> Self {
+        PartitionShared::new(self.pos.clone(), Arc::clone(&self.vel))
+    }
+}
+
+/// Equal lanes are equal snapshots, memo or none.
+impl PartialEq for PartitionShared {
+    fn eq(&self, other: &Self) -> bool {
+        self.pos == other.pos && self.vel == other.vel
+    }
+}
+
+impl fmt::Debug for PartitionShared {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PartitionShared")
+            .field("pos", &self.pos)
+            .field("vel", &self.vel)
+            .finish_non_exhaustive()
     }
 }
 
@@ -100,6 +153,7 @@ impl Lanes for PartitionShared {
     }
 
     fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        self.memo.take();
         let soa = if r < 3 {
             &mut self.pos
         } else {
@@ -168,10 +222,7 @@ impl WireCodec for PartitionShared {
         };
         let pos = decode_soa(buf)?;
         let vel = decode_soa(buf)?;
-        (pos.len() == vel.len()).then(|| PartitionShared {
-            pos,
-            vel: Arc::new(vel),
-        })
+        (pos.len() == vel.len()).then(|| PartitionShared::new(pos, Arc::new(vel)))
     }
 }
 
@@ -247,10 +298,7 @@ impl NBodyApp {
         let vel: Vec<Vec3> = all[mine].iter().map(|p| p.vel).collect();
         let pos = Soa3::from_vec3s(&pos);
         let vel = Soa3::from_vec3s(&vel);
-        let snapshot = Arc::new(PartitionShared {
-            pos: pos.clone(),
-            vel: Arc::new(vel.clone()),
-        });
+        let snapshot = Arc::new(PartitionShared::new(pos.clone(), Arc::new(vel.clone())));
         NBodyApp {
             cfg,
             order,
@@ -314,9 +362,10 @@ impl NBodyApp {
     /// state, once earlier broadcasts have been consumed); allocates a new
     /// slot only while every existing one is still referenced by history,
     /// in-flight messages, or pending execution records. A free slot's
-    /// velocities may still be read by a prediction speculated from it
-    /// (on this rank or a peer): those are left alone and the slot gets a
-    /// fresh `Arc`.
+    /// memo goes first, so the slot keeps no prediction of its old lanes
+    /// alive. Its velocities may still be read by a prediction speculated
+    /// from it that someone else holds (on this rank or a peer): those are
+    /// left alone and the slot gets a fresh `Arc`.
     fn refresh_snapshot(&mut self) {
         let free = self
             .snapshots
@@ -325,6 +374,7 @@ impl NBodyApp {
         match free {
             Some(i) => {
                 let slot = Arc::get_mut(&mut self.snapshots[i]).expect("checked unreferenced");
+                slot.memo.take();
                 slot.pos.clone_from(&self.pos);
                 match Arc::get_mut(&mut slot.vel) {
                     Some(vel) => vel.clone_from(&self.vel),
@@ -333,10 +383,10 @@ impl NBodyApp {
                 self.current = i;
             }
             None => {
-                self.snapshots.push(Arc::new(PartitionShared {
-                    pos: self.pos.clone(),
-                    vel: Arc::new(self.vel.clone()),
-                }));
+                self.snapshots.push(Arc::new(PartitionShared::new(
+                    self.pos.clone(),
+                    Arc::new(self.vel.clone()),
+                )));
                 self.current = self.snapshots.len() - 1;
             }
         }
@@ -434,23 +484,9 @@ impl SpeculativeApp for NBodyApp {
         let latest = hist.latest()?;
         let n = latest.pos.len() as u64;
         let h = self.cfg.dt * ahead as f64;
-        let linear = |latest: &PartitionShared| {
-            // Eq. 10: r* = r + v·Δt, the velocity held constant — so the
-            // prediction shares the entry's velocities instead of copying.
-            let extrap = |r: &[f64], v: &[f64]| r.iter().zip(v).map(|(&r, &v)| r + v * h).collect();
-            let pos = Soa3 {
-                x: extrap(&latest.pos.x, &latest.vel.x),
-                y: extrap(&latest.pos.y, &latest.vel.y),
-                z: extrap(&latest.pos.z, &latest.vel.z),
-            };
-            Arc::new(PartitionShared {
-                pos,
-                vel: Arc::clone(&latest.vel),
-            })
-        };
         match self.order {
             SpeculationOrder::Hold => Some((Arc::clone(latest), n)),
-            SpeculationOrder::Linear => Some((linear(latest), OPS_PER_SPECULATE * n)),
+            SpeculationOrder::Linear => Some((latest.extrapolated(h), OPS_PER_SPECULATE * n)),
             SpeculationOrder::Quadratic => {
                 let same_len = hist
                     .nth_back(1)
@@ -459,7 +495,7 @@ impl SpeculativeApp for NBodyApp {
                     // Not enough history for an acceleration estimate (or
                     // the peer changed its snapshot's length in between);
                     // degrade to eq. 10.
-                    return Some((linear(latest), OPS_PER_SPECULATE * n));
+                    return Some((latest.extrapolated(h), OPS_PER_SPECULATE * n));
                 };
                 let latest_iter = hist.latest_iter().expect("non-empty");
                 let span = (latest_iter - prev_iter) as f64 * self.cfg.dt;
@@ -479,18 +515,18 @@ impl SpeculativeApp for NBodyApp {
                 let (px, vx) = axis(&latest.pos.x, &latest.vel.x, &prev.vel.x);
                 let (py, vy) = axis(&latest.pos.y, &latest.vel.y, &prev.vel.y);
                 let (pz, vz) = axis(&latest.pos.z, &latest.vel.z, &prev.vel.z);
-                let predicted = PartitionShared {
-                    pos: Soa3 {
+                let predicted = PartitionShared::new(
+                    Soa3 {
                         x: px,
                         y: py,
                         z: pz,
                     },
-                    vel: Arc::new(Soa3 {
+                    Arc::new(Soa3 {
                         x: vx,
                         y: vy,
                         z: vz,
                     }),
-                };
+                );
                 Some((Arc::new(predicted), 2 * OPS_PER_SPECULATE * n))
             }
         }
@@ -627,29 +663,115 @@ mod tests {
     }
 
     /// A prediction outlives the snapshot it was made from: once nothing
-    /// else holds that snapshot, its owner recycles the ring slot, and must
-    /// give it new velocities rather than rewrite the prediction's.
+    /// else holds that snapshot, its owner recycles the ring slot, forgets
+    /// the slot's memoised prediction, and must give the slot new
+    /// velocities rather than rewrite the prediction's. Once nobody holds
+    /// the prediction, the slot rewrites its velocities in place again.
     #[test]
     fn a_recycled_slot_leaves_a_predictions_velocities_alone() {
         let mut a = make_app(12, 2, 0, 0.1);
         let b = make_app(12, 2, 1, 0.1);
+        let step = |a: &mut NBodyApp| {
+            a.begin_iteration();
+            a.absorb(Rank(1), &b.shared());
+            a.finish_iteration();
+        };
+        let speculate = |s: &Arc<PartitionShared>| {
+            b.speculate(Rank(0), &hist_of(std::slice::from_ref(s)), 1)
+                .unwrap()
+                .0
+        };
         let s = a.shared();
-        let (spec, _) = b
-            .speculate(Rank(0), &hist_of(std::slice::from_ref(&s)), 1)
-            .unwrap();
+        let spec = speculate(&s);
         assert!(Arc::ptr_eq(&spec.vel, &s.vel));
-        let vel_bits = lane_bits(&spec)[3 * spec.len()..].to_vec();
+        let spec_bits = lane_bits(&spec);
         drop(s);
 
-        a.begin_iteration();
-        a.absorb(Rank(1), &b.shared());
-        a.finish_iteration();
+        step(&mut a);
         assert_eq!(a.snapshots.len(), 1, "the freed slot was rewritten");
+        assert!(a.snapshots[0].memo.get().is_none());
         let now = a.shared();
         assert_eq!(*now.vel, a.vel, "the new snapshot publishes the new state");
         assert_ne!(*now.vel, *spec.vel, "the step moved the velocities");
         assert!(!Arc::ptr_eq(&now.vel, &spec.vel));
-        assert_eq!(lane_bits(&spec)[3 * spec.len()..], vel_bits[..]);
+        assert_eq!(lane_bits(&spec), spec_bits);
+        let next = speculate(&now);
+        assert_eq!(lane_bits(&next), eq10_bits(&now, b.cfg.dt));
+
+        let vel_at = Arc::as_ptr(&now.vel);
+        drop((now, next));
+        step(&mut a);
+        assert_eq!(a.snapshots.len(), 1);
+        let vel = Arc::clone(&a.shared().vel);
+        assert_eq!(Arc::as_ptr(&vel), vel_at, "velocities rewritten in place");
+        assert_eq!(*vel, a.vel);
+    }
+
+    /// Eq. 10 computed lane by lane, without the memo: the bits every
+    /// prediction of `s` with step `h` must have.
+    fn eq10_bits(s: &PartitionShared, h: f64) -> Vec<u64> {
+        let pos = [&s.pos.x, &s.pos.y, &s.pos.z];
+        let vel = [&s.vel.x, &s.vel.y, &s.vel.z];
+        let lanes = pos.iter().zip(vel).flat_map(|(r, v)| {
+            r.iter()
+                .zip(v.iter())
+                .map(move |(&r, &v)| (r + v * h).to_bits())
+        });
+        lanes
+            .chain(lane_bits(s)[3 * s.len()..].iter().copied())
+            .collect()
+    }
+
+    /// A copy is a new snapshot: same lanes, no memo, equal and printed
+    /// alike all the same.
+    #[test]
+    fn a_clone_starts_with_an_empty_memo() {
+        let b = make_app(12, 2, 1, 0.1);
+        let s = make_app(12, 2, 0, 0.1).shared();
+        let (spec, _) = b
+            .speculate(Rank(0), &hist_of(&[Arc::clone(&s)]), 1)
+            .unwrap();
+        assert!(s.memo.get().is_some_and(|(_, p)| Arc::ptr_eq(p, &spec)));
+        let copy = PartitionShared::clone(&s);
+        assert!(copy.memo.get().is_none());
+        assert_eq!(copy, *s);
+        assert_eq!(format!("{copy:?}"), format!("{s:?}"));
+    }
+
+    /// Writing a memoised snapshot's lanes, as a delta patch does, drops
+    /// the prediction of the old ones: in a patched copy, and in place in
+    /// a snapshot nobody else holds.
+    #[test]
+    fn a_patched_snapshot_predicts_from_its_patched_lanes() {
+        let app = make_app(12, 2, 1, 0.1);
+        let dt = app.cfg.dt;
+        let mut base = make_app(12, 2, 0, 0.1).shared();
+        let spec = |s: &Arc<PartitionShared>| {
+            app.speculate(Rank(0), &hist_of(std::slice::from_ref(s)), 1)
+                .unwrap()
+                .0
+        };
+        let before = spec(&base);
+
+        // Row 0 (x), particle 1; row 4 (vy), particle 2.
+        let patched = app.delta_patch(&base, &[(1, 3.0), (26, 7.5)]).unwrap();
+        let after = spec(&patched);
+        assert_eq!((patched.pos.x[1], after.vel.y[2]), (3.0, 7.5));
+        assert_eq!(lane_bits(&after), eq10_bits(&patched, dt));
+        assert_eq!(lane_bits(&spec(&base)), lane_bits(&before));
+
+        let old = lane_bits(&before);
+        drop(before);
+        let at = Arc::as_ptr(&base);
+        Lanes::row_mut(&mut base, 1)[0] = -2.0;
+        assert_eq!(
+            Arc::as_ptr(&base),
+            at,
+            "nobody else held it: written in place"
+        );
+        let moved = spec(&base);
+        assert_eq!(lane_bits(&moved), eq10_bits(&base, dt));
+        assert_ne!(lane_bits(&moved), old);
     }
 
     fn hist_of(shares: &[Arc<PartitionShared>]) -> History<Arc<PartitionShared>> {
@@ -695,6 +817,14 @@ mod tests {
         assert_eq!(spec.pos.get(0), r + v * dt);
         assert_eq!(spec.vel.get(0), v);
         assert_eq!(ops, OPS_PER_SPECULATE);
+        // Another receiver of the same snapshot shares the prediction,
+        // and is charged for it all the same.
+        let again = hist_of(&[Arc::clone(h.latest().unwrap())]);
+        let (shared, ops) = make_app(10, 2, 1, 0.01)
+            .speculate(Rank(0), &again, 1)
+            .unwrap();
+        assert!(Arc::ptr_eq(&shared, &spec));
+        assert_eq!(ops, OPS_PER_SPECULATE);
     }
 
     #[test]
@@ -708,6 +838,10 @@ mod tests {
         let (s3, _) = app.speculate(Rank(1), &h, 3).unwrap();
         assert_eq!(s1.pos.get(0).x, dt);
         assert_eq!(s3.pos.get(0).x, 3.0 * dt);
+        // The snapshot memoises the first step only; a repeat of it is
+        // the memoised prediction.
+        assert!(!Arc::ptr_eq(&s1, &s3));
+        assert!(Arc::ptr_eq(&app.speculate(Rank(1), &h, 1).unwrap().0, &s1));
     }
 
     #[test]
@@ -1075,10 +1209,7 @@ mod tests {
             y: lane(k + 1),
             z: lane(k + 2),
         };
-        PartitionShared {
-            pos: soa(0),
-            vel: Arc::new(soa(3)),
-        }
+        PartitionShared::new(soa(0), Arc::new(soa(3)))
     }
 
     /// The snapshot's lanes, row-major, as bits: the layout delta
